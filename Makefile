@@ -75,14 +75,17 @@ bench:
 	go run ./cmd/fedmp-bench -wire-json BENCH_wire.json
 	go run ./cmd/fedmp-bench -sim-json BENCH_sim.json
 
-# test-kernels runs the tensor suite once per micro-kernel tier. FEDMP_KERNEL
-# forces the tier; a tier the host lacks falls back to the best available one
-# (the tier-specific tests check KernelName and skip themselves), so the same
-# loop passes on every machine.
+# test-kernels runs the tensor and nn suites once per micro-kernel tier (the
+# layers' differential tests against the pre-rebuild code are bitwise, so
+# they must hold on every tier). FEDMP_KERNEL forces the tier; a tier the
+# host lacks falls back to the best available one (the tier-specific tests
+# check KernelName and skip themselves), so the same loop passes on every
+# machine. -count=1 because the variable is read in a package init, before
+# the test cache starts tracking the environment.
 test-kernels:
-	FEDMP_KERNEL=generic go test ./internal/tensor
-	FEDMP_KERNEL=sse go test ./internal/tensor
-	FEDMP_KERNEL=avx2 go test ./internal/tensor
+	FEDMP_KERNEL=generic go test -count=1 ./internal/tensor ./internal/nn
+	FEDMP_KERNEL=sse go test -count=1 ./internal/tensor ./internal/nn
+	FEDMP_KERNEL=avx2 go test -count=1 ./internal/tensor ./internal/nn
 
 check: vet lint build test test-kernels race
 

@@ -17,7 +17,9 @@ import (
 // internal/tensor/gemm_bench_test.go and the end-to-end training-step
 // benchmarks from bench_test.go programmatically via testing.Benchmark,
 // then writes BENCH_kernels.json with the measured numbers next to the
-// seed baselines so the speedup column regenerates with the data.
+// seed baselines so the speedup column regenerates with the data. Rows added
+// since (the conv lowering, pack and optimiser parts of the train step) have
+// no seed measurement and carry ns/op and allocs/op only.
 
 // seedBaselines are ns/op and allocs/op for the same benchmark bodies
 // measured at the growth seed (commit 0cdb44a, naive triple-loop kernels
@@ -84,6 +86,10 @@ func benchGEMM(m, k, n int) func(b *testing.B) {
 	}
 }
 
+// cnnConv2Geom is the second convolution of the zoo CNN, the shape the
+// Im2Col and Col2Im rows (and internal/tensor's benchmarks) lower.
+var cnnConv2Geom = tensor.ConvGeom{InC: 8, InH: 8, InW: 8, OutC: 16, KH: 5, KW: 5, Stride: 1, Pad: 2}
+
 func kernelBenches() []kernelBench {
 	return []kernelBench{
 		{"GEMM64", 2 * 64 * 64 * 64, benchGEMM(64, 64, 64)},
@@ -120,6 +126,36 @@ func kernelBenches() []kernelBench {
 				tensor.MatVecInto(y, a, x.Data, false)
 			}
 		}},
+		{"GEMMTBPack", 2 * 8 * 256 * 25, func(b *testing.B) {
+			// The per-sample weight-gradient product of the CNN's first
+			// convolution: tiny, so the transposing packs dominate it.
+			rng := rand.New(rand.NewSource(9))
+			dy := tensor.RandN(rng, 8, 256)
+			cols := tensor.RandN(rng, 25, 256)
+			dw := tensor.New(8, 25)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.MatMulTBInto(dw, dy, cols, true)
+			}
+		}},
+		{"Im2Col", 0, func(b *testing.B) {
+			g := cnnConv2Geom
+			x := tensor.RandN(rand.New(rand.NewSource(7)), g.InC, g.InH, g.InW)
+			cols := make([]float32, g.InC*g.KH*g.KW*g.OutH()*g.OutW())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.Im2Col(x.Data, g, cols)
+			}
+		}},
+		{"Col2Im", 0, func(b *testing.B) {
+			g := cnnConv2Geom
+			cols := tensor.RandN(rand.New(rand.NewSource(8)), g.InC*g.KH*g.KW, g.OutH()*g.OutW())
+			dx := make([]float32, g.InC*g.InH*g.InW)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tensor.Col2Im(cols.Data, g, dx)
+			}
+		}},
 		{"ConvForward", 0, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))
 			g := tensor.ConvGeom{InC: 16, InH: 16, InW: 16, OutC: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
@@ -128,6 +164,35 @@ func kernelBenches() []kernelBench {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				conv.Forward(x, true)
+			}
+		}},
+		{"ConvBackward", 0, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(2))
+			g := tensor.ConvGeom{InC: 16, InH: 16, InW: 16, OutC: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
+			conv := nn.NewConv2D("c", g, rng)
+			x := tensor.RandN(rng, 8, 16, 16, 16)
+			dy := tensor.RandN(rng, 8, 32, 16, 16)
+			conv.Forward(x, true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				conv.Backward(dy)
+			}
+		}},
+		{"SGDStep", 0, func(b *testing.B) {
+			// The experiments' optimiser settings on the CNN's parameters.
+			rng := rand.New(rand.NewSource(3))
+			net, err := zoo.Build(zoo.CNNSpec(), rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, p := range net.Params() {
+				p.Grad = tensor.RandN(rng, p.W.Shape...)
+			}
+			opt := nn.NewSGD(0.05, 0.9, 2e-3)
+			opt.Step(net.Params())
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opt.Step(net.Params())
 			}
 		}},
 		{"TrainStepCNN", 0, func(b *testing.B) {
@@ -202,8 +267,11 @@ func writeKernelBench(path string) error {
 				res.Speedup = base.NsPerOp / ns
 			}
 		}
-		fmt.Fprintf(os.Stderr, "%10.0f ns/op  %4d allocs/op  %5.2fx vs seed\n",
-			res.NsPerOp, res.AllocsPerOp, res.Speedup)
+		fmt.Fprintf(os.Stderr, "%10.0f ns/op  %4d allocs/op", res.NsPerOp, res.AllocsPerOp)
+		if res.Speedup > 0 { // rows added after the seed have no baseline
+			fmt.Fprintf(os.Stderr, "  %5.2fx vs seed", res.Speedup)
+		}
+		fmt.Fprintln(os.Stderr)
 		rep.Kernels = append(rep.Kernels, res)
 	}
 

@@ -157,10 +157,27 @@ func DefaultOptions() *Options {
 			"fedmp/internal/tensor.gemmDirect",
 			"fedmp/internal/tensor.gemmBlocked",
 			"fedmp/internal/tensor.matVec",
+			"fedmp/internal/tensor.gemmMacro",
+			"fedmp/internal/tensor.packRows",
+			"fedmp/internal/tensor.packTransposed",
+			"fedmp/internal/tensor.PackedA.Pack",
+			"fedmp/internal/tensor.PackedB.Pack",
+			"fedmp/internal/tensor.GEMMPacked",
+			"fedmp/internal/tensor.Im2Col",
+			"fedmp/internal/tensor.Col2Im",
 			"fedmp/internal/nn.Dense.Forward",
 			"fedmp/internal/nn.Dense.Backward",
+			"fedmp/internal/nn.Dense.BackwardParams",
+			"fedmp/internal/nn.Conv2D.Forward",
+			"fedmp/internal/nn.Conv2D.Backward",
+			"fedmp/internal/nn.Conv2D.BackwardParams",
+			"fedmp/internal/nn.Conv2D.backward",
+			"fedmp/internal/nn.ReLU.Forward",
 			"fedmp/internal/nn.ReLU.Backward",
+			"fedmp/internal/nn.MaxPool2D.Forward",
+			"fedmp/internal/nn.maxPool2x2",
 			"fedmp/internal/nn.MaxPool2D.Backward",
+			"fedmp/internal/nn.SGD.Step",
 			"fedmp/internal/nn.GlobalAvgPool.Backward",
 			"fedmp/internal/nn.AddProximal",
 			"fedmp/internal/prune.SymmetricScale",

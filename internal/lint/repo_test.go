@@ -61,6 +61,19 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 		"fedmp/internal/tensor.microTileFMA",
 		"fedmp/internal/tensor.mergeTile",
 		"fedmp/internal/tensor.fmaf32",
+		"fedmp/internal/tensor.gemmMacro",
+		"fedmp/internal/tensor.packRows",
+		"fedmp/internal/tensor.packTransposed",
+		"fedmp/internal/tensor.PackedA.Pack",
+		"fedmp/internal/tensor.PackedB.Pack",
+		"fedmp/internal/tensor.GEMMPacked",
+		"fedmp/internal/tensor.Im2Col",
+		"fedmp/internal/tensor.Col2Im",
+		"fedmp/internal/nn.Conv2D.Forward",
+		"fedmp/internal/nn.Conv2D.Backward",
+		"fedmp/internal/nn.ReLU.Forward",
+		"fedmp/internal/nn.MaxPool2D.Forward",
+		"fedmp/internal/nn.SGD.Step",
 		"fedmp/internal/prune.SymmetricScale",
 		"fedmp/internal/prune.QuantizeElem",
 		"fedmp/internal/transport/codec.putF32s",

@@ -99,6 +99,43 @@ func TestSequentialTrainStepAllocs(t *testing.T) {
 	}
 }
 
+// TestSGDStepAllocsZero pins the optimiser half of the train step: with
+// weight decay and momentum on (the experiment defaults) Step allocates its
+// velocity buffers on the first call and nothing afterwards.
+func TestSGDStepAllocsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	net := NewSequential(NewDense("d1", 32, 16, rng), NewReLU("r"), NewDense("d2", 16, 4, rng))
+	net.TrainStep(&Batch{X: tensor.RandN(rng, 4, 32), Labels: []int{0, 1, 2, 3}})
+	for _, opt := range []*SGD{NewSGD(0.05, 0.9, 2e-3), NewSGD(0.05, 0, 2e-3)} {
+		if got := allocsPerRun(func() { opt.Step(net.Params()) }); got > 0 {
+			t.Errorf("SGD.Step (momentum %v, decay %v) allocates %.1f objects per step, want 0", opt.Momentum, opt.WeightDecay, got)
+		}
+	}
+}
+
+// TestWorkspacesGrowOnly pins the capacity-keyed buffers: once a network has
+// seen its largest batch, a shorter one (EvalChunked's tail chunk) and the
+// return to the full size re-slice every workspace instead of reallocating.
+func TestWorkspacesGrowOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	net := NewSequential(
+		NewConv2D("c1", tensor.ConvGeom{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, rng),
+		NewBatchNorm2D("bn", 4),
+		NewReLU("r1"),
+		NewMaxPool2D("p1", 4, 8, 8, 2),
+		NewFlatten("f", 4*4*4),
+		NewDense("d", 4*4*4, 10, rng),
+	)
+	full, tail := tensor.RandN(rng, 64, 1, 8, 8), tensor.RandN(rng, 44, 1, 8, 8)
+	got := allocsPerRun(func() {
+		net.Forward(full, false)
+		net.Forward(tail, false)
+	})
+	if got > 0 {
+		t.Errorf("alternating 64- and 44-sample chunks allocates %.1f objects per pair, want 0", got)
+	}
+}
+
 func TestLSTMLMTrainStepAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewLSTMLM(32, 8, 16, 5, rng)

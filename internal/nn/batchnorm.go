@@ -96,9 +96,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := ensure(b.y, x.Shape...)
 	b.y = y
 	b.x = x
-	if len(b.xhat) != len(x.Data) {
-		b.xhat = make([]float32, len(x.Data))
-	}
+	b.xhat = grow(b.xhat, len(x.Data))
 	if len(b.mean) != b.C {
 		b.mean = make([]float32, b.C)
 		b.invStd = make([]float32, b.C)

@@ -1,0 +1,46 @@
+package nn
+
+import (
+	"math/rand"
+	"testing"
+
+	"fedmp/internal/tensor"
+)
+
+// Layer micro-benchmarks. `make bench` (cmd/fedmp-bench -bench-json) runs the
+// same bodies and writes them to BENCH_kernels.json next to ConvForward and
+// TrainStepCNN, so a move in the train step can be traced to its parts.
+
+// BenchmarkConvBackward is the backward half of the root package's
+// BenchmarkConvForward: 16→32 channels, 3×3, on 16×16 planes, batch 8.
+func BenchmarkConvBackward(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	g := tensor.ConvGeom{InC: 16, InH: 16, InW: 16, OutC: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}
+	conv := NewConv2D("c", g, rng)
+	x := tensor.RandN(rng, 8, 16, 16, 16)
+	dy := tensor.RandN(rng, 8, 32, 16, 16)
+	conv.Forward(x, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conv.Backward(dy)
+	}
+}
+
+// BenchmarkSGDStep updates the zoo CNN's parameter shapes with the
+// experiments' optimiser settings (momentum 0.9, weight decay 2e-3).
+func BenchmarkSGDStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	var params []*Param
+	for _, shape := range [][]int{{8, 1, 5, 5}, {8}, {16, 8, 5, 5}, {16}, {64, 256}, {64}, {10, 64}, {10}} {
+		p := NewParam("p", tensor.RandN(rng, shape...))
+		p.Grad = tensor.RandN(rng, shape...)
+		params = append(params, p)
+	}
+	opt := NewSGD(0.05, 0.9, 2e-3)
+	opt.Step(params)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(params)
+	}
+}

@@ -12,20 +12,27 @@ import (
 // [outC, inC, KH, KW]; each output filter occupies one contiguous block of
 // inC·KH·KW values, which is the slice the l1-norm filter importance score
 // is computed over.
+//
+// The three products of a step — y = W·cols, dW += dy·colsᵀ and
+// dcols = Wᵀ·dy — go through tensor.GEMMPacked: W and Wᵀ are packed once per
+// call rather than once per sample, and the column matrix exists for one
+// sample at a time (Backward lowers the cached input again instead of
+// keeping a batch of column matrices alive). Each product keeps the
+// per-sample (m, k, n) the MatMul*Into calls had, so results are
+// bit-identical to them (DESIGN.md §2a).
 type Conv2D struct {
 	name string
 	Geom tensor.ConvGeom
 	W, B *Param
 
-	x    *tensor.Tensor // cached input batch
-	cols []float32      // cached im2col buffers, one block per sample
+	x     *tensor.Tensor // cached input batch
+	y, dx *tensor.Tensor // cached output / input gradient
 
-	// reused buffers and view headers; rebuilt only when geometry changes
-	y, dx       *tensor.Tensor // cached output / input gradient
-	dcols       *tensor.Tensor // [rows, outArea] column-gradient scratch
-	wmat, dwMat *tensor.Tensor // [outC, rows] views of W / W.Grad
-	outV, dyV   *tensor.Tensor // per-sample [outC, outArea] views
-	colV        *tensor.Tensor // per-sample [rows, outArea] view
+	// grow-only per-sample workspaces
+	cols, dcols []float32      // [rows, outArea] columns / column gradient
+	wA, wtA     tensor.PackedA // W as [outC, rows]; Wᵀ as [rows, outC]
+	dyA         tensor.PackedA // dy_i as the left operand of dW
+	colsB, dyB  tensor.PackedB // cols_i (forward) or cols_iᵀ (dW); dy_i for dcols
 }
 
 // NewConv2D constructs a convolution layer with He-initialised kernels and
@@ -63,6 +70,8 @@ func (c *Conv2D) OutShape() []int {
 }
 
 // Forward implements Layer.
+//
+//fedmp:allocfree
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.Geom
 	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
@@ -72,27 +81,22 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	n := x.Shape[0]
 	rows := g.InC * g.KH * g.KW
 	outArea := g.OutH() * g.OutW()
-	c.x = x
-	if len(c.cols) != n*rows*outArea {
-		c.cols = make([]float32, n*rows*outArea)
-	}
-	y := ensure(c.y, n, g.OutC, g.OutH(), g.OutW())
-	c.y = y
-	c.wmat = view(c.wmat, c.W.W.Data, g.OutC, rows)
 	inSize := g.InC * g.InH * g.InW
+	c.x = x
+	y := ensure(c.y, n, g.OutC, g.OutH(), g.OutW()) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	c.y = y
+	c.cols = grow(c.cols, rows*outArea) //fedmp:transitive-ok — allocates once per geometry
+	c.wA.Pack(c.W.W.Data, false, g.OutC, rows, outArea)
 	for i := 0; i < n; i++ {
-		cb := c.cols[i*rows*outArea : (i+1)*rows*outArea]
-		tensor.Im2Col(x.Data[i*inSize:(i+1)*inSize], g, cb)
-		out := view(c.outV, y.Data[i*g.OutC*outArea:(i+1)*g.OutC*outArea], g.OutC, outArea)
-		c.outV = out
-		c.colV = view(c.colV, cb, rows, outArea)
-		tensor.MatMulInto(out, c.wmat, c.colV, false)
-		for oc := 0; oc < g.OutC; oc++ {
-			bias := c.B.W.Data[oc]
+		tensor.Im2Col(x.Data[i*inSize:(i+1)*inSize], g, c.cols)
+		c.colsB.Pack(c.cols, false, g.OutC, rows, outArea)
+		out := y.Data[i*g.OutC*outArea : (i+1)*g.OutC*outArea]
+		tensor.GEMMPacked(out, &c.wA, &c.colsB, false)
+		for oc, bias := range c.B.W.Data {
 			if bias == 0 {
 				continue
 			}
-			plane := out.Data[oc*outArea : (oc+1)*outArea]
+			plane := out[oc*outArea : (oc+1)*outArea]
 			for j := range plane {
 				plane[j] += bias
 			}
@@ -102,38 +106,59 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
+//
+//fedmp:allocfree
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	return c.backward(dy, true)
+}
+
+// BackwardParams implements paramsBackward: the parameter gradients of
+// Backward without the input gradient (no Wᵀ·dy product, no Col2Im).
+//
+//fedmp:allocfree
+func (c *Conv2D) BackwardParams(dy *tensor.Tensor) { c.backward(dy, false) }
+
+//fedmp:allocfree
+func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 	g := c.Geom
 	n := dy.Shape[0]
 	rows := g.InC * g.KH * g.KW
 	outArea := g.OutH() * g.OutW()
 	inSize := g.InC * g.InH * g.InW
-	dx := ensure(c.dx, n, g.InC, g.InH, g.InW)
-	c.dx = dx
-	dx.Zero() // Col2Im accumulates
-	c.dwMat = view(c.dwMat, c.W.Grad.Data, g.OutC, rows)
-	c.wmat = view(c.wmat, c.W.W.Data, g.OutC, rows)
-	dcols := ensure(c.dcols, rows, outArea)
-	c.dcols = dcols
+	var dx *tensor.Tensor
+	if needDX {
+		dx = ensure(c.dx, n, g.InC, g.InH, g.InW) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+		c.dx = dx
+		dx.Zero()                             // Col2Im accumulates
+		c.dcols = grow(c.dcols, rows*outArea) //fedmp:transitive-ok — allocates once per geometry
+		c.wtA.Pack(c.W.W.Data, true, rows, g.OutC, outArea)
+	}
+	c.cols = grow(c.cols, rows*outArea) //fedmp:transitive-ok — allocates once per geometry
+	dw := c.W.Grad.Data
 	for i := 0; i < n; i++ {
-		dyi := view(c.dyV, dy.Data[i*g.OutC*outArea:(i+1)*g.OutC*outArea], g.OutC, outArea)
-		c.dyV = dyi
-		cb := view(c.colV, c.cols[i*rows*outArea:(i+1)*rows*outArea], rows, outArea)
-		c.colV = cb
-		// dW += dy_i · colsᵀ
-		tensor.MatMulTBInto(c.dwMat, dyi, cb, true)
+		dyi := dy.Data[i*g.OutC*outArea : (i+1)*g.OutC*outArea]
+		// dW += dy_i · colsᵀ, one product per sample: a single product
+		// over the batch would move the kc chunk boundaries of the
+		// outArea·N-deep sum and with them the rounding.
+		tensor.Im2Col(c.x.Data[i*inSize:(i+1)*inSize], g, c.cols)
+		c.dyA.Pack(dyi, false, g.OutC, outArea, rows)
+		c.colsB.Pack(c.cols, true, g.OutC, outArea, rows)
+		tensor.GEMMPacked(dw, &c.dyA, &c.colsB, true)
 		// db += per-channel sums of dy_i.
 		for oc := 0; oc < g.OutC; oc++ {
-			plane := dyi.Data[oc*outArea : (oc+1)*outArea]
+			plane := dyi[oc*outArea : (oc+1)*outArea]
 			var s float32
 			for _, v := range plane {
 				s += v
 			}
 			c.B.Grad.Data[oc] += s
 		}
-		// dcols = Wᵀ · dy_i, scattered back through col2im.
-		tensor.MatMulTAInto(dcols, c.wmat, dyi, false)
-		tensor.Col2Im(dcols.Data, g, dx.Data[i*inSize:(i+1)*inSize])
+		if needDX {
+			// dcols = Wᵀ · dy_i, scattered back through col2im.
+			c.dyB.Pack(dyi, false, rows, g.OutC, outArea)
+			tensor.GEMMPacked(c.dcols, &c.wtA, &c.dyB, false)
+			tensor.Col2Im(c.dcols, g, dx.Data[i*inSize:(i+1)*inSize])
+		}
 	}
 	return dx
 }

@@ -59,7 +59,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	}
 	d.x = x
 	n := x.Shape[0]
-	y := ensure(d.y, n, d.Out) //fedmp:transitive-ok — allocates only on shape change; cache-hit path is clean
+	y := ensure(d.y, n, d.Out) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
 	d.y = y
 	if d.SparseWeights {
 		tensor.MatMulTBSparseInto(y, x, d.W.W, false)
@@ -79,19 +79,25 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 //
 //fedmp:allocfree
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	n := dy.Shape[0]
+	d.BackwardParams(dy)
+	// dx[N,in] = dy[N,out]·W[out,in]
+	dx := ensure(d.dx, dy.Shape[0], d.In) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	d.dx = dx
+	tensor.MatMulInto(dx, dy, d.W.W, false) //fedmp:transitive-ok — gemm's one dispatch closure per parallel call
+	return dx
+}
+
+// BackwardParams implements paramsBackward: dW and db without dx.
+//
+//fedmp:allocfree
+func (d *Dense) BackwardParams(dy *tensor.Tensor) {
 	// dW[out,in] += dyᵀ[out,N]·x[N,in]
 	tensor.MatMulTAInto(d.W.Grad, dy, d.x, true) //fedmp:transitive-ok — gemm's one dispatch closure per parallel call
 	// db += column sums of dy.
-	for i := 0; i < n; i++ {
+	for i := 0; i < dy.Shape[0]; i++ {
 		row := dy.Data[i*d.Out : (i+1)*d.Out]
 		for j, v := range row {
 			d.B.Grad.Data[j] += v
 		}
 	}
-	// dx[N,in] = dy[N,out]·W[out,in]
-	dx := ensure(d.dx, n, d.In) //fedmp:transitive-ok — allocates only on shape change; cache-hit path is clean
-	d.dx = dx
-	tensor.MatMulInto(dx, dy, d.W.W, false) //fedmp:transitive-ok — gemm's one dispatch closure per parallel call
-	return dx
 }

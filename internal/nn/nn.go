@@ -17,47 +17,43 @@ import (
 	"fedmp/internal/tensor"
 )
 
-// ensure returns t when it already has exactly the given shape; otherwise it
-// allocates a fresh zero tensor. Layers use it to recycle their output and
-// workspace buffers across steps: after the first batch of a given geometry,
-// steady-state training reuses every buffer and performs no heap allocation.
+// ensure returns t re-shaped to the given shape when its backing array is
+// large enough; otherwise it allocates a fresh tensor. Layers use it to
+// recycle their output and workspace buffers across steps: once a layer has
+// seen its largest batch, training and evaluation (including EvalChunked's
+// short tail chunk) reuse every buffer and perform no heap allocation.
+// Contents are unspecified after a re-shape; callers overwrite or zero them.
 //
 // Returned buffers are owned by the layer that ensured them: a layer's
 // Forward output is valid until its next Forward call (callers that need the
 // values longer must Clone), which is exactly the lifetime the train/eval
 // loops rely on.
 func ensure(t *tensor.Tensor, shape ...int) *tensor.Tensor {
-	if t != nil && len(t.Shape) == len(shape) {
-		match := true
-		for i, d := range shape {
-			if t.Shape[i] != d {
-				match = false
-				break
-			}
-		}
-		if match {
-			return t
-		}
+	if size := tensor.Prod(shape); t != nil && cap(t.Data) >= size {
+		t.Data = t.Data[:size]
+		t.Shape = append(t.Shape[:0], shape...)
+		return t
 	}
 	return tensor.New(shape...)
 }
 
+// grow returns buf re-sliced to n elements, reallocating only when its
+// capacity is too small — the slice counterpart of ensure.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // view re-points a cached header tensor at data with the given shape,
-// allocating a fresh header only when the shape changes. Hot loops use it to
-// slice per-sample sub-matrices out of batch tensors without allocating.
+// allocating a header only on first use. Hot loops use it to slice
+// sub-matrices out of batch tensors without allocating.
 func view(t *tensor.Tensor, data []float32, shape ...int) *tensor.Tensor {
-	remake := t == nil || len(t.Shape) != len(shape)
-	if !remake {
-		for i, d := range shape {
-			if t.Shape[i] != d {
-				remake = true
-				break
-			}
-		}
+	if t == nil {
+		t = &tensor.Tensor{}
 	}
-	if remake {
-		t = &tensor.Tensor{Shape: append([]int(nil), shape...)}
-	}
+	t.Shape = append(t.Shape[:0], shape...)
 	t.Data = data
 	return t
 }
@@ -113,6 +109,14 @@ type Layer interface {
 	// implied by the layer's geometry. The cluster model charges
 	// 3×forward FLOPs per training sample (forward + backward).
 	FLOPs() float64
+}
+
+// paramsBackward is implemented by layers that can accumulate their parameter
+// gradients without producing ∂loss/∂input. Sequential calls it on its first
+// layer, whose input gradient nobody reads; the parameter gradients are
+// computed exactly as in Backward, so skipping the rest cannot change them.
+type paramsBackward interface {
+	BackwardParams(dy *tensor.Tensor)
 }
 
 // Batch is one minibatch of training or evaluation data. Image batches
@@ -195,8 +199,13 @@ func (s *Sequential) TrainStep(b *Batch) (float64, int) {
 	logits := s.Forward(b.X, true)
 	loss, correct, dlogits := s.loss.LossAndGrad(logits, b.Labels)
 	dy := dlogits
-	for i := len(s.layers) - 1; i >= 0; i-- {
+	for i := len(s.layers) - 1; i > 0; i-- {
 		dy = s.layers[i].Backward(dy)
+	}
+	if first, ok := s.layers[0].(paramsBackward); ok {
+		first.BackwardParams(dy)
+	} else {
+		s.layers[0].Backward(dy)
 	}
 	return loss, correct
 }

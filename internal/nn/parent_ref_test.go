@@ -1,0 +1,232 @@
+package nn
+
+import (
+	"fmt"
+
+	"fedmp/internal/tensor"
+)
+
+// Reference copies of the layer code this package ran before the convolution
+// data path was rebuilt, kept verbatim (renamed with a ref prefix, lint
+// hatches dropped) so diff_test.go can demand bitwise equality between old
+// and new: Conv2D with a batch of column matrices and one MatMul*Into triple
+// per sample, ReLU with its bool mask, the general MaxPool2D window scan,
+// SGD.Step cloning the gradient for weight decay, and the exact-shape ensure
+// they relied on. The tensor primitives they call (Im2Col, Col2Im, the
+// MatMul*Into entry points) are pinned against their own verbatim parents in
+// internal/tensor's differential tests. Test-only: nothing outside _test.go
+// files may call these.
+
+func refEnsure(t *tensor.Tensor, shape ...int) *tensor.Tensor {
+	if t != nil && len(t.Shape) == len(shape) {
+		match := true
+		for i, d := range shape {
+			if t.Shape[i] != d {
+				match = false
+				break
+			}
+		}
+		if match {
+			return t
+		}
+	}
+	return tensor.New(shape...)
+}
+
+type refConv2D struct {
+	name string
+	Geom tensor.ConvGeom
+	W, B *Param
+
+	x    *tensor.Tensor // cached input batch
+	cols []float32      // cached im2col buffers, one block per sample
+
+	// reused buffers and view headers; rebuilt only when geometry changes
+	y, dx       *tensor.Tensor // cached output / input gradient
+	dcols       *tensor.Tensor // [rows, outArea] column-gradient scratch
+	wmat, dwMat *tensor.Tensor // [outC, rows] views of W / W.Grad
+	outV, dyV   *tensor.Tensor // per-sample [outC, outArea] views
+	colV        *tensor.Tensor // per-sample [rows, outArea] view
+}
+
+func (c *refConv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	g := c.Geom
+	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
+		panic(fmt.Sprintf("nn: Conv2D %q got input %v, want [N %d %d %d]",
+			c.name, x.Shape, g.InC, g.InH, g.InW))
+	}
+	n := x.Shape[0]
+	rows := g.InC * g.KH * g.KW
+	outArea := g.OutH() * g.OutW()
+	c.x = x
+	if len(c.cols) != n*rows*outArea {
+		c.cols = make([]float32, n*rows*outArea)
+	}
+	y := refEnsure(c.y, n, g.OutC, g.OutH(), g.OutW())
+	c.y = y
+	c.wmat = view(c.wmat, c.W.W.Data, g.OutC, rows)
+	inSize := g.InC * g.InH * g.InW
+	for i := 0; i < n; i++ {
+		cb := c.cols[i*rows*outArea : (i+1)*rows*outArea]
+		tensor.Im2Col(x.Data[i*inSize:(i+1)*inSize], g, cb)
+		out := view(c.outV, y.Data[i*g.OutC*outArea:(i+1)*g.OutC*outArea], g.OutC, outArea)
+		c.outV = out
+		c.colV = view(c.colV, cb, rows, outArea)
+		tensor.MatMulInto(out, c.wmat, c.colV, false)
+		for oc := 0; oc < g.OutC; oc++ {
+			bias := c.B.W.Data[oc]
+			if bias == 0 {
+				continue
+			}
+			plane := out.Data[oc*outArea : (oc+1)*outArea]
+			for j := range plane {
+				plane[j] += bias
+			}
+		}
+	}
+	return y
+}
+
+func (c *refConv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	g := c.Geom
+	n := dy.Shape[0]
+	rows := g.InC * g.KH * g.KW
+	outArea := g.OutH() * g.OutW()
+	inSize := g.InC * g.InH * g.InW
+	dx := refEnsure(c.dx, n, g.InC, g.InH, g.InW)
+	c.dx = dx
+	dx.Zero() // Col2Im accumulates
+	c.dwMat = view(c.dwMat, c.W.Grad.Data, g.OutC, rows)
+	c.wmat = view(c.wmat, c.W.W.Data, g.OutC, rows)
+	dcols := refEnsure(c.dcols, rows, outArea)
+	c.dcols = dcols
+	for i := 0; i < n; i++ {
+		dyi := view(c.dyV, dy.Data[i*g.OutC*outArea:(i+1)*g.OutC*outArea], g.OutC, outArea)
+		c.dyV = dyi
+		cb := view(c.colV, c.cols[i*rows*outArea:(i+1)*rows*outArea], rows, outArea)
+		c.colV = cb
+		// dW += dy_i · colsᵀ
+		tensor.MatMulTBInto(c.dwMat, dyi, cb, true)
+		// db += per-channel sums of dy_i.
+		for oc := 0; oc < g.OutC; oc++ {
+			plane := dyi.Data[oc*outArea : (oc+1)*outArea]
+			var s float32
+			for _, v := range plane {
+				s += v
+			}
+			c.B.Grad.Data[oc] += s
+		}
+		// dcols = Wᵀ · dy_i, scattered back through col2im.
+		tensor.MatMulTAInto(dcols, c.wmat, dyi, false)
+		tensor.Col2Im(dcols.Data, g, dx.Data[i*inSize:(i+1)*inSize])
+	}
+	return dx
+}
+
+type refReLU struct {
+	name  string
+	mask  []bool // true where the input was positive
+	size  float64
+	y, dx *tensor.Tensor // reused output buffers
+}
+
+func (r *refReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	y := refEnsure(r.y, x.Shape...)
+	r.y = y
+	if len(r.mask) != len(y.Data) {
+		r.mask = make([]bool, len(y.Data))
+	}
+	for i, v := range x.Data {
+		if v > 0 {
+			r.mask[i] = true
+			y.Data[i] = v
+		} else {
+			r.mask[i] = false
+			y.Data[i] = 0
+		}
+	}
+	if x.Shape[0] > 0 {
+		r.size = float64(len(x.Data)) / float64(x.Shape[0])
+	}
+	return y
+}
+
+func (r *refReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
+	dx := refEnsure(r.dx, dy.Shape...)
+	r.dx = dx
+	for i, v := range dy.Data {
+		if r.mask[i] {
+			dx.Data[i] = v
+		} else {
+			dx.Data[i] = 0
+		}
+	}
+	return dx
+}
+
+func refMaxPoolForward(m *MaxPool2D, x *tensor.Tensor, train bool) *tensor.Tensor {
+	if len(x.Shape) != 4 || x.Shape[1] != m.C || x.Shape[2] != m.InH || x.Shape[3] != m.InW {
+		panic(fmt.Sprintf("nn: MaxPool2D %q got input %v, want [N %d %d %d]", m.name, x.Shape, m.C, m.InH, m.InW))
+	}
+	n := x.Shape[0]
+	outH, outW := m.InH/m.Window, m.InW/m.Window
+	y := refEnsure(m.y, n, m.C, outH, outW)
+	m.y = y
+	if len(m.argmax) != len(y.Data) {
+		m.argmax = make([]int32, len(y.Data))
+	}
+	m.inShape = x.Shape
+	planeIn := m.InH * m.InW
+	planeOut := outH * outW
+	for i := 0; i < n; i++ {
+		for c := 0; c < m.C; c++ {
+			in := x.Data[(i*m.C+c)*planeIn : (i*m.C+c+1)*planeIn]
+			outBase := (i*m.C + c) * planeOut
+			for oh := 0; oh < outH; oh++ {
+				for ow := 0; ow < outW; ow++ {
+					best := float32(0)
+					bi := -1
+					for kh := 0; kh < m.Window; kh++ {
+						rowOff := (oh*m.Window + kh) * m.InW
+						for kw := 0; kw < m.Window; kw++ {
+							idx := rowOff + ow*m.Window + kw
+							if bi < 0 || in[idx] > best {
+								best, bi = in[idx], idx
+							}
+						}
+					}
+					oi := outBase + oh*outW + ow
+					y.Data[oi] = best
+					m.argmax[oi] = int32((i*m.C+c)*planeIn + bi)
+				}
+			}
+		}
+	}
+	return y
+}
+
+func refSGDStep(s *SGD, params []*Param) {
+	for _, p := range params {
+		if p.Frozen {
+			continue
+		}
+		g := p.Grad
+		if s.WeightDecay != 0 {
+			// Applied into a scratch copy so Grad still reports the raw
+			// data gradient after Step (the FedProx strategy reads it).
+			g = g.Clone()
+			g.AddScaled(s.WeightDecay, p.W)
+		}
+		if s.Momentum > 0 {
+			v, ok := s.velocity[p]
+			if !ok {
+				v = tensor.New(p.W.Shape...)
+				s.velocity[p] = v
+			}
+			v.Scale(s.Momentum)
+			v.Add(g)
+			g = v
+		}
+		p.W.AddScaled(-s.LR, g)
+	}
+}

@@ -35,29 +35,46 @@ func NewSGD(lr, momentum, weightDecay float32) *SGD {
 //
 //	v ← momentum·v + grad + wd·w
 //	w ← w − lr·v
+//
+// in one pass per parameter that leaves Grad untouched (it still reports the
+// raw data gradient afterwards; the FedProx strategy reads it). The pass
+// rounds exactly where the former clone / AddScaled / Scale / Add / AddScaled
+// sequence stored to memory: momentum·v is rounded before the add, which the
+// explicit conversion forces on architectures that would otherwise fuse it,
+// while grad + wd·w and w − lr·v keep the axpy shape AddScaled has.
+//
+//fedmp:allocfree
 func (s *SGD) Step(params []*Param) {
+	wd, mom, lr := s.WeightDecay, s.Momentum, -s.LR
 	for _, p := range params {
 		if p.Frozen {
 			continue
 		}
-		g := p.Grad
-		if s.WeightDecay != 0 {
-			// Applied into a scratch copy so Grad still reports the raw
-			// data gradient after Step (the FedProx strategy reads it).
-			g = g.Clone()
-			g.AddScaled(s.WeightDecay, p.W)
-		}
-		if s.Momentum > 0 {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = tensor.New(p.W.Shape...)
-				s.velocity[p] = v
+		w := p.W.Data
+		grad := p.Grad.Data[:len(w)]
+		if mom <= 0 {
+			for j, g := range grad {
+				if wd != 0 {
+					g += wd * w[j]
+				}
+				w[j] += lr * g
 			}
-			v.Scale(s.Momentum)
-			v.Add(g)
-			g = v
+			continue
 		}
-		p.W.AddScaled(-s.LR, g)
+		vt, ok := s.velocity[p]
+		if !ok {
+			vt = tensor.New(p.W.Shape...) //fedmp:transitive-ok — one velocity buffer per parameter, on its first step
+			s.velocity[p] = vt
+		}
+		v := vt.Data[:len(w)]
+		for j, g := range grad {
+			if wd != 0 {
+				g += wd * w[j]
+			}
+			vj := float32(v[j]*mom) + g
+			v[j] = vj
+			w[j] += lr * vj
+		}
 	}
 }
 

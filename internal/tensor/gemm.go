@@ -27,7 +27,9 @@ import (
 // Products below smallGEMMFLOPs skip packing entirely and run direct loops —
 // for tiny operands the pack traffic costs more than it saves. Products at or
 // above parallelMinFLOPs are row-sharded across a persistent worker pool when
-// GOMAXPROCS permits (see parallel.go).
+// GOMAXPROCS permits (see parallel.go). Callers that multiply one operand many
+// times (a convolution's kernel matrix, once per sample) pack it once through
+// PackedA/PackedB and GEMMPacked (see packed.go).
 //
 // The kernels are deliberately branch-free in the inner loops: the seed
 // implementation skipped zero A elements per-element, which pessimised dense
@@ -187,7 +189,7 @@ func gemmBlocked(kern *gemmKernel, c, a, b []float32, aT, bT bool, m, k, n, rlo,
 	if nc > n {
 		nc = roundUp(n, nr)
 	}
-	bbuf := Scratch.Get(kcGEMM * nc) //fedmp:transitive-ok — pool miss allocates once; steady state reuses
+	bbuf := Scratch.Get(kcGEMM * nc)      //fedmp:transitive-ok — pool miss allocates once; steady state reuses
 	abuf := Scratch.Get(kern.mc * kcGEMM) //fedmp:transitive-ok — pool miss allocates once; steady state reuses
 	defer Scratch.Put(abuf)
 	defer Scratch.Put(bbuf)
@@ -212,28 +214,41 @@ func gemmBlocked(kern *gemmKernel, c, a, b []float32, aT, bT bool, m, k, n, rlo,
 			for ic := rlo; ic < rhi; ic += kern.mc {
 				mb := min(kern.mc, rhi-ic)
 				packA(abuf.Data, a, aT, m, k, ic, mb, pc, kb, mr)
-				for jr := 0; jr < nb; jr += nr {
-					bp := bbuf.Data[(jr/nr)*kb*nr:]
-					jn := min(nr, nb-jr)
-					for ir := 0; ir < mb; ir += mr {
-						ap := abuf.Data[(ir/mr)*kb*mr:]
-						im := min(mr, mb-ir)
-						cc := c[(ic+ir)*n+jc+jr:]
-						switch {
-						case kern.asm == nil:
-							if kern.fused {
-								microTileFMA(cc, n, ap, bp, kb, acc, im, jn)
-							} else {
-								microTileGo(cc, n, ap, bp, kb, acc, im, jn)
-							}
-						case im == mr && jn == nr:
-							kern.asm(&cc[0], uintptr(n*4), &ap[0], &bp[0], uint64(kb), boolToUint64(acc))
-						default:
-							kern.asm(&edge[0], uintptr(nr*4), &ap[0], &bp[0], uint64(kb), 0)
-							mergeTile(cc, n, edge, nr, im, jn, acc)
-						}
-					}
+				gemmMacro(kern, c[ic*n+jc:], n, abuf.Data, bbuf.Data, mb, nb, kb, acc, edge)
+			}
+		}
+	}
+}
+
+// gemmMacro multiplies one packed A block (mb rows in panels of mr) by one
+// packed B block (nb columns in panels of nr) over the shared depth kb into
+// the mb×nb block of C starting at c (row stride ldc). Every C element gets
+// exactly one micro-kernel sum over p = 0..kb−1 in ascending order, written
+// or added once, whatever mr and nr are — which is why panels may be packed
+// ahead of time (packed.go) without moving a bit.
+//
+//fedmp:allocfree
+func gemmMacro(kern *gemmKernel, c []float32, ldc int, ap, bp []float32, mb, nb, kb int, acc bool, edge []float32) {
+	mr, nr := kern.mr, kern.nr
+	for jr := 0; jr < nb; jr += nr {
+		bpan := bp[(jr/nr)*kb*nr:]
+		jn := min(nr, nb-jr)
+		for ir := 0; ir < mb; ir += mr {
+			apan := ap[(ir/mr)*kb*mr:]
+			im := min(mr, mb-ir)
+			cc := c[ir*ldc+jr:]
+			switch {
+			case kern.asm == nil:
+				if kern.fused {
+					microTileFMA(cc, ldc, apan, bpan, kb, acc, im, jn)
+				} else {
+					microTileGo(cc, ldc, apan, bpan, kb, acc, im, jn)
 				}
+			case im == mr && jn == nr:
+				kern.asm(&cc[0], uintptr(ldc*4), &apan[0], &bpan[0], uint64(kb), boolToUint64(acc))
+			default:
+				kern.asm(&edge[0], uintptr(nr*4), &apan[0], &bpan[0], uint64(kb), 0)
+				mergeTile(cc, ldc, edge, nr, im, jn, acc)
 			}
 		}
 	}
@@ -253,27 +268,9 @@ func packA(dst, a []float32, aT bool, m, k, rlo, mb, p0, kb, mr int) {
 		base := rlo + t*mr
 		if aT {
 			// A stored [k,m]: column p of the block is contiguous.
-			for p := 0; p < kb; p++ {
-				src := a[(p0+p)*m+base : (p0+p)*m+base+rows]
-				d := panel[p*mr : p*mr+mr]
-				copy(d, src)
-				for r := rows; r < mr; r++ {
-					d[r] = 0
-				}
-			}
+			packRows(panel, a[p0*m+base:], m, rows, kb, mr)
 		} else {
-			for r := 0; r < mr; r++ {
-				if r >= rows {
-					for p := 0; p < kb; p++ {
-						panel[p*mr+r] = 0
-					}
-					continue
-				}
-				src := a[(base+r)*k+p0 : (base+r)*k+p0+kb]
-				for p, v := range src {
-					panel[p*mr+r] = v
-				}
-			}
+			packTransposed(panel, a[base*k+p0:], k, rows, kb, mr)
 		}
 	}
 }
@@ -291,29 +288,101 @@ func packB(dst, b []float32, bT bool, k, n, p0, kb, jlo, nb, nr int) {
 		base := jlo + u*nr
 		if bT {
 			// B stored [n,k]: row j of storage is logical column j.
-			for j := 0; j < nr; j++ {
-				if j >= cols {
-					for p := 0; p < kb; p++ {
-						panel[p*nr+j] = 0
-					}
-					continue
-				}
-				src := b[(base+j)*k+p0 : (base+j)*k+p0+kb]
-				for p, v := range src {
-					panel[p*nr+j] = v
-				}
-			}
+			packTransposed(panel, b[base*k+p0:], k, cols, kb, nr)
 		} else {
-			for p := 0; p < kb; p++ {
-				src := b[(p0+p)*n+base : (p0+p)*n+base+cols]
-				d := panel[p*nr : p*nr+nr]
-				copy(d, src)
-				for j := cols; j < nr; j++ {
-					d[j] = 0
-				}
-			}
+			packRows(panel, b[p0*n+base:], n, cols, kb, nr)
 		}
 	}
+}
+
+// packRows fills one w-wide panel from storage whose panel rows are already
+// contiguous: panel[p·w+r] = src[p·ld+r] for r < rows, zero for r ≥ rows.
+// Full rows of the 16- and 8-wide tiers move as fixed-size arrays, which the
+// compiler expands to vector moves instead of a memmove call per row.
+//
+//fedmp:allocfree
+func packRows(panel, src []float32, ld, rows, kb, w int) {
+	switch {
+	case rows == 16 && w == 16:
+		for p := 0; p < kb; p++ {
+			v := *(*[16]float32)(src[p*ld:])
+			*(*[16]float32)(panel[p*16:]) = v
+		}
+	case rows == 8 && w == 8:
+		for p := 0; p < kb; p++ {
+			v := *(*[8]float32)(src[p*ld:])
+			*(*[8]float32)(panel[p*8:]) = v
+		}
+	default:
+		for p := 0; p < kb; p++ {
+			d := panel[p*w : p*w+w]
+			copy(d, src[p*ld:p*ld+rows])
+			clear(d[rows:])
+		}
+	}
+}
+
+// packTransposed fills one w-wide panel from storage that runs along the
+// panel's depth: panel[p·w+r] = src[r·ld+p] for r < rows, zero for r ≥ rows.
+// It is a blocked transpose: eight (then four, two, one) source runs advance
+// together so each step stores one contiguous group instead of w strided
+// scalars. Rows past the block read a run of zeros, which pads the panel in
+// the same pass.
+//
+//fedmp:allocfree
+func packTransposed(panel, src []float32, ld, rows, kb, w int) {
+	panel = panel[:kb*w]
+	r := 0
+	for ; r+8 <= w; r += 8 {
+		s0 := depthRun(src, ld, rows, kb, r)
+		s1 := depthRun(src, ld, rows, kb, r+1)[:len(s0)]
+		s2 := depthRun(src, ld, rows, kb, r+2)[:len(s0)]
+		s3 := depthRun(src, ld, rows, kb, r+3)[:len(s0)]
+		s4 := depthRun(src, ld, rows, kb, r+4)[:len(s0)]
+		s5 := depthRun(src, ld, rows, kb, r+5)[:len(s0)]
+		s6 := depthRun(src, ld, rows, kb, r+6)[:len(s0)]
+		s7 := depthRun(src, ld, rows, kb, r+7)[:len(s0)]
+		for p := range s0 {
+			d := panel[p*w+r : p*w+r+8 : p*w+r+8]
+			d[0], d[1], d[2], d[3] = s0[p], s1[p], s2[p], s3[p]
+			d[4], d[5], d[6], d[7] = s4[p], s5[p], s6[p], s7[p]
+		}
+	}
+	for ; r+4 <= w; r += 4 {
+		s0 := depthRun(src, ld, rows, kb, r)
+		s1 := depthRun(src, ld, rows, kb, r+1)[:len(s0)]
+		s2 := depthRun(src, ld, rows, kb, r+2)[:len(s0)]
+		s3 := depthRun(src, ld, rows, kb, r+3)[:len(s0)]
+		for p := range s0 {
+			d := panel[p*w+r : p*w+r+4 : p*w+r+4]
+			d[0], d[1], d[2], d[3] = s0[p], s1[p], s2[p], s3[p]
+		}
+	}
+	for ; r+2 <= w; r += 2 {
+		s0 := depthRun(src, ld, rows, kb, r)
+		s1 := depthRun(src, ld, rows, kb, r+1)[:len(s0)]
+		for p := range s0 {
+			d := panel[p*w+r : p*w+r+2 : p*w+r+2]
+			d[0], d[1] = s0[p], s1[p]
+		}
+	}
+	for ; r < w; r++ {
+		for p, v := range depthRun(src, ld, rows, kb, r) {
+			panel[p*w+r] = v
+		}
+	}
+}
+
+// zeroRun is what depthRun hands out for the padding rows of a panel.
+var zeroRun [kcGEMM]float32
+
+// depthRun returns the kb values along the depth of block row r, or zeros
+// once r is past the block's rows.
+func depthRun(src []float32, ld, rows, kb, r int) []float32 {
+	if r < rows {
+		return src[r*ld : r*ld+kb]
+	}
+	return zeroRun[:kb]
 }
 
 // microTileGo accumulates an mb×nb (≤ 4×8) tile of C from packed panels ap

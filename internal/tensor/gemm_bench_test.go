@@ -94,3 +94,47 @@ func BenchmarkGEMMSparseTB128(b *testing.B) {
 		MatMulTBSparseInto(out, x, w, false)
 	}
 }
+
+// benchConvGeom is the second convolution of the zoo CNN: 8 input channels on
+// an 8×8 plane, 5×5 kernel, "same" padding — 200 column rows of 64.
+var benchConvGeom = ConvGeom{InC: 8, InH: 8, InW: 8, OutC: 16, KH: 5, KW: 5, Stride: 1, Pad: 2}
+
+func BenchmarkIm2Col(b *testing.B) {
+	g := benchConvGeom
+	rng := rand.New(rand.NewSource(7))
+	x := RandN(rng, g.InC, g.InH, g.InW)
+	cols := make([]float32, g.InC*g.KH*g.KW*g.OutH()*g.OutW())
+	b.SetBytes(int64(4 * len(cols)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Im2Col(x.Data, g, cols)
+	}
+}
+
+func BenchmarkCol2Im(b *testing.B) {
+	g := benchConvGeom
+	rng := rand.New(rand.NewSource(8))
+	cols := RandN(rng, g.InC*g.KH*g.KW, g.OutH()*g.OutW())
+	dx := make([]float32, g.InC*g.InH*g.InW)
+	b.SetBytes(int64(4 * len(cols.Data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Col2Im(cols.Data, g, dx)
+	}
+}
+
+// BenchmarkGEMMTBPack is the per-sample weight-gradient product of the zoo
+// CNN's first convolution, dW[8,25] += dy[8,256]·colsᵀ: both operands are
+// packed through the transposing paths and the product itself is tiny, so
+// the figure is dominated by packA/packB.
+func BenchmarkGEMMTBPack(b *testing.B) {
+	rng := rand.New(rand.NewSource(9))
+	dy := RandN(rng, 8, 256)
+	cols := RandN(rng, 25, 256)
+	dw := New(8, 25)
+	b.SetBytes(2 * 8 * 256 * 25)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatMulTBInto(dw, dy, cols, true)
+	}
+}

@@ -30,12 +30,30 @@ func (g ConvGeom) Validate() {
 	}
 }
 
+// validRange returns the output positions [lo, hi) along one axis whose
+// input position o*Stride - Pad + k lies inside [0, in); outside it the
+// window reads zero padding.
+func (g ConvGeom) validRange(k, in, out int) (lo, hi int) {
+	lo, hi = g.Pad-k, in+g.Pad-k
+	if s := g.Stride; s > 1 {
+		lo, hi = (lo+s-1)/s, (hi+s-1)/s // truncation leaves negatives ≤ 0, clamped next
+	}
+	lo = min(max(lo, 0), out)
+	return lo, min(max(hi, lo), out)
+}
+
 // Im2Col lowers one image x (layout [C,H,W] flattened) into a column matrix
 // of shape [C*KH*KW, OutH*OutW] written into cols. Convolution then becomes
 // a single matrix multiplication of the [OutC, C*KH*KW] kernel matrix with
 // the column matrix.
 //
-// cols must have length C*KH*KW*OutH*OutW; it is fully overwritten.
+// cols must have length C*KH*KW*OutH*OutW; it is fully overwritten. Work is
+// done on row segments, not elements: each output row is zero padding around
+// one run copied (stride 1) or gathered (stride > 1) from one input row, and
+// when output rows are as wide as input rows at stride 1 the runs of all
+// valid rows are adjacent in both, so one copy moves them together.
+//
+//fedmp:allocfree
 func Im2Col(x []float32, g ConvGeom, cols []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	outArea := outH * outW
@@ -45,34 +63,50 @@ func Im2Col(x []float32, g ConvGeom, cols []float32) {
 	if len(x) != g.InC*g.InH*g.InW {
 		panic(fmt.Sprintf("tensor: Im2Col input length %d, want %d", len(x), g.InC*g.InH*g.InW))
 	}
+	adjacent := g.Stride == 1 && outW == g.InW
 	row := 0
 	for c := 0; c < g.InC; c++ {
 		plane := x[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		for kh := 0; kh < g.KH; kh++ {
+			ohLo, ohHi := g.validRange(kh, g.InH, outH)
 			for kw := 0; kw < g.KW; kw++ {
+				lo, hi := g.validRange(kw, g.InW, outW)
 				dst := cols[row*outArea : (row+1)*outArea]
-				di := 0
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*g.Stride - g.Pad + kh
-					if ih < 0 || ih >= g.InH {
-						for ow := 0; ow < outW; ow++ {
-							dst[di] = 0
-							di++
-						}
-						continue
-					}
-					src := plane[ih*g.InW : (ih+1)*g.InW]
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.Stride - g.Pad + kw
-						if iw < 0 || iw >= g.InW {
-							dst[di] = 0
+				row++
+				if lo == hi || ohLo == ohHi { // the tap only ever sees padding
+					clear(dst)
+					continue
+				}
+				// Valid positions span [q0, q1); between the runs of two
+				// consecutive rows lie gap padding positions.
+				q0, q1 := ohLo*outW+lo, (ohHi-1)*outW+hi
+				gap := outW - hi + lo
+				clear(dst[:q0])
+				clear(dst[q1:])
+				if adjacent {
+					// dst[q] = plane[q+off] over every valid row at once;
+					// the gaps it drags along are zeroed below.
+					copy(dst[q0:q1], plane[q0+(kh-g.Pad)*g.InW+kw-g.Pad:])
+				} else {
+					for oh := ohLo; oh < ohHi; oh++ {
+						seg := dst[oh*outW+lo : oh*outW+hi]
+						src := plane[(oh*g.Stride-g.Pad+kh)*g.InW:][:g.InW]
+						if g.Stride == 1 {
+							copy(seg, src[lo-g.Pad+kw:])
 						} else {
-							dst[di] = src[iw]
+							for i := range seg {
+								seg[i] = src[(lo+i)*g.Stride-g.Pad+kw]
+							}
 						}
-						di++
 					}
 				}
-				row++
+				if gap > 0 {
+					for q := ohLo*outW + hi; q < q1; q += outW {
+						for j := q; j < q+gap; j++ { // too short for a clear call
+							dst[j] = 0
+						}
+					}
+				}
 			}
 		}
 	}
@@ -80,7 +114,11 @@ func Im2Col(x []float32, g ConvGeom, cols []float32) {
 
 // Col2Im is the adjoint of Im2Col: it scatters (accumulates) the column
 // matrix cols back into the image gradient dx, which must be zeroed by the
-// caller beforehand if a fresh gradient is wanted.
+// caller beforehand if a fresh gradient is wanted. Rows are visited in
+// Im2Col's order, so every dx element receives its contributions in one
+// fixed sequence.
+//
+//fedmp:allocfree
 func Col2Im(cols []float32, g ConvGeom, dx []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	outArea := outH * outW
@@ -94,25 +132,25 @@ func Col2Im(cols []float32, g ConvGeom, dx []float32) {
 	for c := 0; c < g.InC; c++ {
 		plane := dx[c*g.InH*g.InW : (c+1)*g.InH*g.InW]
 		for kh := 0; kh < g.KH; kh++ {
+			ohLo, ohHi := g.validRange(kh, g.InH, outH)
 			for kw := 0; kw < g.KW; kw++ {
+				lo, hi := g.validRange(kw, g.InW, outW)
 				src := cols[row*outArea : (row+1)*outArea]
-				si := 0
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*g.Stride - g.Pad + kh
-					if ih < 0 || ih >= g.InH {
-						si += outW
-						continue
-					}
-					dst := plane[ih*g.InW : (ih+1)*g.InW]
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*g.Stride - g.Pad + kw
-						if iw >= 0 && iw < g.InW {
-							dst[iw] += src[si]
+				row++
+				for oh := ohLo; oh < ohHi && lo < hi; oh++ {
+					dst := plane[(oh*g.Stride-g.Pad+kh)*g.InW:][:g.InW]
+					seg := src[oh*outW+lo : oh*outW+hi]
+					if g.Stride == 1 {
+						d := dst[lo-g.Pad+kw:][:len(seg)]
+						for i, v := range seg {
+							d[i] += v
 						}
-						si++
+					} else {
+						for i, v := range seg {
+							dst[(lo+i)*g.Stride-g.Pad+kw] += v
+						}
 					}
 				}
-				row++
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -100,22 +101,11 @@ func TestIm2ColMatchesDirectConv(t *testing.T) {
 
 // Property: Col2Im is the adjoint of Im2Col, i.e. for random x and y,
 // <Im2Col(x), y> == <x, Col2Im(y)>. This is exactly the identity backprop
-// correctness depends on.
+// correctness depends on. Every drawn geometry is checked at stride 1 (whose
+// rows are copied) and stride 2 (whose rows are gathered), with kernels up
+// to 5 and padding up to 2 so whole taps can fall into the padding.
 func TestCol2ImAdjointProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g := ConvGeom{
-			InC:    1 + r.Intn(3),
-			InH:    3 + r.Intn(5),
-			InW:    3 + r.Intn(5),
-			KH:     1 + r.Intn(3),
-			KW:     1 + r.Intn(3),
-			Stride: 1 + r.Intn(2),
-			Pad:    r.Intn(2),
-		}
-		if g.InH+2*g.Pad < g.KH || g.InW+2*g.Pad < g.KW {
-			return true // degenerate; skip
-		}
+	adjoint := func(r *rand.Rand, g ConvGeom) bool {
 		colSize := g.InC * g.KH * g.KW * g.OutH() * g.OutW()
 		x := RandN(r, g.InC*g.InH*g.InW)
 		y := RandN(r, colSize)
@@ -131,20 +121,28 @@ func TestCol2ImAdjointProperty(t *testing.T) {
 		for i := range dx {
 			rhs += float64(dx[i]) * float64(x.Data[i])
 		}
-		diff := lhs - rhs
-		if diff < 0 {
-			diff = -diff
+		return math.Abs(lhs-rhs)/math.Max(1, math.Abs(lhs)) < 1e-3
+	}
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		g := ConvGeom{
+			InC: 1 + r.Intn(3),
+			InH: 3 + r.Intn(5),
+			InW: 3 + r.Intn(5),
+			KH:  1 + r.Intn(5),
+			KW:  1 + r.Intn(5),
+			Pad: r.Intn(3),
 		}
-		scale := 1.0
-		if l := lhs; l < 0 {
-			l = -l
-			if l > scale {
-				scale = l
+		if g.InH+2*g.Pad < g.KH || g.InW+2*g.Pad < g.KW {
+			return true // degenerate; skip
+		}
+		for g.Stride = 1; g.Stride <= 2; g.Stride++ {
+			if !adjoint(r, g) {
+				t.Logf("adjoint identity fails for %+v", g)
+				return false
 			}
-		} else if lhs > scale {
-			scale = lhs
 		}
-		return diff/scale < 1e-3
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
