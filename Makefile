@@ -69,7 +69,9 @@ race:
 # EXPERIMENTS.md), BENCH_wire.json (frame codec vs gob encode/decode,
 # bytes/round across the pruning-ratio sweep, sparse-upload savings) and
 # BENCH_sim.json (virtual-time scheduler events/sec and heap growth across
-# 1e3/1e5/1e6-device populations).
+# 1e3/1e5/1e6-device populations, plus the per-round fixed costs of a
+# 200-worker cohort: Assign, Aggregate, network construction cold and
+# cached, device materialisation).
 bench:
 	go run ./cmd/fedmp-bench -bench-json BENCH_kernels.json
 	go run ./cmd/fedmp-bench -wire-json BENCH_wire.json
@@ -90,11 +92,15 @@ test-kernels:
 check: vet lint build test test-kernels race
 
 # ci is the offline continuous-integration entry point: the full check
-# pipeline, the stale-hatch audit, a race-checked transport smoke
-# (two-worker loopback round over the binary wire codec, sim/wire parity,
-# and a mid-run PS kill/restart that must recover from its checkpoint),
-# then a bench smoke run (one static table plus one quick sim-backed
-# figure) proving the experiment CLI still runs end to end.
+# pipeline, the stale-hatch audit, a race-checked smoke of the concurrent
+# paths — the whole simulated round at GOMAXPROCS 1 vs 8 (sharded Assign,
+# device pre-pass, cached-network training, fused aggregate; sync, async,
+# shared-plan and population runs must match byte for byte), then the
+# transport (two-worker loopback round over the binary wire codec, sim/wire
+# parity, and a mid-run PS kill/restart that must recover from its
+# checkpoint) — then a bench smoke run (one static table plus one quick
+# sim-backed figure) proving the experiment CLI still runs end to end.
 ci: check lint-bench lint-hatches
+	go test -race -count=1 -run 'TestParallelCohortDeterminism' ./internal/core
 	go test -race -run 'TestLoopbackSmoke|TestSimWireBytesParity|TestPSKillRestartRecovery' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

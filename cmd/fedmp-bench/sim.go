@@ -21,7 +21,10 @@ import (
 // run per population size (1e3 / 1e5 / 1e6 devices, identical cohort), with
 // scheduler events/sec and the run's heap growth — which must stay flat
 // across populations, because devices derive lazily from (seed, id) — plus
-// raw scheduler push/pop and device-derivation micro-benchmarks.
+// raw scheduler push/pop and device-derivation micro-benchmarks, and the
+// fixed costs a round pays per cohort member besides training (pruning
+// dispatch, aggregation, network construction, device materialisation) at
+// the shapes of the population workload: bench-tiny, cohort 200.
 
 // simRow is one population-scale run.
 type simRow struct {
@@ -56,6 +59,149 @@ type simReport struct {
 	// distance, jitter RNG) from (seed, id) on a million-device population.
 	PopulationDeviceNs float64  `json:"population_device_ns"`
 	Rows               []simRow `json:"rows"`
+	// RoundCosts are the per-round fixed costs (see roundCostBenches);
+	// BenchmarkRoundCosts in this package's tests runs the same bodies.
+	RoundCosts []simCost `json:"round_costs"`
+}
+
+// simCost is one fixed-cost micro-benchmark.
+type simCost struct {
+	Name        string  `json:"name"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+}
+
+const (
+	costCohort = 200
+	costRounds = 100
+)
+
+// simBenchFamily is the family of the scale runs and the round-cost rows.
+func simBenchFamily() *core.ImageFamily {
+	ds := data.Generate("bench-tiny", data.Config{
+		Classes: 6, C: 1, H: 8, W: 8,
+		TrainSize: 600, TestSize: 180, Noise: 0.6, MaxShift: 1, Seed: 42,
+	})
+	return &core.ImageFamily{Spec: simBenchSpec(), DS: ds}
+}
+
+// benchCohortRound runs FedMP rounds over a 200-worker cohort with training
+// left out — every worker returns its assignment untouched — and times
+// either the Assign half (ratio decisions, one scoring of the global model,
+// 200 plans and sub-models) or the Aggregate half (the fused R2SP sum and
+// the reward updates). E-UCB's cost grows with an agent's history, so the
+// strategy starts over every costRounds rounds, the length of a population
+// run.
+func benchCohortRound(b *testing.B, timeAssign bool) {
+	fam := simBenchFamily()
+	cfg, err := core.Normalize(core.Config{Strategy: core.StrategyFedMP, Workers: costCohort, Rounds: costRounds, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var strategy core.Strategy
+	workers := make([]int, costCohort)
+	for i := range workers {
+		workers[i] = i
+	}
+	info := &core.RoundInfo{
+		Global:    fam.InitWeights(1),
+		PrevLoss:  1,
+		PrevTimes: make([]float64, costCohort), PrevCommTimes: make([]float64, costCohort),
+	}
+	outs := make([]core.Output, costCohort)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if info.Round = i%costRounds + 1; info.Round == 1 {
+			if strategy, err = core.NewStrategy(fam, &cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if timeAssign {
+			b.StartTimer()
+		}
+		assignments, err := strategy.Assign(info, workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for j, a := range assignments {
+			outs[j] = core.Output{Assignment: a, NewWeights: a.Weights, TrainLoss: 0.9, Total: 1 + 0.01*float64(j)}
+		}
+		if !timeAssign {
+			b.StartTimer()
+		}
+		if info.Global, err = strategy.Aggregate(info, outs, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// benchBuildNet times obtaining a trainable network for the model's
+// ratio-0.4 sub-model: built from scratch (Family.BuildNet), or taken from an
+// executor's warm cache (core.NetCache) as a steady-state assignment does.
+func benchBuildNet(newFamily func() (*core.ImageFamily, error), cached bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		fam, err := newFamily()
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, desc, _, err := fam.MakePlan(fam.InitWeights(1), 0.4, 0, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cache := core.NewNetCache(fam, 0.05, 0.9, 0)
+		if _, _, err := cache.Get(desc, 1); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if cached {
+				_, _, err = cache.Get(desc, 1)
+			} else {
+				_, err = fam.BuildNet(desc, 1)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+func tinyFamily() (*core.ImageFamily, error) { return simBenchFamily(), nil }
+func cnnFamily() (*core.ImageFamily, error)  { return core.NewImageFamily(zoo.ModelCNN) }
+
+// benchDeviceMaterialise200 derives a cohort's worth of never-seen devices,
+// the work the engine's device pre-pass spreads over the cores.
+func benchDeviceMaterialise200(b *testing.B) {
+	pop, err := cluster.Population{Size: 1_000_000}.Normalized(costCohort, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < costCohort; j++ {
+			pop.Device((i*costCohort + j) * 7919 % pop.Size)
+		}
+	}
+}
+
+// roundCostBenches are the round_costs rows, in report order;
+// BenchmarkRoundCosts runs the same table under `go test -bench`.
+var roundCostBenches = []struct {
+	name string
+	run  func(b *testing.B)
+}{
+	{"AssignCohort200", func(b *testing.B) { benchCohortRound(b, true) }},
+	{"AggregateCohort200", func(b *testing.B) { benchCohortRound(b, false) }},
+	{"BuildNetTiny", benchBuildNet(tinyFamily, false)},
+	{"BuildNetTinyCached", benchBuildNet(tinyFamily, true)},
+	{"BuildNetCNN", benchBuildNet(cnnFamily, false)},
+	{"BuildNetCNNCached", benchBuildNet(cnnFamily, true)},
+	{"DeviceMaterialise200", benchDeviceMaterialise200},
 }
 
 // simBenchSpec is the deliberately tiny model the scale runs train: the
@@ -162,11 +308,16 @@ func writeSimBench(path string) error {
 	rep.PopulationDeviceNs = float64(device.NsPerOp())
 	fmt.Fprintf(os.Stderr, "%.0f ns/op\n", rep.PopulationDeviceNs)
 
-	ds := data.Generate("bench-tiny", data.Config{
-		Classes: 6, C: 1, H: 8, W: 8,
-		TrainSize: 600, TestSize: 180, Noise: 0.6, MaxShift: 1, Seed: 42,
-	})
-	fam := &core.ImageFamily{Spec: simBenchSpec(), DS: ds}
+	for _, c := range roundCostBenches {
+		fmt.Fprintf(os.Stderr, "benchmarking %s ... ", c.name)
+		r := testing.Benchmark(c.run)
+		rep.RoundCosts = append(rep.RoundCosts, simCost{
+			Name: c.name, NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp(), BytesPerOp: r.AllocedBytesPerOp(),
+		})
+		fmt.Fprintf(os.Stderr, "%.0f ns/op, %d allocs/op\n", float64(r.NsPerOp()), r.AllocsPerOp())
+	}
+
+	fam := simBenchFamily()
 	for _, population := range []int{1_000, 100_000, 1_000_000} {
 		fmt.Fprintf(os.Stderr, "running population %d ... ", population)
 		row, err := simScaleRun(fam, population, 30, 50)

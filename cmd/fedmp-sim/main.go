@@ -11,6 +11,10 @@
 // milliseconds) are charged from simclock.Fixed instead of the wall clock,
 // making the entire output byte-reproducible for a given seed — the property
 // the maporder lint rule and the seed-determinism test guard.
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the run (read
+// them with `go tool pprof`); they are off by default and do not change a
+// byte of the output.
 package main
 
 import (
@@ -20,6 +24,8 @@ import (
 	"log"
 	"math"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"fedmp"
 	"fedmp/internal/cluster"
@@ -94,11 +100,52 @@ func main() {
 	flag.IntVar(&o.population, "population", d.population, "device population size; each round samples a cohort from it (0 = fixed workers)")
 	flag.IntVar(&o.cohort, "cohort", d.cohort, "per-round cohort size in population mode (default: -workers)")
 	flag.BoolVar(&o.stream, "stream", d.stream, "stream metrics in constant memory (no per-round trajectory)")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := flag.String("memprofile", "", "write an allocation profile of the run to this file")
 	flag.Parse()
 
-	if err := runSim(o, os.Stdout); err != nil {
+	if err := profiled(*cpuProfile, *memProfile, func() error { return runSim(o, os.Stdout) }); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// profiled runs fn under the requested runtime/pprof profiles: a CPU profile
+// covering the call, and an allocation profile (every allocation since
+// process start, after a final collection) written when it returns. Empty
+// paths profile nothing.
+func profiled(cpuPath, memPath string, fn func() error) error {
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			return err
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				log.Printf("fedmp-sim: closing %s: %v", cpuPath, err)
+			}
+		}()
+	}
+	if err := fn(); err != nil {
+		return err
+	}
+	if memPath == "" {
+		return nil
+	}
+	f, err := os.Create(memPath)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // runSim executes one simulation and writes the trajectory and summary to w.

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -88,5 +90,35 @@ func TestPopulationRender(t *testing.T) {
 	o.population, o.cohort = 4, 9
 	if err := runSim(o, &bytes.Buffer{}); err == nil {
 		t.Error("cohort > population accepted")
+	}
+}
+
+// TestProfilesLeaveOutputAlone: a profiled run prints what an unprofiled one
+// does and leaves two non-empty pprof files behind.
+func TestProfilesLeaveOutputAlone(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two small simulations")
+	}
+	o := defaultSimOptions()
+	o.workers = 3
+	o.rounds = 2
+	o.fixedClock = true
+
+	var plain, prof bytes.Buffer
+	if err := runSim(o, &plain); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof")
+	if err := profiled(cpu, mem, func() error { return runSim(o, &prof) }); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(plain.Bytes(), prof.Bytes()) {
+		t.Errorf("profiling changed the output:\n%s\nvs\n%s", plain.String(), prof.String())
+	}
+	for _, path := range []string{cpu, mem} {
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty (%v)", path, err)
+		}
 	}
 }

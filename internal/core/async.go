@@ -55,7 +55,7 @@ func (r *runner) runAsync() error {
 		if err != nil {
 			return err
 		}
-		runnable := make([]Assignment, 0, len(assignments))
+		runnable := r.runnable[:0]
 		for _, a := range assignments {
 			if faults != nil && faults[a.Worker].Down {
 				// The assignment is lost. A crashed device surfaces after
@@ -69,6 +69,7 @@ func (r *runner) runAsync() error {
 			}
 			runnable = append(runnable, a)
 		}
+		r.runnable = runnable
 		outs, err := r.trainCohort(runnable, round)
 		if err != nil {
 			return err
@@ -86,7 +87,7 @@ func (r *runner) runAsync() error {
 		r.pendingPrune += info.PruneSeconds
 		return nil
 	}
-	if err := dispatch(0, r.allWorkers()); err != nil {
+	if err := dispatch(0, r.workerIDs); err != nil {
 		return err
 	}
 
@@ -98,8 +99,10 @@ func (r *runner) runAsync() error {
 		if m == 0 {
 			return nil
 		}
-		outs := make([]Output, 0, m)
-		var dropped []Assignment
+		// The round's participants, losses and re-dispatch list live in the
+		// runner's scratch: Aggregate, finishRound and dispatch read them
+		// only until they return.
+		outs, dropped := r.participants[:0], r.late[:0]
 		var roundEnd float64
 		for len(outs) < m && r.sched.Len() > 0 {
 			ev, _ := r.sched.Pop()
@@ -115,6 +118,7 @@ func (r *runner) runAsync() error {
 			}
 			outs = append(outs, it.out)
 		}
+		r.participants, r.late = outs, dropped
 		info := r.roundInfo(round)
 		newGlobal, err := r.strategy.Aggregate(info, outs, dropped)
 		if err != nil {
@@ -141,13 +145,15 @@ func (r *runner) runAsync() error {
 
 		// Re-dispatch exactly the workers that just reported or whose work
 		// was lost (Alg. 2 lines 9–10, extended with loss recovery).
-		workers := make([]int, 0, len(outs)+len(dropped))
+		workers := r.available[:0]
 		for _, o := range outs {
 			workers = append(workers, o.Worker)
 		}
 		for _, a := range dropped {
 			workers = append(workers, a.Worker)
 		}
+		r.available = workers
+		r.releaseRound()
 		if err := dispatch(round, workers); err != nil {
 			return err
 		}

@@ -26,7 +26,8 @@ func TestAsyncCompletionOrdering(t *testing.T) {
 }
 
 func TestAsyncStaleResidualsAreUsed(t *testing.T) {
-	// In the async engine a worker's residual is captured at dispatch time;
+	// In the async engine a worker's residual is fixed at dispatch time (the
+	// assignment references the global it was cut from);
 	// aggregating it later must still reproduce the dispatched global when
 	// the worker returns untrained weights, even though the server's global
 	// has moved on. This is the Alg. 2 semantics ("recovering and

@@ -7,7 +7,6 @@ import (
 
 	"fedmp/internal/bandit"
 	"fedmp/internal/nn"
-	"fedmp/internal/prune"
 	"fedmp/internal/tensor"
 )
 
@@ -85,24 +84,19 @@ func (s *upFL) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	sparse, err := s.fam.Sparse(info.Global, plan)
-	if err != nil {
-		return nil, err
-	}
-	residual := prune.ResidualOf(info.Global, sparse)
 	info.PruneSeconds += shrink()
 
 	out := make([]Assignment, 0, len(workers))
 	for _, w := range workers {
 		out = append(out, Assignment{
-			Worker:   w,
-			Ratio:    ratio,
-			Plan:     plan,
-			Desc:     desc,
-			Weights:  nn.CloneWeights(subW),
-			Residual: residual,
-			Iters:    s.cfg.LocalIters,
-			Warmup:   warmup,
+			Worker:  w,
+			Ratio:   ratio,
+			Plan:    plan,
+			Desc:    desc,
+			Weights: nn.CloneWeights(subW),
+			Base:    info.Global,
+			Iters:   s.cfg.LocalIters,
+			Warmup:  warmup,
 		})
 	}
 	return out, nil
@@ -110,22 +104,10 @@ func (s *upFL) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 
 // Aggregate implements Strategy.
 func (s *upFL) Aggregate(info *RoundInfo, outs []Output, dropped []Assignment) ([]*tensor.Tensor, error) {
-	newGlobal := info.Global
-	if len(outs) > 0 {
-		sets := make([][]*tensor.Tensor, 0, len(outs))
-		for _, o := range outs {
-			rec, err := s.fam.Recover(o.Plan, o.NewWeights)
-			if err != nil {
-				return nil, err
-			}
-			for i := range rec {
-				rec[i].Add(o.Residual[i])
-			}
-			sets = append(sets, rec)
-		}
-		newGlobal = meanWeights(sets)
+	newGlobal, err := recoveredMean(s.fam, info.Global, outs, true)
+	if err != nil {
+		return nil, err
 	}
-
 	if len(outs) == 0 || outs[0].Warmup {
 		return newGlobal, nil
 	}

@@ -8,6 +8,7 @@ import (
 
 	"fedmp/internal/cluster"
 	"fedmp/internal/nn"
+	"fedmp/internal/prune"
 	"fedmp/internal/simsched"
 	"fedmp/internal/tensor"
 	"fedmp/internal/transport/codec"
@@ -59,6 +60,30 @@ type runner struct {
 	infoFlip  int
 	// timesScratch backs the deadline quantile selection.
 	timesScratch []float64
+
+	// caches holds one network cache per cohort-training executor (see
+	// shard), grown to the executor count before a cohort trains.
+	caches []*NetCache
+
+	// Round-scoped scratch, re-sliced every round instead of reallocated.
+	// workerIDs is the fixed [0..Workers) identity list; the rest hold the
+	// round's availability filter, failure split, trained outputs, arrival
+	// bookkeeping and cohort sampling state. Nothing outlives the round it
+	// was filled in: strategies read the slices they are handed only during
+	// the call.
+	workerIDs    []int
+	available    []int
+	failed       []Assignment
+	runnable     []Assignment
+	outs         []Output
+	errs         []error
+	arrived      []int
+	hasArrived   []bool
+	participants []Output
+	late         []Assignment
+	tried        map[int]struct{}
+	newIDs       []int
+	newDevs      []*cluster.Device
 
 	// stream receives per-round/per-eval observations instead of the
 	// Stats/Points appends when cfg.StreamMetrics is set.
@@ -130,12 +155,17 @@ func newRunner(fam Family, cfg Config) (*runner, Config, error) {
 		r.infoTimes[b] = make([]float64, cfg.Workers)
 		r.infoComm[b] = make([]float64, cfg.Workers)
 	}
+	r.workerIDs = make([]int, cfg.Workers)
+	for i := range r.workerIDs {
+		r.workerIDs[i] = i
+	}
 	if cfg.Population != nil {
 		r.pop = cfg.Population
 		r.cohortRng = cfg.Population.Rand(0)
 		r.cohortIDs = make([]int, 0, cfg.Workers)
 		r.cohortDevs = make([]*cluster.Device, 0, cfg.Workers)
 		r.devCache = make(map[int]*cluster.Device)
+		r.tried = make(map[int]struct{}, cfg.Workers)
 		if cfg.Population.Outage.Enabled() {
 			r.regionDown = make([]bool, cfg.Population.Outage.Regions)
 		}
@@ -167,15 +197,6 @@ func Run(fam Family, cfg Config) (*Result, error) {
 	return r.finish(err)
 }
 
-// allWorkers returns [0..n).
-func (r *runner) allWorkers() []int {
-	out := make([]int, r.cfg.Workers)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // runSync executes synchronous rounds (Fig. 1) starting at round start
 // (1 for a fresh run, snapshot round + 1 when resuming). Each round: drain
 // due churn events, select the round's workers (the fixed set, or a
@@ -196,7 +217,7 @@ func (r *runner) runSync(start int) error {
 		available, suspect := r.roundWorkers(faults)
 		info := r.roundInfo(round)
 		var outs []Output
-		failed := make([]Assignment, 0)
+		failed := r.failed[:0]
 		if len(available) > 0 {
 			assignments, err := r.strategy.Assign(info, available)
 			if err != nil {
@@ -204,7 +225,7 @@ func (r *runner) runSync(start int) error {
 			}
 			// Fault and failure filtering stays serial: the engine RNG's
 			// draw order is part of the trajectory.
-			runnable := make([]Assignment, 0, len(assignments))
+			runnable := r.runnable[:0]
 			for _, a := range assignments {
 				if faults != nil && faults[a.Worker].Down {
 					failed = append(failed, a)
@@ -216,6 +237,7 @@ func (r *runner) runSync(start int) error {
 				}
 				runnable = append(runnable, a)
 			}
+			r.runnable = runnable
 			outs, err = r.trainCohort(runnable, round)
 			if err != nil {
 				return err
@@ -231,6 +253,7 @@ func (r *runner) runSync(start int) error {
 		}
 		participants, late, roundTime := r.closeRound(round, outs, len(failed) > 0)
 		dropped := append(failed, late...)
+		r.failed = dropped
 		if len(participants) == 0 && roundTime == 0 {
 			// Nobody ran (everyone down, recovering or unavailable): the PS
 			// idles for a mean round before trying again.
@@ -243,6 +266,7 @@ func (r *runner) runSync(start int) error {
 		}
 		r.global = newGlobal
 		r.finishRound(round, info, participants, dropped, suspect, roundTime)
+		r.releaseRound()
 
 		if stop, err := r.evalAndCheck(round); err != nil {
 			return err
@@ -255,19 +279,33 @@ func (r *runner) runSync(start int) error {
 	}
 }
 
+// releaseRound drops the round scratch's references to the round's models —
+// the assignments' sub-weights, the trained outputs — so they are
+// collectable once the round is over, exactly as when these slices were
+// allocated per round; the scratch keeps only its backing arrays.
+func (r *runner) releaseRound() {
+	clear(r.failed)
+	clear(r.runnable)
+	clear(r.outs)
+	clear(r.participants)
+	clear(r.late)
+}
+
 // availableWorkers filters out devices still recovering from an injected
 // crash, returning the assignable workers and the skipped (suspect) count.
 func (r *runner) availableWorkers(faults []cluster.Fault) (available []int, suspect int) {
 	if faults == nil {
-		return r.allWorkers(), 0
+		return r.workerIDs, 0
 	}
-	for _, w := range r.allWorkers() {
+	available = r.available[:0]
+	for _, w := range r.workerIDs {
 		if faults[w].Down && !faults[w].Fresh {
 			suspect++
 			continue
 		}
 		available = append(available, w)
 	}
+	r.available = available
 	return available, suspect
 }
 
@@ -470,12 +508,15 @@ func sliceBatch(b *nn.Batch, start, end int) *nn.Batch {
 // charged per the device model (phase ② of Fig. 1). round is the wire
 // round index, threaded through so the size model prices exactly the frame
 // the TCP runtime would send. It touches only per-assignment state — the
-// worker's own source, device and freshly built model — which is what lets
-// trainCohort shard calls across goroutines without changing a byte of the
-// result.
-func (r *runner) runWorker(a Assignment, round int) (Output, error) {
+// worker's own source and device — and the calling executor's network
+// cache, whose networks train exactly as freshly built ones do, which is
+// what lets trainCohort shard calls across goroutines without changing a
+// byte of the result. Once the cache is warm the call allocates only what it
+// returns and prices: the trained weights, their delta and the two frame
+// envelopes.
+func (r *runner) runWorker(a Assignment, round int, cache *NetCache) (Output, error) {
 	dev := r.deviceFor(a.Worker)
-	net, err := r.fam.BuildNet(a.Desc, r.cfg.Seed)
+	net, opt, err := cache.Get(a.Desc, r.cfg.Seed)
 	if err != nil {
 		return Output{}, fmt.Errorf("core: building worker %d model: %w", a.Worker, err)
 	}
@@ -488,7 +529,6 @@ func (r *runner) runWorker(a Assignment, round int) (Output, error) {
 		aw = codec.Dequantized(a.Weights)
 	}
 	nn.SetWeights(net, aw)
-	opt := nn.NewSGD(r.cfg.LR, r.cfg.Momentum, r.cfg.WeightDecay)
 	var lossSum float64
 	for it := 0; it < a.Iters; it++ {
 		b := r.sources[a.Worker].Next()
@@ -620,7 +660,7 @@ var magPool = sync.Pool{New: func() any {
 // updates), returning the sparse result in dense form plus the total kept
 // count. deltas is not modified. The magnitude threshold comes from an
 // O(n) quickselect over a pooled scratch buffer rather than a full sort;
-// selectKth returns exactly the value a sort would place at the cut index,
+// prune.SelectKth returns exactly the value a sort would place at the cut index,
 // so the masks are byte-identical to the sort-based selection.
 func topKOf(deltas []*tensor.Tensor, k float64) ([]*tensor.Tensor, int) {
 	out := make([]*tensor.Tensor, len(deltas))
@@ -649,7 +689,7 @@ func topKOf(deltas []*tensor.Tensor, k float64) ([]*tensor.Tensor, int) {
 			}
 			mags[j] = float64(v)
 		}
-		threshold := selectKth(mags, total-keep)
+		threshold := prune.SelectKth(mags, total-keep)
 		kept := 0
 		for j, v := range d.Data {
 			av := v
@@ -667,50 +707,4 @@ func topKOf(deltas []*tensor.Tensor, k float64) ([]*tensor.Tensor, int) {
 	*sp = mags[:0]
 	magPool.Put(sp)
 	return out, nnz
-}
-
-// selectKth returns the value that would sit at ascending index k if s
-// were fully sorted, partially reordering s in place: iterative Hoare
-// quickselect with a median-of-three pivot — deterministic, allocation-
-// free, O(n) expected. The deadline quantile and the top-K threshold both
-// use it in place of a full sort.
-func selectKth(s []float64, k int) float64 {
-	lo, hi := 0, len(s)-1
-	for lo < hi {
-		// Median-of-three pivot dodges quadratic behaviour on sorted runs.
-		mid := lo + (hi-lo)/2
-		if s[mid] < s[lo] {
-			s[mid], s[lo] = s[lo], s[mid]
-		}
-		if s[hi] < s[lo] {
-			s[hi], s[lo] = s[lo], s[hi]
-		}
-		if s[hi] < s[mid] {
-			s[hi], s[mid] = s[mid], s[hi]
-		}
-		pivot := s[mid]
-		i, j := lo, hi
-		for i <= j {
-			for s[i] < pivot {
-				i++
-			}
-			for pivot < s[j] {
-				j--
-			}
-			if i <= j {
-				s[i], s[j] = s[j], s[i]
-				i++
-				j--
-			}
-		}
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return s[k]
-		}
-	}
-	return s[k]
 }

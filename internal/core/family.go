@@ -37,16 +37,37 @@ type Family interface {
 	// FullDesc returns the description of the unpruned architecture.
 	FullDesc() any
 	// BuildNet constructs a trainable network for a (possibly pruned)
-	// description; callers load weights with nn.SetWeights.
+	// description; callers load weights with nn.SetWeights, so the
+	// parameters come zero-initialised and nothing is seeded or drawn —
+	// unless a layer keeps the rng (Dropout), which keeps the seeded build.
 	BuildNet(desc any, seed int64) (nn.Network, error)
+	// NetSignature appends to dst the integers that fix the shape of every
+	// parameter and workspace of BuildNet(desc), and reports whether such a
+	// network can serve a later assignment with an equal signature once
+	// nn.SetWeights has reloaded it: false when a layer carries state the
+	// weights do not reach (a Dropout layer's mask stream) or desc is not
+	// this family's.
+	NetSignature(dst []int, desc any) (sig []int, reusable bool)
 	// MakePlan prunes the global model at the given ratio, returning the
 	// plan, the sub-model description and the extracted sub-weights.
 	// Ratio 0 returns a plan that keeps everything. jitter adds
 	// multiplicative log-normal noise to the importance scores (see
-	// prune.BuildPlanJittered); 0 or a nil rng is deterministic.
+	// prune.BuildPlanJittered); 0 or a nil rng is deterministic. It is
+	// PlanContext, the context's NoiseLen draws from rng, then its MakePlan.
 	MakePlan(weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (plan any, subDesc any, subW []*tensor.Tensor, err error)
+	// PlanContext scores the global model's structures once, for a round of
+	// plans against it.
+	PlanContext(weights []*tensor.Tensor) (PlanContext, error)
+	// Accumulate adds one participant's term of the recovered average to
+	// acc, a global-shaped running sum: the trained sub-model's value at the
+	// coordinates the plan kept and base's value at the pruned ones (R2SP;
+	// base is the global model the sub-model was cut from), or nothing there
+	// when base is nil (BSP). Summing participants through it equals summing
+	// their Recover-ed models plus residuals, without building either.
+	Accumulate(acc []*tensor.Tensor, plan any, subW, base []*tensor.Tensor) error
 	// Recover scatters sub-model weights back to global shape (zeros at
-	// pruned coordinates).
+	// pruned coordinates). With Sparse it is the reference algebra of
+	// §III-C; the round engine aggregates through Accumulate.
 	Recover(plan any, subW []*tensor.Tensor) ([]*tensor.Tensor, error)
 	// Sparse zeroes the pruned coordinates of global-shaped weights.
 	Sparse(weights []*tensor.Tensor, plan any) ([]*tensor.Tensor, error)
@@ -59,6 +80,26 @@ type Family interface {
 	TestBatch(limit int) *nn.Batch
 	// Metric names the quality metric ("accuracy" or "perplexity").
 	Metric() string
+}
+
+// PlanContext is the pruning state the plans of one round share (see
+// prune.Context). It is read-only, so MakePlan may run from many goroutines.
+type PlanContext interface {
+	// NoiseLen is the number of standard-normal draws one jittered plan
+	// consumes, whatever its ratio.
+	NoiseLen() int
+	// MakePlan is Family.MakePlan with the noise already drawn
+	// (prune.DrawNoise order); empty noise is the deterministic plan.
+	MakePlan(ratio, jitter float64, noise []float64) (plan any, subDesc any, subW []*tensor.Tensor, err error)
+}
+
+// makePlan implements Family.MakePlan on top of PlanContext.
+func makePlan(f Family, weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (any, any, []*tensor.Tensor, error) {
+	ctx, err := f.PlanContext(weights)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ctx.MakePlan(ratio, jitter, prune.DrawNoise(nil, ctx.NoiseLen(), jitter, rng))
 }
 
 // NonIID selects a data-partitioning scheme (§V-F).
@@ -126,20 +167,57 @@ func (f *ImageFamily) BuildNet(desc any, seed int64) (nn.Network, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: image family got description %T", desc)
 	}
-	return zoo.Build(spec, rand.New(rand.NewSource(seed)))
+	var rng *rand.Rand
+	if spec.UsesRNG() {
+		rng = rand.New(rand.NewSource(seed))
+	}
+	return zoo.Build(spec, rng)
+}
+
+// NetSignature implements Family.
+func (f *ImageFamily) NetSignature(dst []int, desc any) ([]int, bool) {
+	spec, ok := desc.(*zoo.Spec)
+	if !ok || spec.UsesRNG() {
+		return dst, false
+	}
+	return spec.AppendSignature(dst), true
 }
 
 // MakePlan implements Family.
 func (f *ImageFamily) MakePlan(weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (any, any, []*tensor.Tensor, error) {
-	plan, err := prune.BuildPlanJittered(f.Spec, weights, ratio, jitter, rng)
+	return makePlan(f, weights, ratio, jitter, rng)
+}
+
+// PlanContext implements Family.
+func (f *ImageFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
+	ctx, err := prune.NewContext(f.Spec, weights)
+	if err != nil {
+		return nil, err
+	}
+	return imagePlanContext{ctx}, nil
+}
+
+type imagePlanContext struct{ *prune.Context }
+
+func (c imagePlanContext) MakePlan(ratio, jitter float64, noise []float64) (any, any, []*tensor.Tensor, error) {
+	plan, err := c.Plan(ratio, jitter, noise)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	subSpec, subW, err := prune.Shrink(f.Spec, weights, plan)
+	subSpec, subW, err := c.Shrink(plan)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return plan, subSpec, subW, nil
+}
+
+// Accumulate implements Family.
+func (f *ImageFamily) Accumulate(acc []*tensor.Tensor, plan any, subW, base []*tensor.Tensor) error {
+	p, ok := plan.(*prune.Plan)
+	if !ok {
+		return fmt.Errorf("core: image family got plan %T", plan)
+	}
+	return prune.Accumulate(f.Spec, acc, subW, base, p)
 }
 
 // Recover implements Family.
@@ -223,25 +301,58 @@ func (f *LMFamily) InitWeights(seed int64) []*tensor.Tensor {
 func (f *LMFamily) FullDesc() any { return f.Cfg }
 
 // BuildNet implements Family.
-func (f *LMFamily) BuildNet(desc any, seed int64) (nn.Network, error) {
+func (f *LMFamily) BuildNet(desc any, _ int64) (nn.Network, error) {
 	cfg, ok := desc.(zoo.LMConfig)
 	if !ok {
 		return nil, fmt.Errorf("core: LM family got description %T", desc)
 	}
-	return zoo.BuildLM(cfg, rand.New(rand.NewSource(seed))), nil
+	return zoo.BuildLM(cfg, nil), nil
+}
+
+// NetSignature implements Family.
+func (f *LMFamily) NetSignature(dst []int, desc any) ([]int, bool) {
+	cfg, ok := desc.(zoo.LMConfig)
+	if !ok {
+		return dst, false
+	}
+	return append(dst, cfg.Vocab, cfg.Embed, cfg.Hidden, cfg.SeqLen), true
 }
 
 // MakePlan implements Family.
 func (f *LMFamily) MakePlan(weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (any, any, []*tensor.Tensor, error) {
-	plan, err := prune.BuildLMPlanJittered(f.Cfg, weights, ratio, jitter, rng)
+	return makePlan(f, weights, ratio, jitter, rng)
+}
+
+// PlanContext implements Family.
+func (f *LMFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
+	ctx, err := prune.NewLMContext(f.Cfg, weights)
+	if err != nil {
+		return nil, err
+	}
+	return lmPlanContext{ctx}, nil
+}
+
+type lmPlanContext struct{ *prune.LMContext }
+
+func (c lmPlanContext) MakePlan(ratio, jitter float64, noise []float64) (any, any, []*tensor.Tensor, error) {
+	plan, err := c.Plan(ratio, jitter, noise)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	subCfg, subW, err := prune.ShrinkLM(f.Cfg, weights, plan)
+	subCfg, subW, err := c.Shrink(plan)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return plan, subCfg, subW, nil
+}
+
+// Accumulate implements Family.
+func (f *LMFamily) Accumulate(acc []*tensor.Tensor, plan any, subW, base []*tensor.Tensor) error {
+	p, ok := plan.(*prune.LMPlan)
+	if !ok {
+		return fmt.Errorf("core: LM family got plan %T", plan)
+	}
+	return prune.AccumulateLM(f.Cfg, acc, subW, base, p)
 }
 
 // Recover implements Family.

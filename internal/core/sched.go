@@ -2,12 +2,11 @@ package core
 
 import (
 	"math"
-	"runtime"
+	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"fedmp/internal/cluster"
+	"fedmp/internal/prune"
 	"fedmp/internal/simsched"
 )
 
@@ -119,7 +118,8 @@ func (r *runner) sampleCohort() []int {
 		}
 		return ids
 	}
-	tried := make(map[int]struct{}, k)
+	tried := r.tried
+	clear(tried)
 	maxAttempts := 20*k + 64
 	for attempts := 0; len(ids) < k && attempts < maxAttempts; attempts++ {
 		id := r.cohortRng.Intn(size)
@@ -136,33 +136,42 @@ func (r *runner) sampleCohort() []int {
 	return ids
 }
 
-// deviceByID materialises a population device, caching it so jitter state
-// persists across the rounds that re-sample the same device. The cache is
-// bounded by the number of distinct devices ever sampled — O(cohort ×
-// rounds) worst case, independent of population size.
-func (r *runner) deviceByID(id int) *cluster.Device {
-	if d, ok := r.devCache[id]; ok {
-		return d
-	}
-	d := r.pop.Device(id)
-	r.devCache[id] = d
-	return d
-}
-
 // roundWorkers selects this round's worker slots. Legacy mode: the fixed
 // device set minus recovering devices. Population mode: sample a cohort,
 // bind slot i to the i-th sampled device, then apply the same per-slot
 // fault filter on top.
+//
+// Sampled devices are cached so jitter state persists across the rounds
+// that re-sample the same device; the cache is bounded by the number of
+// distinct devices ever sampled — O(cohort × rounds) worst case, independent
+// of population size. The devices sampled for the first time are
+// materialised on all cores (Population.Device is a pure function of the
+// population seed and the id, and most of its cost is seeding the device's
+// RNG) and then entered into the cache serially.
 func (r *runner) roundWorkers(faults []cluster.Fault) (available []int, suspect int) {
 	if r.pop == nil {
 		return r.availableWorkers(faults)
 	}
 	ids := r.sampleCohort()
 	r.cohortIDs = ids
+	newIDs := r.newIDs[:0]
+	for _, id := range ids {
+		if _, ok := r.devCache[id]; !ok {
+			newIDs = append(newIDs, id)
+		}
+	}
+	r.newIDs = newIDs
+	r.newDevs = slices.Grow(r.newDevs[:0], len(newIDs))[:len(newIDs)]
+	newDevs := r.newDevs
+	shard(len(newIDs), func(_, i int) { newDevs[i] = r.pop.Device(newIDs[i]) })
+	for i, id := range newIDs {
+		r.devCache[id] = newDevs[i]
+	}
 	r.cohortDevs = r.cohortDevs[:0]
 	for _, id := range ids {
-		r.cohortDevs = append(r.cohortDevs, r.deviceByID(id))
+		r.cohortDevs = append(r.cohortDevs, r.devCache[id])
 	}
+	available = r.available[:0]
 	for slot := range ids {
 		if faults != nil && faults[slot].Down && !faults[slot].Fresh {
 			suspect++
@@ -170,51 +179,32 @@ func (r *runner) roundWorkers(faults []cluster.Fault) (available []int, suspect 
 		}
 		available = append(available, slot)
 	}
+	r.available = available
 	return available, suspect
 }
 
 // trainCohort executes the runnable assignments' local SGD, sharded
-// across GOMAXPROCS goroutines. Each worker touches only its own model,
-// data source and device RNG (per-device sub-seeded since the population
-// refactor), and outputs land at their assignment index — so the merged
-// result is byte-identical to the serial loop, whatever the interleaving.
+// across GOMAXPROCS goroutines. Each worker touches only its own data
+// source and device RNG (per-device sub-seeded since the population
+// refactor) plus the executing goroutine's network cache, and outputs land
+// at their assignment index — so the merged result is byte-identical to the
+// serial loop, whatever the interleaving. The returned slice is the
+// runner's, valid until the next cohort trains.
 func (r *runner) trainCohort(assignments []Assignment, round int) ([]Output, error) {
 	n := len(assignments)
 	if n == 0 {
 		return nil, nil
 	}
-	outs := make([]Output, n)
-	par := runtime.GOMAXPROCS(0)
-	if par > n {
-		par = n
+	for len(r.caches) < executors(n) {
+		r.caches = append(r.caches, NewNetCache(r.fam, r.cfg.LR, r.cfg.Momentum, r.cfg.WeightDecay))
 	}
-	if par <= 1 {
-		for i, a := range assignments {
-			o, err := r.runWorker(a, round)
-			if err != nil {
-				return nil, err
-			}
-			outs[i] = o
-		}
-		return outs, nil
+	if cap(r.outs) < n {
+		r.outs, r.errs = make([]Output, n), make([]error, n)
 	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				outs[i], errs[i] = r.runWorker(assignments[i], round)
-			}
-		}()
-	}
-	wg.Wait()
+	outs, errs := r.outs[:n], r.errs[:n]
+	shard(n, func(exec, i int) {
+		outs[i], errs[i] = r.runWorker(assignments[i], round, r.caches[exec])
+	})
 	for _, err := range errs {
 		// Deterministic error selection: lowest assignment index wins.
 		if err != nil {
@@ -230,7 +220,8 @@ func (r *runner) trainCohort(assignments []Assignment, round int) ([]Output, err
 // quickselect, not a sort); slower workers are dropped from the round.
 // Returns participants (re-sorted to assignment order, so aggregation
 // float sums never depend on arrival interleaving), late assignments and
-// the round's virtual duration. With failures present the PS always waits
+// the round's virtual duration; both slices are the runner's, valid until
+// the next round closes. With failures present the PS always waits
 // until the deadline; otherwise the round closes at the last arrival.
 func (r *runner) closeRound(round int, outs []Output, hadFailures bool) (participants []Output, late []Assignment, roundTime float64) {
 	if len(outs) == 0 {
@@ -258,12 +249,12 @@ func (r *runner) closeRound(round int, outs []Output, hadFailures bool) (partici
 		if qi >= len(times) {
 			qi = len(times) - 1
 		}
-		closeAt = base + r.cfg.DeadlineFactor*selectKth(times, qi)
+		closeAt = base + r.cfg.DeadlineFactor*prune.SelectKth(times, qi)
 		waitDeadline = hadFailures
 	}
 	r.sched.Push(closeAt, simsched.KindRoundClose, int64(round))
 
-	arrived := make([]int, 0, len(outs))
+	arrived := r.arrived[:0]
 	closeTime := closeAt
 	lastArrival := base
 drain:
@@ -299,20 +290,22 @@ drain:
 	// Arrival order back to assignment order: which workers made it is the
 	// scheduler's answer, but aggregation order stays the dispatch order.
 	sort.Ints(arrived)
-	participants = make([]Output, 0, len(arrived))
+	r.arrived = arrived
+	r.hasArrived = slices.Grow(r.hasArrived[:0], len(outs))[:len(outs)]
+	hasArrived := r.hasArrived
+	clear(hasArrived)
+	participants = r.participants[:0]
 	for _, i := range arrived {
 		participants = append(participants, outs[i])
+		hasArrived[i] = true
 	}
-	if len(arrived) < len(outs) {
-		in := make(map[int]struct{}, len(arrived))
-		for _, i := range arrived {
-			in[i] = struct{}{}
-		}
-		for i := range outs {
-			if _, ok := in[i]; !ok {
-				late = append(late, outs[i].Assignment)
-			}
+	r.participants = participants
+	late = r.late[:0]
+	for i := range outs {
+		if !hasArrived[i] {
+			late = append(late, outs[i].Assignment)
 		}
 	}
+	r.late = late
 	return participants, late, closeTime - base
 }

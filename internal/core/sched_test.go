@@ -37,30 +37,55 @@ func resultFingerprint(t *testing.T, res *Result) string {
 }
 
 // TestParallelCohortDeterminism pins the headline parallelism guarantee: a
-// run sharded across 8 goroutines is byte-identical to the serial run, with
-// the stressful options on (fault injection, fault-tolerance deadline,
-// failure-rate drops, quantized wire accounting).
+// whole run — the sharded Assign, the device pre-pass, cohort training on
+// per-executor network caches, the fused aggregate — at 8 goroutines is
+// byte-identical to the serial run, with the stressful options on (fault
+// injection, fault-tolerance deadline, failure-rate drops, quantized wire
+// accounting), for the per-worker and the shared-plan pruning strategy, the
+// asynchronous engine and a sampled population.
 func TestParallelCohortDeterminism(t *testing.T) {
 	fam := tinyFamily()
-	cfg := quickCfg(StrategyFedMP, 4)
-	cfg.FaultTolerance = true
-	cfg.FailureRate = 0.2
-	cfg.QuantizeWire = true
-	cfg.Faults = cluster.FaultConfig{
+	faults := cluster.FaultConfig{
 		Seed: 11, CrashProb: 0.1, StragglerProb: 0.2, StragglerFactor: 2,
 		BlackoutProb: 0.1, DownRounds: 1,
 	}
-
-	prev := runtime.GOMAXPROCS(1)
-	serial, errSerial := Run(fam, cfg)
-	runtime.GOMAXPROCS(8)
-	parallel, errParallel := Run(fam, cfg)
-	runtime.GOMAXPROCS(prev)
-	if errSerial != nil || errParallel != nil {
-		t.Fatalf("serial err %v, parallel err %v", errSerial, errParallel)
+	stressed := quickCfg(StrategyFedMP, 4)
+	stressed.FaultTolerance = true
+	stressed.FailureRate = 0.2
+	stressed.QuantizeWire = true
+	stressed.Faults = faults
+	upfl := quickCfg(StrategyUPFL, 4)
+	upfl.Workers = 6
+	async := quickCfg(StrategyFedMP, 8)
+	async.Workers = 6
+	async.Async = true
+	async.Faults = faults
+	sampled := quickCfg(StrategyFedMP, 4)
+	sampled.Workers = 12
+	sampled.Population = &cluster.Population{
+		Size:    400,
+		Diurnal: cluster.Diurnal{Period: 6, OnFraction: 0.8},
+		Outage:  cluster.Outage{Regions: 4, Prob: 0.15, Period: 3, Duration: 1.5},
 	}
-	if got, want := resultFingerprint(t, parallel), resultFingerprint(t, serial); got != want {
-		t.Fatalf("parallel result diverges from serial:\nserial:   %.200s\nparallel: %.200s", want, got)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fedmp", stressed}, {"upfl", upfl}, {"async", async}, {"population", sampled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(1)
+			serial, errSerial := Run(fam, tc.cfg)
+			runtime.GOMAXPROCS(8)
+			parallel, errParallel := Run(fam, tc.cfg)
+			runtime.GOMAXPROCS(prev)
+			if errSerial != nil || errParallel != nil {
+				t.Fatalf("serial err %v, parallel err %v", errSerial, errParallel)
+			}
+			if got, want := resultFingerprint(t, parallel), resultFingerprint(t, serial); got != want {
+				t.Fatalf("parallel result diverges from serial:\nserial:   %.200s\nparallel: %.200s", want, got)
+			}
+		})
 	}
 }
 
@@ -192,32 +217,6 @@ func TestPopulationConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := Run(fam, cfg); err == nil {
 			t.Errorf("case %d: invalid population config accepted", i)
-		}
-	}
-}
-
-// TestSelectKth checks the quickselect against the sort it replaced, across
-// sizes, duplicates and every rank.
-func TestSelectKth(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{1, 2, 3, 7, 50, 257} {
-		for trial := 0; trial < 4; trial++ {
-			s := make([]float64, n)
-			for i := range s {
-				if trial%2 == 0 {
-					s[i] = rng.Float64()
-				} else {
-					s[i] = float64(rng.Intn(5)) // heavy duplicates
-				}
-			}
-			sorted := append([]float64(nil), s...)
-			sort.Float64s(sorted)
-			for k := 0; k < n; k++ {
-				in := append([]float64(nil), s...)
-				if got := selectKth(in, k); got != sorted[k] {
-					t.Fatalf("n=%d trial=%d k=%d: selectKth=%v, sort=%v", n, trial, k, got, sorted[k])
-				}
-			}
 		}
 	}
 }

@@ -20,9 +20,12 @@ type Assignment struct {
 	Desc any
 	// Weights are the initial parameters for Desc.
 	Weights []*tensor.Tensor
-	// Residual is the R2SP residual model captured at dispatch time
-	// (global − sparse); nil for strategies that do not recover.
-	Residual []*tensor.Tensor
+	// Base is the global-shaped model R2SP reads this worker's pruned
+	// coordinates from when it aggregates: the global model at dispatch
+	// time, shared by reference and never written (or, under
+	// QuantizeResiduals, the worker's int8 round-tripped residual model);
+	// nil for strategies that do not recover.
+	Base []*tensor.Tensor
 	// Iters is the number of local SGD iterations.
 	Iters int
 	// ProxMu, when non-zero, adds the FedProx proximal term pulling the

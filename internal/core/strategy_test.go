@@ -46,14 +46,16 @@ func TestFedMPAssignProducesPersonalizedSubModels(t *testing.T) {
 	}
 	fullSize := nn.WeightsSize(info.Global)
 	for _, a := range asg {
-		if a.Plan == nil || a.Residual == nil {
-			t.Errorf("worker %d: missing plan or residual", a.Worker)
+		if a.Plan == nil || a.Base == nil {
+			t.Errorf("worker %d: missing plan or base model", a.Worker)
 		}
 		if a.Ratio > 0 && nn.WeightsSize(a.Weights) >= fullSize {
 			t.Errorf("worker %d: ratio %.2f but sub-model not smaller", a.Worker, a.Ratio)
 		}
-		if nn.WeightsSize(a.Residual) != fullSize {
-			t.Errorf("worker %d: residual size %d, want %d", a.Worker, nn.WeightsSize(a.Residual), fullSize)
+		// Without QuantizeResiduals the PS keeps no residual per worker: the
+		// base is the dispatch-time global itself, by reference.
+		if len(a.Base) != len(info.Global) || a.Base[0] != info.Global[0] {
+			t.Errorf("worker %d: base model is not the dispatched global", a.Worker)
 		}
 	}
 }

@@ -182,6 +182,9 @@ func DefaultOptions() *Options {
 			"fedmp/internal/nn.AddProximal",
 			"fedmp/internal/prune.SymmetricScale",
 			"fedmp/internal/prune.QuantizeElem",
+			"fedmp/internal/prune.accumulate",
+			"fedmp/internal/prune.addInto",
+			"fedmp/internal/prune.SelectKth",
 			"fedmp/internal/transport/codec.putF32s",
 			"fedmp/internal/transport/codec.getF32s",
 			"fedmp/internal/transport/codec.nonzeroCount",

@@ -76,6 +76,9 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 		"fedmp/internal/nn.SGD.Step",
 		"fedmp/internal/prune.SymmetricScale",
 		"fedmp/internal/prune.QuantizeElem",
+		"fedmp/internal/prune.accumulate",
+		"fedmp/internal/prune.addInto",
+		"fedmp/internal/prune.SelectKth",
 		"fedmp/internal/transport/codec.putF32s",
 		"fedmp/internal/transport/codec.getF32s",
 		"fedmp/internal/transport/codec.nonzeroCount",

@@ -141,14 +141,25 @@ func TestSGDValidation(t *testing.T) {
 	}
 }
 
+// TestSGDReset: after Reset the optimiser steps exactly as a new one does,
+// and resetting allocates nothing.
 func TestSGDReset(t *testing.T) {
-	opt := NewSGD(0.1, 0.9, 0)
-	p := NewParam("p", tensor.FromSlice([]float32{0}, 1))
-	p.Grad.Data[0] = 1
+	opt, fresh := NewSGD(0.1, 0.9, 0), NewSGD(0.1, 0.9, 0)
+	p := NewParam("p", tensor.FromSlice([]float32{0, 2}, 2))
+	p.Grad.Data[0], p.Grad.Data[1] = 1, -3
 	opt.Step([]*Param{p})
-	opt.Reset()
-	if len(opt.velocity) != 0 {
-		t.Error("Reset did not clear velocities")
+	opt.Step([]*Param{p})
+	if allocs := testing.AllocsPerRun(10, opt.Reset); allocs != 0 {
+		t.Errorf("Reset allocates %v times", allocs)
+	}
+	q := NewParam("q", p.W.Clone())
+	q.Grad.CopyFrom(p.Grad)
+	opt.Step([]*Param{p})
+	fresh.Step([]*Param{q})
+	for i := range p.W.Data {
+		if math.Float32bits(p.W.Data[i]) != math.Float32bits(q.W.Data[i]) {
+			t.Errorf("element %d after Reset: %v, fresh optimiser %v", i, p.W.Data[i], q.W.Data[i])
+		}
 	}
 }
 

@@ -78,10 +78,15 @@ func (s *SGD) Step(params []*Param) {
 	}
 }
 
-// Reset clears all velocity buffers. The federated workers call it when a
-// new (possibly differently shaped) sub-model arrives, since stale momentum
-// from the previous round's structure is meaningless.
-func (s *SGD) Reset() { s.velocity = make(map[*Param]*tensor.Tensor) }
+// Reset zeroes every velocity buffer in place, so an optimiser kept with its
+// network starts the next assignment exactly as a NewSGD would — stale
+// momentum from another round's weights is meaningless — and allocates
+// nothing doing so.
+func (s *SGD) Reset() {
+	for _, v := range s.velocity {
+		v.Zero()
+	}
+}
 
 // AddProximal adds the FedProx proximal gradient μ·(w − w₀) to each
 // parameter's gradient, where w₀ is the round's reference weights in Params

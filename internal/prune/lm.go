@@ -2,7 +2,9 @@ package prune
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"fedmp/internal/tensor"
@@ -37,12 +39,23 @@ func BuildLMPlan(cfg zoo.LMConfig, weights []*tensor.Tensor, ratio float64) (*LM
 // BuildLMPlanJittered is BuildLMPlan with multiplicative log-normal score
 // noise, mirroring BuildPlanJittered.
 func BuildLMPlanJittered(cfg zoo.LMConfig, weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (*LMPlan, error) {
-	if ratio < 0 || ratio >= 1 {
-		return nil, fmt.Errorf("prune: LM ratio %v outside [0,1)", ratio)
+	c, err := NewLMContext(cfg, weights)
+	if err != nil {
+		return nil, err
 	}
-	if jitter < 0 {
-		return nil, fmt.Errorf("prune: negative score jitter %v", jitter)
-	}
+	return c.Plan(ratio, jitter, DrawNoise(nil, c.NoiseLen(), jitter, rng))
+}
+
+// LMContext is Context for the language model: the hidden-unit scores of
+// both LSTM layers of one global model, computed once and read-only after.
+type LMContext struct {
+	cfg     zoo.LMConfig
+	weights []*tensor.Tensor
+	s1, s2  []float64
+}
+
+// NewLMContext scores the hidden units of the global language model.
+func NewLMContext(cfg zoo.LMConfig, weights []*tensor.Tensor) (*LMContext, error) {
 	if len(weights) != lmTensors {
 		return nil, fmt.Errorf("prune: LM weight list has %d tensors, want %d", len(weights), lmTensors)
 	}
@@ -69,17 +82,49 @@ func BuildLMPlanJittered(cfg zoo.LMConfig, weights []*tensor.Tensor, ratio, jitt
 		}
 		return scores
 	}
-	keep := keepCount(h, ratio)
-	s1 := score(weights[1], weights[2])
-	s2 := score(weights[4], weights[5])
-	jitterScores(s1, jitter, rng)
-	jitterScores(s2, jitter, rng)
-	p := &LMPlan{
-		Ratio: ratio,
-		Kept1: topK(s1, keep),
-		Kept2: topK(s2, keep),
+	return &LMContext{
+		cfg: cfg, weights: weights,
+		s1: score(weights[1], weights[2]),
+		s2: score(weights[4], weights[5]),
+	}, nil
+}
+
+// NoiseLen is the number of standard-normal draws one jittered plan consumes.
+func (c *LMContext) NoiseLen() int { return len(c.s1) + len(c.s2) }
+
+// Plan keeps the top (1−ratio) fraction of each layer's hidden units, scores
+// scaled by exp(jitter·noise[i]) first when noise is non-empty (lstm1's
+// units, then lstm2's).
+func (c *LMContext) Plan(ratio, jitter float64, noise []float64) (*LMPlan, error) {
+	if err := checkRatioJitter(ratio, jitter); err != nil {
+		return nil, err
 	}
-	return p, nil
+	if len(noise) != 0 && len(noise) != c.NoiseLen() {
+		return nil, fmt.Errorf("prune: %d noise draws for %d hidden units", len(noise), c.NoiseLen())
+	}
+	sc := scratchPool.Get().(*planScratch)
+	defer scratchPool.Put(sc)
+	keep := keepCount(c.cfg.Hidden, ratio)
+	pick := func(scores, noise []float64) []int {
+		if len(noise) != 0 {
+			sc.jittered = slices.Grow(sc.jittered[:0], len(scores))[:len(scores)]
+			for i, s := range scores {
+				sc.jittered[i] = s * math.Exp(jitter*noise[i])
+			}
+			scores = sc.jittered
+		}
+		return topK(scores, keep, sc)
+	}
+	var n1, n2 []float64
+	if len(noise) != 0 {
+		n1, n2 = noise[:len(c.s1)], noise[len(c.s1):]
+	}
+	return &LMPlan{Ratio: ratio, Kept1: pick(c.s1, n1), Kept2: pick(c.s2, n2)}, nil
+}
+
+// Shrink extracts the plan's sub-model from the context's global model.
+func (c *LMContext) Shrink(plan *LMPlan) (zoo.LMConfig, []*tensor.Tensor, error) {
+	return ShrinkLM(c.cfg, c.weights, plan)
 }
 
 // gateRows expands kept hidden units into kept rows of a packed [4H, ·]
@@ -166,4 +211,46 @@ func RecoverLM(cfg, subCfg zoo.LMConfig, subWeights []*tensor.Tensor, plan *LMPl
 	scatterMat(out[7], subWeights[7], allV, plan.Kept2)
 	out[8] = subWeights[8].Clone()
 	return out, nil
+}
+
+// AccumulateLM is Accumulate for the language model: it adds one
+// participant's term of the R2SP (or, with a nil base, BSP) average to the
+// full-shape running sum acc.
+func AccumulateLM(cfg zoo.LMConfig, acc, subWeights, base []*tensor.Tensor, plan *LMPlan) error {
+	if len(acc) != lmTensors || len(subWeights) != lmTensors || (base != nil && len(base) != lmTensors) {
+		return fmt.Errorf("prune: LM accumulate wants %d tensors per model", lmTensors)
+	}
+	h, e, v := cfg.Hidden, cfg.Embed, cfg.Vocab
+	for _, kept := range [][]int{plan.Kept1, plan.Kept2} {
+		for i, k := range kept {
+			if k < 0 || k >= h || (i > 0 && kept[i-1] >= k) {
+				return fmt.Errorf("prune: LM plan is not a sorted subset of [0,%d)", h)
+			}
+		}
+	}
+	rows1, rows2 := gateRows(plan.Kept1, h), gateRows(plan.Kept2, h)
+	layout := [lmTensors]struct {
+		rows, cols         int
+		keptRows, keptCols []int
+	}{
+		{v, e, nil, nil}, // embedding untouched
+		{4 * h, e, rows1, nil},
+		{4 * h, h, rows1, plan.Kept1},
+		{4 * h, 1, rows1, nil},
+		{4 * h, h, rows2, plan.Kept1},
+		{4 * h, h, rows2, plan.Kept2},
+		{4 * h, 1, rows2, nil},
+		{v, h, nil, plan.Kept2},
+		{v, 1, nil, nil}, // output bias untouched
+	}
+	for t, l := range layout {
+		keptRows := l.keptRows
+		if keptRows == nil {
+			keptRows = allIndices(l.rows)
+		}
+		if err := accumulateTensor(acc, subWeights, base, t, l.rows, l.cols, 1, keptRows, l.keptCols); err != nil {
+			return fmt.Errorf("prune: LM %w", err)
+		}
+	}
+	return nil
 }

@@ -135,3 +135,71 @@ func TestGateRows(t *testing.T) {
 		t.Errorf("gateRows = %v, want %v", rows, want)
 	}
 }
+
+// TestLMContextPlansMatchPerWorkerConstruction mirrors the image-model test:
+// shared-context plans from pre-drawn noise equal the one-at-a-time plans —
+// lstm1's scores jittered from the stream, then lstm2's, then the stable-sort
+// selection — from the same stream.
+func TestLMContextPlansMatchPerWorkerConstruction(t *testing.T) {
+	cfg := zoo.DefaultLMConfig()
+	weights := nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(5))))
+	ratios := []float64{0, 0.25, 0.79}
+	refRng, rng := rand.New(rand.NewSource(31)), rand.New(rand.NewSource(31))
+	ctx, err := NewLMContext(cfg, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var noise []float64
+	for range ratios {
+		noise = DrawNoise(noise, ctx.NoiseLen(), 0.3, rng)
+	}
+	for w, ratio := range ratios {
+		var want [2][]int
+		for l, scores := range [][]float64{ctx.s1, ctx.s2} {
+			jittered := append([]float64(nil), scores...)
+			for i := range jittered {
+				jittered[i] *= math.Exp(0.3 * refRng.NormFloat64())
+			}
+			want[l] = topKSortRef(jittered, keepCount(cfg.Hidden, ratio))
+		}
+		got, err := ctx.Plan(ratio, 0.3, noise[w*ctx.NoiseLen():(w+1)*ctx.NoiseLen()])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalInts(got.Kept1, want[0]) || !equalInts(got.Kept2, want[1]) {
+			t.Fatalf("worker %d: kept %v/%v, one-at-a-time %v/%v", w, got.Kept1, got.Kept2, want[0], want[1])
+		}
+	}
+	if rng.Int63() != refRng.Int63() {
+		t.Error("noise stream left at a different position")
+	}
+}
+
+func TestAccumulateLMRejectsMalformedModels(t *testing.T) {
+	cfg := zoo.DefaultLMConfig()
+	weights := nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(5))))
+	plan, err := BuildLMPlan(cfg, weights, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sub, err := ShrinkLM(cfg, weights, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := make([]*tensor.Tensor, len(weights))
+	for i, w := range weights {
+		acc[i] = tensor.New(w.Shape...)
+	}
+	if err := AccumulateLM(cfg, acc, sub, weights, plan); err != nil {
+		t.Fatalf("well-formed accumulate: %v", err)
+	}
+	if err := AccumulateLM(cfg, acc, weights, weights, plan); err == nil {
+		t.Error("full-shape sub-model accepted")
+	}
+	if err := AccumulateLM(cfg, acc, sub, weights, &LMPlan{Kept1: []int{3, 1}, Kept2: plan.Kept2}); err == nil {
+		t.Error("unsorted plan accepted")
+	}
+	if err := AccumulateLM(cfg, acc[:4], sub, weights, plan); err == nil {
+		t.Error("short sum accepted")
+	}
+}

@@ -12,17 +12,22 @@ import (
 // weight tensors copied out of the global model (§III-B: "the remaining
 // parameters of the modified global model are copied into the sub-model").
 func Shrink(spec *zoo.Spec, weights []*tensor.Tensor, plan *Plan) (*zoo.Spec, []*tensor.Tensor, error) {
+	vs, err := plan.resolved(spec)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := checkTensors(spec, vs, weights); err != nil {
+		return nil, nil, err
+	}
 	sub := spec.Clone()
 	sub.Name = spec.Name + "-sub"
-	// Index shrunk layers by name for Out rewriting.
-	byName := map[string]*zoo.LayerSpec{}
-	indexLayers(sub.Layers, byName)
+	setWidths(sub.Layers, vs)
 
-	var out []*tensor.Tensor
-	err := walkPlanned(spec, weights, planChoose(plan), func(v *visit) error {
+	out := make([]*tensor.Tensor, 0, len(weights))
+	for i := range vs {
+		v := &vs[i]
 		switch v.l.Kind {
 		case zoo.KindConv:
-			byName[v.l.Name].Out = len(v.keptOut)
 			w, b := weights[v.paramStart], weights[v.paramStart+1]
 			out = append(out, extractConv(w, v.keptOut, v.keptIn), extractVec(b, v.keptOut))
 		case zoo.KindBatchNorm:
@@ -30,14 +35,9 @@ func Shrink(spec *zoo.Spec, weights []*tensor.Tensor, plan *Plan) (*zoo.Spec, []
 				out = append(out, extractVec(weights[v.paramStart+k], v.keptOut))
 			}
 		case zoo.KindDense:
-			byName[v.l.Name].Out = len(v.keptOut)
 			w, b := weights[v.paramStart], weights[v.paramStart+1]
 			out = append(out, extractMat(w, v.keptOut, v.keptIn), extractVec(b, v.keptOut))
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
 	if err := sub.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("prune: shrunk spec invalid: %w", err)
@@ -45,20 +45,179 @@ func Shrink(spec *zoo.Spec, weights []*tensor.Tensor, plan *Plan) (*zoo.Spec, []
 	return sub, out, nil
 }
 
+// setWidths rewrites the Out of every convolution and dense layer to its
+// kept-set size. vs lists the parameter-carrying layers in walk order — a
+// residual block, then its body — which is the order this recursion meets
+// them in; it returns the visits it did not consume.
+func setWidths(layers []zoo.LayerSpec, vs []visit) []visit {
+	for i := range layers {
+		switch l := &layers[i]; l.Kind {
+		case zoo.KindConv, zoo.KindDense:
+			l.Out = len(vs[0].keptOut)
+			vs = vs[1:]
+		case zoo.KindBatchNorm:
+			vs = vs[1:]
+		case zoo.KindResidual:
+			vs = setWidths(l.Body, vs)
+		}
+	}
+	return vs
+}
+
+// Accumulate adds one participant's term of the R2SP average (§III-C) to
+// acc, a global-shaped running sum: at every coordinate the plan kept, the
+// trained sub-model's value; at every pruned coordinate, base's value — the
+// global model the sub-model was cut from, which is what recovering the
+// sub-model and adding its residual model would put there. A nil base adds
+// nothing at pruned coordinates (the BSP scheme of Fig. 7). Each coordinate
+// receives exactly one addend per call, so calling it participant by
+// participant reproduces the reference sum Σ(Recover + ResidualOf) bit for
+// bit for finite base values — without materialising either model.
+func Accumulate(spec *zoo.Spec, acc, subWeights, base []*tensor.Tensor, plan *Plan) error {
+	vs, err := plan.resolved(spec)
+	if err != nil {
+		return err
+	}
+	if err := checkTensors(spec, vs, acc); err != nil {
+		return err
+	}
+	if base != nil && len(base) != len(acc) {
+		return fmt.Errorf("prune: base model has %d tensors, sum has %d", len(base), len(acc))
+	}
+	if len(subWeights) != len(acc) {
+		return fmt.Errorf("prune: sub-model has %d tensors, plan implies %d", len(subWeights), len(acc))
+	}
+	for i := range vs {
+		v := &vs[i]
+		var err error
+		switch v.l.Kind {
+		case zoo.KindConv, zoo.KindDense:
+			per := 1
+			if v.l.Kind == zoo.KindConv {
+				per = v.l.K * v.l.K
+			}
+			if err = accumulateTensor(acc, subWeights, base, v.paramStart, v.fullOut, v.fullIn, per, v.keptOut, v.keptIn); err == nil {
+				err = accumulateTensor(acc, subWeights, base, v.paramStart+1, v.fullOut, 1, 1, v.keptOut, nil)
+			}
+		case zoo.KindBatchNorm:
+			for k := 0; k < 4 && err == nil; k++ {
+				err = accumulateTensor(acc, subWeights, base, v.paramStart+k, v.fullOut, 1, 1, v.keptOut, nil)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("prune: layer %q: %w", v.l.Name, err)
+		}
+	}
+	return nil
+}
+
+// accumulateTensor checks tensor t of the three lists against the
+// [rows, cols, per] layout and runs the accumulate kernel on it.
+func accumulateTensor(acc, sub, base []*tensor.Tensor, t, rows, cols, per int, keptRows, keptCols []int) error {
+	keptWidth := cols
+	if keptCols != nil {
+		keptWidth = len(keptCols)
+	}
+	if len(acc[t].Data) != rows*cols*per {
+		return fmt.Errorf("sum tensor %d has %d elements, want %d", t, len(acc[t].Data), rows*cols*per)
+	}
+	if len(sub[t].Data) != len(keptRows)*keptWidth*per {
+		return fmt.Errorf("sub-model tensor %d has %d elements, want %d", t, len(sub[t].Data), len(keptRows)*keptWidth*per)
+	}
+	var b []float32
+	if base != nil {
+		if b = base[t].Data; len(b) != len(acc[t].Data) {
+			return fmt.Errorf("base tensor %d has %d elements, want %d", t, len(b), len(acc[t].Data))
+		}
+	}
+	accumulate(acc[t].Data, sub[t].Data, b, cols, per, keptRows, keptCols)
+	return nil
+}
+
+// accumulate is the fused recover-and-add kernel over one tensor laid out
+// [rows, cols, per] (per = the K·K taps of a convolution kernel, 1
+// otherwise): acc += sub at (keptRows × keptCols), acc += base everywhere
+// else, or nothing there when base is nil. keptRows and keptCols are sorted
+// ascending; a nil keptCols keeps every column. sub is the compact
+// [len(keptRows), len(keptCols), per] sub-model tensor. Columns are walked
+// as maximal runs of kept or of pruned indices, so the flatten expansion's
+// contiguous channel blocks and whole pruned rows are straight slice adds.
+//
+//fedmp:allocfree
+func accumulate(acc, sub, base []float32, cols, per int, keptRows, keptCols []int) {
+	width := cols * per
+	subWidth := width
+	if keptCols != nil {
+		subWidth = len(keptCols) * per
+	}
+	ri := 0
+	for r := 0; r*width < len(acc); r++ {
+		arow := acc[r*width : (r+1)*width]
+		var brow []float32
+		if base != nil {
+			brow = base[r*width : (r+1)*width]
+		}
+		if ri == len(keptRows) || keptRows[ri] != r {
+			if brow != nil {
+				addInto(arow, brow)
+			}
+			continue
+		}
+		srow := sub[ri*subWidth : (ri+1)*subWidth]
+		ri++
+		if keptCols == nil {
+			addInto(arow, srow)
+			continue
+		}
+		for c, ci := 0, 0; c < cols; {
+			if ci < len(keptCols) && keptCols[ci] == c {
+				run := 1
+				for ci+run < len(keptCols) && keptCols[ci+run] == c+run {
+					run++
+				}
+				addInto(arow[c*per:(c+run)*per], srow[ci*per:(ci+run)*per])
+				c, ci = c+run, ci+run
+				continue
+			}
+			end := cols
+			if ci < len(keptCols) {
+				end = keptCols[ci]
+			}
+			if brow != nil {
+				addInto(arow[c*per:end*per], brow[c*per:end*per])
+			}
+			c = end
+		}
+	}
+}
+
+// addInto adds src to dst element by element.
+//
+//fedmp:allocfree
+func addInto(dst, src []float32) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+	}
+}
+
 // Sparse returns global-shaped weight copies with every pruned coordinate
 // set to zero — the paper's "sparse model": same network structure as the
 // global model, logically pruned parameters zeroed.
 func Sparse(spec *zoo.Spec, weights []*tensor.Tensor, plan *Plan) ([]*tensor.Tensor, error) {
+	vs, err := plan.resolved(spec)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkTensors(spec, vs, weights); err != nil {
+		return nil, err
+	}
 	out := make([]*tensor.Tensor, len(weights))
 	for i, w := range weights {
 		out[i] = tensor.New(w.Shape...)
 	}
-	err := walkPlanned(spec, weights, planChoose(plan), func(v *visit) error {
-		scatterLayer(out, weights, v)
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	for i := range vs {
+		scatterLayer(out, weights, &vs[i])
 	}
 	return out, nil
 }
@@ -67,46 +226,40 @@ func Sparse(spec *zoo.Spec, weights []*tensor.Tensor, plan *Plan) ([]*tensor.Ten
 // elsewhere — R2SP's "model recovery" step, using the index sets the plan
 // stores on the parameter server.
 func Recover(spec *zoo.Spec, subWeights []*tensor.Tensor, plan *Plan) ([]*tensor.Tensor, error) {
-	// Allocate global-shaped outputs by walking the *global* spec.
+	vs, err := plan.resolved(spec)
+	if err != nil {
+		return nil, err
+	}
+	// Allocate global-shaped outputs from the *global* geometry.
 	var out []*tensor.Tensor
 	cursor := 0
-	err := walkPlanned(spec, nil, planChoose(plan), func(v *visit) error {
+	for i := range vs {
+		v := &vs[i]
+		n := paramTensors(v.l.Kind)
+		if cursor+n > len(subWeights) {
+			return nil, fmt.Errorf("prune: sub-model weight list too short at %q", v.l.Name)
+		}
 		switch v.l.Kind {
 		case zoo.KindConv:
-			if cursor+2 > len(subWeights) {
-				return fmt.Errorf("prune: sub-model weight list too short at %q", v.l.Name)
-			}
 			w := tensor.New(v.fullOut, v.fullIn, v.l.K, v.l.K)
 			scatterConv(w, subWeights[cursor], v.keptOut, v.keptIn)
 			b := tensor.New(v.fullOut)
 			scatterVec(b, subWeights[cursor+1], v.keptOut)
 			out = append(out, w, b)
-			cursor += 2
 		case zoo.KindBatchNorm:
-			if cursor+4 > len(subWeights) {
-				return fmt.Errorf("prune: sub-model weight list too short at %q", v.l.Name)
-			}
 			for k := 0; k < 4; k++ {
 				g := tensor.New(v.fullOut)
 				scatterVec(g, subWeights[cursor+k], v.keptOut)
 				out = append(out, g)
 			}
-			cursor += 4
 		case zoo.KindDense:
-			if cursor+2 > len(subWeights) {
-				return fmt.Errorf("prune: sub-model weight list too short at %q", v.l.Name)
-			}
 			w := tensor.New(v.fullOut, v.fullIn)
 			scatterMat(w, subWeights[cursor], v.keptOut, v.keptIn)
 			b := tensor.New(v.fullOut)
 			scatterVec(b, subWeights[cursor+1], v.keptOut)
 			out = append(out, w, b)
-			cursor += 2
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		cursor += n
 	}
 	if cursor != len(subWeights) {
 		return nil, fmt.Errorf("prune: sub-model has %d tensors, plan implies %d", len(subWeights), cursor)
@@ -140,16 +293,6 @@ func PruneError(global, sparse []*tensor.Tensor) float64 {
 		}
 	}
 	return q
-}
-
-// indexLayers maps names to layer specs, recursing into residual bodies.
-func indexLayers(layers []zoo.LayerSpec, into map[string]*zoo.LayerSpec) {
-	for i := range layers {
-		into[layers[i].Name] = &layers[i]
-		if len(layers[i].Body) > 0 {
-			indexLayers(layers[i].Body, into)
-		}
-	}
 }
 
 // extractConv copies W[keptOut, keptIn, :, :] out of a [O,I,KH,KW] kernel.

@@ -3,6 +3,7 @@ package prune
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -352,9 +353,203 @@ func TestKeepCount(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	scores := []float64{0.5, 3, 1, 3, 0.1}
-	got := topK(scores, 3)
+	got := topK(scores, 3, new(planScratch))
 	want := []int{1, 2, 3} // two 3s (tie keeps lower index first) and the 1
 	if !equalInts(got, want) {
 		t.Errorf("topK = %v, want %v", got, want)
+	}
+}
+
+// topKSortRef is the selection topK replaced: a stable descending index sort,
+// its first k entries, re-sorted ascending.
+func topKSortRef(scores []float64, k int) []int {
+	idx := make([]int, len(scores))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] > scores[idx[b]] })
+	kept := append([]int(nil), idx[:k]...)
+	sort.Ints(kept)
+	return kept
+}
+
+// TestTopKMatchesSortReference pins the partial selection index for index
+// against the stable sort across sizes, every k, heavy ties, signed zeros and
+// infinities, reusing one scratch the way a planning goroutine does.
+func TestTopKMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	sc := new(planScratch)
+	for _, n := range []int{1, 2, 3, 6, 24, 64, 257} {
+		for trial := 0; trial < 6; trial++ {
+			scores := make([]float64, n)
+			for i := range scores {
+				switch trial % 3 {
+				case 0:
+					scores[i] = rng.ExpFloat64()
+				case 1:
+					scores[i] = float64(rng.Intn(4)) // heavy ties
+				default:
+					scores[i] = []float64{0, math.Copysign(0, -1), 1, math.Inf(1), 2.5}[rng.Intn(5)]
+				}
+			}
+			for k := 1; k <= n; k++ {
+				if got, want := topK(scores, k, sc), topKSortRef(scores, k); !equalInts(got, want) {
+					t.Fatalf("n=%d trial=%d k=%d: topK = %v, sort reference %v (scores %v)", n, trial, k, got, want, scores)
+				}
+			}
+		}
+	}
+}
+
+// TestTopKRanksNaNLast: a NaN score loses to every number and a layer still
+// keeps exactly k structures.
+func TestTopKRanksNaNLast(t *testing.T) {
+	nan := math.NaN()
+	got := topK([]float64{nan, 2, nan, 1, 0}, 3, new(planScratch))
+	if want := []int{1, 3, 4}; !equalInts(got, want) {
+		t.Errorf("topK = %v, want %v", got, want)
+	}
+	got = topK([]float64{nan, 2, nan, 1}, 3, new(planScratch))
+	if want := []int{0, 1, 3}; !equalInts(got, want) {
+		t.Errorf("topK with NaN tie = %v, want %v", got, want)
+	}
+}
+
+// TestSelectKth checks the quickselect against a full sort, across sizes,
+// duplicates and every rank.
+func TestSelectKth(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, n := range []int{1, 2, 3, 7, 50, 257} {
+		for trial := 0; trial < 4; trial++ {
+			s := make([]float64, n)
+			for i := range s {
+				if trial%2 == 0 {
+					s[i] = rng.Float64()
+				} else {
+					s[i] = float64(rng.Intn(5)) // heavy duplicates
+				}
+			}
+			sorted := append([]float64(nil), s...)
+			sort.Float64s(sorted)
+			for k := 0; k < n; k++ {
+				in := append([]float64(nil), s...)
+				if got := SelectKth(in, k); got != sorted[k] {
+					t.Fatalf("n=%d trial=%d k=%d: SelectKth=%v, sort=%v", n, trial, k, got, sorted[k])
+				}
+			}
+		}
+	}
+}
+
+// buildPlanRef is plan construction as it was before the Context: scores and
+// jitter computed inside the walk, layer by layer, drawing from rng as it
+// goes, and the stable-sort selection.
+func buildPlanRef(spec *zoo.Spec, weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (map[string][]int, error) {
+	kept := map[string][]int{}
+	choose := func(v *visit, ws []*tensor.Tensor, forced []int) ([]int, error) {
+		if forced != nil {
+			return append([]int(nil), forced...), nil
+		}
+		scores, err := structureScores(v, ws[v.paramStart])
+		if err != nil {
+			return nil, err
+		}
+		if jitter != 0 && rng != nil {
+			for i := range scores {
+				scores[i] *= math.Exp(jitter * rng.NormFloat64())
+			}
+		}
+		return topKSortRef(scores, keepCount(v.fullOut, ratio)), nil
+	}
+	err := walkPlanned(spec, weights, choose, func(v *visit) error {
+		kept[v.l.Name] = v.keptOut
+		return nil
+	})
+	return kept, err
+}
+
+// TestContextPlansMatchPerWorkerConstruction: plans built from one shared
+// Context, their noise drawn up front in worker order, equal the plans the
+// per-worker construction built one after another from the same stream — and
+// leave the stream at the same position.
+func TestContextPlansMatchPerWorkerConstruction(t *testing.T) {
+	ratios := []float64{0, 0.1, 0.4, 0.79, 0.4}
+	for _, id := range zoo.ImageModelIDs {
+		spec, weights, _ := buildModel(t, id, 3)
+		for _, jitter := range []float64{0, 0.3} {
+			refRng, rng := rand.New(rand.NewSource(77)), rand.New(rand.NewSource(77))
+			ctx, err := NewContext(spec, weights)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var noise []float64
+			for range ratios {
+				noise = DrawNoise(noise, ctx.NoiseLen(), jitter, rng)
+			}
+			for w, ratio := range ratios {
+				want, err := buildPlanRef(spec, weights, ratio, jitter, refRng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mine []float64
+				if jitter != 0 {
+					mine = noise[w*ctx.NoiseLen() : (w+1)*ctx.NoiseLen()]
+				}
+				plan, err := ctx.Plan(ratio, jitter, mine)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(plan.Kept) != len(want) {
+					t.Fatalf("%s: plan has %d layers, reference %d", id, len(plan.Kept), len(want))
+				}
+				for name, kept := range want {
+					if !equalInts(plan.Kept[name], kept) {
+						t.Fatalf("%s worker %d ratio %v jitter %v layer %s: kept %v, reference %v",
+							id, w, ratio, jitter, name, plan.Kept[name], kept)
+					}
+				}
+			}
+			if a, b := rng.Int63(), refRng.Int63(); a != b {
+				t.Errorf("%s jitter %v: noise stream left at a different position", id, jitter)
+			}
+		}
+	}
+}
+
+// TestAccumulateRejectsMalformedModels: a sub-model or sum that does not fit
+// the plan is an error, never a panic — on the wire the sub-model comes from
+// a worker.
+func TestAccumulateRejectsMalformedModels(t *testing.T) {
+	spec, weights, _ := buildModel(t, zoo.ModelCNN, 3)
+	plan, err := BuildPlan(spec, weights, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, sub, err := Shrink(spec, weights, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := func() []*tensor.Tensor {
+		acc := make([]*tensor.Tensor, len(weights))
+		for i, w := range weights {
+			acc[i] = tensor.New(w.Shape...)
+		}
+		return acc
+	}
+	if err := Accumulate(spec, zeros(), sub, weights, plan); err != nil {
+		t.Fatalf("well-formed accumulate: %v", err)
+	}
+	short := append([]*tensor.Tensor(nil), sub...)
+	short[2] = tensor.New(3)
+	for name, call := range map[string]func() error{
+		"short sub tensor":  func() error { return Accumulate(spec, zeros(), short, weights, plan) },
+		"missing sub":       func() error { return Accumulate(spec, zeros(), sub[:len(sub)-1], weights, plan) },
+		"short sum":         func() error { return Accumulate(spec, zeros()[:3], sub, weights, plan) },
+		"sub-shaped base":   func() error { return Accumulate(spec, zeros(), sub, sub, plan) },
+		"plan of no layers": func() error { return Accumulate(spec, zeros(), sub, weights, &Plan{Kept: map[string][]int{}}) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }

@@ -77,6 +77,9 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 		cfg.ID = fmt.Sprintf("%s-%d", cfg.Name, time.Now().UnixNano())
 	}
 
+	// One cache for the worker's lifetime: sessions come and go, the
+	// sub-model shapes the server sends repeat.
+	nets := core.NewNetCache(fam, cfg.LR, cfg.Momentum, 0)
 	lastRound := 0
 	for session := 0; ; session++ {
 		c, err := dial(cfg.Addr, bo, cfg.MaxDialAttempts)
@@ -88,7 +91,7 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 			return fmt.Errorf("transport: hello: %w", err)
 		}
 		logf("connected to %s (session %d)", cfg.Addr, session)
-		err = serveConn(c, fam, src, cfg, &lastRound, bo, logf)
+		err = serveConn(c, nets, src, cfg, &lastRound, bo, logf)
 		closeLogged(c, logf, "session connection")
 		if errors.Is(err, errShutdown) {
 			return nil
@@ -107,7 +110,7 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 // session's first assignment is exempt: a lower round number there means the
 // server restarted from a checkpoint and rewound, and the worker follows it.
 // Completing a round (result sent) resets the shared backoff schedule.
-func serveConn(c *conn, fam core.Family, src core.Source, cfg WorkerConfig, lastRound *int, bo *backoff, logf func(string, ...any)) error {
+func serveConn(c *conn, nets *core.NetCache, src core.Source, cfg WorkerConfig, lastRound *int, bo *backoff, logf func(string, ...any)) error {
 	firstAssign := true
 	for {
 		// The recycling decoder is safe here because every arm below fully
@@ -139,7 +142,7 @@ func serveConn(c *conn, fam core.Family, src core.Source, cfg WorkerConfig, last
 					*lastRound, e.Assign.Round)
 			}
 			firstAssign = false
-			res, err := trainAssignment(fam, src, e.Assign, cfg)
+			res, err := trainAssignment(nets, src, e.Assign, cfg)
 			if err != nil {
 				return err
 			}
@@ -160,19 +163,20 @@ func serveConn(c *conn, fam core.Family, src core.Source, cfg WorkerConfig, last
 }
 
 // trainAssignment performs the local-training phase for one assignment,
-// mirroring the simulation engine's worker step with wall-clock timing.
-func trainAssignment(fam core.Family, src core.Source, a *assignMsg, cfg WorkerConfig) (*resultMsg, error) {
+// mirroring the simulation engine's worker step with wall-clock timing. The
+// network and its optimiser come from the worker's cache: a sub-model shape
+// seen before trains on the network built then, reloaded.
+func trainAssignment(nets *core.NetCache, src core.Source, a *assignMsg, cfg WorkerConfig) (*resultMsg, error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Wall{}
 	}
 	elapsed := clock.Stopwatch()
-	net, err := fam.BuildNet(a.Desc, 1)
+	net, opt, err := nets.Get(a.Desc, 1)
 	if err != nil {
 		return nil, fmt.Errorf("transport: building assigned model: %w", err)
 	}
 	nn.SetWeights(net, a.Weights)
-	opt := nn.NewSGD(cfg.LR, cfg.Momentum, 0)
 	var lossSum float64
 	iters := a.Iters
 	if iters < 1 {

@@ -174,7 +174,8 @@ func DefaultLMConfig() LMConfig {
 	return LMConfig{Vocab: 80, Embed: 16, Hidden: 32, SeqLen: 12}
 }
 
-// BuildLM constructs the two-layer LSTM language model.
+// BuildLM constructs the two-layer LSTM language model. A nil rng builds
+// zero-initialised parameters (the forget-gate bias aside), as in Build.
 func BuildLM(cfg LMConfig, rng *rand.Rand) *nn.LSTMLM {
 	return nn.NewLSTMLM(cfg.Vocab, cfg.Embed, cfg.Hidden, cfg.SeqLen, rng)
 }

@@ -234,11 +234,49 @@ func cloneLayers(layers []LayerSpec) []LayerSpec {
 	return out
 }
 
+// UsesRNG reports whether a network built from the spec keeps drawing from
+// its rng after construction — today, whether it has a Dropout layer.
+func (s *Spec) UsesRNG() bool { return usesRNG(s.Layers) }
+
+func usesRNG(layers []LayerSpec) bool {
+	for i := range layers {
+		if layers[i].Kind == KindDropout || usesRNG(layers[i].Body) {
+			return true
+		}
+	}
+	return false
+}
+
+// AppendSignature appends the integers that fix the shape of every
+// parameter, buffer and workspace of the network Build returns: the input
+// geometry and each layer's kind, width and window geometry (names are left
+// out — they label parameters, they do not size them). Two specs with equal
+// signatures build interchangeable networks.
+func (s *Spec) AppendSignature(dst []int) []int {
+	dst = append(dst, s.InC, s.InH, s.InW, s.Classes)
+	return appendLayerSignature(dst, s.Layers)
+}
+
+func appendLayerSignature(dst []int, layers []LayerSpec) []int {
+	for i := range layers {
+		l := &layers[i]
+		dst = append(dst, int(l.Kind), l.Out, l.K, l.Stride, l.Pad, l.Window, len(l.Body))
+		dst = appendLayerSignature(dst, l.Body)
+	}
+	return dst
+}
+
 // Build constructs a trainable network from the spec with freshly
-// initialised parameters drawn from rng.
+// initialised parameters drawn from rng. A nil rng builds zero-initialised
+// parameters without seeding or drawing anything, for callers that load the
+// weights themselves (nn.SetWeights); a spec that UsesRNG cannot be built
+// that way.
 func Build(s *Spec, rng *rand.Rand) (*nn.Sequential, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
+	}
+	if rng == nil && s.UsesRNG() {
+		return nil, fmt.Errorf("zoo: spec %q has a dropout layer and cannot be built without an rng", s.Name)
 	}
 	var top []nn.Layer
 	var resStack []*nn.Residual // at most one deep; Walk forbids nesting
