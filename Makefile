@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only dependency.
 
-.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches fuzz-smoke race check bench ci test-kernels
+.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches fuzz-smoke race check bench ci test-kernels test-benchmark loc
 
 build:
 	go build ./...
@@ -89,6 +89,20 @@ test-kernels:
 	FEDMP_KERNEL=sse go test -count=1 ./internal/tensor ./internal/nn
 	FEDMP_KERNEL=avx2 go test -count=1 ./internal/tensor ./internal/nn
 
+# test-benchmark vets, tests and lints the nested benchmark module
+# (BENCHMARK.json): `go test ./...` at the root does not see it, and it
+# compiles against the internal/ API from outside.
+test-benchmark:
+	cd benchmark && go vet ./... && go test ./...
+	cd benchmark && go run fedmp/cmd/fedmp-lint ./...
+
+# loc prints the non-test Go lines per package — the figure every PR reports
+# (ROADMAP: net line count is a metric).
+loc:
+	@go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
+		printf '%6d %s\n' $$(ls $$dir/*.go | grep -v _test.go | xargs cat | wc -l) $$pkg; \
+	done
+
 check: vet lint build test test-kernels race
 
 # ci is the offline continuous-integration entry point: the full check
@@ -100,7 +114,7 @@ check: vet lint build test test-kernels race
 # parity, and a mid-run PS kill/restart that must recover from its
 # checkpoint) — then a bench smoke run (one static table plus one quick
 # sim-backed figure) proving the experiment CLI still runs end to end.
-ci: check lint-bench lint-hatches
+ci: check lint-bench lint-hatches test-benchmark
 	go test -race -count=1 -run 'TestParallelCohortDeterminism' ./internal/core
-	go test -race -run 'TestLoopbackSmoke|TestSimWireBytesParity|TestPSKillRestartRecovery' ./internal/transport
+	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

@@ -51,7 +51,8 @@ type (
 	// FaultConfig injects simulated cluster failures (crashes, transient
 	// stragglers, link blackouts) into a run via Config.Faults.
 	FaultConfig = cluster.FaultConfig
-	// State is a synchronous run's resumable engine state (Result.State);
+	// State is a synchronous run's resumable state (Result.State, from Run
+	// and Serve alike — it is the record the parameter server checkpoints);
 	// feed it to RunFrom to continue a checkpointed run.
 	State = core.State
 	// Population selects population mode via Config.Population: devices

@@ -21,12 +21,12 @@ func (s fixedSource) Next() *nn.Batch { return s.b }
 func TestRunWorkerSteadyStateAllocs(t *testing.T) {
 	for _, momentum := range []float32{0.9, 0} {
 		fam := tinyFamily()
-		r, _, err := newRunner(fam, quickCfg(StrategyFedMP, 3))
+		r, err := newRunner(fam, quickCfg(StrategyFedMP, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.cfg.Momentum = momentum // a zero Config.Momentum means the default
-		asg, err := r.strategy.Assign(r.roundInfo(1), []int{0, 1})
+		asg, err := r.strategy.Assign(r.info(1), []int{0, 1})
 		if err != nil {
 			t.Fatal(err)
 		}

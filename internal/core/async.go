@@ -25,8 +25,14 @@ type asyncItem struct {
 // scheduler — FIFO tie-breaking makes simultaneous arrivals aggregate in
 // dispatch order. Injected faults destroy in-flight work: the affected
 // worker re-enters the dispatch cycle once its loss surfaces (crashes
-// additionally delay that until the device has recovered).
-func (r *runner) runAsync() error {
+// additionally delay that until the device has recovered). The bookkeeping
+// — RoundInfo, RoundStat, evaluation, targets and budgets — is the Driver's;
+// only the order of collect, aggregate and re-dispatch is this engine's own.
+func (r *runner) runAsync() (*Result, error) {
+	r.evaluate(0, r.now)
+	// Decision and pruning overhead of a dispatch is recorded with the next
+	// completed round's stats via these accumulators.
+	var pendingDecision, pendingPrune float64
 	inflight := make([]asyncItem, 0, r.cfg.Workers)
 	free := make([]int, 0, r.cfg.Workers)
 	schedule := func(it asyncItem, finish float64) {
@@ -46,7 +52,7 @@ func (r *runner) runAsync() error {
 	// synchronous engine's cohorts; completions are pushed in assignment
 	// order, so the event sequence matches the serial engine's exactly.
 	dispatch := func(round int, workers []int) error {
-		info := r.roundInfo(round)
+		info := r.info(round)
 		var faults []cluster.Fault
 		if r.injector != nil {
 			faults = r.injector.Advance(round)
@@ -81,14 +87,12 @@ func (r *runner) runAsync() error {
 			}
 			schedule(asyncItem{out: outs[i]}, r.now+outs[i].Total)
 		}
-		// Decision/pruning overhead is recorded with the *next* completed
-		// round's stats via these accumulators.
-		r.pendingDecision += info.DecisionSeconds
-		r.pendingPrune += info.PruneSeconds
+		pendingDecision += info.DecisionSeconds
+		pendingPrune += info.PruneSeconds
 		return nil
 	}
 	if err := dispatch(0, r.workerIDs); err != nil {
-		return err
+		return nil, err
 	}
 
 	for round := 1; ; round++ {
@@ -97,11 +101,11 @@ func (r *runner) runAsync() error {
 			m = r.sched.Len()
 		}
 		if m == 0 {
-			return nil
+			break
 		}
 		// The round's participants, losses and re-dispatch list live in the
-		// runner's scratch: Aggregate, finishRound and dispatch read them
-		// only until they return.
+		// runner's scratch: Aggregate, record and dispatch read them only
+		// until they return.
 		outs, dropped := r.participants[:0], r.late[:0]
 		var roundEnd float64
 		for len(outs) < m && r.sched.Len() > 0 {
@@ -119,28 +123,26 @@ func (r *runner) runAsync() error {
 			outs = append(outs, it.out)
 		}
 		r.participants, r.late = outs, dropped
-		info := r.roundInfo(round)
-		newGlobal, err := r.strategy.Aggregate(info, outs, dropped)
-		if err != nil {
-			return err
+		info := r.info(round)
+		var err error
+		if r.global, err = r.strategy.Aggregate(info, outs, dropped); err != nil {
+			return nil, err
 		}
-		r.global = newGlobal
 		roundTime := roundEnd - r.now
 		if roundTime < 0 {
 			roundTime = 0
 		}
-		info.DecisionSeconds += r.pendingDecision
-		info.PruneSeconds += r.pendingPrune
-		r.pendingDecision, r.pendingPrune = 0, 0
-		r.finishRound(round, info, outs, dropped, 0, roundTime)
+		info.DecisionSeconds += pendingDecision
+		info.PruneSeconds += pendingPrune
+		pendingDecision, pendingPrune = 0, 0
+		r.advance(roundTime)
+		r.record(round, info, outs, len(dropped), 0, roundTime)
 
-		if stop, err := r.evalAndCheck(round); err != nil {
-			return err
-		} else if stop {
-			return nil
-		}
-		if r.stopByBudget(round) {
-			return nil
+		// The evaluation is not a scheduler event here as it is in the
+		// synchronous engine: the heap holds live in-flight completions
+		// that must stay queued for later rounds.
+		if round%r.cfg.EvalEvery == 0 && r.reached(r.evaluate(round, r.now)) || r.spent(round, r.now) {
+			break
 		}
 
 		// Re-dispatch exactly the workers that just reported or whose work
@@ -155,7 +157,10 @@ func (r *runner) runAsync() error {
 		r.available = workers
 		r.releaseRound()
 		if err := dispatch(round, workers); err != nil {
-			return err
+			return nil, err
 		}
 	}
+	r.seal(r.now)
+	r.res.Events = int64(r.sched.Processed())
+	return r.res, nil
 }

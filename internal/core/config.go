@@ -364,9 +364,9 @@ type Result struct {
 	// first met (+Inf if never, or no target set). TimeToTargetLoss is the
 	// analogue for TargetLoss.
 	TimeToTargetAcc, TimeToTargetLoss float64
-	// State is the engine's resumable snapshot at the end of the run
-	// (synchronous runs only; nil for async). RunFrom continues a run
-	// from it as if the process had never stopped.
+	// State is the run's resumable snapshot at the end of the run
+	// (synchronous runs only; nil for async), a deep copy. RunFrom
+	// continues a run from it as if the process had never stopped.
 	State *State
 	// Stream carries the constant-memory aggregates when
 	// Config.StreamMetrics is set (Points and Stats then stay empty).

@@ -441,28 +441,37 @@ func TestSliceBatch(t *testing.T) {
 func TestTopKUpdate(t *testing.T) {
 	before := []*tensor.Tensor{tensor.FromSlice([]float32{0, 0, 0, 0}, 4)}
 	after := []*tensor.Tensor{tensor.FromSlice([]float32{1, -3, 0.5, 2}, 4)}
-	update, nnz := topKUpdate(before, after, 0.5)
+	topK := func(k float64) (update []float32, nnz int) {
+		up := BuildUpload(nn.CloneWeights(after), before, k, nil, false)
+		for _, v := range up.Update[0].Data {
+			if v != 0 {
+				nnz++
+			}
+		}
+		return up.Update[0].Data, nnz
+	}
+	update, nnz := topK(0.5)
 	if nnz != 2 {
 		t.Fatalf("nnz = %d, want 2", nnz)
 	}
 	// The two largest magnitudes are -3 and 2.
 	want := []float32{0, -3, 0, 2}
 	for i, w := range want {
-		if update[0].Data[i] != w {
-			t.Errorf("update = %v, want %v", update[0].Data, want)
+		if update[i] != w {
+			t.Errorf("update = %v, want %v", update, want)
 			break
 		}
 	}
 	// k too small clamps to one coordinate.
-	_, nnz = topKUpdate(before, after, 0.0001)
+	_, nnz = topK(0.0001)
 	if nnz != 1 {
 		t.Errorf("min-keep nnz = %d, want 1", nnz)
 	}
 	// k = 1 keeps all non-zero coordinates.
-	update, _ = topKUpdate(before, after, 1)
+	update, _ = topK(1)
 	for i, v := range []float32{1, -3, 0.5, 2} {
-		if update[0].Data[i] != v {
-			t.Errorf("full update = %v", update[0].Data)
+		if update[i] != v {
+			t.Errorf("full update = %v", update)
 			break
 		}
 	}

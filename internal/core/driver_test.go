@@ -1,0 +1,247 @@
+package core
+
+import (
+	"errors"
+	"math"
+	"slices"
+	"strings"
+	"testing"
+
+	"fedmp/internal/nn"
+)
+
+// fakeExec is a scripted Executor: every round it offers the same workers,
+// echoes each assignment's weights back as the trained model for the workers
+// listed in deliver(round, attempt) and loses the rest, and answers Idle and
+// Closed from fields — so the Driver's own decisions are what a test sees.
+type fakeExec struct {
+	workers []int
+	suspect int
+	// deliver picks who answers the attempt-th run of round (nil: all).
+	deliver func(round, attempt int) []int
+	// idle is Idle's answer; retry, when set, overrides it with "run again".
+	idle  float64
+	retry bool
+	// closeErr fails Closed for that round.
+	closeErr map[int]error
+
+	now      float64
+	runs     []int // round number of every Run call, in order
+	attempts map[int]int
+	closed   []int
+	snaps    []*State
+}
+
+func (f *fakeExec) Workers(int) ([]int, int, error) { return f.workers, f.suspect, nil }
+
+func (f *fakeExec) Run(round int, assignments []Assignment) ([]Output, []Assignment, float64, error) {
+	if f.attempts == nil {
+		f.attempts = map[int]int{}
+	}
+	attempt := f.attempts[round]
+	f.attempts[round]++
+	f.runs = append(f.runs, round)
+	answers := map[int]bool{}
+	if f.deliver != nil {
+		for _, w := range f.deliver(round, attempt) {
+			answers[w] = true
+		}
+	}
+	var outs []Output
+	var lost []Assignment
+	for _, a := range assignments {
+		if f.deliver != nil && !answers[a.Worker] {
+			lost = append(lost, a)
+			continue
+		}
+		outs = append(outs, Output{Assignment: a, NewWeights: nn.CloneWeights(a.Weights), TrainLoss: 1, CompTime: 1, Total: 2})
+	}
+	seconds := 0.0
+	if len(outs) > 0 {
+		seconds = 2
+	}
+	f.now += seconds
+	return outs, lost, seconds, nil
+}
+
+func (f *fakeExec) Idle(seconds, mean float64) (float64, bool) {
+	if f.retry {
+		return 0, false
+	}
+	f.now += f.idle
+	return f.idle, true
+}
+
+func (f *fakeExec) Now() float64 { return f.now }
+
+func (f *fakeExec) Closed(round int, _ *Point, snap func() *State) error {
+	if err := f.closeErr[round]; err != nil {
+		return err
+	}
+	f.closed = append(f.closed, round)
+	s := *snap() // the view is borrowed: copy what the test reads later
+	f.snaps = append(f.snaps, &s)
+	return nil
+}
+
+func fakeDriver(t *testing.T, rounds int) *Driver {
+	t.Helper()
+	return fakeDriverFor(t, StrategySynFL, rounds)
+}
+
+func fakeDriverFor(t *testing.T, strategy StrategyID, rounds int) *Driver {
+	t.Helper()
+	cfg := quickCfg(strategy, rounds)
+	cfg.Workers = 3
+	d, err := NewDriver(tinyFamily(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestDriverRetriesBarrenRound pins the parameter server's empty-round
+// policy: a round nobody answered runs again under the same number, and the
+// retried round is recorded once. Under FedMP the lost assignments' bandits
+// must have been settled in between (an E-UCB agent panics on a second Select
+// without an Observe).
+func TestDriverRetriesBarrenRound(t *testing.T) {
+	for _, strategy := range []StrategyID{StrategySynFL, StrategyFedMP} {
+		f := &fakeExec{workers: []int{0, 1, 2}, retry: true, deliver: func(round, attempt int) []int {
+			if round == 2 && attempt < 2 {
+				return nil
+			}
+			return []int{0, 1, 2}
+		}}
+		res, err := fakeDriverFor(t, strategy, 3).Drive(f)
+		if err != nil {
+			t.Fatalf("%s: %v", strategy, err)
+		}
+		if want := []int{1, 2, 2, 2, 3}; !slices.Equal(f.runs, want) {
+			t.Errorf("%s: rounds run %v, want %v", strategy, f.runs, want)
+		}
+		if want := []int{1, 2, 3}; !slices.Equal(f.closed, want) {
+			t.Errorf("%s: rounds closed %v, want %v", strategy, f.closed, want)
+		}
+		if res.Rounds != 3 || len(res.Stats) != 3 {
+			t.Errorf("%s: result has %d rounds, %d stats; want 3 and 3", strategy, res.Rounds, len(res.Stats))
+		}
+	}
+}
+
+// TestDriverGivesUpOnBarrenRounds pins the liveness backstop: maxBarrenRounds
+// consecutive empty attempts end the run with an error.
+func TestDriverGivesUpOnBarrenRounds(t *testing.T) {
+	f := &fakeExec{workers: []int{0, 1, 2}, retry: true, deliver: func(round, _ int) []int {
+		if round == 2 {
+			return nil
+		}
+		return []int{0, 1, 2}
+	}}
+	res, err := fakeDriver(t, 3).Drive(f)
+	if err == nil || !strings.Contains(err.Error(), "consecutive rounds with no results") {
+		t.Fatalf("Drive returned (%v, %v), want the barren-rounds error", res, err)
+	}
+	if got := f.attempts[2]; got != maxBarrenRounds {
+		t.Errorf("round 2 ran %d times, want %d", got, maxBarrenRounds)
+	}
+	if want := []int{1}; !slices.Equal(f.closed, want) {
+		t.Errorf("rounds closed %v, want %v", f.closed, want)
+	}
+}
+
+// TestDriverCountsIdleRound pins the simulator's empty-round policy: the
+// round closes with the idle duration the executor names, is recorded with
+// no participants, and the next round number follows.
+func TestDriverCountsIdleRound(t *testing.T) {
+	f := &fakeExec{workers: []int{0, 1, 2}, idle: 7, deliver: func(round, _ int) []int {
+		if round == 2 {
+			return nil
+		}
+		return []int{0, 1, 2}
+	}}
+	res, err := fakeDriver(t, 3).Drive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{1, 2, 3}; !slices.Equal(f.runs, want) {
+		t.Errorf("rounds run %v, want %v", f.runs, want)
+	}
+	st := res.Stats[1]
+	if st.Round != 2 || st.Time != 7 || st.Participants != 0 || st.Dropped != 3 {
+		t.Errorf("idle round recorded as %+v; want round 2, 7s, 0 participants, 3 dropped", st)
+	}
+	if res.Time != 2+7+2 {
+		t.Errorf("run took %v, want 11", res.Time)
+	}
+	if got := f.snaps[2].RoundSum; got != 11 {
+		t.Errorf("round-time accumulator %v after three rounds, want 11", got)
+	}
+}
+
+// TestDriverPersistErrorIsFatal pins the durability contract: when the
+// executor cannot close a round the run ends there, with no result.
+func TestDriverPersistErrorIsFatal(t *testing.T) {
+	disk := errors.New("disk full")
+	f := &fakeExec{workers: []int{0, 1, 2}, closeErr: map[int]error{2: disk}}
+	res, err := fakeDriver(t, 3).Drive(f)
+	if !errors.Is(err, disk) || res != nil {
+		t.Fatalf("Drive returned (%v, %v), want (nil, disk full)", res, err)
+	}
+	if want := []int{1}; !slices.Equal(f.closed, want) {
+		t.Errorf("rounds closed %v, want %v", f.closed, want)
+	}
+	if want := []int{1, 2}; !slices.Equal(f.runs, want) {
+		t.Errorf("rounds run %v, want %v (nothing may run after a failed close)", f.runs, want)
+	}
+}
+
+// TestDriverRecordsShortRound pins the partial-participation bookkeeping: a
+// round that closes on a quorum records who was lost and who was skipped up
+// front, and only the deliverers' times and ratios enter the ledger.
+func TestDriverRecordsShortRound(t *testing.T) {
+	f := &fakeExec{workers: []int{0, 2}, suspect: 1, deliver: func(int, int) []int { return []int{2} }}
+	res, err := fakeDriver(t, 1).Drive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats[0]
+	if st.Participants != 1 || st.Dropped != 1 || st.Suspect != 1 {
+		t.Errorf("short round recorded as %+v; want 1 participant, 1 dropped, 1 suspect", st)
+	}
+	if got := res.State.PrevTimes; got[0] != 0 || got[1] != 0 || got[2] != 2 {
+		t.Errorf("per-worker times %v, want only worker 2's", got)
+	}
+}
+
+// TestDriverResumeReevaluates pins the resume contract on the driver itself:
+// restored at round K it evaluates at K, then runs K+1, and the state it
+// exports at the end is a copy.
+func TestDriverResumeReevaluates(t *testing.T) {
+	first, err := fakeDriver(t, 2).Drive(&fakeExec{workers: []int{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := fakeDriver(t, 4)
+	if err := d.Restore(first.State); err != nil {
+		t.Fatal(err)
+	}
+	f := &fakeExec{workers: []int{0, 1, 2}, now: first.State.RoundSum}
+	res, err := d.Drive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{3, 4}; !slices.Equal(f.runs, want) {
+		t.Errorf("resumed rounds %v, want %v", f.runs, want)
+	}
+	base, last := res.Points[0], first.Points[len(first.Points)-1]
+	if base.Round != 2 || base.Loss != last.Loss || base.Acc != last.Acc {
+		t.Errorf("resumed baseline %+v, want the round-2 evaluation %+v", base, last)
+	}
+	if res.State.Round != 4 || math.Float64bits(res.State.RoundSum) != math.Float64bits(8) {
+		t.Errorf("final state at round %d, round sum %v; want 4 and 8", res.State.Round, res.State.RoundSum)
+	}
+	if &res.State.Global[0].Data[0] == &d.global[0].Data[0] {
+		t.Error("Result.State aliases the driver's live model")
+	}
+}

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 
-	"fedmp/internal/cluster"
 	"fedmp/internal/prune"
 	"fedmp/internal/simsched"
 )
@@ -136,10 +135,8 @@ func (r *runner) sampleCohort() []int {
 	return ids
 }
 
-// roundWorkers selects this round's worker slots. Legacy mode: the fixed
-// device set minus recovering devices. Population mode: sample a cohort,
-// bind slot i to the i-th sampled device, then apply the same per-slot
-// fault filter on top.
+// bindCohort samples this round's cohort (population mode), binds slot i to
+// the i-th sampled device and returns the number of slots bound.
 //
 // Sampled devices are cached so jitter state persists across the rounds
 // that re-sample the same device; the cache is bounded by the number of
@@ -148,10 +145,7 @@ func (r *runner) sampleCohort() []int {
 // materialised on all cores (Population.Device is a pure function of the
 // population seed and the id, and most of its cost is seeding the device's
 // RNG) and then entered into the cache serially.
-func (r *runner) roundWorkers(faults []cluster.Fault) (available []int, suspect int) {
-	if r.pop == nil {
-		return r.availableWorkers(faults)
-	}
+func (r *runner) bindCohort() int {
 	ids := r.sampleCohort()
 	r.cohortIDs = ids
 	newIDs := r.newIDs[:0]
@@ -171,16 +165,7 @@ func (r *runner) roundWorkers(faults []cluster.Fault) (available []int, suspect 
 	for _, id := range ids {
 		r.cohortDevs = append(r.cohortDevs, r.devCache[id])
 	}
-	available = r.available[:0]
-	for slot := range ids {
-		if faults != nil && faults[slot].Down && !faults[slot].Fresh {
-			suspect++
-			continue
-		}
-		available = append(available, slot)
-	}
-	r.available = available
-	return available, suspect
+	return len(ids)
 }
 
 // trainCohort executes the runnable assignments' local SGD, sharded

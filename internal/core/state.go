@@ -2,38 +2,24 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"fedmp/internal/bandit"
 	"fedmp/internal/nn"
 	"fedmp/internal/tensor"
+	"fedmp/internal/transport/codec"
 )
 
-// State is the engine's complete resumable snapshot at the close of a round:
-// the aggregated global model plus the scalar and per-worker bookkeeping the
-// strategies read through RoundInfo. A run resumed from a State via RunFrom
+// State is a run's complete resumable state at the close of a round: the
+// aggregated global model plus the scalar and per-worker bookkeeping the
+// strategies read through RoundInfo, and one Workers entry per slot carrying
+// the last ratio and the pruning-ratio policy state. A run resumed from it
 // continues at Round+1 exactly where the original left off — same global
 // weights, same loss baseline for the Eq. 8 rewards, same bandit statistics.
-// The TCP runtime persists this (through codec.Snapshot) as its checkpoint
-// payload; the simulation engine uses it directly for restart experiments.
-type State struct {
-	// Round is the last completed round.
-	Round int
-	// Global is the aggregated global model after Round.
-	Global []*tensor.Tensor
-	// PrevLoss is Round's mean local training loss (NaN before the first
-	// aggregation).
-	PrevLoss float64
-	// RoundSum is the accumulated virtual round time; MeanRoundTime is
-	// RoundSum/Round.
-	RoundSum float64
-	// PrevTimes and PrevComm are each worker's most recent total and
-	// communication times, indexed by worker.
-	PrevTimes []float64
-	PrevComm  []float64
-	// Bandits are the per-worker pruning-ratio policy states (nil entries,
-	// or a nil slice, for strategies without per-worker bandits).
-	Bandits []*bandit.State
-}
+// It is the codec's durability payload: the TCP runtime persists it as its
+// checkpoint record (adding the workers' identities), the simulation engine
+// returns it as Result.State for restart experiments.
+type State = codec.Snapshot
 
 // BanditPersistent is implemented by strategies whose per-worker ratio
 // policies survive a restart. Strategies without durable policy state simply
@@ -48,90 +34,110 @@ type BanditPersistent interface {
 	RestoreBandits(sts []*bandit.State) error
 }
 
-// exportState snapshots the runner for resumption. Tensors and slices are
-// deep-copied: the caller may keep the State across further mutation of the
-// runner (or hand it to a goroutine) without aliasing.
-func (r *runner) exportState() *State {
-	st := &State{
-		Round:     r.res.Rounds,
-		Global:    nn.CloneWeights(r.global),
-		PrevLoss:  r.prevLoss,
-		RoundSum:  r.roundSum,
-		PrevTimes: append([]float64(nil), r.prevTimes...),
-		PrevComm:  append([]float64(nil), r.prevComm...),
+// borrow assembles the resumable state as a view over the driver's live
+// model and slices (see Executor.Closed): nothing but the bandit states is
+// copied, and the next call overwrites the same State.
+func (d *Driver) borrow() *State {
+	s := &d.view
+	s.Round = d.res.Rounds
+	s.Global = d.global
+	s.PrevLoss = d.prevLoss
+	s.RoundSum = d.roundSum
+	s.PrevTimes = d.prevTimes
+	s.PrevComm = d.prevComm
+	var bandits []*bandit.State
+	if bp, ok := d.strategy.(BanditPersistent); ok {
+		bandits = bp.ExportBandits()
 	}
-	if bp, ok := r.strategy.(BanditPersistent); ok {
-		st.Bandits = bp.ExportBandits()
+	s.Workers = slices.Grow(s.Workers[:0], d.cfg.Workers)[:d.cfg.Workers]
+	for slot := range s.Workers {
+		s.Workers[slot] = codec.WorkerState{Slot: slot, Ratio: d.lastRatio[slot]}
+		if slot < len(bandits) {
+			s.Workers[slot].Bandit = bandits[slot]
+		}
 	}
-	return st
+	return s
 }
 
-// restoreState injects a snapshot into a freshly built runner, validating it
-// against the run's configuration and model family before touching anything.
-func (r *runner) restoreState(st *State) error {
-	if st == nil {
+// export is borrow deep-copied: the caller may keep the State across
+// further mutation of the driver (or hand it to a goroutine) without
+// aliasing.
+func (d *Driver) export() *State {
+	s := *d.borrow()
+	s.Global = nn.CloneWeights(s.Global)
+	s.PrevTimes = slices.Clone(s.PrevTimes)
+	s.PrevComm = slices.Clone(s.PrevComm)
+	s.Workers = slices.Clone(s.Workers)
+	return &s
+}
+
+// Restore injects a snapshot into a freshly built driver so that Drive
+// continues at s.Round+1. The snapshot is validated against the run's
+// configuration and model family before anything is touched — it may come
+// from a checkpoint directory written under another configuration — and is
+// copied, never aliased.
+func (d *Driver) Restore(s *State) error {
+	if s == nil {
 		return fmt.Errorf("core: nil resume state")
 	}
-	if st.Round < 0 {
-		return fmt.Errorf("core: resume state at negative round %d", st.Round)
+	if s.Round < 1 {
+		return fmt.Errorf("core: resume state at round %d, want >= 1", s.Round)
 	}
-	if len(st.Global) != len(r.global) {
+	if d.cfg.Rounds > 0 && s.Round >= d.cfg.Rounds {
+		return fmt.Errorf("core: resume state already at round %d of a %d-round budget; nothing to resume",
+			s.Round, d.cfg.Rounds)
+	}
+	if len(s.Global) != len(d.global) {
 		return fmt.Errorf("core: resume state has %d global tensors, model has %d",
-			len(st.Global), len(r.global))
+			len(s.Global), len(d.global))
 	}
-	for i, t := range st.Global {
+	for i, t := range s.Global {
 		if t == nil {
 			return fmt.Errorf("core: resume state global tensor %d is nil", i)
 		}
-		if !sameShape(t.Shape, r.global[i].Shape) {
+		if !tensor.SameShape(t, d.global[i]) {
 			return fmt.Errorf("core: resume state tensor %d has shape %v, model wants %v",
-				i, t.Shape, r.global[i].Shape)
+				i, t.Shape, d.global[i].Shape)
 		}
 	}
-	for _, vs := range [][]float64{st.PrevTimes, st.PrevComm} {
-		if len(vs) != 0 && len(vs) != r.cfg.Workers {
-			return fmt.Errorf("core: resume state tracks %d workers, run has %d",
-				len(vs), r.cfg.Workers)
+	n := d.cfg.Workers
+	if len(s.PrevTimes) != n || len(s.PrevComm) != n {
+		return fmt.Errorf("core: resume state tracks %d/%d workers, run has %d",
+			len(s.PrevTimes), len(s.PrevComm), n)
+	}
+	bandits := make([]*bandit.State, n)
+	found := false
+	for _, w := range s.Workers {
+		if w.Slot < 0 || w.Slot >= n {
+			return fmt.Errorf("core: resume state worker slot %d outside 0..%d (was the run restarted with fewer workers?)",
+				w.Slot, n-1)
+		}
+		if w.Bandit != nil {
+			bandits[w.Slot] = w.Bandit
+			found = true
 		}
 	}
-	if len(st.Bandits) > 0 {
-		bp, ok := r.strategy.(BanditPersistent)
+	if found {
+		bp, ok := d.strategy.(BanditPersistent)
 		if !ok {
 			return fmt.Errorf("core: resume state carries bandit state but strategy %s keeps none",
-				r.strategy.Name())
+				d.strategy.Name())
 		}
-		if err := bp.RestoreBandits(st.Bandits); err != nil {
+		if err := bp.RestoreBandits(bandits); err != nil {
 			return err
 		}
 	}
-	r.global = nn.CloneWeights(st.Global)
-	r.prevLoss = st.PrevLoss
-	r.roundSum = st.RoundSum
-	// In a synchronous run the virtual clock and the round-time accumulator
-	// advance in lockstep, and every completed round counted once.
-	r.now = st.RoundSum
-	r.roundCnt = st.Round
-	r.res.Rounds = st.Round
-	if len(st.PrevTimes) == r.cfg.Workers {
-		copy(r.prevTimes, st.PrevTimes)
-	}
-	if len(st.PrevComm) == r.cfg.Workers {
-		copy(r.prevComm, st.PrevComm)
+	d.global = nn.CloneWeights(s.Global)
+	d.prevLoss = s.PrevLoss
+	d.roundSum = s.RoundSum
+	d.roundCnt = s.Round
+	d.res.Rounds = s.Round
+	copy(d.prevTimes, s.PrevTimes)
+	copy(d.prevComm, s.PrevComm)
+	for _, w := range s.Workers {
+		d.lastRatio[w.Slot] = w.Ratio
 	}
 	return nil
-}
-
-// sameShape reports whether two tensor shapes are identical.
-func sameShape(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RunFrom resumes a synchronous run from a previously exported State: the
@@ -139,44 +145,22 @@ func sameShape(a, b []int) bool {
 // device scenario for the same Config), the snapshot is injected, and rounds
 // continue from st.Round+1 until the configured budget. The returned Result
 // covers only the resumed portion — its Points start with a re-evaluation at
-// st.Round — but round numbers and the virtual clock continue the original
-// timeline, so trajectories from the two segments concatenate cleanly.
+// st.Round, which must match the original run's evaluation at that round —
+// but round numbers and the virtual clock continue the original timeline, so
+// trajectories from the two segments concatenate cleanly.
 func RunFrom(fam Family, cfg Config, st *State) (*Result, error) {
-	r, normCfg, err := newRunner(fam, cfg)
+	r, err := newRunner(fam, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if normCfg.Async {
+	if r.cfg.Async {
 		return nil, fmt.Errorf("core: RunFrom supports synchronous runs only")
 	}
-	if err := r.restoreState(st); err != nil {
+	if err := r.Restore(st); err != nil {
 		return nil, err
 	}
-	if normCfg.Rounds > 0 && st.Round >= normCfg.Rounds {
-		return nil, fmt.Errorf("core: resume round %d is at or past the %d-round budget",
-			st.Round, normCfg.Rounds)
-	}
-	// Re-evaluate the restored model as the resumed trajectory's baseline
-	// point; it must match the original run's evaluation at the same round.
-	r.evaluate(st.Round)
-	return r.finish(r.runSync(st.Round + 1))
-}
-
-// finish seals the Result after the round loop (shared by Run and RunFrom).
-func (r *runner) finish(err error) (*Result, error) {
-	if err != nil {
-		return nil, err
-	}
-	if len(r.res.Points) > 0 {
-		last := r.res.Points[len(r.res.Points)-1]
-		r.res.FinalAcc, r.res.FinalLoss = last.Acc, last.Loss
-	} else if r.res.Stream != nil && r.res.Stream.Evals > 0 {
-		r.res.FinalAcc, r.res.FinalLoss = r.res.Stream.LastAcc, r.res.Stream.LastLoss
-	}
-	r.res.Time = r.now
-	r.res.Events = int64(r.sched.Processed())
-	if !r.cfg.Async {
-		r.res.State = r.exportState()
-	}
-	return r.res, nil
+	// In a synchronous run the virtual clock and the round-time accumulator
+	// advance in lockstep.
+	r.now = st.RoundSum
+	return r.runSync()
 }

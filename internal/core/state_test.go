@@ -32,8 +32,13 @@ func TestRunFromResumesTrajectory(t *testing.T) {
 	if st.Round != 5 {
 		t.Fatalf("state at round %d, want 5", st.Round)
 	}
-	if len(st.Bandits) != full.Workers {
-		t.Fatalf("state carries %d bandit states for %d workers", len(st.Bandits), full.Workers)
+	if len(st.Workers) != full.Workers {
+		t.Fatalf("state carries %d worker entries for %d workers", len(st.Workers), full.Workers)
+	}
+	for _, w := range st.Workers {
+		if w.Bandit == nil {
+			t.Fatalf("state carries no bandit state for worker %d", w.Slot)
+		}
 	}
 
 	resumed, err := RunFrom(fam, full, st)

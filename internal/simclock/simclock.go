@@ -45,3 +45,9 @@ type Fixed struct {
 func (f Fixed) Stopwatch() func() float64 {
 	return func() float64 { return f.PerCall }
 }
+
+// Deadline returns the wall-clock instant d from now, for socket deadlines.
+// The TCP runtime executes under internal/core's round driver, so the
+// wall-clock reads it makes — this and its Wall stopwatches — go through
+// this package like everyone else's.
+func Deadline(d time.Duration) time.Time { return time.Now().Add(d) }

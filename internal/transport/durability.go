@@ -4,9 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"fedmp/internal/bandit"
-	"fedmp/internal/core"
-	"fedmp/internal/tensor"
 	"fedmp/internal/transport/codec"
 )
 
@@ -39,22 +36,19 @@ func (r *registry) preseed(ws []codec.WorkerState) error {
 	return nil
 }
 
-// workerTable snapshots the identity table: one entry per slot that has ever
-// been assigned, carrying the stable ID (empty when the worker never
-// presented one) and display name. Ratio and bandit state are filled in by
-// the caller, which owns that state.
-func (r *registry) workerTable() []codec.WorkerState {
+// identify fills a snapshot's worker table (one entry per slot, as
+// core.Driver builds it) with what the registry owns of it: the stable ID
+// (empty when the worker never presented one) and display name of every slot
+// that has been assigned.
+func (r *registry) identify(ws []codec.WorkerState) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	ids := make([]string, r.n)
 	for id, slot := range r.slots {
-		ids[slot] = id
+		ws[slot].ID = id
 	}
-	out := make([]codec.WorkerState, 0, r.next)
-	for slot := 0; slot < r.next; slot++ {
-		out = append(out, codec.WorkerState{Slot: slot, ID: ids[slot], Name: r.names[slot]})
+	for slot := range ws {
+		ws[slot].Name = r.names[slot]
 	}
-	return out
 }
 
 // kill tears down every connection without the shutdown handshake,
@@ -73,66 +67,4 @@ func (r *registry) kill() {
 		r.conns[i] = nil
 		r.state[i] = stateDown
 	}
-}
-
-// checkResume validates a recovered snapshot against this run's
-// configuration before any of it is spliced into live state: the round must
-// leave budget to resume into, the model architecture must match tensor for
-// tensor, and the per-worker slices must match the configured worker count.
-func checkResume(snap *codec.Snapshot, workers, rounds int, global []*tensor.Tensor) error {
-	if snap.Round < 1 {
-		return fmt.Errorf("transport: checkpoint at round %d, want >= 1", snap.Round)
-	}
-	if snap.Round >= rounds {
-		return fmt.Errorf("transport: checkpoint already at round %d of a %d-round budget; nothing to resume", snap.Round, rounds)
-	}
-	if len(snap.Global) != len(global) {
-		return fmt.Errorf("transport: checkpoint has %d global tensors, model has %d", len(snap.Global), len(global))
-	}
-	for i := range global {
-		if !tensor.SameShape(snap.Global[i], global[i]) {
-			return fmt.Errorf("transport: checkpoint tensor %d has shape %v, model wants %v",
-				i, snap.Global[i].Shape, global[i].Shape)
-		}
-	}
-	if len(snap.PrevTimes) != workers || len(snap.PrevComm) != workers {
-		return fmt.Errorf("transport: checkpoint tracks %d/%d workers, server is configured for %d",
-			len(snap.PrevTimes), len(snap.PrevComm), workers)
-	}
-	return nil
-}
-
-// resumeBandits splices the snapshot's per-worker bandit state back into the
-// strategy. A snapshot without bandit state is a no-op; bandit state aimed
-// at a strategy that keeps none is a configuration mismatch.
-func resumeBandits(snap *codec.Snapshot, workers int, strategy core.Strategy) error {
-	sts := make([]*bandit.State, workers)
-	found := false
-	for _, w := range snap.Workers {
-		if w.Bandit == nil {
-			continue
-		}
-		if w.Slot < 0 || w.Slot >= workers {
-			return fmt.Errorf("transport: checkpoint bandit for slot %d outside 0..%d", w.Slot, workers-1)
-		}
-		sts[w.Slot] = w.Bandit
-		found = true
-	}
-	if !found {
-		return nil
-	}
-	bp, ok := strategy.(core.BanditPersistent)
-	if !ok {
-		return fmt.Errorf("transport: checkpoint carries bandit state but the configured strategy keeps none")
-	}
-	return bp.RestoreBandits(sts)
-}
-
-// exportBandits returns the strategy's per-slot bandit state, or nil when
-// the strategy keeps none.
-func exportBandits(strategy core.Strategy) []*bandit.State {
-	if bp, ok := strategy.(core.BanditPersistent); ok {
-		return bp.ExportBandits()
-	}
-	return nil
 }

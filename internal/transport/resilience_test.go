@@ -59,7 +59,7 @@ func deadAfterWorker(t *testing.T, fam *core.ImageFamily, addr string, src core.
 		if served >= dieAfter {
 			return // die without answering
 		}
-		res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{})
+		res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, nil)
 		if err != nil {
 			t.Errorf("flaky train: %v", err)
 			return
@@ -98,7 +98,7 @@ func slowWorker(t *testing.T, fam *core.ImageFamily, addr string, src core.Sourc
 			}
 		case kindAssign:
 			time.Sleep(delay)
-			res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{})
+			res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, nil)
 			if err != nil {
 				t.Errorf("slow train: %v", err)
 				return

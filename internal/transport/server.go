@@ -3,16 +3,14 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"fedmp/internal/core"
-	"fedmp/internal/nn"
-	"fedmp/internal/tensor"
+	"fedmp/internal/simclock"
 	"fedmp/internal/transport/checkpoint"
-	"fedmp/internal/transport/codec"
 )
 
 // ServerConfig parameterises a parameter server.
@@ -384,33 +382,49 @@ func (r *registry) pingSuspects() {
 	}
 }
 
-// roundState tracks one round's in-flight collection.
+// Per-assignment collection states.
+const (
+	asgLost      = iota // send failed, session died, or malformed result
+	asgPending          // sent, result awaited
+	asgDelivered        // result in outs
+)
+
+// roundState tracks one round's in-flight collection. Everything is indexed
+// by the assignment's position, so what the round reports is in assignment
+// order whatever order the results arrived in; the slices are reused from
+// round to round.
 type roundState struct {
-	round     int
-	pending   map[int]core.Assignment // worker -> assignment awaiting a result
-	sentAt    map[int]time.Time
-	sentBytes map[int]int64 // worker -> measured assignment frame size
-	outs      []core.Output
-	dropped   []core.Assignment
+	round  int
+	index  []int         // worker slot -> assignment position + 1 (0: none)
+	status []uint8       // per assignment: asgLost, asgPending, asgDelivered
+	sentAt []float64     // per assignment: the run clock when its frame went out
+	outs   []core.Output // per assignment: the result, once delivered
+
+	pending, delivered int
+	lost               []core.Assignment
+	seconds            float64
 }
 
-// server bundles the round loop's fixed parts.
+// server is the TCP runtime's core.Executor: the registry decides who is
+// assignable, Run dispatches and collects over the sockets, the wall
+// clock (read through simclock, the run's one stopwatch) times it, and the
+// checkpoint manager makes each closed round durable.
 type server struct {
 	cfg      ServerConfig
 	reg      *registry
 	logf     func(string, ...any)
 	quantize bool // ship assignments int8-quantized and ask for quantized results
+	ckpt     *checkpoint.Manager
+	elapsed  func() float64 // seconds since the first round opened
+	rs       roundState
 }
-
-// maxBarrenRounds bounds how many consecutive rounds may complete with zero
-// results before the server gives up (every such round is retried, so this
-// is a liveness backstop, not a scheduling parameter).
-const maxBarrenRounds = 5
 
 // Serve runs the parameter server end to end: it accepts the configured
 // number of workers, runs the rounds and shuts the workers down, returning
-// the evaluation trajectory. It reuses the simulation's strategies verbatim;
-// only the time source differs (wall clock instead of the cluster model).
+// the evaluation trajectory. The rounds are core.Driver's — the loop, the
+// strategies and the bookkeeping the simulation runs, verbatim; only the
+// executor differs (sockets and the wall clock instead of the cluster
+// model).
 //
 // The round engine is fault tolerant: sends and receives fan out per worker
 // under a single round deadline, a round aggregates as soon as Quorum
@@ -429,34 +443,28 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 	if coreCfg.Rounds == 0 {
 		coreCfg.Rounds = cfg.Rounds
 	}
-	coreCfg, err = core.Normalize(coreCfg)
+	drv, err := core.NewDriver(fam, coreCfg)
 	if err != nil {
 		return nil, err
 	}
-	strategy, err := core.NewStrategy(fam, &coreCfg)
-	if err != nil {
-		return nil, err
-	}
-
-	global := fam.InitWeights(coreCfg.Seed)
+	reg := newRegistry(cfg.Workers, logf)
+	s := &server{cfg: cfg, reg: reg, logf: logf, quantize: drv.Config().QuantizeWire}
 
 	// Durability: open the checkpoint directory and recover any prior
 	// incarnation's state before accepting workers, so a restarted server
 	// resumes the schedule instead of starting over and rejoining workers
 	// are preseeded back into their old slots from the first hello.
-	var ckpt *checkpoint.Manager
-	var resume *codec.Snapshot
 	if cfg.CheckpointDir != "" {
-		ckpt, err = checkpoint.Open(cfg.CheckpointDir)
+		s.ckpt, err = checkpoint.Open(cfg.CheckpointDir)
 		if err != nil {
 			return nil, err
 		}
 		defer func() {
-			if cerr := ckpt.Close(); cerr != nil {
+			if cerr := s.ckpt.Close(); cerr != nil {
 				logf("closing checkpoint state: %v", cerr)
 			}
 		}()
-		snap, info, rerr := ckpt.Recover()
+		snap, info, rerr := s.ckpt.Recover()
 		if rerr != nil {
 			return nil, fmt.Errorf("transport: recovering checkpoint: %w", rerr)
 		}
@@ -467,13 +475,12 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 			logf("current snapshot unreadable; recovered from the previous one")
 		}
 		if snap != nil {
-			if err := checkResume(snap, cfg.Workers, coreCfg.Rounds, global); err != nil {
+			if err := drv.Restore(snap); err != nil {
+				return nil, fmt.Errorf("transport: resuming from checkpoint: %w", err)
+			}
+			if err := reg.preseed(snap.Workers); err != nil {
 				return nil, err
 			}
-			if err := resumeBandits(snap, cfg.Workers, strategy); err != nil {
-				return nil, err
-			}
-			resume = snap
 			logf("recovered checkpoint: snapshot at round %d plus %d WAL rounds; resuming at round %d",
 				info.SnapshotRound, info.WALRounds, snap.Round+1)
 		}
@@ -483,26 +490,33 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer ln.Close()
 	logf("parameter server listening on %s, waiting for %d workers", ln.Addr(), cfg.Workers)
-
-	reg := newRegistry(cfg.Workers, logf)
-	if resume != nil {
-		if err := reg.preseed(resume.Workers); err != nil {
-			return nil, err
-		}
-	}
-	defer reg.shutdown("done")
-	go acceptLoop(ln, reg, cfg.HelloTimeout, logf)
+	accepting := make(chan struct{})
+	go func() {
+		defer close(accepting)
+		acceptLoop(ln, reg, cfg.HelloTimeout, logf)
+	}()
+	// The listening socket is released when the accept loop lets go of it,
+	// not when Close returns: wait for that, so a supervisor can restart on
+	// the same address the moment Serve returns.
+	defer func() {
+		reg.shutdown("done")
+		ln.Close()
+		<-accepting
+	}()
 	if cfg.Abort != nil {
 		go func() {
 			select {
 			case <-cfg.Abort:
-				logf("abort: severing worker connections and closing the listener")
-				reg.kill()
+				// Listener first: a worker whose connection is severed
+				// redials at once, and must find nobody home — a late hello
+				// admitted here would be answered with a clean shutdown, and
+				// the worker would not come back to the next incarnation.
+				logf("abort: closing the listener and severing worker connections")
 				if cerr := ln.Close(); cerr != nil && !errors.Is(cerr, net.ErrClosed) {
 					logf("closing listener on abort: %v", cerr)
 				}
+				reg.kill()
 			case <-reg.done:
 			}
 		}()
@@ -522,179 +536,62 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 		}
 	}
 
-	evalNet, err := fam.BuildNet(fam.FullDesc(), coreCfg.Seed)
-	if err != nil {
-		return nil, err
+	s.elapsed = simclock.Wall{}.Stopwatch()
+	return drv.Drive(s)
+}
+
+// Workers implements core.Executor: the connected workers that are not
+// suspect, after a heartbeat round has given the suspects a chance to answer.
+func (s *server) Workers(round int) (assignable []int, suspect int, err error) {
+	select {
+	case <-s.reg.done:
+		return nil, 0, ErrAborted
+	default:
 	}
-	testB := fam.TestBatch(coreCfg.EvalLimit)
-
-	res := &core.Result{
-		Config:           coreCfg,
-		TimeToTargetAcc:  math.Inf(1),
-		TimeToTargetLoss: math.Inf(1),
+	s.reg.pingSuspects()
+	if assignable, err = s.awaitLiveWorkers(round); err != nil {
+		return nil, 0, err
 	}
-	start := time.Now()
-	prevLoss := math.NaN()
-	prevTimes := make([]float64, cfg.Workers)
-	prevComm := make([]float64, cfg.Workers)
-	lastRatio := make([]float64, cfg.Workers)
-	var roundSum float64
-	startRound := 1
-	if resume != nil {
-		global = resume.Global
-		prevLoss = resume.PrevLoss
-		roundSum = resume.RoundSum
-		copy(prevTimes, resume.PrevTimes)
-		copy(prevComm, resume.PrevComm)
-		for _, w := range resume.Workers {
-			lastRatio[w.Slot] = w.Ratio
-		}
-		startRound = resume.Round + 1
-		res.Rounds = resume.Round
+	return assignable, len(s.reg.suspects()), nil
+}
+
+// Idle implements core.Executor: a round nobody answered is run again under
+// the same number, with whoever has been restored by then.
+func (s *server) Idle(seconds, meanRoundTime float64) (float64, bool) {
+	s.logf("round %d: no results; retrying with the restored worker set", s.rs.round)
+	return 0, false
+}
+
+// Now implements core.Executor: wall seconds since the first round opened.
+func (s *server) Now() float64 { return s.elapsed() }
+
+// Closed implements core.Executor. The round is durable once its record is
+// fsync'd: a full snapshot every SnapshotEvery rounds (which resets the WAL),
+// a WAL append in between. A durability failure is fatal — continuing would
+// silently demote the recovery guarantee this server was configured for.
+func (s *server) Closed(round int, eval *core.Point, snap func() *core.State) error {
+	rs := &s.rs
+	if eval != nil {
+		s.logf("round %d: loss %.4f acc %.3f (%d/%d workers, %d dropped, %.2fs)",
+			round, eval.Loss, eval.Acc, rs.delivered, s.cfg.Workers, len(rs.lost), rs.seconds)
 	}
-
-	evaluate := func(round int) core.Point {
-		nn.SetWeights(evalNet, global)
-		loss, acc := core.EvalChunked(evalNet, testB, 64)
-		p := core.Point{Round: round, Time: time.Since(start).Seconds(), Loss: loss, Acc: acc}
-		res.Points = append(res.Points, p)
-		return p
+	// Drop the round's models so they are collectable while the next round
+	// is being assigned.
+	clear(rs.outs)
+	clear(rs.lost)
+	if s.ckpt == nil {
+		return nil
 	}
-	evaluate(startRound - 1)
-
-	// snapshotState assembles the durable view of the server after a round:
-	// the registry's identity table plus the model, the scheduler scalars
-	// and the strategy's per-worker bandit state.
-	snapshotState := func(round int) *codec.Snapshot {
-		snap := &codec.Snapshot{
-			Round:     round,
-			Global:    global,
-			PrevLoss:  prevLoss,
-			RoundSum:  roundSum,
-			PrevTimes: prevTimes,
-			PrevComm:  prevComm,
-			Workers:   reg.workerTable(),
+	st := snap()
+	s.reg.identify(st.Workers)
+	if round%s.cfg.SnapshotEvery == 0 {
+		if err := s.ckpt.WriteSnapshot(st); err != nil {
+			return fmt.Errorf("transport: checkpointing round %d: %w", round, err)
 		}
-		bandits := exportBandits(strategy)
-		for i := range snap.Workers {
-			slot := snap.Workers[i].Slot
-			snap.Workers[i].Ratio = lastRatio[slot]
-			if slot < len(bandits) {
-				snap.Workers[i].Bandit = bandits[slot]
-			}
-		}
-		return snap
+	} else if err := s.ckpt.AppendRound(st); err != nil {
+		return fmt.Errorf("transport: journaling round %d: %w", round, err)
 	}
-
-	s := &server{cfg: cfg, reg: reg, logf: logf, quantize: coreCfg.QuantizeWire}
-	barren := 0
-	for round := startRound; round <= coreCfg.Rounds; round++ {
-		select {
-		case <-reg.done:
-			return nil, ErrAborted
-		default:
-		}
-		reg.pingSuspects()
-		workerIDs, err := s.awaitLiveWorkers(round)
-		if err != nil {
-			return nil, err
-		}
-		mean := 0.0
-		if round > 1 {
-			mean = roundSum / float64(round-1)
-		}
-		info := &core.RoundInfo{
-			Round:         round,
-			Global:        global,
-			PrevLoss:      prevLoss,
-			PrevTimes:     append([]float64(nil), prevTimes...),
-			PrevCommTimes: append([]float64(nil), prevComm...),
-			MeanRoundTime: mean,
-		}
-		assignments, err := strategy.Assign(info, workerIDs)
-		if err != nil {
-			return nil, err
-		}
-		roundStart := time.Now()
-		rs, err := s.runRound(round, assignments)
-		if err != nil {
-			return nil, err
-		}
-		if len(rs.outs) == 0 {
-			barren++
-			if barren >= maxBarrenRounds {
-				return nil, fmt.Errorf("transport: %d consecutive rounds with no results", barren)
-			}
-			logf("round %d: no results; retrying with the restored worker set", round)
-			round--
-			continue
-		}
-		barren = 0
-
-		for i := range rs.outs {
-			o := &rs.outs[i]
-			prevTimes[o.Worker] = o.Total
-			prevComm[o.Worker] = o.CommTime
-			lastRatio[o.Worker] = o.Ratio
-		}
-		global, err = strategy.Aggregate(info, rs.outs, rs.dropped)
-		if err != nil {
-			return nil, err
-		}
-		roundTime := time.Since(roundStart).Seconds()
-		roundSum += roundTime
-		res.Rounds = round
-		var losses float64
-		for _, o := range rs.outs {
-			losses += o.TrainLoss
-		}
-		prevLoss = losses / float64(len(rs.outs))
-
-		stat := core.RoundStat{
-			Round:        round,
-			Time:         roundTime,
-			Participants: len(rs.outs),
-			Dropped:      len(rs.dropped),
-			Suspect:      len(reg.suspects()),
-			Ratios:       make([]float64, cfg.Workers),
-		}
-		for _, o := range rs.outs {
-			stat.CompTime += o.CompTime
-			stat.CommTime += o.CommTime
-			stat.DownBytes += o.DownBytes
-			stat.UpBytes += o.UpBytes
-			stat.Ratios[o.Worker] = o.Ratio
-		}
-		stat.CompTime /= float64(len(rs.outs))
-		stat.CommTime /= float64(len(rs.outs))
-		res.Stats = append(res.Stats, stat)
-
-		if round%coreCfg.EvalEvery == 0 {
-			p := evaluate(round)
-			logf("round %d: loss %.4f acc %.3f (%d/%d workers, %d dropped, %.2fs)",
-				round, p.Loss, p.Acc, len(rs.outs), cfg.Workers, len(rs.dropped), roundTime)
-		}
-
-		// The round is durable once its record is fsync'd: a full snapshot
-		// every SnapshotEvery rounds (which resets the WAL), a WAL append in
-		// between. A durability failure is fatal — continuing would silently
-		// demote the recovery guarantee this server was configured for.
-		if ckpt != nil {
-			if round%cfg.SnapshotEvery == 0 {
-				if err := ckpt.WriteSnapshot(snapshotState(round)); err != nil {
-					return nil, fmt.Errorf("transport: checkpointing round %d: %w", round, err)
-				}
-			} else if err := ckpt.AppendRound(snapshotState(round)); err != nil {
-				return nil, fmt.Errorf("transport: journaling round %d: %w", round, err)
-			}
-		}
-	}
-	if len(res.Points) > 0 {
-		last := res.Points[len(res.Points)-1]
-		res.FinalAcc, res.FinalLoss = last.Acc, last.Loss
-	}
-	res.Time = time.Since(start).Seconds()
-	return res, nil
+	return nil
 }
 
 // acceptLoop admits connections for the server's whole lifetime so workers
@@ -749,27 +646,33 @@ func (s *server) awaitLiveWorkers(round int) ([]int, error) {
 	}
 }
 
-// runRound fans the assignments out to their workers and collects results
-// until everyone answered, the quorum-plus-grace closes the round, or the
-// round deadline expires. Workers that do not deliver are marked suspect and
-// their assignments reported as dropped. An abort mid-collection surfaces as
-// ErrAborted; the round's results are discarded (its WAL record was never
-// written, so recovery replays the round).
-func (s *server) runRound(round int, assignments []core.Assignment) (*roundState, error) {
-	rs := &roundState{
-		round:     round,
-		pending:   make(map[int]core.Assignment, len(assignments)),
-		sentAt:    make(map[int]time.Time, len(assignments)),
-		sentBytes: make(map[int]int64, len(assignments)),
-	}
+// Run implements core.Executor: it fans the assignments out to their workers
+// and collects results until everyone answered, the quorum-plus-grace closes
+// the round, or the round deadline expires. Workers that do not deliver are
+// marked suspect and their assignments reported as lost. An abort
+// mid-collection surfaces as ErrAborted; the round's results are discarded
+// (its WAL record was never written, so recovery replays the round).
+func (s *server) Run(round int, assignments []core.Assignment) (delivered []core.Output, lost []core.Assignment, seconds float64, err error) {
+	begin := s.elapsed()
+	n := len(assignments)
+	rs := &s.rs
+	rs.round = round
+	rs.index = slices.Grow(rs.index[:0], s.cfg.Workers)[:s.cfg.Workers]
+	clear(rs.index)
+	rs.status = slices.Grow(rs.status[:0], n)[:n]
+	rs.sentAt = slices.Grow(rs.sentAt[:0], n)[:n]
+	rs.outs = slices.Grow(rs.outs[:0], n)[:n]
+	rs.delivered = 0
 
-	// Fan out sends; each is bounded by the connection write deadline.
+	// Fan out sends; each is bounded by the connection write deadline and
+	// writes only its own assignment's entries.
 	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for _, a := range assignments {
+	for i := range assignments {
+		rs.index[assignments[i].Worker] = i + 1
 		wg.Add(1)
-		go func(a core.Assignment) {
+		go func(i int) {
 			defer wg.Done()
+			a := &assignments[i]
 			// With quantization on, the codec encodes each tensor int8
 			// whenever that is cheaper; the worker then trains on the
 			// dequantized reconstruction while this server keeps (and later
@@ -784,27 +687,27 @@ func (s *server) runRound(round int, assignments []core.Assignment) (*roundState
 				Ratio:    a.Ratio,
 				Quantize: s.quantize,
 			}
-			sent := time.Now()
-			n, err := s.reg.send(a.Worker, &envelope{Kind: kindAssign, Assign: msg, Quantize: s.quantize})
-			mu.Lock()
-			defer mu.Unlock()
+			rs.sentAt[i] = s.elapsed()
+			sent, err := s.reg.send(a.Worker, &envelope{Kind: kindAssign, Assign: msg, Quantize: s.quantize})
 			if err != nil {
 				s.logf("round %d: send to worker %d failed (%v)", round, a.Worker, err)
-				rs.dropped = append(rs.dropped, a)
+				rs.status[i] = asgLost
 				s.reg.markSuspect(a.Worker)
 				return
 			}
-			rs.pending[a.Worker] = a
-			rs.sentAt[a.Worker] = sent
-			rs.sentBytes[a.Worker] = int64(n)
-		}(a)
+			rs.status[i] = asgPending
+			rs.outs[i] = core.Output{Assignment: *a, DownBytes: int64(sent)}
+		}(i)
 	}
 	wg.Wait()
-
-	needed := s.cfg.Quorum
-	if needed > len(rs.pending) {
-		needed = len(rs.pending)
+	rs.pending = 0
+	for _, st := range rs.status {
+		if st == asgPending {
+			rs.pending++
+		}
 	}
+
+	needed := min(s.cfg.Quorum, rs.pending)
 	deadline := time.NewTimer(s.cfg.RoundTimeout)
 	defer deadline.Stop()
 	var grace *time.Timer
@@ -815,8 +718,8 @@ func (s *server) runRound(round int, assignments []core.Assignment) (*roundState
 		}
 	}()
 collect:
-	for len(rs.pending) > 0 {
-		if len(rs.outs) >= needed && graceC == nil {
+	for rs.pending > 0 {
+		if rs.delivered >= needed && graceC == nil {
 			grace = time.NewTimer(s.cfg.StragglerGrace)
 			graceC = grace.C
 		}
@@ -824,39 +727,53 @@ collect:
 		case ev := <-s.reg.events:
 			s.handleEvent(ev, rs)
 		case <-s.reg.done:
-			return nil, ErrAborted
+			return nil, nil, 0, ErrAborted
 		case <-graceC:
 			s.logf("round %d: quorum %d reached, grace expired with %d still in flight",
-				round, needed, len(rs.pending))
+				round, needed, rs.pending)
 			break collect
 		case <-deadline.C:
-			s.logf("round %d: deadline expired with %d still in flight", round, len(rs.pending))
+			s.logf("round %d: deadline expired with %d still in flight", round, rs.pending)
 			break collect
 		}
 	}
-	// Whoever is still pending missed the round: suspect, not evicted.
-	for w, a := range rs.pending {
-		s.logf("round %d: worker %d missed the round, marking suspect", round, w)
-		s.reg.markSuspect(w)
-		rs.dropped = append(rs.dropped, a)
+	// The report, in assignment order: results are compacted to the front
+	// of outs, and whoever is still pending missed the round — suspect, not
+	// evicted.
+	rs.lost = rs.lost[:0]
+	k := 0
+	for i, st := range rs.status {
+		switch st {
+		case asgDelivered:
+			rs.outs[k] = rs.outs[i]
+			k++
+			continue
+		case asgPending:
+			s.logf("round %d: worker %d missed the round, marking suspect", round, assignments[i].Worker)
+			s.reg.markSuspect(assignments[i].Worker)
+		}
+		rs.lost = append(rs.lost, assignments[i])
 	}
-	return rs, nil
+	clear(rs.outs[k:])
+	rs.seconds = s.elapsed() - begin
+	return rs.outs[:k], rs.lost, rs.seconds, nil
 }
 
 // handleEvent folds one session event into the round state. rs may be nil
 // (between rounds); results for other rounds are drained and discarded, and
 // any frame from a suspect worker restores it.
 func (s *server) handleEvent(ev event, rs *roundState) {
+	// i is the position of the worker's assignment while it is pending.
+	i := -1
+	if rs != nil && rs.index[ev.worker] > 0 && rs.status[rs.index[ev.worker]-1] == asgPending {
+		i = rs.index[ev.worker] - 1
+	}
 	if ev.env == nil {
 		// Disconnect: a pending assignment on that session is lost.
 		s.logf("worker %d disconnected", ev.worker)
-		if rs != nil {
-			if a, ok := rs.pending[ev.worker]; ok {
-				delete(rs.pending, ev.worker)
-				delete(rs.sentAt, ev.worker)
-				delete(rs.sentBytes, ev.worker)
-				rs.dropped = append(rs.dropped, a)
-			}
+		if i >= 0 {
+			rs.status[i] = asgLost
+			rs.pending--
 		}
 		return
 	}
@@ -868,48 +785,32 @@ func (s *server) handleEvent(ev event, rs *roundState) {
 			s.reg.restore(ev.worker)
 			return
 		}
-		a, ok := rs.pending[ev.worker]
-		if !ok {
+		if i < 0 {
 			s.logf("discarding duplicate result from worker %d", ev.worker)
 			return
 		}
-		total := time.Since(rs.sentAt[ev.worker]).Seconds()
-		comm := total - r.CompSeconds
-		if comm < 0 {
-			comm = 0
-		}
+		rs.pending--
 		// Traffic is charged from the measured frames: the assignment frame
-		// this round-trip started with and the result frame that just
-		// arrived — the same sizes codec.FrameBytes predicts, so the cluster
-		// simulation's accounting and this runtime's agree byte for byte.
-		o := core.Output{
-			Assignment: a,
-			Update:     r.Update,
-			TrainLoss:  r.TrainLoss,
-			CompTime:   r.CompSeconds,
-			CommTime:   comm,
-			Total:      total,
-			DownBytes:  rs.sentBytes[ev.worker],
-			UpBytes:    int64(ev.bytes),
-		}
+		// this round-trip started with (DownBytes, set when it went out) and
+		// the result frame that just arrived — the same sizes
+		// codec.FrameBytes predicts, so the cluster simulation's accounting
+		// and this runtime's agree byte for byte.
+		o := &rs.outs[i]
+		o.Total = s.elapsed() - rs.sentAt[i]
+		o.CompTime, o.CommTime = r.CompSeconds, max(o.Total-r.CompSeconds, 0)
+		o.Update, o.TrainLoss, o.UpBytes = r.Update, r.TrainLoss, int64(ev.bytes)
 		if r.Delta != nil {
 			// Dense mode ships only the trained-minus-assigned delta;
 			// reconstruct the new weights against the assignment we sent.
-			w, err := applyDelta(a.Weights, r.Delta)
-			if err != nil {
+			var err error
+			if o.NewWeights, err = core.ApplyDelta(o.Weights, r.Delta); err != nil {
 				s.logf("round %d: malformed result from worker %d (%v), dropping it", rs.round, ev.worker, err)
-				delete(rs.pending, ev.worker)
-				delete(rs.sentAt, ev.worker)
-				delete(rs.sentBytes, ev.worker)
-				rs.dropped = append(rs.dropped, a)
+				rs.status[i] = asgLost
 				return
 			}
-			o.NewWeights = w
 		}
-		delete(rs.pending, ev.worker)
-		delete(rs.sentAt, ev.worker)
-		delete(rs.sentBytes, ev.worker)
-		rs.outs = append(rs.outs, o)
+		rs.status[i] = asgDelivered
+		rs.delivered++
 	case kindPong:
 		s.reg.restore(ev.worker)
 	case kindHello:
@@ -919,28 +820,4 @@ func (s *server) handleEvent(ev event, rs *roundState) {
 	default:
 		s.logf("ignoring unexpected frame kind %d from worker %d", ev.env.Kind, ev.worker)
 	}
-}
-
-// applyDelta reconstructs a worker's trained weights from the assignment's
-// weights plus the uploaded delta (the dense-mode upload never repeats what
-// the server just sent). The base tensors are cloned, never mutated — they
-// may alias strategy state. A result whose delta does not match the
-// assignment's shapes is a protocol error reported to the caller, not a
-// panic.
-func applyDelta(base, delta []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(delta) != len(base) {
-		return nil, fmt.Errorf("delta has %d tensors, assignment has %d", len(delta), len(base))
-	}
-	out := nn.CloneWeights(base)
-	for i := range out {
-		if len(delta[i].Data) != len(out[i].Data) {
-			return nil, fmt.Errorf("delta tensor %d has %d elements, assignment has %d",
-				i, len(delta[i].Data), len(out[i].Data))
-		}
-		dst, src := out[i].Data, delta[i].Data
-		for j := range dst {
-			dst[j] += src[j]
-		}
-	}
-	return out, nil
 }

@@ -34,7 +34,7 @@ func TestTrainAssignmentFixedClock(t *testing.T) {
 	} {
 		res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0, 0), srcs[0], msg, WorkerConfig{
 			Clock: simclock.Fixed{PerCall: tc.perCall},
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -64,7 +64,7 @@ func TestHeartbeatAndResultOverPipe(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		lastRound := 0
-		done <- serveConn(worker, core.NewNetCache(fam, cfg.LR, 0, 0), srcs[0], cfg, &lastRound, newBackoff(0, 0, 1), func(string, ...any) {})
+		done <- serveConn(worker, core.NewNetCache(fam, cfg.LR, 0, 0), srcs[0], cfg, &lastRound, nil, newBackoff(0, 0, 1), func(string, ...any) {})
 	}()
 
 	// Heartbeat: ping must come back as pong.

@@ -44,6 +44,12 @@ func launch(t *testing.T, strategy core.StrategyID, workers, rounds int) *core.R
 // launchQuantized is launch with the wire-quantization knob exposed.
 func launchQuantized(t *testing.T, strategy core.StrategyID, workers, rounds int, quantize bool) *core.Result {
 	t.Helper()
+	return launchWith(t, strategy, workers, rounds, func(cfg *ServerConfig) { cfg.Core.QuantizeWire = quantize })
+}
+
+// launchWith is launch with the server config open to the caller.
+func launchWith(t *testing.T, strategy core.StrategyID, workers, rounds int, tune func(*ServerConfig)) *core.Result {
+	t.Helper()
 	fam := testFamily()
 
 	// Reserve a port deterministically by listening on :0 first.
@@ -60,15 +66,15 @@ func launchQuantized(t *testing.T, strategy core.StrategyID, workers, rounds int
 		Rounds:       rounds,
 		RoundTimeout: 30 * time.Second,
 		Core: core.Config{
-			Strategy:     strategy,
-			Rounds:       rounds,
-			LocalIters:   2,
-			BatchSize:    4,
-			EvalLimit:    80,
-			Seed:         5,
-			QuantizeWire: quantize,
+			Strategy:   strategy,
+			Rounds:     rounds,
+			LocalIters: 2,
+			BatchSize:  4,
+			EvalLimit:  80,
+			Seed:       5,
 		},
 	}
+	tune(&srvCfg)
 
 	part := data.PartitionIID(fam.DS, workers, rand.New(rand.NewSource(9)))
 	var wg sync.WaitGroup
@@ -285,7 +291,7 @@ func TestLoopbackSmoke(t *testing.T) {
 func TestApplyDelta(t *testing.T) {
 	base := []*tensor.Tensor{tensor.FromSlice([]float32{1, 2, 3, 4}, 4)}
 	delta := []*tensor.Tensor{tensor.FromSlice([]float32{0.5, 0, -1, 2}, 4)}
-	got, err := applyDelta(base, delta)
+	got, err := core.ApplyDelta(base, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,10 +304,10 @@ func TestApplyDelta(t *testing.T) {
 	if base[0].Data[0] != 1 {
 		t.Error("applyDelta mutated the assignment weights")
 	}
-	if _, err := applyDelta(base, nil); err == nil {
+	if _, err := core.ApplyDelta(base, nil); err == nil {
 		t.Error("tensor-count mismatch accepted")
 	}
-	if _, err := applyDelta(base, []*tensor.Tensor{tensor.New(3)}); err == nil {
+	if _, err := core.ApplyDelta(base, []*tensor.Tensor{tensor.New(3)}); err == nil {
 		t.Error("element-count mismatch accepted")
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"net"
 	"time"
 
+	"fedmp/internal/simclock"
 	"fedmp/internal/transport/codec"
 )
 
@@ -53,7 +54,7 @@ func newConn(raw net.Conn) *conn {
 
 // send encodes and writes one frame, returning its exact wire size.
 func (c *conn) send(e *envelope) (int, error) {
-	if err := c.raw.SetWriteDeadline(time.Now().Add(ioTimeout)); err != nil {
+	if err := c.raw.SetWriteDeadline(simclock.Deadline(ioTimeout)); err != nil {
 		return 0, err
 	}
 	return codec.WriteFrame(c.raw, e)
@@ -64,7 +65,7 @@ func (c *conn) send(e *envelope) (int, error) {
 // retain it indefinitely — the server's per-connection readers hand
 // envelopes to the round loop's goroutine and need exactly that.
 func (c *conn) recv(timeout time.Duration) (*envelope, int, error) {
-	if err := c.raw.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if err := c.raw.SetReadDeadline(simclock.Deadline(timeout)); err != nil {
 		return nil, 0, err
 	}
 	return codec.ReadFrame(c.br)
@@ -77,7 +78,7 @@ func (c *conn) recv(timeout time.Duration) (*envelope, int, error) {
 // frame — and in steady state decodes a round's assignment without heap
 // allocation.
 func (c *conn) recvReuse(timeout time.Duration) (*envelope, int, error) {
-	if err := c.raw.SetReadDeadline(time.Now().Add(timeout)); err != nil {
+	if err := c.raw.SetReadDeadline(simclock.Deadline(timeout)); err != nil {
 		return nil, 0, err
 	}
 	if c.dec == nil {

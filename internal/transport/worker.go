@@ -4,11 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
 	"fedmp/internal/core"
 	"fedmp/internal/nn"
 	"fedmp/internal/simclock"
+	"fedmp/internal/tensor"
 )
 
 // WorkerConfig parameterises one edge worker process.
@@ -81,6 +83,7 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 	// sub-model shapes the server sends repeat.
 	nets := core.NewNetCache(fam, cfg.LR, cfg.Momentum, 0)
 	lastRound := 0
+	var leftover []*tensor.Tensor
 	for session := 0; ; session++ {
 		c, err := dial(cfg.Addr, bo, cfg.MaxDialAttempts)
 		if err != nil {
@@ -91,7 +94,7 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 			return fmt.Errorf("transport: hello: %w", err)
 		}
 		logf("connected to %s (session %d)", cfg.Addr, session)
-		err = serveConn(c, nets, src, cfg, &lastRound, bo, logf)
+		err = serveConn(c, nets, src, cfg, &lastRound, &leftover, bo, logf)
 		closeLogged(c, logf, "session connection")
 		if errors.Is(err, errShutdown) {
 			return nil
@@ -105,12 +108,13 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 
 // serveConn runs one session: it answers heartbeats and trains assignments
 // until the connection breaks or the server shuts the worker down.
-// lastRound persists across sessions so stale assignments — work orders for
-// rounds the worker already served before a reconnect — are discarded. The
+// leftover (see trainAssignment) and lastRound persist across sessions, the
+// latter so stale assignments — work orders for rounds the worker already
+// served before a reconnect — are discarded. The
 // session's first assignment is exempt: a lower round number there means the
 // server restarted from a checkpoint and rewound, and the worker follows it.
 // Completing a round (result sent) resets the shared backoff schedule.
-func serveConn(c *conn, nets *core.NetCache, src core.Source, cfg WorkerConfig, lastRound *int, bo *backoff, logf func(string, ...any)) error {
+func serveConn(c *conn, nets *core.NetCache, src core.Source, cfg WorkerConfig, lastRound *int, leftover *[]*tensor.Tensor, bo *backoff, logf func(string, ...any)) error {
 	firstAssign := true
 	for {
 		// The recycling decoder is safe here because every arm below fully
@@ -142,7 +146,7 @@ func serveConn(c *conn, nets *core.NetCache, src core.Source, cfg WorkerConfig, 
 					*lastRound, e.Assign.Round)
 			}
 			firstAssign = false
-			res, err := trainAssignment(nets, src, e.Assign, cfg)
+			res, err := trainAssignment(nets, src, e.Assign, cfg, leftover)
 			if err != nil {
 				return err
 			}
@@ -162,11 +166,14 @@ func serveConn(c *conn, nets *core.NetCache, src core.Source, cfg WorkerConfig, 
 	}
 }
 
-// trainAssignment performs the local-training phase for one assignment,
-// mirroring the simulation engine's worker step with wall-clock timing. The
-// network and its optimiser come from the worker's cache: a sub-model shape
-// seen before trains on the network built then, reloaded.
-func trainAssignment(nets *core.NetCache, src core.Source, a *assignMsg, cfg WorkerConfig) (*resultMsg, error) {
+// trainAssignment performs the local-training phase for one assignment: the
+// simulation engine's worker step (core.TrainLocal, core.BuildUpload) with
+// wall-clock timing. The network and its optimiser come from the worker's
+// cache: a sub-model shape seen before trains on the network built then,
+// reloaded. leftover is the worker's top-K compression error (FlexCom error
+// feedback), carried from one assignment's upload into the next one's
+// selection and reset when the assigned model changes shape; nil keeps none.
+func trainAssignment(nets *core.NetCache, src core.Source, a *assignMsg, cfg WorkerConfig, leftover *[]*tensor.Tensor) (*resultMsg, error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Wall{}
@@ -176,39 +183,18 @@ func trainAssignment(nets *core.NetCache, src core.Source, a *assignMsg, cfg Wor
 	if err != nil {
 		return nil, fmt.Errorf("transport: building assigned model: %w", err)
 	}
-	nn.SetWeights(net, a.Weights)
-	var lossSum float64
-	iters := a.Iters
-	if iters < 1 {
-		iters = 1
+	res := &resultMsg{Round: a.Round}
+	res.TrainLoss = core.TrainLocal(net, opt, src, a.Weights, max(a.Iters, 1), a.ProxMu)
+	res.CompSeconds = elapsed()
+	var feedback []*tensor.Tensor
+	if leftover != nil && slices.EqualFunc(*leftover, a.Weights, tensor.SameShape) {
+		feedback = *leftover
 	}
-	for it := 0; it < iters; it++ {
-		b := src.Next()
-		loss, _ := net.TrainStep(b)
-		if a.ProxMu > 0 {
-			nn.AddProximal(net.Params(), a.Weights, a.ProxMu)
-		}
-		opt.Step(net.Params())
-		lossSum += loss
-	}
-	res := &resultMsg{
-		Round:       a.Round,
-		TrainLoss:   lossSum / float64(iters),
-		CompSeconds: elapsed(),
-	}
-	newW := nn.GetWeights(net)
-	if a.UploadK > 0 {
-		res.Update = core.TopKUpdate(a.Weights, newW, a.UploadK)
-	} else {
-		// Dense mode uploads the trained-minus-assigned delta: the server
-		// still has the weights it sent, so repeating them buys nothing,
-		// and a partially-trained delta's zero runs compress under the
-		// codec's sparse mode. GetWeights deep-copies, so the subtraction
-		// can safely run in place.
-		for i, w := range newW {
-			w.Sub(a.Weights[i])
-		}
-		res.Delta = newW
+	// GetWeights deep-copies, so the upload can be built in place.
+	up := core.BuildUpload(nn.GetWeights(net), a.Weights, a.UploadK, feedback, a.Quantize)
+	res.Delta, res.Update = up.Delta, up.Update
+	if leftover != nil {
+		*leftover = up.Leftover
 	}
 	return res, nil
 }
