@@ -8,8 +8,12 @@ build:
 test:
 	go test ./...
 
+# vet also type-checks the two packages with per-architecture files for a
+# non-amd64 target, so an assembly routine without its portable counterpart
+# fails here rather than on someone else's machine.
 vet:
 	go vet ./...
+	GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 
 # lint runs the repo's own static-analysis suite (internal/lint): the
 # syntactic rules randsource, wallclock, floateq, synccopy, allocfree,

@@ -155,13 +155,17 @@ func DefaultOptions() *Options {
 			"fedmp/internal/tensor.mergeTile",
 			"fedmp/internal/tensor.fmaf32",
 			"fedmp/internal/tensor.gemmDirect",
+			"fedmp/internal/tensor.gemmDirectSIMD",
+			"fedmp/internal/tensor.gemmDirectScalar",
 			"fedmp/internal/tensor.gemmBlocked",
 			"fedmp/internal/tensor.matVec",
 			"fedmp/internal/tensor.gemmMacro",
 			"fedmp/internal/tensor.packRows",
 			"fedmp/internal/tensor.packTransposed",
 			"fedmp/internal/tensor.PackedA.Pack",
+			"fedmp/internal/tensor.PackedA.PackRows",
 			"fedmp/internal/tensor.PackedB.Pack",
+			"fedmp/internal/tensor.PackedB.PackRows",
 			"fedmp/internal/tensor.GEMMPacked",
 			"fedmp/internal/tensor.Im2Col",
 			"fedmp/internal/tensor.Col2Im",
@@ -172,6 +176,8 @@ func DefaultOptions() *Options {
 			"fedmp/internal/nn.Conv2D.Backward",
 			"fedmp/internal/nn.Conv2D.BackwardParams",
 			"fedmp/internal/nn.Conv2D.backward",
+			"fedmp/internal/nn.LSTM.Forward",
+			"fedmp/internal/nn.LSTM.Backward",
 			"fedmp/internal/nn.ReLU.Forward",
 			"fedmp/internal/nn.ReLU.Backward",
 			"fedmp/internal/nn.MaxPool2D.Forward",

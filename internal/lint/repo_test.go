@@ -62,6 +62,7 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 		"fedmp/internal/tensor.mergeTile",
 		"fedmp/internal/tensor.fmaf32",
 		"fedmp/internal/tensor.gemmMacro",
+		"fedmp/internal/tensor.gemmDirectSIMD",
 		"fedmp/internal/tensor.packRows",
 		"fedmp/internal/tensor.packTransposed",
 		"fedmp/internal/tensor.PackedA.Pack",
@@ -71,6 +72,8 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 		"fedmp/internal/tensor.Col2Im",
 		"fedmp/internal/nn.Conv2D.Forward",
 		"fedmp/internal/nn.Conv2D.Backward",
+		"fedmp/internal/nn.LSTM.Forward",
+		"fedmp/internal/nn.LSTM.Backward",
 		"fedmp/internal/nn.ReLU.Forward",
 		"fedmp/internal/nn.MaxPool2D.Forward",
 		"fedmp/internal/nn.SGD.Step",

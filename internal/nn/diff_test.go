@@ -344,3 +344,81 @@ func TestSGDStepMatchesParent(t *testing.T) {
 		}
 	}
 }
+
+// lstmPair builds an LSTM and its parent-code twin with identical weights.
+func lstmPair(d, h int, rng *rand.Rand) (*LSTM, *refLSTM) {
+	l := NewLSTM("l", d, h, rng)
+	for i := range l.B.W.Data {
+		l.B.W.Data[i] += float32(rng.NormFloat64())
+	}
+	ref := &refLSTM{
+		name: "ref", D: d, H: h,
+		Wx: NewParam("ref/Wx", l.Wx.W.Clone()),
+		Wh: NewParam("ref/Wh", l.Wh.W.Clone()),
+		B:  NewParam("ref/b", l.B.W.Clone()),
+	}
+	return l, ref
+}
+
+// TestLSTMMatchesParent runs forward and backward through the packed-operand
+// LSTM on every tier and through the parent's code on the generic tier —
+// whose small products are the scalar loops the parent ran — from identical
+// non-zero gradient accumulators, and compares the hidden states, dx and
+// every gradient. The grid has products on both sides of smallGEMMFLOPs
+// (the batch of 64 is the evaluation chunk) and hidden sizes that leave
+// every kind of column tail; each layer pair then sees a different shape and
+// the first one again, so buffers and packed operands are reused across a
+// shape change.
+func TestLSTMMatchesParent(t *testing.T) {
+	defer func(tier string) {
+		if err := tensor.ForceKernel(tier); err != nil {
+			t.Fatal(err)
+		}
+	}(tensor.KernelName())
+	type run struct{ n, steps int }
+	type result struct{ out, dx, dwx, dwh, db []float32 }
+	step := func(fwd func(*tensor.Tensor) *tensor.Tensor, bwd func(*tensor.Tensor) *tensor.Tensor,
+		params []*Param, x, dy *tensor.Tensor, seed int64) result {
+		rng := rand.New(rand.NewSource(seed))
+		for _, p := range params {
+			for i := range p.Grad.Data {
+				p.Grad.Data[i] = float32(rng.NormFloat64())
+			}
+		}
+		out := fwd(x).Clone()
+		dx := bwd(dy).Clone()
+		return result{out.Data, dx.Data, params[0].Grad.Clone().Data, params[1].Grad.Clone().Data, params[2].Grad.Clone().Data}
+	}
+	for _, d := range []int{7, 16} {
+		for _, h := range []int{5, 13, 19, 32} {
+			rng := rand.New(rand.NewSource(int64(100*d + h)))
+			runs := []run{{1, 1}, {8, 12}, {16, 12}, {64, 12}, {8, 1}, {64, 1}, {1, 12}, {1, 1}}
+			type input struct{ x, dy *tensor.Tensor }
+			inputs := make([]input, len(runs))
+			for i, r := range runs {
+				inputs[i] = input{tensor.RandN(rng, r.n, r.steps, d), tensor.RandN(rng, r.n, r.steps, h)}
+			}
+			// The parent's results, layer state carried across the runs.
+			if err := tensor.ForceKernel("generic"); err != nil {
+				t.Fatal(err)
+			}
+			_, ref := lstmPair(d, h, rand.New(rand.NewSource(int64(d+h))))
+			want := make([]result, len(runs))
+			for i := range runs {
+				want[i] = step(ref.Forward, ref.Backward, []*Param{ref.Wx, ref.Wh, ref.B}, inputs[i].x, inputs[i].dy, int64(i))
+			}
+			forEachKernelTier(t, func(tier string) {
+				l, _ := lstmPair(d, h, rand.New(rand.NewSource(int64(d+h))))
+				for i, r := range runs {
+					got := step(l.Forward, l.Backward, l.Params(), inputs[i].x, inputs[i].dy, int64(i))
+					what := fmt.Sprintf("%s N=%d T=%d D=%d H=%d (run %d)", tier, r.n, r.steps, d, h, i)
+					requireSameBits(t, what+" out", got.out, want[i].out)
+					requireSameBits(t, what+" dx", got.dx, want[i].dx)
+					requireSameBits(t, what+" dWx", got.dwx, want[i].dwx)
+					requireSameBits(t, what+" dWh", got.dwh, want[i].dwh)
+					requireSameBits(t, what+" db", got.db, want[i].db)
+				}
+			})
+		}
+	}
+}

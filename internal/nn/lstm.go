@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"fedmp/internal/tensor"
 )
@@ -82,6 +83,16 @@ func (e *Embedding) BackwardLookup(dy *tensor.Tensor) {
 // {k, H+k, 2H+k, 3H+k} of Wx/Wh/b and column k of Wh — exactly the
 // "intrinsic sparse structure" component the RNN pruning strategy (§VI of
 // the paper, after Wen et al.) removes as one unit.
+//
+// The six products of a timestep — z = x_t·Wxᵀ + h·Whᵀ forward; dWx += dzᵀ·x_t,
+// dWh += dzᵀ·h, dx_t = dz·Wx and dh = dz·Wh backward — go through
+// tensor.GEMMPacked: Wx and Wh are packed once per Forward and once per
+// Backward rather than once per timestep, and x_t is read in place from the
+// [N, T, D] input. Each product keeps the per-timestep (m, k, n) the
+// MatMul*Into calls had, so results are bit-identical to them (DESIGN.md
+// §2a): one product over all timesteps would move the kc chunk boundaries of
+// the weight gradients' sums and which side of smallGEMMFLOPs every product
+// falls on.
 type LSTM struct {
 	name string
 	D, H int
@@ -89,9 +100,9 @@ type LSTM struct {
 	Wh   *Param
 	B    *Param
 
-	// cached forward state: per-timestep inputs, gate activations and cell
-	// states, flattened as [T] slices of [N,·] tensors. All buffers are
-	// reused across steps and reallocated only when (N, T) changes.
+	// cached forward state: gate activations, cell states, hidden states and
+	// tanh(cell) per timestep, as [T] slices of [N,·] tensors. All buffers
+	// are reused across steps and reallocated only when (N, T) changes.
 	x         *tensor.Tensor
 	gates     []*tensor.Tensor // [T] of [N,4H], post-nonlinearity
 	cells     []*tensor.Tensor // [T] of [N,H]
@@ -101,18 +112,33 @@ type LSTM struct {
 	batchSize int
 
 	// reused workspaces. h0/c0 are the zero initial states (never written
-	// after allocation); xt is the per-timestep input gather buffer shared
-	// by forward and backward.
+	// after allocation).
 	out    *tensor.Tensor // [N,T,H] forward output
 	h0, c0 *tensor.Tensor // [N,H] zeros
-	xt     *tensor.Tensor // [N,D]
 
 	dx       *tensor.Tensor // [N,T,D] input gradient
-	dh, dz   *tensor.Tensor // [N,H], [N,4H]
+	dz       *tensor.Tensor // [N,4H]
 	dcA, dcB *tensor.Tensor // [N,H] cell-gradient double buffer
 	dhNext   *tensor.Tensor // [N,H]
 	dxT      *tensor.Tensor // [N,D]
 }
+
+// lstmPacks are the packed operands of one Forward or Backward call: the
+// weights, packed once per call (as Wxᵀ, Whᵀ forward and Wx, Wh backward),
+// and the per-timestep activations. Nothing in them outlives the call, so
+// layers draw them from a pool: a copy of the weights per goroutine, not per
+// cached network.
+type lstmPacks struct {
+	wx, wh, actB tensor.PackedB
+	actA         tensor.PackedA
+}
+
+var lstmPackPool = sync.Pool{New: func() any { return new(lstmPacks) }}
+
+// The pool's interface conversions live in these two, outside the
+// allocation-free Forward and Backward.
+func getLSTMPacks() *lstmPacks   { return lstmPackPool.Get().(*lstmPacks) }
+func putLSTMPacks(pk *lstmPacks) { lstmPackPool.Put(pk) }
 
 // NewLSTM constructs an LSTM layer. The forget-gate bias is initialised to 1,
 // the usual trick for stable early training.
@@ -151,152 +177,162 @@ func tanhf(v float32) float32 {
 	return float32(math.Tanh(float64(v)))
 }
 
+// gateRows splits one [4H] row of gate values into its i, f, g and o
+// quarters, each exactly H long so loops over one index them all without
+// bounds checks.
+func gateRows(row []float32, h int) (i, f, g, o []float32) {
+	row = row[:4*h]
+	return row[:h], row[h:][:h], row[2*h:][:h], row[3*h:][:h]
+}
+
+// resizeSteps re-creates the per-timestep state for sequences of t steps.
+func (l *LSTM) resizeSteps(t int) {
+	l.gates = make([]*tensor.Tensor, t)
+	l.cells = make([]*tensor.Tensor, t)
+	l.hiddens = make([]*tensor.Tensor, t)
+	l.tanhCells = make([]*tensor.Tensor, t)
+}
+
 // Forward runs the sequence x [N, T, D] and returns hidden states [N, T, H].
 // Initial hidden and cell states are zero.
+//
+//fedmp:allocfree
 func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[2] != l.D {
 		panic(fmt.Sprintf("nn: LSTM %q got input %v, want [N T %d]", l.name, x.Shape, l.D))
 	}
 	n, t := x.Shape[0], x.Shape[1]
+	d, h := l.D, l.H
 	l.x = x
 	l.timeSteps, l.batchSize = t, n
 	if len(l.gates) != t {
-		l.gates = make([]*tensor.Tensor, t)
-		l.cells = make([]*tensor.Tensor, t)
-		l.hiddens = make([]*tensor.Tensor, t)
-		l.tanhCells = make([]*tensor.Tensor, t)
+		l.resizeSteps(t) //fedmp:transitive-ok — only when the sequence length changes
 	}
-	out := ensure(l.out, n, t, l.H)
+	out := ensure(l.out, n, t, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
 	l.out = out
-	l.h0 = ensure(l.h0, n, l.H)
-	l.c0 = ensure(l.c0, n, l.H)
-	l.xt = ensure(l.xt, n, l.D)
+	l.h0 = ensure(l.h0, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	l.c0 = ensure(l.c0, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	pk := getLSTMPacks()
+	defer putLSTMPacks(pk)
+	pk.wx.Pack(l.Wx.W.Data, true, n, d, 4*h)
+	pk.wh.Pack(l.Wh.W.Data, true, n, h, 4*h)
+	bi, bf, bg, bo := gateRows(l.B.W.Data, h)
 	hPrev, cPrev := l.h0, l.c0
 	for step := 0; step < t; step++ {
-		xt := l.xt
-		l.timeSlice(xt, x, step) // [N, D]
-		z := ensure(l.gates[step], n, 4*l.H)
-		l.gates[step] = z
-		tensor.MatMulTBInto(z, xt, l.Wx.W, false)
-		tensor.MatMulTBInto(z, hPrev, l.Wh.W, true)
+		z := ensure(l.gates[step], n, 4*h)    //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+		c := ensure(l.cells[step], n, h)      //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+		hid := ensure(l.hiddens[step], n, h)  //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+		tc := ensure(l.tanhCells[step], n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+		l.gates[step], l.cells[step], l.hiddens[step], l.tanhCells[step] = z, c, hid, tc
+		// z = x_t·Wxᵀ + hPrev·Whᵀ; rows of x_t lie T·D apart in x.
+		pk.actA.PackRows(x.Data[step*d:], t*d, n, d, 4*h)
+		tensor.GEMMPacked(z.Data, &pk.actA, &pk.wx, false)
+		pk.actA.Pack(hPrev.Data, false, n, h, 4*h)
+		tensor.GEMMPacked(z.Data, &pk.actA, &pk.wh, true)
+		// Bias, gate nonlinearities, cell and hidden state in one pass.
 		for i := 0; i < n; i++ {
-			row := z.Data[i*4*l.H : (i+1)*4*l.H]
-			for j, bv := range l.B.W.Data {
-				row[j] += bv
-			}
-		}
-		c := ensure(l.cells[step], n, l.H)
-		h := ensure(l.hiddens[step], n, l.H)
-		tc := ensure(l.tanhCells[step], n, l.H)
-		l.cells[step], l.hiddens[step], l.tanhCells[step] = c, h, tc
-		for i := 0; i < n; i++ {
-			zr := z.Data[i*4*l.H : (i+1)*4*l.H]
-			cr := c.Data[i*l.H : (i+1)*l.H]
-			cp := cPrev.Data[i*l.H : (i+1)*l.H]
-			hr := h.Data[i*l.H : (i+1)*l.H]
-			tr := tc.Data[i*l.H : (i+1)*l.H]
-			for k := 0; k < l.H; k++ {
-				ig := sigmoid(zr[k])
-				fg := sigmoid(zr[l.H+k])
-				gg := tanhf(zr[2*l.H+k])
-				og := sigmoid(zr[3*l.H+k])
-				zr[k], zr[l.H+k], zr[2*l.H+k], zr[3*l.H+k] = ig, fg, gg, og
+			zi, zf, zg, zo := gateRows(z.Data[i*4*h:], h)
+			cr := c.Data[i*h:][:len(zi)]
+			cp := cPrev.Data[i*h:][:len(zi)]
+			hr := hid.Data[i*h:][:len(zi)]
+			tr := tc.Data[i*h:][:len(zi)]
+			or := out.Data[(i*t+step)*h:][:len(zi)]
+			for k := range zi {
+				ig := sigmoid(zi[k] + bi[k])
+				fg := sigmoid(zf[k] + bf[k])
+				gg := tanhf(zg[k] + bg[k])
+				og := sigmoid(zo[k] + bo[k])
+				zi[k], zf[k], zg[k], zo[k] = ig, fg, gg, og
 				cv := fg*cp[k] + ig*gg
 				cr[k] = cv
 				tv := tanhf(cv)
 				tr[k] = tv
-				hr[k] = og * tv
+				hv := og * tv
+				hr[k] = hv
+				or[k] = hv
 			}
 		}
-		for i := 0; i < n; i++ {
-			copy(out.Data[(i*t+step)*l.H:(i*t+step+1)*l.H], h.Data[i*l.H:(i+1)*l.H])
-		}
-		hPrev, cPrev = h, c
+		hPrev, cPrev = hid, c
 	}
 	return out
 }
 
-// timeSlice gathers timestep `step` of x [N, T, D] into dst [N, D].
-func (l *LSTM) timeSlice(dst, x *tensor.Tensor, step int) {
-	n, t, d := x.Shape[0], x.Shape[1], x.Shape[2]
-	for i := 0; i < n; i++ {
-		copy(dst.Data[i*d:(i+1)*d], x.Data[(i*t+step)*d:(i*t+step+1)*d])
-	}
-}
-
 // Backward consumes dOut [N, T, H] and returns dX [N, T, D], accumulating
 // parameter gradients.
+//
+//fedmp:allocfree
 func (l *LSTM) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n, t := l.batchSize, l.timeSteps
-	dx := ensure(l.dx, n, t, l.D)
+	d, h := l.D, l.H
+	dx := ensure(l.dx, n, t, d) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
 	l.dx = dx
-	dhNext := ensure(l.dhNext, n, l.H)
+	dhNext := ensure(l.dhNext, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
 	l.dhNext = dhNext
 	dhNext.Zero()
-	dcNext := ensure(l.dcA, n, l.H)
+	dcNext := ensure(l.dcA, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
 	l.dcA = dcNext
 	dcNext.Zero()
-	dcPrev := ensure(l.dcB, n, l.H)
+	dcPrev := ensure(l.dcB, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
 	l.dcB = dcPrev
-	dh := ensure(l.dh, n, l.H)
-	l.dh = dh
-	dz := ensure(l.dz, n, 4*l.H)
+	dz := ensure(l.dz, n, 4*h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
 	l.dz = dz
-	dxT := ensure(l.dxT, n, l.D)
+	dxT := ensure(l.dxT, n, d) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
 	l.dxT = dxT
+	pk := getLSTMPacks()
+	defer putLSTMPacks(pk)
+	pk.wx.Pack(l.Wx.W.Data, false, n, 4*h, d)
+	pk.wh.Pack(l.Wh.W.Data, false, n, 4*h, h)
+	dbi, dbf, dbg, dbo := gateRows(l.B.Grad.Data, h)
 	for step := t - 1; step >= 0; step-- {
-		// dh = dOut_t + dhNext
-		for i := 0; i < n; i++ {
-			src := dout.Data[(i*t+step)*l.H : (i*t+step+1)*l.H]
-			dst := dh.Data[i*l.H : (i+1)*l.H]
-			copy(dst, src)
-		}
-		dh.Add(dhNext)
-
 		gates := l.gates[step]
 		tc := l.tanhCells[step]
-		cPrev := l.c0
+		cPrev, hPrev := l.c0, l.h0
 		if step > 0 {
-			cPrev = l.cells[step-1]
+			cPrev, hPrev = l.cells[step-1], l.hiddens[step-1]
 		}
+		// dh = dOut_t + dhNext, the gate pre-activation gradients dz and
+		// the bias gradient (column sums of dz, rows ascending) in one pass.
 		for i := 0; i < n; i++ {
-			zr := gates.Data[i*4*l.H : (i+1)*4*l.H]
-			dhr := dh.Data[i*l.H : (i+1)*l.H]
-			dcn := dcNext.Data[i*l.H : (i+1)*l.H]
-			tr := tc.Data[i*l.H : (i+1)*l.H]
-			cp := cPrev.Data[i*l.H : (i+1)*l.H]
-			dzr := dz.Data[i*4*l.H : (i+1)*4*l.H]
-			dcp := dcPrev.Data[i*l.H : (i+1)*l.H]
-			for k := 0; k < l.H; k++ {
-				ig, fg, gg, og := zr[k], zr[l.H+k], zr[2*l.H+k], zr[3*l.H+k]
+			zi, zf, zg, zo := gateRows(gates.Data[i*4*h:], h)
+			dzi, dzf, dzg, dzo := gateRows(dz.Data[i*4*h:], h)
+			dor := dout.Data[(i*t+step)*h:][:len(zi)]
+			dhn := dhNext.Data[i*h:][:len(zi)]
+			dcn := dcNext.Data[i*h:][:len(zi)]
+			tr := tc.Data[i*h:][:len(zi)]
+			cp := cPrev.Data[i*h:][:len(zi)]
+			dcp := dcPrev.Data[i*h:][:len(zi)]
+			for k := range zi {
+				ig, fg, gg, og := zi[k], zf[k], zg[k], zo[k]
 				tv := tr[k]
-				dc := dcn[k] + dhr[k]*og*(1-tv*tv)
-				dzr[k] = dc * gg * ig * (1 - ig)           // input gate (pre-sigmoid)
-				dzr[l.H+k] = dc * cp[k] * fg * (1 - fg)    // forget gate
-				dzr[2*l.H+k] = dc * ig * (1 - gg*gg)       // candidate (pre-tanh)
-				dzr[3*l.H+k] = dhr[k] * tv * og * (1 - og) // output gate
+				dhv := dor[k] + dhn[k]
+				dc := dcn[k] + dhv*og*(1-tv*tv)
+				di := dc * gg * ig * (1 - ig)    // input gate (pre-sigmoid)
+				df := dc * cp[k] * fg * (1 - fg) // forget gate
+				dg := dc * ig * (1 - gg*gg)      // candidate (pre-tanh)
+				do := dhv * tv * og * (1 - og)   // output gate
+				dzi[k], dzf[k], dzg[k], dzo[k] = di, df, dg, do
+				dbi[k] += di
+				dbf[k] += df
+				dbg[k] += dg
+				dbo[k] += do
 				dcp[k] = dc * fg
 			}
 		}
-		xt := l.xt
-		l.timeSlice(xt, l.x, step)
-		hPrev := l.h0
-		if step > 0 {
-			hPrev = l.hiddens[step-1]
-		}
-		tensor.MatMulTAInto(l.Wx.Grad, dz, xt, true)
-		tensor.MatMulTAInto(l.Wh.Grad, dz, hPrev, true)
+		// dWx += dzᵀ·x_t and dWh += dzᵀ·hPrev.
+		pk.actA.Pack(dz.Data, true, 4*h, n, d)
+		pk.actB.PackRows(l.x.Data[step*d:], t*d, 4*h, n, d)
+		tensor.GEMMPacked(l.Wx.Grad.Data, &pk.actA, &pk.actB, true)
+		pk.actA.Pack(dz.Data, true, 4*h, n, h)
+		pk.actB.Pack(hPrev.Data, false, 4*h, n, h)
+		tensor.GEMMPacked(l.Wh.Grad.Data, &pk.actA, &pk.actB, true)
+		// dx_t = dz·Wx and dhNext = dz·Wh.
+		pk.actA.Pack(dz.Data, false, n, 4*h, d)
+		tensor.GEMMPacked(dxT.Data, &pk.actA, &pk.wx, false)
 		for i := 0; i < n; i++ {
-			row := dz.Data[i*4*l.H : (i+1)*4*l.H]
-			for j, v := range row {
-				l.B.Grad.Data[j] += v
-			}
+			copy(dx.Data[(i*t+step)*d:(i*t+step+1)*d], dxT.Data[i*d:(i+1)*d])
 		}
-		tensor.MatMulInto(dxT, dz, l.Wx.W, false) // [N, D]
-		for i := 0; i < n; i++ {
-			copy(dx.Data[(i*t+step)*l.D:(i*t+step+1)*l.D], dxT.Data[i*l.D:(i+1)*l.D])
-		}
-		tensor.MatMulInto(dhNext, dz, l.Wh.W, false) // [N, H]
+		pk.actA.Pack(dz.Data, false, n, 4*h, h)
+		tensor.GEMMPacked(dhNext.Data, &pk.actA, &pk.wh, false)
 		dcNext, dcPrev = dcPrev, dcNext
 	}
 	return dx

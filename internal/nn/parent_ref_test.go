@@ -12,7 +12,8 @@ import (
 // and new: Conv2D with a batch of column matrices and one MatMul*Into triple
 // per sample, ReLU with its bool mask, the general MaxPool2D window scan,
 // SGD.Step cloning the gradient for weight decay, and the exact-shape ensure
-// they relied on. The tensor primitives they call (Im2Col, Col2Im, the
+// they relied on; and, from before its products moved onto packed operands,
+// the LSTM layer. The tensor primitives they call (Im2Col, Col2Im, the
 // MatMul*Into entry points) are pinned against their own verbatim parents in
 // internal/tensor's differential tests. Test-only: nothing outside _test.go
 // files may call these.
@@ -229,4 +230,191 @@ func refSGDStep(s *SGD, params []*Param) {
 		}
 		p.W.AddScaled(-s.LR, g)
 	}
+}
+
+// refLSTM is the LSTM layer as it stood before its products moved onto
+// packed operands: a gather of x_t and one MatMul*Into call per product and
+// timestep, then separate bias, gate and copy passes. It uses the current
+// ensure (the parent's own), not refEnsure.
+type refLSTM struct {
+	name string
+	D, H int
+	Wx   *Param
+	Wh   *Param
+	B    *Param
+
+	// cached forward state: per-timestep inputs, gate activations and cell
+	// states, flattened as [T] slices of [N,·] tensors. All buffers are
+	// reused across steps and reallocated only when (N, T) changes.
+	x         *tensor.Tensor
+	gates     []*tensor.Tensor // [T] of [N,4H], post-nonlinearity
+	cells     []*tensor.Tensor // [T] of [N,H]
+	hiddens   []*tensor.Tensor // [T] of [N,H]
+	tanhCells []*tensor.Tensor // [T] of [N,H]
+	timeSteps int
+	batchSize int
+
+	// reused workspaces. h0/c0 are the zero initial states (never written
+	// after allocation); xt is the per-timestep input gather buffer shared
+	// by forward and backward.
+	out    *tensor.Tensor // [N,T,H] forward output
+	h0, c0 *tensor.Tensor // [N,H] zeros
+	xt     *tensor.Tensor // [N,D]
+
+	dx       *tensor.Tensor // [N,T,D] input gradient
+	dh, dz   *tensor.Tensor // [N,H], [N,4H]
+	dcA, dcB *tensor.Tensor // [N,H] cell-gradient double buffer
+	dhNext   *tensor.Tensor // [N,H]
+	dxT      *tensor.Tensor // [N,D]
+}
+
+// Forward runs the sequence x [N, T, D] and returns hidden states [N, T, H].
+// Initial hidden and cell states are zero.
+func (l *refLSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
+	if len(x.Shape) != 3 || x.Shape[2] != l.D {
+		panic(fmt.Sprintf("nn: LSTM %q got input %v, want [N T %d]", l.name, x.Shape, l.D))
+	}
+	n, t := x.Shape[0], x.Shape[1]
+	l.x = x
+	l.timeSteps, l.batchSize = t, n
+	if len(l.gates) != t {
+		l.gates = make([]*tensor.Tensor, t)
+		l.cells = make([]*tensor.Tensor, t)
+		l.hiddens = make([]*tensor.Tensor, t)
+		l.tanhCells = make([]*tensor.Tensor, t)
+	}
+	out := ensure(l.out, n, t, l.H)
+	l.out = out
+	l.h0 = ensure(l.h0, n, l.H)
+	l.c0 = ensure(l.c0, n, l.H)
+	l.xt = ensure(l.xt, n, l.D)
+	hPrev, cPrev := l.h0, l.c0
+	for step := 0; step < t; step++ {
+		xt := l.xt
+		l.timeSlice(xt, x, step) // [N, D]
+		z := ensure(l.gates[step], n, 4*l.H)
+		l.gates[step] = z
+		tensor.MatMulTBInto(z, xt, l.Wx.W, false)
+		tensor.MatMulTBInto(z, hPrev, l.Wh.W, true)
+		for i := 0; i < n; i++ {
+			row := z.Data[i*4*l.H : (i+1)*4*l.H]
+			for j, bv := range l.B.W.Data {
+				row[j] += bv
+			}
+		}
+		c := ensure(l.cells[step], n, l.H)
+		h := ensure(l.hiddens[step], n, l.H)
+		tc := ensure(l.tanhCells[step], n, l.H)
+		l.cells[step], l.hiddens[step], l.tanhCells[step] = c, h, tc
+		for i := 0; i < n; i++ {
+			zr := z.Data[i*4*l.H : (i+1)*4*l.H]
+			cr := c.Data[i*l.H : (i+1)*l.H]
+			cp := cPrev.Data[i*l.H : (i+1)*l.H]
+			hr := h.Data[i*l.H : (i+1)*l.H]
+			tr := tc.Data[i*l.H : (i+1)*l.H]
+			for k := 0; k < l.H; k++ {
+				ig := sigmoid(zr[k])
+				fg := sigmoid(zr[l.H+k])
+				gg := tanhf(zr[2*l.H+k])
+				og := sigmoid(zr[3*l.H+k])
+				zr[k], zr[l.H+k], zr[2*l.H+k], zr[3*l.H+k] = ig, fg, gg, og
+				cv := fg*cp[k] + ig*gg
+				cr[k] = cv
+				tv := tanhf(cv)
+				tr[k] = tv
+				hr[k] = og * tv
+			}
+		}
+		for i := 0; i < n; i++ {
+			copy(out.Data[(i*t+step)*l.H:(i*t+step+1)*l.H], h.Data[i*l.H:(i+1)*l.H])
+		}
+		hPrev, cPrev = h, c
+	}
+	return out
+}
+
+// timeSlice gathers timestep `step` of x [N, T, D] into dst [N, D].
+func (l *refLSTM) timeSlice(dst, x *tensor.Tensor, step int) {
+	n, t, d := x.Shape[0], x.Shape[1], x.Shape[2]
+	for i := 0; i < n; i++ {
+		copy(dst.Data[i*d:(i+1)*d], x.Data[(i*t+step)*d:(i*t+step+1)*d])
+	}
+}
+
+// Backward consumes dOut [N, T, H] and returns dX [N, T, D], accumulating
+// parameter gradients.
+func (l *refLSTM) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	n, t := l.batchSize, l.timeSteps
+	dx := ensure(l.dx, n, t, l.D)
+	l.dx = dx
+	dhNext := ensure(l.dhNext, n, l.H)
+	l.dhNext = dhNext
+	dhNext.Zero()
+	dcNext := ensure(l.dcA, n, l.H)
+	l.dcA = dcNext
+	dcNext.Zero()
+	dcPrev := ensure(l.dcB, n, l.H)
+	l.dcB = dcPrev
+	dh := ensure(l.dh, n, l.H)
+	l.dh = dh
+	dz := ensure(l.dz, n, 4*l.H)
+	l.dz = dz
+	dxT := ensure(l.dxT, n, l.D)
+	l.dxT = dxT
+	for step := t - 1; step >= 0; step-- {
+		// dh = dOut_t + dhNext
+		for i := 0; i < n; i++ {
+			src := dout.Data[(i*t+step)*l.H : (i*t+step+1)*l.H]
+			dst := dh.Data[i*l.H : (i+1)*l.H]
+			copy(dst, src)
+		}
+		dh.Add(dhNext)
+
+		gates := l.gates[step]
+		tc := l.tanhCells[step]
+		cPrev := l.c0
+		if step > 0 {
+			cPrev = l.cells[step-1]
+		}
+		for i := 0; i < n; i++ {
+			zr := gates.Data[i*4*l.H : (i+1)*4*l.H]
+			dhr := dh.Data[i*l.H : (i+1)*l.H]
+			dcn := dcNext.Data[i*l.H : (i+1)*l.H]
+			tr := tc.Data[i*l.H : (i+1)*l.H]
+			cp := cPrev.Data[i*l.H : (i+1)*l.H]
+			dzr := dz.Data[i*4*l.H : (i+1)*4*l.H]
+			dcp := dcPrev.Data[i*l.H : (i+1)*l.H]
+			for k := 0; k < l.H; k++ {
+				ig, fg, gg, og := zr[k], zr[l.H+k], zr[2*l.H+k], zr[3*l.H+k]
+				tv := tr[k]
+				dc := dcn[k] + dhr[k]*og*(1-tv*tv)
+				dzr[k] = dc * gg * ig * (1 - ig)           // input gate (pre-sigmoid)
+				dzr[l.H+k] = dc * cp[k] * fg * (1 - fg)    // forget gate
+				dzr[2*l.H+k] = dc * ig * (1 - gg*gg)       // candidate (pre-tanh)
+				dzr[3*l.H+k] = dhr[k] * tv * og * (1 - og) // output gate
+				dcp[k] = dc * fg
+			}
+		}
+		xt := l.xt
+		l.timeSlice(xt, l.x, step)
+		hPrev := l.h0
+		if step > 0 {
+			hPrev = l.hiddens[step-1]
+		}
+		tensor.MatMulTAInto(l.Wx.Grad, dz, xt, true)
+		tensor.MatMulTAInto(l.Wh.Grad, dz, hPrev, true)
+		for i := 0; i < n; i++ {
+			row := dz.Data[i*4*l.H : (i+1)*4*l.H]
+			for j, v := range row {
+				l.B.Grad.Data[j] += v
+			}
+		}
+		tensor.MatMulInto(dxT, dz, l.Wx.W, false) // [N, D]
+		for i := 0; i < n; i++ {
+			copy(dx.Data[(i*t+step)*l.D:(i*t+step+1)*l.D], dxT.Data[i*l.D:(i+1)*l.D])
+		}
+		tensor.MatMulInto(dhNext, dz, l.Wh.W, false) // [N, H]
+		dcNext, dcPrev = dcPrev, dcNext
+	}
+	return dx
 }

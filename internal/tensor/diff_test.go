@@ -104,13 +104,14 @@ func TestPackMatchesParent(t *testing.T) {
 					size := roundUp(rows, w) * depth
 					got, want := RandN(rng, size).Data, RandN(rng, size).Data
 					name := fmt.Sprintf("w=%d rows=%d depth=%d T=%v", w, rows, depth, transposed)
-					packA(got, src, transposed, m, k, 2, rows, 1, depth, w)
+					lda, ldb := storageStrides(transposed, transposed, m, k, m)
+					packA(got, src, transposed, lda, 2, rows, 1, depth, w)
 					refPackA(want, src, transposed, m, k, 2, rows, 1, depth, w)
 					if i := firstBitDiff(got, want); i >= 0 {
 						t.Fatalf("packA %s: element %d is %v, parent %v", name, i, got[i], want[i])
 					}
 					// For B the roles swap: k rows of storage, m columns.
-					packB(got, src, transposed, k, m, 1, depth, 2, rows, w)
+					packB(got, src, transposed, ldb, 1, depth, 2, rows, w)
 					refPackB(want, src, transposed, k, m, 1, depth, 2, rows, w)
 					if i := firstBitDiff(got, want); i >= 0 {
 						t.Fatalf("packB %s: element %d is %v, parent %v", name, i, got[i], want[i])

@@ -24,8 +24,10 @@ import (
 //	mc            rows of A packed per panel (mc·kc ≈ 120–128 KiB, L2)
 //	nc            columns of B packed per panel (kc·nc ≈ 512 KiB, outer level)
 //
-// Products below smallGEMMFLOPs skip packing entirely and run direct loops —
-// for tiny operands the pack traffic costs more than it saves. Products at or
+// Products below smallGEMMFLOPs skip packing entirely and take the direct
+// path (gemmDirect): unfused multiply-then-add, one chain per element of C
+// over the whole depth — scalar loops, or on an AVX machine kernels that run
+// those same chains eight or sixteen columns at a time. Products at or
 // above parallelMinFLOPs are row-sharded across a persistent worker pool when
 // GOMAXPROCS permits (see parallel.go). Callers that multiply one operand many
 // times (a convolution's kernel matrix, once per sample) pack it once through
@@ -50,8 +52,12 @@ const (
 	ncGEMM = 512
 
 	// smallGEMMFLOPs is the 2·m·k·n product below which the direct
-	// (non-packing) kernels run; 32³ sits right at the break-even point
-	// measured on the bench harness.
+	// (non-packing) path runs. It is a rounding boundary, not a tuning
+	// knob: the two sides sum a product differently (the direct path is
+	// unfused everywhere and sums the whole depth in one chain; the blocked
+	// path is fused on FMA machines and adds kc-deep chunk sums), so
+	// moving it would move the bits of every product that changes sides —
+	// and with them every pinned result.
 	smallGEMMFLOPs = 2 * 32 * 32 * 32
 )
 
@@ -177,6 +183,19 @@ func gemm(c, a, b []float32, aT, bT bool, m, k, n int, accumulate bool) {
 	gemmBlocked(kern, c, a, b, aT, bT, m, k, n, 0, m, accumulate)
 }
 
+// storageStrides returns the row strides of contiguous operands: A is stored
+// [k,m] when aT and [m,k] otherwise, B [n,k] when bT and [k,n] otherwise.
+func storageStrides(aT, bT bool, m, k, n int) (lda, ldb int) {
+	lda, ldb = k, n
+	if aT {
+		lda = m
+	}
+	if bT {
+		ldb = k
+	}
+	return lda, ldb
+}
+
 // gemmBlocked runs the packed blocked kernel over C rows [rlo, rhi). Shards
 // of a parallel dispatch call it with disjoint row ranges; each call packs
 // its own panels from the shared read-only operands, so shards never share
@@ -205,15 +224,16 @@ func gemmBlocked(kern *gemmKernel, c, a, b []float32, aT, bT bool, m, k, n, rlo,
 		edge = ebuf.Data
 	}
 
+	lda, ldb := storageStrides(aT, bT, m, k, n)
 	for jc := 0; jc < n; jc += nc {
 		nb := min(nc, n-jc)
 		for pc := 0; pc < k; pc += kcGEMM {
 			kb := min(kcGEMM, k-pc)
-			packB(bbuf.Data, b, bT, k, n, pc, kb, jc, nb, nr)
+			packB(bbuf.Data, b, bT, ldb, pc, kb, jc, nb, nr)
 			acc := accumulate || pc > 0
 			for ic := rlo; ic < rhi; ic += kern.mc {
 				mb := min(kern.mc, rhi-ic)
-				packA(abuf.Data, a, aT, m, k, ic, mb, pc, kb, mr)
+				packA(abuf.Data, a, aT, lda, ic, mb, pc, kb, mr)
 				gemmMacro(kern, c[ic*n+jc:], n, abuf.Data, bbuf.Data, mb, nb, kb, acc, edge)
 			}
 		}
@@ -258,19 +278,20 @@ func gemmMacro(kern *gemmKernel, c []float32, ldc int, ap, bp []float32, mb, nb,
 // micro-panels of mr rows (the active kernel's tile height): panel t holds,
 // for each p, the mr values of rows rlo+t·mr .. rlo+t·mr+mr−1 at column p,
 // zero-padded when mb is not a multiple of mr. The micro-kernel then streams
-// each panel sequentially.
+// each panel sequentially. lda is the stride between rows of a's storage:
+// m when aT (a is [k,m]), k otherwise, or more for rows that sit apart.
 //
 //fedmp:allocfree
-func packA(dst, a []float32, aT bool, m, k, rlo, mb, p0, kb, mr int) {
+func packA(dst, a []float32, aT bool, lda, rlo, mb, p0, kb, mr int) {
 	for t := 0; t*mr < mb; t++ {
 		panel := dst[t*kb*mr : (t+1)*kb*mr]
 		rows := min(mr, mb-t*mr)
 		base := rlo + t*mr
 		if aT {
 			// A stored [k,m]: column p of the block is contiguous.
-			packRows(panel, a[p0*m+base:], m, rows, kb, mr)
+			packRows(panel, a[p0*lda+base:], lda, rows, kb, mr)
 		} else {
-			packTransposed(panel, a[base*k+p0:], k, rows, kb, mr)
+			packTransposed(panel, a[base*lda+p0:], lda, rows, kb, mr)
 		}
 	}
 }
@@ -278,19 +299,20 @@ func packA(dst, a []float32, aT bool, m, k, rlo, mb, p0, kb, mr int) {
 // packB copies the logical block B[p0:p0+kb, jlo:jlo+nb] into dst as
 // micro-panels of nr columns (the active kernel's tile width): panel u
 // holds, for each p, the nr values of columns jlo+u·nr .. jlo+u·nr+nr−1 at
-// row p, zero-padded on the right edge.
+// row p, zero-padded on the right edge. ldb is the stride between rows of
+// b's storage: k when bT (b is [n,k]), n otherwise, or more.
 //
 //fedmp:allocfree
-func packB(dst, b []float32, bT bool, k, n, p0, kb, jlo, nb, nr int) {
+func packB(dst, b []float32, bT bool, ldb, p0, kb, jlo, nb, nr int) {
 	for u := 0; u*nr < nb; u++ {
 		panel := dst[u*kb*nr : (u+1)*kb*nr]
 		cols := min(nr, nb-u*nr)
 		base := jlo + u*nr
 		if bT {
 			// B stored [n,k]: row j of storage is logical column j.
-			packTransposed(panel, b[base*k+p0:], k, cols, kb, nr)
+			packTransposed(panel, b[base*ldb+p0:], ldb, cols, kb, nr)
 		} else {
-			packRows(panel, b[p0*n+base:], n, cols, kb, nr)
+			packRows(panel, b[p0*ldb+base:], ldb, cols, kb, nr)
 		}
 	}
 }
@@ -428,11 +450,75 @@ func boolToUint64(b bool) uint64 {
 	return 0
 }
 
-// gemmDirect handles products too small to amortise packing: plain loops in
-// the best order for each storage combination, with no per-element branches.
+// gemmDirect handles products too small to amortise packing. A tier with
+// small-product kernels (kernel.go) runs them; every other runs the scalar
+// loops of gemmDirectScalar. Both give each element of C the same operations
+// in the same order — a separately rounded multiply and add per depth step,
+// depth ascending — so the choice moves no bit.
 //
 //fedmp:allocfree
 func gemmDirect(c, a, b []float32, aT, bT bool, m, k, n int, accumulate bool) {
+	kern := activeKernel.Load()
+	// A single row against a B stored [n,k] is cheaper in the scalar loops
+	// than the transposed copy alone.
+	if kern.directChain == nil || bT && m == 1 {
+		gemmDirectScalar(c, a, b, aT, bT, m, k, n, accumulate)
+		return
+	}
+	lda, _ := storageStrides(aT, bT, m, k, n)
+	if !bT {
+		gemmDirectSIMD(kern, c, n, a, aT, lda, b, n, false, m, k, n, accumulate)
+		return
+	}
+	// The kernels vectorise across the columns of C and so want row p of B
+	// contiguous; for a B stored [n,k] that is a transposed copy.
+	bt := Scratch.Get(k * n) //fedmp:transitive-ok — pool miss allocates once; steady state reuses
+	packTransposed(bt.Data, b, k, n, k, n)
+	gemmDirectSIMD(kern, c, n, a, aT, lda, bt.Data, n, true, m, k, n, accumulate)
+	Scratch.Put(bt)
+}
+
+// gemmDirectSIMD runs one small product through kern's small-product
+// kernels. A is a (row stride lda; stored [k,m] when aT), C has row stride
+// ldc, and b holds B as [k,n] rows of stride ldb — the operand itself, or
+// with dot set the transposed copy of one stored [n,k]. dot also selects the
+// sum the scalar loop of that storage form computes: a complete dot product
+// from +0, stored or added to C once, where the [k,n] forms start from C (or
+// +0) and add one product at a time.
+//
+//fedmp:allocfree
+func gemmDirectSIMD(kern *gemmKernel, c []float32, ldc int, a []float32, aT bool, lda int, b []float32, ldb int, dot bool, m, k, n int, accumulate bool) {
+	aRow, aDepth := lda, 1
+	if aT {
+		aRow, aDepth = 1, lda
+	}
+	// The kernels index raw pointers: touch the last element each operand
+	// is read or written at, so a short slice panics here.
+	_ = c[(m-1)*ldc+n-1]
+	_ = a[(m-1)*aRow+(k-1)*aDepth]
+	_ = b[(k-1)*ldb+n-1]
+	fn, flags := kern.directChain, uint64(0)
+	if dot {
+		fn = kern.directDot
+	}
+	if accumulate {
+		flags = 1
+		if dot {
+			flags = 2
+		}
+	}
+	fn(&c[0], &a[0], &b[0], uintptr(m), uintptr(k), uintptr(n),
+		uintptr(aRow*4), uintptr(aDepth*4), uintptr(ldb*4), uintptr(ldc*4), flags)
+}
+
+// gemmDirectScalar is the small-product path in portable Go: plain loops in
+// the best order for each storage combination, with no per-element branches.
+// It is what runs where there is no small-product kernel (other
+// architectures, no AVX, the generic tier) and the oracle the kernels are
+// tested against, so its operation order is the definition of the result.
+//
+//fedmp:allocfree
+func gemmDirectScalar(c, a, b []float32, aT, bT bool, m, k, n int, accumulate bool) {
 	switch {
 	case !aT && !bT:
 		if !accumulate {
@@ -479,7 +565,7 @@ func gemmDirect(c, a, b []float32, aT, bT bool, m, k, n int, accumulate bool) {
 				}
 			}
 		}
-	default: // aT && bT — not reachable from the public API, kept for safety.
+	default: // aT && bT — reached through PackedA.Pack(aT) + PackedB.Pack(bT).
 		for i := 0; i < m; i++ {
 			ci := c[i*n : i*n+n]
 			for j := 0; j < n; j++ {

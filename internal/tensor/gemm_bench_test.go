@@ -138,3 +138,28 @@ func BenchmarkGEMMTBPack(b *testing.B) {
 		MatMulTBInto(dw, dy, cols, true)
 	}
 }
+
+// benchGEMMDirect times one small product of the pruned LSTM's train step
+// (batch 8, 24 hidden units) through gemm — the small-product kernels where
+// the active tier has them — and, as the "scalar" sub-benchmark, through the
+// scalar loops, so `go test -bench GEMMDirect` shows the kernel-level ratio.
+func benchGEMMDirect(b *testing.B, aT, bT bool, m, k, n int, accumulate bool) {
+	rng := rand.New(rand.NewSource(10))
+	x, y := RandN(rng, m*k).Data, RandN(rng, k*n).Data
+	out := make([]float32, m*n)
+	run := func(f func(c, a, b []float32, aT, bT bool, m, k, n int, accumulate bool)) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(2 * m * k * n))
+			for i := 0; i < b.N; i++ {
+				f(out, x, y, aT, bT, m, k, n, accumulate)
+			}
+		}
+	}
+	b.Run("kernel", run(gemm))
+	b.Run("scalar", run(gemmDirectScalar))
+}
+
+// Forward z = x·Wᵀ, weight gradient dW += dzᵀ·x, input gradient dx = dz·W.
+func BenchmarkGEMMDirectFwd(b *testing.B) { benchGEMMDirect(b, false, true, 8, 24, 96, false) }
+func BenchmarkGEMMDirectDW(b *testing.B)  { benchGEMMDirect(b, true, false, 96, 8, 24, true) }
+func BenchmarkGEMMDirectDX(b *testing.B)  { benchGEMMDirect(b, false, false, 8, 96, 24, false) }

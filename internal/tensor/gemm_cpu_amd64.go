@@ -13,27 +13,37 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 // reports OSXSAVE.
 func xgetbv() (eax, edx uint32)
 
+// cpuAVX reports whether AVX instructions may run: the CPU has them and the
+// OS saves and restores YMM state. The small-product kernels need no more.
+var cpuAVX = detectAVX()
+
 // cpuFused reports whether this machine runs the fused (FMA) kernel group:
 // FMA + AVX2 present and the OS saves/restores YMM state.
-var cpuFused = detectFused()
+var cpuFused = cpuAVX && detectFMA()
 
-func detectFused() bool {
+func detectAVX() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	const (
+		bitOSXSAVE = 1 << 27
+		bitAVX     = 1 << 28
+	)
+	if ecx1&bitOSXSAVE == 0 || ecx1&bitAVX == 0 {
+		return false
+	}
+	// XCR0 bits 1 (SSE) and 2 (AVX) must both be set: the OS context-
+	// switches the full YMM registers.
+	xlo, _ := xgetbv()
+	return xlo&6 == 6
+}
+
+func detectFMA() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {
 		return false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
-	const (
-		bitFMA     = 1 << 12
-		bitOSXSAVE = 1 << 27
-		bitAVX     = 1 << 28
-	)
-	if ecx1&bitFMA == 0 || ecx1&bitOSXSAVE == 0 || ecx1&bitAVX == 0 {
-		return false
-	}
-	// XCR0 bits 1 (SSE) and 2 (AVX) must both be set: the OS context-
-	// switches the full YMM registers.
-	if xlo, _ := xgetbv(); xlo&6 != 6 {
+	const bitFMA = 1 << 12
+	if ecx1&bitFMA == 0 {
 		return false
 	}
 	_, ebx7, _, _ := cpuid(7, 0)

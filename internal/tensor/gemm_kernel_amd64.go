@@ -6,9 +6,13 @@ package tensor
 // that does not save YMM state) get the original SSE 4×8 kernel; fused
 // machines get a 4×8 XMM-FMA variant under the same "sse" tier name plus the
 // wide 6×16 AVX2+FMA tier. Both groups are internally bit-identical across
-// their tiers (see kernel.go).
+// their tiers (see kernel.go). Every assembly tier of a machine with AVX
+// also gets the small-product kernels, which are unfused on both groups.
 func archKernels() []*gemmKernel {
 	sse := &gemmKernel{name: "sse", mr: 4, nr: 8, mc: 128, nc: 512, asm: gemmKernel4x8}
+	if cpuAVX {
+		sse.directChain, sse.directDot = gemmDirectChainAVX, gemmDirectDotAVX
+	}
 	if !cpuFused {
 		return []*gemmKernel{sse}
 	}
@@ -17,7 +21,8 @@ func archKernels() []*gemmKernel {
 	// mc is a multiple of mr (the packed A panel must fit mc·kc exactly);
 	// 120·256·4 B ≈ 120 KiB keeps the A panel L2-resident like the 4×8
 	// tier's 128. nc stays 512 (a multiple of 16).
-	avx2 := &gemmKernel{name: "avx2", mr: 6, nr: 16, mc: 120, nc: 512, asm: gemmKernel6x16fma, fused: true}
+	avx2 := &gemmKernel{name: "avx2", mr: 6, nr: 16, mc: 120, nc: 512, asm: gemmKernel6x16fma, fused: true,
+		directChain: gemmDirectChainAVX, directDot: gemmDirectDotAVX}
 	return []*gemmKernel{sse, avx2}
 }
 
@@ -50,3 +55,14 @@ func gemmKernel4x8fma(c *float32, ldcBytes uintptr, ap, bp *float32, kb, acc uin
 //
 //go:noescape
 func gemmKernel6x16fma(c *float32, ldcBytes uintptr, ap, bp *float32, kb, acc uint64)
+
+// gemmDirectChainAVX and gemmDirectDotAVX are the small-product kernels
+// behind gemmDirect (contract in gemm_direct_amd64.s): the first stands in
+// for the scalar A·B and Aᵀ·B loops, the second for A·Bᵀ and Aᵀ·Bᵀ over a
+// transposed copy of B.
+//
+//go:noescape
+func gemmDirectChainAVX(c, a, b *float32, m, k, n, aRow, aDepth, ldb, ldc uintptr, flags uint64)
+
+//go:noescape
+func gemmDirectDotAVX(c, a, b *float32, m, k, n, aRow, aDepth, ldb, ldc uintptr, flags uint64)

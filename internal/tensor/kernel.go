@@ -31,6 +31,11 @@ import (
 // chunks with one rounded add per chunk boundary, so a per-kernel kc would
 // change results across tiers. mr/nr/mc/nc only reorder independent work and
 // may vary freely.
+//
+// The small-product path under smallGEMMFLOPs (gemmDirect) is outside all of
+// this: it is unfused on every machine and tier. There the assembly tiers of
+// an AVX machine run SIMD kernels and everything else the scalar loops, with
+// the same operations per element in the same order.
 
 // gemmKernel describes one micro-kernel tier.
 type gemmKernel struct {
@@ -46,7 +51,16 @@ type gemmKernel struct {
 	asm func(c *float32, ldcBytes uintptr, ap, bp *float32, kb, acc uint64)
 	// fused marks FMA accumulation semantics (must agree with cpuFused).
 	fused bool
+	// directChain and directDot, when non-nil, are the SIMD kernels of the
+	// small-product path (gemmDirect); a tier without them runs the scalar
+	// loops there. They are unfused on every machine and give the scalar
+	// loops' results bit for bit, so which tier has them decides speed only.
+	directChain, directDot directFunc
 }
+
+// directFunc is the signature of a small-product kernel; see
+// gemm_direct_amd64.s for the arguments.
+type directFunc func(c, a, b *float32, m, k, n, aRow, aDepth, ldb, ldc uintptr, flags uint64)
 
 // mrMax/nrMax bound every tier's micro-tile; the edge-tile scratch in
 // gemmBlocked is sized by them.

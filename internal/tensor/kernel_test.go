@@ -120,6 +120,20 @@ func TestKernelTiersBitIdentical(t *testing.T) {
 	// A shape large enough to engage every blocking level of the widest tier.
 	big1 := gcase{a: RandN(rng, 150, 300), b: RandN(rng, 300, 530), m: 150, k: 300, n: 530, acc: true, seed: RandN(rng, 150, 530)}
 	cases = append(cases, big1)
+	// The small products of a pruned LSTM's train step, column tails
+	// included: under smallGEMMFLOPs, where the generic tier runs the scalar
+	// loops and the assembly tiers of an AVX machine their small-product
+	// kernels, in every storage form.
+	for _, s := range [][3]int{{8, 24, 96}, {96, 8, 24}, {8, 96, 24}, {8, 19, 76}, {76, 8, 19}, {8, 76, 19}, {2, 40, 10}, {5, 13, 52}} {
+		m, k, n := s[0], s[1], s[2]
+		for variant := 0; variant < 8; variant++ {
+			cases = append(cases, gcase{
+				a: RandN(rng, m*k), b: RandN(rng, k*n),
+				aT: variant&1 != 0, bT: variant&2 != 0, m: m, k: k, n: n,
+				acc: variant&4 != 0, seed: RandN(rng, m, n),
+			})
+		}
+	}
 
 	results := make([][][]float32, len(tiers))
 	for ti, tier := range tiers {

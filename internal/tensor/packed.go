@@ -15,8 +15,10 @@ import "fmt"
 //   - the direct-vs-blocked choice is made from the same 2·m·k·n product
 //     against smallGEMMFLOPs (which is why Pack takes all three
 //     dimensions); a product on the direct side keeps a reference to the
-//     caller's storage and GEMMPacked runs gemmDirect over it, the very
-//     loops gemm would have run;
+//     caller's storage and GEMMPacked runs it through what gemmDirect would
+//     have run, the tier's small-product kernels or the scalar loops. The
+//     kernels want a B stored [n,k] transposed, and that copy is what a
+//     PackedB keeps on this side: made once per Pack, not once per product;
 //   - on the blocked side the panels hold the same values gemmBlocked's
 //     packA/packB would have produced for each kc-deep chunk, and
 //     GEMMPacked walks (jc, pc, ic) in gemmBlocked's order through the same
@@ -37,22 +39,27 @@ import "fmt"
 // PackedA is the left operand of GEMMPacked: a logical [m,k] matrix.
 type PackedA struct {
 	m, k, n int
-	// kern is the tier whose panel geometry buf follows; nil when the
-	// product is below smallGEMMFLOPs and src is multiplied directly.
+	// kern is the tier that was active at Pack time. On the direct side
+	// (2·m·k·n below smallGEMMFLOPs) src, row stride ld, is multiplied in
+	// place; otherwise buf holds kern's panels.
 	kern *gemmKernel
 	src  []float32
 	srcT bool
+	ld   int
 	buf  []float32 // grow-only panel storage
 	// edge stages partial tiles for the assembly kernels (see gemmBlocked).
 	edge [mrMax * nrMax]float32
 }
 
-// PackedB is the right operand of GEMMPacked: a logical [k,n] matrix.
+// PackedB is the right operand of GEMMPacked: a logical [k,n] matrix. On the
+// direct side of a tier with small-product kernels buf holds the [k,n] copy
+// of a src stored [n,k].
 type PackedB struct {
 	m, k, n int
 	kern    *gemmKernel
 	src     []float32
 	srcT    bool
+	ld      int
 	buf     []float32
 }
 
@@ -65,14 +72,8 @@ func growF32(buf []float32, n int) []float32 {
 	return buf[:n]
 }
 
-// packedKernel returns the kernel a product of this size packs for, or nil
-// when gemm would run it through the direct loops.
-func packedKernel(m, k, n int) *gemmKernel {
-	if 2*m*k*n < smallGEMMFLOPs {
-		return nil
-	}
-	return activeKernel.Load()
-}
+// directSide reports whether gemm would run this product through gemmDirect.
+func directSide(m, k, n int) bool { return 2*m*k*n < smallGEMMFLOPs }
 
 // Pack prepares the logical [m,k] operand A for products with [k,n] right
 // operands. aT selects the storage: a is [k,m] when set (the MatMulTA
@@ -81,43 +82,119 @@ func packedKernel(m, k, n int) *gemmKernel {
 //
 //fedmp:allocfree
 func (p *PackedA) Pack(a []float32, aT bool, m, k, n int) {
-	if len(a) != m*k {
-		panic(fmt.Sprintf("tensor: PackedA.Pack operand length %d, want %d×%d", len(a), m, k))
+	p.pack(a, aT, 0, m, k, n)
+}
+
+// PackRows is Pack for an [m,k] operand whose rows lie lda ≥ k elements
+// apart in a — one timestep of an [N,T,D] activation, say — so the caller
+// need not gather them first.
+//
+//fedmp:allocfree
+func (p *PackedA) PackRows(a []float32, lda, m, k, n int) {
+	checkRows("PackedA.PackRows", len(a), lda, m, k)
+	p.pack(a, false, lda, m, k, n)
+}
+
+// pack is Pack and PackRows: lda is the row stride of a, or 0 for a
+// contiguous operand in either storage form. (The zero keeps Pack a one-line
+// wrapper the compiler inlines, so a layer's per-sample Pack calls are as
+// deep as when Pack held this body.)
+//
+//fedmp:allocfree
+func (p *PackedA) pack(a []float32, aT bool, lda, m, k, n int) {
+	if lda == 0 {
+		if len(a) != m*k {
+			panic(fmt.Sprintf("tensor: PackedA.Pack operand length %d, want %d×%d", len(a), m, k))
+		}
+		lda, _ = storageStrides(aT, false, m, k, n)
 	}
 	p.m, p.k, p.n = m, k, n
-	p.src, p.srcT = a, aT
-	p.kern = packedKernel(m, k, n)
-	if p.kern == nil {
+	p.kern = activeKernel.Load()
+	p.src, p.srcT, p.ld = a, aT, lda
+	if directSide(m, k, n) {
+		if p.kern.directChain == nil && !aT && lda != k {
+			// The scalar loops read contiguous operands only.
+			p.buf = growF32(p.buf, m*k) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+			gatherRows(p.buf, a, lda, m, k)
+			p.src, p.ld = p.buf, k
+		}
 		return
 	}
 	mr := p.kern.mr
 	mp := roundUp(m, mr)
 	p.buf = growF32(p.buf, mp*k) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
 	for pc := 0; pc < k; pc += kcGEMM {
-		packA(p.buf[pc*mp:], a, aT, m, k, 0, m, pc, min(kcGEMM, k-pc), mr)
+		packA(p.buf[pc*mp:], a, aT, lda, 0, m, pc, min(kcGEMM, k-pc), mr)
 	}
 }
 
 // Pack prepares the logical [k,n] operand B for products with [m,k] left
 // operands. bT selects the storage: b is [n,k] when set (the MatMulTB
-// layout), [k,n] otherwise. On the direct side b is referenced, not copied.
+// layout), [k,n] otherwise. On the direct side a b stored [k,n] is
+// referenced, not copied.
 //
 //fedmp:allocfree
 func (p *PackedB) Pack(b []float32, bT bool, m, k, n int) {
-	if len(b) != k*n {
-		panic(fmt.Sprintf("tensor: PackedB.Pack operand length %d, want %d×%d", len(b), k, n))
+	p.pack(b, bT, 0, m, k, n)
+}
+
+// PackRows is Pack for a [k,n] operand whose rows lie ldb ≥ n elements apart
+// in b.
+//
+//fedmp:allocfree
+func (p *PackedB) PackRows(b []float32, ldb, m, k, n int) {
+	checkRows("PackedB.PackRows", len(b), ldb, k, n)
+	p.pack(b, false, ldb, m, k, n)
+}
+
+// pack is Pack and PackRows; ldb is the row stride of b, or 0 for a
+// contiguous operand in either storage form (see PackedA.pack).
+//
+//fedmp:allocfree
+func (p *PackedB) pack(b []float32, bT bool, ldb, m, k, n int) {
+	if ldb == 0 {
+		if len(b) != k*n {
+			panic(fmt.Sprintf("tensor: PackedB.Pack operand length %d, want %d×%d", len(b), k, n))
+		}
+		_, ldb = storageStrides(false, bT, m, k, n)
 	}
 	p.m, p.k, p.n = m, k, n
-	p.src, p.srcT = b, bT
-	p.kern = packedKernel(m, k, n)
-	if p.kern == nil {
+	p.kern = activeKernel.Load()
+	p.src, p.srcT, p.ld = b, bT, ldb
+	if directSide(m, k, n) {
+		if simd := p.kern.directChain != nil; simd && bT {
+			// The kernels want row p of B contiguous: the [k,n] copy.
+			p.buf = growF32(p.buf, k*n) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+			packTransposed(p.buf, b, k, n, k, n)
+		} else if !simd && !bT && ldb != n {
+			// The scalar loops read contiguous operands only.
+			p.buf = growF32(p.buf, k*n) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+			gatherRows(p.buf, b, ldb, k, n)
+			p.src, p.ld = p.buf, n
+		}
 		return
 	}
 	nr := p.kern.nr
 	np := roundUp(n, nr)
 	p.buf = growF32(p.buf, k*np) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
 	for pc := 0; pc < k; pc += kcGEMM {
-		packB(p.buf[pc*np:], b, bT, k, n, pc, min(kcGEMM, k-pc), 0, n, nr)
+		packB(p.buf[pc*np:], b, bT, ldb, pc, min(kcGEMM, k-pc), 0, n, nr)
+	}
+}
+
+// checkRows panics unless have elements hold rows rows of w elements ld
+// apart.
+func checkRows(op string, have, ld, rows, w int) {
+	if ld < w || rows > 0 && have < (rows-1)*ld+w {
+		panic(fmt.Sprintf("tensor: %s operand length %d with row stride %d, want %d rows of %d", op, have, ld, rows, w))
+	}
+}
+
+// gatherRows copies rows rows of w elements, ld apart in src, into the
+// contiguous dst.
+func gatherRows(dst, src []float32, ld, rows, w int) {
+	for i := 0; i < rows; i++ {
+		copy(dst[i*w:i*w+w], src[i*ld:i*ld+w])
 	}
 }
 
@@ -143,8 +220,16 @@ func GEMMPacked(c []float32, a *PackedA, b *PackedB, accumulate bool) {
 		return
 	}
 	kern := a.kern
-	if kern == nil {
-		gemmDirect(c, a.src, b.src, a.srcT, b.srcT, m, k, n, accumulate)
+	if directSide(m, k, n) {
+		if kern.directChain == nil {
+			gemmDirectScalar(c, a.src, b.src, a.srcT, b.srcT, m, k, n, accumulate)
+			return
+		}
+		brows, ldb := b.src, b.ld
+		if b.srcT {
+			brows, ldb = b.buf, n
+		}
+		gemmDirectSIMD(kern, c, n, a.src, a.srcT, a.ld, brows, ldb, b.srcT, m, k, n, accumulate)
 		return
 	}
 	mr, nr := kern.mr, kern.nr
