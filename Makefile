@@ -113,12 +113,13 @@ check: vet lint build test test-kernels race
 # pipeline, the stale-hatch audit, a race-checked smoke of the concurrent
 # paths — the whole simulated round at GOMAXPROCS 1 vs 8 (sharded Assign,
 # device pre-pass, cached-network training, fused aggregate; sync, async,
-# shared-plan and population runs must match byte for byte), then the
+# shared-plan and population runs must match byte for byte) and the pinned
+# trajectory grid (internal/core/testdata/run-grid.golden), then the
 # transport (two-worker loopback round over the binary wire codec, sim/wire
 # parity, and a mid-run PS kill/restart that must recover from its
 # checkpoint) — then a bench smoke run (one static table plus one quick
 # sim-backed figure) proving the experiment CLI still runs end to end.
 ci: check lint-bench lint-hatches test-benchmark
-	go test -race -count=1 -run 'TestParallelCohortDeterminism' ./internal/core
+	go test -race -count=1 -run 'TestParallelCohortDeterminism|TestRunGridGolden' ./internal/core
 	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

@@ -23,9 +23,10 @@ type PullRecord struct {
 // State is a policy's complete learning state in serialisable form: what a
 // parameter server must persist so a restarted process resumes ratio
 // selection where the crashed one stopped. Exactly the fields matching Kind
-// are meaningful; the rest stay zero. Export must only be called at a round
-// boundary (no Select pending) — mid-round pulls are the in-flight work a
-// recovery deliberately replays.
+// are meaningful; the rest stay zero. A pull that is pending at Export (a
+// Select not yet observed) is left out: it is in-flight work, which a
+// recovery deliberately replays. Synchronous rounds export at a round
+// boundary and have none; Alg. 2 closes a round with assignments in flight.
 type State struct {
 	// Kind tags the policy type ("eucb", "discrete", "greedy", "fixed").
 	Kind string
@@ -52,8 +53,7 @@ type State struct {
 // Persistent is implemented by policies whose learning state can be
 // exported for checkpointing and injected back after a restart.
 type Persistent interface {
-	// Export snapshots the policy state. It panics if a Select is pending
-	// (export is a round-boundary operation).
+	// Export snapshots the policy state as of the last Observe.
 	Export() *State
 	// Restore replaces the policy's state with a previously exported one.
 	Restore(*State) error
@@ -61,9 +61,6 @@ type Persistent interface {
 
 // Export implements Persistent.
 func (a *Agent) Export() *State {
-	if a.pending != nil {
-		panic("bandit: Export with a pending Select")
-	}
 	s := &State{
 		Kind:    StateEUCB,
 		Round:   a.round,
@@ -108,9 +105,6 @@ func (a *Agent) Restore(s *State) error {
 
 // Export implements Persistent.
 func (d *DiscreteUCB) Export() *State {
-	if d.pending >= 0 {
-		panic("bandit: Export with a pending Select")
-	}
 	return &State{
 		Kind:   StateDiscrete,
 		Round:  d.total,
@@ -137,9 +131,6 @@ func (d *DiscreteUCB) Restore(s *State) error {
 
 // Export implements Persistent.
 func (e *EpsilonGreedy) Export() *State {
-	if e.pending >= 0 {
-		panic("bandit: Export with a pending Select")
-	}
 	total := 0
 	for _, c := range e.counts {
 		total += c

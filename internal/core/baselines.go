@@ -56,6 +56,11 @@ type upFL struct {
 	cfg     *Config
 	agent   bandit.Policy
 	planRng *rand.Rand
+	// ratio is the agent's pull while pending: a round that brings no
+	// reward (nothing delivered, or only warm-up arrivals under Alg. 2)
+	// leaves it standing, and the next dispatch reuses it.
+	ratio   float64
+	pending bool
 }
 
 func newUPFL(fam Family, cfg *Config) (*upFL, error) {
@@ -74,9 +79,12 @@ func (s *upFL) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 	ratio := 0.0
 	warmup := info.Round <= s.cfg.WarmupRounds || info.Round == 0
 	if !warmup {
-		decide := s.cfg.Clock.Stopwatch()
-		ratio = s.agent.Select()
-		info.DecisionSeconds += decide()
+		if !s.pending {
+			decide := s.cfg.Clock.Stopwatch()
+			s.ratio, s.pending = s.agent.Select(), true
+			info.DecisionSeconds += decide()
+		}
+		ratio = s.ratio
 	}
 
 	shrink := s.cfg.Clock.Stopwatch()
@@ -108,7 +116,7 @@ func (s *upFL) Aggregate(info *RoundInfo, outs []Output, dropped []Assignment) (
 	if err != nil {
 		return nil, err
 	}
-	if len(outs) == 0 || outs[0].Warmup {
+	if len(outs) == 0 || outs[0].Warmup || !s.pending {
 		return newGlobal, nil
 	}
 	// One shared reward: loss improvement per unit of (synchronous) round
@@ -130,6 +138,7 @@ func (s *upFL) Aggregate(info *RoundInfo, outs []Output, dropped []Assignment) (
 		r = improvement * norm / roundTime
 	}
 	s.agent.Observe(r)
+	s.pending = false
 	return newGlobal, nil
 }
 

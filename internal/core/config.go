@@ -131,7 +131,11 @@ type Config struct {
 	FlexComBaseK float64
 
 	// Async enables the asynchronous engine (Alg. 2) aggregating the first
-	// AsyncM arrivals per round.
+	// AsyncM arrivals per round (default Workers/2). A round there waits for
+	// arrivals, not for a deadline: FaultTolerance's §V-A deadline and
+	// FailureRate do not apply and are ignored; Faults do (a lost
+	// assignment's worker is re-dispatched once the loss surfaces).
+	// Simulator only, and not with Population.
 	Async  bool
 	AsyncM int
 
@@ -364,9 +368,11 @@ type Result struct {
 	// first met (+Inf if never, or no target set). TimeToTargetLoss is the
 	// analogue for TargetLoss.
 	TimeToTargetAcc, TimeToTargetLoss float64
-	// State is the run's resumable snapshot at the end of the run
-	// (synchronous runs only; nil for async), a deep copy. RunFrom
-	// continues a run from it as if the process had never stopped.
+	// State is the run's resumable snapshot at the end of the run, a deep
+	// copy. RunFrom continues a synchronous run from it as if the process
+	// had never stopped; an asynchronous run's State is the model, ledger
+	// and ratio policies as of its last closed round, without the
+	// assignments still in flight, and cannot be resumed.
 	State *State
 	// Stream carries the constant-memory aggregates when
 	// Config.StreamMetrics is set (Points and Stats then stay empty).

@@ -8,26 +8,30 @@ import (
 	"fedmp/internal/tensor"
 )
 
-// Executor is what differs between the runtimes a synchronous round runs on:
-// the simulated cluster (runner: virtual time on simsched) and the TCP
-// parameter server (internal/transport: the registry and the wall clock).
-// The Driver asks it five questions per round and owns everything else.
-//
-// An implementation names its parameters and results as the interface does:
-// fedmp-lint resolves interface calls by rendered signature, and its
-// wall-clock and frame-order rules see through this seam only where they
-// match.
+// Executor is what differs between the ways a round can run: on the simulated
+// cluster in lockstep (runner: virtual time on simsched), on the simulated
+// cluster under Alg. 2 (asyncExec: the first m arrivals of everything in
+// flight), or on the TCP parameter server (internal/transport: the registry
+// and the wall clock). The Driver asks it five questions per round and owns
+// everything else.
 type Executor interface {
-	// Workers opens round: it returns the worker slots that can be assigned
-	// now, ascending, and how many more are skipped as suspect (recovering
-	// from a crash, or connected but silent). It may block until a worker
-	// is available; an empty list is a round nobody runs.
-	Workers(round int) (assignable []int, suspect int, err error)
-	// Run executes the round's assignments and reports who delivered and
-	// whose assignment was lost — each in assignment order, whatever order
-	// results arrived in, so that aggregation sums and bandit bookkeeping
-	// never depend on timing — with the round's duration in seconds. Both
-	// slices are the executor's, valid until Closed returns.
+	// Workers opens round: it returns the worker slots to assign now, in an
+	// order that never depends on timing, and how many more are skipped as
+	// suspect (recovering from a crash, or connected but silent). It may
+	// block until a worker is available; an empty list is a round nobody is
+	// assigned in. behind is how far this dispatch's number trails round —
+	// strategies see RoundInfo.Round = round − behind: 0 where a round
+	// dispatches and aggregates under one number, 1 under Alg. 2 (see
+	// asyncBehind).
+	Workers(round int) (assignable []int, suspect, behind int, err error)
+	// Run executes the round's assignments and reports whose results to
+	// aggregate and whose assignments were lost — from this dispatch or an
+	// earlier one — each in an order that never depends on timing, so that
+	// aggregation sums and bandit bookkeeping are repeatable: assignment
+	// order for lockstep rounds whatever order results arrived in, virtual
+	// arrival order with first-in-first-out ties for Alg. 2. seconds is the
+	// round's duration. Both slices are the executor's, valid until Closed
+	// returns.
 	Run(round int, assignments []Assignment) (delivered []Output, lost []Assignment, seconds float64, err error)
 	// Idle is asked when a round delivered nothing, after seconds of it
 	// were spent: it returns the duration to close the round with, or false
@@ -47,15 +51,13 @@ type Executor interface {
 // parameter).
 const maxBarrenRounds = 5
 
-// Driver is the one round state machine (Fig. 1, Alg. 1): it owns the
-// strategy, the global model and the ledger the strategies read through
+// Driver is the one round state machine (Fig. 1, Alg. 1 and Alg. 2): it owns
+// the strategy, the global model and the ledger the strategies read through
 // RoundInfo — loss baseline, per-worker times, round-time accumulator, last
 // ratios — plus the evaluation network and the Result, and it is the only
-// code that builds a RoundInfo, records a RoundStat, evaluates, checks
-// targets and budgets, and exports or restores resumable state. Drive runs
-// synchronous rounds over an Executor; the asynchronous engine keeps its own
-// collect-then-redispatch order (Alg. 2 aggregates before it re-dispatches)
-// and does its bookkeeping through the same methods.
+// code that builds a RoundInfo, calls the strategy, records a RoundStat,
+// evaluates, checks targets and budgets, and exports or restores resumable
+// state. Whom a round dispatches and what it waits for are the Executor's.
 type Driver struct {
 	cfg      Config
 	strategy Strategy
@@ -70,13 +72,11 @@ type Driver struct {
 	roundSum  float64
 	roundCnt  int
 
-	// infoTimes/infoComm are the double-buffered RoundInfo snapshots:
-	// strategies may read the slices only during the round they were built
-	// for, so two buffers (dispatch and aggregate can hold one each in the
-	// async engine) alternate without per-round allocation.
-	infoTimes [2][]float64
-	infoComm  [2][]float64
-	infoFlip  int
+	// infoTimes/infoComm back the RoundInfo's per-worker snapshots:
+	// strategies may read them only during the round they were built for, so
+	// one buffer each serves every round without allocation.
+	infoTimes []float64
+	infoComm  []float64
 
 	// view backs the borrowed snapshot handed to Executor.Closed.
 	view State
@@ -109,10 +109,8 @@ func NewDriver(fam Family, cfg Config) (*Driver, error) {
 	d.prevTimes = make([]float64, cfg.Workers)
 	d.prevComm = make([]float64, cfg.Workers)
 	d.lastRatio = make([]float64, cfg.Workers)
-	for b := range d.infoTimes {
-		d.infoTimes[b] = make([]float64, cfg.Workers)
-		d.infoComm[b] = make([]float64, cfg.Workers)
-	}
+	d.infoTimes = make([]float64, cfg.Workers)
+	d.infoComm = make([]float64, cfg.Workers)
 	d.res = &Result{
 		Config:           cfg,
 		TimeToTargetAcc:  math.Inf(1),
@@ -129,20 +127,19 @@ func NewDriver(fam Family, cfg Config) (*Driver, error) {
 func (d *Driver) Config() Config { return d.cfg }
 
 // Drive evaluates the starting model — round 0, or the restored round — and
-// executes synchronous rounds on exec until a target or budget stops the
-// run. A round that delivers nothing is closed idle or run again under the
-// same number, as exec decides; maxBarrenRounds consecutive re-runs are an
-// error.
+// executes rounds on exec until a target or budget stops the run. A round
+// that delivers nothing is closed idle or run again under the same number,
+// as exec decides; maxBarrenRounds consecutive re-runs are an error.
 func (d *Driver) Drive(exec Executor) (*Result, error) {
 	d.evaluate(d.res.Rounds, exec.Now())
 	snap := d.borrow
 	barren := 0
 	for round := d.res.Rounds + 1; ; {
-		workers, suspect, err := exec.Workers(round)
+		workers, suspect, behind, err := exec.Workers(round)
 		if err != nil {
 			return nil, err
 		}
-		info := d.info(round)
+		info := d.info(round - behind)
 		var assignments []Assignment
 		if len(workers) > 0 {
 			if assignments, err = d.strategy.Assign(info, workers); err != nil {
@@ -189,26 +186,28 @@ func (d *Driver) Drive(exec Executor) (*Result, error) {
 	return d.res, nil
 }
 
-// info snapshots the server view for the strategy. The PrevTimes and
-// PrevCommTimes slices alternate between two driver-owned buffers —
-// strategies may read them only until the next-next info call — so no
-// per-round copies are allocated.
-func (d *Driver) info(round int) *RoundInfo {
-	mean := 0.0
-	if d.roundCnt > 0 {
-		mean = d.roundSum / float64(d.roundCnt)
+// meanRoundTime is the running mean of the closed rounds' durations.
+func (d *Driver) meanRoundTime() float64 {
+	if d.roundCnt == 0 {
+		return 0
 	}
-	b := d.infoFlip & 1
-	d.infoFlip++
-	copy(d.infoTimes[b], d.prevTimes)
-	copy(d.infoComm[b], d.prevComm)
+	return d.roundSum / float64(d.roundCnt)
+}
+
+// info snapshots the server view for the strategy under the given dispatch
+// number. PrevTimes and PrevCommTimes are driver-owned buffers — strategies
+// may read them only until the next info call — so no per-round copies are
+// allocated.
+func (d *Driver) info(round int) *RoundInfo {
+	copy(d.infoTimes, d.prevTimes)
+	copy(d.infoComm, d.prevComm)
 	return &RoundInfo{
 		Round:         round,
 		Global:        d.global,
 		PrevLoss:      d.prevLoss,
-		PrevTimes:     d.infoTimes[b],
-		PrevCommTimes: d.infoComm[b],
-		MeanRoundTime: mean,
+		PrevTimes:     d.infoTimes,
+		PrevCommTimes: d.infoComm,
+		MeanRoundTime: d.meanRoundTime(),
 	}
 }
 

@@ -3,11 +3,13 @@ package core
 import (
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"fedmp/internal/nn"
+	"fedmp/internal/tensor"
 )
 
 // fakeExec is a scripted Executor: every round it offers the same workers,
@@ -17,8 +19,15 @@ import (
 type fakeExec struct {
 	workers []int
 	suspect int
+	// behind is the dispatch-numbering lag Workers reports.
+	behind int
 	// deliver picks who answers the attempt-th run of round (nil: all).
 	deliver func(round, attempt int) []int
+	// arrive, when set, rewrites what the round delivers: it is handed the
+	// round's fresh outputs and returns the ones to report, in the order to
+	// report them — holding some back for a later round is how a test plays
+	// Alg. 2's stale arrivals.
+	arrive func(round int, fresh []Output) []Output
 	// idle is Idle's answer; retry, when set, overrides it with "run again".
 	idle  float64
 	retry bool
@@ -32,7 +41,7 @@ type fakeExec struct {
 	snaps    []*State
 }
 
-func (f *fakeExec) Workers(int) ([]int, int, error) { return f.workers, f.suspect, nil }
+func (f *fakeExec) Workers(int) ([]int, int, int, error) { return f.workers, f.suspect, f.behind, nil }
 
 func (f *fakeExec) Run(round int, assignments []Assignment) ([]Output, []Assignment, float64, error) {
 	if f.attempts == nil {
@@ -55,6 +64,9 @@ func (f *fakeExec) Run(round int, assignments []Assignment) ([]Output, []Assignm
 			continue
 		}
 		outs = append(outs, Output{Assignment: a, NewWeights: nn.CloneWeights(a.Weights), TrainLoss: 1, CompTime: 1, Total: 2})
+	}
+	if f.arrive != nil {
+		outs = f.arrive(round, outs)
 	}
 	seconds := 0.0
 	if len(outs) > 0 {
@@ -84,6 +96,39 @@ func (f *fakeExec) Closed(round int, _ *Point, snap func() *State) error {
 	return nil
 }
 
+// spyStrategy records what the Driver hands the strategy it wraps: the
+// dispatch number and warm-up flag of every Assign, and the (worker, train
+// loss) pairs of every Aggregate, in call order.
+type spyStrategy struct {
+	Strategy
+	assignRounds []int
+	warmups      []bool
+	aggregated   [][][2]int
+}
+
+func (s *spyStrategy) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
+	as, err := s.Strategy.Assign(info, workers)
+	s.assignRounds = append(s.assignRounds, info.Round)
+	s.warmups = append(s.warmups, len(as) > 0 && as[0].Warmup)
+	return as, err
+}
+
+func (s *spyStrategy) Aggregate(info *RoundInfo, outs []Output, dropped []Assignment) ([]*tensor.Tensor, error) {
+	var got [][2]int
+	for _, o := range outs {
+		got = append(got, [2]int{o.Worker, int(o.TrainLoss)})
+	}
+	s.aggregated = append(s.aggregated, got)
+	return s.Strategy.Aggregate(info, outs, dropped)
+}
+
+// spyOn wraps the driver's strategy in a spyStrategy.
+func spyOn(d *Driver) *spyStrategy {
+	spy := &spyStrategy{Strategy: d.strategy}
+	d.strategy = spy
+	return spy
+}
+
 func fakeDriver(t *testing.T, rounds int) *Driver {
 	t.Helper()
 	return fakeDriverFor(t, StrategySynFL, rounds)
@@ -103,10 +148,10 @@ func fakeDriverFor(t *testing.T, strategy StrategyID, rounds int) *Driver {
 // TestDriverRetriesBarrenRound pins the parameter server's empty-round
 // policy: a round nobody answered runs again under the same number, and the
 // retried round is recorded once. Under FedMP the lost assignments' bandits
-// must have been settled in between (an E-UCB agent panics on a second Select
-// without an Observe).
+// must have been settled in between, and UP-FL's shared agent must hold its
+// pull (an E-UCB agent panics on a second Select without an Observe).
 func TestDriverRetriesBarrenRound(t *testing.T) {
-	for _, strategy := range []StrategyID{StrategySynFL, StrategyFedMP} {
+	for _, strategy := range []StrategyID{StrategySynFL, StrategyFedMP, StrategyUPFL} {
 		f := &fakeExec{workers: []int{0, 1, 2}, retry: true, deliver: func(round, attempt int) []int {
 			if round == 2 && attempt < 2 {
 				return nil
@@ -243,5 +288,99 @@ func TestDriverResumeReevaluates(t *testing.T) {
 	}
 	if &res.State.Global[0].Data[0] == &d.global[0].Data[0] {
 		t.Error("Result.State aliases the driver's live model")
+	}
+}
+
+// TestDriverAggregatesInExecutorOrder pins the ordering contract Alg. 2
+// leans on: results that belong to earlier dispatches, reported out of
+// assignment order, reach Aggregate exactly as the executor gave them. The
+// outputs carry their dispatch round as the train loss.
+func TestDriverAggregatesInExecutorOrder(t *testing.T) {
+	var held []Output
+	f := &fakeExec{workers: []int{0, 1, 2}, behind: 1, arrive: func(round int, fresh []Output) []Output {
+		for i := range fresh {
+			fresh[i].TrainLoss = float64(round)
+		}
+		switch round {
+		case 1: // worker 2 reports; 0 and 1 stay in flight
+			held = append(held, fresh[0], fresh[1])
+			return fresh[2:]
+		case 2: // round 1's worker 1, then this round's 2 and 0
+			held = append(held, fresh[1])
+			return []Output{held[1], fresh[2], fresh[0]}
+		default: // the stragglers, oldest last
+			return []Output{held[2], held[0]}
+		}
+	}}
+	d := fakeDriver(t, 3)
+	spy := spyOn(d)
+	res, err := d.Drive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][][2]int{{{2, 1}}, {{1, 1}, {2, 2}, {0, 2}}, {{1, 2}, {0, 1}}}
+	if !reflect.DeepEqual(spy.aggregated, want) {
+		t.Errorf("Aggregate saw (worker, dispatch) %v, want %v", spy.aggregated, want)
+	}
+	if got := []int{res.Stats[0].Participants, res.Stats[1].Participants, res.Stats[2].Participants}; !slices.Equal(got, []int{1, 3, 2}) {
+		t.Errorf("participants per round %v, want [1 3 2]", got)
+	}
+}
+
+// TestDriverNumbersDispatches pins the one datum Alg. 2 adds to the seam:
+// Assign sees round k under lockstep numbering and k−1 when the executor
+// dispatches one behind, so the warm-up boundary sits one round later there
+// (the initial dispatch, number 0, is always warm-up).
+func TestDriverNumbersDispatches(t *testing.T) {
+	for _, strategy := range []StrategyID{StrategyFedMP, StrategyUPFL} {
+		for _, tc := range []struct {
+			behind  int
+			rounds  []int
+			warmups []bool
+		}{
+			{0, []int{1, 2, 3, 4}, []bool{true, true, false, false}},
+			{1, []int{0, 1, 2, 3}, []bool{true, true, true, false}},
+		} {
+			cfg := quickCfg(strategy, 4)
+			cfg.Workers, cfg.WarmupRounds = 3, 2
+			d, err := NewDriver(tinyFamily(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spy := spyOn(d)
+			if _, err := d.Drive(&fakeExec{workers: []int{0, 1, 2}, behind: tc.behind}); err != nil {
+				t.Fatalf("%s behind %d: %v", strategy, tc.behind, err)
+			}
+			if !slices.Equal(spy.assignRounds, tc.rounds) || !slices.Equal(spy.warmups, tc.warmups) {
+				t.Errorf("%s behind %d: Assign saw rounds %v (warm-up %v), want %v (%v)",
+					strategy, tc.behind, spy.assignRounds, spy.warmups, tc.rounds, tc.warmups)
+			}
+		}
+	}
+}
+
+// TestDriverRecordsLostRoundsWithoutRetry pins what Alg. 2 inherits from the
+// idle path: rounds that surface nothing but losses are each recorded with
+// no participants under their own number, however many follow one another —
+// the barren-round backstop counts re-runs, not closed rounds.
+func TestDriverRecordsLostRoundsWithoutRetry(t *testing.T) {
+	rounds := maxBarrenRounds + 3
+	f := &fakeExec{workers: []int{0, 1, 2}, behind: 1, idle: 3, deliver: func(round, _ int) []int {
+		if round > 1 && round < rounds {
+			return nil
+		}
+		return []int{0, 1, 2}
+	}}
+	res, err := fakeDriverFor(t, StrategyFedMP, rounds).Drive(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Rounds != rounds || len(f.runs) != rounds {
+		t.Fatalf("closed %d rounds in %d runs, want %d in %d", res.Rounds, len(f.runs), rounds, rounds)
+	}
+	for _, st := range res.Stats[1 : rounds-1] {
+		if st.Participants != 0 || st.Dropped != 3 || st.Time != 3 {
+			t.Errorf("lost round recorded as %+v; want 0 participants, 3 dropped, 3s", st)
+		}
 	}
 }

@@ -14,7 +14,8 @@ import (
 
 // runner is one simulation run: the Driver plus the in-process Executor it
 // drives — device scenario or population, data sources, fault injector and
-// the virtual-time scheduler — and the asynchronous engine.
+// the virtual-time scheduler. It is itself the lockstep executor (Fig. 1);
+// asyncExec runs Alg. 2 over the same state.
 type runner struct {
 	*Driver
 	fam      Family
@@ -135,16 +136,18 @@ func Run(fam Family, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if r.cfg.Async {
-		return r.runAsync()
-	}
-	return r.runSync()
+	return r.run()
 }
 
-// runSync drives synchronous rounds (Fig. 1) on the simulated cluster.
-func (r *runner) runSync() (*Result, error) {
+// run drives the rounds on the executor the configuration selects and
+// counts the scheduler events they took.
+func (r *runner) run() (*Result, error) {
+	var exec Executor = r
+	if r.cfg.Async {
+		exec = &asyncExec{runner: r, inflight: make([]asyncItem, r.cfg.Workers), next: slices.Clone(r.workerIDs)}
+	}
 	r.sched.Advance(r.now)
-	res, err := r.Drive(r)
+	res, err := r.Drive(exec)
 	if err != nil {
 		return nil, err
 	}
@@ -153,11 +156,11 @@ func (r *runner) runSync() (*Result, error) {
 }
 
 // Workers implements Executor: drain due churn events, then select the
-// round's worker slots — the fixed set, or a cohort sampled into the first
-// slots in population mode. With fault injection enabled, devices
+// round's worker slots, ascending — the fixed set, or a cohort sampled into
+// the first slots in population mode. With fault injection enabled, devices
 // recovering from an earlier crash are skipped up front (suspect, mirroring
 // the wire runtime's suspect state).
-func (r *runner) Workers(round int) (assignable []int, suspect int, err error) {
+func (r *runner) Workers(round int) (assignable []int, suspect, behind int, err error) {
 	r.drainDue()
 	r.faults = nil
 	if r.injector != nil {
@@ -168,7 +171,7 @@ func (r *runner) Workers(round int) (assignable []int, suspect int, err error) {
 		slots = r.bindCohort()
 	}
 	if r.faults == nil {
-		return r.workerIDs[:slots], 0, nil
+		return r.workerIDs[:slots], 0, 0, nil
 	}
 	assignable = r.available[:0]
 	for slot, f := range r.faults[:slots] {
@@ -179,33 +182,29 @@ func (r *runner) Workers(round int) (assignable []int, suspect int, err error) {
 		assignable = append(assignable, slot)
 	}
 	r.available = assignable
-	return assignable, suspect, nil
+	return assignable, suspect, 0, nil
 }
 
-// Run implements Executor: train the cohort in parallel, then close the
-// round through the event scheduler — completions and the fault-tolerance
-// deadline are heap events popped in virtual-time order. Devices hit by an
-// injected fault mid-round lose their assignment.
-func (r *runner) Run(round int, assignments []Assignment) (delivered []Output, lost []Assignment, seconds float64, err error) {
+// trainSpared trains the assignments the round's faults spare, pricing
+// their frames under the given wire round number. A device the injector has
+// down loses its assignment, as does any other with probability
+// failureRate; a straggling device's compute time is stretched by its
+// slowdown. Both slices are the runner's round scratch.
+func (r *runner) trainSpared(wireRound int, assignments []Assignment, failureRate float64) (outs []Output, failed []Assignment, err error) {
 	faults := r.faults
-	// Fault and failure filtering stays serial: the engine RNG's draw order
-	// is part of the trajectory.
+	// The filter stays serial: the engine RNG's draw order is part of the
+	// trajectory.
 	failed, runnable := r.failed[:0], r.runnable[:0]
 	for _, a := range assignments {
-		if faults != nil && faults[a.Worker].Down {
-			failed = append(failed, a)
-			continue
-		}
-		if r.cfg.FailureRate > 0 && r.rng.Float64() < r.cfg.FailureRate {
+		if faults != nil && faults[a.Worker].Down || failureRate > 0 && r.rng.Float64() < failureRate {
 			failed = append(failed, a)
 			continue
 		}
 		runnable = append(runnable, a)
 	}
-	r.runnable = runnable
-	outs, err := r.trainCohort(runnable, round)
-	if err != nil {
-		return nil, nil, 0, err
+	r.failed, r.runnable = failed, runnable
+	if outs, err = r.trainCohort(runnable, wireRound); err != nil {
+		return nil, nil, err
 	}
 	if faults != nil {
 		for i := range outs {
@@ -214,6 +213,18 @@ func (r *runner) Run(round int, assignments []Assignment) (delivered []Output, l
 				outs[i].Total = outs[i].CompTime + outs[i].CommTime
 			}
 		}
+	}
+	return outs, failed, nil
+}
+
+// Run implements Executor: train the cohort in parallel, then close the
+// round through the event scheduler — completions and the fault-tolerance
+// deadline are heap events popped in virtual-time order. Devices hit by an
+// injected fault mid-round lose their assignment.
+func (r *runner) Run(round int, assignments []Assignment) (delivered []Output, lost []Assignment, seconds float64, err error) {
+	outs, failed, err := r.trainSpared(round, assignments, r.cfg.FailureRate)
+	if err != nil {
+		return nil, nil, 0, err
 	}
 	delivered, late, seconds := r.closeRound(round, outs, len(failed) > 0)
 	lost = append(failed, late...)
@@ -256,6 +267,118 @@ func (r *runner) Closed(round int, eval *Point, snap func() *State) error {
 		}
 		r.dispatchEvent(ev)
 	}
+}
+
+// asyncBehind is how far Alg. 2 numbers a dispatch behind the round that
+// opens it: the initial dispatch is number 0 — the strategies' "nothing
+// observed yet" — and each later one carries the number of the aggregation
+// it follows. The injector's schedule and the priced frames' round field
+// follow the dispatch number, as they follow the round in lockstep runs.
+const asyncBehind = 1
+
+// asyncItem is one in-flight assignment under Alg. 2. A lost item is an
+// assignment destroyed by an injected fault: it surfaces at its finish time
+// only so the PS can notice the loss and re-dispatch the worker. Finish
+// times live in the scheduler; the worker index rides on the event ID.
+type asyncItem struct {
+	out  Output
+	lost bool
+}
+
+// asyncExec runs Algorithm 2 of the paper on the runner's cluster: a round
+// aggregates the first m local models to arrive, and the next one re-decides
+// pruning ratios for exactly those m workers and sends them fresh sub-models
+// while the others keep training their (now stale) assignments. In-flight
+// completions are KindWorkerDone events on the shared scheduler — nothing
+// else is ever queued here, so evaluation is not a scheduler event as it is
+// in lockstep rounds. Injected faults destroy in-flight work: the affected
+// worker re-enters the dispatch cycle once its loss surfaces. The §V-A
+// deadline and Config.FailureRate play no part.
+type asyncExec struct {
+	*runner
+	// inflight holds each worker's dispatched assignment — a worker is
+	// dispatched again only once its last one has surfaced; next lists whom
+	// the coming round dispatches.
+	inflight []asyncItem
+	next     []int
+}
+
+// Workers implements Executor: everyone at first, then exactly the workers
+// that reported or were lost last round, in that order (Alg. 2 lines 9–10,
+// extended with loss recovery).
+func (x *asyncExec) Workers(round int) (assignable []int, suspect, behind int, err error) {
+	x.faults = nil
+	if x.injector != nil {
+		x.faults = x.injector.Advance(round - asyncBehind)
+	}
+	return x.next, 0, asyncBehind, nil
+}
+
+// schedule puts an item in flight until the virtual time finish.
+func (x *asyncExec) schedule(it asyncItem, finish float64) {
+	x.inflight[it.out.Worker] = it
+	x.sched.Push(finish, simsched.KindWorkerDone, int64(it.out.Worker))
+}
+
+// Run implements Executor: dispatch the assignments — losses first, then
+// completions in assignment order, so simultaneous arrivals surface in
+// dispatch order — and pop arrivals until m results are in. A crashed
+// device's loss surfaces after its recovery window, a blackout's after one
+// mean round.
+func (x *asyncExec) Run(round int, assignments []Assignment) (delivered []Output, lost []Assignment, seconds float64, err error) {
+	outs, failed, err := x.trainSpared(round-asyncBehind, assignments, 0)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	blackout := math.Max(x.meanRoundTime(), 1)
+	for _, a := range failed {
+		delay := blackout
+		if x.faults[a.Worker].Fresh && x.cfg.Faults.CrashProb > 0 {
+			delay *= float64(x.cfg.Faults.DownRounds)
+		}
+		x.schedule(asyncItem{out: Output{Assignment: a}, lost: true}, x.now+delay)
+	}
+	for i := range outs {
+		x.schedule(asyncItem{out: outs[i]}, x.now+outs[i].Total)
+	}
+	m := min(x.cfg.AsyncM, x.sched.Len())
+	if m == 0 {
+		return nil, nil, 0, fmt.Errorf("core: round %d has nothing in flight", round)
+	}
+	delivered, lost = x.participants[:0], x.late[:0]
+	end := x.now
+	for len(delivered) < m && x.sched.Len() > 0 {
+		ev, _ := x.sched.Pop()
+		it := x.inflight[ev.ID]
+		x.inflight[ev.ID] = asyncItem{}
+		end = math.Max(end, ev.Time)
+		if it.lost {
+			lost = append(lost, it.out.Assignment)
+		} else {
+			delivered = append(delivered, it.out)
+		}
+	}
+	x.participants, x.late = delivered, lost
+	x.next = x.next[:0]
+	for i := range delivered {
+		x.next = append(x.next, delivered[i].Worker)
+	}
+	for i := range lost {
+		x.next = append(x.next, lost[i].Worker)
+	}
+	seconds = end - x.now
+	x.advance(seconds)
+	return delivered, lost, seconds, nil
+}
+
+// Idle implements Executor: a round of nothing but losses took the time it
+// took, and the lost workers are dispatched again.
+func (x *asyncExec) Idle(seconds, meanRoundTime float64) (float64, bool) { return seconds, true }
+
+// Closed implements Executor.
+func (x *asyncExec) Closed(round int, eval *Point, snap func() *State) error {
+	x.releaseRound()
+	return nil
 }
 
 // advance moves the virtual clock forward.

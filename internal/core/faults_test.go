@@ -117,3 +117,26 @@ func TestInjectedFaultsChangeNothingWhenDisabled(t *testing.T) {
 		}
 	}
 }
+
+// TestUPFLHoldsItsPullThroughUnrewardedRounds is the reproducer for a
+// double-Select panic: UP-FL's one shared agent selected a fresh ratio every
+// dispatch, but a round that delivers nothing (everyone blacked out) or only
+// warm-up arrivals (Alg. 2 with m below the worker count) observes no reward.
+// The pull now stands until a reward settles it.
+func TestUPFLHoldsItsPullThroughUnrewardedRounds(t *testing.T) {
+	fam := tinyFamily()
+	dark := quickCfg(StrategyUPFL, 8)
+	dark.Workers = 3
+	dark.Faults = cluster.FaultConfig{Seed: 5, BlackoutProb: 0.9}
+	partial := quickCfg(StrategyUPFL, 8)
+	partial.Async, partial.AsyncM = true, 1
+	for name, cfg := range map[string]Config{"sync all lost": dark, "async m=1": partial} {
+		res, err := Run(fam, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Rounds != 8 {
+			t.Errorf("%s: completed %d rounds, want 8", name, res.Rounds)
+		}
+	}
+}

@@ -154,6 +154,8 @@ func RunFrom(fam Family, cfg Config, st *State) (*Result, error) {
 		return nil, err
 	}
 	if r.cfg.Async {
+		// The assignments in flight at the close of an Alg. 2 round are not
+		// part of State.
 		return nil, fmt.Errorf("core: RunFrom supports synchronous runs only")
 	}
 	if err := r.Restore(st); err != nil {
@@ -162,5 +164,5 @@ func RunFrom(fam Family, cfg Config, st *State) (*Result, error) {
 	// In a synchronous run the virtual clock and the round-time accumulator
 	// advance in lockstep.
 	r.now = st.RoundSum
-	return r.runSync()
+	return r.run()
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"testing"
+
+	"fedmp/internal/nn"
 )
 
 // TestRunFromResumesTrajectory pins the resume contract: a run checkpointed
@@ -169,5 +171,57 @@ func TestExportStateIsACopy(t *testing.T) {
 				t.Fatal("state aliasing across runs")
 			}
 		}
+	}
+}
+
+// TestAsyncRunExportsState pins what Alg. 2 inherits from the one Drive: an
+// asynchronous run closes with a State like any other — the model the last
+// evaluation measured, the ledger, every worker's ratio policy as of its
+// last Observe (pulls still in flight left out) — and RunFrom still refuses
+// to resume it, because the in-flight assignments are not part of State.
+func TestAsyncRunExportsState(t *testing.T) {
+	fam := tinyFamily()
+	cfg := quickCfg(StrategyFedMP, 6)
+	cfg.Async, cfg.AsyncM = true, 2
+	res, err := Run(fam, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := res.State
+	if st == nil {
+		t.Fatal("asynchronous run returned no State")
+	}
+	if st.Round != 6 || math.Float64bits(st.RoundSum) != math.Float64bits(res.Time) {
+		t.Errorf("state at round %d, round sum %v; want 6 and the run's %v", st.Round, st.RoundSum, res.Time)
+	}
+	net, err := fam.BuildNet(fam.FullDesc(), cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn.SetWeights(net, st.Global)
+	if loss, acc := EvalChunked(net, fam.TestBatch(cfg.EvalLimit), 64); loss != res.FinalLoss || acc != res.FinalAcc {
+		t.Errorf("state model evaluates to (%v, %v), the run closed on (%v, %v)", loss, acc, res.FinalLoss, res.FinalAcc)
+	}
+	if len(st.Workers) != cfg.Workers {
+		t.Fatalf("state carries %d worker entries for %d workers", len(st.Workers), cfg.Workers)
+	}
+	reported, observed := 0, 0
+	for _, w := range st.Workers {
+		if w.Bandit == nil {
+			t.Fatalf("state carries no bandit state for worker %d", w.Slot)
+		}
+		observed += w.Bandit.Round
+		if st.PrevTimes[w.Slot] > 0 {
+			reported++
+		}
+	}
+	// Twelve results were aggregated; the four of the initial dispatch were
+	// warm-up and taught the bandits nothing.
+	if reported == 0 || observed != 6*2-4 {
+		t.Errorf("ledger has times for %d workers and %d bandit observations; want some and 8", reported, observed)
+	}
+	cfg.Rounds = 12
+	if _, err := RunFrom(fam, cfg, st); err == nil {
+		t.Error("RunFrom resumed an asynchronous run")
 	}
 }

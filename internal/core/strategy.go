@@ -67,7 +67,10 @@ type Output struct {
 
 // RoundInfo is the server-side view a strategy works with.
 type RoundInfo struct {
-	// Round is the 1-based round index.
+	// Round numbers the dispatch the strategy is assigning for: the 1-based
+	// round index in lockstep runs, one behind it under Alg. 2, whose initial
+	// dispatch is 0 — the server has observed nothing yet (see
+	// Executor.Workers).
 	Round int
 	// Global is the current global model.
 	Global []*tensor.Tensor

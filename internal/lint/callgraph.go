@@ -272,9 +272,9 @@ func (g *CallGraph) dispatch(recv types.Type, abstract *types.Func) []resolvedTa
 }
 
 // implementsLoose reports whether rt's method set covers every method of
-// iface, comparing signatures by their package-path-qualified rendering
-// rather than object identity — robust across the source/export-data
-// universe split of one load.
+// iface, comparing each signature's parameter and result types by their
+// package-path-qualified rendering rather than object identity — robust
+// across the source/export-data universe split of one load.
 func implementsLoose(rt types.Type, iface *types.Interface) bool {
 	ms := types.NewMethodSet(rt)
 	for i := 0; i < iface.NumMethods(); i++ {
@@ -294,10 +294,30 @@ func implementsLoose(rt types.Type, iface *types.Interface) bool {
 	return true
 }
 
-// sigString renders a signature with import-path qualifiers for
-// universe-independent comparison.
+// sigString renders a type with import-path qualifiers for
+// universe-independent comparison. Parameter and result names are not part
+// of a signature's identity and are left out — an implementation is free to
+// rename a parameter or blank it — here and in a parameter that is itself a
+// function.
 func sigString(t types.Type) string {
-	return types.TypeString(t, func(p *types.Package) string { return normPath(p.Path()) })
+	return types.TypeString(unnamed(t), func(p *types.Package) string { return normPath(p.Path()) })
+}
+
+// unnamed returns a signature with every parameter and result name dropped;
+// any other type is returned as it is.
+func unnamed(t types.Type) types.Type {
+	sig, ok := t.(*types.Signature)
+	if !ok {
+		return t
+	}
+	strip := func(tup *types.Tuple) *types.Tuple {
+		vars := make([]*types.Var, tup.Len())
+		for i := range vars {
+			vars[i] = types.NewVar(token.NoPos, nil, "", unnamed(tup.At(i).Type()))
+		}
+		return types.NewTuple(vars...)
+	}
+	return types.NewSignatureType(nil, nil, nil, strip(sig.Params()), strip(sig.Results()), sig.Variadic())
 }
 
 // condense runs Tarjan's algorithm over the nodes in index order, filling

@@ -78,11 +78,20 @@ func TestCallGraphRecursion(t *testing.T) {
 func TestCallGraphInterfaceDispatch(t *testing.T) {
 	g, _ := loadCallGraphFixture(t)
 	dispatch := nodeByName(t, g, "Dispatch")
-	for _, impl := range []string{cgPath + ".A.Work", cgPath + ".B.Work"} {
-		kinds := edgesTo(dispatch, impl)
+	// C and D name the parameter differently from the interface (D not at
+	// all): implementations are matched on types alone.
+	for _, impl := range []string{".A.Work", ".B.Work", ".C.Work", ".D.Work"} {
+		kinds := edgesTo(dispatch, cgPath+impl)
 		if len(kinds) != 1 || kinds[0] != EdgeInterface {
 			t.Errorf("Dispatch -> %s = %v, want one interface edge", impl, kinds)
 		}
+	}
+	join := nodeByName(t, g, "DispatchJoin")
+	if kinds := edgesTo(join, cgPath+".V.Join"); len(kinds) != 1 || kinds[0] != EdgeInterface {
+		t.Errorf("DispatchJoin -> V.Join = %v, want one interface edge", kinds)
+	}
+	if kinds := edgesTo(join, cgPath+".S.Join"); len(kinds) != 0 {
+		t.Errorf("DispatchJoin -> S.Join = %v, want none: S.Join is not variadic", kinds)
 	}
 }
 

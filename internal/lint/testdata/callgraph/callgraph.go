@@ -26,9 +26,42 @@ func (b *B) Work(n int) int {
 	return n
 }
 
-// Dispatch calls through the interface: edges to both A.Work and B.Work.
+// C implements Worker with its parameter renamed, D with it blank: dispatch
+// matches parameter and result types, never their names.
+type C struct{}
+
+func (C) Work(count int) int { return count }
+
+type D struct{}
+
+func (D) Work(_ int) int { return 0 }
+
+// Dispatch calls through the interface: edges to every Work above.
 func Dispatch(w Worker, n int) int {
 	return w.Work(n)
+}
+
+// Joiner has a variadic method and a callback whose own parameter is named.
+type Joiner interface {
+	Join(parts ...string) string
+	Each(fn func(part string))
+}
+
+// V implements Joiner under other parameter names, the callback's included.
+type V struct{}
+
+func (V) Join(_ ...string) string   { return "" }
+func (V) Each(visit func(p string)) {}
+
+// S does not: its Join takes the same []string, but not variadically.
+type S struct{}
+
+func (S) Join(parts []string) string { return "" }
+func (S) Each(fn func(part string))  {}
+
+// DispatchJoin calls through Joiner: an edge to V.Join only.
+func DispatchJoin(j Joiner) string {
+	return j.Join("a", "b")
 }
 
 // Direct is self-recursive: a one-node SCC with a self edge.

@@ -57,7 +57,13 @@ type ServerConfig struct {
 	// tests and process supervisors; orderly completion ignores it.
 	Abort <-chan struct{}
 	// Core carries the strategy and hyper-parameters; its Workers field is
-	// overwritten by this config's.
+	// overwritten by this config's. The wire honours the strategy and
+	// optimiser fields, QuantizeWire, the targets and TimeBudget (in wall
+	// seconds), StreamMetrics, the evaluation fields, Seed and Clock. The
+	// fields that shape the simulated cluster have no counterpart on real
+	// sockets and are rejected when set: Async, Population, Scenario, Faults
+	// and FailureRate (workers, links and their failures are real here, and
+	// rounds close on Quorum and RoundTimeout).
 	Core core.Config
 	// Logf receives progress lines (nil silences logging).
 	Logf func(format string, args ...any)
@@ -97,6 +103,20 @@ func (cfg ServerConfig) withDefaults() (ServerConfig, error) {
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Async", cfg.Core.Async},
+		{"Population", cfg.Core.Population != nil},
+		{"Scenario", cfg.Core.Scenario != nil},
+		{"Faults", cfg.Core.Faults.Enabled()},
+		{"FailureRate", cfg.Core.FailureRate != 0},
+	} {
+		if f.set {
+			return cfg, fmt.Errorf("transport: Core.%s is set, but it is a simulator-only field the wire runtime cannot honour", f.name)
+		}
 	}
 	return cfg, nil
 }
@@ -542,17 +562,17 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 
 // Workers implements core.Executor: the connected workers that are not
 // suspect, after a heartbeat round has given the suspects a chance to answer.
-func (s *server) Workers(round int) (assignable []int, suspect int, err error) {
+func (s *server) Workers(round int) (assignable []int, suspect, behind int, err error) {
 	select {
 	case <-s.reg.done:
-		return nil, 0, ErrAborted
+		return nil, 0, 0, ErrAborted
 	default:
 	}
 	s.reg.pingSuspects()
 	if assignable, err = s.awaitLiveWorkers(round); err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
-	return assignable, len(s.reg.suspects()), nil
+	return assignable, len(s.reg.suspects()), 0, nil
 }
 
 // Idle implements core.Executor: a round nobody answered is run again under

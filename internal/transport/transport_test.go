@@ -3,10 +3,12 @@ package transport
 import (
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fedmp/internal/cluster"
 	"fedmp/internal/core"
 	"fedmp/internal/data"
 	"fedmp/internal/tensor"
@@ -309,5 +311,32 @@ func TestApplyDelta(t *testing.T) {
 	}
 	if _, err := core.ApplyDelta(base, []*tensor.Tensor{tensor.New(3)}); err == nil {
 		t.Error("element-count mismatch accepted")
+	}
+}
+
+// TestServeRejectsSimulatorOnlyFields pins that a Core field the wire runtime
+// cannot honour is an error naming the field, not a silent synchronous run
+// on real workers.
+func TestServeRejectsSimulatorOnlyFields(t *testing.T) {
+	for field, set := range map[string]func(*core.Config){
+		"Async":       func(c *core.Config) { c.Async, c.AsyncM = true, 1 },
+		"Population":  func(c *core.Config) { c.Population = &cluster.Population{Size: 10} },
+		"Scenario":    func(c *core.Config) { c.Scenario = cluster.Default(2, 7) },
+		"Faults":      func(c *core.Config) { c.Faults = cluster.FaultConfig{CrashProb: 0.1} },
+		"FailureRate": func(c *core.Config) { c.FailureRate, c.FaultTolerance = 0.1, true },
+	} {
+		cfg := ServerConfig{Addr: "127.0.0.1:0", Workers: 2, Rounds: 1, AcceptTimeout: time.Second,
+			Core: core.Config{Strategy: core.StrategySynFL}}
+		set(&cfg.Core)
+		_, err := Serve(testFamily(), cfg)
+		if err == nil || !strings.Contains(err.Error(), "Core."+field) {
+			t.Errorf("Core.%s set: Serve returned %v, want an error naming the field", field, err)
+		}
+	}
+	// What the wire does honour still passes validation.
+	honoured := ServerConfig{Workers: 2, Rounds: 1, Core: core.Config{
+		Strategy: core.StrategyFedMP, QuantizeWire: true, TargetAccuracy: 0.9, TimeBudget: 60, StreamMetrics: true, EvalEvery: 2}}
+	if _, err := honoured.withDefaults(); err != nil {
+		t.Errorf("wire-honoured config rejected: %v", err)
 	}
 }
