@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only dependency.
 
-.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches fuzz-smoke race check bench ci test-kernels test-benchmark loc
+.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches fuzz-smoke race check bench ci test-kernels test-exhaustive test-benchmark loc
 
 build:
 	go build ./...
@@ -54,12 +54,14 @@ lint-hatches:
 	go run ./cmd/fedmp-lint -hatches ./...
 
 # fuzz-smoke gives each fuzz target a short budget: the CFG builder under
-# the flow-sensitive lint rules, and the wire-codec frame reader. Long
-# campaigns stay manual; this catches the crashes a code change introduces.
+# the flow-sensitive lint rules, the wire-codec frame reader, and the
+# activation kernels against their scalar loops. Long campaigns stay manual;
+# this catches the crashes a code change introduces.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzBuildCFG -fuzztime $(FUZZTIME) ./internal/lint
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport/codec
+	go test -run '^$$' -fuzz FuzzActivations -fuzztime $(FUZZTIME) ./internal/tensor
 
 # race runs the whole suite under the race detector; the concurrent round
 # loop (quorum collection, worker rejoin, fault-injected engines), the
@@ -93,6 +95,13 @@ test-kernels:
 	FEDMP_KERNEL=sse go test -count=1 ./internal/tensor ./internal/nn
 	FEDMP_KERNEL=avx2 go test -count=1 ./internal/tensor ./internal/nn
 
+# test-exhaustive puts all 2^32 float32 inputs through SigmoidInto and TanhInto
+# and demands the bits of the scalar loops over math.Exp and math.Tanh (tier-1
+# runs every 251st pattern). A couple of minutes on two cores; run it after a
+# change to act_amd64.s or a toolchain upgrade.
+test-exhaustive:
+	go test -count=1 -run TestActKernelsExhaustive -timeout 60m ./internal/tensor -exhaustive
+
 # test-benchmark vets, tests and lints the nested benchmark module
 # (BENCHMARK.json): `go test ./...` at the root does not see it, and it
 # compiles against the internal/ API from outside.
@@ -100,11 +109,14 @@ test-benchmark:
 	cd benchmark && go vet ./... && go test ./...
 	cd benchmark && go run fedmp/cmd/fedmp-lint ./...
 
-# loc prints the non-test Go lines per package — the figure every PR reports
-# (ROADMAP: net line count is a metric).
+# loc prints the non-test Go lines and the assembly lines (.s and the .h
+# files they include) per package — the figures every PR reports (ROADMAP: net
+# line count is a metric).
 loc:
+	@printf '%6s %6s\n' go asm
 	@go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
-		printf '%6d %s\n' $$(ls $$dir/*.go | grep -v _test.go | xargs cat | wc -l) $$pkg; \
+		printf '%6d %6d %s\n' $$(ls $$dir/*.go | grep -v _test.go | xargs cat | wc -l) \
+			$$(cat /dev/null $$(ls $$dir/*.s $$dir/*.h 2>/dev/null) | wc -l) $$pkg; \
 	done
 
 check: vet lint build test test-kernels race

@@ -306,28 +306,30 @@ func (d *Driver) seal(now float64) {
 }
 
 // EvalChunked evaluates a batch in chunks to bound activation memory,
-// returning the mean loss and accuracy.
+// returning the mean loss and the accuracy: correct predictions over
+// predictions made, which is one per example for the classifiers and one per
+// target token for a language model.
 func EvalChunked(net nn.Network, b *nn.Batch, chunk int) (loss, acc float64) {
 	n := b.Size()
-	var lossSum float64
-	var correct int
-	var total int
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		sub := sliceBatch(b, start, end)
-		l, c := net.Eval(sub)
-		cnt := end - start
-		lossSum += l * float64(cnt)
-		correct += c
-		total += cnt
-	}
-	if total == 0 {
+	if n == 0 {
 		return 0, 0
 	}
-	return lossSum / float64(total), float64(correct) / float64(total)
+	var lossSum float64
+	var correct int
+	for start := 0; start < n; start += chunk {
+		end := min(start+chunk, n)
+		l, c := net.Eval(sliceBatch(b, start, end))
+		lossSum += l * float64(end-start)
+		correct += c
+	}
+	predictions := n
+	if b.X == nil {
+		predictions = 0
+		for _, seq := range b.Seq {
+			predictions += len(seq) - 1
+		}
+	}
+	return lossSum / float64(n), float64(correct) / float64(predictions)
 }
 
 // sliceBatch returns the [start,end) sub-batch.

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"fedmp/internal/data"
 	"fedmp/internal/nn"
 	"fedmp/internal/tensor"
+	"fedmp/internal/zoo"
 )
 
 // fakeExec is a scripted Executor: every round it offers the same workers,
@@ -382,5 +384,61 @@ func TestDriverRecordsLostRoundsWithoutRetry(t *testing.T) {
 		if st.Participants != 0 || st.Dropped != 3 || st.Time != 3 {
 			t.Errorf("lost round recorded as %+v; want 0 participants, 3 dropped, 3s", st)
 		}
+	}
+}
+
+// allCorrect is a network whose Eval claims every prediction right.
+type allCorrect struct{ nn.Network }
+
+func (allCorrect) Eval(b *nn.Batch) (float64, int) {
+	if b.X != nil {
+		return 0, b.Size()
+	}
+	n := 0
+	for _, seq := range b.Seq {
+		n += len(seq) - 1
+	}
+	return 0, n
+}
+
+// TestEvalChunkedLMAccuracyIsPerToken is the reproducer of accuracy divided
+// by sequences where the language model counts correct tokens: an untrained
+// 80-word model read 0.164, SeqLen times its real 0.0137. Accuracy is per
+// prediction: near chance at round 0 of an LM run, 1 and no more when every
+// token is right, and on image batches what it always was.
+func TestEvalChunkedLMAccuracyIsPerToken(t *testing.T) {
+	lmCfg := zoo.DefaultLMConfig()
+	lm := NewLMFamily(lmCfg, data.CorpusConfig{Vocab: lmCfg.Vocab, Branch: 6, TrainSize: 6000, TestSize: 2000, Seed: 105})
+	cfg := quickCfg(StrategyFedMP, 3)
+	res, err := Run(lm, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := res.Points[0]; first.Round != 0 || first.Acc > 3/float64(lmCfg.Vocab) {
+		t.Errorf("untrained %d-word model: accuracy %v at round %d, chance is %v", lmCfg.Vocab, first.Acc, first.Round, 1/float64(lmCfg.Vocab))
+	}
+	for _, p := range res.Points {
+		if p.Acc < 0 || p.Acc > 1 {
+			t.Errorf("round %d: accuracy %v", p.Round, p.Acc)
+		}
+	}
+	// 70 sequences in chunks of 64: the tail chunk counts too.
+	if _, acc := EvalChunked(allCorrect{}, lm.TestBatch(70), 64); acc != 1 {
+		t.Errorf("every token right: accuracy %v, want 1", acc)
+	}
+
+	img := tinyFamily()
+	if _, acc := EvalChunked(allCorrect{}, img.TestBatch(70), 64); acc != 1 {
+		t.Errorf("every image right: accuracy %v, want 1", acc)
+	}
+	net, err := img.BuildNet(img.FullDesc(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nn.SetWeights(net, img.InitWeights(1))
+	b := img.TestBatch(100)
+	_, correct := net.Eval(b)
+	if _, acc := EvalChunked(net, b, 64); acc != float64(correct)/100 {
+		t.Errorf("image accuracy %v, want %d correct of 100", acc, correct)
 	}
 }

@@ -167,6 +167,9 @@ func DefaultOptions() *Options {
 			"fedmp/internal/tensor.PackedB.Pack",
 			"fedmp/internal/tensor.PackedB.PackRows",
 			"fedmp/internal/tensor.GEMMPacked",
+			"fedmp/internal/tensor.ExpInto",
+			"fedmp/internal/tensor.SigmoidInto",
+			"fedmp/internal/tensor.TanhInto",
 			"fedmp/internal/tensor.Im2Col",
 			"fedmp/internal/tensor.Col2Im",
 			"fedmp/internal/nn.Dense.Forward",
@@ -178,6 +181,7 @@ func DefaultOptions() *Options {
 			"fedmp/internal/nn.Conv2D.backward",
 			"fedmp/internal/nn.LSTM.Forward",
 			"fedmp/internal/nn.LSTM.Backward",
+			"fedmp/internal/nn.SoftmaxCE.softmaxCE",
 			"fedmp/internal/nn.ReLU.Forward",
 			"fedmp/internal/nn.ReLU.Backward",
 			"fedmp/internal/nn.MaxPool2D.Forward",

@@ -68,12 +68,16 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 		"fedmp/internal/tensor.PackedA.Pack",
 		"fedmp/internal/tensor.PackedB.Pack",
 		"fedmp/internal/tensor.GEMMPacked",
+		"fedmp/internal/tensor.ExpInto",
+		"fedmp/internal/tensor.SigmoidInto",
+		"fedmp/internal/tensor.TanhInto",
 		"fedmp/internal/tensor.Im2Col",
 		"fedmp/internal/tensor.Col2Im",
 		"fedmp/internal/nn.Conv2D.Forward",
 		"fedmp/internal/nn.Conv2D.Backward",
 		"fedmp/internal/nn.LSTM.Forward",
 		"fedmp/internal/nn.LSTM.Backward",
+		"fedmp/internal/nn.SoftmaxCE.softmaxCE",
 		"fedmp/internal/nn.ReLU.Forward",
 		"fedmp/internal/nn.MaxPool2D.Forward",
 		"fedmp/internal/nn.SGD.Step",

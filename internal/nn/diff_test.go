@@ -422,3 +422,50 @@ func TestLSTMMatchesParent(t *testing.T) {
 		}
 	}
 }
+
+// TestSoftmaxCEMatchesParent compares the head — one ExpInto sweep per row,
+// its results summed and reused for the gradient — with the parent's, which
+// called math.Exp once per logit for the sum and again for the gradient, on
+// every tier: rows of one class, the classifier heads' 6 and 10, the LM's 80
+// and one past it, with and without the gradient, over plain logits, logits
+// spread far enough for exp to underflow, and rows holding −Inf and NaN.
+func TestSoftmaxCEMatchesParent(t *testing.T) {
+	negInf, nan := float32(math.Inf(-1)), float32(math.NaN())
+	forEachKernelTier(t, func(tier string) {
+		rng := rand.New(rand.NewSource(17))
+		var head SoftmaxCE // one head across every shape: its scratch row regrows
+		for _, k := range []int{1, 6, 10, 80, 81} {
+			for _, n := range []int{1, 5, 16} {
+				for _, kind := range []string{"plain", "wide", "-Inf", "NaN"} {
+					logits := tensor.RandN(rng, n, k)
+					labels := make([]int, n)
+					for i := range labels {
+						labels[i] = rng.Intn(k)
+					}
+					for i := range logits.Data {
+						switch {
+						case kind == "wide":
+							logits.Data[i] *= 400
+						case kind == "-Inf" && rng.Intn(4) == 0:
+							logits.Data[i] = negInf
+						case kind == "NaN" && rng.Intn(9) == 0:
+							logits.Data[i] = nan
+						}
+					}
+					what := fmt.Sprintf("%s K=%d N=%d %s logits", tier, k, n, kind)
+					wantLoss, wantCorrect, _ := refSoftmaxCE(logits, labels, nil)
+					loss, correct := head.Loss(logits, labels)
+					if math.Float64bits(loss) != math.Float64bits(wantLoss) || correct != wantCorrect {
+						t.Fatalf("%s: Loss = %v, %d correct; parent %v, %d", what, loss, correct, wantLoss, wantCorrect)
+					}
+					wantLoss, wantCorrect, wantGrad := refSoftmaxCE(logits, labels, tensor.New(n, k))
+					loss, correct, grad := head.LossAndGrad(logits, labels)
+					if math.Float64bits(loss) != math.Float64bits(wantLoss) || correct != wantCorrect {
+						t.Fatalf("%s: LossAndGrad = %v, %d correct; parent %v, %d", what, loss, correct, wantLoss, wantCorrect)
+					}
+					requireSameBits(t, what+" gradient", grad.Data, wantGrad.Data)
+				}
+			}
+		}
+	})
+}

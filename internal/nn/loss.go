@@ -14,12 +14,13 @@ import (
 // until the next LossAndGrad call.
 type SoftmaxCE struct {
 	grad *tensor.Tensor
+	exps []float64 // one row of exp(logit − max), reused across rows and calls
 }
 
 // Loss computes the mean cross-entropy loss of logits [N, K] against integer
 // labels, plus the number of argmax-correct predictions.
 func (s *SoftmaxCE) Loss(logits *tensor.Tensor, labels []int) (loss float64, correct int) {
-	loss, correct, _ = softmaxCE(logits, labels, nil)
+	loss, correct, _ = s.softmaxCE(logits, labels, nil)
 	return loss, correct
 }
 
@@ -28,10 +29,15 @@ func (s *SoftmaxCE) LossAndGrad(logits *tensor.Tensor, labels []int) (loss float
 	if len(logits.Shape) == 2 { // otherwise let softmaxCE report the misuse
 		s.grad = ensure(s.grad, logits.Shape[0], logits.Shape[1])
 	}
-	return softmaxCE(logits, labels, s.grad)
+	return s.softmaxCE(logits, labels, s.grad)
 }
 
-func softmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) (float64, int, *tensor.Tensor) {
+// softmaxCE is the head's one pass. Each row's exp(logit − max) goes through
+// one tensor.ExpInto sweep into the head's scratch row; the sum and, when
+// grad is non-nil, the gradient read them from there.
+//
+//fedmp:allocfree
+func (s *SoftmaxCE) softmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) (float64, int, *tensor.Tensor) {
 	if len(logits.Shape) != 2 {
 		panic(fmt.Sprintf("nn: softmax expects [N K] logits, got %v", logits.Shape))
 	}
@@ -40,6 +46,8 @@ func softmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) (float6
 		panic(fmt.Sprintf("nn: %d labels for %d logits rows", len(labels), n))
 	}
 	wantGrad := grad != nil
+	s.exps = grow(s.exps, k) //fedmp:transitive-ok — allocates only when the rows get longer
+	exps := s.exps
 	var totalLoss float64
 	correct := 0
 	invN := 1 / float32(n)
@@ -59,16 +67,20 @@ func softmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) (float6
 				maxv = v
 			}
 		}
+		for j, v := range row {
+			exps[j] = float64(v - maxv)
+		}
+		tensor.ExpInto(exps, exps)
 		var sumExp float64
-		for _, v := range row {
-			sumExp += math.Exp(float64(v - maxv))
+		for _, e := range exps {
+			sumExp += e
 		}
 		logSum := math.Log(sumExp)
 		totalLoss += logSum - float64(row[label]-maxv)
 		if wantGrad {
 			g := grad.Data[i*k : (i+1)*k]
-			for j, v := range row {
-				p := float32(math.Exp(float64(v-maxv)) / sumExp)
+			for j, e := range exps {
+				p := float32(e / sumExp)
 				if j == label {
 					p -= 1
 				}

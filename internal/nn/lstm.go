@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 
@@ -169,14 +168,6 @@ func (l *LSTM) StepFLOPs() float64 {
 	return 2 * float64(4*l.H) * float64(l.D+l.H)
 }
 
-func sigmoid(v float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(v))))
-}
-
-func tanhf(v float32) float32 {
-	return float32(math.Tanh(float64(v)))
-}
-
 // gateRows splits one [4H] row of gate values into its i, f, g and o
 // quarters, each exactly H long so loops over one index them all without
 // bounds checks.
@@ -216,7 +207,7 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 	defer putLSTMPacks(pk)
 	pk.wx.Pack(l.Wx.W.Data, true, n, d, 4*h)
 	pk.wh.Pack(l.Wh.W.Data, true, n, h, 4*h)
-	bi, bf, bg, bo := gateRows(l.B.W.Data, h)
+	bias := l.B.W.Data[:4*h]
 	hPrev, cPrev := l.h0, l.c0
 	for step := 0; step < t; step++ {
 		z := ensure(l.gates[step], n, 4*h)    //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
@@ -229,25 +220,33 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 		tensor.GEMMPacked(z.Data, &pk.actA, &pk.wx, false)
 		pk.actA.Pack(hPrev.Data, false, n, h, 4*h)
 		tensor.GEMMPacked(z.Data, &pk.actA, &pk.wh, true)
-		// Bias, gate nonlinearities, cell and hidden state in one pass.
+		// Bias and gate nonlinearities, a row at a time so that each sweep
+		// finds its row in cache: sigmoid over i and f, which lie side by
+		// side, and o; tanh over g. Then the cell, its tanh over the whole
+		// batch in one sweep, and the hidden state.
 		for i := 0; i < n; i++ {
-			zi, zf, zg, zo := gateRows(z.Data[i*4*h:], h)
+			zr := z.Data[i*4*h:][:len(bias)]
+			for k, b := range bias {
+				zr[k] += b
+			}
+			tensor.SigmoidInto(zr[:2*h], zr[:2*h])
+			tensor.TanhInto(zr[2*h:3*h], zr[2*h:3*h])
+			tensor.SigmoidInto(zr[3*h:], zr[3*h:])
+			zi, zf, zg, _ := gateRows(zr, h)
 			cr := c.Data[i*h:][:len(zi)]
 			cp := cPrev.Data[i*h:][:len(zi)]
-			hr := hid.Data[i*h:][:len(zi)]
-			tr := tc.Data[i*h:][:len(zi)]
-			or := out.Data[(i*t+step)*h:][:len(zi)]
 			for k := range zi {
-				ig := sigmoid(zi[k] + bi[k])
-				fg := sigmoid(zf[k] + bf[k])
-				gg := tanhf(zg[k] + bg[k])
-				og := sigmoid(zo[k] + bo[k])
-				zi[k], zf[k], zg[k], zo[k] = ig, fg, gg, og
-				cv := fg*cp[k] + ig*gg
-				cr[k] = cv
-				tv := tanhf(cv)
-				tr[k] = tv
-				hv := og * tv
+				cr[k] = zf[k]*cp[k] + zi[k]*zg[k]
+			}
+		}
+		tensor.TanhInto(tc.Data, c.Data)
+		for i := 0; i < n; i++ {
+			zo := z.Data[i*4*h+3*h:][:h]
+			hr := hid.Data[i*h:][:len(zo)]
+			tr := tc.Data[i*h:][:len(zo)]
+			or := out.Data[(i*t+step)*h:][:len(zo)]
+			for k, og := range zo {
+				hv := og * tr[k]
 				hr[k] = hv
 				or[k] = hv
 			}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 
 	"fedmp/internal/tensor"
 )
@@ -12,8 +13,10 @@ import (
 // and new: Conv2D with a batch of column matrices and one MatMul*Into triple
 // per sample, ReLU with its bool mask, the general MaxPool2D window scan,
 // SGD.Step cloning the gradient for weight decay, and the exact-shape ensure
-// they relied on; and, from before its products moved onto packed operands,
-// the LSTM layer. The tensor primitives they call (Im2Col, Col2Im, the
+// they relied on; from before its products moved onto packed operands, the
+// LSTM layer; and from before the transcendentals moved into tensor's slice
+// kernels, the LSTM's scalar sigmoid and tanh and the softmax cross-entropy
+// with one math.Exp call per use. The tensor primitives they call (Im2Col, Col2Im, the
 // MatMul*Into entry points) are pinned against their own verbatim parents in
 // internal/tensor's differential tests. Test-only: nothing outside _test.go
 // files may call these.
@@ -268,6 +271,14 @@ type refLSTM struct {
 	dxT      *tensor.Tensor // [N,D]
 }
 
+func sigmoid(v float32) float32 {
+	return float32(1 / (1 + math.Exp(-float64(v))))
+}
+
+func tanhf(v float32) float32 {
+	return float32(math.Tanh(float64(v)))
+}
+
 // Forward runs the sequence x [N, T, D] and returns hidden states [N, T, H].
 // Initial hidden and cell states are zero.
 func (l *refLSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
@@ -417,4 +428,52 @@ func (l *refLSTM) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		dcNext, dcPrev = dcPrev, dcNext
 	}
 	return dx
+}
+
+func refSoftmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) (float64, int, *tensor.Tensor) {
+	if len(logits.Shape) != 2 {
+		panic(fmt.Sprintf("nn: softmax expects [N K] logits, got %v", logits.Shape))
+	}
+	n, k := logits.Shape[0], logits.Shape[1]
+	if len(labels) != n {
+		panic(fmt.Sprintf("nn: %d labels for %d logits rows", len(labels), n))
+	}
+	wantGrad := grad != nil
+	var totalLoss float64
+	correct := 0
+	invN := 1 / float32(n)
+	for i := 0; i < n; i++ {
+		row := logits.Data[i*k : (i+1)*k]
+		label := labels[i]
+		if label < 0 || label >= k {
+			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", label, k))
+		}
+		if tensor.ArgMax(row) == label {
+			correct++
+		}
+		// Numerically stable log-softmax.
+		maxv := row[0]
+		for _, v := range row[1:] {
+			if v > maxv {
+				maxv = v
+			}
+		}
+		var sumExp float64
+		for _, v := range row {
+			sumExp += math.Exp(float64(v - maxv))
+		}
+		logSum := math.Log(sumExp)
+		totalLoss += logSum - float64(row[label]-maxv)
+		if wantGrad {
+			g := grad.Data[i*k : (i+1)*k]
+			for j, v := range row {
+				p := float32(math.Exp(float64(v-maxv)) / sumExp)
+				if j == label {
+					p -= 1
+				}
+				g[j] = p * invN
+			}
+		}
+	}
+	return totalLoss / float64(n), correct, grad
 }

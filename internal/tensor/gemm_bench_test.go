@@ -163,3 +163,46 @@ func benchGEMMDirect(b *testing.B, aT, bT bool, m, k, n int, accumulate bool) {
 func BenchmarkGEMMDirectFwd(b *testing.B) { benchGEMMDirect(b, false, true, 8, 24, 96, false) }
 func BenchmarkGEMMDirectDW(b *testing.B)  { benchGEMMDirect(b, true, false, 96, 8, 24, true) }
 func BenchmarkGEMMDirectDX(b *testing.B)  { benchGEMMDirect(b, false, false, 8, 96, 24, false) }
+
+// benchAct32 times one activation sweep of the LSTM's gate pass through the
+// active tier's kernel and, as the "scalar" sub-benchmark, through the scalar
+// loop over the standard library; SetBytes counts one byte per element, so
+// the MB/s column reads as elements per microsecond.
+func benchAct32(b *testing.B, n int, into, scalar func(dst, src []float32)) {
+	src := RandN(rand.New(rand.NewSource(11)), n).Data
+	dst := make([]float32, n)
+	run := func(f func(dst, src []float32)) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(int64(n))
+			for i := 0; i < b.N; i++ {
+				f(dst, src)
+			}
+		}
+	}
+	b.Run("kernel", run(into))
+	b.Run("scalar", run(scalar))
+}
+
+// The default LM has 32 hidden units: three gate rows of them for sigmoid,
+// one for tanh.
+func BenchmarkSigmoidInto(b *testing.B) { benchAct32(b, 96, SigmoidInto, sigmoidScalar) }
+func BenchmarkTanhInto(b *testing.B)    { benchAct32(b, 32, TanhInto, tanhScalar) }
+
+// BenchmarkExpInto is one softmax row of the LM's 80-word vocabulary.
+func BenchmarkExpInto(b *testing.B) {
+	const n = 80
+	src, dst := make([]float64, n), make([]float64, n)
+	for i, v := range RandN(rand.New(rand.NewSource(12)), n).Data {
+		src[i] = -4 * float64(v*v)
+	}
+	run := func(f func(dst, src []float64)) func(*testing.B) {
+		return func(b *testing.B) {
+			b.SetBytes(n)
+			for i := 0; i < b.N; i++ {
+				f(dst, src)
+			}
+		}
+	}
+	b.Run("kernel", run(ExpInto))
+	b.Run("scalar", run(expScalar))
+}

@@ -23,6 +23,11 @@ func archKernels() []*gemmKernel {
 	// tier's 128. nc stays 512 (a multiple of 16).
 	avx2 := &gemmKernel{name: "avx2", mr: 6, nr: 16, mc: 120, nc: 512, asm: gemmKernel6x16fma, fused: true,
 		directChain: gemmDirectChainAVX, directDot: gemmDirectDotAVX}
+	if actKernelsMatchStdlib() {
+		for _, k := range []*gemmKernel{sse, avx2} {
+			k.expInto, k.sigmoidInto, k.tanhInto = expIntoFMA, sigmoidIntoFMA, tanhIntoFMA
+		}
+	}
 	return []*gemmKernel{sse, avx2}
 }
 

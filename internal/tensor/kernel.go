@@ -36,6 +36,16 @@ import (
 // this: it is unfused on every machine and tier. There the assembly tiers of
 // an AVX machine run SIMD kernels and everything else the scalar loops, with
 // the same operations per element in the same order.
+//
+// So are the transcendentals (act.go): ExpInto, SigmoidInto and TanhInto are
+// scalar loops over math.Exp and math.Tanh on generic and on every machine
+// without FMA; the assembly tiers of a fused machine run AVX2+FMA kernels
+// that repeat the standard library's own operation sequence in every lane —
+// provided a start-up probe found them reproducing it bit for bit, else those
+// tiers run the scalar loops too.
+//
+// What differs per tier, then, is speed and nothing else: on one machine
+// every tier gives every result the same bits.
 
 // gemmKernel describes one micro-kernel tier.
 type gemmKernel struct {
@@ -56,6 +66,12 @@ type gemmKernel struct {
 	// loops there. They are unfused on every machine and give the scalar
 	// loops' results bit for bit, so which tier has them decides speed only.
 	directChain, directDot directFunc
+	// expInto, sigmoidInto and tanhInto, when non-nil, are the kernels of
+	// ExpInto, SigmoidInto and TanhInto (act.go); a tier without them runs
+	// the scalar loops over math.Exp and math.Tanh. A tier only has them
+	// once they have reproduced those loops bit for bit at start-up.
+	expInto               func(dst, src *float64, n uintptr) (done uintptr)
+	sigmoidInto, tanhInto func(dst, src *float32, n uintptr)
 }
 
 // directFunc is the signature of a small-product kernel; see
