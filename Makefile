@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only dependency.
 
-.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches fuzz-smoke race check bench ci test-kernels test-exhaustive test-benchmark loc
+.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches lint-mutants fuzz-smoke race check bench ci test-kernels test-exhaustive test-benchmark loc
 
 build:
 	go build ./...
@@ -18,10 +18,8 @@ vet:
 # lint runs the repo's own static-analysis suite (internal/lint): the
 # syntactic rules randsource, wallclock, floateq, synccopy, allocfree,
 # gobdeny and atomicwrite, the flow-sensitive rules maporder, errdiscard,
-# lockbalance and seedflow, the interprocedural rules wiretaint, goroleak
-# and transitive (call-graph summaries across packages), and the
-# value-flow typestate rules chanlife, protoorder and scopedrop (channel
-# lifecycle, wire-protocol frame ordering, cleanup obligations) — the
+# lockbalance and seedflow, and the interprocedural rules wiretaint, goroleak
+# and transitive (call-graph summaries across packages) — the
 # reproducibility, hot-path, wire-format and durability invariants
 # DESIGN.md's "Static analysis" section describes.
 lint:
@@ -32,7 +30,7 @@ lint-fix-hints:
 	go run ./cmd/fedmp-lint -hints ./...
 
 # lint-bench times the full-repo lint — load, type-check, call-graph and
-# summary solve, all seventeen rules — and fails if it exceeds the budget.
+# summary solve, all fourteen rules — and fails if it exceeds the budget.
 # The budget is generous (the point is catching an accidental exponential
 # blow-up in the interprocedural layer, not micro-regressions); override
 # with LINT_BUDGET=30s for a tighter local check. The per-rule wall-time
@@ -52,6 +50,19 @@ lint-stats:
 # silently widen what future edits get away with on that line.
 lint-hatches:
 	go run ./cmd/fedmp-lint -hatches ./...
+
+# lint-mutants plants every bug of internal/lint/testdata/mutants.json — a
+# wrong, dropped or repeated frame at each emission site, a doubled or dropped
+# close of each channel, a dropped release of each file, socket and pooled
+# buffer, a grow-only workspace made to allocate every call — on a scratch
+# copy of the module, one at a time, and records in lint-mutants.json which of
+# go build, go vet, the named packages' tests (60 s timeout), go test -race on
+# core/transport and each lint rule notices. It fails when a mutant that used
+# to be caught is now caught by nothing. About an hour on two cores (the
+# mutants that hang a test each wait out its timeout); tier-1 only checks that
+# the corpus still applies (TestMutantCorpusApplies).
+lint-mutants:
+	go test -tags mutants -count=1 -run TestMutantMatrix -timeout 6h -v ./internal/lint
 
 # fuzz-smoke gives each fuzz target a short budget: the CFG builder under
 # the flow-sensitive lint rules, the wire-codec frame reader, and the

@@ -102,14 +102,20 @@ func checkGoldenDirs(t *testing.T, opts *Options, dirs ...string) {
 	}
 }
 
+// fixtureScope returns the production options with one rule's scope widened
+// to a fixture package.
+func fixtureScope(rule, fixture string) *Options {
+	opts := DefaultOptions()
+	opts.Scope[rule] = append(opts.Scope[rule], "fedmp/internal/lint/testdata/"+fixture)
+	return opts
+}
+
 func TestRandSourceGolden(t *testing.T) {
 	checkGolden(t, "testdata/randsource", DefaultOptions())
 }
 
 func TestWallClockGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.WallclockDeny = append(opts.WallclockDeny, "fedmp/internal/lint/testdata/wallclock")
-	checkGolden(t, "testdata/wallclock", opts)
+	checkGolden(t, "testdata/wallclock", fixtureScope("wallclock", "wallclock"))
 }
 
 func TestFloatEqGolden(t *testing.T) {
@@ -125,15 +131,11 @@ func TestAllocFreeGolden(t *testing.T) {
 }
 
 func TestMapOrderGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.MapOrderDeny = append(opts.MapOrderDeny, "fedmp/internal/lint/testdata/maporder")
-	checkGolden(t, "testdata/maporder", opts)
+	checkGolden(t, "testdata/maporder", fixtureScope("maporder", "maporder"))
 }
 
 func TestGobDenyGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.GobDeny = append(opts.GobDeny, "fedmp/internal/lint/testdata/gobdeny")
-	checkGolden(t, "testdata/gobdeny", opts)
+	checkGolden(t, "testdata/gobdeny", fixtureScope("gobdeny", "gobdeny"))
 }
 
 func TestErrDiscardGolden(t *testing.T) {
@@ -149,48 +151,19 @@ func TestSeedFlowGolden(t *testing.T) {
 }
 
 func TestAtomicWriteGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.AtomicWriteScope = append(opts.AtomicWriteScope, "fedmp/internal/lint/testdata/atomicwrite")
-	checkGolden(t, "testdata/atomicwrite", opts)
+	checkGolden(t, "testdata/atomicwrite", fixtureScope("atomicwrite", "atomicwrite"))
 }
 
 func TestWireTaintGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.WireTaintScope = append(opts.WireTaintScope, "fedmp/internal/lint/testdata/wiretaint")
-	checkGolden(t, "testdata/wiretaint", opts)
+	checkGolden(t, "testdata/wiretaint", fixtureScope("wiretaint", "wiretaint"))
 }
 
 func TestGoroLeakGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.GoroLeakScope = append(opts.GoroLeakScope, "fedmp/internal/lint/testdata/goroleak")
-	checkGolden(t, "testdata/goroleak", opts)
+	checkGolden(t, "testdata/goroleak", fixtureScope("goroleak", "goroleak"))
 }
 
 func TestTransitiveGolden(t *testing.T) {
 	checkGolden(t, "testdata/transitive", DefaultOptions())
-}
-
-func TestChanLifeGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ChanLifeScope = append(opts.ChanLifeScope, "fedmp/internal/lint/testdata/chanlife")
-	checkGolden(t, "testdata/chanlife", opts)
-}
-
-// TestProtoOrderGolden lints the protocol fixture with its mini-codec twin
-// and ServeFixture standing in as the parameter-server role root.
-func TestProtoOrderGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ProtoOrderScope = append(opts.ProtoOrderScope, "fedmp/internal/lint/testdata/protoorder")
-	opts.ProtoOrderRoles = map[string][]byte{
-		"fedmp/internal/lint/testdata/protoorder.ServeFixture": {protoAssign, protoPing, protoShutdown},
-	}
-	checkGoldenDirs(t, opts, "testdata/protoorder", "testdata/protoorder/codec")
-}
-
-func TestScopeDropGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ScopeDropScope = append(opts.ScopeDropScope, "fedmp/internal/lint/testdata/scopedrop")
-	checkGolden(t, "testdata/scopedrop", opts)
 }
 
 // TestTransitiveWallclockGolden is the cross-package case: the deny-scoped
@@ -198,9 +171,7 @@ func TestScopeDropGolden(t *testing.T) {
 // the findings land at the scope boundary. The dependency is listed after
 // the dependent to exercise LoadDirs' dependency-order checking.
 func TestTransitiveWallclockGolden(t *testing.T) {
-	opts := DefaultOptions()
-	opts.WallclockDeny = append(opts.WallclockDeny, "fedmp/internal/lint/testdata/transitivedeny")
-	checkGoldenDirs(t, opts, "testdata/transitivedeny", "testdata/transitiveclock")
+	checkGoldenDirs(t, fixtureScope("wallclock", "transitivedeny"), "testdata/transitivedeny", "testdata/transitiveclock")
 }
 
 // TestTransitiveInventoryGate extends the allocfree deletion gate to a hot

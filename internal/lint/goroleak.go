@@ -27,7 +27,7 @@ var analyzerGoroLeak = &Analyzer{
 }
 
 func runGoroLeak(pass *Pass) {
-	if !inScope(pass.Pkg.Path, pass.Opts.GoroLeakScope) {
+	if !pass.inScope("goroleak") {
 		return
 	}
 	g, sums := pass.Interprocedural()

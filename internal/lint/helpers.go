@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/types"
 	"strings"
 )
@@ -49,14 +48,6 @@ func builtinName(info *types.Info, call *ast.CallExpr) string {
 		return b.Name()
 	}
 	return ""
-}
-
-// constantInt64 extracts the integer value of a constant expression result.
-func constantInt64(tv types.TypeAndValue) (int64, bool) {
-	if tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(tv.Value)
 }
 
 // isInterface reports whether t's underlying type is an interface.

@@ -18,21 +18,14 @@
 //	wiretaint   — wire-decoded integers pass a bounds check before reaching allocations
 //	goroleak    — transport go statements have a provable exit path
 //	transitive  — allocfree and wallclock hold across call boundaries, via summaries
-//	chanlife    — local channel values obey their lifecycle (no double close, no
-//	              closed/nil sends, no receiverless unbuffered sends)
-//	protoorder  — wire frames are emitted in protocol-machine order, per stream
-//	scopedrop   — values with cleanup obligations reach Close/Put or a releasing owner
 //
 // maporder, errdiscard, lockbalance and seedflow are flow-sensitive: they
 // run over the intraprocedural CFGs of cfg.go and the worklist analyses of
 // dataflow.go rather than bare syntax. wiretaint, goroleak and transitive
 // are interprocedural: they consume the cross-package call graph of
 // callgraph.go and the bottom-up SCC effect summaries of summary.go.
-// chanlife, protoorder and scopedrop are typestate analyzers on the fourth
-// layer: the intraprocedural value-flow graph of valueflow.go (may-alias
-// classes with origins and escape flags), combined with the CFG for
-// per-class state tracking and with the call graph for cross-function
-// frame/release summaries. Findings are reported as "file:line: [rule]
+// wallclock, gobdeny, atomicwrite and randsource's global-source half are
+// rows of the one scope-deny table in deny.go. Findings are reported as "file:line: [rule]
 // message"; cmd/fedmp-lint exits nonzero on any finding, and `make check`
 // runs it between vet and build.
 package lint
@@ -41,7 +34,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
 	"strings"
 	"time"
@@ -66,67 +58,27 @@ func (d Diagnostic) String() string {
 
 // Options configures a lint run.
 type Options struct {
-	// WallclockDeny lists the import-path prefixes in which the wallclock
-	// analyzer bans time.Now/time.Since/time.Sleep — the deterministic
-	// simulation layers. Packages outside every prefix (notably
-	// internal/transport, which owns real deadlines and heartbeats) are
-	// exempt.
-	WallclockDeny []string
+	// Scope maps a rule name to the import-path prefixes the rule applies
+	// in (a package is in scope when its path is a prefix or below one). A
+	// rule with no entry runs everywhere. The defaults: wallclock and
+	// maporder cover the deterministic simulation layers, whose results must
+	// be bit-identical across same-seed runs (internal/transport owns real
+	// deadlines and heartbeats, and its maps order network events that carry
+	// their own ids, so it is exempt from both); gobdeny and goroleak cover
+	// the transport, atomicwrite the checkpoint layer, wiretaint the frame
+	// decoders, where every length is attacker-controlled.
+	Scope map[string][]string
 	// RequiredAllocFree lists functions that must carry the
 	// //fedmp:allocfree annotation, in funcKey form: "pkgpath.Func" or
 	// "pkgpath.Recv.Method" (pointer receivers without the star). It pins
 	// the PR 2 hot paths: deleting an annotation fails the build gate
 	// instead of silently dropping the check.
 	RequiredAllocFree []string
-	// MapOrderDeny lists the import-path prefixes in which the maporder
-	// analyzer bans map iteration feeding ordered output — the layers whose
-	// results must be bit-identical across same-seed runs. Transport is
-	// exempt: its maps order network events, which carry their own ids.
-	MapOrderDeny []string
-	// GobDeny lists the import-path prefixes in which the gobdeny analyzer
-	// bans encoding/gob imports — the wire layers, which moved to the
-	// binary frame codec and must not regress to reflective encoding.
-	GobDeny []string
-	// AtomicWriteScope lists the import-path prefixes in which the
-	// atomicwrite analyzer requires state files to be written through the
-	// package's fsync+rename helper — the durability layers, whose crash
-	// guarantees evaporate the moment a snapshot is created in place.
-	AtomicWriteScope []string
-	// WireTaintScope lists the import-path prefixes in which the wiretaint
-	// analyzer requires wire-decoded integers to pass a bounds check before
-	// reaching make/unsafe.Slice/index sinks — the frame decode layers,
-	// where every length is attacker-controlled.
-	WireTaintScope []string
-	// GoroLeakScope lists the import-path prefixes in which the goroleak
-	// analyzer requires every go statement to have a provable exit path —
-	// the transport layer, whose goroutines outlive requests.
-	GoroLeakScope []string
 	// WallclockSanctioned lists the import-path prefixes that form the
 	// designed wall-clock seam (simclock): their summaries never report
 	// Wallclock, so threading a clock through them stays legal while any
 	// other escape from the deterministic layers is a transitive finding.
 	WallclockSanctioned []string
-	// ChanLifeScope lists the import-path prefixes in which the chanlife
-	// analyzer tracks channel typestate. The list names the production
-	// packages explicitly (rather than one fedmp/internal prefix) so the
-	// deliberately-bad fixtures of the other rules stay out of scope.
-	ChanLifeScope []string
-	// ProtoOrderScope lists the import-path prefixes in which the protoorder
-	// analyzer checks frame-emission order against the wire-protocol state
-	// machine — the transport (send paths) and core (priced paths) layers.
-	ProtoOrderScope []string
-	// ProtoOrderRoles maps protocol role roots (funcKey form) to the frame
-	// kinds their reachable send paths may emit: the PS accept/round loop
-	// under transport.Serve sends assigns, pings and shutdowns; the worker
-	// session loop under transport.RunWorker sends hellos, results and
-	// pongs. A function reachable from exactly one root must stay inside
-	// that root's kind set.
-	ProtoOrderRoles map[string][]byte
-	// ScopeDropScope lists the import-path prefixes in which the scopedrop
-	// analyzer tracks cleanup obligations (files, connections, pooled
-	// buffers). Explicit production packages, for the same fixture-isolation
-	// reason as ChanLifeScope.
-	ScopeDropScope []string
 	// IgnoreHatches disables every //fedmp:<rule>-ok line directive for one
 	// run. The stale-hatch detector diffs a normal run against an
 	// IgnoreHatches run: a hatch no finding lands on is rot. Doc-comment
@@ -140,12 +92,26 @@ type Options struct {
 // DefaultOptions returns the repo's production configuration.
 func DefaultOptions() *Options {
 	return &Options{
-		WallclockDeny: []string{
-			"fedmp/internal/core",
-			"fedmp/internal/cluster",
-			"fedmp/internal/bandit",
-			"fedmp/internal/experiment",
-			"fedmp/internal/simsched",
+		Scope: map[string][]string{
+			"wallclock": {
+				"fedmp/internal/core",
+				"fedmp/internal/cluster",
+				"fedmp/internal/bandit",
+				"fedmp/internal/experiment",
+				"fedmp/internal/simsched",
+			},
+			"maporder": {
+				"fedmp/internal/core",
+				"fedmp/internal/cluster",
+				"fedmp/internal/bandit",
+				"fedmp/internal/experiment",
+				"fedmp/internal/metrics",
+				"fedmp/internal/simsched",
+			},
+			"gobdeny":     {"fedmp/internal/transport"},
+			"atomicwrite": {"fedmp/internal/transport/checkpoint"},
+			"wiretaint":   {"fedmp/internal/transport/codec"},
+			"goroleak":    {"fedmp/internal/transport"},
 		},
 		RequiredAllocFree: []string{
 			"fedmp/internal/tensor.packA",
@@ -208,63 +174,8 @@ func DefaultOptions() *Options {
 			"fedmp/internal/cluster.Population.ClusterOf",
 			"fedmp/internal/cluster.Population.Available",
 		},
-		MapOrderDeny: []string{
-			"fedmp/internal/core",
-			"fedmp/internal/cluster",
-			"fedmp/internal/bandit",
-			"fedmp/internal/experiment",
-			"fedmp/internal/metrics",
-			"fedmp/internal/simsched",
-		},
-		GobDeny: []string{
-			"fedmp/internal/transport",
-		},
-		AtomicWriteScope: []string{
-			"fedmp/internal/transport/checkpoint",
-		},
-		WireTaintScope: []string{
-			"fedmp/internal/transport/codec",
-		},
-		GoroLeakScope: []string{
-			"fedmp/internal/transport",
-		},
 		WallclockSanctioned: []string{
 			"fedmp/internal/simclock",
-		},
-		ChanLifeScope: []string{
-			"fedmp/internal/core",
-			"fedmp/internal/cluster",
-			"fedmp/internal/bandit",
-			"fedmp/internal/experiment",
-			"fedmp/internal/metrics",
-			"fedmp/internal/transport",
-			"fedmp/internal/tensor",
-			"fedmp/internal/nn",
-			"fedmp/internal/prune",
-			"fedmp/internal/simclock",
-			"fedmp/internal/simsched",
-			"fedmp/cmd",
-		},
-		ProtoOrderScope: []string{
-			"fedmp/internal/transport",
-			"fedmp/internal/core",
-		},
-		ProtoOrderRoles: map[string][]byte{
-			"fedmp/internal/transport.Serve":     {protoAssign, protoPing, protoShutdown},
-			"fedmp/internal/transport.RunWorker": {protoHello, protoResult, protoPong},
-		},
-		ScopeDropScope: []string{
-			"fedmp/internal/core",
-			"fedmp/internal/cluster",
-			"fedmp/internal/bandit",
-			"fedmp/internal/experiment",
-			"fedmp/internal/metrics",
-			"fedmp/internal/transport",
-			"fedmp/internal/tensor",
-			"fedmp/internal/nn",
-			"fedmp/internal/prune",
-			"fedmp/internal/simsched",
-			"fedmp/cmd",
 		},
 	}
 }
@@ -292,22 +203,20 @@ type Pass struct {
 	inter    *interState
 }
 
-// interState lazily shares the interprocedural results — call graph, effect
-// summaries, value-flow graphs and the typestate analyzers' derived
-// summaries over the whole package set — across every analyzer and package
-// of one Run, so each expensive solve happens at most once per lint run.
+// interState lazily shares the interprocedural results — call graph and
+// effect summaries over the whole package set — across every analyzer and
+// package of one Run, so the solve happens at most once per lint run.
 type interState struct {
 	pkgs  []*Package
 	opts  *Options
 	graph *CallGraph
 	sums  *Summaries
-	// vflows caches one ValueFlow per function body across the chanlife,
-	// protoorder and scopedrop passes.
-	vflows map[*ast.BlockStmt]*ValueFlow
-	// proto is the run-wide protoorder state (frame summaries, role
-	// reachability); drop is the run-wide scopedrop release-fate table.
-	proto *protoState
-	drop  *dropState
+}
+
+// inScope reports whether the rule applies to the package under analysis.
+func (p *Pass) inScope(rule string) bool {
+	prefixes, scoped := p.Opts.Scope[rule]
+	return !scoped || inScope(p.Pkg.Path, prefixes)
 }
 
 // ensureInter returns the pass's shared state, creating a single-package one
@@ -328,28 +237,6 @@ func (p *Pass) Interprocedural() (*CallGraph, *Summaries) {
 		st.sums = ComputeSummaries(st.graph, st.opts)
 	}
 	return st.graph, st.sums
-}
-
-// ValueFlow returns the value-flow graph of one of this package's function
-// bodies, shared across analyzers the same way Interprocedural shares the
-// call graph.
-func (p *Pass) ValueFlow(body *ast.BlockStmt, sig *types.Signature) *ValueFlow {
-	return p.ensureInter().valueFlow(p.Pkg, body, sig)
-}
-
-// valueFlow is the package-aware cache behind Pass.ValueFlow; the summary
-// builders use it directly for bodies belonging to other packages of the
-// load.
-func (st *interState) valueFlow(pkg *Package, body *ast.BlockStmt, sig *types.Signature) *ValueFlow {
-	if st.vflows == nil {
-		st.vflows = make(map[*ast.BlockStmt]*ValueFlow)
-	}
-	if vf, ok := st.vflows[body]; ok {
-		return vf
-	}
-	vf := BuildValueFlow(body, sig, pkg.Info)
-	st.vflows[body] = vf
-	return vf
 }
 
 // directiveLines returns the //fedmp:<rule>-ok lines of f, or nothing when
@@ -393,18 +280,14 @@ func Analyzers() []*Analyzer {
 		analyzerWireTaint,
 		analyzerGoroLeak,
 		analyzerTransitive,
-		analyzerChanLife,
-		analyzerProtoOrder,
-		analyzerScopeDrop,
 	}
 }
 
 // RuleTiming is one analyzer's accumulated wall time over a whole run. The
-// lazily built shared layers (call graph, summaries, value-flow graphs) are
-// attributed to whichever rule triggers them first — by pipeline order that
-// is wiretaint for the interprocedural solve and chanlife for the value-flow
-// cache — so a slow new pass shows up under its own name or as a jump in its
-// layer's first consumer.
+// lazily built call graph and summaries are attributed to whichever rule
+// triggers them first — by pipeline order that is wiretaint — so a slow new
+// pass shows up under its own name or as a jump in its layer's first
+// consumer.
 type RuleTiming struct {
 	Rule    string
 	Elapsed time.Duration

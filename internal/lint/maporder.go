@@ -31,20 +31,13 @@ var emissionMethods = map[string]bool{
 	"Encode":      true,
 }
 
-// runMapOrder flags `for ... := range m` over a map, inside the MapOrderDeny
-// packages, whose body reaches ordered output: a slice append (unless that
+// runMapOrder flags `for ... := range m` over a map, inside the maporder
+// scope, whose body reaches ordered output: a slice append (unless that
 // slice is later passed to sort/slices), an fmt.Print/Fprint emission, an
 // emission method call, or a channel send. Go randomises map iteration order
 // per run, so any of these makes same-seed runs diverge.
 func runMapOrder(pass *Pass) {
-	inScope := false
-	for _, prefix := range pass.Opts.MapOrderDeny {
-		if hasPathPrefix(pass.Pkg.Path, prefix) {
-			inScope = true
-			break
-		}
-	}
-	if !inScope {
+	if !pass.inScope("maporder") {
 		return
 	}
 	info := pass.Pkg.Info

@@ -5,26 +5,6 @@ import (
 	"go/types"
 )
 
-// randBannedFuncs are the package-level math/rand (and math/rand/v2)
-// functions that draw from the process-global source. Using them makes a
-// run's stochastic choices depend on whatever else touched the global
-// source, so E-UCB arms, cluster jitter, non-IID partitions and dropout
-// masks stop being a function of the configured seed.
-var randBannedFuncs = map[string]bool{
-	// math/rand
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "NormFloat64": true,
-	"ExpFloat64": true, "Perm": true, "Shuffle": true, "Seed": true,
-	"Read": true,
-	// math/rand/v2 additions
-	"IntN": true, "Int32": true, "Int32N": true, "Int64N": true,
-	"Uint": true, "UintN": true, "Uint32N": true, "Uint64N": true,
-	"N": true,
-}
-
-const randHint = "thread a seeded *rand.Rand (rand.New(rand.NewSource(cfg.Seed))) from the caller and call the method on it"
-
 var analyzerRandSource = &Analyzer{
 	Name: "randsource",
 	Doc: "bans the global math/rand source: package-level rand functions and " +
@@ -34,7 +14,10 @@ var analyzerRandSource = &Analyzer{
 	Run: runRandSource,
 }
 
+// runRandSource is the global-source ban (a deny.go row) plus the check that
+// no generator is seeded from the wall clock.
 func runRandSource(pass *Pass) {
+	denyRandSource.run(pass)
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -42,15 +25,7 @@ func runRandSource(pass *Pass) {
 			if !ok {
 				return true
 			}
-			name := pkgSel(info, sel, "math/rand")
-			if name == "" {
-				name = pkgSel(info, sel, "math/rand/v2")
-			}
-			switch {
-			case randBannedFuncs[name]:
-				pass.ReportHint(sel.Pos(), randHint,
-					"global math/rand source: rand.%s draws from process state, not the run seed", name)
-			case name == "New" || name == "NewSource":
+			if name := denyRandSource.selected(pass, sel); name == "New" || name == "NewSource" {
 				// Seeding from the wall clock defeats the explicit seed just
 				// as thoroughly as the global source does.
 				if parent, ok := findEnclosingCall(f, sel); ok && callSeedsFromClock(info, parent) {

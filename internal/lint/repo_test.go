@@ -51,11 +51,15 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 			t.Errorf("RequiredAllocFree no longer pins %s", key)
 		}
 	}
-	if len(opts.WallclockDeny) < 4 {
-		t.Errorf("WallclockDeny shrank to %v", opts.WallclockDeny)
-	}
-	if len(opts.MapOrderDeny) < 5 {
-		t.Errorf("MapOrderDeny shrank to %v; the deterministic layers must stay covered", opts.MapOrderDeny)
+	for rule, floor := range map[string]int{
+		"wallclock": 4, "maporder": 5, // the deterministic layers
+		"gobdeny": 1, "goroleak": 1, // the transport
+		"atomicwrite": 1, // the checkpoint layer
+		"wiretaint":   1, // the frame decoders
+	} {
+		if got := opts.Scope[rule]; len(got) < floor {
+			t.Errorf("Scope[%q] shrank to %v", rule, got)
+		}
 	}
 	for _, key := range []string{
 		"fedmp/internal/tensor.microTileFMA",
@@ -106,35 +110,9 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 			t.Errorf("RequiredAllocFree no longer pins codec fast path %s", key)
 		}
 	}
-	if len(opts.GobDeny) < 1 {
-		t.Errorf("GobDeny shrank to %v; the wire layers must stay covered", opts.GobDeny)
-	}
-	if len(opts.WireTaintScope) < 1 {
-		t.Errorf("WireTaintScope shrank to %v; the frame decoders must stay covered", opts.WireTaintScope)
-	}
-	if len(opts.GoroLeakScope) < 1 {
-		t.Errorf("GoroLeakScope shrank to %v; transport spawns must stay covered", opts.GoroLeakScope)
-	}
-	if len(opts.ChanLifeScope) < 10 {
-		t.Errorf("ChanLifeScope shrank to %v; the production packages must stay covered", opts.ChanLifeScope)
-	}
-	if len(opts.ScopeDropScope) < 9 {
-		t.Errorf("ScopeDropScope shrank to %v; the production packages must stay covered", opts.ScopeDropScope)
-	}
-	if len(opts.ProtoOrderScope) < 2 {
-		t.Errorf("ProtoOrderScope shrank to %v; transport and core must stay covered", opts.ProtoOrderScope)
-	}
-	for _, root := range []string{
-		"fedmp/internal/transport.Serve",
-		"fedmp/internal/transport.RunWorker",
-	} {
-		if len(opts.ProtoOrderRoles[root]) == 0 {
-			t.Errorf("ProtoOrderRoles no longer pins role root %s", root)
-		}
-	}
 }
 
-// TestAnalyzerInventory pins the pipeline itself: all seventeen rules must
+// TestAnalyzerInventory pins the pipeline itself: all fourteen rules must
 // stay registered, in reporting order, so dropping one from Analyzers()
 // fails the suite rather than silently weakening the gate.
 func TestAnalyzerInventory(t *testing.T) {
@@ -142,7 +120,6 @@ func TestAnalyzerInventory(t *testing.T) {
 		"randsource", "wallclock", "floateq", "synccopy", "allocfree",
 		"maporder", "gobdeny", "errdiscard", "lockbalance", "seedflow",
 		"atomicwrite", "wiretaint", "goroleak", "transitive",
-		"chanlife", "protoorder", "scopedrop",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {

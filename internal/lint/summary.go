@@ -62,9 +62,9 @@ type Summary struct {
 	sanctionedWallclock bool
 
 	// RetTaint and ParamSink are the wiretaint facts, computed only for
-	// packages inside WireTaintScope: RetTaint[i] is result i's taint mask;
-	// ParamSink[i] non-empty describes the make/unsafe.Slice/index sink
-	// parameter i reaches without a bounds check.
+	// packages inside the wiretaint scope: RetTaint[i] is result i's taint
+	// mask; ParamSink[i] non-empty describes the make/unsafe.Slice/index
+	// sink parameter i reaches without a bounds check.
 	RetTaint  []taintMask
 	ParamSink []string
 }
@@ -289,7 +289,7 @@ func localAlloc(n *FuncNode) (token.Pos, string) {
 func localWallclock(n *FuncNode) (token.Pos, string) {
 	info := n.Pkg.Info
 	fset := n.Pkg.Fset
-	ok := directiveLines(fset, n.File, wallclockOKDirective)
+	ok := directiveLines(fset, n.File, denyWallclock.ok)
 	best := token.NoPos
 	why := ""
 	ast.Inspect(n.Decl.Body, func(c ast.Node) bool {
@@ -301,7 +301,7 @@ func localWallclock(n *FuncNode) (token.Pos, string) {
 			return true
 		}
 		name := pkgSel(info, sel, "time")
-		if wallclockBanned[name] && !suppressed(fset, ok, sel.Pos()) {
+		if denyWallclock.selectors[name] && !suppressed(fset, ok, sel.Pos()) {
 			best, why = sel.Pos(), "time."+name
 		}
 		return true

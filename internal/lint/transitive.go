@@ -7,7 +7,7 @@
 // trusted (their own bodies are checked by the allocfree rule, and their
 // own calls by this rule), so chains cut cleanly at each annotation.
 //
-// wallclock half: inside the WallclockDeny scope, a call to a callee
+// wallclock half: inside the wallclock scope, a call to a callee
 // outside the scope whose summary reaches the wall clock is a finding.
 // In-scope callees are skipped — their own sites and calls are checked
 // where they are declared, so each leak is reported exactly once, at the
@@ -35,7 +35,7 @@ var analyzerTransitive = &Analyzer{
 
 func runTransitive(pass *Pass) {
 	g, sums := pass.Interprocedural()
-	wallScope := inScope(pass.Pkg.Path, pass.Opts.WallclockDeny)
+	wallScope := pass.inScope("wallclock")
 	fset := pass.Pkg.Fset
 	for _, f := range pass.Pkg.Files {
 		ok := pass.directiveLines(f, transitiveOKDirective)
@@ -63,9 +63,9 @@ func runTransitive(pass *Pass) {
 						allocFreeDirective, fd.Name.Name, key, cs.AllocDesc())
 				}
 				if wallScope && cs.Wallclock &&
-					!inScope(e.Callee.Pkg.Path, pass.Opts.WallclockDeny) &&
+					!inScope(e.Callee.Pkg.Path, pass.Opts.Scope["wallclock"]) &&
 					!inScope(e.Callee.Pkg.Path, pass.Opts.WallclockSanctioned) {
-					pass.ReportHint(e.Site, wallclockHint,
+					pass.ReportHint(e.Site, denyWallclock.hint,
 						"deterministic layer calls %s, which reaches the wall clock (%s)",
 						key, cs.WallclockDesc())
 				}

@@ -80,7 +80,7 @@ var analyzerWireTaint = &Analyzer{
 }
 
 func runWireTaint(pass *Pass) {
-	if !inScope(pass.Pkg.Path, pass.Opts.WireTaintScope) {
+	if !pass.inScope("wiretaint") {
 		return
 	}
 	_, sums := pass.Interprocedural()
@@ -111,7 +111,7 @@ func runWireTaint(pass *Pass) {
 // taintSummarize recomputes a node's RetTaint/ParamSink from the current
 // callee summaries; the SCC fixpoint in ComputeSummaries drives it.
 func (s *Summaries) taintSummarize(n *FuncNode) bool {
-	if n.Decl.Body == nil || !inScope(n.Pkg.Path, s.opts.WireTaintScope) {
+	if n.Decl.Body == nil || !inScope(n.Pkg.Path, s.opts.Scope["wiretaint"]) {
 		return false
 	}
 	ret, sinks := runTaint(n, s, nil)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -101,5 +102,93 @@ func TestPingSuspectsLeavesHealthySuspects(t *testing.T) {
 	}
 	if got := reg.suspects(); len(got) != 1 {
 		t.Fatalf("suspects() = %v after successful ping, want [0]", got)
+	}
+}
+
+// TestSuspectHeartbeatOverPipe is the parameter-server twin of
+// TestHeartbeatAndResultOverPipe: the frames a suspect slot sees and what
+// the answers do to it. A suspect receives exactly one ping per heartbeat
+// round, a pong restores it to the live set, and a peer that has gone away
+// is dropped rather than left suspect.
+func TestSuspectHeartbeatOverPipe(t *testing.T) {
+	logf := func(string, ...any) {}
+	reg := newRegistry(1, logf)
+	defer reg.closeDone()
+	s := &server{reg: reg, logf: logf}
+	serverRaw, workerRaw := net.Pipe()
+	worker := newConn(workerRaw)
+	reg.admit(newConn(serverRaw), &helloMsg{Name: "w0", ID: "w0"})
+	reg.markSuspect(0)
+
+	pinged := make(chan struct{})
+	go func() {
+		defer close(pinged)
+		reg.pingSuspects()
+	}()
+	e, _, err := worker.recv(5 * time.Second)
+	if err != nil {
+		t.Fatalf("suspect never heard from the server: %v", err)
+	}
+	if e.Kind != kindPing {
+		t.Fatalf("heartbeat arrived as kind %d, want ping", e.Kind)
+	}
+	// The pipe is synchronous: a second frame would be sitting in a blocked
+	// write right now.
+	if e, _, err := worker.recv(100 * time.Millisecond); err == nil {
+		t.Fatalf("second frame (kind %d) in one heartbeat round", e.Kind)
+	}
+	<-pinged
+	if got := reg.suspects(); len(got) != 1 {
+		t.Fatalf("suspects() = %v after an unanswered ping, want [0]", got)
+	}
+
+	if _, err := worker.send(&envelope{Kind: kindPong}); err != nil {
+		t.Fatal(err)
+	}
+	s.handleEvent(<-reg.events, nil)
+	if got := reg.active(); len(got) != 1 || len(reg.suspects()) != 0 {
+		t.Fatalf("after the pong: active %v, suspects %v; want [0] and none", got, reg.suspects())
+	}
+
+	reg.markSuspect(0)
+	if err := workerRaw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reg.pingSuspects()
+	if ev := <-reg.events; ev.env != nil {
+		t.Fatalf("expected a disconnect event, got a kind-%d frame", ev.env.Kind)
+	}
+	if reg.connected() != 0 || len(reg.suspects()) != 0 {
+		t.Fatalf("dead suspect lingers: %d connected, suspects %v", reg.connected(), reg.suspects())
+	}
+}
+
+// hungUp reports whether a receive failed because the peer closed the
+// connection. Over net.Pipe that is io.EOF when the read was already waiting
+// and io.ErrClosedPipe when the close came first.
+func hungUp(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrClosedPipe)
+}
+
+// TestShutdownIsOneFrameThenClose pins what a worker sees when the server
+// finishes: one shutdown frame carrying the reason, then the end of the
+// stream — not silence, not a second frame, not a socket left open.
+func TestShutdownIsOneFrameThenClose(t *testing.T) {
+	reg := newRegistry(1, func(string, ...any) {})
+	serverRaw, workerRaw := net.Pipe()
+	defer workerRaw.Close()
+	worker := newConn(workerRaw)
+	reg.admit(newConn(serverRaw), &helloMsg{Name: "w0", ID: "w0"})
+
+	go reg.shutdown("done")
+	e, _, err := worker.recv(5 * time.Second)
+	if err != nil {
+		t.Fatalf("no goodbye before the hangup: %v", err)
+	}
+	if e.Kind != kindShutdown || e.Shutdown.Reason != "done" {
+		t.Fatalf("goodbye is kind %d (%+v), want shutdown with reason \"done\"", e.Kind, e.Shutdown)
+	}
+	if e, _, err := worker.recv(5 * time.Second); !hungUp(err) {
+		t.Fatalf("after the shutdown frame: %+v, %v; want end of stream", e, err)
 	}
 }

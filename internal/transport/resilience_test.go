@@ -3,11 +3,14 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"sync"
 	"testing"
 	"time"
 
@@ -279,6 +282,9 @@ func TestQuorumRoundFinishesBeforeSlowest(t *testing.T) {
 func TestSilentClientDoesNotStallStartup(t *testing.T) {
 	fam := testFamily()
 	addr := reservePort(t)
+	// Collector off: a socket the server forgot to close must stay open for
+	// the check at the end, not be closed by its finalizer.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 	resCh := make(chan *core.Result, 1)
 	errCh := make(chan error, 1)
@@ -312,6 +318,14 @@ func TestSilentClientDoesNotStallStartup(t *testing.T) {
 	}
 	if res.Rounds != 1 {
 		t.Errorf("rounds = %d, want 1", res.Rounds)
+	}
+	// The hello deadline passed long ago: the server hung up on the silent
+	// client rather than keeping its socket.
+	if err := silent.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := silent.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Errorf("silent client read %v, want the server to have closed the connection", err)
 	}
 }
 
@@ -535,10 +549,269 @@ func TestLateHelloGetsShutdown(t *testing.T) {
 		t.Fatalf("shutdown frame carries %+v, want the shutting-down reason", e.Shutdown)
 	}
 	<-admitted
-	if _, _, err := wc.recv(5 * time.Second); err == nil {
-		t.Fatal("connection stayed open after the late-hello shutdown frame")
+	if _, _, err := wc.recv(5 * time.Second); !hungUp(err) {
+		t.Fatalf("after the late-hello shutdown frame: %v; want the connection closed", err)
 	}
 	if got := reg.connected(); got != 0 {
 		t.Fatalf("connected() = %d after a late hello, want 0", got)
 	}
+}
+
+// TestAdmitTurnsAwayAndReplaces covers the two ways admit closes a
+// connection while the server runs: a stranger arriving at a full server is
+// told so and hung up on, and a known identity arriving again takes over its
+// slot, which closes the connection it replaces.
+func TestAdmitTurnsAwayAndReplaces(t *testing.T) {
+	reg := newRegistry(1, func(string, ...any) {})
+	defer reg.closeDone()
+	firstRaw, firstWorker := net.Pipe()
+	defer firstWorker.Close()
+	reg.admit(newConn(firstRaw), &helloMsg{Name: "w0", ID: "known"})
+
+	strangerRaw, strangerWorker := net.Pipe()
+	defer strangerWorker.Close()
+	go reg.admit(newConn(strangerRaw), &helloMsg{Name: "x", ID: "stranger"})
+	sc := newConn(strangerWorker)
+	e, _, err := sc.recv(5 * time.Second)
+	if err != nil || e.Kind != kindShutdown || e.Shutdown.Reason != "server full" {
+		t.Fatalf("stranger got %+v, %v; want a \"server full\" shutdown", e, err)
+	}
+	if _, _, err := sc.recv(5 * time.Second); !hungUp(err) {
+		t.Fatalf("stranger's connection after the shutdown frame: %v; want it closed", err)
+	}
+
+	againRaw, againWorker := net.Pipe()
+	defer againWorker.Close()
+	reg.admit(newConn(againRaw), &helloMsg{Name: "w0", ID: "known"})
+	if _, _, err := newConn(firstWorker).recv(5 * time.Second); !hungUp(err) {
+		t.Fatalf("replaced connection: %v; want it closed", err)
+	}
+	if got := reg.connected(); got != 1 {
+		t.Fatalf("connected() = %d after a rejoin, want 1", got)
+	}
+}
+
+// TestWorkerSessionIsHelloThenSilence is the worker's side of a session that
+// the server ends at once: exactly one hello carrying the stable identity,
+// nothing more said after the shutdown frame, and the socket closed.
+func TestWorkerSessionIsHelloThenSilence(t *testing.T) {
+	fam := testFamily()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	src := data.NewLoader(fam.DS, []int{0, 1, 2, 3}, 2, rand.New(rand.NewSource(1)))
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorker(fam, src, WorkerConfig{Addr: ln.Addr().String(), Name: "w", ID: "stable"})
+	}()
+	raw, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newConn(raw)
+	defer c.close()
+	e, _, err := c.recv(5 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Kind != kindHello || e.Hello.ID != "stable" {
+		t.Fatalf("session opened with kind %d (%+v), want a hello from \"stable\"", e.Kind, e.Hello)
+	}
+	sendShutdownLogged(c, "test over", t.Logf)
+	if e, _, err := c.recv(5 * time.Second); !errors.Is(err, io.EOF) {
+		t.Fatalf("after the shutdown: %+v, %v; want the worker to hang up", e, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+}
+
+// relay is a TCP hop in front of a parameter server whose links the test can
+// cut: the worker behind it sees its session die mid-run and redials, as it
+// would across a flapping network.
+type relay struct {
+	ln       net.Listener
+	mu       sync.Mutex
+	live     []net.Conn
+	accepted int
+	wg       sync.WaitGroup
+}
+
+func newRelay(t *testing.T, target string) *relay {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &relay{ln: ln}
+	pump := func(dst, src net.Conn) {
+		defer r.wg.Done()
+		buf := make([]byte, 32<<10)
+		for {
+			n, err := src.Read(buf)
+			if _, werr := dst.Write(buf[:n]); err != nil || werr != nil {
+				dst.Close()
+				src.Close()
+				return
+			}
+		}
+	}
+	r.wg.Add(1)
+	go func() {
+		defer r.wg.Done()
+		for {
+			down, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			// The worker may be up before the server listens.
+			var up net.Conn
+			for try := 0; try < 500 && up == nil; try++ {
+				if up, err = net.Dial("tcp", target); err != nil {
+					time.Sleep(10 * time.Millisecond)
+				}
+			}
+			if up == nil {
+				down.Close()
+				continue
+			}
+			r.mu.Lock()
+			r.live = append(r.live, down, up)
+			r.accepted++
+			r.mu.Unlock()
+			r.wg.Add(2)
+			go pump(up, down)
+			go pump(down, up)
+		}
+	}()
+	return r
+}
+
+// cut severs every relayed link; the relay keeps accepting new ones.
+func (r *relay) cut() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, c := range r.live {
+		c.Close()
+	}
+	r.live = nil
+}
+
+// close stops the relay and waits until it holds no socket.
+func (r *relay) close() int {
+	r.ln.Close()
+	r.cut()
+	r.wg.Wait()
+	return r.accepted
+}
+
+// cuttingSource severs the relay's links when its worker draws batch number
+// at — in the middle of that round's training.
+type cuttingSource struct {
+	core.Source
+	drawn, at int
+	link      *relay
+}
+
+func (c *cuttingSource) Next() *nn.Batch {
+	if c.drawn++; c.drawn == c.at {
+		c.link.cut()
+	}
+	return c.Source.Next()
+}
+
+// openDescriptors returns what each of this process's open file descriptors
+// refers to ("socket:[inode]", a file path, ...). Sockets and files are told
+// apart by identity, not by number, so a descriptor another test's leftover
+// goroutine closes meanwhile cannot stand in for one this test leaks.
+func openDescriptors(t *testing.T) map[string]bool {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no descriptor table to read: %v", err)
+	}
+	open := make(map[string]bool)
+	for _, fd := range fds {
+		// The descriptor ReadDir itself used is gone by now; skip it.
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil {
+			open[target] = true
+		}
+	}
+	return open
+}
+
+// TestServeLeaksNoDescriptors runs a checkpointing server and two workers to
+// completion, one of them losing its link in round 3 and redialling, and
+// demands that afterwards every socket — listening, accepted, dialled — and
+// every checkpoint file is closed. The collector is off throughout: the
+// finalizer of an unreachable socket or file would close it and hide the
+// leak.
+func TestServeLeaksNoDescriptors(t *testing.T) {
+	fam := testFamily()
+	addr := reservePort(t) // also brings up the runtime's poller, which stays
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := openDescriptors(t)
+
+	const rounds = 6
+	link := newRelay(t, addr)
+	part := data.PartitionIID(fam.DS, 2, rand.New(rand.NewSource(9)))
+	srcs := []core.Source{
+		data.NewLoader(fam.DS, part[0], 4, rand.New(rand.NewSource(100))),
+		&cuttingSource{Source: data.NewLoader(fam.DS, part[1], 4, rand.New(rand.NewSource(101))), at: 3, link: link},
+	}
+	addrs := []string{addr, link.ln.Addr().String()}
+	workerErrs := make(chan error, 2)
+	for i := range srcs {
+		go func(i int) {
+			workerErrs <- RunWorker(fam, srcs[i], WorkerConfig{Addr: addrs[i], Name: fmt.Sprintf("w%d", i), ID: fmt.Sprintf("fd-%d", i)})
+		}(i)
+	}
+	res, err := Serve(fam, ServerConfig{
+		Addr:          addr,
+		Workers:       2,
+		Rounds:        rounds,
+		RoundTimeout:  10 * time.Second,
+		CheckpointDir: t.TempDir(),
+		SnapshotEvery: 2,
+		Core: core.Config{
+			Strategy:   core.StrategySynFL,
+			Rounds:     rounds,
+			LocalIters: 1,
+			BatchSize:  4,
+			EvalLimit:  40,
+			Seed:       6,
+		},
+	})
+	if err != nil {
+		t.Fatalf("server: %v", err)
+	}
+	if res.Rounds != rounds {
+		t.Fatalf("completed %d rounds, want %d", res.Rounds, rounds)
+	}
+	for range srcs {
+		if err := <-workerErrs; err != nil {
+			t.Errorf("worker: %v", err)
+		}
+	}
+	if links := link.close(); links < 2 {
+		t.Errorf("relay carried %d link(s); the cut worker never redialled", links)
+	}
+	// A hello the server was still turning away when it returned may hold
+	// its socket a moment longer; a leak holds it for good.
+	var leaked []string
+	for wait := 0; wait < 200; wait++ {
+		leaked = leaked[:0]
+		for target := range openDescriptors(t) {
+			if !before[target] {
+				leaked = append(leaked, target)
+			}
+		}
+		if len(leaked) == 0 {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("still open after the run: %v", leaked)
 }
