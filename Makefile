@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only dependency.
 
-.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches lint-mutants fuzz-smoke race check bench ci test-kernels test-exhaustive test-benchmark loc
+.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches lint-mutants fuzz-smoke race check bench-smoke ci test-kernels test-exhaustive test-benchmark loc
 
 build:
 	go build ./...
@@ -81,18 +81,12 @@ fuzz-smoke:
 race:
 	go test -race ./...
 
-# bench regenerates the committed benchmark reports: BENCH_kernels.json
-# (kernel micro-benchmarks with speedups over the seed kernels, see
-# EXPERIMENTS.md), BENCH_wire.json (frame codec vs gob encode/decode,
-# bytes/round across the pruning-ratio sweep, sparse-upload savings) and
-# BENCH_sim.json (virtual-time scheduler events/sec and heap growth across
-# 1e3/1e5/1e6-device populations, plus the per-round fixed costs of a
-# 200-worker cohort: Assign, Aggregate, network construction cold and
-# cached, device materialisation).
-bench:
-	go run ./cmd/fedmp-bench -bench-json BENCH_kernels.json
-	go run ./cmd/fedmp-bench -wire-json BENCH_wire.json
-	go run ./cmd/fedmp-bench -sim-json BENCH_sim.json
+# bench-smoke runs one iteration of every `go test` micro-benchmark that is
+# the only home of a measurement (EXPERIMENTS.md, "Where each retired row
+# lives now"), so none of them stops compiling or starts failing unnoticed.
+# It measures nothing; `bash benchmark/run.sh` does.
+bench-smoke:
+	go test -run '^$$' -benchtime 1x -bench 'GEMM|MatVec|Im2Col|Col2Im|Conv|SGDStep|TrainStep|PushPop|PopulationDevice' ./internal/tensor ./internal/nn ./internal/simsched ./internal/cluster .
 
 # test-kernels runs the tensor and nn suites once per micro-kernel tier (the
 # layers' differential tests against the pre-rebuild code are bitwise, so
@@ -140,9 +134,10 @@ check: vet lint build test test-kernels race
 # trajectory grid (internal/core/testdata/run-grid.golden), then the
 # transport (two-worker loopback round over the binary wire codec, sim/wire
 # parity, and a mid-run PS kill/restart that must recover from its
-# checkpoint) — then a bench smoke run (one static table plus one quick
+# checkpoint) — then an experiment smoke run (one static table plus one quick
 # sim-backed figure) proving the experiment CLI still runs end to end.
-ci: check lint-bench lint-hatches test-benchmark
+# bench-smoke, among the prerequisites, runs each micro-benchmark once.
+ci: check lint-bench lint-hatches test-benchmark bench-smoke
 	go test -race -count=1 -run 'TestParallelCohortDeterminism|TestRunGridGolden' ./internal/core
 	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

@@ -48,18 +48,6 @@ func BenchmarkTable4(b *testing.B)      { benchArtefact(b, "table4") }
 
 // --- Micro-benchmarks of the library's hot paths ---
 
-func BenchmarkMatMul64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	x := tensor.RandN(rng, 64, 64)
-	y := tensor.RandN(rng, 64, 64)
-	out := tensor.New(64, 64)
-	b.SetBytes(2 * 64 * 64 * 64 * 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.MatMulInto(out, x, y, false)
-	}
-}
-
 func BenchmarkConvForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	g := tensor.ConvGeom{InC: 16, InH: 16, InW: 16, OutC: 32, KH: 3, KW: 3, Stride: 1, Pad: 1}

@@ -7,8 +7,9 @@
 //	fedmp-bench -exp all            # every artefact, full scale
 //	fedmp-bench -exp fig6 -quick    # one artefact, reduced scale
 //	fedmp-bench -exp table3 -csv out/
-//	fedmp-bench -bench-json BENCH_kernels.json   # kernel micro-benchmarks
-//	fedmp-bench -sim-json BENCH_sim.json         # scheduler scale benchmarks
+//
+// Performance is measured elsewhere: `bash benchmark/run.sh` end to end and
+// per layer, `go test -bench` per kernel.
 package main
 
 import (
@@ -29,29 +30,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "experiment seed")
 	csvDir := flag.String("csv", "", "directory to write per-table CSVs into (optional)")
 	verbose := flag.Bool("v", false, "log each simulation as it starts")
-	benchJSON := flag.String("bench-json", "", "run the kernel micro-benchmarks and write results (with speedups vs the seed kernels) to this JSON file ('-' for stdout), then exit")
-	wireJSON := flag.String("wire-json", "", "run the wire-codec benchmarks (codec vs gob, bytes/round vs keep ratio) and write results to this JSON file ('-' for stdout), then exit")
-	simJSON := flag.String("sim-json", "", "run the virtual-time scheduler scale benchmarks (events/sec and heap growth at 1e3/1e5/1e6 devices) and write results to this JSON file ('-' for stdout), then exit")
 	flag.Parse()
-
-	if *benchJSON != "" {
-		if err := writeKernelBench(*benchJSON); err != nil {
-			log.Fatalf("bench-json: %v", err)
-		}
-		return
-	}
-	if *wireJSON != "" {
-		if err := writeWireBench(*wireJSON); err != nil {
-			log.Fatalf("wire-json: %v", err)
-		}
-		return
-	}
-	if *simJSON != "" {
-		if err := writeSimBench(*simJSON); err != nil {
-			log.Fatalf("sim-json: %v", err)
-		}
-		return
-	}
 
 	opts := fedmp.ExperimentOptions{Quick: *quick, Seed: *seed}
 	if *verbose {

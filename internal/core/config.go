@@ -379,7 +379,7 @@ type Result struct {
 	Stream *StreamStats
 	// Events counts virtual-time scheduler events processed over the run —
 	// worker completions, round closes, eval ticks and churn transitions —
-	// the numerator of the events/sec throughput BENCH_sim.json reports.
+	// the numerator of the benchmark's simsched.events_per_round.
 	Events int64
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"fedmp/internal/cluster"
+	"fedmp/internal/simclock"
 	"fedmp/internal/tensor"
 )
 
@@ -198,6 +199,63 @@ func TestPopulationChurnRun(t *testing.T) {
 	if got, want := resultFingerprint(t, res2), resultFingerprint(t, res); got != want {
 		t.Fatal("population churn run is not deterministic")
 	}
+}
+
+// liveHeapFamily records the live heap at each round's planning step, the
+// one Family call the engine makes once a round from its own goroutine —
+// while the runner and everything it caches are still reachable, which a
+// measurement after Run returns would not see.
+type liveHeapFamily struct {
+	*ImageFamily
+	live uint64
+}
+
+func (f *liveHeapFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
+	f.live = liveHeap()
+	return f.ImageFamily.PlanContext(weights)
+}
+
+func liveHeap() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestPopulationCostIndependentOfSize pins the scaling claim of population
+// mode: at a fixed cohort the work and the memory of a run do not depend on
+// how many devices exist. The same 50-round, cohort-30 run over 10³ and 10⁶
+// devices processes the same number of scheduler events, and what it holds
+// live in its last round grows by no more than the devices it sampled: the
+// small population is sampled with repeats (~780 distinct of 1 500 draws),
+// the large one almost without, hence the factor of two.
+func TestPopulationCostIndependentOfSize(t *testing.T) {
+	run := func(size int) (events int64, growth int64) {
+		fam := &liveHeapFamily{ImageFamily: tinyFamily()}
+		cfg := quickCfg(StrategyFedMP, 50)
+		cfg.Workers = 30
+		cfg.LocalIters, cfg.BatchSize = 1, 2 // training is not what is measured
+		cfg.EvalEvery = 10
+		cfg.StreamMetrics = true
+		cfg.Clock = simclock.Fixed{}
+		cfg.Population = &cluster.Population{Size: size}
+		before := liveHeap()
+		res, err := Run(fam, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Events, int64(fam.live) - int64(before)
+	}
+	smallEvents, smallGrowth := run(1_000)
+	largeEvents, largeGrowth := run(1_000_000)
+	if smallEvents != largeEvents || smallEvents == 0 {
+		t.Errorf("%d events over 10³ devices, %d over 10⁶; want equal and non-zero", smallEvents, largeEvents)
+	}
+	if limit := 2*smallGrowth + 256<<10; largeGrowth > limit {
+		t.Errorf("live heap grew %d KiB over 10⁶ devices, %d KiB over 10³; want at most %d KiB",
+			largeGrowth>>10, smallGrowth>>10, limit>>10)
+	}
+	t.Logf("events %d; live-heap growth %d KiB (10³), %d KiB (10⁶)", smallEvents, smallGrowth>>10, largeGrowth>>10)
 }
 
 // TestPopulationConfigValidation pins the config seams: population excludes

@@ -6,7 +6,7 @@ import "fedmp/internal/metrics"
 // Stats/Points slices: every statistic a long-running scale experiment
 // needs, folded online. Enabled by Config.StreamMetrics; carried on
 // Result.Stream. All fields are exported so the aggregate survives JSON
-// (BENCH_sim.json embeds it).
+// (the determinism tests fingerprint a Result that way).
 type StreamStats struct {
 	// Rounds counts completed rounds folded in.
 	Rounds int64

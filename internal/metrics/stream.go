@@ -7,7 +7,7 @@ import "math"
 // Welford accumulator for mean/variance and a P² marker estimator for
 // quantiles, both O(1) memory per tracked statistic regardless of how
 // many virtual rounds a run executes. All fields are exported so results
-// survive a JSON round trip (checkpoints, BENCH_sim.json).
+// survive a JSON round trip (checkpoints, result fingerprints in tests).
 
 // Welford is Welford's online mean/variance accumulator.
 type Welford struct {

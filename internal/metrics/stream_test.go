@@ -89,7 +89,7 @@ func TestP2ApproximatesQuantiles(t *testing.T) {
 }
 
 // TestP2JSONRoundTrip checks the estimator state survives encoding — the
-// property checkpoints and BENCH_sim.json rely on.
+// property checkpoints and the tests' result fingerprints rely on.
 func TestP2JSONRoundTrip(t *testing.T) {
 	p := NewP2(0.9)
 	rng := rand.New(rand.NewSource(2))

@@ -7,9 +7,8 @@ import (
 	"fedmp/internal/tensor"
 )
 
-// Layer micro-benchmarks. `make bench` (cmd/fedmp-bench -bench-json) runs the
-// same bodies and writes them to BENCH_kernels.json next to ConvForward and
-// TrainStepCNN, so a move in the train step can be traced to its parts.
+// Layer micro-benchmarks: the parts of the root package's ConvForward and
+// TrainStepCNN benchmarks, so a move in the train step can be traced to them.
 
 // BenchmarkConvBackward is the backward half of the root package's
 // BenchmarkConvForward: 16→32 channels, 3×3, on 16×16 planes, batch 8.

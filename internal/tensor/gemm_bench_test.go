@@ -5,10 +5,11 @@ import (
 	"testing"
 )
 
-// Kernel micro-benchmarks. `make bench` (cmd/fedmp-bench -bench-json) runs
-// the same shapes programmatically and writes BENCH_kernels.json with the
-// speedups over the seed kernels; see EXPERIMENTS.md for regenerating the
-// table.
+// Kernel micro-benchmarks. The GEMM and MatVec ones give SetBytes the FLOP
+// count of one product, so their MB/s column reads as MFLOP/s. The seed
+// kernels' ns/op for the same bodies are in EXPERIMENTS.md ("Where each
+// retired row lives now"); the Makefile's bench-smoke target keeps these
+// compiling and running.
 
 func benchGEMM(b *testing.B, m, k, n int) {
 	rng := rand.New(rand.NewSource(1))
