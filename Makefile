@@ -10,10 +10,12 @@ test:
 
 # vet also type-checks the two packages with per-architecture files for a
 # non-amd64 target, so an assembly routine without its portable counterpart
-# fails here rather than on someone else's machine.
+# fails here rather than on someone else's machine, and fails on a file gofmt
+# would rewrite.
 vet:
 	go vet ./...
 	GOARCH=arm64 go vet ./internal/tensor ./internal/nn
+	test -z "$$(gofmt -l .)"
 
 # lint runs the repo's own static-analysis suite (internal/lint): the
 # syntactic rules randsource, wallclock, floateq, synccopy, allocfree,
@@ -90,15 +92,23 @@ bench-smoke:
 
 # test-kernels runs the tensor and nn suites once per micro-kernel tier (the
 # layers' differential tests against the pre-rebuild code are bitwise, so
-# they must hold on every tier). FEDMP_KERNEL forces the tier; a tier the
+# they must hold on every tier), then the pinned trajectory grid
+# (internal/core/testdata/run-grid.golden) on that tier at GOMAXPROCS 1 and 2:
+# one file of hashes holds on all six. FEDMP_KERNEL forces the tier; a tier the
 # host lacks falls back to the best available one (the tier-specific tests
 # check KernelName and skip themselves), so the same loop passes on every
 # machine. -count=1 because the variable is read in a package init, before
 # the test cache starts tracking the environment.
 test-kernels:
 	FEDMP_KERNEL=generic go test -count=1 ./internal/tensor ./internal/nn
+	FEDMP_KERNEL=generic GOMAXPROCS=1 go test -count=1 -run TestRunGridGolden ./internal/core
+	FEDMP_KERNEL=generic GOMAXPROCS=2 go test -count=1 -run TestRunGridGolden ./internal/core
 	FEDMP_KERNEL=sse go test -count=1 ./internal/tensor ./internal/nn
+	FEDMP_KERNEL=sse GOMAXPROCS=1 go test -count=1 -run TestRunGridGolden ./internal/core
+	FEDMP_KERNEL=sse GOMAXPROCS=2 go test -count=1 -run TestRunGridGolden ./internal/core
 	FEDMP_KERNEL=avx2 go test -count=1 ./internal/tensor ./internal/nn
+	FEDMP_KERNEL=avx2 GOMAXPROCS=1 go test -count=1 -run TestRunGridGolden ./internal/core
+	FEDMP_KERNEL=avx2 GOMAXPROCS=2 go test -count=1 -run TestRunGridGolden ./internal/core
 
 # test-exhaustive puts all 2^32 float32 inputs through SigmoidInto and TanhInto
 # and demands the bits of the scalar loops over math.Exp and math.Tanh (tier-1

@@ -10,26 +10,8 @@ import (
 
 	"fedmp"
 	"fedmp/internal/metrics"
+	"fedmp/internal/testfd"
 )
-
-// openDescriptors returns what each of this process's open file descriptors
-// refers to (a file path, "socket:[inode]", ...): a leak shows as a target
-// that was not there before, whatever number it got.
-func openDescriptors(t *testing.T) map[string]bool {
-	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("no descriptor table to read: %v", err)
-	}
-	open := make(map[string]bool)
-	for _, fd := range fds {
-		// The descriptor ReadDir itself used is gone by now; skip it.
-		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil {
-			open[target] = true
-		}
-	}
-	return open
-}
 
 func table(title string, rows ...[]string) *metrics.Table {
 	return &metrics.Table{Title: title, Columns: []string{"model", "acc, %"}, Rows: rows}
@@ -52,13 +34,11 @@ func TestWriteCSVs(t *testing.T) {
 		table("c", []string{"lstm", "\"3\""}),
 	}}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	before := openDescriptors(t)
+	before := testfd.Open(t)
 	leaked := func(when string) {
 		t.Helper()
-		for target := range openDescriptors(t) {
-			if !before[target] {
-				t.Errorf("%s: descriptor on %s left open", when, target)
-			}
+		for _, target := range testfd.Leaked(t, before) {
+			t.Errorf("%s: descriptor on %s left open", when, target)
 		}
 	}
 

@@ -208,14 +208,12 @@ func (s *fedProx) Aggregate(info *RoundInfo, outs []Output, _ []Assignment) ([]*
 // flexCom is the FlexCom baseline [13]: workers train the full model but
 // upload top-K compressed updates, with K adapted to each worker's observed
 // communication time (heterogeneous compression). Computation is not
-// reduced — the paper's critique of the approach.
+// reduced — the paper's critique of the approach. The error feedback top-K
+// compression needs (without it, it is known to stall) is the worker's own
+// memory: see WorkerStep.
 type flexCom struct {
 	fam Family
 	cfg *Config
-	// feedback holds each worker's accumulated compression error, carried
-	// into its next assignment (error feedback; without it top-K
-	// compression is known to stall).
-	feedback [][]*tensor.Tensor
 }
 
 // Name implements Strategy.
@@ -246,30 +244,22 @@ func (s *flexCom) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 		if k > 1 {
 			k = 1
 		}
-		a := Assignment{
+		out = append(out, Assignment{
 			Worker:  w,
 			Desc:    s.fam.FullDesc(),
 			Weights: nn.CloneWeights(info.Global),
 			Iters:   s.cfg.LocalIters,
 			UploadK: k,
-		}
-		if s.feedback != nil && s.feedback[w] != nil {
-			a.Feedback = s.feedback[w]
-		}
-		out = append(out, a)
+		})
 	}
 	return out, nil
 }
 
 // Aggregate implements Strategy: the global model absorbs the mean of the
-// sparse updates, and each worker's compression error is retained for its
-// next round.
+// sparse updates.
 func (s *flexCom) Aggregate(info *RoundInfo, outs []Output, _ []Assignment) ([]*tensor.Tensor, error) {
 	if len(outs) == 0 {
 		return info.Global, nil
-	}
-	if s.feedback == nil {
-		s.feedback = make([][]*tensor.Tensor, s.cfg.Workers)
 	}
 	newGlobal := nn.CloneWeights(info.Global)
 	inv := float32(1) / float32(len(outs))
@@ -280,7 +270,6 @@ func (s *flexCom) Aggregate(info *RoundInfo, outs []Output, _ []Assignment) ([]*
 		for i := range newGlobal {
 			newGlobal[i].AddScaled(inv, o.Update[i])
 		}
-		s.feedback[o.Worker] = o.Leftover
 	}
 	return newGlobal, nil
 }

@@ -442,13 +442,13 @@ func TestTopKUpdate(t *testing.T) {
 	before := []*tensor.Tensor{tensor.FromSlice([]float32{0, 0, 0, 0}, 4)}
 	after := []*tensor.Tensor{tensor.FromSlice([]float32{1, -3, 0.5, 2}, 4)}
 	topK := func(k float64) (update []float32, nnz int) {
-		up := BuildUpload(nn.CloneWeights(after), before, k, nil, false)
-		for _, v := range up.Update[0].Data {
+		_, up, _ := buildUpload(nn.CloneWeights(after), before, k, nil, false)
+		for _, v := range up[0].Data {
 			if v != 0 {
 				nnz++
 			}
 		}
-		return up.Update[0].Data, nnz
+		return up[0].Data, nnz
 	}
 	update, nnz := topK(0.5)
 	if nnz != 2 {

@@ -7,8 +7,8 @@ import (
 	"slices"
 
 	"fedmp/internal/cluster"
-	"fedmp/internal/nn"
 	"fedmp/internal/simsched"
+	"fedmp/internal/tensor"
 	"fedmp/internal/transport/codec"
 )
 
@@ -51,6 +51,9 @@ type runner struct {
 	// caches holds one network cache per cohort-training executor (see
 	// shard), grown to the executor count before a cohort trains.
 	caches []*NetCache
+	// leftover is each slot's top-K compression error, kept as a TCP worker
+	// keeps its own (WorkerStep).
+	leftover [][]*tensor.Tensor
 
 	// Round-scoped scratch, re-sliced every round instead of reallocated.
 	// workerIDs is the fixed [0..Workers) identity list; the rest hold the
@@ -106,6 +109,8 @@ func newRunner(fam Family, cfg Config) (*runner, error) {
 		sources: sources,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 29)),
 		sched:   simsched.New(4*cfg.Workers + 8),
+
+		leftover: make([][]*tensor.Tensor, cfg.Workers),
 	}
 	r.workerIDs = make([]int, cfg.Workers)
 	for i := range r.workerIDs {
@@ -408,83 +413,56 @@ func (r *runner) deviceFor(w int) *cluster.Device {
 	return r.devices[w]
 }
 
-// runWorker executes one assignment: local training for real, virtual time
-// charged per the device model (phase ② of Fig. 1). round is the wire
-// round index, threaded through so the size model prices exactly the frame
-// the TCP runtime would send. It touches only per-assignment state — the
-// worker's own source and device — and the calling executor's network
-// cache, whose networks train exactly as freshly built ones do, which is
-// what lets trainCohort shard calls across goroutines without changing a
-// byte of the result. Once the cache is warm the call allocates only what it
-// returns and prices: the trained weights, their delta and the two frame
-// envelopes.
-func (r *runner) runWorker(a Assignment, round int, cache *NetCache) (Output, error) {
-	dev := r.deviceFor(a.Worker)
-	net, opt, err := cache.Get(a.Desc, r.cfg.Seed)
-	if err != nil {
-		return Output{}, fmt.Errorf("core: building worker %d model: %w", a.Worker, err)
+// deliver is what a frame carrying ts hands its receiver: the codec's int8
+// reconstruction under QuantizeWire — the one lossy hop a real frame takes —
+// and the tensors themselves otherwise.
+func (r *runner) deliver(ts []*tensor.Tensor) []*tensor.Tensor {
+	if ts == nil || !r.cfg.QuantizeWire {
+		return ts
 	}
-	// With wire quantization on, the TCP worker trains on the codec's
-	// dequantized reconstruction of the assignment, not the weights the
-	// server holds; mirror that single round trip here so both runtimes
-	// optimise from bit-identical starting points.
-	quantize := r.cfg.QuantizeWire
-	aw := a.Weights
-	if quantize {
-		aw = codec.Dequantized(a.Weights)
-	}
-	out := Output{Assignment: a}
-	out.TrainLoss = TrainLocal(net, opt, r.sources[a.Worker], aw, a.Iters, a.ProxMu)
-	trained := nn.GetWeights(net)
+	return codec.Dequantized(ts)
+}
 
+// runWorker executes one assignment — the exchange of core/local.go with
+// delivery in place of sockets: local training for real, virtual time charged
+// per the device model (phase ② of Fig. 1). round is the wire round index,
+// threaded through so the size model prices exactly the frames the TCP
+// runtime would send, sparse-mode compression included — Figs. 5 and 9 report
+// real encoded bytes, not a parameter-count estimate. It touches only
+// per-assignment state — the worker's own source, leftover and device — and
+// the calling executor's network cache, whose networks train exactly as
+// freshly built ones do, which is what lets trainCohort shard calls across
+// goroutines without changing a byte of the result. Once the cache is warm
+// the call allocates only what it returns and prices: the trained weights
+// (which become the delta, then the new weights) and the two frames.
+func (r *runner) runWorker(a Assignment, round int, cache *NetCache) (Output, error) {
+	out := Output{Assignment: a}
+	assign := a.Frame(round, r.cfg.QuantizeWire)
+	var err error
+	if out.DownBytes, err = codec.FrameBytes(assign); err != nil {
+		return Output{}, fmt.Errorf("core: sizing worker %d assignment: %w", a.Worker, err)
+	}
+	assign.Assign.Weights = r.deliver(a.Weights)
+	res, err := WorkerStep(cache, r.sources[a.Worker], assign.Assign, r.cfg.Seed, &r.leftover[a.Worker])
+	if err != nil {
+		return Output{}, fmt.Errorf("core: worker %d: %w", a.Worker, err)
+	}
+	result := &codec.Envelope{Kind: codec.KindResult, Quantize: r.cfg.QuantizeWire, Result: res}
+	if out.UpBytes, err = codec.FrameBytes(result); err != nil {
+		return Output{}, fmt.Errorf("core: sizing worker %d result: %w", a.Worker, err)
+	}
+	res.Delta, res.Update = r.deliver(res.Delta), r.deliver(res.Update)
+	if err := out.Receive(res); err != nil {
+		return Output{}, fmt.Errorf("core: worker %d: %w", a.Worker, err)
+	}
+
+	dev := r.deviceFor(a.Worker)
 	fwd, err := r.fam.ForwardFLOPs(a.Desc)
 	if err != nil {
 		return Output{}, err
 	}
 	flops := 3 * fwd * float64(a.Iters*r.cfg.BatchSize)
 	out.CompTime = dev.ComputeTime(flops)
-
-	// Traffic is priced by the wire codec's size model — the exact frame
-	// sizes the TCP runtime would measure for this assignment and its
-	// result — so Figs. 5 and 9 report real encoded bytes, sparse-mode
-	// compression included, not a parameter-count estimate.
-	out.DownBytes, err = codec.FrameBytes(&codec.Envelope{Kind: codec.KindAssign, Quantize: quantize, Assign: &codec.Assign{
-		Round:    round,
-		Desc:     a.Desc,
-		Weights:  a.Weights,
-		Iters:    a.Iters,
-		ProxMu:   a.ProxMu,
-		UploadK:  a.UploadK,
-		Ratio:    a.Ratio,
-		Quantize: quantize,
-	}})
-	if err != nil {
-		return Output{}, fmt.Errorf("core: sizing worker %d assignment: %w", a.Worker, err)
-	}
-	// The server aggregates what the wire delivers. Dense and unquantized
-	// that is the trained weights themselves (the TCP server rebuilds
-	// a + (b − a), which may differ from b in the last bit; this engine's
-	// pinned results keep b), so the upload is built from a copy.
-	if a.UploadK <= 0 && !quantize {
-		out.NewWeights = trained
-		trained = nn.CloneWeights(trained)
-	}
-	up := BuildUpload(trained, aw, a.UploadK, a.Feedback, quantize)
-	switch {
-	case a.UploadK > 0:
-		out.Update, out.Leftover = up.Sent, up.Leftover
-	case quantize:
-		// The server-side reconstruction: the weights the strategy kept
-		// plus the delta as it survives the quantized upload.
-		if out.NewWeights, err = ApplyDelta(a.Weights, codec.Dequantized(up.Delta)); err != nil {
-			return Output{}, fmt.Errorf("core: worker %d: %w", a.Worker, err)
-		}
-	}
-	out.UpBytes, err = codec.FrameBytes(&codec.Envelope{Kind: codec.KindResult, Quantize: quantize,
-		Result: &codec.Result{Round: round, TrainLoss: out.TrainLoss, Delta: up.Delta, Update: up.Update}})
-	if err != nil {
-		return Output{}, fmt.Errorf("core: sizing worker %d result: %w", a.Worker, err)
-	}
 	out.CommTime = dev.CommTime(out.DownBytes + out.UpBytes)
 	out.Total = out.CompTime + out.CommTime
 	return out, nil

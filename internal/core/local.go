@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"fedmp/internal/nn"
@@ -10,15 +11,92 @@ import (
 	"fedmp/internal/transport/codec"
 )
 
-// The worker's local step (phase ② of Fig. 1), once for both runtimes: the
-// simulator's runWorker and the TCP worker call TrainLocal and BuildUpload,
-// and ApplyDelta is the parameter server's half of the dense upload.
+// The exchange of Fig. 1, once for both runtimes: the parameter server frames
+// an assignment (Frame), the worker trains it and builds its upload
+// (WorkerStep), and the server folds the upload into the round's output
+// (Receive). The simulator's runWorker and the TCP server and worker call
+// these three and nothing else of this file; between the calls the simulator
+// hands tensors over as the codec would deliver them, the TCP runtime puts
+// them on a socket.
 
-// TrainLocal loads weights into net and runs iters local SGD iterations on
+// Frame is the assignment as the parameter server sends it in the given round
+// — the frame the TCP server writes and the simulator prices with
+// codec.FrameBytes. It omits the R2SP residual and the pruning plan, which are
+// server-side bookkeeping. The weights are shared, not copied.
+func (a *Assignment) Frame(round int, quantize bool) *codec.Envelope {
+	return &codec.Envelope{Kind: codec.KindAssign, Quantize: quantize, Assign: &codec.Assign{
+		Round:    round,
+		Desc:     a.Desc,
+		Weights:  a.Weights,
+		Iters:    a.Iters,
+		ProxMu:   a.ProxMu,
+		UploadK:  a.UploadK,
+		Ratio:    a.Ratio,
+		Quantize: quantize,
+	}}
+}
+
+// WorkerStep is a worker's whole answer to one assignment (phase ② of
+// Fig. 1): train a on src's batches and build the upload. The network and its
+// optimiser come from cache — a sub-model shape seen before trains on the
+// network built then, reloaded; seed reaches Family.BuildNet when one must be
+// built. leftover is the worker's own top-K compression error (FlexCom's
+// error feedback), carried from one assignment's upload into the next one's
+// selection; it is ignored when the assigned model has changed shape and is
+// overwritten with what this upload leaves behind (nil in dense mode).
+// a.Weights are only read.
+func WorkerStep(cache *NetCache, src Source, a *codec.Assign, seed int64, leftover *[]*tensor.Tensor) (*codec.Result, error) {
+	net, opt, err := cache.Get(a.Desc, seed)
+	if err != nil {
+		return nil, fmt.Errorf("building assigned model: %w", err)
+	}
+	res := &codec.Result{Round: a.Round}
+	res.TrainLoss = trainLocal(net, opt, src, a.Weights, max(a.Iters, 1), a.ProxMu)
+	var feedback []*tensor.Tensor
+	if slices.EqualFunc(*leftover, a.Weights, tensor.SameShape) {
+		feedback = *leftover
+	}
+	// GetWeights deep-copies, so the upload is built in place.
+	res.Delta, res.Update, *leftover = buildUpload(nn.GetWeights(net), a.Weights, a.UploadK, feedback, a.Quantize)
+	return res, nil
+}
+
+// Receive folds a worker's result, as delivered, into the output of the
+// assignment it answers: the loss, the top-K update (FlexCom), or — dense
+// mode, which ships only trained minus assigned — the new weights, rebuilt
+// against the weights the server sent. The sum is formed in the delivered
+// delta, which o adopts; the assignment's weights are never written (they may
+// alias strategy state). The result is outside input on the parameter server:
+// a delta that does not match the assignment is a protocol error reported to
+// the caller, not a panic.
+func (o *Output) Receive(r *codec.Result) error {
+	o.TrainLoss, o.Update = r.TrainLoss, r.Update
+	if r.Delta == nil {
+		return nil
+	}
+	base, delta := o.Weights, r.Delta
+	if len(delta) != len(base) {
+		return fmt.Errorf("delta has %d tensors, assignment has %d", len(delta), len(base))
+	}
+	for i := range delta {
+		if len(delta[i].Data) != len(base[i].Data) || !tensor.SameShape(delta[i], base[i]) {
+			return fmt.Errorf("delta tensor %d is %v (%d elements), assignment has %v (%d)",
+				i, delta[i].Shape, len(delta[i].Data), base[i].Shape, len(base[i].Data))
+		}
+		dst, src := delta[i].Data, base[i].Data
+		for j := range dst {
+			dst[j] += src[j]
+		}
+	}
+	o.NewWeights = delta
+	return nil
+}
+
+// trainLocal loads weights into net and runs iters local SGD iterations on
 // src's batches, pulling toward weights with coefficient proxMu when that is
 // non-zero (FedProx). It returns the mean training loss; the trained
 // parameters stay in net.
-func TrainLocal(net nn.Network, opt *nn.SGD, src Source, weights []*tensor.Tensor, iters int, proxMu float32) float64 {
+func trainLocal(net nn.Network, opt *nn.SGD, src Source, weights []*tensor.Tensor, iters int, proxMu float32) float64 {
 	nn.SetWeights(net, weights)
 	var lossSum float64
 	for it := 0; it < iters; it++ {
@@ -32,33 +110,19 @@ func TrainLocal(net nn.Network, opt *nn.SGD, src Source, weights []*tensor.Tenso
 	return lossSum / float64(iters)
 }
 
-// Upload is what a worker sends back for one trained assignment — exactly
-// one of Delta and Update — and, in top-K mode, what it keeps.
-type Upload struct {
-	// Delta is the dense upload: trained minus assigned. The server still
-	// has the weights it sent, so repeating them buys nothing, and a
-	// partially trained delta's zero runs compress under the codec's sparse
-	// mode.
-	Delta []*tensor.Tensor
-	// Update is the sparse top-K upload in dense form (FlexCom); Sent is
-	// Update as the wire delivers it (its int8 reconstruction under
-	// quantization, Update itself otherwise).
-	Update, Sent []*tensor.Tensor
-	// Leftover is the compression error the top-K selection left behind:
-	// what the next round's selection must see again as feedback.
-	Leftover []*tensor.Tensor
-}
-
-// BuildUpload turns trained weights into the upload for an assignment that
-// started from assigned. trained is consumed: the delta is computed in place
-// (pass a copy to keep the weights). With uploadK zero the upload is the
-// dense delta. Otherwise feedback — the previous uploads' leftover, nil for
-// none — is added first (error feedback, the standard fix for top-K
-// compression stalls) and the top uploadK fraction of each tensor is kept;
-// the leftover is measured against what the wire delivers, so under quantize
-// it compensates the quantization error too.
-func BuildUpload(trained, assigned []*tensor.Tensor, uploadK float64, feedback []*tensor.Tensor, quantize bool) Upload {
-	delta := trained
+// buildUpload turns trained weights into the upload for an assignment that
+// started from assigned — exactly one of delta and update. trained is
+// consumed: the delta is computed in place. With uploadK zero the upload is
+// the dense delta, trained minus assigned: the server still has the weights
+// it sent, so repeating them buys nothing, and a partially trained delta's
+// zero runs compress under the codec's sparse mode. Otherwise feedback — the
+// previous uploads' leftover, nil for none — is added first (error feedback,
+// the standard fix for top-K compression stalls) and the top uploadK fraction
+// of each tensor is kept as update, in dense form; leftover is what the
+// selection left behind, measured against what the wire delivers, so under
+// quantize it compensates the quantization error too.
+func buildUpload(trained, assigned []*tensor.Tensor, uploadK float64, feedback []*tensor.Tensor, quantize bool) (delta, update, leftover []*tensor.Tensor) {
+	delta = trained
 	for i := range delta {
 		delta[i].Sub(assigned[i])
 		if uploadK > 0 && feedback != nil {
@@ -66,9 +130,9 @@ func BuildUpload(trained, assigned []*tensor.Tensor, uploadK float64, feedback [
 		}
 	}
 	if uploadK <= 0 {
-		return Upload{Delta: delta}
+		return delta, nil, nil
 	}
-	update, _ := topKOf(delta, uploadK)
+	update, _ = topKOf(delta, uploadK)
 	sent := update
 	if quantize {
 		sent = codec.Dequantized(update)
@@ -76,30 +140,7 @@ func BuildUpload(trained, assigned []*tensor.Tensor, uploadK float64, feedback [
 	for i := range delta {
 		delta[i].Sub(sent[i])
 	}
-	return Upload{Update: update, Sent: sent, Leftover: delta}
-}
-
-// ApplyDelta reconstructs a worker's trained weights from the assignment's
-// weights plus the uploaded dense delta. The base tensors are cloned, never
-// mutated — they may alias strategy state. The delta is outside input on the
-// parameter server: one that does not match the assignment's shapes is a
-// protocol error reported to the caller, not a panic.
-func ApplyDelta(base, delta []*tensor.Tensor) ([]*tensor.Tensor, error) {
-	if len(delta) != len(base) {
-		return nil, fmt.Errorf("delta has %d tensors, assignment has %d", len(delta), len(base))
-	}
-	out := nn.CloneWeights(base)
-	for i := range out {
-		if len(delta[i].Data) != len(out[i].Data) {
-			return nil, fmt.Errorf("delta tensor %d has %d elements, assignment has %d",
-				i, len(delta[i].Data), len(out[i].Data))
-		}
-		dst, src := out[i].Data, delta[i].Data
-		for j := range dst {
-			dst[j] += src[j]
-		}
-	}
-	return out, nil
+	return nil, update, delta
 }
 
 // magPool recycles the magnitude scratch topKOf ranks in — one buffer per

@@ -39,10 +39,6 @@ type Assignment struct {
 	// asynchronous engine's initial dispatch); bandit bookkeeping skips
 	// them.
 	Warmup bool
-	// Feedback is the worker's accumulated compression error (FlexCom):
-	// deltas that previous top-K uploads dropped. The worker adds it to
-	// this round's delta before selecting the top-K coordinates.
-	Feedback []*tensor.Tensor
 }
 
 // Output is a worker's result for one assignment.
@@ -53,10 +49,6 @@ type Output struct {
 	NewWeights []*tensor.Tensor
 	// Update is the sparse top-K update in global shape (UploadK mode).
 	Update []*tensor.Tensor
-	// Leftover is the compression error left behind by the top-K
-	// selection (UploadK mode); the strategy carries it into the worker's
-	// next assignment as Feedback.
-	Leftover []*tensor.Tensor
 	// TrainLoss is the mean local training loss over the round.
 	TrainLoss float64
 	// CompTime, CommTime and Total are virtual seconds.

@@ -13,8 +13,8 @@ import (
 // head this way; the layer is available for custom specs via
 // zoo.KindDropout.
 type Dropout struct {
-	name string
-	Rate float32
+	name  string
+	Rate  float32
 	rng   *rand.Rand
 	mask  []float32
 	y, dx *tensor.Tensor // reused output buffers

@@ -5,24 +5,16 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"testing"
-)
 
-// openDescriptors counts this process's open file descriptors.
-func openDescriptors(t *testing.T) int {
-	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("no descriptor table to count: %v", err)
-	}
-	return len(fds)
-}
+	"fedmp/internal/testfd"
+)
 
 // TestCycleLeaksNoDescriptors runs the manager's whole life — open, snapshot,
 // journal, recover, close, and the two ways a snapshot write can fail with
-// its temp file open — twenty times over and demands the descriptor count
-// does not grow. The collector is off for the loop: an unreachable os.File
-// is closed by its finalizer, which would hide exactly the leak this looks
-// for.
+// its temp file open — twenty times over and demands that no descriptor is
+// open afterwards that was not before. The collector is off for the loop: an
+// unreachable os.File is closed by its finalizer, which would hide exactly
+// the leak this looks for.
 func TestCycleLeaksNoDescriptors(t *testing.T) {
 	dir := t.TempDir()
 	cycle := func(r int) {
@@ -67,11 +59,11 @@ func TestCycleLeaksNoDescriptors(t *testing.T) {
 	}
 	cycle(0) // whatever the runtime opens lazily is open after this
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	before := openDescriptors(t)
+	before := testfd.Open(t)
 	for i := 1; i <= 20; i++ {
 		cycle(3 * i)
 	}
-	if after := openDescriptors(t); after > before {
-		t.Fatalf("%d descriptors open after 20 cycles, %d before: something is not closed", after, before)
+	if leaked := testfd.Leaked(t, before); len(leaked) > 0 {
+		t.Errorf("left open after 20 cycles: %v", leaked)
 	}
 }

@@ -155,10 +155,12 @@ type Assign struct {
 // repeats the weights the server just sent), Update is the FlexCom top-K
 // sparse update in global shape.
 type Result struct {
-	Round       int
-	Delta       []*tensor.Tensor
-	Update      []*tensor.Tensor
-	TrainLoss   float64
+	Round     int
+	Delta     []*tensor.Tensor
+	Update    []*tensor.Tensor
+	TrainLoss float64
+	// CompSeconds is the worker's own stopwatch over its whole step:
+	// training and building the upload (top-K selection is worker compute).
 	CompSeconds float64
 }
 

@@ -13,11 +13,13 @@ import (
 	"time"
 
 	"fedmp/internal/core"
+	"fedmp/internal/data"
 	"fedmp/internal/nn"
 	"fedmp/internal/simclock"
 	"fedmp/internal/tensor"
 	"fedmp/internal/transport/checkpoint"
 	"fedmp/internal/transport/codec"
+	"fedmp/internal/zoo"
 )
 
 // sameBits reports the first tensor and element at which two weight lists
@@ -77,7 +79,7 @@ func driveOverPipes(t *testing.T, order []int) *core.Result {
 				t.Errorf("worker %d: %v", i, err)
 				return
 			}
-			res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), srcs[i], e.Assign, WorkerConfig{Clock: simclock.Fixed{}}, nil)
+			res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), srcs[i], e.Assign, WorkerConfig{Clock: simclock.Fixed{}}, new([]*tensor.Tensor))
 			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
 				return
@@ -123,8 +125,8 @@ type constSource struct{ b *nn.Batch }
 func (s constSource) Next() *nn.Batch { return s.b }
 
 // TestWorkerCarriesTopKLeftover pins FlexCom's error feedback on the TCP
-// worker: over two assignments on one session, the second upload is what the
-// shared builder produces given the first upload's leftover — not what it
+// worker: over two assignments on one session, the second upload is what
+// core.WorkerStep produces given the first upload's leftover — not what it
 // produces from a clean slate.
 func TestWorkerCarriesTopKLeftover(t *testing.T) {
 	fam := testFamily()
@@ -136,19 +138,21 @@ func TestWorkerCarriesTopKLeftover(t *testing.T) {
 	weights := fam.InitWeights(5)
 	const k = 0.1
 
-	// What the builder says the two uploads are.
-	net0, opt, err := core.NewNetCache(fam, 0.05, 0.9, 0).Get(fam.FullDesc(), 1)
-	if err != nil {
-		t.Fatal(err)
+	// What the shared worker step says the two uploads are.
+	assign := func(round int) *assignMsg {
+		return &assignMsg{Round: round, Desc: fam.FullDesc(), Weights: weights, Iters: 2, UploadK: k}
 	}
-	upload := func(feedback []*tensor.Tensor) core.Upload {
-		opt.Reset()
-		core.TrainLocal(net0, opt, src, weights, 2, 0)
-		return core.BuildUpload(nn.GetWeights(net0), weights, k, feedback, false)
+	upload := func(round int, leftover *[]*tensor.Tensor) []*tensor.Tensor {
+		res, err := core.WorkerStep(core.NewNetCache(fam, 0.05, 0.9, 0), src, assign(round), 1, leftover)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Update
 	}
-	first := upload(nil)
-	second, clean := upload(first.Leftover), upload(nil)
-	if sameBits(second.Update, clean.Update) == "" {
+	var carried, none []*tensor.Tensor
+	first := upload(1, &carried)
+	second, clean := upload(2, &carried), upload(2, &none)
+	if sameBits(second, clean) == "" {
 		t.Fatal("feedback does not change the second upload; the test has no teeth")
 	}
 
@@ -162,10 +166,8 @@ func TestWorkerCarriesTopKLeftover(t *testing.T) {
 		var leftover []*tensor.Tensor
 		done <- serveConn(worker, core.NewNetCache(fam, cfg.LR, cfg.Momentum, 0), src, cfg, &lastRound, &leftover, newBackoff(0, 0, 1), func(string, ...any) {})
 	}()
-	for round, want := range [][]*tensor.Tensor{first.Update, second.Update} {
-		if _, err := server.send(&envelope{Kind: kindAssign, Assign: &assignMsg{
-			Round: round + 1, Desc: fam.FullDesc(), Weights: weights, Iters: 2, UploadK: k,
-		}}); err != nil {
+	for round, want := range [][]*tensor.Tensor{first, second} {
+		if _, err := server.send(&envelope{Kind: kindAssign, Assign: assign(round + 1)}); err != nil {
 			t.Fatal(err)
 		}
 		e, _, err := server.recv(ioTimeout)
@@ -176,7 +178,7 @@ func TestWorkerCarriesTopKLeftover(t *testing.T) {
 			t.Fatalf("round %d answered with kind %d, update %v", round+1, e.Kind, e.Result)
 		}
 		if diff := sameBits(e.Result.Update, want); diff != "" {
-			t.Errorf("round %d upload differs from the builder's: %s", round+1, diff)
+			t.Errorf("round %d upload differs from the worker step's: %s", round+1, diff)
 		}
 	}
 	if _, err := server.send(&envelope{Kind: kindShutdown, Shutdown: &shutdownMsg{Reason: "test over"}}); err != nil {
@@ -269,7 +271,7 @@ func TestServeStateMatchesCheckpoint(t *testing.T) {
 
 // serveWithOrderedWorkers runs Serve over loopback with worker i joining
 // only once worker i-1 has been admitted, so slot i trains on srcs[i].
-func serveWithOrderedWorkers(t *testing.T, fam *core.ImageFamily, srcs []core.Source, cfg ServerConfig, ids []string) *core.Result {
+func serveWithOrderedWorkers(t *testing.T, fam core.Family, srcs []core.Source, cfg ServerConfig, ids []string) *core.Result {
 	t.Helper()
 	cfg.Addr = reservePort(t)
 	joined := make(chan struct{}, len(srcs))
@@ -301,37 +303,58 @@ func serveWithOrderedWorkers(t *testing.T, fam *core.ImageFamily, srcs []core.So
 	return res
 }
 
-// TestSimWireResultParityQuantized pins sim ≡ wire on results, not just
-// bytes: same seed, same sources in the same slots, wire quantization on
-// (the mode in which both runtimes reconstruct a worker's model the same
-// way) — after two rounds the global models are bit-identical.
-func TestSimWireResultParityQuantized(t *testing.T) {
-	fam := testFamily()
-	for _, strategy := range []core.StrategyID{core.StrategySynFL, core.StrategyFixed} {
+// TestSimWireResultParity pins sim ≡ wire on results, not just bytes: same
+// seed, same sources in the same slots, and after the last round the global
+// models are bit-identical and every round moved the same bytes — dense and
+// under wire quantization. The strategies that run five rounds decide nothing
+// from wall-clock times; FlexCom sizes its top-K from them past the first
+// round, so it gets one.
+func TestSimWireResultParity(t *testing.T) {
+	image := testFamily()
+	lm := core.NewLMFamily(zoo.LMConfig{Vocab: 20, Embed: 6, Hidden: 8, SeqLen: 6},
+		data.CorpusConfig{Vocab: 20, Branch: 3, TrainSize: 3000, TestSize: 400, Seed: 105})
+	type row struct {
+		fam      core.Family
+		strategy core.StrategyID
+		rounds   int
+		quantize bool
+	}
+	rows := []row{{lm, core.StrategyFixed, 5, false}}
+	for _, quantize := range []bool{false, true} {
+		rows = append(rows,
+			row{image, core.StrategySynFL, 5, quantize},
+			row{image, core.StrategyFixed, 5, quantize},
+			row{image, core.StrategyFlexCom, 1, quantize})
+	}
+	for _, r := range rows {
+		name := fmt.Sprintf("%s/%s/quantize=%v", r.fam.Name(), r.strategy, r.quantize)
 		coreCfg := core.Config{
-			Strategy: strategy, FixedRatio: 0.4, Workers: 3, Rounds: 2,
+			Strategy: r.strategy, FixedRatio: 0.4, Workers: 3, Rounds: r.rounds,
 			LocalIters: 2, BatchSize: 4, EvalLimit: 80, Seed: 5,
-			QuantizeWire: true,
-			// The TCP worker's optimiser takes no weight decay.
+			QuantizeWire: r.quantize,
+			// The TCP worker's optimiser takes no weight decay: codec.Assign
+			// carries no optimiser fields (DESIGN.md §4a, "One exchange").
 			WeightDecay: -1,
 		}
-		simRes, err := core.Run(fam, coreCfg)
+		simRes, err := core.Run(r.fam, coreCfg)
 		if err != nil {
-			t.Fatalf("%s simulation: %v", strategy, err)
+			t.Fatalf("%s simulation: %v", name, err)
 		}
-		srcs, err := fam.Sources(coreCfg.Workers, core.NonIID{}, coreCfg.BatchSize, coreCfg.Seed+17)
+		srcs, err := r.fam.Sources(coreCfg.Workers, core.NonIID{}, coreCfg.BatchSize, coreCfg.Seed+17)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wireRes := serveWithOrderedWorkers(t, fam, srcs, ServerConfig{
+		wireRes := serveWithOrderedWorkers(t, r.fam, srcs, ServerConfig{
 			Workers: coreCfg.Workers, Rounds: coreCfg.Rounds, RoundTimeout: 30 * time.Second, Core: coreCfg,
 		}, []string{"p0", "p1", "p2"})
 		if diff := sameBits(simRes.State.Global, wireRes.State.Global); diff != "" {
-			t.Errorf("%s: simulated and served global models differ: %s", strategy, diff)
+			t.Errorf("%s: simulated and served global models differ: %s", name, diff)
 		}
-		if simRes.Stats[1].DownBytes != wireRes.Stats[1].DownBytes || simRes.Stats[1].UpBytes != wireRes.Stats[1].UpBytes {
-			t.Errorf("%s: round-2 traffic: simulation %d/%d, wire %d/%d", strategy,
-				simRes.Stats[1].DownBytes, simRes.Stats[1].UpBytes, wireRes.Stats[1].DownBytes, wireRes.Stats[1].UpBytes)
+		for i, sim := range simRes.Stats {
+			if wire := wireRes.Stats[i]; sim.DownBytes != wire.DownBytes || sim.UpBytes != wire.UpBytes {
+				t.Errorf("%s: round %d traffic: simulation %d/%d, wire %d/%d", name, i+1,
+					sim.DownBytes, sim.UpBytes, wire.DownBytes, wire.UpBytes)
+			}
 		}
 	}
 }

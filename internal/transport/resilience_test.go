@@ -17,6 +17,8 @@ import (
 	"fedmp/internal/core"
 	"fedmp/internal/data"
 	"fedmp/internal/nn"
+	"fedmp/internal/tensor"
+	"fedmp/internal/testfd"
 )
 
 // reservePort grabs an ephemeral port deterministically.
@@ -62,7 +64,7 @@ func deadAfterWorker(t *testing.T, fam *core.ImageFamily, addr string, src core.
 		if served >= dieAfter {
 			return // die without answering
 		}
-		res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, nil)
+		res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, new([]*tensor.Tensor))
 		if err != nil {
 			t.Errorf("flaky train: %v", err)
 			return
@@ -101,7 +103,7 @@ func slowWorker(t *testing.T, fam *core.ImageFamily, addr string, src core.Sourc
 			}
 		case kindAssign:
 			time.Sleep(delay)
-			res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, nil)
+			res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, new([]*tensor.Tensor))
 			if err != nil {
 				t.Errorf("slow train: %v", err)
 				return
@@ -722,26 +724,6 @@ func (c *cuttingSource) Next() *nn.Batch {
 	return c.Source.Next()
 }
 
-// openDescriptors returns what each of this process's open file descriptors
-// refers to ("socket:[inode]", a file path, ...). Sockets and files are told
-// apart by identity, not by number, so a descriptor another test's leftover
-// goroutine closes meanwhile cannot stand in for one this test leaks.
-func openDescriptors(t *testing.T) map[string]bool {
-	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("no descriptor table to read: %v", err)
-	}
-	open := make(map[string]bool)
-	for _, fd := range fds {
-		// The descriptor ReadDir itself used is gone by now; skip it.
-		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil {
-			open[target] = true
-		}
-	}
-	return open
-}
-
 // TestServeLeaksNoDescriptors runs a checkpointing server and two workers to
 // completion, one of them losing its link in round 3 and redialling, and
 // demands that afterwards every socket — listening, accepted, dialled — and
@@ -752,7 +734,7 @@ func TestServeLeaksNoDescriptors(t *testing.T) {
 	fam := testFamily()
 	addr := reservePort(t) // also brings up the runtime's poller, which stays
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	before := openDescriptors(t)
+	before := testfd.Open(t)
 
 	const rounds = 6
 	link := newRelay(t, addr)
@@ -802,13 +784,7 @@ func TestServeLeaksNoDescriptors(t *testing.T) {
 	// its socket a moment longer; a leak holds it for good.
 	var leaked []string
 	for wait := 0; wait < 200; wait++ {
-		leaked = leaked[:0]
-		for target := range openDescriptors(t) {
-			if !before[target] {
-				leaked = append(leaked, target)
-			}
-		}
-		if len(leaked) == 0 {
+		if leaked = testfd.Leaked(t, before); len(leaked) == 0 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)

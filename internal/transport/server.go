@@ -57,9 +57,12 @@ type ServerConfig struct {
 	// tests and process supervisors; orderly completion ignores it.
 	Abort <-chan struct{}
 	// Core carries the strategy and hyper-parameters; its Workers field is
-	// overwritten by this config's. The wire honours the strategy and
-	// optimiser fields, QuantizeWire, the targets and TimeBudget (in wall
-	// seconds), StreamMetrics, the evaluation fields, Seed and Clock. The
+	// overwritten by this config's. The wire honours the strategy fields,
+	// QuantizeWire, the targets and TimeBudget (in wall seconds),
+	// StreamMetrics, the evaluation fields, Seed and Clock. It does not
+	// honour the optimiser fields: an assignment carries no LR, Momentum or
+	// WeightDecay, so each worker trains with its own WorkerConfig.LR and
+	// Momentum and no weight decay (DESIGN.md §4a, "One exchange"). The
 	// fields that shape the simulated cluster have no counterpart on real
 	// sockets and are rejected when set: Async, Population, Scenario, Faults
 	// and FailureRate (workers, links and their failures are real here, and
@@ -697,18 +700,8 @@ func (s *server) Run(round int, assignments []core.Assignment) (delivered []core
 			// whenever that is cheaper; the worker then trains on the
 			// dequantized reconstruction while this server keeps (and later
 			// reconstructs against) the full-precision weights.
-			msg := &assignMsg{
-				Round:    round,
-				Desc:     a.Desc,
-				Weights:  a.Weights,
-				Iters:    a.Iters,
-				ProxMu:   a.ProxMu,
-				UploadK:  a.UploadK,
-				Ratio:    a.Ratio,
-				Quantize: s.quantize,
-			}
 			rs.sentAt[i] = s.elapsed()
-			sent, err := s.reg.send(a.Worker, &envelope{Kind: kindAssign, Assign: msg, Quantize: s.quantize})
+			sent, err := s.reg.send(a.Worker, a.Frame(round, s.quantize))
 			if err != nil {
 				s.logf("round %d: send to worker %d failed (%v)", round, a.Worker, err)
 				rs.status[i] = asgLost
@@ -818,16 +811,11 @@ func (s *server) handleEvent(ev event, rs *roundState) {
 		o := &rs.outs[i]
 		o.Total = s.elapsed() - rs.sentAt[i]
 		o.CompTime, o.CommTime = r.CompSeconds, max(o.Total-r.CompSeconds, 0)
-		o.Update, o.TrainLoss, o.UpBytes = r.Update, r.TrainLoss, int64(ev.bytes)
-		if r.Delta != nil {
-			// Dense mode ships only the trained-minus-assigned delta;
-			// reconstruct the new weights against the assignment we sent.
-			var err error
-			if o.NewWeights, err = core.ApplyDelta(o.Weights, r.Delta); err != nil {
-				s.logf("round %d: malformed result from worker %d (%v), dropping it", rs.round, ev.worker, err)
-				rs.status[i] = asgLost
-				return
-			}
+		o.UpBytes = int64(ev.bytes)
+		if err := o.Receive(r); err != nil {
+			s.logf("round %d: malformed result from worker %d (%v), dropping it", rs.round, ev.worker, err)
+			rs.status[i] = asgLost
+			return
 		}
 		rs.status[i] = asgDelivered
 		rs.delivered++

@@ -7,6 +7,7 @@ import (
 
 	"fedmp/internal/core"
 	"fedmp/internal/simclock"
+	"fedmp/internal/tensor"
 	"fedmp/internal/transport/codec"
 )
 
@@ -34,7 +35,7 @@ func TestTrainAssignmentFixedClock(t *testing.T) {
 	} {
 		res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0, 0), srcs[0], msg, WorkerConfig{
 			Clock: simclock.Fixed{PerCall: tc.perCall},
-		}, nil)
+		}, new([]*tensor.Tensor))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -64,7 +65,7 @@ func TestHeartbeatAndResultOverPipe(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		lastRound := 0
-		done <- serveConn(worker, core.NewNetCache(fam, cfg.LR, 0, 0), srcs[0], cfg, &lastRound, nil, newBackoff(0, 0, 1), func(string, ...any) {})
+		done <- serveConn(worker, core.NewNetCache(fam, cfg.LR, 0, 0), srcs[0], cfg, &lastRound, new([]*tensor.Tensor), newBackoff(0, 0, 1), func(string, ...any) {})
 	}()
 
 	// Heartbeat: ping must come back as pong.

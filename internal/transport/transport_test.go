@@ -11,7 +11,6 @@ import (
 	"fedmp/internal/cluster"
 	"fedmp/internal/core"
 	"fedmp/internal/data"
-	"fedmp/internal/tensor"
 	"fedmp/internal/zoo"
 )
 
@@ -284,33 +283,6 @@ func TestLoopbackSmoke(t *testing.T) {
 	}
 	if len(res.Stats) != 1 || res.Stats[0].Participants != 2 {
 		t.Errorf("round stats %+v, want one round with 2 participants", res.Stats)
-	}
-}
-
-// TestApplyDelta pins the server-side dense reconstruction: base plus delta
-// without mutating the base, and protocol errors instead of panics on
-// mismatched payloads.
-func TestApplyDelta(t *testing.T) {
-	base := []*tensor.Tensor{tensor.FromSlice([]float32{1, 2, 3, 4}, 4)}
-	delta := []*tensor.Tensor{tensor.FromSlice([]float32{0.5, 0, -1, 2}, 4)}
-	got, err := core.ApplyDelta(base, delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float32{1.5, 2, 2, 6}
-	for i, v := range want {
-		if got[0].Data[i] != v {
-			t.Errorf("reconstructed[%d] = %v, want %v", i, got[0].Data[i], v)
-		}
-	}
-	if base[0].Data[0] != 1 {
-		t.Error("applyDelta mutated the assignment weights")
-	}
-	if _, err := core.ApplyDelta(base, nil); err == nil {
-		t.Error("tensor-count mismatch accepted")
-	}
-	if _, err := core.ApplyDelta(base, []*tensor.Tensor{tensor.New(3)}); err == nil {
-		t.Error("element-count mismatch accepted")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"time"
 
 	"fedmp/internal/core"
@@ -166,36 +165,21 @@ func serveConn(c *conn, nets *core.NetCache, src core.Source, cfg WorkerConfig, 
 	}
 }
 
-// trainAssignment performs the local-training phase for one assignment: the
-// simulation engine's worker step (core.TrainLocal, core.BuildUpload) with
-// wall-clock timing. The network and its optimiser come from the worker's
-// cache: a sub-model shape seen before trains on the network built then,
-// reloaded. leftover is the worker's top-K compression error (FlexCom error
-// feedback), carried from one assignment's upload into the next one's
-// selection and reset when the assigned model changes shape; nil keeps none.
+// trainAssignment answers one assignment: the simulation engine's worker step
+// (core.WorkerStep) under this worker's stopwatch, which brackets the whole
+// step — training and building the upload. leftover is the worker's top-K
+// compression error, carried from one assignment into the next.
 func trainAssignment(nets *core.NetCache, src core.Source, a *assignMsg, cfg WorkerConfig, leftover *[]*tensor.Tensor) (*resultMsg, error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Wall{}
 	}
 	elapsed := clock.Stopwatch()
-	net, opt, err := nets.Get(a.Desc, 1)
+	res, err := core.WorkerStep(nets, src, a, 1, leftover)
 	if err != nil {
-		return nil, fmt.Errorf("transport: building assigned model: %w", err)
+		return nil, fmt.Errorf("transport: %w", err)
 	}
-	res := &resultMsg{Round: a.Round}
-	res.TrainLoss = core.TrainLocal(net, opt, src, a.Weights, max(a.Iters, 1), a.ProxMu)
 	res.CompSeconds = elapsed()
-	var feedback []*tensor.Tensor
-	if leftover != nil && slices.EqualFunc(*leftover, a.Weights, tensor.SameShape) {
-		feedback = *leftover
-	}
-	// GetWeights deep-copies, so the upload can be built in place.
-	up := core.BuildUpload(nn.GetWeights(net), a.Weights, a.UploadK, feedback, a.Quantize)
-	res.Delta, res.Update = up.Delta, up.Update
-	if leftover != nil {
-		*leftover = up.Leftover
-	}
 	return res, nil
 }
 
