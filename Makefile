@@ -88,7 +88,7 @@ race:
 # lives now"), so none of them stops compiling or starts failing unnoticed.
 # It measures nothing; `bash benchmark/run.sh` does.
 bench-smoke:
-	go test -run '^$$' -benchtime 1x -bench 'GEMM|MatVec|Im2Col|Col2Im|Conv|SGDStep|TrainStep|PushPop|PopulationDevice' ./internal/tensor ./internal/nn ./internal/simsched ./internal/cluster .
+	go test -run '^$$' -benchtime 1x -bench 'GEMM|MatVec|Im2Col|Col2Im|Conv|SGDStep|TrainStep|PushPop|PopulationDevice|AgentSelect' ./internal/tensor ./internal/nn ./internal/simsched ./internal/cluster ./internal/bandit .
 
 # test-kernels runs the tensor and nn suites once per micro-kernel tier (the
 # layers' differential tests against the pre-rebuild code are bitwise, so
@@ -139,15 +139,16 @@ check: vet lint build test test-kernels race
 # ci is the offline continuous-integration entry point: the full check
 # pipeline, the stale-hatch audit, a race-checked smoke of the concurrent
 # paths — the whole simulated round at GOMAXPROCS 1 vs 8 (sharded Assign,
-# device pre-pass, cached-network training, fused aggregate; sync, async,
-# shared-plan and population runs must match byte for byte) and the pinned
-# trajectory grid (internal/core/testdata/run-grid.golden), then the
+# cached-network training, fused aggregate; sync, async, shared-plan and
+# population runs must match byte for byte), a parked device resuming in
+# another cohort slot, and the pinned trajectory grid
+# (internal/core/testdata/run-grid.golden), then the
 # transport (two-worker loopback round over the binary wire codec, sim/wire
 # parity, and a mid-run PS kill/restart that must recover from its
 # checkpoint) — then an experiment smoke run (one static table plus one quick
 # sim-backed figure) proving the experiment CLI still runs end to end.
 # bench-smoke, among the prerequisites, runs each micro-benchmark once.
 ci: check lint-bench lint-hatches test-benchmark bench-smoke
-	go test -race -count=1 -run 'TestParallelCohortDeterminism|TestRunGridGolden' ./internal/core
+	go test -race -count=1 -run 'TestParallelCohortDeterminism|TestParkedDeviceResumesInAnotherSlot|TestRunGridGolden' ./internal/core
 	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

@@ -282,3 +282,74 @@ func TestGridArms(t *testing.T) {
 		}
 	}
 }
+
+// statsRef is the Eq. 9 statistic as Select computed it before the one-pass
+// stats — one history scan per region, one math.Pow per pull — kept as the
+// reference the one pass is held to.
+func statsRef(a *Agent, r Region) (n, avg float64) {
+	var wsum float64
+	for _, p := range a.history {
+		if p.ratio < r.Lo || p.ratio >= r.Hi {
+			continue
+		}
+		w := math.Pow(a.cfg.Lambda, float64(a.round-p.round))
+		n += w
+		wsum += w * p.reward
+	}
+	if n > 0 {
+		avg = wsum / n
+	}
+	return n, avg
+}
+
+// TestStatsMatchPerRegionScan runs an agent through splits, the history trim
+// and a restore that ages every pull past the discount table, and demands the
+// bits of the per-region scan from the one-pass statistics before every
+// Select.
+func TestStatsMatchPerRegionScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	cfg := DefaultConfig()
+	cfg.Theta = 0.01
+	a := MustAgent(cfg, rng)
+	for step := 0; step < 600; step++ {
+		ns, sums := a.stats()
+		for i, r := range a.regions {
+			n, avg := statsRef(a, r)
+			var got float64
+			if ns[i] > 0 {
+				got = sums[i] / ns[i]
+			}
+			if math.Float64bits(ns[i]) != math.Float64bits(n) || math.Float64bits(got) != math.Float64bits(avg) {
+				t.Fatalf("step %d region %v: one pass (%v, %v), per-region scan (%v, %v)", step, r, ns[i], got, n, avg)
+			}
+		}
+		ratio := a.Select()
+		a.Observe(syntheticReward(ratio, 0.4, rng))
+		if step == 300 {
+			st := a.Export()
+			st.Round += 1000
+			if err := a.Restore(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if len(a.regions) < 20 || len(a.pow) > a.maxAge+2 {
+		t.Fatalf("%d regions, discount table of %d for max age %d", len(a.regions), len(a.pow), a.maxAge)
+	}
+}
+
+// BenchmarkAgentSelect measures one Select/Observe step of an agent whose
+// partition and history have reached their steady size.
+func BenchmarkAgentSelect(b *testing.B) {
+	rng := rand.New(rand.NewSource(32))
+	a := MustAgent(DefaultConfig(), rng)
+	step := func() { a.Observe(syntheticReward(a.Select(), 0.4, rng)) }
+	for i := 0; i < 500; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

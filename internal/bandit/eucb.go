@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
@@ -96,6 +97,10 @@ type Agent struct {
 
 	round   int
 	pending *pull // the un-observed Select of the current round
+
+	maxAge int       // the age past which trimHistory drops a pull
+	pow    []float64 // pow[k] = λ^k, filled as ages are first met
+	acc    []float64 // stats' scratch
 }
 
 // NewAgent constructs an E-UCB agent with the initial partition {[0, max)}.
@@ -107,6 +112,7 @@ func NewAgent(cfg Config, rng *rand.Rand) (*Agent, error) {
 		cfg:     cfg,
 		rng:     rng,
 		regions: []Region{{Lo: 0, Hi: cfg.MaxRatio}},
+		maxAge:  int(math.Log(1e-9)/math.Log(cfg.Lambda)) + 1,
 	}, nil
 }
 
@@ -129,22 +135,38 @@ func (a *Agent) Regions() []Region {
 // Round returns how many Observe calls have completed.
 func (a *Agent) Round() int { return a.round }
 
-// stats computes the discounted pull count N_k(λ, P) and discounted average
-// reward R̄_k(λ, P) of a region from the pull history (Eq. 9).
-func (a *Agent) stats(r Region) (n, avg float64) {
-	var wsum float64
+// discount returns λ^age, the Eq. 9 weight of a pull that many rounds old.
+func (a *Agent) discount(age int) float64 {
+	if age > a.maxAge+1 {
+		// Only a restored history is this old: no checkpoint grows the table.
+		return math.Pow(a.cfg.Lambda, float64(age))
+	}
+	for k := len(a.pow); k <= age; k++ {
+		a.pow = append(a.pow, math.Pow(a.cfg.Lambda, float64(k)))
+	}
+	return a.pow[age]
+}
+
+// stats computes every region's discounted pull count N_k(λ, P) and
+// discounted reward sum from the pull history (Eq. 9) in one pass: each pull
+// lands in the region that contains it, in history order. The slices are the
+// agent's scratch, valid until the next call.
+func (a *Agent) stats() (ns, sums []float64) {
+	k := len(a.regions)
+	a.acc = slices.Grow(a.acc[:0], 2*k)[:2*k]
+	clear(a.acc)
+	ns, sums = a.acc[:k], a.acc[k:]
 	for _, p := range a.history {
-		if p.ratio < r.Lo || p.ratio >= r.Hi {
-			continue
+		for i, r := range a.regions {
+			if p.ratio >= r.Lo && p.ratio < r.Hi {
+				w := a.discount(a.round - p.round)
+				ns[i] += w
+				sums[i] += w * p.reward
+				break
+			}
 		}
-		w := math.Pow(a.cfg.Lambda, float64(a.round-p.round))
-		n += w
-		wsum += w * p.reward
 	}
-	if n > 0 {
-		avg = wsum / n
-	}
-	return n, avg
+	return ns, sums
 }
 
 // Select implements Policy: it chooses the leaf with the largest upper
@@ -156,11 +178,9 @@ func (a *Agent) Select() float64 {
 	}
 	// n_k(λ) = Σ_j N_k(λ, P_j).
 	var total float64
-	ns := make([]float64, len(a.regions))
-	avgs := make([]float64, len(a.regions))
-	for i, r := range a.regions {
-		ns[i], avgs[i] = a.stats(r)
-		total += ns[i]
+	ns, sums := a.stats()
+	for _, n := range ns {
+		total += n
 	}
 	best, bestU := -1, math.Inf(-1)
 	for i := range a.regions {
@@ -168,7 +188,7 @@ func (a *Agent) Select() float64 {
 		if ns[i] == 0 {
 			u = math.Inf(1) // force exploration of untouched leaves
 		} else {
-			u = avgs[i] + a.cfg.ExplorationC*math.Sqrt(2*math.Log(math.Max(total, math.E))/ns[i])
+			u = sums[i]/ns[i] + a.cfg.ExplorationC*math.Sqrt(2*math.Log(math.Max(total, math.E))/ns[i])
 		}
 		if u > bestU {
 			best, bestU = i, u
@@ -210,13 +230,12 @@ func (a *Agent) Observe(reward float64) {
 // Eq. 9 statistics at O(regions · effective-memory) instead of growing with
 // the run length.
 func (a *Agent) trimHistory() {
-	maxAge := int(math.Log(1e-9)/math.Log(a.cfg.Lambda)) + 1
 	cut := 0
-	for cut < len(a.history) && a.round-a.history[cut].round > maxAge {
+	for cut < len(a.history) && a.round-a.history[cut].round > a.maxAge {
 		cut++
 	}
 	if cut > 0 {
-		a.history = append(a.history[:0:0], a.history[cut:]...)
+		a.history = a.history[:copy(a.history, a.history[cut:])]
 	}
 }
 

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -27,7 +26,7 @@ func TestComputeTimeScalesWithMode(t *testing.T) {
 	const flops = 1e8
 	const trials = 300
 	avg := func(mode Mode) float64 {
-		d := NewDevice(0, mode, Near, ClusterA, rand.New(rand.NewSource(1)))
+		d := NewDevice(0, mode, Near, ClusterA, 1)
 		var s float64
 		for i := 0; i < trials; i++ {
 			s += d.ComputeTime(flops)
@@ -46,7 +45,7 @@ func TestCommTimeScalesWithDistance(t *testing.T) {
 	const bytes = 1 << 20
 	const trials = 300
 	avg := func(dist Distance) float64 {
-		d := NewDevice(0, 0, dist, ClusterA, rand.New(rand.NewSource(2)))
+		d := NewDevice(0, 0, dist, ClusterA, 2)
 		var s float64
 		for i := 0; i < trials; i++ {
 			s += d.CommTime(bytes)
@@ -61,7 +60,7 @@ func TestCommTimeScalesWithDistance(t *testing.T) {
 }
 
 func TestTimesArePositiveAndProportional(t *testing.T) {
-	d := NewDevice(0, 1, Mid, ClusterB, rand.New(rand.NewSource(3)))
+	d := NewDevice(0, 1, Mid, ClusterB, 3)
 	if d.ComputeTime(0) != 0 || d.CommTime(0) != 0 {
 		t.Error("zero work should take zero time")
 	}
@@ -74,7 +73,7 @@ func TestTimesArePositiveAndProportional(t *testing.T) {
 }
 
 func TestNegativeWorkPanics(t *testing.T) {
-	d := NewDevice(0, 0, Near, ClusterA, rand.New(rand.NewSource(4)))
+	d := NewDevice(0, 0, Near, ClusterA, 4)
 	for _, fn := range []func(){
 		func() { d.ComputeTime(-1) },
 		func() { d.CommTime(-1) },
@@ -93,27 +92,13 @@ func TestNegativeWorkPanics(t *testing.T) {
 func TestJitterIsTemporallyCorrelated(t *testing.T) {
 	// AR(1) jitter: consecutive times should correlate far more strongly
 	// than distant ones.
-	d := NewDevice(0, 0, Near, ClusterA, rand.New(rand.NewSource(5)))
+	d := NewDevice(0, 0, Near, ClusterA, 5)
 	const n = 4000
 	xs := make([]float64, n)
 	for i := range xs {
 		xs[i] = d.ComputeTime(1e6)
 	}
-	corr := func(lag int) float64 {
-		var mx float64
-		for _, x := range xs {
-			mx += x
-		}
-		mx /= n
-		var num, den float64
-		for i := 0; i+lag < n; i++ {
-			num += (xs[i] - mx) * (xs[i+lag] - mx)
-		}
-		for _, x := range xs {
-			den += (x - mx) * (x - mx)
-		}
-		return num / den
-	}
+	corr := func(lag int) float64 { return pearson(xs[:n-lag], xs[lag:]) }
 	c1, c50 := corr(1), corr(50)
 	if c1 < 0.5 {
 		t.Errorf("lag-1 autocorrelation %v, want > 0.5", c1)
@@ -214,7 +199,7 @@ func TestHighLevelScenarioScales(t *testing.T) {
 }
 
 func TestDeviceString(t *testing.T) {
-	d := NewDevice(3, 2, Mid, ClusterB, rand.New(rand.NewSource(1)))
+	d := NewDevice(3, 2, Mid, ClusterB, 1)
 	if s := d.String(); s == "" {
 		t.Error("empty device description")
 	}

@@ -8,7 +8,7 @@ import (
 
 // Population is a lazily-materialized device population: instead of holding
 // N *Device values, it derives any device's full profile — cluster, mode,
-// distance and private jitter RNG — on demand from (Seed, deviceID) via
+// distance and private jitter stream — on demand from (Seed, deviceID) via
 // splitmix64 sub-seeding. A million-device population therefore costs a
 // few words until a cohort is sampled, and two runs materialising the same
 // device always reconstruct bit-identical state regardless of order.
@@ -119,13 +119,16 @@ func (p Population) Normalized(cohort int, runSeed int64) (Population, error) {
 	return p, nil
 }
 
+// splitmixGamma is SplitMix64's state increment.
+const splitmixGamma = 0x9e3779b97f4a7c15
+
 // splitmix64 is one SplitMix64 step: a bijective avalanche mix giving
 // O(1) random access into a device-indexed stream of sub-seeds (the
 // warehouse-sim per-agent RNG idiom, random-access form).
 //
 //fedmp:allocfree
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += splitmixGamma
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
@@ -174,15 +177,24 @@ func (p *Population) ClusterOf(id int) ClusterID {
 	return ClusterC
 }
 
-// Device materialises device id: profile from its cluster, jitter RNG from
-// SubSeed(Seed, id). Two calls return equal but independent devices; the
-// engine caches materialised devices per run so jitter state persists
-// across the rounds that sample the same device.
+// Device materialises device id: profile from its cluster, jitter stream
+// from SubSeed(Seed, id). Two calls return equal but independent devices.
 func (p *Population) Device(id int) *Device {
+	d := NewDevice(id, 0, Near, ClusterA, 0)
+	p.Rebind(d, id)
+	return d
+}
+
+// Rebind makes d the device Device(id) returns, in d's storage: the engine
+// keeps one Device per cohort slot and the rest of the population as Parked
+// values, so sampling a device allocates nothing.
+//
+//fedmp:allocfree
+func (p *Population) Rebind(d *Device, id int) {
 	if id < 0 || id >= p.Size {
 		panic(fmt.Sprintf("cluster: device %d out of population [0,%d)", id, p.Size))
 	}
-	return fromCluster(id, p.ClusterOf(id), p.Seed)
+	d.rebind(id, p.ClusterOf(id), p.Seed)
 }
 
 // Region maps a device to its outage failure domain.

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Level names the heterogeneity scenarios of §V-E.
 type Level string
@@ -21,21 +18,20 @@ type Scenario struct {
 	Devices []*Device
 }
 
-// fromCluster derives the device profile for the given Fig. 3 cluster:
-// cluster A devices run mode 0 or 1 near the PS, cluster B mode 2 at mid
-// distance, cluster C mode 3 far away. Every device owns a private jitter
-// RNG sub-seeded from (seed, id), so materialising one device never
-// consumes another's randomness — the property both Population's lazy
-// derivation and the engine's parallel cohort training depend on.
-func fromCluster(id int, c ClusterID, seed int64) *Device {
-	rng := rand.New(rand.NewSource(SubSeed(seed, int64(id))))
+// rebind makes d device id of the given Fig. 3 cluster, as new: cluster A
+// devices run mode 0 or 1 near the PS, cluster B mode 2 at mid distance,
+// cluster C mode 3 far away. Every device's jitter stream is sub-seeded from
+// (seed, id), so materialising one never consumes another's randomness — what
+// Population's lazy derivation and parallel cohort training both depend on.
+func (d *Device) rebind(id int, c ClusterID, seed int64) {
+	d.ID, d.Cluster, d.Parked = id, c, Parked{stream: jitterSource(SubSeed(seed, int64(id)))}
 	switch c {
 	case ClusterA:
-		return NewDevice(id, Mode(rng.Intn(2)), Near, ClusterA, rng)
+		d.Mode, d.Distance = Mode(d.rng.Intn(2)), Near
 	case ClusterB:
-		return NewDevice(id, 2, Mid, ClusterB, rng)
+		d.Mode, d.Distance = 2, Mid
 	case ClusterC:
-		return NewDevice(id, 3, Far, ClusterC, rng)
+		d.Mode, d.Distance = 3, Far
 	default:
 		panic(fmt.Sprintf("cluster: unknown cluster %q", c))
 	}
@@ -53,7 +49,9 @@ func Custom(nA, nB, nC int, seed int64) *Scenario {
 		n int
 	}{{ClusterA, nA}, {ClusterB, nB}, {ClusterC, nC}} {
 		for k := 0; k < part.n; k++ {
-			s.Devices = append(s.Devices, fromCluster(id, part.c, seed))
+			d := NewDevice(id, 0, Near, part.c, 0)
+			d.rebind(id, part.c, seed)
+			s.Devices = append(s.Devices, d)
 			id++
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"fedmp/internal/cluster"
 	"fedmp/internal/nn"
 )
 
@@ -48,6 +49,40 @@ func TestRunWorkerSteadyStateAllocs(t *testing.T) {
 			t.Errorf("momentum %v: warm runWorker allocates %v times per %d assignments, budget %v", r.cfg.Momentum, got, len(asg), budget)
 		} else {
 			t.Logf("momentum %v: %v allocations per %d assignments (budget %v)", r.cfg.Momentum, got, len(asg), budget)
+		}
+	}
+}
+
+// TestBindCohortAllocatesNothing pins the parked population's steady state:
+// once the cohort's slots exist, binding a device allocates nothing — whether
+// it resumes a parked state (a population the warm-up rounds have sampled in
+// full; parking back into a map that no longer grows is free too) or is seen
+// for the first time (10⁶ devices; the parked state's map slot is the only
+// thing a first-seen device ever costs, and releaseRound pays it).
+func TestBindCohortAllocatesNothing(t *testing.T) {
+	for _, size := range []int{40, 1_000_000} {
+		cfg := quickCfg(StrategyFedMP, 1)
+		cfg.Workers = 30
+		cfg.Population = &cluster.Population{Size: size}
+		r, err := newRunner(tinyFamily(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		round := func() {
+			r.bindCohort()
+			if size == 40 {
+				r.releaseRound()
+			}
+		}
+		for i := 0; i < 20; i++ {
+			r.bindCohort()
+			r.releaseRound()
+		}
+		if size == 40 && len(r.devCache) != size {
+			t.Fatalf("warm-up parked %d of %d devices", len(r.devCache), size)
+		}
+		if got := testing.AllocsPerRun(50, round); got != 0 {
+			t.Errorf("population %d: a cohort binding allocates %v times, want 0", size, got)
 		}
 	}
 }

@@ -33,15 +33,16 @@ type runner struct {
 	now   float64
 
 	// Population mode (cfg.Population != nil): pop is the lazy device
-	// universe, cohortRng draws each round's sample, cohortIDs/cohortDevs
-	// map cohort slots to sampled devices, devCache keeps materialised
-	// devices so jitter state persists when a device is re-sampled, and
+	// universe, cohortRng draws each round's sample, cohortIDs maps cohort
+	// slots to sampled device ids, cohortDevs is each slot's one live device,
+	// rebound every round, devCache parks the jitter state of every device
+	// sampled so far — pointer-free, the collector never scans it — and
 	// regionDown is the event-driven regional outage state.
 	pop        *cluster.Population
 	cohortRng  *rand.Rand
 	cohortIDs  []int
 	cohortDevs []*cluster.Device
-	devCache   map[int]*cluster.Device
+	devCache   map[int]cluster.Parked
 	regionDown []bool
 	nextWindow int64
 
@@ -72,8 +73,6 @@ type runner struct {
 	participants []Output
 	late         []Assignment
 	tried        map[int]struct{}
-	newIDs       []int
-	newDevs      []*cluster.Device
 }
 
 // newRunner validates cfg and builds the engine: the driver, then data
@@ -120,8 +119,11 @@ func newRunner(fam Family, cfg Config) (*runner, error) {
 		r.pop = cfg.Population
 		r.cohortRng = cfg.Population.Rand(0)
 		r.cohortIDs = make([]int, 0, cfg.Workers)
-		r.cohortDevs = make([]*cluster.Device, 0, cfg.Workers)
-		r.devCache = make(map[int]*cluster.Device)
+		r.cohortDevs = make([]*cluster.Device, cfg.Workers)
+		for slot := range r.cohortDevs {
+			r.cohortDevs[slot] = r.pop.Device(0) // bindCohort rebinds it
+		}
+		r.devCache = make(map[int]cluster.Parked)
 		r.tried = make(map[int]struct{}, cfg.Workers)
 		if cfg.Population.Outage.Enabled() {
 			r.regionDown = make([]bool, cfg.Population.Outage.Regions)
@@ -392,11 +394,15 @@ func (r *runner) advance(seconds float64) {
 	r.sched.Advance(r.now)
 }
 
-// releaseRound drops the round scratch's references to the round's models —
-// the assignments' sub-weights, the trained outputs — so they are
-// collectable once the round is over, exactly as when these slices were
-// allocated per round; the scratch keeps only its backing arrays.
+// releaseRound parks the cohort's devices where the round left them and drops
+// the round scratch's references to the round's models — the assignments'
+// sub-weights, the trained outputs — so they are collectable once the round
+// is over, exactly as when these slices were allocated per round; the scratch
+// keeps only its backing arrays.
 func (r *runner) releaseRound() {
+	for slot, id := range r.cohortIDs {
+		r.devCache[id] = r.cohortDevs[slot].Parked
+	}
 	clear(r.failed)
 	clear(r.runnable)
 	clear(r.outs)

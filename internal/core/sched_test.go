@@ -38,8 +38,8 @@ func resultFingerprint(t *testing.T, res *Result) string {
 }
 
 // TestParallelCohortDeterminism pins the headline parallelism guarantee: a
-// whole run — the sharded Assign, the device pre-pass, cohort training on
-// per-executor network caches, the fused aggregate — at 8 goroutines is
+// whole run — the sharded Assign, cohort training on per-executor network
+// caches, the fused aggregate — at 8 goroutines is
 // byte-identical to the serial run, with the stressful options on (fault
 // injection, fault-tolerance deadline, failure-rate drops, quantized wire
 // accounting), for the per-worker and the shared-plan pruning strategy, the
@@ -204,14 +204,20 @@ func TestPopulationChurnRun(t *testing.T) {
 // liveHeapFamily records the live heap at each round's planning step, the
 // one Family call the engine makes once a round from its own goroutine —
 // while the runner and everything it caches are still reachable, which a
-// measurement after Run returns would not see.
+// measurement after Run returns would not see. live[k] is round k+1's.
 type liveHeapFamily struct {
 	*ImageFamily
-	live uint64
+	live []uint64
+	// parked, when set, is sampled beside the heap.
+	parked      func() int
+	parkedCount []int
 }
 
 func (f *liveHeapFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
-	f.live = liveHeap()
+	f.live = append(f.live, liveHeap())
+	if f.parked != nil {
+		f.parkedCount = append(f.parkedCount, f.parked())
+	}
 	return f.ImageFamily.PlanContext(weights)
 }
 
@@ -220,6 +226,18 @@ func liveHeap() uint64 {
 	runtime.GC()
 	runtime.ReadMemStats(&m)
 	return m.HeapAlloc
+}
+
+// populationHeapCfg is the cohort-30 streaming run the two heap tests read.
+func populationHeapCfg(rounds, size int) Config {
+	cfg := quickCfg(StrategyFedMP, rounds)
+	cfg.Workers = 30
+	cfg.LocalIters, cfg.BatchSize = 1, 2 // training is not what is measured
+	cfg.EvalEvery = 10
+	cfg.StreamMetrics = true
+	cfg.Clock = simclock.Fixed{}
+	cfg.Population = &cluster.Population{Size: size}
+	return cfg
 }
 
 // TestPopulationCostIndependentOfSize pins the scaling claim of population
@@ -232,19 +250,12 @@ func liveHeap() uint64 {
 func TestPopulationCostIndependentOfSize(t *testing.T) {
 	run := func(size int) (events int64, growth int64) {
 		fam := &liveHeapFamily{ImageFamily: tinyFamily()}
-		cfg := quickCfg(StrategyFedMP, 50)
-		cfg.Workers = 30
-		cfg.LocalIters, cfg.BatchSize = 1, 2 // training is not what is measured
-		cfg.EvalEvery = 10
-		cfg.StreamMetrics = true
-		cfg.Clock = simclock.Fixed{}
-		cfg.Population = &cluster.Population{Size: size}
 		before := liveHeap()
-		res, err := Run(fam, cfg)
+		res, err := Run(fam, populationHeapCfg(50, size))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Events, int64(fam.live) - int64(before)
+		return res.Events, int64(fam.live[len(fam.live)-1]) - int64(before)
 	}
 	smallEvents, smallGrowth := run(1_000)
 	largeEvents, largeGrowth := run(1_000_000)
@@ -256,6 +267,75 @@ func TestPopulationCostIndependentOfSize(t *testing.T) {
 			largeGrowth>>10, smallGrowth>>10, limit>>10)
 	}
 	t.Logf("events %d; live-heap growth %d KiB (10³), %d KiB (10⁶)", smallEvents, smallGrowth>>10, largeGrowth>>10)
+}
+
+// TestPopulationHeapFlatInRounds is the other axis of the scaling claim: what
+// a long run over 10⁶ devices keeps per device it has ever sampled is the
+// parked jitter state and its map slot, not a generator. Between rounds 50
+// and 200 the live heap may grow by 64 bytes per device first sampled in
+// between (a 24-byte value, an 8-byte key, the map's load factor) and a
+// constant.
+func TestPopulationHeapFlatInRounds(t *testing.T) {
+	fam := &liveHeapFamily{ImageFamily: tinyFamily()}
+	cfg := populationHeapCfg(200, 1_000_000)
+	// No bandit: an E-UCB agent's history grows until its 400-round horizon.
+	cfg.Strategy, cfg.FixedRatio = StrategyFixed, 0.5
+	r, err := newRunner(fam, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam.parked = func() int { return len(r.devCache) }
+	if _, err := r.run(); err != nil {
+		t.Fatal(err)
+	}
+	growth := int64(fam.live[199]) - int64(fam.live[49])
+	devices := int64(fam.parkedCount[199] - fam.parkedCount[49])
+	if limit := 64*devices + 64<<10; growth > limit || devices < 4000 {
+		t.Errorf("live heap grew %d KiB from round 50 to round 200 over %d newly sampled devices; want at most %d KiB over 4000+ devices",
+			growth>>10, devices, limit>>10)
+	}
+	t.Logf("live-heap growth %d KiB over %d newly sampled devices (%d B each)", growth>>10, devices, growth/max(devices, 1))
+}
+
+// TestParkedDeviceResumesInAnotherSlot drives the engine's parking: over a
+// population barely larger than the cohort a device lands in a different slot
+// most times it is sampled, and each time it must continue the jitter stream
+// of an uninterrupted cluster.Device bit for bit.
+func TestParkedDeviceResumesInAnotherSlot(t *testing.T) {
+	cfg := quickCfg(StrategyFedMP, 1)
+	cfg.Workers = 3
+	cfg.Population = &cluster.Population{Size: 6}
+	r, err := newRunner(tinyFamily(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := make([]*cluster.Device, r.pop.Size)
+	slotsOf := make([]map[int]bool, r.pop.Size)
+	for id := range whole {
+		whole[id], slotsOf[id] = r.pop.Device(id), map[int]bool{}
+	}
+	for round := 0; round < 40; round++ {
+		for slot, id := range r.cohortIDs[:r.bindCohort()] {
+			slotsOf[id][slot] = true
+			got, want := r.deviceFor(slot), whole[id]
+			if got.ID != id || got.Mode != want.Mode || got.Cluster != want.Cluster {
+				t.Fatalf("round %d slot %d holds %v, want %v", round, slot, got, want)
+			}
+			if got.ComputeTime(1e6) != want.ComputeTime(1e6) || got.CommTime(1<<10) != want.CommTime(1<<10) {
+				t.Fatalf("round %d: device %d in slot %d left its uninterrupted stream", round, id, slot)
+			}
+		}
+		r.releaseRound()
+	}
+	moved := 0
+	for _, slots := range slotsOf {
+		if len(slots) > 1 {
+			moved++
+		}
+	}
+	if moved < 3 {
+		t.Fatalf("only %d of %d devices were ever bound to more than one slot", moved, len(slotsOf))
+	}
 }
 
 // TestPopulationConfigValidation pins the config seams: population excludes

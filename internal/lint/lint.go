@@ -173,6 +173,9 @@ func DefaultOptions() *Options {
 			"fedmp/internal/cluster.SubSeed",
 			"fedmp/internal/cluster.Population.ClusterOf",
 			"fedmp/internal/cluster.Population.Available",
+			"fedmp/internal/cluster.jitterSource.Uint64",
+			"fedmp/internal/cluster.jitterSource.Int63",
+			"fedmp/internal/cluster.Population.Rebind",
 		},
 		WallclockSanctioned: []string{
 			"fedmp/internal/simclock",

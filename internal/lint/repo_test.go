@@ -98,6 +98,9 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 		"fedmp/internal/simsched.Scheduler.push",
 		"fedmp/internal/cluster.SubSeed",
 		"fedmp/internal/cluster.Population.Available",
+		"fedmp/internal/cluster.jitterSource.Uint64",
+		"fedmp/internal/cluster.jitterSource.Int63",
+		"fedmp/internal/cluster.Population.Rebind",
 	} {
 		found := false
 		for _, k := range opts.RequiredAllocFree {
