@@ -133,6 +133,10 @@ func DefaultOptions() *Options {
 			"fedmp/internal/tensor.PackedB.Pack",
 			"fedmp/internal/tensor.PackedB.PackRows",
 			"fedmp/internal/tensor.GEMMPacked",
+			"fedmp/internal/tensor.IndirectConv.Plan",
+			"fedmp/internal/tensor.IndirectConv.Load",
+			"fedmp/internal/tensor.IndirectConv.Mul",
+			"fedmp/internal/tensor.IndirectConv.AddGradW",
 			"fedmp/internal/tensor.ExpInto",
 			"fedmp/internal/tensor.SigmoidInto",
 			"fedmp/internal/tensor.TanhInto",
@@ -145,6 +149,7 @@ func DefaultOptions() *Options {
 			"fedmp/internal/nn.Conv2D.Backward",
 			"fedmp/internal/nn.Conv2D.BackwardParams",
 			"fedmp/internal/nn.Conv2D.backward",
+			"fedmp/internal/nn.Conv2D.plan",
 			"fedmp/internal/nn.LSTM.Forward",
 			"fedmp/internal/nn.LSTM.Backward",
 			"fedmp/internal/nn.SoftmaxCE.softmaxCE",

@@ -40,18 +40,29 @@ func TestDenseStepAllocsZero(t *testing.T) {
 	}
 }
 
+// TestConvStepAllocsZero covers both ways a step runs: a product on the
+// direct side of the GEMM threshold, which every tier lowers, and sim-cnn30's
+// conv2, which a tier with the indirect kernels multiplies out of the padded
+// sample — there without ever growing the column matrix.
 func TestConvStepAllocsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := tensor.ConvGeom{InC: 4, InH: 8, InW: 8, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1}
-	c := NewConv2D("c", g, rng)
-	x := tensor.RandN(rng, 4, 4, 8, 8)
-	dy := tensor.RandN(rng, 4, 8, 8, 8)
-	got := allocsPerRun(func() {
-		c.Forward(x, true)
-		c.Backward(dy)
-	})
-	if got > 0 {
-		t.Errorf("Conv2D forward+backward allocates %.1f objects per step, want 0", got)
+	for _, g := range []tensor.ConvGeom{
+		{InC: 4, InH: 8, InW: 8, OutC: 8, KH: 3, KW: 3, Stride: 1, Pad: 1},
+		{InC: 8, InH: 8, InW: 8, OutC: 16, KH: 5, KW: 5, Stride: 1, Pad: 2},
+	} {
+		c := NewConv2D("c", g, rng)
+		x := tensor.RandN(rng, 4, g.InC, g.InH, g.InW)
+		dy := tensor.RandN(rng, 4, g.OutC, g.OutH(), g.OutW())
+		got := allocsPerRun(func() {
+			c.Forward(x, true)
+			c.Backward(dy)
+		})
+		if got > 0 {
+			t.Errorf("Conv2D %+v forward+backward allocates %.1f objects per step, want 0", g, got)
+		}
+		if grown := c.cols != nil; grown == c.plan() {
+			t.Errorf("Conv2D %+v: indirect %v, column matrix grown %v", g, c.plan(), grown)
+		}
 	}
 }
 
@@ -85,17 +96,33 @@ func TestBatchNormStepAllocsZero(t *testing.T) {
 
 func TestSequentialTrainStepAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	net := NewSequential(
+	small := NewSequential(
 		NewConv2D("c1", tensor.ConvGeom{InC: 1, InH: 8, InW: 8, OutC: 4, KH: 3, KW: 3, Stride: 1, Pad: 1}, rng),
 		NewReLU("r1"),
 		NewFlatten("f", 4*8*8),
 		NewDense("d", 4*8*8, 10, rng),
 	)
-	x := tensor.RandN(rng, 4, 1, 8, 8)
-	batch := &Batch{X: x, Labels: []int{0, 1, 2, 3}}
-	got := allocsPerRun(func() { net.TrainStep(batch) })
-	if got > 0 {
-		t.Errorf("Sequential.TrainStep allocates %.1f objects per step, want 0", got)
+	// sim-cnn30's network: both convolutions qualify for the indirect path.
+	cnn := NewSequential(
+		NewConv2D("c1", tensor.ConvGeom{InC: 1, InH: 16, InW: 16, OutC: 8, KH: 5, KW: 5, Stride: 1, Pad: 2}, rng),
+		NewReLU("r1"),
+		NewMaxPool2D("p1", 8, 16, 16, 2),
+		NewConv2D("c2", tensor.ConvGeom{InC: 8, InH: 8, InW: 8, OutC: 16, KH: 5, KW: 5, Stride: 1, Pad: 2}, rng),
+		NewReLU("r2"),
+		NewMaxPool2D("p2", 16, 8, 8, 2),
+		NewFlatten("f", 16*4*4),
+		NewDense("d", 16*4*4, 10, rng),
+	)
+	for name, tc := range map[string]struct {
+		net   *Sequential
+		batch *Batch
+	}{
+		"small": {small, &Batch{X: tensor.RandN(rng, 4, 1, 8, 8), Labels: []int{0, 1, 2, 3}}},
+		"cnn":   {cnn, imageBatch(rng, 8, 1, 16, 16, 10)},
+	} {
+		if got := allocsPerRun(func() { tc.net.TrainStep(tc.batch) }); got > 0 {
+			t.Errorf("%s: Sequential.TrainStep allocates %.1f objects per step, want 0", name, got)
+		}
 	}
 }
 
@@ -133,6 +160,20 @@ func TestWorkspacesGrowOnly(t *testing.T) {
 	})
 	if got > 0 {
 		t.Errorf("alternating 64- and 44-sample chunks allocates %.1f objects per pair, want 0", got)
+	}
+}
+
+func TestGlobalAvgPoolStepAllocsZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	p := NewGlobalAvgPool("gap", 6, 4, 4)
+	x := tensor.RandN(rng, 8, 6, 4, 4)
+	dy := tensor.RandN(rng, 8, 6)
+	got := allocsPerRun(func() {
+		p.Forward(x, true)
+		p.Backward(dy)
+	})
+	if got > 0 {
+		t.Errorf("GlobalAvgPool forward+backward allocates %.1f objects per step, want 0", got)
 	}
 }
 

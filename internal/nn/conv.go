@@ -7,19 +7,21 @@ import (
 	"fedmp/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW inputs, implemented as im2col
-// followed by one matrix multiplication per sample. Weights have shape
-// [outC, inC, KH, KW]; each output filter occupies one contiguous block of
-// inC·KH·KW values, which is the slice the l1-norm filter importance score
-// is computed over.
+// Conv2D is a 2-D convolution over NCHW inputs, one matrix product triple per
+// sample. Weights have shape [outC, inC, KH, KW]; each output filter occupies
+// one contiguous block of inC·KH·KW values, which is the slice the l1-norm
+// filter importance score is computed over.
 //
-// The three products of a step — y = W·cols, dW += dy·colsᵀ and
-// dcols = Wᵀ·dy — go through tensor.GEMMPacked: W and Wᵀ are packed once per
-// call rather than once per sample, and the column matrix exists for one
-// sample at a time (Backward lowers the cached input again instead of
-// keeping a batch of column matrices alive). Each product keeps the
-// per-sample (m, k, n) the MatMul*Into calls had, so results are
-// bit-identical to them (DESIGN.md §2a).
+// The products are defined by lowering: cols_i = Im2Col(x_i), then
+// y_i = W·cols_i, dW += dy_i·cols_iᵀ and dcols_i = Wᵀ·dy_i through
+// tensor.GEMMPacked, W and Wᵀ packed once per call and the column matrix
+// existing for one sample at a time (Backward lowers the cached input again
+// rather than keep a batch of them). Where tensor.IndirectConv serves the
+// geometry on the active tier — stride 1, whole 8-float runs per output row,
+// a product on the blocked side — the two products that read cols_i multiply
+// out of a zero-bordered copy of x_i instead, and no column matrix is built or
+// packed. Each product keeps the per-sample (m, k, n) either way, and the
+// bits of every result (DESIGN.md §2a).
 type Conv2D struct {
 	name string
 	Geom tensor.ConvGeom
@@ -29,10 +31,22 @@ type Conv2D struct {
 	y, dx *tensor.Tensor // cached output / input gradient
 
 	// grow-only per-sample workspaces
-	cols, dcols []float32      // [rows, outArea] columns / column gradient
-	wA, wtA     tensor.PackedA // W as [outC, rows]; Wᵀ as [rows, outC]
-	dyA         tensor.PackedA // dy_i as the left operand of dW
-	colsB, dyB  tensor.PackedB // cols_i (forward) or cols_iᵀ (dW); dy_i for dcols
+	wA, wtA tensor.PackedA // W as [outC, rows]; Wᵀ as [rows, outC]
+	dcols   []float32      // [rows, outArea] column gradient
+	dyB     tensor.PackedB // dy_i for dcols
+
+	ind tensor.IndirectConv // the padded sample and its offset tables
+	dyT tensor.PackedB      // dy_iᵀ as the streamed operand of the indirect dW
+
+	// what only the lowered products need
+	cols  []float32      // [rows, outArea] columns
+	colsB tensor.PackedB // cols_i (forward) or cols_iᵀ (dW)
+	dyA   tensor.PackedA // dy_i as the left operand of dW
+
+	// lowered keeps the layer on the lowered products where ind would serve:
+	// the differential tests and benchmarks hold the two side by side with
+	// it. Nothing else sets it; the path follows from geometry and tier.
+	lowered bool
 }
 
 // NewConv2D constructs a convolution layer with He-initialised kernels and
@@ -85,13 +99,19 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	c.x = x
 	y := ensure(c.y, n, g.OutC, g.OutH(), g.OutW()) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
 	c.y = y
-	c.cols = grow(c.cols, rows*outArea) //fedmp:transitive-ok — allocates once per geometry
 	c.wA.Pack(c.W.W.Data, false, g.OutC, rows, outArea)
+	indirect := c.plan()
 	for i := 0; i < n; i++ {
-		tensor.Im2Col(x.Data[i*inSize:(i+1)*inSize], g, c.cols)
-		c.colsB.Pack(c.cols, false, g.OutC, rows, outArea)
+		xi := x.Data[i*inSize : (i+1)*inSize]
 		out := y.Data[i*g.OutC*outArea : (i+1)*g.OutC*outArea]
-		tensor.GEMMPacked(out, &c.wA, &c.colsB, false)
+		if indirect {
+			c.ind.Load(xi)
+			c.ind.Mul(out, &c.wA)
+		} else {
+			tensor.Im2Col(xi, g, c.cols)
+			c.colsB.Pack(c.cols, false, g.OutC, rows, outArea)
+			tensor.GEMMPacked(out, &c.wA, &c.colsB, false)
+		}
 		for oc, bias := range c.B.W.Data {
 			if bias == 0 {
 				continue
@@ -103,6 +123,19 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		}
 	}
 	return y
+}
+
+// plan reports whether this call's products that read the column matrix run
+// indirectly, and readies whichever workspace they need.
+//
+//fedmp:allocfree
+func (c *Conv2D) plan() bool {
+	g := c.Geom
+	if !c.lowered && c.ind.Plan(g) {
+		return true
+	}
+	c.cols = grow(c.cols, g.InC*g.KH*g.KW*g.OutH()*g.OutW()) //fedmp:transitive-ok — allocates once per geometry
+	return false
 }
 
 // Backward implements Layer.
@@ -133,17 +166,24 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 		c.dcols = grow(c.dcols, rows*outArea) //fedmp:transitive-ok — allocates once per geometry
 		c.wtA.Pack(c.W.W.Data, true, rows, g.OutC, outArea)
 	}
-	c.cols = grow(c.cols, rows*outArea) //fedmp:transitive-ok — allocates once per geometry
+	indirect := c.plan()
 	dw := c.W.Grad.Data
 	for i := 0; i < n; i++ {
+		xi := c.x.Data[i*inSize : (i+1)*inSize]
 		dyi := dy.Data[i*g.OutC*outArea : (i+1)*g.OutC*outArea]
 		// dW += dy_i · colsᵀ, one product per sample: a single product
 		// over the batch would move the kc chunk boundaries of the
 		// outArea·N-deep sum and with them the rounding.
-		tensor.Im2Col(c.x.Data[i*inSize:(i+1)*inSize], g, c.cols)
-		c.dyA.Pack(dyi, false, g.OutC, outArea, rows)
-		c.colsB.Pack(c.cols, true, g.OutC, outArea, rows)
-		tensor.GEMMPacked(dw, &c.dyA, &c.colsB, true)
+		if indirect {
+			c.ind.Load(xi)
+			c.dyT.Pack(dyi, true, rows, outArea, g.OutC)
+			c.ind.AddGradW(dw, &c.dyT)
+		} else {
+			tensor.Im2Col(xi, g, c.cols)
+			c.dyA.Pack(dyi, false, g.OutC, outArea, rows)
+			c.colsB.Pack(c.cols, true, g.OutC, outArea, rows)
+			tensor.GEMMPacked(dw, &c.dyA, &c.colsB, true)
+		}
 		// db += per-channel sums of dy_i.
 		for oc := 0; oc < g.OutC; oc++ {
 			plane := dyi[oc*outArea : (oc+1)*outArea]

@@ -22,7 +22,8 @@ func archKernels() []*gemmKernel {
 	// 120·256·4 B ≈ 120 KiB keeps the A panel L2-resident like the 4×8
 	// tier's 128. nc stays 512 (a multiple of 16).
 	avx2 := &gemmKernel{name: "avx2", mr: 6, nr: 16, mc: 120, nc: 512, asm: gemmKernel6x16fma, fused: true,
-		directChain: gemmDirectChainAVX, directDot: gemmDirectDotAVX}
+		directChain: gemmDirectChainAVX, directDot: gemmDirectDotAVX,
+		indirectB: gemmKernel6x16fmaIndB, indirectA: gemmKernel6x16fmaIndA}
 	if actKernelsMatchStdlib() {
 		for _, k := range []*gemmKernel{sse, avx2} {
 			k.expInto, k.sigmoidInto, k.tanhInto = expIntoFMA, sigmoidIntoFMA, tanhIntoFMA
@@ -60,6 +61,17 @@ func gemmKernel4x8fma(c *float32, ldcBytes uintptr, ap, bp *float32, kb, acc uin
 //
 //go:noescape
 func gemmKernel6x16fma(c *float32, ldcBytes uintptr, ap, bp *float32, kb, acc uint64)
+
+// gemmKernel6x16fmaIndB and gemmKernel6x16fmaIndA are gemmKernel6x16fma with
+// one operand read out of a padded convolution input through a table of
+// offsets instead of out of a packed panel (contracts in
+// gemm_indirect_amd64.s; the driver is indirect.go).
+//
+//go:noescape
+func gemmKernel6x16fmaIndB(c *float32, ldcBytes uintptr, ap, x0, x1 *float32, taps *int, kb, acc uint64)
+
+//go:noescape
+func gemmKernel6x16fmaIndA(tile, x *float32, taps, pos *int, bp *float32, kb uint64)
 
 // gemmDirectChainAVX and gemmDirectDotAVX are the small-product kernels
 // behind gemmDirect (contract in gemm_direct_amd64.s): the first stands in

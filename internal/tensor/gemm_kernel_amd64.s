@@ -20,6 +20,7 @@
 //	X10,X11  broadcast A value / product temporaries
 
 #include "textflag.h"
+#include "gemm_tile6x16_amd64.h"
 
 // func gemmKernel4x8(c *float32, ldcBytes uintptr, ap, bp *float32, kb, acc uint64)
 TEXT ·gemmKernel4x8(SB), NOSPLIT, $0-48
@@ -194,7 +195,7 @@ fmastore:
 
 // func gemmKernel6x16fma(c *float32, ldcBytes uintptr, ap, bp *float32, kb, acc uint64)
 //
-// Register plan:
+// Register plan (tile registers and the shared steps: gemm_tile6x16_amd64.h):
 //
 //	SI  ap   packed A panel: kb groups of 6 floats (one per C row)
 //	DI  bp   packed B panel: kb groups of 16 floats (one per C column)
@@ -202,10 +203,6 @@ fmastore:
 //	R8  ldc  C row stride in bytes
 //	CX  kb   shared K depth
 //	AX  acc  1 = accumulate into C, 0 = overwrite
-//
-//	Y4..Y15  the 6x16 tile: row r is Y(4+2r) (cols 0-7), Y(5+2r) (cols 8-15)
-//	Y0,Y1    current 16 B values
-//	Y2,Y3    broadcast A values (alternating, to break dependency chains)
 TEXT ·gemmKernel6x16fma(SB), NOSPLIT, $0-48
 	MOVQ c+0(FP), DX
 	MOVQ ldcBytes+8(FP), R8
@@ -213,95 +210,15 @@ TEXT ·gemmKernel6x16fma(SB), NOSPLIT, $0-48
 	MOVQ bp+24(FP), DI
 	MOVQ kb+32(FP), CX
 	MOVQ acc+40(FP), AX
+	ZERO6x16
 
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	VXORPS Y8, Y8, Y8
-	VXORPS Y9, Y9, Y9
-	VXORPS Y10, Y10, Y10
-	VXORPS Y11, Y11, Y11
-	VXORPS Y12, Y12, Y12
-	VXORPS Y13, Y13, Y13
-	VXORPS Y14, Y14, Y14
-	VXORPS Y15, Y15, Y15
-
-wideloop:
+loop:
 	VMOVUPS (DI), Y0
 	VMOVUPS 32(DI), Y1
-
-	VBROADCASTSS (SI), Y2
-	VFMADD231PS  Y0, Y2, Y4
-	VFMADD231PS  Y1, Y2, Y5
-
-	VBROADCASTSS 4(SI), Y3
-	VFMADD231PS  Y0, Y3, Y6
-	VFMADD231PS  Y1, Y3, Y7
-
-	VBROADCASTSS 8(SI), Y2
-	VFMADD231PS  Y0, Y2, Y8
-	VFMADD231PS  Y1, Y2, Y9
-
-	VBROADCASTSS 12(SI), Y3
-	VFMADD231PS  Y0, Y3, Y10
-	VFMADD231PS  Y1, Y3, Y11
-
-	VBROADCASTSS 16(SI), Y2
-	VFMADD231PS  Y0, Y2, Y12
-	VFMADD231PS  Y1, Y2, Y13
-
-	VBROADCASTSS 20(SI), Y3
-	VFMADD231PS  Y0, Y3, Y14
-	VFMADD231PS  Y1, Y3, Y15
-
-	ADDQ $24, SI
+	PACKEDA6x16
 	ADDQ $64, DI
 	DECQ CX
-	JNZ  wideloop
+	JNZ  loop
 
-	LEAQ  (DX)(R8*2), R9
-	LEAQ  (R9)(R8*2), R10
-	TESTQ AX, AX
-	JZ    widestore
-
-	VMOVUPS (DX), Y0
-	VADDPS  Y0, Y4, Y4
-	VMOVUPS 32(DX), Y1
-	VADDPS  Y1, Y5, Y5
-	VMOVUPS (DX)(R8*1), Y2
-	VADDPS  Y2, Y6, Y6
-	VMOVUPS 32(DX)(R8*1), Y3
-	VADDPS  Y3, Y7, Y7
-	VMOVUPS (R9), Y0
-	VADDPS  Y0, Y8, Y8
-	VMOVUPS 32(R9), Y1
-	VADDPS  Y1, Y9, Y9
-	VMOVUPS (R9)(R8*1), Y2
-	VADDPS  Y2, Y10, Y10
-	VMOVUPS 32(R9)(R8*1), Y3
-	VADDPS  Y3, Y11, Y11
-	VMOVUPS (R10), Y0
-	VADDPS  Y0, Y12, Y12
-	VMOVUPS 32(R10), Y1
-	VADDPS  Y1, Y13, Y13
-	VMOVUPS (R10)(R8*1), Y2
-	VADDPS  Y2, Y14, Y14
-	VMOVUPS 32(R10)(R8*1), Y3
-	VADDPS  Y3, Y15, Y15
-
-widestore:
-	VMOVUPS Y4, (DX)
-	VMOVUPS Y5, 32(DX)
-	VMOVUPS Y6, (DX)(R8*1)
-	VMOVUPS Y7, 32(DX)(R8*1)
-	VMOVUPS Y8, (R9)
-	VMOVUPS Y9, 32(R9)
-	VMOVUPS Y10, (R9)(R8*1)
-	VMOVUPS Y11, 32(R9)(R8*1)
-	VMOVUPS Y12, (R10)
-	VMOVUPS Y13, 32(R10)
-	VMOVUPS Y14, (R10)(R8*1)
-	VMOVUPS Y15, 32(R10)(R8*1)
-	VZEROUPPER
+	STORE6x16
 	RET

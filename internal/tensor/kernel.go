@@ -66,6 +66,13 @@ type gemmKernel struct {
 	// loops there. They are unfused on every machine and give the scalar
 	// loops' results bit for bit, so which tier has them decides speed only.
 	directChain, directDot directFunc
+	// indirectB and indirectA, when non-nil, are asm with one operand read
+	// in place from a padded convolution input (indirect.go): B's rows for
+	// the forward product, A's for the weight gradient. They need nr = 16.
+	// A tier without them lowers the convolution to a column matrix; same
+	// bits either way.
+	indirectB func(c *float32, ldcBytes uintptr, ap, x0, x1 *float32, taps *int, kb, acc uint64)
+	indirectA func(tile, x *float32, taps, pos *int, bp *float32, kb uint64)
 	// expInto, sigmoidInto and tanhInto, when non-nil, are the kernels of
 	// ExpInto, SigmoidInto and TanhInto (act.go); a tier without them runs
 	// the scalar loops over math.Exp and math.Tanh. A tier only has them
