@@ -20,10 +20,10 @@ vet:
 # lint runs the repo's own static-analysis suite (internal/lint): the
 # syntactic rules randsource, wallclock, floateq, synccopy, allocfree,
 # gobdeny and atomicwrite, the flow-sensitive rules maporder, errdiscard,
-# lockbalance and seedflow, and the interprocedural rules wiretaint, goroleak
-# and transitive (call-graph summaries across packages) — the
-# reproducibility, hot-path, wire-format and durability invariants
-# DESIGN.md's "Static analysis" section describes.
+# lockbalance and seedflow, and the interprocedural rules goroleak and
+# transitive (call-graph summaries across packages) — the reproducibility,
+# hot-path and durability invariants DESIGN.md's "Static analysis" section
+# describes.
 lint:
 	go run ./cmd/fedmp-lint ./...
 
@@ -32,7 +32,7 @@ lint-fix-hints:
 	go run ./cmd/fedmp-lint -hints ./...
 
 # lint-bench times the full-repo lint — load, type-check, call-graph and
-# summary solve, all fourteen rules — and fails if it exceeds the budget.
+# summary solve, all thirteen rules — and fails if it exceeds the budget.
 # The budget is generous (the point is catching an accidental exponential
 # blow-up in the interprocedural layer, not micro-regressions); override
 # with LINT_BUDGET=30s for a tighter local check. The per-rule wall-time
@@ -67,7 +67,8 @@ lint-mutants:
 	go test -tags mutants -count=1 -run TestMutantMatrix -timeout 6h -v ./internal/lint
 
 # fuzz-smoke gives each fuzz target a short budget: the CFG builder under
-# the flow-sensitive lint rules, the wire-codec frame reader, and the
+# the flow-sensitive lint rules, the wire-codec frame reader — which also
+# holds every decode, accepted or refused, to its allocation bound — and the
 # activation kernels against their scalar loops. Long campaigns stay manual;
 # this catches the crashes a code change introduces.
 FUZZTIME ?= 10s
@@ -147,8 +148,9 @@ check: vet lint build test test-kernels race
 # parity, and a mid-run PS kill/restart that must recover from its
 # checkpoint) — then an experiment smoke run (one static table plus one quick
 # sim-backed figure) proving the experiment CLI still runs end to end.
-# bench-smoke, among the prerequisites, runs each micro-benchmark once.
-ci: check lint-bench lint-hatches test-benchmark bench-smoke
+# bench-smoke, among the prerequisites, runs each micro-benchmark once and
+# fuzz-smoke each fuzz target for FUZZTIME.
+ci: check lint-bench lint-hatches test-benchmark bench-smoke fuzz-smoke
 	go test -race -count=1 -run 'TestParallelCohortDeterminism|TestParkedDeviceResumesInAnotherSlot|TestRunGridGolden' ./internal/core
 	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

@@ -154,10 +154,6 @@ func TestAtomicWriteGolden(t *testing.T) {
 	checkGolden(t, "testdata/atomicwrite", fixtureScope("atomicwrite", "atomicwrite"))
 }
 
-func TestWireTaintGolden(t *testing.T) {
-	checkGolden(t, "testdata/wiretaint", fixtureScope("wiretaint", "wiretaint"))
-}
-
 func TestGoroLeakGolden(t *testing.T) {
 	checkGolden(t, "testdata/goroleak", fixtureScope("goroleak", "goroleak"))
 }

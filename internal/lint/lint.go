@@ -15,14 +15,13 @@
 //	lockbalance — every Lock/RLock is unlocked on every path to return
 //	seedflow    — fresh rand.New/NewSource results flow onward, not stay confined
 //	atomicwrite — durability layers write state files only via the fsync+rename helper
-//	wiretaint   — wire-decoded integers pass a bounds check before reaching allocations
 //	goroleak    — transport go statements have a provable exit path
 //	transitive  — allocfree and wallclock hold across call boundaries, via summaries
 //
 // maporder, errdiscard, lockbalance and seedflow are flow-sensitive: they
 // run over the intraprocedural CFGs of cfg.go and the worklist analyses of
-// dataflow.go rather than bare syntax. wiretaint, goroleak and transitive
-// are interprocedural: they consume the cross-package call graph of
+// dataflow.go rather than bare syntax. goroleak and transitive are
+// interprocedural: they consume the cross-package call graph of
 // callgraph.go and the bottom-up SCC effect summaries of summary.go.
 // wallclock, gobdeny, atomicwrite and randsource's global-source half are
 // rows of the one scope-deny table in deny.go. Findings are reported as "file:line: [rule]
@@ -65,8 +64,7 @@ type Options struct {
 	// be bit-identical across same-seed runs (internal/transport owns real
 	// deadlines and heartbeats, and its maps order network events that carry
 	// their own ids, so it is exempt from both); gobdeny and goroleak cover
-	// the transport, atomicwrite the checkpoint layer, wiretaint the frame
-	// decoders, where every length is attacker-controlled.
+	// the transport, atomicwrite the checkpoint layer.
 	Scope map[string][]string
 	// RequiredAllocFree lists functions that must carry the
 	// //fedmp:allocfree annotation, in funcKey form: "pkgpath.Func" or
@@ -110,7 +108,6 @@ func DefaultOptions() *Options {
 			},
 			"gobdeny":     {"fedmp/internal/transport"},
 			"atomicwrite": {"fedmp/internal/transport/checkpoint"},
-			"wiretaint":   {"fedmp/internal/transport/codec"},
 			"goroleak":    {"fedmp/internal/transport"},
 		},
 		RequiredAllocFree: []string{
@@ -285,7 +282,6 @@ func Analyzers() []*Analyzer {
 		analyzerLockBalance,
 		analyzerSeedFlow,
 		analyzerAtomicWrite,
-		analyzerWireTaint,
 		analyzerGoroLeak,
 		analyzerTransitive,
 	}
@@ -293,9 +289,9 @@ func Analyzers() []*Analyzer {
 
 // RuleTiming is one analyzer's accumulated wall time over a whole run. The
 // lazily built call graph and summaries are attributed to whichever rule
-// triggers them first — by pipeline order that is wiretaint — so a slow new
-// pass shows up under its own name or as a jump in its layer's first
-// consumer.
+// triggers them first — transitive, since the first package visited lies
+// outside goroleak's scope — so a slow new pass shows up under its own name
+// or as a jump in its layer's first consumer.
 type RuleTiming struct {
 	Rule    string
 	Elapsed time.Duration

@@ -10,10 +10,11 @@ import (
 
 // mutant is one entry of testdata/mutants.json: a deliberate bug planted at
 // one call site by replacing the single occurrence of Old in File with New.
-// The corpus enumerates the sites the retired typestate rules guarded (frame
-// emissions, channel closes, file/socket/pool releases) and the grow-only
-// buffers the transitive rule's allocfree half policed; `make lint-mutants`
-// applies each to a scratch copy of the module and records what notices.
+// The corpus enumerates the sites the retired rules guarded (frame emissions,
+// channel closes, file/socket/pool releases, the codec's length gate) and the
+// grow-only buffers the transitive rule's allocfree half polices;
+// `make lint-mutants` applies each to a scratch copy of the module and
+// records what notices.
 type mutant struct {
 	ID   string `json:"id"`
 	File string `json:"file"` // module-relative, forward slashes
@@ -21,8 +22,8 @@ type mutant struct {
 	New  string `json:"new"`
 	// Packages are the import paths whose tests the runner executes.
 	Packages []string `json:"packages"`
-	// ParentLint names the rules deleted in PR 19 that fired on this mutant
-	// when they still existed — measured once, at the parent commit.
+	// ParentLint names the since-deleted rules that fired on this mutant
+	// while they still existed — measured once, at the parent commit.
 	ParentLint []string `json:"parent_lint"`
 }
 

@@ -55,7 +55,6 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 		"wallclock": 4, "maporder": 5, // the deterministic layers
 		"gobdeny": 1, "goroleak": 1, // the transport
 		"atomicwrite": 1, // the checkpoint layer
-		"wiretaint":   1, // the frame decoders
 	} {
 		if got := opts.Scope[rule]; len(got) < floor {
 			t.Errorf("Scope[%q] shrank to %v", rule, got)
@@ -115,14 +114,14 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 	}
 }
 
-// TestAnalyzerInventory pins the pipeline itself: all fourteen rules must
+// TestAnalyzerInventory pins the pipeline itself: all thirteen rules must
 // stay registered, in reporting order, so dropping one from Analyzers()
 // fails the suite rather than silently weakening the gate.
 func TestAnalyzerInventory(t *testing.T) {
 	want := []string{
 		"randsource", "wallclock", "floateq", "synccopy", "allocfree",
 		"maporder", "gobdeny", "errdiscard", "lockbalance", "seedflow",
-		"atomicwrite", "wiretaint", "goroleak", "transitive",
+		"atomicwrite", "goroleak", "transitive",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {

@@ -2,10 +2,9 @@
 // callgraph.go. ComputeSummaries walks the SCCs callee-first, seeding each
 // node with its local facts (allocation sites, wall-clock reads, go
 // statements, infinite loops without a provable exit) and iterating each
-// SCC to a fixpoint — the lattice is monotone booleans plus taint masks, so
-// a few passes converge. The transitive analyzers (transitive.go,
-// goroleak.go) and the wiretaint dataflow (wiretaint.go) consume the
-// results.
+// SCC to a fixpoint — the lattice is monotone booleans, so a few passes
+// converge. The transitive analyzers (transitive.go, goroleak.go) consume
+// the results.
 //
 // Soundness trade-offs, deliberately chosen and documented in DESIGN.md
 // §7.2: functions annotated //fedmp:allocfree are trusted as clean (their
@@ -29,7 +28,7 @@ import (
 type Summary struct {
 	// Allocates reports a reachable allocation site; AllocVia names the
 	// immediate callee the effect arrived through ("" for a local site) and
-	// AllocLeaf describes the root site ("make at decode.go:42").
+	// AllocLeaf describes the root site ("make at decoder.go:42").
 	Allocates bool
 	AllocVia  string
 	AllocLeaf string
@@ -60,13 +59,6 @@ type Summary struct {
 	// sanctionedWallclock marks the designed wall-clock seam (simclock):
 	// the summary stays clean no matter what the body or callees do.
 	sanctionedWallclock bool
-
-	// RetTaint and ParamSink are the wiretaint facts, computed only for
-	// packages inside the wiretaint scope: RetTaint[i] is result i's taint
-	// mask; ParamSink[i] non-empty describes the make/unsafe.Slice/index
-	// sink parameter i reaches without a bounds check.
-	RetTaint  []taintMask
-	ParamSink []string
 }
 
 // AllocDesc renders the allocation evidence chain.
@@ -95,7 +87,6 @@ func (s *Summary) ForeverDesc() string {
 
 // Summaries holds the computed summary of every graph node.
 type Summaries struct {
-	g    *CallGraph
 	opts *Options
 	m    map[*FuncNode]*Summary
 }
@@ -103,15 +94,12 @@ type Summaries struct {
 // Of returns n's summary.
 func (s *Summaries) Of(n *FuncNode) *Summary { return s.m[n] }
 
-// Graph returns the underlying call graph.
-func (s *Summaries) Graph() *CallGraph { return s.g }
-
 // ComputeSummaries seeds local facts and solves each SCC bottom-up.
 func ComputeSummaries(g *CallGraph, opts *Options) *Summaries {
 	if opts == nil {
 		opts = DefaultOptions()
 	}
-	s := &Summaries{g: g, opts: opts, m: make(map[*FuncNode]*Summary, len(g.Nodes))}
+	s := &Summaries{opts: opts, m: make(map[*FuncNode]*Summary, len(g.Nodes))}
 	for _, n := range g.Nodes {
 		s.m[n] = s.local(n)
 	}
@@ -120,11 +108,6 @@ func ComputeSummaries(g *CallGraph, opts *Options) *Summaries {
 			changed = false
 			for _, n := range scc {
 				if s.propagate(n) {
-					changed = true
-				}
-			}
-			for _, n := range scc {
-				if s.taintSummarize(n) {
 					changed = true
 				}
 			}

@@ -30,11 +30,15 @@
 //	2      1    format version (1 or 2)
 //	3      1    message kind
 //	4      4    payload length N
-//	8      N    payload (kind-specific, see encode.go)
+//	8      N    payload (kind-specific, see layout.go)
 //
-// Decoding is defensive: every length is bounds-checked against the frame
-// before allocation, ranks/element counts/nesting depths are capped, and any
-// malformed input yields an error — never a panic. See fuzz_test.go.
+// Each message's layout is written once (layout.go) as a walk over its
+// fields; FrameBytes runs the walk counting, WriteFrame storing, the Decoder
+// loading (coder.go). Decoding is defensive: every count on the wire passes
+// one gate, (*coder).length, which holds it to a cap and to the bytes
+// actually left in the frame before anything is allocated from it, and any
+// malformed input yields an error — never a panic. TestHostileLengths and
+// FuzzReadFrame hold every decode to an allocation bound.
 package codec
 
 import (
@@ -86,9 +90,9 @@ const (
 	// malformed (the scaled model zoo tops out well under a megabyte).
 	MaxFrame = 64 << 20
 
-	// maxRank, maxElems, maxTensors and maxLayers cap what a decoded frame
-	// may ask the decoder to allocate, so a corrupt or hostile length
-	// field cannot amplify a small frame into an enormous allocation.
+	// maxRank, maxElems, maxTensors and maxLayers cap what a frame may hold
+	// — the encoder refuses what the decoder would — so a corrupt or hostile
+	// length field cannot amplify a small frame into an enormous allocation.
 	maxRank    = 32
 	maxElems   = 1 << 24
 	maxTensors = 1 << 16
@@ -212,8 +216,7 @@ type WorkerState struct {
 // errTruncated reports a payload shorter than its own length fields claim.
 var errTruncated = errors.New("codec: truncated payload")
 
-// payload returns result-message tag bytes discriminating which tensor list
-// follows.
+// Result tag bytes: which tensor list follows.
 const (
 	resultNone byte = iota
 	resultDelta
@@ -227,9 +230,8 @@ const (
 	descLM
 )
 
-// checkKind validates that e's Kind has its matching payload pointer (and,
-// for results, at most one tensor list). It is shared by the encoder and
-// the size model so they can never disagree on what is encodable.
+// checkKind validates that e's Kind has its matching payload pointer, which
+// is all the walk over the payload takes on trust.
 func checkKind(e *Envelope) error {
 	switch e.Kind {
 	case KindHello:
@@ -243,9 +245,6 @@ func checkKind(e *Envelope) error {
 	case KindResult:
 		if e.Result == nil {
 			return fmt.Errorf("codec: result envelope without payload")
-		}
-		if e.Result.Delta != nil && e.Result.Update != nil {
-			return fmt.Errorf("codec: result carries both delta and update")
 		}
 	case KindShutdown:
 		if e.Shutdown == nil {

@@ -2,7 +2,6 @@ package codec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
@@ -361,6 +360,13 @@ func TestEncodeErrors(t *testing.T) {
 			Delta:  []*tensor.Tensor{tensor.New(1)},
 			Update: []*tensor.Tensor{tensor.New(1)}, // both payloads set
 		}},
+		// Shapes the decoder refuses: a dimension past its cap (even beside
+		// a zero), a product that wraps to the (empty) data length.
+		{Kind: KindAssign, Assign: &Assign{Weights: []*tensor.Tensor{{Shape: []int{1 << 40, 0}}}}},
+		{Kind: KindAssign, Assign: &Assign{Weights: []*tensor.Tensor{{Shape: []int{1 << 32, 1 << 32}}}}},
+		{Kind: KindResult, Result: &Result{Delta: []*tensor.Tensor{{Shape: []int{1 << 25, 0}}}}},
+		{Kind: KindSnapshot, Snapshot: &Snapshot{Global: []*tensor.Tensor{{Shape: []int{maxElems, 2, 0}}}}},
+		{Kind: KindSnapshot, Snapshot: &Snapshot{Workers: []WorkerState{{Slot: -1}}}},
 		{Kind: KindSnapshot},   // missing payload
 		{Kind: KindRoundClose}, // missing payload
 		{Kind: KindSnapshot, Snapshot: &Snapshot{
@@ -564,24 +570,10 @@ func TestDequantizedMatchesWire(t *testing.T) {
 // and checkpoints stay readable — while a v1 frame carrying v2 bytes or an
 // unknown version is rejected.
 func TestVersion1Compat(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	e := &Envelope{Kind: KindAssign, Assign: &Assign{
-		Round: 3, Weights: []*tensor.Tensor{randTensor(rng, 0.5, 9, 4)},
-		Iters: 2, Ratio: 0.5,
-	}}
-	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, e); err != nil {
-		t.Fatal(err)
-	}
-	frame := buf.Bytes()
+	e, frame, v1 := v1AssignFrame(t)
 	if frame[2] != version {
 		t.Fatalf("encoder stamped version %d, want %d", frame[2], version)
 	}
-
-	// Rewrite as v1: drop the trailing Quantize byte, fix length and version.
-	v1 := append([]byte(nil), frame[:len(frame)-1]...)
-	v1[2] = 1
-	binary.LittleEndian.PutUint32(v1[4:], uint32(len(v1)-HeaderLen))
 	got, _, err := ReadFrame(bytes.NewReader(v1))
 	if err != nil {
 		t.Fatalf("v1 frame rejected: %v", err)
@@ -634,6 +626,24 @@ func TestDecoderReuse(t *testing.T) {
 	}
 	if _, _, err := d.ReadFrame(); err == nil {
 		t.Fatal("decoder read past the stream end")
+	}
+
+	// A recycled layer list must not keep what the new frame leaves empty:
+	// the same spec again, its names and residual body gone.
+	bare := sampleSpec()
+	for i := range bare.Layers {
+		bare.Layers[i].Name, bare.Layers[i].Body = "", nil
+	}
+	for _, spec := range []*zoo.Spec{sampleSpec(), bare} {
+		want := &Envelope{Kind: KindAssign, Assign: &Assign{Desc: spec}}
+		if _, err := WriteFrame(&stream, want); err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := d.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		envelopesEqual(t, want, got)
 	}
 }
 

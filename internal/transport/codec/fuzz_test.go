@@ -9,12 +9,13 @@ import (
 	"fedmp/internal/tensor"
 )
 
-// FuzzReadFrame throws arbitrary bytes at the decoder. The only contract is
-// totality: ReadFrame returns an envelope or an error, it never panics and
-// never allocates unboundedly — any frame it does accept must re-encode to
-// the same byte count its own size model predicts, and the recycling Decoder
-// must agree with the one-shot path bit for bit (checked by comparing their
-// re-encodings, which also covers NaN payloads DeepEqual cannot).
+// FuzzReadFrame throws arbitrary bytes at the decoder. The contract is
+// totality within a budget: ReadFrame returns an envelope or an error, it
+// never panics, and accepting or rejecting it allocates no more than
+// allocBound allows for the input's length — any frame it does accept must
+// re-encode to the same byte count its own size model predicts, and a
+// Decoder must agree with the one-shot path bit for bit (checked by comparing
+// their re-encodings, which also covers NaN payloads DeepEqual cannot).
 func FuzzReadFrame(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	for _, e := range sampleEnvelopes(rng) {
@@ -39,11 +40,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte("not a frame at all"))
 	f.Add([]byte{magic0, magic1, version, byte(KindPing), 0xff, 0xff, 0xff, 0x7f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, _, err := ReadFrame(bytes.NewReader(data))
-		e2, _, err2 := NewDecoder(bytes.NewReader(data)).ReadFrame()
-		if (err == nil) != (err2 == nil) {
-			t.Fatalf("one-shot err %v, Decoder err %v", err, err2)
-		}
+		e, e2, err := decodeWithinBound(t, data)
 		if err != nil {
 			return
 		}
@@ -86,7 +83,7 @@ func TestDecodeTruncated(t *testing.T) {
 
 // TestDecodeCorrupt flips every byte of a tensor-carrying frame one at a
 // time; each decode must either fail or produce a structurally valid
-// envelope — never panic.
+// envelope — never panic, and never allocate past allocBound.
 func TestDecodeCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	e := &Envelope{Kind: KindResult, Result: &Result{
@@ -102,7 +99,7 @@ func TestDecodeCorrupt(t *testing.T) {
 		for _, flip := range []byte{0x01, 0x80, 0xff} {
 			mut := append([]byte(nil), frame...)
 			mut[i] ^= flip
-			got, _, err := ReadFrame(bytes.NewReader(mut))
+			got, _, err := decodeWithinBound(t, mut)
 			if err != nil {
 				continue
 			}
