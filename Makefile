@@ -17,13 +17,11 @@ vet:
 	GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 	test -z "$$(gofmt -l .)"
 
-# lint runs the repo's own static-analysis suite (internal/lint): the
-# syntactic rules randsource, wallclock, floateq, synccopy, allocfree,
-# gobdeny and atomicwrite, the flow-sensitive rules maporder, errdiscard,
-# lockbalance and seedflow, and the interprocedural rules goroleak and
-# transitive (call-graph summaries across packages) — the reproducibility,
-# hot-path and durability invariants DESIGN.md's "Static analysis" section
-# describes.
+# lint runs the repo's own static-analysis suite (internal/lint; `go run
+# ./cmd/fedmp-lint -rules` lists the rules): per-function checks over syntax
+# and types plus the interprocedural goroleak and transitive (call-graph
+# summaries across packages) — the reproducibility, hot-path and durability
+# invariants DESIGN.md's "Static analysis" section describes.
 lint:
 	go run ./cmd/fedmp-lint ./...
 
@@ -32,7 +30,7 @@ lint-fix-hints:
 	go run ./cmd/fedmp-lint -hints ./...
 
 # lint-bench times the full-repo lint — load, type-check, call-graph and
-# summary solve, all thirteen rules — and fails if it exceeds the budget.
+# summary solve, every rule — and fails if it exceeds the budget.
 # The budget is generous (the point is catching an accidental exponential
 # blow-up in the interprocedural layer, not micro-regressions); override
 # with LINT_BUDGET=30s for a tighter local check. The per-rule wall-time
@@ -56,7 +54,8 @@ lint-hatches:
 # lint-mutants plants every bug of internal/lint/testdata/mutants.json — a
 # wrong, dropped or repeated frame at each emission site, a doubled or dropped
 # close of each channel, a dropped release of each file, socket and pooled
-# buffer, a grow-only workspace made to allocate every call — on a scratch
+# buffer and mutex, an unchecked error store, a lock-bearing value copied, a
+# grow-only workspace made to allocate every call — on a scratch
 # copy of the module, one at a time, and records in lint-mutants.json which of
 # go build, go vet, the named packages' tests (60 s timeout), go test -race on
 # core/transport and each lint rule notices. It fails when a mutant that used
@@ -66,14 +65,13 @@ lint-hatches:
 lint-mutants:
 	go test -tags mutants -count=1 -run TestMutantMatrix -timeout 6h -v ./internal/lint
 
-# fuzz-smoke gives each fuzz target a short budget: the CFG builder under
-# the flow-sensitive lint rules, the wire-codec frame reader — which also
-# holds every decode, accepted or refused, to its allocation bound — and the
-# activation kernels against their scalar loops. Long campaigns stay manual;
-# this catches the crashes a code change introduces.
+# fuzz-smoke gives each fuzz target a short budget: the wire-codec frame
+# reader — which also holds every decode, accepted or refused, to its
+# allocation bound — and the activation kernels against their scalar loops.
+# Long campaigns stay manual; this catches the crashes a code change
+# introduces.
 FUZZTIME ?= 10s
 fuzz-smoke:
-	go test -run '^$$' -fuzz FuzzBuildCFG -fuzztime $(FUZZTIME) ./internal/lint
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport/codec
 	go test -run '^$$' -fuzz FuzzActivations -fuzztime $(FUZZTIME) ./internal/tensor
 

@@ -1,7 +1,7 @@
-// Command fedmp-lint runs the repo's static-analysis suite (internal/lint):
-// the syntactic rules randsource, wallclock, floateq, synccopy and allocfree,
-// and the flow-sensitive rules maporder, errdiscard, lockbalance and
-// seedflow. It loads every package matched by the given go-list patterns
+// Command fedmp-lint runs the repo's static-analysis suite (internal/lint;
+// -rules lists it): per-function rules over syntax and types, plus goroleak
+// and transitive over a cross-package call graph. It loads every package
+// matched by the given go-list patterns
 // (default ./...), type-checks them against compiler export data, and prints
 // deduplicated findings sorted by file/line/rule as
 //

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"runtime/debug"
+	"runtime/pprof"
 	"strings"
 	"testing"
+
+	"fedmp/internal/testfd"
 )
 
 // TestSeedDeterminism is the integration gate behind the maporder rule: two
@@ -121,4 +125,55 @@ func TestProfilesLeaveOutputAlone(t *testing.T) {
 			t.Errorf("profile %s missing or empty (%v)", path, err)
 		}
 	}
+}
+
+// TestProfiledClosesItsFiles counts descriptors around profiled, as
+// fedmp-bench's TestWriteCSVs does around -csv: no profile file stays open
+// after a profiled run, after a CPU profile that cannot start because another
+// is running, or after an allocation profile sent to /dev/full. The collector
+// is off: the finalizer of an unreachable os.File would close it and hide the
+// leak.
+func TestProfiledClosesItsFiles(t *testing.T) {
+	dir := t.TempDir()
+	run := func() error { return nil }
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	before := testfd.Open(t)
+	leaked := func(when string) {
+		t.Helper()
+		for _, target := range testfd.Leaked(t, before) {
+			t.Errorf("%s: descriptor on %s left open", when, target)
+		}
+	}
+
+	if err := profiled(filepath.Join(dir, "cpu.prof"), filepath.Join(dir, "mem.prof"), run); err != nil {
+		t.Fatal(err)
+	}
+	leaked("after a profiled run")
+
+	// runtime/pprof drops the write errors of its proto encoder, so this
+	// run reports success; what it must not do is keep /dev/full open.
+	if _, err := os.Stat("/dev/full"); err == nil {
+		if err := profiled("", "/dev/full", run); err != nil {
+			t.Logf("allocation profile to /dev/full: %v", err)
+		}
+		leaked("after an allocation profile to a full device")
+	}
+
+	busy, err := os.Create(filepath.Join(dir, "busy.prof"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pprof.StartCPUProfile(busy); err != nil {
+		busy.Close()
+		t.Skipf("cannot start a CPU profile to collide with: %v", err)
+	}
+	err = profiled(filepath.Join(dir, "second.prof"), "", run)
+	pprof.StopCPUProfile()
+	if cerr := busy.Close(); cerr != nil {
+		t.Fatal(cerr)
+	}
+	if err == nil {
+		t.Error("a second CPU profile started while one was running")
+	}
+	leaked("after a CPU profile that could not start")
 }

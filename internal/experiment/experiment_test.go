@@ -2,8 +2,13 @@ package experiment
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"fedmp/internal/core"
+	"fedmp/internal/zoo"
 )
 
 // TestAllArtefactsQuick regenerates every artefact in quick mode through a
@@ -121,4 +126,80 @@ func TestResultCacheSharing(t *testing.T) {
 	if after := len(l.cache); after != before {
 		t.Errorf("fig6 added %d runs; expected full reuse of table3's", after-before)
 	}
+}
+
+// TestSimulateSingleFlight pins the cache's single-flight: a request for a
+// key whose run is in flight waits for that run and shares its result
+// instead of simulating the configuration again. The second request is
+// started from the first call's own "running" line, and the first run goes on
+// only once the second is parked on the in-flight entry — so a run that never
+// wakes its waiters, or a lock the waiting path leaves held, hangs the test.
+func TestSimulateSingleFlight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a simulation")
+	}
+	var (
+		l       *lab
+		fam     core.Family
+		cfg     core.Config
+		key     string
+		runs    int
+		shared  *core.Result
+		waiting = make(chan error, 1)
+	)
+	l = newLab(Options{Quick: true, Seed: 1, Logf: func(format string, _ ...any) {
+		if !strings.HasPrefix(format, "running") {
+			return
+		}
+		if runs++; runs > 1 {
+			return
+		}
+		go func() {
+			res, err := l.simulate(key, fam, cfg)
+			shared = res
+			waiting <- err
+		}()
+		for deadline := time.Now().Add(10 * time.Second); !parkedInSimulate(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Error("the second request never waited on the run in flight")
+				return
+			}
+		}
+	}})
+	var err error
+	fam, cfg, key, err = l.specConfig(runSpec{model: zoo.ModelCNN, strategy: core.StrategySynFL, rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := l.simulate(key, fam, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-waiting:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the request waiting on the run in flight was never woken")
+	}
+	if runs != 1 {
+		t.Errorf("%d runs of one configuration, want 1", runs)
+	}
+	if shared != res {
+		t.Error("the waiting request did not get the in-flight run's result")
+	}
+}
+
+// parkedInSimulate reports whether a goroutine is blocked receiving on a
+// channel inside lab.simulate — a request waiting on another's run.
+func parkedInSimulate() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("[chan receive")) && bytes.Contains(g, []byte("(*lab).simulate(")) {
+			return true
+		}
+	}
+	return false
 }

@@ -6,7 +6,7 @@
 // components emitted callee-first — the order the bottom-up summary solver
 // in summary.go consumes. Function literals are not nodes of their own:
 // their bodies, and therefore their calls, belong to the enclosing
-// declaration, mirroring how cfg.go treats them.
+// declaration.
 //
 // Cross-package references resolve through funcKey strings rather than
 // go/types object identity: a package type-checked from source and the same

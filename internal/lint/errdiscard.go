@@ -13,25 +13,17 @@ const errDiscardHint = "handle or log the error (the transport logf helpers work
 
 var analyzerErrDiscard = &Analyzer{
 	Name: "errdiscard",
-	Doc: "no silently dropped errors in non-test code: neither assigned to _ from a call " +
-		"nor stored in a local that no path ever reads",
-	Run: runErrDiscard,
+	Doc:  "no silently dropped errors in non-test code: no error result of a call assigned to _",
+	Run:  runErrDiscard,
 }
 
 // errorType is the predeclared error interface.
 var errorType = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
-// runErrDiscard reports two shapes of dropped error (the loader already
-// skips _test.go files, so test code is exempt by construction):
-//
-//   - blank discard: `_ = f()` or `v, _ := f()` where the discarded result
-//     is error-typed — the call can fail and nothing will ever know;
-//   - dead store: an error-typed local defined from a call whose value is,
-//     by CFG liveness, never read on any path before being overwritten or
-//     falling out of scope.
-//
-// Liveness is a may-analysis, so a value read on even one path is live and
-// not reported: the rule only fires when every path drops the error.
+// runErrDiscard reports `_ = f()` and `v, _ := f()` where the discarded
+// result is error-typed — the call can fail and nothing will ever know. The
+// loader already skips _test.go files, so test code is exempt by
+// construction.
 func runErrDiscard(pass *Pass) {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
@@ -41,19 +33,11 @@ func runErrDiscard(pass *Pass) {
 				pass.ReportHint(pos, errDiscardHint, format, args...)
 			}
 		}
-		// Blank discards are position-independent: one syntactic sweep.
 		ast.Inspect(f, func(n ast.Node) bool {
-			as, oka := n.(*ast.AssignStmt)
-			if !oka {
-				return true
+			if as, isAssign := n.(*ast.AssignStmt); isAssign {
+				checkBlankDiscard(as, info, reportf)
 			}
-			checkBlankDiscard(as, info, reportf)
 			return true
-		})
-		// Dead stores need the CFG: analyze every function body, closures
-		// included, as its own flow graph.
-		funcBodies(f, info, func(node ast.Node, sig *types.Signature, body *ast.BlockStmt) {
-			checkDeadErrorStores(body, sig, info, reportf)
 		})
 	}
 }
@@ -81,64 +65,6 @@ func checkBlankDiscard(as *ast.AssignStmt, info *types.Info, reportf func(token.
 		}
 		if fromCall && isErrorType(t) {
 			reportf(lhs.Pos(), "error result discarded with _")
-		}
-	}
-}
-
-// checkDeadErrorStores runs liveness over one function body and reports
-// error-typed locals whose definition from a call is dead.
-func checkDeadErrorStores(body *ast.BlockStmt, sig *types.Signature, info *types.Info, reportf func(token.Pos, string, ...any)) {
-	// Named results are implicitly read by every return (including bare
-	// returns the liveness walk cannot see), so they are never dead.
-	named := map[*types.Var]bool{}
-	if sig != nil && sig.Results() != nil {
-		for i := 0; i < sig.Results().Len(); i++ {
-			named[sig.Results().At(i)] = true
-		}
-	}
-	g := BuildCFG(body, info)
-	_, liveOut := Liveness(g, info)
-	for _, blk := range g.Blocks {
-		live := cloneVarSet(liveOut[blk])
-		for i := len(blk.Nodes) - 1; i >= 0; i-- {
-			n := blk.Nodes[i]
-			if as, ok := n.(*ast.AssignStmt); ok {
-				checkDeadAssign(as, body, named, info, live, reportf)
-			}
-			stepLiveness(n, info, live)
-		}
-	}
-}
-
-// checkDeadAssign reports error-typed locals assigned from a call while not
-// live. Only variables declared inside this body count: parameters and
-// captured outer locals have readers the local CFG cannot see.
-func checkDeadAssign(as *ast.AssignStmt, body *ast.BlockStmt, named map[*types.Var]bool,
-	info *types.Info, live VarSet, reportf func(token.Pos, string, ...any)) {
-	tuple := len(as.Lhs) > 1 && len(as.Rhs) == 1
-	for i, lhs := range as.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		v := identVar(info, id)
-		if v == nil || live[v] || named[v] {
-			continue
-		}
-		if v.Pos() < body.Pos() || v.Pos() > body.End() {
-			continue
-		}
-		if !isErrorType(v.Type()) {
-			continue
-		}
-		fromCall := false
-		if tuple {
-			_, fromCall = ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-		} else if i < len(as.Rhs) {
-			_, fromCall = ast.Unparen(as.Rhs[i]).(*ast.CallExpr)
-		}
-		if fromCall {
-			reportf(id.Pos(), "error assigned to %s is never read on any path", id.Name)
 		}
 	}
 }

@@ -142,10 +142,6 @@ func TestErrDiscardGolden(t *testing.T) {
 	checkGolden(t, "testdata/errdiscard", DefaultOptions())
 }
 
-func TestLockBalanceGolden(t *testing.T) {
-	checkGolden(t, "testdata/lockbalance", DefaultOptions())
-}
-
 func TestSeedFlowGolden(t *testing.T) {
 	checkGolden(t, "testdata/seedflow", DefaultOptions())
 }

@@ -26,6 +26,20 @@ func pkgSel(info *types.Info, expr ast.Expr, path string) string {
 	return sel.Sel.Name
 }
 
+// identVar resolves an identifier to the non-field variable it defines or
+// mentions (`:=` and `var` targets live in Defs, `=` targets in Uses).
+func identVar(info *types.Info, id *ast.Ident) *types.Var {
+	obj := info.Uses[id]
+	if obj == nil {
+		obj = info.Defs[id]
+	}
+	v, ok := obj.(*types.Var)
+	if !ok || v.IsField() {
+		return nil
+	}
+	return v
+}
+
 // calleeSignature returns the signature of a call's callee, or nil when the
 // call is a type conversion or a builtin.
 func calleeSignature(info *types.Info, call *ast.CallExpr) *types.Signature {

@@ -11,18 +11,16 @@
 //	allocfree   — annotated hot-path functions contain no allocation sites
 //	maporder    — map iteration never feeds ordered output in deterministic layers
 //	gobdeny     — the wire layers never import encoding/gob (the binary codec owns framing)
-//	errdiscard  — no error result discarded with _ or stored and never read
-//	lockbalance — every Lock/RLock is unlocked on every path to return
+//	errdiscard  — no error result of a call discarded with _
 //	seedflow    — fresh rand.New/NewSource results flow onward, not stay confined
 //	atomicwrite — durability layers write state files only via the fsync+rename helper
 //	goroleak    — transport go statements have a provable exit path
 //	transitive  — allocfree and wallclock hold across call boundaries, via summaries
 //
-// maporder, errdiscard, lockbalance and seedflow are flow-sensitive: they
-// run over the intraprocedural CFGs of cfg.go and the worklist analyses of
-// dataflow.go rather than bare syntax. goroleak and transitive are
-// interprocedural: they consume the cross-package call graph of
-// callgraph.go and the bottom-up SCC effect summaries of summary.go.
+// Every rule but two reads one function's syntax and types. goroleak and
+// transitive are interprocedural: they consume the cross-package call graph
+// of callgraph.go and the bottom-up SCC effect summaries of summary.go.
+// Lock balance and dead error stores are left to tests (DESIGN.md §7.1).
 // wallclock, gobdeny, atomicwrite and randsource's global-source half are
 // rows of the one scope-deny table in deny.go. Findings are reported as "file:line: [rule]
 // message"; cmd/fedmp-lint exits nonzero on any finding, and `make check`
@@ -279,7 +277,6 @@ func Analyzers() []*Analyzer {
 		analyzerMapOrder,
 		analyzerGobDeny,
 		analyzerErrDiscard,
-		analyzerLockBalance,
 		analyzerSeedFlow,
 		analyzerAtomicWrite,
 		analyzerGoroLeak,

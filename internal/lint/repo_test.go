@@ -114,13 +114,13 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 	}
 }
 
-// TestAnalyzerInventory pins the pipeline itself: all thirteen rules must
-// stay registered, in reporting order, so dropping one from Analyzers()
-// fails the suite rather than silently weakening the gate.
+// TestAnalyzerInventory pins the pipeline itself: every rule must stay
+// registered, in reporting order, so dropping one from Analyzers() fails the
+// suite rather than silently weakening the gate.
 func TestAnalyzerInventory(t *testing.T) {
 	want := []string{
 		"randsource", "wallclock", "floateq", "synccopy", "allocfree",
-		"maporder", "gobdeny", "errdiscard", "lockbalance", "seedflow",
+		"maporder", "gobdeny", "errdiscard", "seedflow",
 		"atomicwrite", "goroleak", "transitive",
 	}
 	got := Analyzers()

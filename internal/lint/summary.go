@@ -418,3 +418,30 @@ func condMentionsError(cond ast.Expr, info *types.Info) bool {
 	})
 	return found
 }
+
+// noReturnFuncs are package-level functions after which control cannot
+// continue, keyed by import path then name.
+var noReturnFuncs = map[string]map[string]bool{
+	"os":      {"Exit": true},
+	"runtime": {"Goexit": true},
+	"log": {
+		"Fatal": true, "Fatalf": true, "Fatalln": true,
+		"Panic": true, "Panicf": true, "Panicln": true,
+	},
+}
+
+// isTerminatorCall reports whether the call never returns: the panic builtin
+// or a recognised os.Exit/log.Fatal-style function.
+func isTerminatorCall(info *types.Info, call *ast.CallExpr) bool {
+	if builtinName(info, call) == "panic" {
+		return true
+	}
+	for path, names := range noReturnFuncs {
+		for name := range names {
+			if pkgSel(info, call.Fun, path) == name {
+				return true
+			}
+		}
+	}
+	return false
+}

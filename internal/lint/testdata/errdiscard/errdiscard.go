@@ -26,23 +26,6 @@ func tupleBlank() int {
 	return n
 }
 
-func deadOverwrite() error {
-	err := step("a") // want "error assigned to err is never read on any path"
-	err = step("b")
-	return err
-}
-
-// deadOnAllPaths: the first definition is overwritten after the branch
-// merge, so no path reads it — the CFG, not line order, proves it.
-func deadOnAllPaths(loud bool) error {
-	err := step("x") // want "error assigned to err is never read on any path"
-	if loud {
-		fmt.Println("ran step")
-	}
-	err = step("y")
-	return err
-}
-
 // checked pins the sanctioned pattern: every error is inspected.
 func checked() error {
 	if err := step("a"); err != nil {
@@ -53,15 +36,6 @@ func checked() error {
 		return fmt.Errorf("second step: %w", err)
 	}
 	return nil
-}
-
-// livePath is NOT a finding: the error is read on one path, and liveness is
-// a may-analysis.
-func livePath(check bool) {
-	err := step("maybe")
-	if check && err != nil {
-		fmt.Println(err)
-	}
 }
 
 // bestEffort demonstrates the escape hatch for genuinely ignorable errors.

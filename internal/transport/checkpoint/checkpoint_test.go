@@ -111,7 +111,7 @@ func TestSnapshotAndWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != nil || info.SnapshotRound != -1 || info.WALRounds != 0 {
+	if s != nil || info.SnapshotRound != -1 || info.WALRounds != 0 || info.UsedFallback {
 		t.Fatalf("fresh dir recovered %+v / %+v", s, info)
 	}
 
@@ -329,6 +329,26 @@ func TestClosedManagerRefusesWork(t *testing.T) {
 	}
 	if _, _, err := m.Recover(); err == nil {
 		t.Error("recover on a closed manager accepted")
+	}
+}
+
+// TestRecoverSurfacesUnreadableWAL: a log that cannot be read fails Recover
+// instead of reading as a fresh start, which would rerun a schedule whose
+// rounds are already durable.
+func TestRecoverSurfacesUnreadableWAL(t *testing.T) {
+	m, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AppendRound(testSnapshot(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Close the handle under the manager: every seek and read of the log fails.
+	if err := m.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s, _, err := m.Recover(); err == nil {
+		t.Fatalf("recovered %+v from a log that cannot be read", s)
 	}
 }
 

@@ -149,6 +149,17 @@ func TestSuspectHeartbeatOverPipe(t *testing.T) {
 	if got := reg.active(); len(got) != 1 || len(reg.suspects()) != 0 {
 		t.Fatalf("after the pong: active %v, suspects %v; want [0] and none", got, reg.suspects())
 	}
+	// A late pong — the answer to an earlier heartbeat, arriving after the
+	// worker is back — changes nothing and leaves the registry usable.
+	if _, err := worker.send(&envelope{Kind: kindPong}); err != nil {
+		t.Fatal(err)
+	}
+	s.handleEvent(<-reg.events, nil)
+	settles(t, "active() after a late pong", func() {
+		if got := reg.active(); len(got) != 1 {
+			t.Errorf("after a late pong: active %v, want [0]", got)
+		}
+	})
 
 	reg.markSuspect(0)
 	if err := workerRaw.Close(); err != nil {
@@ -160,6 +171,22 @@ func TestSuspectHeartbeatOverPipe(t *testing.T) {
 	}
 	if reg.connected() != 0 || len(reg.suspects()) != 0 {
 		t.Fatalf("dead suspect lingers: %d connected, suspects %v", reg.connected(), reg.suspects())
+	}
+}
+
+// settles runs fn and fails the test when it has not returned within five
+// seconds: a registry lock some path forgot to release hangs its next caller.
+func settles(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		fn()
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s never returned: a registry lock was left held", what)
 	}
 }
 
@@ -191,4 +218,9 @@ func TestShutdownIsOneFrameThenClose(t *testing.T) {
 	if e, _, err := worker.recv(5 * time.Second); !hungUp(err) {
 		t.Fatalf("after the shutdown frame: %+v, %v; want end of stream", e, err)
 	}
+	settles(t, "connected() after shutdown", func() {
+		if n := reg.connected(); n != 0 {
+			t.Errorf("%d connections after shutdown, want 0", n)
+		}
+	})
 }

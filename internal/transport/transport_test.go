@@ -3,6 +3,8 @@ package transport
 import (
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -134,6 +136,20 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 	if _, err := Serve(fam, ServerConfig{Addr: "127.0.0.1:0", Workers: 1, Rounds: 0}); err == nil {
 		t.Error("zero rounds accepted")
+	}
+	// What the round driver or the checkpoint directory refuses ends Serve
+	// with the reason, before it listens.
+	if _, err := Serve(fam, ServerConfig{Addr: "127.0.0.1:0", Workers: 1, Rounds: 1, AcceptTimeout: time.Second,
+		Core: core.Config{Strategy: "bogus"}}); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Errorf("unknown strategy: Serve returned %v, want the driver's refusal", err)
+	}
+	notDir := filepath.Join(t.TempDir(), "ckpt")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Serve(fam, ServerConfig{Addr: "127.0.0.1:0", Workers: 1, Rounds: 1, AcceptTimeout: time.Second,
+		CheckpointDir: notDir}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Errorf("checkpoint directory is a file: Serve returned %v, want the checkpoint error", err)
 	}
 }
 
