@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only dependency.
 
-.PHONY: build test vet lint lint-fix-hints lint-bench lint-stats lint-hatches lint-mutants fuzz-smoke race check bench-smoke ci test-kernels test-exhaustive test-benchmark loc
+.PHONY: build test vet lint lint-fix-hints lint-stats lint-hatches lint-mutants fuzz-smoke race check bench-smoke ci test-kernels test-exhaustive test-benchmark loc
 
 build:
 	go build ./...
@@ -19,25 +19,16 @@ vet:
 
 # lint runs the repo's own static-analysis suite (internal/lint; `go run
 # ./cmd/fedmp-lint -rules` lists the rules): per-function checks over syntax
-# and types plus the interprocedural goroleak and transitive (call-graph
-# summaries across packages) — the reproducibility, hot-path and durability
-# invariants DESIGN.md's "Static analysis" section describes.
+# and types for the reproducibility and durability invariants DESIGN.md's
+# "Static analysis" section describes. Allocation-free hot paths and
+# goroutine exits are held by tests instead: the allocation tables and
+# transport's TestMain.
 lint:
 	go run ./cmd/fedmp-lint ./...
 
 # lint-fix-hints prints each finding with its suggested rewrite.
 lint-fix-hints:
 	go run ./cmd/fedmp-lint -hints ./...
-
-# lint-bench times the full-repo lint — load, type-check, call-graph and
-# summary solve, every rule — and fails if it exceeds the budget.
-# The budget is generous (the point is catching an accidental exponential
-# blow-up in the interprocedural layer, not micro-regressions); override
-# with LINT_BUDGET=30s for a tighter local check. The per-rule wall-time
-# breakdown lands next to the run in lint-bench.json.
-LINT_BUDGET ?= 120s
-lint-bench:
-	go run ./cmd/fedmp-lint -bench $(LINT_BUDGET) -bench-json lint-bench.json ./...
 
 # lint-stats prints the rule/finding/hatch inventory: how many analyzers are
 # registered, what they currently find, and where the //fedmp:<rule>-ok
@@ -53,15 +44,17 @@ lint-hatches:
 
 # lint-mutants plants every bug of internal/lint/testdata/mutants.json — a
 # wrong, dropped or repeated frame at each emission site, a doubled or dropped
-# close of each channel, a dropped release of each file, socket and pooled
-# buffer and mutex, an unchecked error store, a lock-bearing value copied, a
-# grow-only workspace made to allocate every call — on a scratch
-# copy of the module, one at a time, and records in lint-mutants.json which of
-# go build, go vet, the named packages' tests (60 s timeout), go test -race on
-# core/transport and each lint rule notices. It fails when a mutant that used
-# to be caught is now caught by nothing. About an hour on two cores (the
-# mutants that hang a test each wait out its timeout); tier-1 only checks that
-# the corpus still applies (TestMutantCorpusApplies).
+# close of each channel, a dropped release of each file, socket, pooled buffer
+# and mutex, an unchecked error store, a lock-bearing value copied, a
+# grow-only workspace or hot loop made to allocate, a clock read behind a
+# deterministic layer, a goroutine left without an exit, a map ranged into
+# output, a confined generator — on a scratch copy of the module, one at a
+# time, and records in lint-mutants.json which of go build, go vet, the named
+# packages' tests (60 s timeout), go test -race on core/transport and each
+# lint rule notices. It fails when a mutant that used to be caught is now
+# caught by nothing. About an hour on two cores (the mutants that hang a test
+# each wait out its timeout); tier-1 only checks that the corpus still
+# applies (TestMutantCorpusApplies).
 lint-mutants:
 	go test -tags mutants -count=1 -run TestMutantMatrix -timeout 6h -v ./internal/lint
 
@@ -148,7 +141,7 @@ check: vet lint build test test-kernels race
 # sim-backed figure) proving the experiment CLI still runs end to end.
 # bench-smoke, among the prerequisites, runs each micro-benchmark once and
 # fuzz-smoke each fuzz target for FUZZTIME.
-ci: check lint-bench lint-hatches test-benchmark bench-smoke fuzz-smoke
+ci: check lint-hatches test-benchmark bench-smoke fuzz-smoke
 	go test -race -count=1 -run 'TestParallelCohortDeterminism|TestParkedDeviceResumesInAnotherSlot|TestRunGridGolden' ./internal/core
 	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

@@ -1,9 +1,8 @@
 // Command fedmp-lint runs the repo's static-analysis suite (internal/lint;
-// -rules lists it): per-function rules over syntax and types, plus goroleak
-// and transitive over a cross-package call graph. It loads every package
-// matched by the given go-list patterns
-// (default ./...), type-checks them against compiler export data, and prints
-// deduplicated findings sorted by file/line/rule as
+// -rules lists it): per-function rules over syntax and types. It loads every
+// package matched by the given go-list patterns (default ./...), type-checks
+// them against compiler export data, and prints deduplicated findings sorted
+// by file/line/rule as
 //
 //	file:line: [rule] message
 //
@@ -11,10 +10,7 @@
 // the suggested rewrite, the `make lint-fix-hints` mode; with -json each
 // finding is one JSON object per line ({"file","line","rule","message"})
 // for editors and CI to consume; with -sarif the whole run is one SARIF
-// 2.1.0 document (rule inventory included) for code-scanning uploads. With
-// -bench the run is timed and the command fails when load+analysis exceed
-// the given budget — the `make lint-bench` regression guard — and
-// -bench-json writes the per-rule wall-time breakdown to a file alongside.
+// 2.1.0 document (rule inventory included) for code-scanning uploads.
 // -hatches switches to the suppression audit: every //fedmp:<rule>-ok
 // comment is re-checked against a hatch-blind lint of the same load, and
 // the command fails when any hatch suppresses nothing (the `make ci`
@@ -28,7 +24,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"time"
 
 	"fedmp/internal/lint"
 )
@@ -38,8 +33,6 @@ func main() {
 	jsonOut := flag.Bool("json", false, "print one JSON object per finding instead of text")
 	sarifOut := flag.Bool("sarif", false, "print the run as one SARIF 2.1.0 document instead of text")
 	rules := flag.Bool("rules", false, "list the analyzers and exit")
-	bench := flag.Duration("bench", 0, "time the full load+analysis and fail when it exceeds this budget (0 disables)")
-	benchJSON := flag.String("bench-json", "", "write the per-rule timing breakdown as JSON to this path")
 	hatches := flag.Bool("hatches", false, "audit //fedmp:<rule>-ok hatches and fail when any suppress nothing")
 	stats := flag.Bool("stats", false, "print rule/finding/hatch counts after the findings")
 	flag.Parse()
@@ -59,7 +52,6 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	start := time.Now()
 	pkgs, err := lint.Load(root, patterns...)
 	if err != nil {
 		fatal(err)
@@ -72,8 +64,7 @@ func main() {
 		runHatchAudit(pkgs, cwd)
 		return
 	}
-	diags, timings := lint.RunTimed(pkgs, lint.DefaultOptions())
-	elapsed := time.Since(start)
+	diags := lint.Run(pkgs, lint.DefaultOptions())
 	if *sarifOut {
 		err = renderSARIF(os.Stdout, diags, cwd)
 	} else {
@@ -82,21 +73,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, len(pkgs), elapsed, *bench, timings); err != nil {
-			fatal(err)
-		}
-	}
 	if *stats {
 		printStats(os.Stdout, diags, lint.Hatches(pkgs))
-	}
-	if *bench > 0 {
-		fmt.Fprintf(os.Stderr, "fedmp-lint: loaded and analyzed %d package(s) in %v (budget %v)\n",
-			len(pkgs), elapsed.Round(time.Millisecond), *bench)
-		if elapsed > *bench {
-			fmt.Fprintln(os.Stderr, "fedmp-lint: over budget")
-			os.Exit(1)
-		}
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "fedmp-lint: %d finding(s) in %d package(s)\n", len(diags), len(pkgs))
@@ -121,37 +99,6 @@ func runHatchAudit(pkgs []*lint.Package, cwd string) {
 	if len(stale) > 0 {
 		os.Exit(1)
 	}
-}
-
-// benchReport is the -bench-json payload: the load+analysis wall time and
-// the per-rule breakdown, in pipeline order.
-type benchReport struct {
-	Packages int         `json:"packages"`
-	TotalMS  float64     `json:"total_ms"`
-	BudgetMS float64     `json:"budget_ms,omitempty"`
-	Rules    []benchRule `json:"rules"`
-}
-
-type benchRule struct {
-	Rule string  `json:"rule"`
-	MS   float64 `json:"ms"`
-}
-
-func writeBenchJSON(path string, packages int, elapsed, budget time.Duration, timings []lint.RuleTiming) error {
-	report := benchReport{
-		Packages: packages,
-		TotalMS:  float64(elapsed.Microseconds()) / 1000,
-		BudgetMS: float64(budget.Microseconds()) / 1000,
-		Rules:    make([]benchRule, len(timings)),
-	}
-	for i, tm := range timings {
-		report.Rules[i] = benchRule{Rule: tm.Rule, MS: float64(tm.Elapsed.Microseconds()) / 1000}
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // printStats appends the `make lint-stats` summary: registered rules,

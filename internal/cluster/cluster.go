@@ -123,8 +123,6 @@ type Parked struct {
 type jitterSource uint64
 
 // Uint64 implements rand.Source64.
-//
-//fedmp:allocfree
 func (s *jitterSource) Uint64() uint64 {
 	out := splitmix64(uint64(*s))
 	*s += splitmixGamma
@@ -132,8 +130,6 @@ func (s *jitterSource) Uint64() uint64 {
 }
 
 // Int63 implements rand.Source.
-//
-//fedmp:allocfree
 func (s *jitterSource) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 // Seed implements rand.Source.

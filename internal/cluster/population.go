@@ -125,8 +125,6 @@ const splitmixGamma = 0x9e3779b97f4a7c15
 // splitmix64 is one SplitMix64 step: a bijective avalanche mix giving
 // O(1) random access into a device-indexed stream of sub-seeds (the
 // warehouse-sim per-agent RNG idiom, random-access form).
-//
-//fedmp:allocfree
 func splitmix64(x uint64) uint64 {
 	x += splitmixGamma
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -137,23 +135,17 @@ func splitmix64(x uint64) uint64 {
 // SubSeed derives the private RNG seed for stream id under a master seed.
 // Every device's jitter RNG is seeded this way, so materialising device i
 // never consumes randomness that device j depends on.
-//
-//fedmp:allocfree
 func SubSeed(seed int64, id int64) int64 {
 	return int64(splitmix64(uint64(seed) + splitmix64(uint64(id))))
 }
 
 // unit maps (seed, a, b) to a uniform value in [0,1), deterministically.
-//
-//fedmp:allocfree
 func unit(seed int64, a, b int64) float64 {
 	h := splitmix64(splitmix64(uint64(seed)+splitmix64(uint64(a))) + uint64(b))
 	return float64(h>>11) / (1 << 53)
 }
 
 // clusterCounts returns the device count per cluster under the mix.
-//
-//fedmp:allocfree
 func (p *Population) clusterCounts() (nA, nB, nC int) {
 	nC = int(p.MixC * float64(p.Size))
 	nB = int(p.MixB * float64(p.Size))
@@ -164,8 +156,6 @@ func (p *Population) clusterCounts() (nA, nB, nC int) {
 // ClusterOf maps a device id to its Fig. 3 cluster: the first block of ids
 // is cluster A, then B, then C — the same layout Scenario construction
 // uses, so the default mix reproduces Default(n) exactly.
-//
-//fedmp:allocfree
 func (p *Population) ClusterOf(id int) ClusterID {
 	nA, nB, _ := p.clusterCounts()
 	if id < nA {
@@ -188,8 +178,6 @@ func (p *Population) Device(id int) *Device {
 // Rebind makes d the device Device(id) returns, in d's storage: the engine
 // keeps one Device per cohort slot and the rest of the population as Parked
 // values, so sampling a device allocates nothing.
-//
-//fedmp:allocfree
 func (p *Population) Rebind(d *Device, id int) {
 	if id < 0 || id >= p.Size {
 		panic(fmt.Sprintf("cluster: device %d out of population [0,%d)", id, p.Size))
@@ -198,8 +186,6 @@ func (p *Population) Rebind(d *Device, id int) {
 }
 
 // Region maps a device to its outage failure domain.
-//
-//fedmp:allocfree
 func (p *Population) Region(id int) int {
 	if !p.Outage.Enabled() {
 		return 0
@@ -210,8 +196,6 @@ func (p *Population) Region(id int) int {
 // OutageDraw reports whether the region goes dark in the given window —
 // the deterministic draw both the analytic gate and the engine's
 // scheduled outage events share.
-//
-//fedmp:allocfree
 func (p *Population) OutageDraw(region int, window int64) bool {
 	if !p.Outage.Enabled() || window < 0 {
 		return false
@@ -221,8 +205,6 @@ func (p *Population) OutageDraw(region int, window int64) bool {
 
 // DiurnalOn reports the diurnal gate alone: whether device id is awake at
 // virtual time now.
-//
-//fedmp:allocfree
 func (p *Population) DiurnalOn(id int, now float64) bool {
 	if !p.Diurnal.Enabled() || now < 0 {
 		return true
@@ -236,8 +218,6 @@ func (p *Population) DiurnalOn(id int, now float64) bool {
 // awake per the diurnal trace and not inside a regional outage. It is the
 // analytic reference for the engine's event-driven outage state — both
 // consume the same OutageDraw stream.
-//
-//fedmp:allocfree
 func (p *Population) Available(id int, now float64) bool {
 	if !p.DiurnalOn(id, now) {
 		return false

@@ -203,3 +203,17 @@ func parkedInSimulate() bool {
 	}
 	return false
 }
+
+// TestSimulateErrorNamesItsCell: an artefact runs dozens of configurations,
+// so the error of a failing one must say which it was.
+func TestSimulateErrorNamesItsCell(t *testing.T) {
+	l := newLab(Options{Quick: true, Seed: 1})
+	fam, cfg, key, err := l.specConfig(runSpec{model: zoo.ModelCNN, strategy: core.StrategySynFL, rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.LocalIters = -1
+	if res, err := l.simulate(key, fam, cfg); err == nil || !strings.Contains(err.Error(), key) || res != nil {
+		t.Fatalf("simulate returned %v, %v; want no result and an error naming %q", res, err, key)
+	}
+}

@@ -56,8 +56,9 @@ var denyRandSource = &denyRow{
 var denyWallclock = &denyRow{
 	name: "wallclock",
 	doc: "bans time.Now/time.Since/time.Sleep inside the deterministic " +
-		"simulation layers (internal/core, internal/cluster, internal/bandit, " +
-		"internal/experiment); simulated time must come from the engine's " +
+		"simulation layers and every package they call into (core, cluster, " +
+		"bandit, experiment, simsched, data, metrics, nn, prune, tensor, zoo, " +
+		"transport/codec); simulated time must come from the engine's " +
 		"virtual clock or a threaded simclock.Clock. " +
 		"//fedmp:wallclock-ok on the preceding or same line suppresses.",
 	pkgs: []string{"time"},

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
@@ -54,31 +55,18 @@ func loadExpectations(t *testing.T, dir string) []*expectation {
 // want comments: every finding must be expected, every expectation matched.
 func checkGolden(t *testing.T, dir string, opts *Options) {
 	t.Helper()
-	checkGoldenDirs(t, opts, dir)
-}
-
-// checkGoldenDirs lints several fixture directories as one load — the
-// cross-package fixtures import each other — and matches the combined
-// findings against the combined want comments.
-func checkGoldenDirs(t *testing.T, opts *Options, dirs ...string) {
-	t.Helper()
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var absDirs []string
-	var expects []*expectation
-	for _, dir := range dirs {
-		abs := filepath.Join(root, "internal/lint", dir)
-		absDirs = append(absDirs, abs)
-		expects = append(expects, loadExpectations(t, abs)...)
+	abs := filepath.Join(root, "internal/lint", dir)
+	expects := loadExpectations(t, abs)
+	if len(expects) == 0 {
+		t.Fatalf("fixture %s has no want comments", dir)
 	}
-	pkgs, err := LoadDirs(root, absDirs...)
+	pkgs, err := LoadDirs(root, abs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(expects) == 0 && !strings.Contains(dirs[0], "required") {
-		t.Fatalf("fixture %v has no want comments", dirs)
 	}
 	diags := Run(pkgs, opts)
 	for _, d := range diags {
@@ -122,14 +110,6 @@ func TestFloatEqGolden(t *testing.T) {
 	checkGolden(t, "testdata/floateq", DefaultOptions())
 }
 
-func TestSyncCopyGolden(t *testing.T) {
-	checkGolden(t, "testdata/synccopy", DefaultOptions())
-}
-
-func TestAllocFreeGolden(t *testing.T) {
-	checkGolden(t, "testdata/allocfree", DefaultOptions())
-}
-
 func TestMapOrderGolden(t *testing.T) {
 	checkGolden(t, "testdata/maporder", fixtureScope("maporder", "maporder"))
 }
@@ -142,97 +122,32 @@ func TestErrDiscardGolden(t *testing.T) {
 	checkGolden(t, "testdata/errdiscard", DefaultOptions())
 }
 
-func TestSeedFlowGolden(t *testing.T) {
-	checkGolden(t, "testdata/seedflow", DefaultOptions())
-}
-
 func TestAtomicWriteGolden(t *testing.T) {
 	checkGolden(t, "testdata/atomicwrite", fixtureScope("atomicwrite", "atomicwrite"))
 }
 
-func TestGoroLeakGolden(t *testing.T) {
-	checkGolden(t, "testdata/goroleak", fixtureScope("goroleak", "goroleak"))
-}
-
-func TestTransitiveGolden(t *testing.T) {
-	checkGolden(t, "testdata/transitive", DefaultOptions())
-}
-
-// TestTransitiveWallclockGolden is the cross-package case: the deny-scoped
-// fixture imports an out-of-scope helper package that reads the clock, and
-// the findings land at the scope boundary. The dependency is listed after
-// the dependent to exercise LoadDirs' dependency-order checking.
-func TestTransitiveWallclockGolden(t *testing.T) {
-	checkGoldenDirs(t, fixtureScope("wallclock", "transitivedeny"), "testdata/transitivedeny", "testdata/transitiveclock")
-}
-
-// TestTransitiveInventoryGate extends the allocfree deletion gate to a hot
-// path whose only allocation hides inside a callee: with the annotation
-// present the transitive rule flags the callee, with it deleted the
-// inventory pin fires — deleting the annotation can never pass silently.
-func TestTransitiveInventoryGate(t *testing.T) {
+// TestVariantPackageDedup is the regression for test/non-test package
+// variants sharing files: loading the same package twice — once under its
+// plain path, once under the "p [p.test]" variant spelling — must yield the
+// same findings as loading it once.
+func TestVariantPackageDedup(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := LoadDirs(root, filepath.Join(root, "internal/lint/testdata/requiredtrans"))
+	pkgs, err := LoadDirs(root, filepath.Join(root, "internal/lint/testdata/errdiscard"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.RequiredAllocFree = []string{"fedmp/internal/lint/testdata/requiredtrans.transHot"}
-	diags := Run(pkgs, opts)
-	if len(diags) != 1 {
-		t.Fatalf("annotation present: got %d findings, want exactly 1: %v", len(diags), diags)
+	base := Run(pkgs, DefaultOptions())
+	if len(base) == 0 {
+		t.Fatal("errdiscard fixture produced no findings; the dedup check needs some")
 	}
-	if d := diags[0]; d.Rule != "transitive" ||
-		!strings.Contains(d.Message, "helperAlloc, which allocates") {
-		t.Fatalf("annotation present: unexpected finding %s", d)
-	}
-
-	// The deleted-annotation twin: the inventory pin fires (and transHot's
-	// own transitive finding stays).
-	opts.RequiredAllocFree = []string{"fedmp/internal/lint/testdata/requiredtrans.transHotDeleted"}
-	diags = Run(pkgs, opts)
-	var sawPin bool
-	for _, d := range diags {
-		if d.Rule == "allocfree" && strings.Contains(d.Message, "transHotDeleted lost its //fedmp:allocfree") {
-			sawPin = true
-		}
-	}
-	if !sawPin {
-		t.Fatalf("annotation deleted: inventory pin did not fire: %v", diags)
-	}
-}
-
-// TestAllocFreeInventory pins a fixture function in RequiredAllocFree and
-// checks that its missing annotation is reported — the gate that makes
-// deleting a //fedmp:allocfree comment from a real hot path fail `make
-// check`.
-func TestAllocFreeInventory(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := LoadDirs(root, filepath.Join(root, "internal/lint/testdata/required"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.RequiredAllocFree = []string{"fedmp/internal/lint/testdata/required.hotPath"}
-	diags := Run(pkgs, opts)
-	if len(diags) != 1 {
-		t.Fatalf("got %d findings, want exactly 1: %v", len(diags), diags)
-	}
-	if d := diags[0]; d.Rule != "allocfree" || !strings.Contains(d.Message, "lost its //fedmp:allocfree") {
-		t.Fatalf("unexpected finding: %s", d)
-	}
-
-	// A key whose function vanished entirely is reported distinctly.
-	opts.RequiredAllocFree = []string{"fedmp/internal/lint/testdata/required.gone"}
-	diags = Run(pkgs, opts)
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "no longer exists") {
-		t.Fatalf("unexpected findings for vanished hot path: %v", diags)
+	variant := *pkgs[0]
+	variant.Path = pkgs[0].Path + " [fedmp/internal/lint/testdata/errdiscard.test]"
+	both := Run([]*Package{pkgs[0], &variant}, DefaultOptions())
+	if !reflect.DeepEqual(base, both) {
+		t.Errorf("variant load changed findings:\nbase: %v\nboth: %v", base, both)
 	}
 }
 

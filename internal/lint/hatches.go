@@ -33,8 +33,8 @@ func (h Hatch) String() string {
 }
 
 // Hatches inventories every suppression hatch in the loaded packages, in
-// file/line order. Only comments naming a registered rule count: requirement
-// directives (//fedmp:allocfree) and unknown names are not hatches.
+// file/line order. Only comments naming a registered rule count: designation
+// directives (//fedmp:atomicwrite-helper) and unknown names are not hatches.
 func Hatches(pkgs []*Package) []Hatch {
 	rules := make(map[string]bool)
 	for _, a := range Analyzers() {

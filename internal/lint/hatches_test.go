@@ -56,7 +56,7 @@ func TestRepoHatchesAllLive(t *testing.T) {
 	}
 	all := Hatches(pkgs)
 	if len(all) == 0 {
-		t.Fatal("Hatches() found none in the module; the scanner is broken (the nn and gemm hot paths carry several)")
+		t.Fatal("Hatches() found none in the module; the scanner is broken (the checkpoint WAL's open carries one)")
 	}
 	for _, h := range StaleHatches(pkgs, DefaultOptions()) {
 		t.Errorf("stale hatch: %s suppresses nothing", h)

@@ -225,13 +225,7 @@ func LoadDirs(root string, dirs ...string) ([]*Package, error) {
 		return nil, err
 	}
 	fset := token.NewFileSet()
-	type parsed struct {
-		path    string
-		dir     string
-		files   []*ast.File
-		imports []string
-	}
-	var todo []parsed
+	var pkgs []*Package
 	importSet := make(map[string]bool)
 	for _, dir := range dirs {
 		abs := dir
@@ -259,7 +253,6 @@ func LoadDirs(root string, dirs ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		var imports []string
 		for _, f := range files {
 			for _, spec := range f.Imports {
 				p, err := strconv.Unquote(spec.Path.Value)
@@ -268,25 +261,10 @@ func LoadDirs(root string, dirs ...string) ([]*Package, error) {
 				}
 				if p != "unsafe" && p != "C" {
 					importSet[p] = true
-					imports = append(imports, p)
 				}
 			}
 		}
-		todo = append(todo, parsed{
-			path:    modPath + "/" + filepath.ToSlash(rel),
-			dir:     abs,
-			files:   files,
-			imports: imports,
-		})
-	}
-
-	// Fixture-to-fixture imports resolve against the source-checked sibling,
-	// not export data (`go list` cannot see testdata packages), so drop the
-	// locally-synthesised paths before asking go list for the rest.
-	localTodo := make(map[string]bool, len(todo))
-	for _, t := range todo {
-		localTodo[t.path] = true
-		delete(importSet, t.path)
+		pkgs = append(pkgs, &Package{Path: modPath + "/" + filepath.ToSlash(rel), Dir: abs, Fset: fset, Files: files})
 	}
 
 	exports := make(map[string]string)
@@ -304,72 +282,11 @@ func LoadDirs(root string, dirs ...string) ([]*Package, error) {
 			exports[e.ImportPath] = e.Export
 		}
 	}
-	imp := &fixtureImporter{
-		base:  exportImporter(fset, exports),
-		local: make(map[string]*types.Package),
-	}
-
-	// Type-check in dependency order: a fixture is ready once every local
-	// fixture it imports has been checked into imp.local. Done is tracked
-	// per entry, not per path, so loading the same directory twice (the
-	// dedup tests do) still yields two Package values as before.
-	var pkgs []*Package
-	done := make([]bool, len(todo))
-	for len(pkgs) < len(todo) {
-		progress := false
-		for i, t := range todo {
-			if done[i] {
-				continue
-			}
-			ready := true
-			for _, p := range t.imports {
-				if localTodo[p] && imp.local[p] == nil && p != t.path {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			tpkg, info, err := checkPackage(fset, t.path, t.files, imp)
-			if err != nil {
-				return nil, err
-			}
-			imp.local[t.path] = tpkg
-			done[i] = true
-			progress = true
-			pkgs = append(pkgs, &Package{
-				Path:  t.path,
-				Dir:   t.dir,
-				Fset:  fset,
-				Files: t.files,
-				Types: tpkg,
-				Info:  info,
-			})
-		}
-		if !progress {
-			var stuck []string
-			for i, t := range todo {
-				if !done[i] {
-					stuck = append(stuck, t.path)
-				}
-			}
-			return nil, fmt.Errorf("lint: import cycle among fixture packages %v", stuck)
+	imp := exportImporter(fset, exports)
+	for _, pkg := range pkgs {
+		if pkg.Types, pkg.Info, err = checkPackage(fset, pkg.Path, pkg.Files, imp); err != nil {
+			return nil, err
 		}
 	}
 	return pkgs, nil
-}
-
-// fixtureImporter resolves the source-checked fixture packages of one
-// LoadDirs call before falling back to compiler export data.
-type fixtureImporter struct {
-	base  types.Importer
-	local map[string]*types.Package
-}
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	if p := fi.local[path]; p != nil {
-		return p, nil
-	}
-	return fi.base.Import(path)
 }

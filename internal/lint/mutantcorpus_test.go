@@ -2,6 +2,7 @@ package lint
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,22 +10,44 @@ import (
 )
 
 // mutant is one entry of testdata/mutants.json: a deliberate bug planted at
-// one call site by replacing the single occurrence of Old in File with New.
-// The corpus enumerates the sites the retired rules guarded (frame emissions,
-// channel closes, file/socket/pool releases, the codec's length gate) and the
-// grow-only buffers the transitive rule's allocfree half polices;
-// `make lint-mutants` applies each to a scratch copy of the module and
+// one site by replacing the single occurrence of Old in File with New — and
+// of each Also edit's Old with its New, for a bug that needs an import as well
+// as its use. The corpus enumerates the sites the retired rules guarded (frame
+// emissions, channel closes, file/socket/pool releases, the codec's length
+// gate, grow-only buffers, goroutine exits) and the ones the surviving rules
+// guard; `make lint-mutants` applies each to a scratch copy of the module and
 // records what notices.
 type mutant struct {
 	ID   string `json:"id"`
 	File string `json:"file"` // module-relative, forward slashes
-	Old  string `json:"old"`
-	New  string `json:"new"`
+	edit
+	Also []edit `json:"also,omitempty"`
 	// Packages are the import paths whose tests the runner executes.
 	Packages []string `json:"packages"`
 	// ParentLint names the since-deleted rules that fired on this mutant
 	// while they still existed — measured once, at the parent commit.
 	ParentLint []string `json:"parent_lint"`
+}
+
+type edit struct {
+	Old string `json:"old"`
+	New string `json:"new"`
+}
+
+// apply returns src with the mutant's edits made, or an error naming the
+// first edit that changes nothing or whose old string does not occur exactly
+// once.
+func (m mutant) apply(src string) (string, error) {
+	for _, e := range append([]edit{m.edit}, m.Also...) {
+		if e.Old == e.New {
+			return "", fmt.Errorf("%s: old == new", m.ID)
+		}
+		if n := strings.Count(src, e.Old); n != 1 {
+			return "", fmt.Errorf("%s: old string %q occurs %d times in %s, want exactly 1", m.ID, e.Old, n, m.File)
+		}
+		src = strings.Replace(src, e.Old, e.New, 1)
+	}
+	return src, nil
 }
 
 func loadMutants(t *testing.T, root string) []mutant {
@@ -62,9 +85,6 @@ func TestMutantCorpusApplies(t *testing.T) {
 		if len(m.Packages) == 0 {
 			t.Errorf("%s: no packages to test", m.ID)
 		}
-		if m.Old == m.New {
-			t.Errorf("%s: old == new", m.ID)
-		}
 		src, ok := files[m.File]
 		if !ok {
 			raw, err := os.ReadFile(filepath.Join(root, filepath.FromSlash(m.File)))
@@ -75,8 +95,8 @@ func TestMutantCorpusApplies(t *testing.T) {
 			src = string(raw)
 			files[m.File] = src
 		}
-		if n := strings.Count(src, m.Old); n != 1 {
-			t.Errorf("%s: old string occurs %d times in %s, want exactly 1", m.ID, n, m.File)
+		if _, err := m.apply(src); err != nil {
+			t.Error(err)
 		}
 	}
 }

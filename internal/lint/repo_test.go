@@ -29,87 +29,31 @@ func TestRepoLintsClean(t *testing.T) {
 	}
 }
 
-// TestDefaultOptionsPinHotPaths guards the inventory itself: the PR 2 GEMM
-// and nn hot paths must stay pinned, so weakening the configuration (rather
-// than the annotations) is also caught.
+// TestDefaultOptionsPinHotPaths guards the configuration itself: wallclock
+// must keep covering every package the simulation's hot paths run in (the
+// layers themselves and everything they call, transport's codec included),
+// and no other scope may shrink, so weakening DefaultOptions fails the suite
+// as surely as deleting a rule would.
 func TestDefaultOptionsPinHotPaths(t *testing.T) {
 	opts := DefaultOptions()
-	for _, key := range []string{
-		"fedmp/internal/tensor.gemmBlocked",
-		"fedmp/internal/tensor.microTileGo",
-		"fedmp/internal/nn.Dense.Forward",
-		"fedmp/internal/nn.Dense.Backward",
+	for _, pkg := range []string{
+		"fedmp/internal/core", "fedmp/internal/cluster", "fedmp/internal/bandit",
+		"fedmp/internal/experiment", "fedmp/internal/simsched", "fedmp/internal/data",
+		"fedmp/internal/metrics", "fedmp/internal/nn", "fedmp/internal/prune",
+		"fedmp/internal/tensor", "fedmp/internal/zoo", "fedmp/internal/transport/codec",
 	} {
-		found := false
-		for _, k := range opts.RequiredAllocFree {
-			if k == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("RequiredAllocFree no longer pins %s", key)
+		pass := &Pass{Pkg: &Package{Path: pkg}, Opts: opts}
+		if !pass.inScope("wallclock") {
+			t.Errorf("wallclock no longer covers %s", pkg)
 		}
 	}
 	for rule, floor := range map[string]int{
-		"wallclock": 4, "maporder": 5, // the deterministic layers
-		"gobdeny": 1, "goroleak": 1, // the transport
+		"maporder":    6, // the layers that order output
+		"gobdeny":     1, // the transport
 		"atomicwrite": 1, // the checkpoint layer
 	} {
 		if got := opts.Scope[rule]; len(got) < floor {
 			t.Errorf("Scope[%q] shrank to %v", rule, got)
-		}
-	}
-	for _, key := range []string{
-		"fedmp/internal/tensor.microTileFMA",
-		"fedmp/internal/tensor.mergeTile",
-		"fedmp/internal/tensor.fmaf32",
-		"fedmp/internal/tensor.gemmMacro",
-		"fedmp/internal/tensor.gemmDirectSIMD",
-		"fedmp/internal/tensor.packRows",
-		"fedmp/internal/tensor.packTransposed",
-		"fedmp/internal/tensor.PackedA.Pack",
-		"fedmp/internal/tensor.PackedB.Pack",
-		"fedmp/internal/tensor.GEMMPacked",
-		"fedmp/internal/tensor.ExpInto",
-		"fedmp/internal/tensor.SigmoidInto",
-		"fedmp/internal/tensor.TanhInto",
-		"fedmp/internal/tensor.Im2Col",
-		"fedmp/internal/tensor.Col2Im",
-		"fedmp/internal/nn.Conv2D.Forward",
-		"fedmp/internal/nn.Conv2D.Backward",
-		"fedmp/internal/nn.LSTM.Forward",
-		"fedmp/internal/nn.LSTM.Backward",
-		"fedmp/internal/nn.SoftmaxCE.softmaxCE",
-		"fedmp/internal/nn.ReLU.Forward",
-		"fedmp/internal/nn.MaxPool2D.Forward",
-		"fedmp/internal/nn.SGD.Step",
-		"fedmp/internal/prune.SymmetricScale",
-		"fedmp/internal/prune.QuantizeElem",
-		"fedmp/internal/prune.accumulate",
-		"fedmp/internal/prune.addInto",
-		"fedmp/internal/prune.SelectKth",
-		"fedmp/internal/transport/codec.putF32s",
-		"fedmp/internal/transport/codec.getF32s",
-		"fedmp/internal/transport/codec.nonzeroCount",
-		"fedmp/internal/transport/codec.quantNonzeroCount",
-		"fedmp/internal/simsched.Scheduler.Pop",
-		"fedmp/internal/simsched.Scheduler.push",
-		"fedmp/internal/cluster.SubSeed",
-		"fedmp/internal/cluster.Population.Available",
-		"fedmp/internal/cluster.jitterSource.Uint64",
-		"fedmp/internal/cluster.jitterSource.Int63",
-		"fedmp/internal/cluster.Population.Rebind",
-	} {
-		found := false
-		for _, k := range opts.RequiredAllocFree {
-			if k == key {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("RequiredAllocFree no longer pins codec fast path %s", key)
 		}
 	}
 }
@@ -119,9 +63,8 @@ func TestDefaultOptionsPinHotPaths(t *testing.T) {
 // suite rather than silently weakening the gate.
 func TestAnalyzerInventory(t *testing.T) {
 	want := []string{
-		"randsource", "wallclock", "floateq", "synccopy", "allocfree",
-		"maporder", "gobdeny", "errdiscard", "seedflow",
-		"atomicwrite", "goroleak", "transitive",
+		"randsource", "wallclock", "floateq", "maporder", "gobdeny",
+		"errdiscard", "atomicwrite",
 	}
 	got := Analyzers()
 	if len(got) != len(want) {

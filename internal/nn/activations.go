@@ -35,10 +35,8 @@ func (r *ReLU) FLOPs() float64 { return r.size }
 // (and for −0, which the second term rejects), i − 0x7F800001 has it set up
 // to +Inf but not for the positive NaNs above it, and it wraps to a clear
 // sign bit for every negative i below −0x7FFFFF.
-//
-//fedmp:allocfree
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	y := ensure(r.y, x.Shape...) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	y := ensure(r.y, x.Shape...) // allocates only when the batch outgrows the buffer
 	r.y = y
 	out := y.Data[:len(x.Data)]
 	for j, v := range x.Data {
@@ -56,10 +54,8 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // output — y is +0 where the input was not positive and a positive value
 // (possibly +Inf, never NaN or −0) where it was — so no mask is stored: dx
 // keeps dy's bits where y's bits are non-zero.
-//
-//fedmp:allocfree
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := ensure(r.dx, dy.Shape...) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	dx := ensure(r.dx, dy.Shape...) // allocates only when the batch outgrows the buffer
 	r.dx = dx
 	out := dx.Data[:len(dy.Data)]
 	y := r.y.Data[:len(dy.Data)]
@@ -108,17 +104,15 @@ func (m *MaxPool2D) FLOPs() float64 { return float64(m.C * m.InH * m.InW) }
 // Forward implements Layer. Ties keep the first maximum in window scan order
 // (row by row); a NaN wins only from the window's first position, since no
 // later element compares greater than it and it compares greater than none.
-//
-//fedmp:allocfree
 func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != m.C || x.Shape[2] != m.InH || x.Shape[3] != m.InW {
 		panic(fmt.Sprintf("nn: MaxPool2D %q got input %v, want [N %d %d %d]", m.name, x.Shape, m.C, m.InH, m.InW))
 	}
 	n := x.Shape[0]
 	outH, outW := m.InH/m.Window, m.InW/m.Window
-	y := ensure(m.y, n, m.C, outH, outW) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	y := ensure(m.y, n, m.C, outH, outW) // allocates only when the batch outgrows the buffer
 	m.y = y
-	m.argmax = grow(m.argmax, len(y.Data)) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	m.argmax = grow(m.argmax, len(y.Data)) // allocates only when the batch outgrows the buffer
 	m.inShape = x.Shape
 	planeIn := m.InH * m.InW
 	planeOut := outH * outW
@@ -158,8 +152,6 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // outcome of each compare is close to a coin flip and a mispredicted branch
 // costs more than the whole window, so only the winning index is carried
 // forward, moved by a mask built from the compare instead of by a jump.
-//
-//fedmp:allocfree
 func maxPool2x2(out []float32, arg []int32, in []float32, base, inW, outH, outW int) {
 	for oh := 0; oh < outH; oh++ {
 		o := out[oh*outW:][:outW]
@@ -185,10 +177,8 @@ func b2i(b bool) int {
 }
 
 // Backward implements Layer.
-//
-//fedmp:allocfree
 func (m *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	dx := ensure(m.dx, m.inShape...) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	dx := ensure(m.dx, m.inShape...) // allocates only when the batch outgrows the buffer
 	m.dx = dx
 	dx.Zero() // scatter-add below
 	for oi, v := range dy.Data {
@@ -248,11 +238,9 @@ func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-//
-//fedmp:allocfree
 func (g *GlobalAvgPool) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	plane := g.H * g.W
-	dx := ensure(g.dx, g.n, g.C, g.H, g.W) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	dx := ensure(g.dx, g.n, g.C, g.H, g.W) // allocates only when the batch outgrows the buffer
 	g.dx = dx
 	inv := 1 / float32(plane)
 	for i := 0; i < g.n; i++ {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fedmp/internal/tensor"
+	"fedmp/internal/testfd"
 )
 
 // The steady-state training path is designed to perform (almost) zero heap
@@ -17,6 +18,31 @@ import (
 //
 // The file is excluded under the race detector, which instruments allocations
 // and breaks testing.AllocsPerRun's accounting.
+
+// allocTable is nn's allocation inventory: every layer hot path that must not
+// allocate once its workspaces are warm, named by the test below that steps
+// it — or, for the one no step test reaches, by a row that calls it
+// (testfd.AllocTable runs it).
+var allocTable = []testfd.AllocRow{
+	{Fns: []any{(*Dense).Forward, (*Dense).Backward, (*Dense).BackwardParams}, By: TestDenseStepAllocsZero},
+	{Fns: []any{(*Conv2D).Forward, (*Conv2D).Backward, (*Conv2D).backward, (*Conv2D).plan}, By: TestConvStepAllocsZero},
+	{Fns: []any{(*LSTM).Forward, (*LSTM).Backward}, By: TestLSTMStepAllocsZero},
+	// The first layer of a train step runs BackwardParams alone.
+	{Fns: []any{(*Conv2D).BackwardParams, (*ReLU).Forward, (*ReLU).Backward, (*MaxPool2D).Forward, maxPool2x2, (*MaxPool2D).Backward, (*SoftmaxCE).softmaxCE}, By: TestSequentialTrainStepAllocs},
+	{Fns: []any{(*SGD).Step}, By: TestSGDStepAllocsZero},
+	{Fns: []any{(*GlobalAvgPool).Backward}, By: TestGlobalAvgPoolStepAllocsZero},
+	{Fns: []any{AddProximal}, Setup: func() func() {
+		rng := rand.New(rand.NewSource(10))
+		net := NewSequential(NewDense("d1", 32, 16, rng), NewReLU("r"), NewDense("d2", 16, 4, rng))
+		var reference []*tensor.Tensor
+		for _, p := range net.Params() {
+			reference = append(reference, tensor.RandN(rng, p.W.Shape...))
+		}
+		return func() { AddProximal(net.Params(), reference, 0.01) }
+	}},
+}
+
+func TestAllocTable(t *testing.T) { testfd.AllocTable(t, allocTable) }
 
 // allocsPerRun warms f up (first call allocates all cached buffers) and then
 // measures the steady-state allocation count.

@@ -84,8 +84,6 @@ func (c *Conv2D) OutShape() []int {
 }
 
 // Forward implements Layer.
-//
-//fedmp:allocfree
 func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	g := c.Geom
 	if len(x.Shape) != 4 || x.Shape[1] != g.InC || x.Shape[2] != g.InH || x.Shape[3] != g.InW {
@@ -97,7 +95,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	outArea := g.OutH() * g.OutW()
 	inSize := g.InC * g.InH * g.InW
 	c.x = x
-	y := ensure(c.y, n, g.OutC, g.OutH(), g.OutW()) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	y := ensure(c.y, n, g.OutC, g.OutH(), g.OutW()) // allocates only when the batch outgrows the buffer
 	c.y = y
 	c.wA.Pack(c.W.W.Data, false, g.OutC, rows, outArea)
 	indirect := c.plan()
@@ -127,31 +125,24 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 
 // plan reports whether this call's products that read the column matrix run
 // indirectly, and readies whichever workspace they need.
-//
-//fedmp:allocfree
 func (c *Conv2D) plan() bool {
 	g := c.Geom
 	if !c.lowered && c.ind.Plan(g) {
 		return true
 	}
-	c.cols = grow(c.cols, g.InC*g.KH*g.KW*g.OutH()*g.OutW()) //fedmp:transitive-ok — allocates once per geometry
+	c.cols = grow(c.cols, g.InC*g.KH*g.KW*g.OutH()*g.OutW()) // allocates once per geometry
 	return false
 }
 
 // Backward implements Layer.
-//
-//fedmp:allocfree
 func (c *Conv2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	return c.backward(dy, true)
 }
 
 // BackwardParams implements paramsBackward: the parameter gradients of
 // Backward without the input gradient (no Wᵀ·dy product, no Col2Im).
-//
-//fedmp:allocfree
 func (c *Conv2D) BackwardParams(dy *tensor.Tensor) { c.backward(dy, false) }
 
-//fedmp:allocfree
 func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 	g := c.Geom
 	n := dy.Shape[0]
@@ -160,10 +151,10 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 	inSize := g.InC * g.InH * g.InW
 	var dx *tensor.Tensor
 	if needDX {
-		dx = ensure(c.dx, n, g.InC, g.InH, g.InW) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+		dx = ensure(c.dx, n, g.InC, g.InH, g.InW) // allocates only when the batch outgrows the buffer
 		c.dx = dx
 		dx.Zero()                             // Col2Im accumulates
-		c.dcols = grow(c.dcols, rows*outArea) //fedmp:transitive-ok — allocates once per geometry
+		c.dcols = grow(c.dcols, rows*outArea) // allocates once per geometry
 		c.wtA.Pack(c.W.W.Data, true, rows, g.OutC, outArea)
 	}
 	indirect := c.plan()

@@ -51,20 +51,18 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 func (d *Dense) FLOPs() float64 { return 2 * float64(d.In) * float64(d.Out) }
 
 // Forward implements Layer.
-//
-//fedmp:allocfree
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
 		panic(fmt.Sprintf("nn: Dense %q got input %v, want [N %d]", d.name, x.Shape, d.In))
 	}
 	d.x = x
 	n := x.Shape[0]
-	y := ensure(d.y, n, d.Out) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	y := ensure(d.y, n, d.Out) // allocates only when the batch outgrows the buffer
 	d.y = y
 	if d.SparseWeights {
 		tensor.MatMulTBSparseInto(y, x, d.W.W, false)
 	} else {
-		tensor.MatMulTBInto(y, x, d.W.W, false) //fedmp:transitive-ok — gemm's one dispatch closure per parallel call
+		tensor.MatMulTBInto(y, x, d.W.W, false) // gemm's one dispatch closure per parallel call
 	}
 	for i := 0; i < n; i++ {
 		row := y.Data[i*d.Out : (i+1)*d.Out]
@@ -76,23 +74,19 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer.
-//
-//fedmp:allocfree
 func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	d.BackwardParams(dy)
 	// dx[N,in] = dy[N,out]·W[out,in]
-	dx := ensure(d.dx, dy.Shape[0], d.In) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	dx := ensure(d.dx, dy.Shape[0], d.In) // allocates only when the batch outgrows the buffer
 	d.dx = dx
-	tensor.MatMulInto(dx, dy, d.W.W, false) //fedmp:transitive-ok — gemm's one dispatch closure per parallel call
+	tensor.MatMulInto(dx, dy, d.W.W, false) // gemm's one dispatch closure per parallel call
 	return dx
 }
 
 // BackwardParams implements paramsBackward: dW and db without dx.
-//
-//fedmp:allocfree
 func (d *Dense) BackwardParams(dy *tensor.Tensor) {
 	// dW[out,in] += dyᵀ[out,N]·x[N,in]
-	tensor.MatMulTAInto(d.W.Grad, dy, d.x, true) //fedmp:transitive-ok — gemm's one dispatch closure per parallel call
+	tensor.MatMulTAInto(d.W.Grad, dy, d.x, true) // gemm's one dispatch closure per parallel call
 	// db += column sums of dy.
 	for i := 0; i < dy.Shape[0]; i++ {
 		row := dy.Data[i*d.Out : (i+1)*d.Out]

@@ -35,8 +35,6 @@ func (s *SoftmaxCE) LossAndGrad(logits *tensor.Tensor, labels []int) (loss float
 // softmaxCE is the head's one pass. Each row's exp(logit − max) goes through
 // one tensor.ExpInto sweep into the head's scratch row; the sum and, when
 // grad is non-nil, the gradient read them from there.
-//
-//fedmp:allocfree
 func (s *SoftmaxCE) softmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) (float64, int, *tensor.Tensor) {
 	if len(logits.Shape) != 2 {
 		panic(fmt.Sprintf("nn: softmax expects [N K] logits, got %v", logits.Shape))
@@ -46,7 +44,7 @@ func (s *SoftmaxCE) softmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.
 		panic(fmt.Sprintf("nn: %d labels for %d logits rows", len(labels), n))
 	}
 	wantGrad := grad != nil
-	s.exps = grow(s.exps, k) //fedmp:transitive-ok — allocates only when the rows get longer
+	s.exps = grow(s.exps, k) // allocates only when the rows get longer
 	exps := s.exps
 	var totalLoss float64
 	correct := 0

@@ -186,8 +186,6 @@ func (l *LSTM) resizeSteps(t int) {
 
 // Forward runs the sequence x [N, T, D] and returns hidden states [N, T, H].
 // Initial hidden and cell states are zero.
-//
-//fedmp:allocfree
 func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 	if len(x.Shape) != 3 || x.Shape[2] != l.D {
 		panic(fmt.Sprintf("nn: LSTM %q got input %v, want [N T %d]", l.name, x.Shape, l.D))
@@ -197,12 +195,13 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 	l.x = x
 	l.timeSteps, l.batchSize = t, n
 	if len(l.gates) != t {
-		l.resizeSteps(t) //fedmp:transitive-ok — only when the sequence length changes
+		l.resizeSteps(t)
 	}
-	out := ensure(l.out, n, t, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	// The workspaces below allocate only when the batch outgrows them.
+	out := ensure(l.out, n, t, h)
 	l.out = out
-	l.h0 = ensure(l.h0, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
-	l.c0 = ensure(l.c0, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	l.h0 = ensure(l.h0, n, h)
+	l.c0 = ensure(l.c0, n, h)
 	pk := getLSTMPacks()
 	defer putLSTMPacks(pk)
 	pk.wx.Pack(l.Wx.W.Data, true, n, d, 4*h)
@@ -210,10 +209,10 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 	bias := l.B.W.Data[:4*h]
 	hPrev, cPrev := l.h0, l.c0
 	for step := 0; step < t; step++ {
-		z := ensure(l.gates[step], n, 4*h)    //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
-		c := ensure(l.cells[step], n, h)      //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
-		hid := ensure(l.hiddens[step], n, h)  //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
-		tc := ensure(l.tanhCells[step], n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+		z := ensure(l.gates[step], n, 4*h)
+		c := ensure(l.cells[step], n, h)
+		hid := ensure(l.hiddens[step], n, h)
+		tc := ensure(l.tanhCells[step], n, h)
 		l.gates[step], l.cells[step], l.hiddens[step], l.tanhCells[step] = z, c, hid, tc
 		// z = x_t·Wxᵀ + hPrev·Whᵀ; rows of x_t lie T·D apart in x.
 		pk.actA.PackRows(x.Data[step*d:], t*d, n, d, 4*h)
@@ -258,24 +257,23 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // Backward consumes dOut [N, T, H] and returns dX [N, T, D], accumulating
 // parameter gradients.
-//
-//fedmp:allocfree
 func (l *LSTM) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	n, t := l.batchSize, l.timeSteps
 	d, h := l.D, l.H
-	dx := ensure(l.dx, n, t, d) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	// The workspaces below allocate only when the batch outgrows them.
+	dx := ensure(l.dx, n, t, d)
 	l.dx = dx
-	dhNext := ensure(l.dhNext, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	dhNext := ensure(l.dhNext, n, h)
 	l.dhNext = dhNext
 	dhNext.Zero()
-	dcNext := ensure(l.dcA, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	dcNext := ensure(l.dcA, n, h)
 	l.dcA = dcNext
 	dcNext.Zero()
-	dcPrev := ensure(l.dcB, n, h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	dcPrev := ensure(l.dcB, n, h)
 	l.dcB = dcPrev
-	dz := ensure(l.dz, n, 4*h) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	dz := ensure(l.dz, n, 4*h)
 	l.dz = dz
-	dxT := ensure(l.dxT, n, d) //fedmp:transitive-ok — allocates only when the batch outgrows the buffer
+	dxT := ensure(l.dxT, n, d)
 	l.dxT = dxT
 	pk := getLSTMPacks()
 	defer putLSTMPacks(pk)

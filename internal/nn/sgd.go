@@ -42,8 +42,6 @@ func NewSGD(lr, momentum, weightDecay float32) *SGD {
 // sequence stored to memory: momentum·v is rounded before the add, which the
 // explicit conversion forces on architectures that would otherwise fuse it,
 // while grad + wd·w and w − lr·v keep the axpy shape AddScaled has.
-//
-//fedmp:allocfree
 func (s *SGD) Step(params []*Param) {
 	wd, mom, lr := s.WeightDecay, s.Momentum, -s.LR
 	for _, p := range params {
@@ -63,7 +61,7 @@ func (s *SGD) Step(params []*Param) {
 		}
 		vt, ok := s.velocity[p]
 		if !ok {
-			vt = tensor.New(p.W.Shape...) //fedmp:transitive-ok — one velocity buffer per parameter, on its first step
+			vt = tensor.New(p.W.Shape...) // one velocity buffer per parameter, on its first step
 			s.velocity[p] = vt
 		}
 		v := vt.Data[:len(w)]
@@ -91,8 +89,6 @@ func (s *SGD) Reset() {
 // AddProximal adds the FedProx proximal gradient μ·(w − w₀) to each
 // parameter's gradient, where w₀ is the round's reference weights in Params
 // order. Used by the FedProx baseline strategy.
-//
-//fedmp:allocfree
 func AddProximal(params []*Param, reference []*tensor.Tensor, mu float32) {
 	if len(params) != len(reference) {
 		panic(fmt.Sprintf("nn: AddProximal got %d reference tensors for %d params", len(reference), len(params)))

@@ -142,8 +142,6 @@ func accumulateTensor(acc, sub, base []*tensor.Tensor, t, rows, cols, per int, k
 // [len(keptRows), len(keptCols), per] sub-model tensor. Columns are walked
 // as maximal runs of kept or of pruned indices, so the flatten expansion's
 // contiguous channel blocks and whole pruned rows are straight slice adds.
-//
-//fedmp:allocfree
 func accumulate(acc, sub, base []float32, cols, per int, keptRows, keptCols []int) {
 	width := cols * per
 	subWidth := width
@@ -192,8 +190,6 @@ func accumulate(acc, sub, base []float32, cols, per int, keptRows, keptCols []in
 }
 
 // addInto adds src to dst element by element.
-//
-//fedmp:allocfree
 func addInto(dst, src []float32) {
 	src = src[:len(dst)]
 	for i := range dst {

@@ -476,8 +476,6 @@ func topK(scores []float64, k int, sc *planScratch) []int {
 // free, O(n) expected. Structure selection here, and the round engine's
 // deadline quantile and top-K upload threshold, use it in place of a full
 // sort. s must not contain NaN.
-//
-//fedmp:allocfree
 func SelectKth(s []float64, k int) float64 {
 	lo, hi := 0, len(s)-1
 	for lo < hi {

@@ -518,38 +518,42 @@ func TestContextPlansMatchPerWorkerConstruction(t *testing.T) {
 
 // TestAccumulateRejectsMalformedModels: a sub-model or sum that does not fit
 // the plan is an error, never a panic — on the wire the sub-model comes from
-// a worker.
+// a worker. Tensor 2 is a convolution's weights in the CNN and the first of
+// batch-norm bn1a's four tensors in VGG, where the three after it must not
+// overwrite its error.
 func TestAccumulateRejectsMalformedModels(t *testing.T) {
-	spec, weights, _ := buildModel(t, zoo.ModelCNN, 3)
-	plan, err := BuildPlan(spec, weights, 0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sub, err := Shrink(spec, weights, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zeros := func() []*tensor.Tensor {
-		acc := make([]*tensor.Tensor, len(weights))
-		for i, w := range weights {
-			acc[i] = tensor.New(w.Shape...)
+	for _, id := range []zoo.ModelID{zoo.ModelCNN, zoo.ModelVGG} {
+		spec, weights, _ := buildModel(t, id, 3)
+		plan, err := BuildPlan(spec, weights, 0.4)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return acc
-	}
-	if err := Accumulate(spec, zeros(), sub, weights, plan); err != nil {
-		t.Fatalf("well-formed accumulate: %v", err)
-	}
-	short := append([]*tensor.Tensor(nil), sub...)
-	short[2] = tensor.New(3)
-	for name, call := range map[string]func() error{
-		"short sub tensor":  func() error { return Accumulate(spec, zeros(), short, weights, plan) },
-		"missing sub":       func() error { return Accumulate(spec, zeros(), sub[:len(sub)-1], weights, plan) },
-		"short sum":         func() error { return Accumulate(spec, zeros()[:3], sub, weights, plan) },
-		"sub-shaped base":   func() error { return Accumulate(spec, zeros(), sub, sub, plan) },
-		"plan of no layers": func() error { return Accumulate(spec, zeros(), sub, weights, &Plan{Kept: map[string][]int{}}) },
-	} {
-		if err := call(); err == nil {
-			t.Errorf("%s: accepted", name)
+		_, sub, err := Shrink(spec, weights, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeros := func() []*tensor.Tensor {
+			acc := make([]*tensor.Tensor, len(weights))
+			for i, w := range weights {
+				acc[i] = tensor.New(w.Shape...)
+			}
+			return acc
+		}
+		if err := Accumulate(spec, zeros(), sub, weights, plan); err != nil {
+			t.Fatalf("%s: well-formed accumulate: %v", id, err)
+		}
+		short := append([]*tensor.Tensor(nil), sub...)
+		short[2] = tensor.New(3)
+		for name, call := range map[string]func() error{
+			"short sub tensor":  func() error { return Accumulate(spec, zeros(), short, weights, plan) },
+			"missing sub":       func() error { return Accumulate(spec, zeros(), sub[:len(sub)-1], weights, plan) },
+			"short sum":         func() error { return Accumulate(spec, zeros()[:3], sub, weights, plan) },
+			"sub-shaped base":   func() error { return Accumulate(spec, zeros(), sub, sub, plan) },
+			"plan of no layers": func() error { return Accumulate(spec, zeros(), sub, weights, &Plan{Kept: map[string][]int{}}) },
+		} {
+			if err := call(); err == nil {
+				t.Errorf("%s: %s: accepted", id, name)
+			}
 		}
 	}
 }

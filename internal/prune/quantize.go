@@ -27,8 +27,6 @@ const nonFiniteMask = 0x7f800000
 // a single stray Inf cannot blow the scale up to Inf and silently zero the
 // whole tensor; callers that need lossless treatment (the wire codec) use
 // the finite flag to refuse quantization outright.
-//
-//fedmp:allocfree
 func SymmetricScale(vals []float32) (scale float32, finite bool) {
 	finite = true
 	var maxAbs float32
@@ -54,8 +52,6 @@ func SymmetricScale(vals []float32) (scale float32, finite bool) {
 // zero, so the conversion to int8 is never fed an out-of-range float (whose
 // result Go leaves implementation-defined). inv is float64 so it cannot
 // overflow even for subnormal scales.
-//
-//fedmp:allocfree
 func QuantizeElem(v float32, inv float64) int8 {
 	r := math.Round(float64(v) * inv)
 	switch {

@@ -116,8 +116,6 @@ func (s *Scheduler) Push(t float64, k Kind, id int64) {
 
 // Pop removes and returns the earliest event, advancing virtual time to
 // its timestamp. ok is false when the queue is empty.
-//
-//fedmp:allocfree
 func (s *Scheduler) Pop() (e Event, ok bool) {
 	n := len(s.ev)
 	if n == 0 {
@@ -136,8 +134,6 @@ func (s *Scheduler) Pop() (e Event, ok bool) {
 }
 
 // Peek returns the earliest event without removing it.
-//
-//fedmp:allocfree
 func (s *Scheduler) Peek() (e Event, ok bool) {
 	if len(s.ev) == 0 {
 		return Event{}, false
@@ -148,8 +144,6 @@ func (s *Scheduler) Peek() (e Event, ok bool) {
 // push inserts within the current capacity, reporting false when full.
 // The hot path: steady-state rounds reuse the backing array with zero
 // allocations.
-//
-//fedmp:allocfree
 func (s *Scheduler) push(e Event) bool {
 	n := len(s.ev)
 	if n >= cap(s.ev) {
@@ -169,8 +163,6 @@ func (s *Scheduler) grow() {
 }
 
 // siftUp restores the heap property from leaf i upward.
-//
-//fedmp:allocfree
 func (s *Scheduler) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
@@ -183,8 +175,6 @@ func (s *Scheduler) siftUp(i int) {
 }
 
 // siftDown restores the heap property from root i downward.
-//
-//fedmp:allocfree
 func (s *Scheduler) siftDown(i int) {
 	n := len(s.ev)
 	for {

@@ -160,8 +160,8 @@ func TestAdvanceAndPastEvents(t *testing.T) {
 }
 
 // TestSteadyStatePushPopAllocFree confirms the hot path stays off the
-// allocator once the backing array has grown to the working-set size —
-// the property the allocfree inventory pins statically.
+// allocator once the backing array has grown to the working-set size (it is
+// the scheduler's row of the allocation table).
 func TestSteadyStatePushPopAllocFree(t *testing.T) {
 	s := New(64)
 	allocs := testing.AllocsPerRun(200, func() {

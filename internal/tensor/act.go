@@ -9,8 +9,6 @@ import "math"
 // same slice or disjoint.
 
 // ExpInto sets dst[i] = math.Exp(src[i]).
-//
-//fedmp:allocfree
 func ExpInto(dst, src []float64) {
 	if len(dst) != len(src) {
 		panic("tensor: ExpInto length mismatch")
@@ -34,7 +32,6 @@ func ExpInto(dst, src []float64) {
 // expLanes is the vector width of the ExpInto kernels.
 const expLanes = 4
 
-//fedmp:allocfree
 func expScalar(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
@@ -44,8 +41,6 @@ func expScalar(dst, src []float64) {
 
 // SigmoidInto sets dst[i] = 1/(1+exp(−src[i])), evaluated in float64 and
 // rounded once.
-//
-//fedmp:allocfree
 func SigmoidInto(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: SigmoidInto length mismatch")
@@ -57,7 +52,6 @@ func SigmoidInto(dst, src []float32) {
 	sigmoidScalar(dst, src)
 }
 
-//fedmp:allocfree
 func sigmoidScalar(dst, src []float32) {
 	dst = dst[:len(src)]
 	for i, v := range src {
@@ -66,8 +60,6 @@ func sigmoidScalar(dst, src []float32) {
 }
 
 // TanhInto sets dst[i] = tanh(src[i]), evaluated in float64 and rounded once.
-//
-//fedmp:allocfree
 func TanhInto(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("tensor: TanhInto length mismatch")
@@ -79,7 +71,6 @@ func TanhInto(dst, src []float32) {
 	tanhScalar(dst, src)
 }
 
-//fedmp:allocfree
 func tanhScalar(dst, src []float32) {
 	dst = dst[:len(src)]
 	for i, v := range src {

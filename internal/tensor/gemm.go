@@ -200,16 +200,14 @@ func storageStrides(aT, bT bool, m, k, n int) (lda, ldb int) {
 // of a parallel dispatch call it with disjoint row ranges; each call packs
 // its own panels from the shared read-only operands, so shards never share
 // mutable state.
-//
-//fedmp:allocfree
 func gemmBlocked(kern *gemmKernel, c, a, b []float32, aT, bT bool, m, k, n, rlo, rhi int, accumulate bool) {
 	mr, nr := kern.mr, kern.nr
 	nc := kern.nc
 	if nc > n {
 		nc = roundUp(n, nr)
 	}
-	bbuf := Scratch.Get(kcGEMM * nc)      //fedmp:transitive-ok — pool miss allocates once; steady state reuses
-	abuf := Scratch.Get(kern.mc * kcGEMM) //fedmp:transitive-ok — pool miss allocates once; steady state reuses
+	bbuf := Scratch.Get(kcGEMM * nc)      // pool miss allocates once; steady state reuses
+	abuf := Scratch.Get(kern.mc * kcGEMM) // pool miss allocates once; steady state reuses
 	defer Scratch.Put(abuf)
 	defer Scratch.Put(bbuf)
 	// Edge tiles are computed full-size (panels are zero-padded) into a
@@ -219,7 +217,7 @@ func gemmBlocked(kern *gemmKernel, c, a, b []float32, aT, bT bool, m, k, n, rlo,
 	// kern.asm call, which would force a heap allocation per GEMM call.)
 	var edge []float32
 	if kern.asm != nil {
-		ebuf := Scratch.Get(mrMax * nrMax) //fedmp:transitive-ok — pool miss allocates once; steady state reuses
+		ebuf := Scratch.Get(mrMax * nrMax) // pool miss allocates once; steady state reuses
 		defer Scratch.Put(ebuf)
 		edge = ebuf.Data
 	}
@@ -246,8 +244,6 @@ func gemmBlocked(kern *gemmKernel, c, a, b []float32, aT, bT bool, m, k, n, rlo,
 // exactly one micro-kernel sum over p = 0..kb−1 in ascending order, written
 // or added once, whatever mr and nr are — which is why panels may be packed
 // ahead of time (packed.go) without moving a bit.
-//
-//fedmp:allocfree
 func gemmMacro(kern *gemmKernel, c []float32, ldc int, ap, bp []float32, mb, nb, kb int, acc bool, edge []float32) {
 	mr, nr := kern.mr, kern.nr
 	for jr := 0; jr < nb; jr += nr {
@@ -280,8 +276,6 @@ func gemmMacro(kern *gemmKernel, c []float32, ldc int, ap, bp []float32, mb, nb,
 // zero-padded when mb is not a multiple of mr. The micro-kernel then streams
 // each panel sequentially. lda is the stride between rows of a's storage:
 // m when aT (a is [k,m]), k otherwise, or more for rows that sit apart.
-//
-//fedmp:allocfree
 func packA(dst, a []float32, aT bool, lda, rlo, mb, p0, kb, mr int) {
 	for t := 0; t*mr < mb; t++ {
 		panel := dst[t*kb*mr : (t+1)*kb*mr]
@@ -301,8 +295,6 @@ func packA(dst, a []float32, aT bool, lda, rlo, mb, p0, kb, mr int) {
 // holds, for each p, the nr values of columns jlo+u·nr .. jlo+u·nr+nr−1 at
 // row p, zero-padded on the right edge. ldb is the stride between rows of
 // b's storage: k when bT (b is [n,k]), n otherwise, or more.
-//
-//fedmp:allocfree
 func packB(dst, b []float32, bT bool, ldb, p0, kb, jlo, nb, nr int) {
 	for u := 0; u*nr < nb; u++ {
 		panel := dst[u*kb*nr : (u+1)*kb*nr]
@@ -321,8 +313,6 @@ func packB(dst, b []float32, bT bool, ldb, p0, kb, jlo, nb, nr int) {
 // contiguous: panel[p·w+r] = src[p·ld+r] for r < rows, zero for r ≥ rows.
 // Full rows of the 16- and 8-wide tiers move as fixed-size arrays, which the
 // compiler expands to vector moves instead of a memmove call per row.
-//
-//fedmp:allocfree
 func packRows(panel, src []float32, ld, rows, kb, w int) {
 	switch {
 	case rows == 16 && w == 16:
@@ -350,8 +340,6 @@ func packRows(panel, src []float32, ld, rows, kb, w int) {
 // together so each step stores one contiguous group instead of w strided
 // scalars. Rows past the block read a run of zeros, which pads the panel in
 // the same pass.
-//
-//fedmp:allocfree
 func packTransposed(panel, src []float32, ld, rows, kb, w int) {
 	panel = panel[:kb*w]
 	r := 0
@@ -413,8 +401,6 @@ func depthRun(src []float32, ld, rows, kb, r int) []float32 {
 // match the hardware kernels bit-for-bit). Panels are zero-padded, so the
 // full 4×8 tile is always computed and the invalid fringe merely discarded
 // on write-back.
-//
-//fedmp:allocfree
 func microTileGo(c []float32, ldc int, ap, bp []float32, kb int, acc bool, mb, nb int) {
 	var tile [mrGEMM][nrGEMM]float32
 	ap = ap[: kb*mrGEMM : kb*mrGEMM]
@@ -455,8 +441,6 @@ func boolToUint64(b bool) uint64 {
 // loops of gemmDirectScalar. Both give each element of C the same operations
 // in the same order — a separately rounded multiply and add per depth step,
 // depth ascending — so the choice moves no bit.
-//
-//fedmp:allocfree
 func gemmDirect(c, a, b []float32, aT, bT bool, m, k, n int, accumulate bool) {
 	kern := activeKernel.Load()
 	// A single row against a B stored [n,k] is cheaper in the scalar loops
@@ -472,7 +456,7 @@ func gemmDirect(c, a, b []float32, aT, bT bool, m, k, n int, accumulate bool) {
 	}
 	// The kernels vectorise across the columns of C and so want row p of B
 	// contiguous; for a B stored [n,k] that is a transposed copy.
-	bt := Scratch.Get(k * n) //fedmp:transitive-ok — pool miss allocates once; steady state reuses
+	bt := Scratch.Get(k * n) // pool miss allocates once; steady state reuses
 	packTransposed(bt.Data, b, k, n, k, n)
 	gemmDirectSIMD(kern, c, n, a, aT, lda, bt.Data, n, true, m, k, n, accumulate)
 	Scratch.Put(bt)
@@ -485,8 +469,6 @@ func gemmDirect(c, a, b []float32, aT, bT bool, m, k, n int, accumulate bool) {
 // sum the scalar loop of that storage form computes: a complete dot product
 // from +0, stored or added to C once, where the [k,n] forms start from C (or
 // +0) and add one product at a time.
-//
-//fedmp:allocfree
 func gemmDirectSIMD(kern *gemmKernel, c []float32, ldc int, a []float32, aT bool, lda int, b []float32, ldb int, dot bool, m, k, n int, accumulate bool) {
 	aRow, aDepth := lda, 1
 	if aT {
@@ -516,8 +498,6 @@ func gemmDirectSIMD(kern *gemmKernel, c []float32, ldc int, a []float32, aT bool
 // It is what runs where there is no small-product kernel (other
 // architectures, no AVX, the generic tier) and the oracle the kernels are
 // tested against, so its operation order is the definition of the result.
-//
-//fedmp:allocfree
 func gemmDirectScalar(c, a, b []float32, aT, bT bool, m, k, n int, accumulate bool) {
 	switch {
 	case !aT && !bT:
@@ -608,8 +588,6 @@ func MatVecInto(y []float32, a *Tensor, x []float32, accumulate bool) {
 
 // matVec processes four rows of A per pass so each x element is loaded once
 // per four multiply-adds.
-//
-//fedmp:allocfree
 func matVec(y, a, x []float32, m, n int, accumulate bool) {
 	i := 0
 	for ; i+4 <= m; i += 4 {

@@ -52,8 +52,6 @@ func (g ConvGeom) validRange(k, in, out int) (lo, hi int) {
 // one run copied (stride 1) or gathered (stride > 1) from one input row, and
 // when output rows are as wide as input rows at stride 1 the runs of all
 // valid rows are adjacent in both, so one copy moves them together.
-//
-//fedmp:allocfree
 func Im2Col(x []float32, g ConvGeom, cols []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	outArea := outH * outW
@@ -117,8 +115,6 @@ func Im2Col(x []float32, g ConvGeom, cols []float32) {
 // caller beforehand if a fresh gradient is wanted. Rows are visited in
 // Im2Col's order, so every dx element receives its contributions in one
 // fixed sequence.
-//
-//fedmp:allocfree
 func Col2Im(cols []float32, g ConvGeom, dx []float32) {
 	outH, outW := g.OutH(), g.OutW()
 	outArea := outH * outW

@@ -62,8 +62,6 @@ func growInts(buf []int, n int) []int {
 // alone. Where it is false the caller lowers; where it is true Load, Mul and
 // AddGradW stand in for Im2Col and the two products that read the column
 // matrix.
-//
-//fedmp:allocfree
 func (ic *IndirectConv) Plan(g ConvGeom) bool {
 	kern := activeKernel.Load()
 	if ic.kern == kern && ic.g == g {
@@ -75,11 +73,11 @@ func (ic *IndirectConv) Plan(g ConvGeom) bool {
 	}
 	hp, wp := g.InH+2*g.Pad, g.InW+2*g.Pad
 	rows, outW := g.InC*g.KH*g.KW, g.OutW()
-	ic.xpad = growF32(ic.xpad, g.InC*hp*wp) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+	ic.xpad = growF32(ic.xpad, g.InC*hp*wp) // grows once per geometry; steady state re-slices
 	// Load writes the interior only: the border is zeroed here.
 	clear(ic.xpad)
-	ic.taps = growInts(ic.taps, roundUp(rows, kern.mr)) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
-	ic.pos = growInts(ic.pos, g.OutH()*outW)            //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+	ic.taps = growInts(ic.taps, roundUp(rows, kern.mr)) // grows once per geometry; steady state re-slices
+	ic.pos = growInts(ic.pos, g.OutH()*outW)            // grows once per geometry; steady state re-slices
 	t := 0
 	for c := 0; c < g.InC; c++ {
 		for kh := 0; kh < g.KH; kh++ {
@@ -99,8 +97,6 @@ func (ic *IndirectConv) Plan(g ConvGeom) bool {
 }
 
 // Load copies one sample x (layout [InC,InH,InW]) inside the border.
-//
-//fedmp:allocfree
 func (ic *IndirectConv) Load(x []float32) {
 	g := ic.g
 	if len(x) != g.InC*g.InH*g.InW {
@@ -119,8 +115,6 @@ func (ic *IndirectConv) Load(x []float32) {
 // make of it: y is [OutC, outArea] and w is W packed for that product,
 // Pack(W, false, OutC, rows, outArea). It is GEMMPacked's walk with row p of
 // each B panel loaded from the sample.
-//
-//fedmp:allocfree
 func (ic *IndirectConv) Mul(y []float32, w *PackedA) {
 	g, kern := ic.g, ic.kern
 	m, k, n := g.OutC, g.InC*g.KH*g.KW, g.OutH()*g.OutW()
@@ -170,8 +164,6 @@ func (ic *IndirectConv) Mul(y []float32, w *PackedA) {
 // same chunks, dy's value is still the FMA's first multiplicand (see
 // gemmKernel6x16fmaIndA), and the chunk sum is the first operand of the one
 // add, as in the kernels' accumulate step and in mergeTile.
-//
-//fedmp:allocfree
 func (ic *IndirectConv) AddGradW(dw []float32, dyT *PackedB) {
 	g, kern := ic.g, ic.kern
 	outC, rows, outArea := g.OutC, g.InC*g.KH*g.KW, g.OutH()*g.OutW()

@@ -155,8 +155,6 @@ func ForceKernel(name string) error {
 // microTileFMA is the portable micro-kernel with fused semantics: the
 // generic tier on FMA machines, where every accumulation step must round
 // once, exactly as the hardware kernels do, for cross-tier bit-identity.
-//
-//fedmp:allocfree
 func microTileFMA(c []float32, ldc int, ap, bp []float32, kb int, acc bool, mb, nb int) {
 	var tile [mrGEMM][nrGEMM]float32
 	ap = ap[: kb*mrGEMM : kb*mrGEMM]
@@ -188,8 +186,6 @@ func microTileFMA(c []float32, ldc int, ap, bp []float32, kb int, acc bool, mb, 
 // mergeTile writes the valid mb×nb corner of a staged micro-tile (leading
 // dimension tldc) into C. The staged kernel computes with acc=0; the single
 // rounded add per element here matches the assembly accumulate path exactly.
-//
-//fedmp:allocfree
 func mergeTile(c []float32, ldc int, tile []float32, tldc, mb, nb int, acc bool) {
 	for i := 0; i < mb; i++ {
 		row := c[i*ldc : i*ldc+nb]
@@ -211,8 +207,6 @@ func mergeTile(c []float32, ldc int, tile []float32, tldc, mb, nb int, acc bool)
 // TwoSum and folded in by rounding the sum to odd. A round-to-odd float64
 // with ≥ 26 significant bits converts to float32 without double-rounding
 // error (Boldo–Melquiond), so the final conversion is the single rounding.
-//
-//fedmp:allocfree
 func fmaf32(a, b, c float32) float32 {
 	p := float64(a) * float64(b)
 	c64 := float64(c)

@@ -79,8 +79,6 @@ func directSide(m, k, n int) bool { return 2*m*k*n < smallGEMMFLOPs }
 // operands. aT selects the storage: a is [k,m] when set (the MatMulTA
 // layout), [m,k] otherwise. On the direct side (see the file comment) a is
 // referenced, not copied, and must stay unchanged until the last product.
-//
-//fedmp:allocfree
 func (p *PackedA) Pack(a []float32, aT bool, m, k, n int) {
 	p.pack(a, aT, 0, m, k, n)
 }
@@ -88,8 +86,6 @@ func (p *PackedA) Pack(a []float32, aT bool, m, k, n int) {
 // PackRows is Pack for an [m,k] operand whose rows lie lda ≥ k elements
 // apart in a — one timestep of an [N,T,D] activation, say — so the caller
 // need not gather them first.
-//
-//fedmp:allocfree
 func (p *PackedA) PackRows(a []float32, lda, m, k, n int) {
 	checkRows("PackedA.PackRows", len(a), lda, m, k)
 	p.pack(a, false, lda, m, k, n)
@@ -99,8 +95,6 @@ func (p *PackedA) PackRows(a []float32, lda, m, k, n int) {
 // contiguous operand in either storage form. (The zero keeps Pack a one-line
 // wrapper the compiler inlines, so a layer's per-sample Pack calls are as
 // deep as when Pack held this body.)
-//
-//fedmp:allocfree
 func (p *PackedA) pack(a []float32, aT bool, lda, m, k, n int) {
 	if lda == 0 {
 		if len(a) != m*k {
@@ -114,7 +108,7 @@ func (p *PackedA) pack(a []float32, aT bool, lda, m, k, n int) {
 	if directSide(m, k, n) {
 		if p.kern.directChain == nil && !aT && lda != k {
 			// The scalar loops read contiguous operands only.
-			p.buf = growF32(p.buf, m*k) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+			p.buf = growF32(p.buf, m*k) // grows once per geometry; steady state re-slices
 			gatherRows(p.buf, a, lda, m, k)
 			p.src, p.ld = p.buf, k
 		}
@@ -122,7 +116,7 @@ func (p *PackedA) pack(a []float32, aT bool, lda, m, k, n int) {
 	}
 	mr := p.kern.mr
 	mp := roundUp(m, mr)
-	p.buf = growF32(p.buf, mp*k) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+	p.buf = growF32(p.buf, mp*k) // grows once per geometry; steady state re-slices
 	for pc := 0; pc < k; pc += kcGEMM {
 		packA(p.buf[pc*mp:], a, aT, lda, 0, m, pc, min(kcGEMM, k-pc), mr)
 	}
@@ -132,16 +126,12 @@ func (p *PackedA) pack(a []float32, aT bool, lda, m, k, n int) {
 // operands. bT selects the storage: b is [n,k] when set (the MatMulTB
 // layout), [k,n] otherwise. On the direct side a b stored [k,n] is
 // referenced, not copied.
-//
-//fedmp:allocfree
 func (p *PackedB) Pack(b []float32, bT bool, m, k, n int) {
 	p.pack(b, bT, 0, m, k, n)
 }
 
 // PackRows is Pack for a [k,n] operand whose rows lie ldb ≥ n elements apart
 // in b.
-//
-//fedmp:allocfree
 func (p *PackedB) PackRows(b []float32, ldb, m, k, n int) {
 	checkRows("PackedB.PackRows", len(b), ldb, k, n)
 	p.pack(b, false, ldb, m, k, n)
@@ -149,8 +139,6 @@ func (p *PackedB) PackRows(b []float32, ldb, m, k, n int) {
 
 // pack is Pack and PackRows; ldb is the row stride of b, or 0 for a
 // contiguous operand in either storage form (see PackedA.pack).
-//
-//fedmp:allocfree
 func (p *PackedB) pack(b []float32, bT bool, ldb, m, k, n int) {
 	if ldb == 0 {
 		if len(b) != k*n {
@@ -164,11 +152,11 @@ func (p *PackedB) pack(b []float32, bT bool, ldb, m, k, n int) {
 	if directSide(m, k, n) {
 		if simd := p.kern.directChain != nil; simd && bT {
 			// The kernels want row p of B contiguous: the [k,n] copy.
-			p.buf = growF32(p.buf, k*n) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+			p.buf = growF32(p.buf, k*n) // grows once per geometry; steady state re-slices
 			packTransposed(p.buf, b, k, n, k, n)
 		} else if !simd && !bT && ldb != n {
 			// The scalar loops read contiguous operands only.
-			p.buf = growF32(p.buf, k*n) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+			p.buf = growF32(p.buf, k*n) // grows once per geometry; steady state re-slices
 			gatherRows(p.buf, b, ldb, k, n)
 			p.src, p.ld = p.buf, n
 		}
@@ -176,7 +164,7 @@ func (p *PackedB) pack(b []float32, bT bool, ldb, m, k, n int) {
 	}
 	nr := p.kern.nr
 	np := roundUp(n, nr)
-	p.buf = growF32(p.buf, k*np) //fedmp:transitive-ok — grows once per geometry; steady state re-slices
+	p.buf = growF32(p.buf, k*np) // grows once per geometry; steady state re-slices
 	for pc := 0; pc < k; pc += kcGEMM {
 		packB(p.buf[pc*np:], b, bT, ldb, pc, min(kcGEMM, k-pc), 0, n, nr)
 	}
@@ -200,8 +188,6 @@ func gatherRows(dst, src []float32, ld, rows, w int) {
 
 // GEMMPacked computes C = A·B (or C += A·B when accumulate is set) into the
 // row-major [m,n] slice c from operands packed for the same (m, k, n).
-//
-//fedmp:allocfree
 func GEMMPacked(c []float32, a *PackedA, b *PackedB, accumulate bool) {
 	m, k, n := a.m, a.k, a.n
 	if b.m != m || b.k != k || b.n != n || a.kern != b.kern {

@@ -11,8 +11,6 @@ import "unsafe"
 
 // putF32s writes src as little-endian float32s into dst, which must hold at
 // least 4*len(src) bytes.
-//
-//fedmp:allocfree
 func putF32s(dst []byte, src []float32) {
 	if len(src) == 0 {
 		return
@@ -22,8 +20,6 @@ func putF32s(dst []byte, src []float32) {
 
 // getF32s fills dst from little-endian float32 bytes in src, which must hold
 // at least 4*len(dst) bytes.
-//
-//fedmp:allocfree
 func getF32s(dst []float32, src []byte) {
 	if len(dst) == 0 {
 		return

@@ -14,8 +14,6 @@ import (
 
 // putF32s writes src as little-endian float32s into dst, which must hold at
 // least 4*len(src) bytes.
-//
-//fedmp:allocfree
 func putF32s(dst []byte, src []float32) {
 	for i, v := range src {
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
@@ -24,8 +22,6 @@ func putF32s(dst []byte, src []float32) {
 
 // getF32s fills dst from little-endian float32 bytes in src, which must hold
 // at least 4*len(dst) bytes.
-//
-//fedmp:allocfree
 func getF32s(dst []float32, src []byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))

@@ -22,8 +22,6 @@ const (
 // all-zero word. Comparing bit patterns instead of values keeps the sparse
 // mode bit-exact: negative zero and NaN payloads survive a round trip, and
 // no float comparison is involved.
-//
-//fedmp:allocfree
 func nonzeroCount(vals []float32) int {
 	n := 0
 	for _, v := range vals {
@@ -37,8 +35,6 @@ func nonzeroCount(vals []float32) int {
 // quantNonzeroCount counts the elements whose quantized code is nonzero —
 // the population the quantized-sparse mask marks. It must agree element for
 // element with the codes the encoder emits, so both call prune.QuantizeElem.
-//
-//fedmp:allocfree
 func quantNonzeroCount(vals []float32, inv float64) int {
 	n := 0
 	for _, v := range vals {

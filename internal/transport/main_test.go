@@ -1,0 +1,38 @@
+package transport
+
+import (
+	"fmt"
+	"os"
+	"testing"
+	"time"
+
+	"fedmp/internal/testfd"
+)
+
+// TestMain fails the package when a goroutine running transport code
+// outlives its tests. Every goroutine the runtime starts — a connection's
+// reader, the accept loop, a hello handler, the abort watcher, an assignment
+// send — must end once its server has returned, and so must the workers and
+// fake peers the tests start; one that waits on something nobody will close,
+// or spins on a dead socket, leaks for good, and no single test would see it.
+// Goroutines get a grace period to finish: a session torn down just before
+// the last test returned may still be unwinding.
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if code == 0 {
+		var left []string
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			if left = testfd.Goroutines("fedmp/internal/transport."); len(left) == 0 || time.Now().After(deadline) {
+				break
+			}
+		}
+		if len(left) > 0 {
+			fmt.Fprintf(os.Stderr, "%d goroutine(s) outlived the tests:\n\n", len(left))
+			for _, g := range left {
+				fmt.Fprintf(os.Stderr, "%s\n\n", g)
+			}
+			code = 1
+		}
+	}
+	os.Exit(code)
+}

@@ -460,9 +460,11 @@ func TestPSKillRestartRecovery(t *testing.T) {
 	// the severed connections and they reconnect to the next incarnation.
 	close(release)
 
-	// Second incarnation: same address, same checkpoint directory, no
-	// abort. The still-running workers reconnect and training resumes.
-	res, err := Serve(fam, mkCfg(nil))
+	// Second incarnation: same address, same checkpoint directory, and an
+	// abort that never fires — a supervised server that finishes in order
+	// must not leave its abort watcher behind (TestMain checks). The
+	// still-running workers reconnect and training resumes.
+	res, err := Serve(fam, mkCfg(make(chan struct{})))
 	if err != nil {
 		t.Fatalf("restarted server: %v", err)
 	}
