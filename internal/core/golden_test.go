@@ -143,6 +143,14 @@ func goldenGrid() []goldenCase {
 	add("sync/upfl/warmup2-eval-every-3", tiny, base(StrategyUPFL, 4, 7), func(c *Config) { c.WarmupRounds = 2; c.EvalEvery = 3 })
 	add("sync/synfl/target-acc", tiny, base(StrategySynFL, 4, 0), func(c *Config) { c.TargetAccuracy = 0.5 })
 	add("sync/lm/fedmp", lm, base(StrategyFedMP, 3, 5))
+	// The tiny family's products are all on the direct side; the zoo CNN's
+	// conv2 at ratio 0.5 multiplies out of the padded sample (y, dW and dx)
+	// on a tier with the indirect kernels and lowers on the others.
+	cnn, err := NewImageFamily(zoo.ModelCNN)
+	if err != nil {
+		panic(err)
+	}
+	add("sync/fedmp/cnn", cnn, base(StrategyFixed, 3, 2))
 	grid = append(grid, goldenCase{name: "sync/fedmp/resume-3-to-6", fam: tiny, cfg: base(StrategyFedMP, 4, 3), resumeTo: 6})
 	return grid
 }

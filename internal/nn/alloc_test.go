@@ -4,6 +4,7 @@ package nn
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"fedmp/internal/tensor"
@@ -69,7 +70,8 @@ func TestDenseStepAllocsZero(t *testing.T) {
 // TestConvStepAllocsZero covers both ways a step runs: a product on the
 // direct side of the GEMM threshold, which every tier lowers, and sim-cnn30's
 // conv2, which a tier with the indirect kernels multiplies out of the padded
-// sample — there without ever growing the column matrix.
+// sample — there without ever growing the column matrix, the column gradient
+// or the packed dy of its product.
 func TestConvStepAllocsZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, g := range []tensor.ConvGeom{
@@ -86,8 +88,17 @@ func TestConvStepAllocsZero(t *testing.T) {
 		if got > 0 {
 			t.Errorf("Conv2D %+v forward+backward allocates %.1f objects per step, want 0", g, got)
 		}
-		if grown := c.cols != nil; grown == c.plan() {
-			t.Errorf("Conv2D %+v: indirect %v, column matrix grown %v", g, c.plan(), grown)
+		for _, ws := range []struct {
+			name  string
+			grown bool
+		}{
+			{"column matrix", c.cols != nil},
+			{"column gradient", c.dcols != nil},
+			{"packed dy", !reflect.ValueOf(c.dyB).IsZero()},
+		} {
+			if ws.grown == c.plan() {
+				t.Errorf("Conv2D %+v: indirect %v, %s grown %v", g, c.plan(), ws.name, ws.grown)
+			}
 		}
 	}
 }

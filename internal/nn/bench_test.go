@@ -30,7 +30,10 @@ func BenchmarkConvBackward(b *testing.B) {
 // 0.4 pruning ratio leaves — and AlexNet's 16→32 layer, each on the lowered
 // products and, where the tier and the geometry have one, the indirect path:
 // the per-layer saving without the suite. (conv1 at 5 filters is on the direct
-// side of the GEMM threshold and lowers on every tier.)
+// side of the GEMM threshold and lowers on every tier.) Each runs as "step"
+// (Forward + Backward), "backward" (Backward alone) and "params-only"
+// (BackwardParams, what a network's first layer runs): backward minus
+// params-only is the input gradient's cost.
 func BenchmarkConvStep(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -54,13 +57,23 @@ func BenchmarkConvStep(b *testing.B) {
 			} else if !lowered {
 				continue // no second path for this shape on this tier
 			}
-			b.Run(tc.name+"/"+path, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
+			for _, part := range []struct {
+				name string
+				run  func()
+			}{
+				{"step", func() { conv.Forward(x, true); conv.Backward(dy) }},
+				{"backward", func() { conv.Backward(dy) }},
+				{"params-only", func() { conv.BackwardParams(dy) }},
+			} {
+				b.Run(tc.name+"/"+path+"/"+part.name, func(b *testing.B) {
 					conv.Forward(x, true)
-					conv.Backward(dy)
-				}
-			})
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						part.run()
+					}
+				})
+			}
 		}
 	}
 }

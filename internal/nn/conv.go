@@ -18,10 +18,12 @@ import (
 // existing for one sample at a time (Backward lowers the cached input again
 // rather than keep a batch of them). Where tensor.IndirectConv serves the
 // geometry on the active tier — stride 1, whole 8-float runs per output row,
-// a product on the blocked side — the two products that read cols_i multiply
-// out of a zero-bordered copy of x_i instead, and no column matrix is built or
-// packed. Each product keeps the per-sample (m, k, n) either way, and the
-// bits of every result (DESIGN.md §2a).
+// a product on the blocked side — no column matrix is built or packed: the two
+// products that read cols_i multiply out of a zero-bordered copy of x_i, and
+// Wᵀ·dy_i is staged six taps at a time and added straight into a
+// zero-bordered dx_i, with neither the column gradient nor Col2Im. Each
+// product keeps the per-sample (m, k, n) either way, and the bits of every
+// result (DESIGN.md §2a).
 type Conv2D struct {
 	name string
 	Geom tensor.ConvGeom
@@ -32,16 +34,16 @@ type Conv2D struct {
 
 	// grow-only per-sample workspaces
 	wA, wtA tensor.PackedA // W as [outC, rows]; Wᵀ as [rows, outC]
-	dcols   []float32      // [rows, outArea] column gradient
-	dyB     tensor.PackedB // dy_i for dcols
 
-	ind tensor.IndirectConv // the padded sample and its offset tables
+	ind tensor.IndirectConv // the padded sample, the padded dx_i and the offset tables
 	dyT tensor.PackedB      // dy_iᵀ as the streamed operand of the indirect dW
 
 	// what only the lowered products need
 	cols  []float32      // [rows, outArea] columns
 	colsB tensor.PackedB // cols_i (forward) or cols_iᵀ (dW)
 	dyA   tensor.PackedA // dy_i as the left operand of dW
+	dcols []float32      // [rows, outArea] column gradient
+	dyB   tensor.PackedB // dy_i for dcols
 
 	// lowered keeps the layer on the lowered products where ind would serve:
 	// the differential tests and benchmarks hold the two side by side with
@@ -123,8 +125,8 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// plan reports whether this call's products that read the column matrix run
-// indirectly, and readies whichever workspace they need.
+// plan reports whether this call's products run indirectly, and grows the
+// column matrix when they lower.
 func (c *Conv2D) plan() bool {
 	g := c.Geom
 	if !c.lowered && c.ind.Plan(g) {
@@ -149,15 +151,17 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 	rows := g.InC * g.KH * g.KW
 	outArea := g.OutH() * g.OutW()
 	inSize := g.InC * g.InH * g.InW
+	indirect := c.plan()
 	var dx *tensor.Tensor
 	if needDX {
 		dx = ensure(c.dx, n, g.InC, g.InH, g.InW) // allocates only when the batch outgrows the buffer
 		c.dx = dx
-		dx.Zero()                             // Col2Im accumulates
-		c.dcols = grow(c.dcols, rows*outArea) // allocates once per geometry
 		c.wtA.Pack(c.W.W.Data, true, rows, g.OutC, outArea)
+		if !indirect {
+			dx.Zero()                             // Col2Im accumulates
+			c.dcols = grow(c.dcols, rows*outArea) // allocates once per geometry
+		}
 	}
-	indirect := c.plan()
 	dw := c.W.Grad.Data
 	for i := 0; i < n; i++ {
 		xi := c.x.Data[i*inSize : (i+1)*inSize]
@@ -184,11 +188,17 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 			}
 			c.B.Grad.Data[oc] += s
 		}
-		if needDX {
+		if !needDX {
+			continue
+		}
+		dxi := dx.Data[i*inSize : (i+1)*inSize]
+		if indirect {
+			c.ind.GradX(dxi, dyi, &c.wtA)
+		} else {
 			// dcols = Wᵀ · dy_i, scattered back through col2im.
 			c.dyB.Pack(dyi, false, rows, g.OutC, outArea)
 			tensor.GEMMPacked(c.dcols, &c.wtA, &c.dyB, false)
-			tensor.Col2Im(c.dcols, g, dx.Data[i*inSize:(i+1)*inSize])
+			tensor.Col2Im(c.dcols, g, dxi)
 		}
 	}
 	return dx

@@ -38,10 +38,10 @@ func sow(rng *rand.Rand, v []float32, count int) {
 
 // requireSameResult is requireSameBits, except that under the race detector
 // a NaN matches any NaN: when two NaNs meet in an add x86 keeps the first
-// operand's, and which operand the compiler puts first in mergeTile's and
-// AddGradW's Go loops is its own choice — the same one in a plain build,
-// where the kernels' accumulate step agrees with both, and not necessarily
-// under the detector's instrumentation.
+// operand's, and which operand the compiler puts first in mergeTile's,
+// AddGradW's and Col2Im's Go loops is its own choice — the same one in a
+// plain build, where the kernels' accumulate step and addRuns agree with
+// them, and not necessarily under the detector's instrumentation.
 func requireSameResult(t *testing.T, what string, got, want []float32) {
 	t.Helper()
 	if !raceEnabled {
@@ -168,7 +168,8 @@ func TestConv2DIndirectMatchesLowered(t *testing.T) {
 		}
 		// sim-cnn30's and AlexNet's layers at full and pruned widths, an
 		// evaluation chunk, and products that cross the kc chunk boundary:
-		// rows > 256 (forward), outArea > 256 (dW), and both.
+		// rows > 256 (forward), outArea > 256 (dW), both, and OutC > 256
+		// (dx).
 		for _, tc := range []struct {
 			g tensor.ConvGeom
 			n int
@@ -182,6 +183,7 @@ func TestConv2DIndirectMatchesLowered(t *testing.T) {
 			{tensor.ConvGeom{InC: 3, InH: 12, InW: 24, OutC: 7, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2},
 			{tensor.ConvGeom{InC: 11, InH: 20, InW: 16, OutC: 33, KH: 5, KW: 5, Stride: 1, Pad: 2}, 1},
 			{tensor.ConvGeom{InC: 2, InH: 24, InW: 24, OutC: 130, KH: 3, KW: 3, Stride: 1, Pad: 1}, 1},
+			{tensor.ConvGeom{InC: 2, InH: 8, InW: 8, OutC: 260, KH: 3, KW: 3, Stride: 1, Pad: 1}, 2},
 		} {
 			run(tc.g, tc.n)
 		}

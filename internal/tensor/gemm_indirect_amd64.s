@@ -2,9 +2,10 @@
 
 // The indirect forms of gemmKernel6x16fma (indirect.go): the same 6x16 tile,
 // the same VFMADD231PS chain over the depth, ascending from +0, but one of the
-// two operands is read out of a zero-bordered sample through a table of
-// element offsets instead of out of a packed panel. Offsets are in floats;
-// the loads scale them by 4.
+// two operands is read out of a zero-bordered sample (or a sample's output
+// gradient) through a table of element offsets instead of out of a packed
+// panel; and the add that scatters a column-gradient row into a zero-bordered
+// input gradient. Offsets are in floats; the loads scale them by 4.
 
 #include "textflag.h"
 #include "gemm_tile6x16_amd64.h"
@@ -13,7 +14,8 @@
 //
 // C[0:6, 0:16] (+)= Aᵖ·B with row p of B read in place: columns 0-7 are the
 // eight floats at x0 + taps[p], columns 8-15 those at x1 + taps[p] — one
-// kernel tap seen from eight consecutive output positions of a row, twice.
+// kernel tap seen from eight consecutive output positions of a row, twice (or,
+// for the input gradient, sixteen positions of filter p's output gradient).
 // Everything else is gemmKernel6x16fma: ap, c, ldcBytes, acc, and which FMA
 // operand is which.
 //
@@ -117,4 +119,33 @@ loop:
 	MOVQ $64, R8
 	XORQ AX, AX
 	STORE6x16
+	RET
+
+// func addRunsAVX(dst, src *float32, pos *int, runs uint64)
+//
+// The scatter half of the input gradient: for r < runs, the eight floats at
+// dst + pos[8r] are replaced by themselves plus src[8r : 8r+8] — one kernel
+// tap's column-gradient row added into the padded gradient, eight output
+// positions of a row at a time. Each lane is one rounded add with the running
+// sum as the first operand, as Col2Im's d[i] += v compiles.
+//
+//	R11  pos, advancing by eight offsets
+//	AX   the current run's offset
+TEXT ·addRunsAVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ pos+16(FP), R11
+	MOVQ runs+24(FP), CX
+
+loop:
+	MOVQ    (R11), AX
+	VMOVUPS (DI)(AX*4), Y0
+	VADDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)(AX*4)
+	ADDQ    $32, SI
+	ADDQ    $64, R11
+	DECQ    CX
+	JNZ     loop
+
+	VZEROUPPER
 	RET

@@ -23,7 +23,7 @@ func archKernels() []*gemmKernel {
 	// tier's 128. nc stays 512 (a multiple of 16).
 	avx2 := &gemmKernel{name: "avx2", mr: 6, nr: 16, mc: 120, nc: 512, asm: gemmKernel6x16fma, fused: true,
 		directChain: gemmDirectChainAVX, directDot: gemmDirectDotAVX,
-		indirectB: gemmKernel6x16fmaIndB, indirectA: gemmKernel6x16fmaIndA}
+		indirectB: gemmKernel6x16fmaIndB, indirectA: gemmKernel6x16fmaIndA, addRuns: addRunsAVX}
 	if actKernelsMatchStdlib() {
 		for _, k := range []*gemmKernel{sse, avx2} {
 			k.expInto, k.sigmoidInto, k.tanhInto = expIntoFMA, sigmoidIntoFMA, tanhIntoFMA
@@ -64,7 +64,8 @@ func gemmKernel6x16fma(c *float32, ldcBytes uintptr, ap, bp *float32, kb, acc ui
 
 // gemmKernel6x16fmaIndB and gemmKernel6x16fmaIndA are gemmKernel6x16fma with
 // one operand read out of a padded convolution input through a table of
-// offsets instead of out of a packed panel (contracts in
+// offsets instead of out of a packed panel, and addRunsAVX adds a
+// column-gradient row into a padded input gradient through one (contracts in
 // gemm_indirect_amd64.s; the driver is indirect.go).
 //
 //go:noescape
@@ -72,6 +73,9 @@ func gemmKernel6x16fmaIndB(c *float32, ldcBytes uintptr, ap, x0, x1 *float32, ta
 
 //go:noescape
 func gemmKernel6x16fmaIndA(tile, x *float32, taps, pos *int, bp *float32, kb uint64)
+
+//go:noescape
+func addRunsAVX(dst, src *float32, pos *int, runs uint64)
 
 // gemmDirectChainAVX and gemmDirectDotAVX are the small-product kernels
 // behind gemmDirect (contract in gemm_direct_amd64.s): the first stands in

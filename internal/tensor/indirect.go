@@ -2,28 +2,32 @@ package tensor
 
 import "fmt"
 
-// Indirect convolution (Dukhan 2019, the QNNPACK/XNNPACK design): two of a
-// convolution's three products multiply straight out of the input instead of
-// out of a column matrix. Lowering (Im2Col + Pack + GEMMPacked) writes every
-// input value K² times into cols and then copies cols into B panels, forward
-// and again backward — InC·K²·outArea floats per sample each time, a cost
-// pruning does not shrink. Here the sample is copied once into a zero-bordered
-// [InC][InH+2Pad][InW+2Pad] scratch, and the micro-kernel finds the column
-// matrix's element (tap, position) at
+// Indirect convolution (Dukhan 2019, the QNNPACK/XNNPACK design): all three
+// of a convolution's products run without a column matrix. Lowering (Im2Col +
+// Pack + GEMMPacked) writes every input value K² times into cols and then
+// copies cols into B panels, forward and again backward, and backward also
+// builds the column gradient Wᵀ·dy and scatters it with Col2Im —
+// InC·K²·outArea floats per sample each time, a cost pruning does not shrink.
+// Here the sample is copied once into a zero-bordered [InC][InH+2Pad][InW+2Pad]
+// scratch, and the micro-kernel finds the column matrix's element (tap,
+// position) at
 //
 //	xpad[taps[tap] + pos[position]]
 //	taps[(c,kh,kw)] = (c·Hp + kh)·Wp + kw     pos[(oh,ow)] = oh·Wp + ow
 //
 // (stride 1). Eight consecutive positions of one output row are eight
 // consecutive floats, so with OutW a multiple of 8 each half of a 16-column
-// B step is one vector load.
+// B step is one vector load. The input gradient runs the same tables the
+// other way: the column gradient's row for a tap is added into a
+// zero-bordered gradient at dxpad[taps[tap] + pos[position]].
 //
-// No bit moves against the lowered products. Every element of y and dW is
-// still one fused multiply-add chain per kc-deep chunk, depth ascending from
-// +0, over the values the packed panels would have held — a padding tap reads
-// a real zero from the border, as it read Im2Col's — and the chunk sum is
-// stored or added once, chunks in order. Lowering stays the definition and
-// serves whatever Plan declines.
+// No bit moves against the lowered products. Every element of y, dW and Wᵀ·dy
+// is still one fused multiply-add chain per kc-deep chunk, depth ascending
+// from +0, over the values the packed panels would have held — a padding tap
+// reads a real zero from the border, as it read Im2Col's — and the chunk sum
+// is stored or added once, chunks in order; and every element of dx receives
+// Col2Im's adds in Col2Im's order (see GradX). Lowering stays the definition
+// and serves whatever Plan declines.
 //
 // An IndirectConv is owned by one goroutine at a time.
 type IndirectConv struct {
@@ -33,9 +37,14 @@ type IndirectConv struct {
 	xpad   []float32   // the loaded sample inside its zero border
 	// taps has one offset per row of the column matrix, then repeats of the
 	// last up to a multiple of the tile height, so a tile of six always has
-	// six rows to read; pos has one per output position.
-	taps, pos []int
-	// tile stages partial tiles of y and every tile of dWᵀ.
+	// six rows to read; pos has one per output position; filt has one per
+	// filter, the start of its plane in a sample's output gradient.
+	taps, pos, filt []int
+	// dxpad is GradX's input gradient inside its border, panel one tile
+	// height of taps of the column gradient, [mr, outArea].
+	dxpad, panel []float32
+	// tile stages partial tiles of y, of the column gradient and every tile
+	// of dWᵀ.
 	tile [mrMax * nrMax]float32
 }
 
@@ -61,7 +70,7 @@ func growInts(buf []int, n int) []int {
 // if so, lays ic out for it. The answer depends on the geometry and the tier
 // alone. Where it is false the caller lowers; where it is true Load, Mul and
 // AddGradW stand in for Im2Col and the two products that read the column
-// matrix.
+// matrix, and GradX for the column gradient and Col2Im.
 func (ic *IndirectConv) Plan(g ConvGeom) bool {
 	kern := activeKernel.Load()
 	if ic.kern == kern && ic.g == g {
@@ -72,12 +81,18 @@ func (ic *IndirectConv) Plan(g ConvGeom) bool {
 		return false
 	}
 	hp, wp := g.InH+2*g.Pad, g.InW+2*g.Pad
-	rows, outW := g.InC*g.KH*g.KW, g.OutW()
+	rows, outW, outArea := g.InC*g.KH*g.KW, g.OutW(), g.OutH()*g.OutW()
 	ic.xpad = growF32(ic.xpad, g.InC*hp*wp) // grows once per geometry; steady state re-slices
 	// Load writes the interior only: the border is zeroed here.
 	clear(ic.xpad)
+	ic.dxpad = growF32(ic.dxpad, len(ic.xpad))          // grows once per geometry; steady state re-slices
+	ic.panel = growF32(ic.panel, kern.mr*outArea)       // grows once per geometry; steady state re-slices
 	ic.taps = growInts(ic.taps, roundUp(rows, kern.mr)) // grows once per geometry; steady state re-slices
-	ic.pos = growInts(ic.pos, g.OutH()*outW)            // grows once per geometry; steady state re-slices
+	ic.pos = growInts(ic.pos, outArea)                  // grows once per geometry; steady state re-slices
+	ic.filt = growInts(ic.filt, g.OutC)                 // grows once per geometry; steady state re-slices
+	for f := range ic.filt {
+		ic.filt[f] = f * outArea
+	}
 	t := 0
 	for c := 0; c < g.InC; c++ {
 		for kh := 0; kh < g.KH; kh++ {
@@ -138,16 +153,78 @@ func (ic *IndirectConv) Mul(y []float32, w *PackedA) {
 			for j := 0; j < n; j += nr {
 				x0, x1 := &ic.xpad[ic.pos[j]], &ic.xpad[ic.pos[j+nr/2]]
 				for ir := 0; ir < mb; ir += mr {
-					apan := &ap[(ir/mr)*kb*mr]
-					cc := y[(i0+ir)*n+j:]
-					if im := mb - ir; im < mr {
-						kern.indirectB(&ic.tile[0], uintptr(nr*4), apan, x0, x1, taps, uint64(kb), 0)
-						mergeTile(cc, n, ic.tile[:], nr, im, nr, acc)
-					} else {
-						kern.indirectB(&cc[0], uintptr(n*4), apan, x0, x1, taps, uint64(kb), boolToUint64(acc))
-					}
+					ic.mulTile(y[(i0+ir)*n+j:], n, &ap[(ir/mr)*kb*mr], x0, x1, taps, kb, mb-ir, acc)
 				}
 			}
+		}
+	}
+}
+
+// mulTile is one tile of GEMMPacked's walk with B read in place by
+// indirectB: the kb-deep chunk sum of A panel apan against the sixteen
+// columns at x0 and x1 through taps, stored or added into c (row stride ldc),
+// of which only the first im ≤ mr rows are wanted. A partial tile is staged
+// and merged, as gemmMacro merges an edge tile.
+func (ic *IndirectConv) mulTile(c []float32, ldc int, apan, x0, x1 *float32, taps *int, kb, im int, acc bool) {
+	kern := ic.kern
+	if im < kern.mr {
+		kern.indirectB(&ic.tile[0], uintptr(kern.nr*4), apan, x0, x1, taps, uint64(kb), 0)
+		mergeTile(c, ldc, ic.tile[:], kern.nr, im, kern.nr, acc)
+		return
+	}
+	kern.indirectB(&c[0], uintptr(ldc*4), apan, x0, x1, taps, uint64(kb), boolToUint64(acc))
+}
+
+// GradX writes one sample's input gradient into dx (layout [InC,InH,InW]):
+// what Col2Im makes of Wᵀ·dy into a zeroed dx, dy being the sample's output
+// gradient [OutC, outArea] and wT the weights packed for that product,
+// Pack(W, true, rows, OutC, outArea).
+//
+// Neither the column gradient nor a packed dy exists. For each panel of six
+// taps, its [6, outArea] block of Wᵀ·dy is staged — GEMMPacked's walk, with
+// row f of each 16-position B step read from dy at filt[f] — and then the
+// panel's valid taps are added one at a time, in ascending order, into the
+// zero-bordered dxpad at taps[t] + pos[q]; the interior is copied out last.
+// So every element of dx receives the values Col2Im would add to it, in
+// Col2Im's order (tap ascending), from +0, each add with the running sum
+// first; the border takes the adds Col2Im skips and is never read. The block
+// is staged per panel, not scattered per tile, because taps t and t+1 reach
+// one element from positions q and q−1, which can lie in different
+// 16-position tiles.
+func (ic *IndirectConv) GradX(dx, dy []float32, wT *PackedA) {
+	g, kern := ic.g, ic.kern
+	rows, outC, outArea := g.InC*g.KH*g.KW, g.OutC, g.OutH()*g.OutW()
+	if !ic.serves || wT.kern != kern || wT.m != rows || wT.k != outC || wT.n != outArea {
+		panic(fmt.Sprintf("tensor: IndirectConv.GradX weights packed for [%d %d %d], want [%d %d %d] on a tier Plan accepted", wT.m, wT.k, wT.n, rows, outC, outArea))
+	}
+	if len(dy) != outC*outArea {
+		panic(fmt.Sprintf("tensor: IndirectConv.GradX gradient length %d, want %d×%d", len(dy), outC, outArea))
+	}
+	if len(dx) != g.InC*g.InH*g.InW {
+		panic(fmt.Sprintf("tensor: IndirectConv.GradX output length %d, want %d", len(dx), g.InC*g.InH*g.InW))
+	}
+	mr, nr := kern.mr, kern.nr
+	mp := roundUp(rows, mr)
+	clear(ic.dxpad)
+	_ = ic.dxpad[ic.taps[rows-1]+ic.pos[outArea-1]] // the furthest add, as in Mul
+	for t0 := 0; t0 < rows; t0 += mr {
+		nt := min(mr, rows-t0)
+		for pc := 0; pc < outC; pc += kcGEMM {
+			kb := min(kcGEMM, outC-pc)
+			apan, filt, acc := &wT.buf[pc*mp+t0*kb], &ic.filt[pc], pc > 0
+			for j := 0; j < outArea; j += nr {
+				ic.mulTile(ic.panel[j:], outArea, apan, &dy[j], &dy[j+nr/2], filt, kb, nt, acc)
+			}
+		}
+		for t := t0; t < t0+nt; t++ {
+			kern.addRuns(&ic.dxpad[ic.taps[t]], &ic.panel[(t-t0)*outArea], &ic.pos[0], uint64(outArea/8))
+		}
+	}
+	hp, wp := g.InH+2*g.Pad, g.InW+2*g.Pad
+	for c := 0; c < g.InC; c++ {
+		for h := 0; h < g.InH; h++ {
+			at := (c*hp+h+g.Pad)*wp + g.Pad
+			copy(dx[(c*g.InH+h)*g.InW:][:g.InW], ic.dxpad[at:])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -37,9 +38,10 @@ func indirectTiers(t *testing.T, visit func(kern *gemmKernel)) {
 	}
 }
 
-// loweredProducts is the definition: y = W·cols and dw += dy·colsᵀ through
-// Im2Col, Pack and GEMMPacked, as nn.Conv2D lowers them.
-func loweredProducts(g ConvGeom, x, w, dy, y, dw []float32) {
+// loweredProducts is the definition: y = W·cols, dw += dy·colsᵀ and
+// dx = Col2Im(Wᵀ·dy) through Im2Col, Pack, GEMMPacked and Col2Im, as
+// nn.Conv2D lowers them.
+func loweredProducts(g ConvGeom, x, w, dy, y, dw, dx []float32) {
 	rows, outArea := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 	cols := make([]float32, rows*outArea)
 	Im2Col(x, g, cols)
@@ -51,16 +53,52 @@ func loweredProducts(g ConvGeom, x, w, dy, y, dw []float32) {
 	dyA.Pack(dy, false, g.OutC, outArea, rows)
 	colsB.Pack(cols, true, g.OutC, outArea, rows)
 	GEMMPacked(dw, &dyA, &colsB, true)
+	wA.Pack(w, true, rows, g.OutC, outArea)
+	colsB.Pack(dy, false, rows, g.OutC, outArea)
+	GEMMPacked(cols, &wA, &colsB, false)
+	clear(dx)
+	Col2Im(cols, g, dx)
+}
+
+// A guard is a run of guardLen floats holding guardBits, a signalling NaN: a
+// load of it poisons a result, and an add into it would quieten it, so a
+// guard that still holds it was neither read into a result nor written.
+const (
+	guardLen  = 64
+	guardBits = 0x7f800001
+)
+
+// guarded returns a slice of n floats with capacity n between two guards,
+// and the arena holding all three.
+func guarded(n int) (inner, arena []float32) {
+	arena = make([]float32, guardLen+n+guardLen)
+	for i := range arena {
+		arena[i] = math.Float32frombits(guardBits)
+	}
+	return arena[guardLen : guardLen+n : guardLen+n], arena
+}
+
+// checkGuards fails t unless both guards of arena are as guarded left them.
+func checkGuards(t *testing.T, what string, arena []float32) {
+	t.Helper()
+	for i, v := range arena {
+		if (i < guardLen || i >= len(arena)-guardLen) && math.Float32bits(v) != guardBits {
+			t.Fatalf("%s: guard float %d of %d was written", what, i, len(arena))
+		}
+	}
 }
 
 // TestIndirectReadsStayInsideSample: the kernels' furthest load is the last
 // tap seen from the last position, ((c·Hp + kh + oh)·Wp + kw + ow + 7) with
 // ow + 7 = OutW − 1 — the last float of the padded sample, no slack — and the
-// nearest is its first. The sample sits between two NaN-filled guards, its
-// capacity cut to its length, so a load a float either side would poison a
-// result; results must equal the lowered products bit for bit. Row and filter
-// counts off the tile sizes exercise the repeated taps and zero-padded
-// panels at the edges.
+// nearest is its first; GradX's furthest add into the padded gradient is the
+// same float, and its product reads dy from the first filter's first position
+// to the last filter's last. The sample, the padded gradient and dy each sit
+// between two guards, capacity cut to length, so a load a float either side
+// would poison a result and an add would mark a guard; results must equal the
+// lowered products bit for bit. Row and filter counts off the tile sizes
+// exercise the repeated taps and zero-padded panels at the edges, and 260
+// filters a dx product deeper than kc.
 func TestIndirectReadsStayInsideSample(t *testing.T) {
 	indirectTiers(t, func(kern *gemmKernel) {
 		rng := rand.New(rand.NewSource(51))
@@ -71,69 +109,66 @@ func TestIndirectReadsStayInsideSample(t *testing.T) {
 			{InC: 7, InH: 6, InW: 26, OutC: 17, KH: 3, KW: 3, Stride: 1, Pad: 0},
 			{InC: 32, InH: 2, InW: 16, OutC: 33, KH: 1, KW: 1, Stride: 1, Pad: 0},
 			{InC: 3, InH: 12, InW: 24, OutC: 7, KH: 5, KW: 5, Stride: 1, Pad: 2},
+			{InC: 2, InH: 8, InW: 8, OutC: 260, KH: 3, KW: 3, Stride: 1, Pad: 1},
 		} {
 			rows, outArea := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 			x := RandN(rng, g.InC, g.InH, g.InW).Data
 			w := RandN(rng, g.OutC, rows).Data
-			dy := RandN(rng, g.OutC, outArea).Data
+			dy, dyArena := guarded(g.OutC * outArea)
+			copy(dy, RandN(rng, g.OutC, outArea).Data)
 			seed := RandN(rng, g.OutC, rows).Data
-			wantY, wantDW := make([]float32, g.OutC*outArea), append([]float32(nil), seed...)
-			loweredProducts(g, x, w, dy, wantY, wantDW)
+			wantY, wantDW, wantDX := make([]float32, g.OutC*outArea), append([]float32(nil), seed...), make([]float32, len(x))
+			loweredProducts(g, x, w, dy, wantY, wantDW, wantDX)
 
 			var ic IndirectConv
 			if !ic.Plan(g) {
 				t.Fatalf("%s declines %+v", kern.name, g)
 			}
-			const guard = 64
 			size := len(ic.xpad)
-			arena := make([]float32, guard+size+guard)
-			for i := range arena {
-				arena[i] = float32(math.NaN())
-			}
-			ic.xpad = arena[guard : guard+size : guard+size]
+			var xArena, dxArena []float32
+			ic.xpad, xArena = guarded(size)
 			clear(ic.xpad)
+			ic.dxpad, dxArena = guarded(size)
 			ic.Load(x)
 
 			var wA PackedA
 			var dyT PackedB
 			wA.Pack(w, false, g.OutC, rows, outArea)
 			dyT.Pack(dy, true, rows, outArea, g.OutC)
-			gotY, gotDW := make([]float32, g.OutC*outArea), append([]float32(nil), seed...)
+			gotY, gotDW, gotDX := make([]float32, g.OutC*outArea), append([]float32(nil), seed...), make([]float32, len(x))
 			ic.Mul(gotY, &wA)
 			ic.AddGradW(gotDW, &dyT)
-			if i := firstBitDiff(gotY, wantY); i >= 0 {
-				t.Errorf("%s %+v: y[%d] = %v, lowered %v", kern.name, g, i, gotY[i], wantY[i])
-			}
-			if i := firstBitDiff(gotDW, wantDW); i >= 0 {
-				t.Errorf("%s %+v: dW[%d] = %v, lowered %v", kern.name, g, i, gotDW[i], wantDW[i])
-			}
-			for i, v := range arena[:guard] {
-				if v == v {
-					t.Fatalf("%s %+v: guard float %d before the sample was written", kern.name, g, i)
+			wA.Pack(w, true, rows, g.OutC, outArea)
+			ic.GradX(gotDX, dy, &wA)
+			for _, r := range []struct {
+				name      string
+				got, want []float32
+			}{{"y", gotY, wantY}, {"dW", gotDW, wantDW}, {"dx", gotDX, wantDX}} {
+				if i := firstBitDiff(r.got, r.want); i >= 0 {
+					t.Errorf("%s %+v: %s[%d] = %v, lowered %v", kern.name, g, r.name, i, r.got[i], r.want[i])
 				}
 			}
-			for i, v := range arena[guard+size:] {
-				if v == v {
-					t.Fatalf("%s %+v: guard float %d after the sample was written", kern.name, g, i)
-				}
-			}
+			what := fmt.Sprintf("%s %+v", kern.name, g)
+			checkGuards(t, what+" sample", xArena)
+			checkGuards(t, what+" padded gradient", dxArena)
+			checkGuards(t, what+" dy", dyArena)
 		}
 	})
 }
 
-// TestIndirectRefusesOtherOperands: Mul and AddGradW take operands packed for
-// the planned product on the planned tier and nothing else, as GEMMPacked
-// refuses a mismatched pair.
+// TestIndirectRefusesOtherOperands: Mul, AddGradW and GradX take operands
+// packed for the planned product on the planned tier and nothing else, as
+// GEMMPacked refuses a mismatched pair, and slices of the planned lengths.
 func TestIndirectRefusesOtherOperands(t *testing.T) {
 	indirectTiers(t, func(kern *gemmKernel) {
 		g := ConvGeom{InC: 8, InH: 8, InW: 8, OutC: 16, KH: 3, KW: 3, Stride: 1, Pad: 1}
-		rows, outArea := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+		rows, outArea, inSize := g.InC*g.KH*g.KW, g.OutH()*g.OutW(), g.InC*g.InH*g.InW
 		var ic IndirectConv
 		if !ic.Plan(g) {
 			t.Fatalf("%s declines %+v", kern.name, g)
 		}
-		ic.Load(make([]float32, g.InC*g.InH*g.InW))
-		var wA PackedA
+		ic.Load(make([]float32, inSize))
+		var wA, wT PackedA
 		var dyT PackedB
 		mustPanic := func(what string, f func()) {
 			t.Helper()
@@ -144,6 +179,7 @@ func TestIndirectRefusesOtherOperands(t *testing.T) {
 			}()
 			f()
 		}
+		dy := make([]float32, g.OutC*outArea)
 		wA.Pack(make([]float32, (g.OutC+1)*rows), false, g.OutC+1, rows, outArea)
 		mustPanic("Mul with weights of another width", func() { ic.Mul(make([]float32, g.OutC*outArea), &wA) })
 		wA.Pack(make([]float32, g.OutC*rows), false, g.OutC, rows, outArea)
@@ -151,22 +187,31 @@ func TestIndirectRefusesOtherOperands(t *testing.T) {
 		dyT.Pack(make([]float32, g.OutC*outArea), false, rows, g.OutC, outArea)
 		mustPanic("AddGradW with dy packed for dcols", func() { ic.AddGradW(make([]float32, g.OutC*rows), &dyT) })
 		mustPanic("Load of a short sample", func() { ic.Load(make([]float32, 3)) })
+		wT.Pack(make([]float32, (g.OutC+1)*rows), true, rows, g.OutC+1, outArea)
+		mustPanic("GradX with Wᵀ of another width", func() { ic.GradX(make([]float32, inSize), dy, &wT) })
+		wT.Pack(make([]float32, g.OutC*rows), true, rows, g.OutC, outArea)
+		mustPanic("GradX into a short dx", func() { ic.GradX(make([]float32, inSize-1), dy, &wT) })
+		mustPanic("GradX from a short dy", func() { ic.GradX(make([]float32, inSize), dy[1:], &wT) })
 		if err := ForceKernel("generic"); err != nil {
 			t.Fatal(err)
 		}
 		wA.Pack(make([]float32, g.OutC*rows), false, g.OutC, rows, outArea)
 		mustPanic("Mul with weights packed on another tier", func() { ic.Mul(make([]float32, g.OutC*outArea), &wA) })
+		wT.Pack(make([]float32, g.OutC*rows), true, rows, g.OutC, outArea)
+		mustPanic("GradX with Wᵀ packed on another tier", func() { ic.GradX(make([]float32, inSize), dy, &wT) })
 		if ic.Plan(g) {
 			t.Fatalf("generic serves %+v", g)
 		}
 		mustPanic("Mul after Plan declined", func() { ic.Mul(make([]float32, g.OutC*outArea), &wA) })
+		mustPanic("GradX after Plan declined", func() { ic.GradX(make([]float32, inSize), dy, &wT) })
 	})
 }
 
 // TestPackedOperandsAllocateOnce: Pack grows a panel buffer once per geometry
 // and re-slices it afterwards, on both sides of smallGEMMFLOPs and in both
-// storage forms; so do IndirectConv's sample and tables, and none of the
-// products allocates.
+// storage forms; so do IndirectConv's padded sample and gradient, its column
+// gradient panel and its three offset tables, and none of the products
+// allocates.
 func TestPackedOperandsAllocateOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -209,7 +254,7 @@ func TestPackedOperandsAllocateOnce(t *testing.T) {
 	x := RandN(rng, g.InC, g.InH, g.InW).Data
 	rows, outArea := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 	w, dy := RandN(rng, g.OutC, rows).Data, RandN(rng, g.OutC, outArea).Data
-	y, dw := make([]float32, g.OutC*outArea), make([]float32, g.OutC*rows)
+	y, dw, dx := make([]float32, g.OutC*outArea), make([]float32, g.OutC*rows), make([]float32, len(x))
 	steady("IndirectConv step across a geometry change", func() {
 		ic.Plan(small)
 		ic.Plan(g)
@@ -218,5 +263,7 @@ func TestPackedOperandsAllocateOnce(t *testing.T) {
 		ic.Mul(y, &pa)
 		pb.Pack(dy, true, rows, outArea, g.OutC)
 		ic.AddGradW(dw, &pb)
+		pa.Pack(w, true, rows, g.OutC, outArea)
+		ic.GradX(dx, dy, &pa)
 	})
 }
