@@ -1,10 +1,12 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"fedmp/internal/cluster"
 	"fedmp/internal/nn"
+	"fedmp/internal/zoo"
 )
 
 // fixedSource hands out one batch forever, so a measured runWorker call
@@ -13,42 +15,61 @@ type fixedSource struct{ b *nn.Batch }
 
 func (s fixedSource) Next() *nn.Batch { return s.b }
 
-// TestRunWorkerSteadyStateAllocs pins the reuse path: once an executor's
-// cache holds the assignment's shape, runWorker allocates only what it
-// returns and prices — the trained weights and their delta (three
-// allocations per tensor each: header, shape, data; plus the two lists), with
-// a little slack for the values around the two frame envelopes. A layer,
-// workspace, optimiser or RNG allocation on this path shows up as hundreds.
+// TestRunWorkerSteadyStateAllocs pins the re-dimensioning path on the zoo
+// CNN: once the executor's network has been shaped for the largest of three
+// sub-models and for the full model's evaluation, cycling the three — with a
+// full-model evaluation after each cycle, all on the one network the single
+// executor keeps — allocates only what runWorker returns and prices: the
+// trained weights and their delta (three allocations per tensor each:
+// header, shape, data; plus the two lists), with a little slack for the
+// values around the two frame envelopes. A layer, workspace, optimiser or RNG
+// allocation on this path shows up as hundreds.
 func TestRunWorkerSteadyStateAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fam, err := NewImageFamily(zoo.ModelCNN)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, momentum := range []float32{0.9, 0} {
-		fam := tinyFamily()
-		r, err := newRunner(fam, quickCfg(StrategyFedMP, 3))
+		cfg := quickCfg(StrategyFedMP, 3)
+		cfg.StreamMetrics = true // evaluations append no Point
+		r, err := newRunner(fam, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		r.cfg.Momentum = momentum // a zero Config.Momentum means the default
-		asg, err := r.strategy.Assign(r.info(1), []int{0, 1})
-		if err != nil {
-			t.Fatal(err)
+		var asg []Assignment
+		for i, ratio := range []float64{0.6, 0.2, 0.4} {
+			plan, desc, ws, err := fam.MakePlan(r.global, ratio, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asg = append(asg, Assignment{Worker: i, Ratio: ratio, Plan: plan, Desc: desc, Weights: ws, Iters: r.cfg.LocalIters})
 		}
 		for i := range r.sources {
 			r.sources[i] = fixedSource{r.sources[i].Next()}
 		}
-		cache := NewNetCache(fam, r.cfg.LR, r.cfg.Momentum, r.cfg.WeightDecay)
+		local := r.localNets(1)[0]
 		run := func() {
 			for _, a := range asg {
-				if _, err := r.runWorker(a, 1, cache); err != nil {
+				if _, err := r.runWorker(a, 1, local); err != nil {
 					t.Fatal(err)
 				}
 			}
+			if _, err := r.evaluate(1, 0); err != nil {
+				t.Fatal(err)
+			}
 		}
-		run() // builds both shapes, grows every workspace
+		run() // builds the network, grows every workspace
 		tensors := len(asg[0].Weights)
 		budget := float64(len(asg) * (2*(3*tensors+1) + 4))
 		if got := testing.AllocsPerRun(20, run); got > budget {
-			t.Errorf("momentum %v: warm runWorker allocates %v times per %d assignments, budget %v", r.cfg.Momentum, got, len(asg), budget)
+			t.Errorf("momentum %v: warm runWorker allocates %v times per %d assignments and an evaluation, budget %v", r.cfg.Momentum, got, len(asg), budget)
 		} else {
-			t.Logf("momentum %v: %v allocations per %d assignments (budget %v)", r.cfg.Momentum, got, len(asg), budget)
+			t.Logf("momentum %v: %v allocations per %d assignments and an evaluation (budget %v)", r.cfg.Momentum, got, len(asg), budget)
+		}
+		if len(r.nets) != 1 {
+			t.Errorf("%d executor networks, want the one", len(r.nets))
 		}
 	}
 }

@@ -425,16 +425,20 @@ func TestBestAccWithin(t *testing.T) {
 }
 
 func TestSliceBatch(t *testing.T) {
+	var v nn.Batch
 	x := tensor.FromSlice([]float32{1, 2, 3, 4, 5, 6}, 3, 2)
 	b := &nn.Batch{X: x, Labels: []int{0, 1, 2}}
-	sub := sliceBatch(b, 1, 3)
-	if sub.Size() != 2 || sub.Labels[0] != 1 || sub.X.Data[0] != 3 {
-		t.Errorf("image sliceBatch wrong: %+v", sub)
+	sub := b.Slice(&v, 1, 3)
+	if sub.Size() != 2 || sub.Labels[0] != 1 || sub.X.Data[0] != 3 || sub.X.Shape[1] != 2 {
+		t.Errorf("image slice wrong: %+v", sub)
 	}
 	seq := &nn.Batch{Seq: [][]int{{1}, {2}, {3}}}
-	subSeq := sliceBatch(seq, 0, 2)
-	if subSeq.Size() != 2 || subSeq.Seq[1][0] != 2 {
-		t.Errorf("sequence sliceBatch wrong: %+v", subSeq)
+	subSeq := seq.Slice(&v, 0, 2)
+	if subSeq.Size() != 2 || subSeq.Seq[1][0] != 2 || subSeq.X != nil {
+		t.Errorf("sequence slice wrong: %+v", subSeq)
+	}
+	if got := testing.AllocsPerRun(10, func() { b.Slice(&v, 0, 1) }); got != 0 {
+		t.Errorf("re-slicing a warm view allocates %v times", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"fedmp/internal/nn"
 	"fedmp/internal/tensor"
@@ -54,15 +55,24 @@ const maxBarrenRounds = 5
 // Driver is the one round state machine (Fig. 1, Alg. 1 and Alg. 2): it owns
 // the strategy, the global model and the ledger the strategies read through
 // RoundInfo — loss baseline, per-worker times, round-time accumulator, last
-// ratios — plus the evaluation network and the Result, and it is the only
+// ratios — plus the executors' networks and the Result, and it is the only
 // code that builds a RoundInfo, calls the strategy, records a RoundStat,
 // evaluates, checks targets and budgets, and exports or restores resumable
 // state. Whom a round dispatches and what it waits for are the Executor's.
 type Driver struct {
 	cfg      Config
+	fam      Family
 	strategy Strategy
-	evalNet  nn.Network
 	testB    *nn.Batch
+	fullDesc any // fam.FullDesc(), boxed once
+
+	// nets holds one network per executor (see shard): cohorts train on them,
+	// evaluation shards its chunks over them, each chunk's result landing at
+	// its index. evalChunkFn is bound once, so evaluating allocates nothing.
+	nets         []*LocalNet
+	chunkLoss    []float64
+	chunkCorrect []int
+	evalChunkFn  func(exec, i int)
 
 	global    []*tensor.Tensor
 	prevLoss  float64
@@ -88,21 +98,20 @@ type Driver struct {
 }
 
 // NewDriver validates cfg and builds the runtime-independent half of a run:
-// strategy, freshly initialised global model, evaluation network and test
-// batch. It builds nothing only one runtime needs (data sources, devices,
-// schedulers).
+// strategy, freshly initialised global model and test batch. It builds
+// nothing only one runtime needs (data sources, devices, schedulers); the
+// executors' networks are built on first use.
 func NewDriver(fam Family, cfg Config) (*Driver, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	d := &Driver{cfg: cfg}
+	d := &Driver{cfg: cfg, fam: fam}
 	if d.strategy, err = NewStrategy(fam, &d.cfg); err != nil {
 		return nil, err
 	}
-	if d.evalNet, err = fam.BuildNet(fam.FullDesc(), cfg.Seed); err != nil {
-		return nil, err
-	}
+	d.fullDesc = fam.FullDesc()
+	d.evalChunkFn = d.evalChunk
 	d.testB = fam.TestBatch(cfg.EvalLimit)
 	d.global = fam.InitWeights(cfg.Seed)
 	d.prevLoss = math.NaN()
@@ -131,7 +140,9 @@ func (d *Driver) Config() Config { return d.cfg }
 // that delivers nothing is closed idle or run again under the same number,
 // as exec decides; maxBarrenRounds consecutive re-runs are an error.
 func (d *Driver) Drive(exec Executor) (*Result, error) {
-	d.evaluate(d.res.Rounds, exec.Now())
+	if _, err := d.evaluate(d.res.Rounds, exec.Now()); err != nil {
+		return nil, err
+	}
 	snap := d.borrow
 	barren := 0
 	for round := d.res.Rounds + 1; ; {
@@ -170,7 +181,10 @@ func (d *Driver) Drive(exec Executor) (*Result, error) {
 		d.record(round, info, delivered, len(lost), suspect, seconds)
 		var eval *Point
 		if round%d.cfg.EvalEvery == 0 {
-			p := d.evaluate(round, exec.Now())
+			p, err := d.evaluate(round, exec.Now())
+			if err != nil {
+				return nil, err
+			}
 			eval = &p
 		}
 		if err := exec.Closed(round, eval, snap); err != nil {
@@ -260,11 +274,41 @@ func (d *Driver) record(round int, info *RoundInfo, outs []Output, lost, suspect
 	d.res.Stats = append(d.res.Stats, stat)
 }
 
+// localNets returns the networks, one per executor of a shard over n at least.
+func (d *Driver) localNets(n int) []*LocalNet {
+	for len(d.nets) < executors(n) {
+		d.nets = append(d.nets, NewLocalNet(d.fam, d.cfg.LR, d.cfg.Momentum, d.cfg.WeightDecay))
+	}
+	return d.nets
+}
+
+// evalChunkSize is the examples per Eval call, bounding activation memory.
+const evalChunkSize = 64
+
 // evaluate measures the global model on the test batch and records a Point
-// (or the streaming aggregate under StreamMetrics).
-func (d *Driver) evaluate(round int, now float64) Point {
-	nn.SetWeights(d.evalNet, d.global)
-	loss, acc := EvalChunked(d.evalNet, d.testB, 64)
+// (or the streaming aggregate under StreamMetrics): EvalChunked to the bit,
+// its chunks sharded over the executors' networks re-dimensioned to the full
+// model, each result landing at its index, the sums formed in chunk order.
+func (d *Driver) evaluate(round int, now float64) (Point, error) {
+	n := d.testB.Size()
+	chunks := (n + evalChunkSize - 1) / evalChunkSize
+	for _, l := range d.localNets(chunks)[:executors(chunks)] {
+		net, _, err := l.Get(d.fullDesc, d.cfg.Seed)
+		if err != nil {
+			return Point{}, fmt.Errorf("core: building an evaluation network: %w", err)
+		}
+		nn.SetWeights(net, d.global)
+	}
+	d.chunkLoss = slices.Grow(d.chunkLoss[:0], chunks)[:chunks]
+	d.chunkCorrect = slices.Grow(d.chunkCorrect[:0], chunks)[:chunks]
+	shard(chunks, d.evalChunkFn)
+	var lossSum float64
+	var correct int
+	for i, l := range d.chunkLoss {
+		lossSum += l * float64(min(evalChunkSize, n-i*evalChunkSize))
+		correct += d.chunkCorrect[i]
+	}
+	loss, acc := evalMeans(d.testB, lossSum, correct)
 	p := Point{Round: round, Time: now, Loss: loss, Acc: acc}
 	if d.stream != nil {
 		d.stream.observeEval(round, now, loss, acc)
@@ -279,7 +323,13 @@ func (d *Driver) evaluate(round int, now float64) Point {
 	if d.cfg.TargetLoss > 0 && loss <= d.cfg.TargetLoss && math.IsInf(d.res.TimeToTargetLoss, 1) {
 		d.res.TimeToTargetLoss = now
 	}
-	return p
+	return p, nil
+}
+
+// evalChunk evaluates test chunk i on executor exec's network.
+func (d *Driver) evalChunk(exec, i int) {
+	start, l := i*evalChunkSize, d.nets[exec]
+	d.chunkLoss[i], d.chunkCorrect[i] = l.net.Eval(d.testB.Slice(&l.chunk, start, min(start+evalChunkSize, d.testB.Size())))
 }
 
 // reached reports whether an evaluation meets a configured quality target.
@@ -311,16 +361,24 @@ func (d *Driver) seal(now float64) {
 // target token for a language model.
 func EvalChunked(net nn.Network, b *nn.Batch, chunk int) (loss, acc float64) {
 	n := b.Size()
-	if n == 0 {
-		return 0, 0
-	}
+	var sub nn.Batch
 	var lossSum float64
 	var correct int
 	for start := 0; start < n; start += chunk {
 		end := min(start+chunk, n)
-		l, c := net.Eval(sliceBatch(b, start, end))
+		l, c := net.Eval(b.Slice(&sub, start, end))
 		lossSum += l * float64(end-start)
 		correct += c
+	}
+	return evalMeans(b, lossSum, correct)
+}
+
+// evalMeans turns a batch's summed chunk losses (each mean times its chunk's
+// length) and correct count into the mean loss and the accuracy.
+func evalMeans(b *nn.Batch, lossSum float64, correct int) (loss, acc float64) {
+	n := b.Size()
+	if n == 0 {
+		return 0, 0
 	}
 	predictions := n
 	if b.X == nil {
@@ -330,17 +388,4 @@ func EvalChunked(net nn.Network, b *nn.Batch, chunk int) (loss, acc float64) {
 		}
 	}
 	return lossSum / float64(n), float64(correct) / float64(predictions)
-}
-
-// sliceBatch returns the [start,end) sub-batch.
-func sliceBatch(b *nn.Batch, start, end int) *nn.Batch {
-	if b.X != nil {
-		per := b.X.Size() / b.X.Shape[0]
-		shape := append([]int{end - start}, b.X.Shape[1:]...)
-		return &nn.Batch{
-			X:      tensor.FromSlice(b.X.Data[start*per:end*per], shape...),
-			Labels: b.Labels[start:end],
-		}
-	}
-	return &nn.Batch{Seq: b.Seq[start:end]}
 }

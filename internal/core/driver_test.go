@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -440,5 +443,65 @@ func TestEvalChunkedLMAccuracyIsPerToken(t *testing.T) {
 	_, correct := net.Eval(b)
 	if _, acc := EvalChunked(net, b, 64); acc != float64(correct)/100 {
 		t.Errorf("image accuracy %v, want %d correct of 100", acc, correct)
+	}
+}
+
+// TestShardedEvaluationMatchesSerial: Driver.evaluate, its chunks sharded
+// over the executors' networks — each last shaped for another sub-model and
+// trained a step — records exactly what serial EvalChunked on a freshly
+// built network measures, for the CNN and the language model, with a short
+// tail chunk, at one, two and four executors, twice in a row.
+func TestShardedEvaluationMatchesSerial(t *testing.T) {
+	cnn, err := NewImageFamily(zoo.ModelCNN)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lm := NewLMFamily(zoo.DefaultLMConfig(), data.DefaultCorpusConfig())
+	for _, fam := range []Family{cnn, lm} {
+		for _, procs := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/procs=%d", fam.Name(), procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				cfg := quickCfg(StrategyFedMP, 1)
+				cfg.EvalLimit = 4*evalChunkSize + 9
+				d, err := NewDriver(fam, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := d.testB.Size(); n != cfg.EvalLimit {
+					t.Fatalf("test batch of %d, want %d", n, cfg.EvalLimit)
+				}
+				d.global = fam.InitWeights(7)
+				rng := rand.New(rand.NewSource(int64(procs)))
+				for i, l := range d.localNets(cfg.EvalLimit) {
+					_, desc, ws, err := fam.MakePlan(d.global, 0.2+0.15*float64(i), 0, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					net, opt, err := l.Get(desc, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					trainOn(net, opt, ws, []*nn.Batch{randomBatch(desc, 4, rng)}, randomBatch(desc, 3, rng))
+				}
+				fresh, err := fam.BuildNet(fam.FullDesc(), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				nn.SetWeights(fresh, d.global)
+				wantLoss, wantAcc := EvalChunked(fresh, d.testB, evalChunkSize)
+				for round := range 2 {
+					p, err := d.evaluate(round, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(p.Loss) != math.Float64bits(wantLoss) || math.Float64bits(p.Acc) != math.Float64bits(wantAcc) {
+						t.Fatalf("evaluation %d: loss %v acc %v, serial %v %v", round, p.Loss, p.Acc, wantLoss, wantAcc)
+					}
+				}
+				if want := executors(cfg.EvalLimit); len(d.nets) != want {
+					t.Errorf("%d executor networks, want %d", len(d.nets), want)
+				}
+			})
+		}
 	}
 }

@@ -18,7 +18,6 @@ import (
 // asyncExec runs Alg. 2 over the same state.
 type runner struct {
 	*Driver
-	fam      Family
 	devices  []*cluster.Device
 	sources  []Source
 	rng      *rand.Rand
@@ -49,9 +48,6 @@ type runner struct {
 	// timesScratch backs the deadline quantile selection.
 	timesScratch []float64
 
-	// caches holds one network cache per cohort-training executor (see
-	// shard), grown to the executor count before a cohort trains.
-	caches []*NetCache
 	// leftover is each slot's top-K compression error, kept as a TCP worker
 	// keeps its own (WorkerStep).
 	leftover [][]*tensor.Tensor
@@ -103,7 +99,6 @@ func newRunner(fam Family, cfg Config) (*runner, error) {
 	}
 	r := &runner{
 		Driver:  d,
-		fam:     fam,
 		devices: devices,
 		sources: sources,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 29)),
@@ -436,12 +431,12 @@ func (r *runner) deliver(ts []*tensor.Tensor) []*tensor.Tensor {
 // runtime would send, sparse-mode compression included — Figs. 5 and 9 report
 // real encoded bytes, not a parameter-count estimate. It touches only
 // per-assignment state — the worker's own source, leftover and device — and
-// the calling executor's network cache, whose networks train exactly as
-// freshly built ones do, which is what lets trainCohort shard calls across
-// goroutines without changing a byte of the result. Once the cache is warm
-// the call allocates only what it returns and prices: the trained weights
-// (which become the delta, then the new weights) and the two frames.
-func (r *runner) runWorker(a Assignment, round int, cache *NetCache) (Output, error) {
+// the calling executor's network, which trains exactly as a fresh one does
+// whatever it was shaped for before, so trainCohort can shard calls across
+// goroutines without changing a byte of the result. Once that network is
+// built the call allocates only what it returns and prices: the trained
+// weights (which become the delta, then the new weights) and the two frames.
+func (r *runner) runWorker(a Assignment, round int, local *LocalNet) (Output, error) {
 	out := Output{Assignment: a}
 	assign := a.Frame(round, r.cfg.QuantizeWire)
 	var err error
@@ -449,7 +444,7 @@ func (r *runner) runWorker(a Assignment, round int, cache *NetCache) (Output, er
 		return Output{}, fmt.Errorf("core: sizing worker %d assignment: %w", a.Worker, err)
 	}
 	assign.Assign.Weights = r.deliver(a.Weights)
-	res, err := WorkerStep(cache, r.sources[a.Worker], assign.Assign, r.cfg.Seed, &r.leftover[a.Worker])
+	res, err := WorkerStep(local, r.sources[a.Worker], assign.Assign, r.cfg.Seed, &r.leftover[a.Worker])
 	if err != nil {
 		return Output{}, fmt.Errorf("core: worker %d: %w", a.Worker, err)
 	}

@@ -26,7 +26,32 @@ type faultyFamily struct {
 	// unframable wraps FullDesc in a type the wire codec cannot encode;
 	// every other method unwraps it.
 	unframable bool
-	builds     atomic.Int32
+	// wrap, when set, wraps every network BuildNet returns.
+	wrap   func(nn.Network) nn.Network
+	builds atomic.Int32
+}
+
+// rigidNet refuses every re-dimensioning, so each Get builds afresh.
+type rigidNet struct{ nn.Network }
+
+func (rigidNet) Reshape([]int) bool { return false }
+
+// countedNet wraps a network the way the benchmark's tracer does: it embeds
+// it, overrides TrainStep and Eval, and has every other method — Reshape
+// among them — promoted.
+type countedNet struct {
+	nn.Network
+	steps, evals *atomic.Int32
+}
+
+func (n countedNet) TrainStep(b *nn.Batch) (float64, int) {
+	n.steps.Add(1)
+	return n.Network.TrainStep(b)
+}
+
+func (n countedNet) Eval(b *nn.Batch) (float64, int) {
+	n.evals.Add(1)
+	return n.Network.Eval(b)
 }
 
 // opaqueDesc is a description the codec has no layout for.
@@ -50,11 +75,15 @@ func (f *faultyFamily) BuildNet(desc any, seed int64) (nn.Network, error) {
 	if n := f.builds.Add(1); f.failBuild != nil && f.failBuild(n) {
 		return nil, errInjected
 	}
-	return f.Family.BuildNet(unwrap(desc), seed)
+	net, err := f.Family.BuildNet(unwrap(desc), seed)
+	if err == nil && f.wrap != nil {
+		net = f.wrap(net)
+	}
+	return net, err
 }
 
-func (f *faultyFamily) NetSignature(dst []int, desc any) ([]int, bool) {
-	return f.Family.NetSignature(dst, unwrap(desc))
+func (f *faultyFamily) NetWidths(dst []int, desc any) ([]int, bool) {
+	return f.Family.NetWidths(dst, unwrap(desc))
 }
 
 func (f *faultyFamily) ForwardFLOPs(desc any) (float64, error) {
@@ -75,18 +104,26 @@ func (f *faultyFamily) Accumulate(acc []*tensor.Tensor, plan any, subW, base []*
 	return f.Family.Accumulate(acc, plan, subW, base)
 }
 
+// evalBuilds is how many networks the first evaluation of a quickCfg run
+// builds: one per executor its two chunks (120 examples) are sharded over.
+func evalBuilds() int32 { return int32(executors(2)) }
+
 // TestRunSurfacesFamilyErrors makes each family call the driver and the
-// simulated workers depend on fail in turn — the evaluation network, a
-// worker's network, the round's pruning plans, the aggregation — and demands
-// Run return that failure.
+// simulated workers depend on fail in turn — an evaluation shard's network,
+// a worker's network (built because the networks refuse to be
+// re-dimensioned), the round's pruning plans, the aggregation — and demands
+// Run return that failure, not a panic.
 func TestRunSurfacesFamilyErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		strategy StrategyID
 		inject   func(*faultyFamily)
 	}{
-		{"evaluation network", StrategySynFL, func(f *faultyFamily) { f.failBuild = func(n int32) bool { return n == 1 } }},
-		{"worker network", StrategySynFL, func(f *faultyFamily) { f.failBuild = func(n int32) bool { return n > 1 } }},
+		{"evaluation network", StrategySynFL, func(f *faultyFamily) { f.failBuild = func(n int32) bool { return n == evalBuilds() } }},
+		{"worker network", StrategySynFL, func(f *faultyFamily) {
+			f.wrap = func(net nn.Network) nn.Network { return rigidNet{net} }
+			f.failBuild = func(n int32) bool { return n > evalBuilds() }
+		}},
 		{"pruning plan", StrategyFedMP, func(f *faultyFamily) { f.failPlan = true }},
 		{"aggregation", StrategyFedMP, func(f *faultyFamily) { f.failAccumulate = true }},
 	} {
@@ -107,7 +144,42 @@ func TestRunRefusesUnframableAssignment(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unsupported description") {
 		t.Fatalf("Run returned %v, want the codec's refusal of the assignment", err)
 	}
-	if n := fam.builds.Load(); n != 1 {
-		t.Errorf("%d networks built, want only the evaluation network's", n)
+	if n := fam.builds.Load(); n != evalBuilds() {
+		t.Errorf("%d networks built, want only the first evaluation's %d", n, evalBuilds())
+	}
+}
+
+// TestWrappedNetworkBuiltOncePerExecutor: a family whose networks come
+// wrapped, as the benchmark's traced runs wrap them, still gets one BuildNet
+// per executor over a run whose sub-model shapes change round to round —
+// Reshape reaches the wrapped network through the wrapper — and trains and
+// evaluates on the wrappers.
+func TestWrappedNetworkBuiltOncePerExecutor(t *testing.T) {
+	var steps, evals atomic.Int32
+	fam := &faultyFamily{Family: tinyFamily(), wrap: func(net nn.Network) nn.Network {
+		return countedNet{Network: net, steps: &steps, evals: &evals}
+	}}
+	r, err := newRunner(fam, quickCfg(StrategyFedMP, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratios := map[float64]bool{}
+	for _, st := range res.Stats {
+		for _, ratio := range st.Ratios {
+			ratios[ratio] = true
+		}
+	}
+	if len(ratios) < 3 {
+		t.Fatalf("ratios %v: the run did not change shapes", ratios)
+	}
+	if n := fam.builds.Load(); int(n) != len(r.nets) || len(r.nets) > executors(r.cfg.Workers) {
+		t.Errorf("%d networks built for %d executors", n, len(r.nets))
+	}
+	if steps.Load() == 0 || evals.Load() == 0 {
+		t.Errorf("%d train steps and %d evaluations reached the wrappers", steps.Load(), evals.Load())
 	}
 }

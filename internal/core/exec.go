@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,77 +46,42 @@ func shard(n int, fn func(exec, i int)) {
 	wg.Wait()
 }
 
-// netCacheParams bounds a NetCache by the parameter scalars its networks
-// hold in total. The budget is small on purpose: a cached network keeps its
-// activations and workspaces alive too — several times its parameters for a
-// convolutional or recurrent model — every executor has a cache of its own,
-// and the collector sizes the heap at twice what is live. 32 Ki scalars keep
-// every sub-model shape of a tiny model (where construction is a large share
-// of an assignment) and one or two networks of the zoo's (where it is not).
-const netCacheParams = 1 << 15
-
-// NetCache keeps the networks one executor — a cohort-training goroutine of
-// the simulator, a wire worker — has built, each with its optimiser, keyed
-// by Family.NetSignature, so that a steady-state assignment constructs
-// nothing: the next sub-model of the same widths reloads a cached network
-// (nn.SetWeights overwrites every parameter, batch-norm statistics
-// included) and zeroes its optimiser's velocity in place. Least recently
-// used networks are dropped once the cache exceeds netCacheParams. A
-// NetCache is not safe for concurrent use.
-type NetCache struct {
+// LocalNet is one executor's network and optimiser — a cohort goroutine's, a
+// wire worker's, an evaluation shard's — re-dimensioned in place for each
+// description (nn.Network.Reshape), so that once built an assignment
+// constructs nothing, whatever its widths. It is not safe for concurrent use.
+type LocalNet struct {
 	fam                       Family
 	lr, momentum, weightDecay float32
-	// entries are ordered least to most recently used.
-	entries []*cachedNet
-	params  int
-	sig     []int
+	net                       nn.Network
+	opt                       *nn.SGD
+	reusable                  bool
+	widths                    []int
+	chunk                     nn.Batch // evaluation's sub-batch header
 }
 
-type cachedNet struct {
-	sig    []int
-	net    nn.Network
-	opt    *nn.SGD
-	params int
+// NewLocalNet returns an empty LocalNet; its optimisers are nn.NewSGD's.
+func NewLocalNet(fam Family, lr, momentum, weightDecay float32) *LocalNet {
+	return &LocalNet{fam: fam, lr: lr, momentum: momentum, weightDecay: weightDecay}
 }
 
-// NewNetCache returns an empty cache whose optimisers use the given
-// hyper-parameters (see nn.NewSGD).
-func NewNetCache(fam Family, lr, momentum, weightDecay float32) *NetCache {
-	return &NetCache{fam: fam, lr: lr, momentum: momentum, weightDecay: weightDecay}
-}
-
-// Get returns a network for desc and its optimiser, in the state a fresh
+// Get returns the network for desc and its optimiser, in the state a fresh
 // Family.BuildNet and nn.NewSGD would train from once the caller has loaded
-// the assignment's weights. A description the family cannot reuse networks
-// for (NetSignature) gets a fresh pair every time. The pair is valid until
-// the next Get.
-func (c *NetCache) Get(desc any, seed int64) (nn.Network, *nn.SGD, error) {
-	sig, reusable := c.fam.NetSignature(c.sig[:0], desc)
-	c.sig = sig
-	if reusable {
-		for i, e := range c.entries {
-			if slices.Equal(e.sig, sig) {
-				copy(c.entries[i:], c.entries[i+1:])
-				c.entries[len(c.entries)-1] = e
-				e.opt.Reset()
-				return e.net, e.opt, nil
-			}
-		}
+// the weights (nn.SetWeights overwrites every parameter; SGD.Reset zeroes the
+// velocity). It builds — seed reaching BuildNet — the first time, after a
+// description that is not reusable (Family.NetWidths) and when Reshape
+// refuses the widths. The pair is valid until the next Get.
+func (l *LocalNet) Get(desc any, seed int64) (nn.Network, *nn.SGD, error) {
+	widths, reusable := l.fam.NetWidths(l.widths[:0], desc)
+	l.widths = widths
+	if reusable && l.reusable && l.net.Reshape(widths) {
+		l.opt.Reset()
+		return l.net, l.opt, nil
 	}
-	net, err := c.fam.BuildNet(desc, seed)
+	net, err := l.fam.BuildNet(desc, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	opt := nn.NewSGD(c.lr, c.momentum, c.weightDecay)
-	if !reusable {
-		return net, opt, nil
-	}
-	e := &cachedNet{sig: slices.Clone(sig), net: net, opt: opt, params: nn.ParamCount(net)}
-	c.entries = append(c.entries, e)
-	c.params += e.params
-	for c.params > netCacheParams && len(c.entries) > 1 {
-		c.params -= c.entries[0].params
-		c.entries = slices.Delete(c.entries, 0, 1)
-	}
-	return net, opt, nil
+	l.net, l.opt, l.reusable = net, nn.NewSGD(l.lr, l.momentum, l.weightDecay), reusable
+	return l.net, l.opt, nil
 }

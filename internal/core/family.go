@@ -41,13 +41,12 @@ type Family interface {
 	// parameters come zero-initialised and nothing is seeded or drawn —
 	// unless a layer keeps the rng (Dropout), which keeps the seeded build.
 	BuildNet(desc any, seed int64) (nn.Network, error)
-	// NetSignature appends to dst the integers that fix the shape of every
-	// parameter and workspace of BuildNet(desc), and reports whether such a
-	// network can serve a later assignment with an equal signature once
-	// nn.SetWeights has reloaded it: false when a layer carries state the
-	// weights do not reach (a Dropout layer's mask stream) or desc is not
-	// this family's.
-	NetSignature(dst []int, desc any) (sig []int, reusable bool)
+	// NetWidths appends to dst the widths nn.Network.Reshape takes to turn
+	// a network BuildNet made from one reusable description into
+	// BuildNet(desc), and reports whether desc is reusable: false when a
+	// layer carries state the weights do not reach (a Dropout layer's mask
+	// stream) or desc does not have this family's architecture.
+	NetWidths(dst []int, desc any) (widths []int, reusable bool)
 	// MakePlan prunes the global model at the given ratio, returning the
 	// plan, the sub-model description and the extracted sub-weights.
 	// Ratio 0 returns a plan that keeps everything. jitter adds
@@ -174,13 +173,13 @@ func (f *ImageFamily) BuildNet(desc any, seed int64) (nn.Network, error) {
 	return zoo.Build(spec, rng)
 }
 
-// NetSignature implements Family.
-func (f *ImageFamily) NetSignature(dst []int, desc any) ([]int, bool) {
+// NetWidths implements Family.
+func (f *ImageFamily) NetWidths(dst []int, desc any) ([]int, bool) {
 	spec, ok := desc.(*zoo.Spec)
 	if !ok || spec.UsesRNG() {
 		return dst, false
 	}
-	return spec.AppendSignature(dst), true
+	return spec.AppendWidths(dst, f.Spec)
 }
 
 // MakePlan implements Family.
@@ -309,8 +308,8 @@ func (f *LMFamily) BuildNet(desc any, _ int64) (nn.Network, error) {
 	return zoo.BuildLM(cfg, nil), nil
 }
 
-// NetSignature implements Family.
-func (f *LMFamily) NetSignature(dst []int, desc any) ([]int, bool) {
+// NetWidths implements Family.
+func (f *LMFamily) NetWidths(dst []int, desc any) ([]int, bool) {
 	cfg, ok := desc.(zoo.LMConfig)
 	if !ok {
 		return dst, false

@@ -6,18 +6,17 @@ import (
 	"math/rand"
 	"testing"
 
-	"fedmp/internal/data"
 	"fedmp/internal/nn"
 	"fedmp/internal/prune"
 	"fedmp/internal/tensor"
 	"fedmp/internal/zoo"
 )
 
-// Differential tests of this PR's two substitutions against the algebra they
-// replaced, compared through math.Float32bits: the fused aggregate
-// (recoveredMean over Family.Accumulate) against Sparse + ResidualOf +
-// Recover + meanWeights, and a reused network with its optimiser (NetCache)
-// against a fresh BuildNet + NewSGD.
+// Differential tests of two substitutions against what they replaced,
+// compared through math.Float32bits: the fused aggregate (recoveredMean over
+// Family.Accumulate) against Sparse + ResidualOf + Recover + meanWeights, and
+// a network re-dimensioned in place with its optimiser (LocalNet) against a
+// fresh BuildNet + NewSGD.
 
 // benchTinySpec is the population benchmark's model (fedmp-bench, benchmark/).
 func benchTinySpec() *zoo.Spec {
@@ -237,144 +236,148 @@ func TestQuantizedResidualBaseMatchesReference(t *testing.T) {
 	requireSameBits(t, got, meanWeights(sets))
 }
 
-// reuseCase is one family with a batch source for the reuse test.
-type reuseCase struct {
-	fam Family
-	src Source
+// randomBatch draws n examples shaped for desc: images of the spec's input
+// geometry with labels below its class count, or token sequences one longer
+// than the config's window.
+func randomBatch(desc any, n int, rng *rand.Rand) *nn.Batch {
+	switch d := desc.(type) {
+	case *zoo.Spec:
+		x := tensor.New(n, d.InC, d.InH, d.InW)
+		for i := range x.Data {
+			x.Data[i] = float32(rng.NormFloat64())
+		}
+		labels := make([]int, n)
+		for i := range labels {
+			labels[i] = rng.Intn(d.Classes)
+		}
+		return &nn.Batch{X: x, Labels: labels}
+	case zoo.LMConfig:
+		seqs := make([][]int, n)
+		for i := range seqs {
+			seqs[i] = make([]int, d.SeqLen+1)
+			for j := range seqs[i] {
+				seqs[i][j] = rng.Intn(d.Vocab)
+			}
+		}
+		return &nn.Batch{Seq: seqs}
+	}
+	panic(fmt.Sprintf("no batches for %T", desc))
 }
 
-func reuseCases(t *testing.T) map[string]reuseCase {
+// otherGeometry returns desc with another input geometry — images at twice
+// the side, sequences half as long — and seeded weights for it: the same
+// architecture, every layer's plane or window different.
+func otherGeometry(t *testing.T, desc any, rng *rand.Rand) (any, []*tensor.Tensor) {
 	t.Helper()
-	cases := map[string]reuseCase{}
-	for _, id := range []zoo.ModelID{zoo.ModelCNN, zoo.ModelVGG, zoo.ModelResNet} {
-		fam, err := NewImageFamily(id)
+	switch d := desc.(type) {
+	case *zoo.Spec:
+		spec := d.Clone()
+		spec.InH, spec.InW = 2*d.InH, 2*d.InW
+		net, err := zoo.Build(spec, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases[string(id)] = reuseCase{fam: fam}
+		return spec, nn.GetWeights(net)
+	case zoo.LMConfig:
+		d.SeqLen = d.SeqLen/2 + 1
+		return d, nn.GetWeights(zoo.BuildLM(d, rng))
 	}
-	corpus := data.DefaultCorpusConfig()
-	cases["lstm"] = reuseCase{fam: NewLMFamily(zoo.DefaultLMConfig(), corpus)}
-	for name, c := range cases {
-		srcs, err := c.fam.Sources(1, NonIID{}, 4, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.src = srcs[0]
-		cases[name] = c
-	}
-	return cases
+	t.Fatalf("no other geometry for %T", desc)
+	return nil, nil
 }
 
-// trainOn loads ws into net and runs the batches through it, returning the
-// losses and the trained weights.
-func trainOn(net nn.Network, opt *nn.SGD, ws []*tensor.Tensor, batches []*nn.Batch) ([]float64, []*tensor.Tensor) {
+// evalResult is one evaluation's mean loss and correct count.
+type evalResult struct {
+	loss    float64
+	correct int
+}
+
+// trainOn loads ws into net, runs the batches through it — none for an
+// evaluation-only step — and evaluates evalB, returning the training losses,
+// the weights and the evaluation.
+func trainOn(net nn.Network, opt *nn.SGD, ws []*tensor.Tensor, batches []*nn.Batch, evalB *nn.Batch) ([]float64, []*tensor.Tensor, evalResult) {
 	nn.SetWeights(net, ws)
 	losses := make([]float64, len(batches))
 	for i, b := range batches {
 		losses[i], _ = net.TrainStep(b)
 		opt.Step(net.Params())
 	}
-	return losses, nn.GetWeights(net)
+	var ev evalResult
+	ev.loss, ev.correct = net.Eval(evalB)
+	return losses, nn.GetWeights(net), ev
 }
 
-// TestReusedNetworkTrainsLikeFresh: a network taken from the cache again
-// after it trained other weights, and after the cache served a different
-// shape in between, trains bit-identically to a fresh BuildNet + NewSGD —
-// for plain convolutions, batch-norm (whose running statistics are frozen
-// parameters SetWeights reloads), residual blocks and the LSTM, with
-// momentum on (velocity zeroed in place) and off.
+// TestReusedNetworkTrainsLikeFresh is the oracle of in-place
+// re-dimensioning: one executor's network, handed a seeded sequence of
+// descriptions — a small sub-model, a larger one, a smaller one, the full
+// model evaluated on 64 examples as an evaluation shard uses it, a smaller
+// one, the same architecture at another input geometry, and back — trains
+// and evaluates bit-identically to a fresh BuildNet + NewSGD at every step:
+// the training losses, the trained weights, the evaluation loss and its
+// correct count. It covers plain convolutions, the dense head, batch-norm
+// (whose running statistics are frozen parameters SetWeights reloads),
+// residual blocks and the LSTM, with momentum on (velocity re-dimensioned
+// and zeroed in place) and off, and it demands the one network throughout.
 func TestReusedNetworkTrainsLikeFresh(t *testing.T) {
-	for name, c := range reuseCases(t) {
+	for name, fam := range algebraFamilies(t) {
 		for _, momentum := range []float32{0.9, 0} {
 			t.Run(fmt.Sprintf("%s/momentum=%v", name, momentum), func(t *testing.T) {
-				global := c.fam.InitWeights(3)
-				_, fullDesc, fullW, err := c.fam.MakePlan(global, 0, 0, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, subDesc, subW, err := c.fam.MakePlan(global, 0.4, 0, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				batches := []*nn.Batch{c.src.Next(), c.src.Next(), c.src.Next()}
-				other := c.fam.InitWeights(8)
-
-				cache := NewNetCache(c.fam, 0.05, momentum, DefaultWeightDecay)
-				var nets []nn.Network
-				for _, step := range []struct {
-					desc any
-					ws   []*tensor.Tensor
+				rng := rand.New(rand.NewSource(11))
+				global := fam.InitWeights(3)
+				local := NewLocalNet(fam, 0.05, momentum, DefaultWeightDecay)
+				var first nn.Network
+				for step, s := range []struct {
+					ratio           float64
+					train, geometry bool
 				}{
-					{fullDesc, other}, // first use, other weights
-					{fullDesc, fullW}, // reused straight away
-					{subDesc, subW},   // a shape change ...
-					{fullDesc, fullW}, // ... and back
-					{subDesc, subW},
+					{ratio: 0.5 + 0.3*rng.Float64(), train: true},
+					{ratio: 0.1 * rng.Float64(), train: true},
+					{ratio: 0.5 + 0.3*rng.Float64(), train: true},
+					{ratio: 0},
+					{ratio: 0.4 + 0.4*rng.Float64(), train: true},
+					{ratio: 0.2 * rng.Float64(), train: true, geometry: true},
+					{ratio: 0.5 + 0.3*rng.Float64(), train: true},
 				} {
-					net, opt, err := cache.Get(step.desc, 1)
+					_, desc, ws, err := fam.MakePlan(global, s.ratio, 0, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					nets = append(nets, net)
-					gotLoss, gotW := trainOn(net, opt, step.ws, batches)
+					if s.geometry {
+						desc, ws = otherGeometry(t, desc, rng)
+					}
+					var batches []*nn.Batch
+					for i := 0; s.train && i < 3; i++ {
+						batches = append(batches, randomBatch(desc, 4, rng))
+					}
+					evalB := randomBatch(desc, evalChunkSize, rng)
 
-					fresh, err := c.fam.BuildNet(step.desc, 1)
+					net, opt, err := local.Get(desc, 1)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantLoss, wantW := trainOn(fresh, nn.NewSGD(0.05, momentum, DefaultWeightDecay), step.ws, batches)
+					if first == nil {
+						first = net
+					} else if net != first {
+						t.Fatalf("step %d (ratio %.3f) built a new network", step, s.ratio)
+					}
+					gotLoss, gotW, gotEval := trainOn(net, opt, ws, batches, evalB)
+
+					fresh, err := fam.BuildNet(desc, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantLoss, wantW, wantEval := trainOn(fresh, nn.NewSGD(0.05, momentum, DefaultWeightDecay), ws, batches, evalB)
 					for i := range wantLoss {
 						if math.Float64bits(gotLoss[i]) != math.Float64bits(wantLoss[i]) {
-							t.Fatalf("step %d loss %v, fresh network %v", i, gotLoss[i], wantLoss[i])
+							t.Fatalf("step %d (ratio %.3f) batch %d: loss %v, fresh network %v", step, s.ratio, i, gotLoss[i], wantLoss[i])
 						}
 					}
 					requireSameBits(t, gotW, wantW)
-				}
-				if nets[1] != nets[0] {
-					t.Error("the second assignment of a shape did not reuse the first's network")
-				}
-				// The zoo's larger models exceed the cache budget on their own,
-				// so only the smaller ones survive the detour through another
-				// shape.
-				if fits := nn.WeightsSize(fullW)+nn.WeightsSize(subW) <= netCacheParams; fits && (nets[3] != nets[0] || nets[4] != nets[2]) {
-					t.Error("networks within the budget were rebuilt after a shape change")
+					if math.Float64bits(gotEval.loss) != math.Float64bits(wantEval.loss) || gotEval.correct != wantEval.correct {
+						t.Fatalf("step %d (ratio %.3f): evaluation %+v, fresh network %+v", step, s.ratio, gotEval, wantEval)
+					}
 				}
 			})
-		}
-	}
-}
-
-// TestNetCacheBounded: the cache never holds more than its parameter budget
-// (beyond the one network in use) and evicts least recently used first.
-func TestNetCacheBounded(t *testing.T) {
-	fam, err := NewImageFamily(zoo.ModelAlexNet)
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := fam.InitWeights(1)
-	cache := NewNetCache(fam, 0.05, 0.9, 0)
-	for _, ratio := range []float64{0, 0.2, 0.4, 0.6, 0.2} {
-		_, desc, _, err := fam.MakePlan(global, ratio, 0, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		net, _, err := cache.Get(desc, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for _, e := range cache.entries {
-			total += e.params
-		}
-		if total != cache.params {
-			t.Fatalf("cache accounts %d parameters, holds %d", cache.params, total)
-		}
-		if last := cache.entries[len(cache.entries)-1]; last.net != net {
-			t.Fatal("the network just handed out is not the most recent entry")
-		}
-		if cache.params > netCacheParams && len(cache.entries) > 1 {
-			t.Fatalf("ratio %v: %d parameters cached in %d networks, budget %d", ratio, cache.params, len(cache.entries), netCacheParams)
 		}
 	}
 }
@@ -397,7 +400,8 @@ func dropoutFamily() *ImageFamily {
 
 // TestDropoutSpecKeepsSeededBuild: a description with a Dropout layer is
 // built from the seeded rng as before — same initial weights, hence the same
-// position in the stream its masks continue from — and is never cached.
+// position in the stream its masks continue from — and is never kept for
+// re-dimensioning.
 func TestDropoutSpecKeepsSeededBuild(t *testing.T) {
 	fam := dropoutFamily()
 	net, err := fam.BuildNet(fam.Spec, 7)
@@ -410,16 +414,16 @@ func TestDropoutSpecKeepsSeededBuild(t *testing.T) {
 	}
 	requireSameBits(t, nn.GetWeights(net), nn.GetWeights(want))
 
-	cache := NewNetCache(fam, 0.05, 0.9, 0)
-	a, _, err := cache.Get(fam.Spec, 7)
+	local := NewLocalNet(fam, 0.05, 0.9, 0)
+	a, _, err := local.Get(fam.Spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := cache.Get(fam.Spec, 7)
+	b, _, err := local.Get(fam.Spec, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == b || len(cache.entries) != 0 {
+	if a == b || local.reusable {
 		t.Error("a network with a Dropout layer was reused")
 	}
 

@@ -37,16 +37,15 @@ func (a *Assignment) Frame(round int, quantize bool) *codec.Envelope {
 }
 
 // WorkerStep is a worker's whole answer to one assignment (phase ② of
-// Fig. 1): train a on src's batches and build the upload. The network and its
-// optimiser come from cache — a sub-model shape seen before trains on the
-// network built then, reloaded; seed reaches Family.BuildNet when one must be
-// built. leftover is the worker's own top-K compression error (FlexCom's
+// Fig. 1): train a on src's batches and build the upload, on local's network
+// re-dimensioned to the sub-model (seed reaches Family.BuildNet when one must
+// be built). leftover is the worker's own top-K compression error (FlexCom's
 // error feedback), carried from one assignment's upload into the next one's
 // selection; it is ignored when the assigned model has changed shape and is
 // overwritten with what this upload leaves behind (nil in dense mode).
 // a.Weights are only read.
-func WorkerStep(cache *NetCache, src Source, a *codec.Assign, seed int64, leftover *[]*tensor.Tensor) (*codec.Result, error) {
-	net, opt, err := cache.Get(a.Desc, seed)
+func WorkerStep(local *LocalNet, src Source, a *codec.Assign, seed int64, leftover *[]*tensor.Tensor) (*codec.Result, error) {
+	net, opt, err := local.Get(a.Desc, seed)
 	if err != nil {
 		return nil, fmt.Errorf("building assigned model: %w", err)
 	}

@@ -123,12 +123,12 @@ func TestFlexComLeftoverIsTheWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache := NewNetCache(fam, r.cfg.LR, r.cfg.Momentum, r.cfg.WeightDecay)
+		local := NewLocalNet(fam, r.cfg.LR, r.cfg.Momentum, r.cfg.WeightDecay)
 		var leftover []*tensor.Tensor
 		var res *codec.Result
 		for i := range rec.assigned {
 			kept := leftover
-			if res, err = WorkerStep(cache, srcs[slot], rec.assigned[i].Frame(i+1, false).Assign, r.cfg.Seed, &leftover); err != nil {
+			if res, err = WorkerStep(local, srcs[slot], rec.assigned[i].Frame(i+1, false).Assign, r.cfg.Seed, &leftover); err != nil {
 				t.Fatal(err)
 			}
 			if forgetDropped && rec.uploads[i] == nil {

@@ -157,7 +157,7 @@ func (r *runner) bindCohort() int {
 // trainCohort executes the runnable assignments' local SGD, sharded
 // across GOMAXPROCS goroutines. Each worker touches only its own data
 // source and device RNG (per-device sub-seeded since the population
-// refactor) plus the executing goroutine's network cache, and outputs land
+// refactor) plus the executing goroutine's network, and outputs land
 // at their assignment index — so the merged result is byte-identical to the
 // serial loop, whatever the interleaving. The returned slice is the
 // runner's, valid until the next cohort trains.
@@ -166,15 +166,13 @@ func (r *runner) trainCohort(assignments []Assignment, round int) ([]Output, err
 	if n == 0 {
 		return nil, nil
 	}
-	for len(r.caches) < executors(n) {
-		r.caches = append(r.caches, NewNetCache(r.fam, r.cfg.LR, r.cfg.Momentum, r.cfg.WeightDecay))
-	}
+	nets := r.localNets(n)
 	if cap(r.outs) < n {
 		r.outs, r.errs = make([]Output, n), make([]error, n)
 	}
 	outs, errs := r.outs[:n], r.errs[:n]
 	shard(n, func(exec, i int) {
-		outs[i], errs[i] = r.runWorker(assignments[i], round, r.caches[exec])
+		outs[i], errs[i] = r.runWorker(assignments[i], round, nets[exec])
 	})
 	for _, err := range errs {
 		// Deterministic error selection: lowest assignment index wins.

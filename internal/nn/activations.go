@@ -29,6 +29,13 @@ func (r *ReLU) Params() []*Param { return nil }
 // convolutions but kept for completeness.
 func (r *ReLU) FLOPs() float64 { return r.size }
 
+// resize implements resizer: any input; the FLOP count returns to a new
+// layer's 0 until the next forward.
+func (r *ReLU) resize(in dims, widths []int) (dims, []int, bool) {
+	r.size = 0
+	return in, widths[1:], true
+}
+
 // Forward implements Layer. The gate is computed on the bit pattern, so the
 // loop has no data-dependent branch: with i the int32 view of x, x > 0 holds
 // exactly for 0 < i ≤ 0x7F800000 (+Inf); −i has its sign bit set for i > 0
@@ -100,6 +107,15 @@ func (m *MaxPool2D) Params() []*Param { return nil }
 
 // FLOPs implements Layer: one comparison per input element.
 func (m *MaxPool2D) FLOPs() float64 { return float64(m.C * m.InH * m.InW) }
+
+// resize implements resizer: any input the window divides.
+func (m *MaxPool2D) resize(in dims, widths []int) (dims, []int, bool) {
+	if in[0] <= 0 || in[1]%m.Window != 0 || in[2]%m.Window != 0 {
+		return in, widths, false
+	}
+	m.C, m.InH, m.InW = in[0], in[1], in[2]
+	return dims{m.C, m.InH / m.Window, m.InW / m.Window}, widths[1:], true
+}
 
 // Forward implements Layer. Ties keep the first maximum in window scan order
 // (row by row); a NaN wins only from the window's first position, since no
@@ -214,6 +230,12 @@ func (g *GlobalAvgPool) Params() []*Param { return nil }
 // FLOPs implements Layer.
 func (g *GlobalAvgPool) FLOPs() float64 { return float64(g.C * g.H * g.W) }
 
+// resize implements resizer: any input, one output per channel.
+func (g *GlobalAvgPool) resize(in dims, widths []int) (dims, []int, bool) {
+	g.C, g.H, g.W = in[0], in[1], in[2]
+	return dims{g.C, 1, 1}, widths[1:], true
+}
+
 // Forward implements Layer.
 func (g *GlobalAvgPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != g.C || x.Shape[2] != g.H || x.Shape[3] != g.W {
@@ -282,6 +304,12 @@ func (f *Flatten) Params() []*Param { return nil }
 
 // FLOPs implements Layer.
 func (f *Flatten) FLOPs() float64 { return 0 }
+
+// resize implements resizer: any input, flattened.
+func (f *Flatten) resize(in dims, widths []int) (dims, []int, bool) {
+	f.D = in[0] * in[1] * in[2]
+	return dims{f.D, 1, 1}, widths[1:], true
+}
 
 // Forward implements Layer.
 func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {

@@ -85,6 +85,20 @@ func (b *BatchNorm2D) SetRunningStats(mean, variance []float32) {
 	copy(b.Var.W.Data, variance)
 }
 
+// resize implements resizer: one channel per input channel. Forgetting the
+// cached input returns FLOPs to a new layer's 0.
+func (b *BatchNorm2D) resize(in dims, widths []int) (dims, []int, bool) {
+	if in[0] <= 0 {
+		return in, widths, false
+	}
+	b.C, b.x = in[0], nil
+	b.Gamma.reshape(b.C)
+	b.Beta.reshape(b.C)
+	b.Mean.reshape(b.C)
+	b.Var.reshape(b.C)
+	return in, widths[1:], true
+}
+
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != b.C {
@@ -97,10 +111,8 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	b.y = y
 	b.x = x
 	b.xhat = grow(b.xhat, len(x.Data))
-	if len(b.mean) != b.C {
-		b.mean = make([]float32, b.C)
-		b.invStd = make([]float32, b.C)
-	}
+	b.mean = grow(b.mean, b.C) // both written below before they are read
+	b.invStd = grow(b.invStd, b.C)
 	for c := 0; c < b.C; c++ {
 		var mean, variance float32
 		if train {

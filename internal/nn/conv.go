@@ -80,6 +80,22 @@ func (c *Conv2D) FLOPs() float64 {
 		float64(g.InC) * float64(g.KH) * float64(g.KW)
 }
 
+// resize implements resizer: new input channels, plane and filter count;
+// kernel, stride and padding stay. The workspaces follow the geometry on the
+// next call (plan, ensure), the padded sample included: IndirectConv.Plan
+// clears it when the geometry changes.
+func (c *Conv2D) resize(in dims, widths []int) (dims, []int, bool) {
+	g := c.Geom
+	g.InC, g.InH, g.InW, g.OutC = in[0], in[1], in[2], widths[0]
+	if g.InC <= 0 || g.InH <= 0 || g.InW <= 0 || g.OutC <= 0 || g.OutH() <= 0 || g.OutW() <= 0 {
+		return in, widths, false
+	}
+	c.Geom = g
+	c.W.reshape(g.OutC, g.InC, g.KH, g.KW)
+	c.B.reshape(g.OutC)
+	return dims{g.OutC, g.OutH(), g.OutW()}, widths[1:], true
+}
+
 // OutShape returns the per-sample output shape [outC, outH, outW].
 func (c *Conv2D) OutShape() []int {
 	return []int{c.Geom.OutC, c.Geom.OutH(), c.Geom.OutW()}

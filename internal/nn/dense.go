@@ -50,6 +50,18 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 // FLOPs implements Layer: one multiply-add per weight.
 func (d *Dense) FLOPs() float64 { return 2 * float64(d.In) * float64(d.Out) }
 
+// resize implements resizer: a flat input of any width, widths[0] outputs.
+// The sparse kernel is switched off, as on a new layer.
+func (d *Dense) resize(in dims, widths []int) (dims, []int, bool) {
+	if in[0] <= 0 || in[1] != 1 || in[2] != 1 || widths[0] <= 0 {
+		return in, widths, false
+	}
+	d.In, d.Out, d.SparseWeights = in[0], widths[0], false
+	d.W.reshape(d.Out, d.In)
+	d.B.reshape(d.Out)
+	return dims{d.Out, 1, 1}, widths[1:], true
+}
+
 // Forward implements Layer.
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {

@@ -103,6 +103,15 @@ func (a *AvgPool2D) Params() []*Param { return nil }
 // FLOPs implements Layer.
 func (a *AvgPool2D) FLOPs() float64 { return float64(a.C * a.InH * a.InW) }
 
+// resize implements resizer: any input the window divides.
+func (a *AvgPool2D) resize(in dims, widths []int) (dims, []int, bool) {
+	if in[0] <= 0 || in[1]%a.Window != 0 || in[2]%a.Window != 0 {
+		return in, widths, false
+	}
+	a.C, a.InH, a.InW = in[0], in[1], in[2]
+	return dims{a.C, a.InH / a.Window, a.InW / a.Window}, widths[1:], true
+}
+
 // Forward implements Layer.
 func (a *AvgPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 4 || x.Shape[1] != a.C || x.Shape[2] != a.InH || x.Shape[3] != a.InW {

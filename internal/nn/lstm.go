@@ -36,6 +36,12 @@ func (e *Embedding) Name() string { return e.name }
 // Params returns the embedding table.
 func (e *Embedding) Params() []*Param { return []*Param{e.W} }
 
+// resize re-dimensions the table to vocab rows of dim (see Network.Reshape).
+func (e *Embedding) resize(vocab, dim int) {
+	e.V, e.E = vocab, dim
+	e.W.reshape(vocab, dim)
+}
+
 // Lookup gathers embeddings for a batch of equal-length token sequences,
 // producing [N, T, E].
 func (e *Embedding) Lookup(tokens [][]int) *tensor.Tensor {
@@ -182,6 +188,16 @@ func (l *LSTM) resizeSteps(t int) {
 	l.cells = make([]*tensor.Tensor, t)
 	l.hiddens = make([]*tensor.Tensor, t)
 	l.tanhCells = make([]*tensor.Tensor, t)
+}
+
+// resize re-dimensions the layer to in inputs and hidden units (see
+// Network.Reshape). The zero initial states stay zero: they are re-sliced,
+// never written.
+func (l *LSTM) resize(in, hidden int) {
+	l.D, l.H = in, hidden
+	l.Wx.reshape(4*hidden, in)
+	l.Wh.reshape(4*hidden, hidden)
+	l.B.reshape(4 * hidden)
 }
 
 // Forward runs the sequence x [N, T, D] and returns hidden states [N, T, H].
@@ -372,6 +388,21 @@ func NewLSTMLM(vocab, embedDim, hidden, seqLen int, rng *rand.Rand) *LSTMLM {
 
 // Params implements Network.
 func (m *LSTMLM) Params() []*Param { return m.params }
+
+// Reshape implements Network. widths are [vocabulary, embedding, hidden,
+// sequence length], the fields of the family's LMConfig.
+func (m *LSTMLM) Reshape(widths []int) bool {
+	if len(widths) != 4 || min(widths[0], widths[1], widths[2], widths[3]) <= 0 {
+		return false
+	}
+	v, e, h := widths[0], widths[1], widths[2]
+	m.Embed.resize(v, e)
+	m.L1.resize(e, h)
+	m.L2.resize(h, h)
+	m.Out.resize(dims{h, 1, 1}, widths[:1]) // positive widths: it cannot refuse
+	m.SeqLen = widths[3]
+	return true
+}
 
 // ForwardFLOPs implements Network: per sample, T timesteps through both
 // LSTMs plus the vocabulary projection.

@@ -88,6 +88,14 @@ func NewFrozenParam(name string, w *tensor.Tensor) *Param {
 	return p
 }
 
+// reshape re-dimensions W and Grad in place, re-slicing their storage as
+// ensure does. Both hold unspecified values afterwards: SetWeights overwrites
+// W, TrainStep zeroes Grad before it accumulates.
+func (p *Param) reshape(shape ...int) {
+	p.W = ensure(p.W, shape...)
+	p.Grad = ensure(p.Grad, shape...)
+}
+
 // ZeroGrad clears the gradient accumulator.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
 
@@ -109,6 +117,36 @@ type Layer interface {
 	// implied by the layer's geometry. The cluster model charges
 	// 3×forward FLOPs per training sample (forward + backward).
 	FLOPs() float64
+}
+
+// dims is one sample's activation geometry between layers, [C, H, W]; a flat
+// activation of width D is [D, 1, 1].
+type dims [3]int
+
+// resizer is implemented by the layers a network can re-dimension in place
+// (Network.Reshape). resize sets the layer's dimensions for per-sample input
+// in and its width widths[0] (ignored by layers without one), inner layers
+// taking theirs from what follows, and returns its output geometry and the
+// widths it left; false when in does not fit the layer. Like construction it
+// draws nothing, and every buffer it keeps is re-sliced, never read before it
+// is overwritten or cleared.
+type resizer interface {
+	resize(in dims, widths []int) (out dims, rest []int, ok bool)
+}
+
+// resizeChain re-dimensions layers in order, each from its predecessor's
+// output.
+func resizeChain(layers []Layer, in dims, widths []int) (dims, []int, bool) {
+	for _, l := range layers {
+		r, ok := l.(resizer)
+		if !ok || len(widths) == 0 {
+			return in, widths, false
+		}
+		if in, widths, ok = r.resize(in, widths); !ok {
+			return in, widths, false
+		}
+	}
+	return in, widths, true
 }
 
 // paramsBackward is implemented by layers that can accumulate their parameter
@@ -136,6 +174,21 @@ func (b *Batch) Size() int {
 	return len(b.Seq)
 }
 
+// Slice points dst at examples [start, end) of b and returns it. The image
+// tensor header is dst's own, re-pointed, so slicing into a dst that held a
+// chunk before allocates nothing.
+func (b *Batch) Slice(dst *Batch, start, end int) *Batch {
+	if b.X == nil {
+		*dst = Batch{Seq: b.Seq[start:end]}
+		return dst
+	}
+	per := b.X.Size() / b.X.Shape[0]
+	dst.X = view(dst.X, b.X.Data[start*per:end*per], b.X.Shape...)
+	dst.X.Shape[0] = end - start
+	dst.Labels, dst.Seq = b.Labels[start:end], nil
+	return dst
+}
+
 // Network is a trainable model. Both the sequential image classifiers and
 // the LSTM language model implement it, so the federated machinery is
 // agnostic to model family.
@@ -151,6 +204,15 @@ type Network interface {
 	Eval(b *Batch) (loss float64, correct int)
 	// ForwardFLOPs returns the per-sample forward FLOP count.
 	ForwardFLOPs() float64
+	// Reshape re-dimensions the network in place to the given widths — what
+	// its family derives from a description of the same architecture
+	// (core.Family.NetWidths) — leaving it as the family's BuildNet would
+	// build that description, parameter values aside: those are unspecified
+	// until SetWeights loads them. Storage is re-sliced and grows only past
+	// its largest use. It reports false when the widths do not fit the
+	// network or a layer cannot be re-dimensioned (Dropout, whose mask stream
+	// the rebuild would restart); the network must then be discarded.
+	Reshape(widths []int) bool
 }
 
 // Sequential is a feed-forward image classifier: a chain of layers ending in
@@ -215,6 +277,17 @@ func (s *Sequential) Eval(b *Batch) (float64, int) {
 	logits := s.Forward(b.X, false)
 	loss, correct := s.loss.Loss(logits, b.Labels)
 	return loss, correct
+}
+
+// Reshape implements Network. widths are the input geometry [C, H, W], then
+// one width per layer, depth first — a residual block's own, then its
+// body's — the Out of a convolution or dense layer and 0 for the others.
+func (s *Sequential) Reshape(widths []int) bool {
+	if len(widths) < 3 {
+		return false
+	}
+	_, rest, ok := resizeChain(s.layers, dims{widths[0], widths[1], widths[2]}, widths[3:])
+	return ok && len(rest) == 0
 }
 
 // ForwardFLOPs implements Network.

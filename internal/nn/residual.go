@@ -47,6 +47,13 @@ func (r *Residual) FLOPs() float64 {
 	return f
 }
 
+// resize implements resizer: the body takes the widths after the block's
+// own and must map the input geometry back onto itself.
+func (r *Residual) resize(in dims, widths []int) (dims, []int, bool) {
+	out, rest, ok := resizeChain(r.Body, in, widths[1:])
+	return in, rest, ok && out == in
+}
+
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := x

@@ -76,13 +76,16 @@ func (s *SGD) Step(params []*Param) {
 	}
 }
 
-// Reset zeroes every velocity buffer in place, so an optimiser kept with its
+// Reset re-dimensions every velocity buffer to its parameter's current shape
+// (Network.Reshape) and zeroes it in place, so an optimiser kept with its
 // network starts the next assignment exactly as a NewSGD would — stale
-// momentum from another round's weights is meaningless — and allocates
-// nothing doing so.
+// momentum from another round's weights is meaningless — and allocates only
+// when a parameter outgrows its buffer's storage.
 func (s *SGD) Reset() {
-	for _, v := range s.velocity {
+	for p, v := range s.velocity {
+		v = ensure(v, p.W.Shape...)
 		v.Zero()
+		s.velocity[p] = v
 	}
 }
 

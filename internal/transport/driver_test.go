@@ -79,7 +79,7 @@ func driveOverPipes(t *testing.T, order []int) *core.Result {
 				t.Errorf("worker %d: %v", i, err)
 				return
 			}
-			res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0.9, 0), srcs[i], e.Assign, WorkerConfig{Clock: simclock.Fixed{}}, new([]*tensor.Tensor))
+			res, err := trainAssignment(core.NewLocalNet(fam, 0.05, 0.9, 0), srcs[i], e.Assign, WorkerConfig{Clock: simclock.Fixed{}}, new([]*tensor.Tensor))
 			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
 				return
@@ -143,7 +143,7 @@ func TestWorkerCarriesTopKLeftover(t *testing.T) {
 		return &assignMsg{Round: round, Desc: fam.FullDesc(), Weights: weights, Iters: 2, UploadK: k}
 	}
 	upload := func(round int, leftover *[]*tensor.Tensor) []*tensor.Tensor {
-		res, err := core.WorkerStep(core.NewNetCache(fam, 0.05, 0.9, 0), src, assign(round), 1, leftover)
+		res, err := core.WorkerStep(core.NewLocalNet(fam, 0.05, 0.9, 0), src, assign(round), 1, leftover)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func TestWorkerCarriesTopKLeftover(t *testing.T) {
 	go func() {
 		lastRound := 0
 		var leftover []*tensor.Tensor
-		done <- serveConn(worker, core.NewNetCache(fam, cfg.LR, cfg.Momentum, 0), src, cfg, &lastRound, &leftover, newBackoff(0, 0, 1), func(string, ...any) {})
+		done <- serveConn(worker, core.NewLocalNet(fam, cfg.LR, cfg.Momentum, 0), src, cfg, &lastRound, &leftover, newBackoff(0, 0, 1), func(string, ...any) {})
 	}()
 	for round, want := range [][]*tensor.Tensor{first, second} {
 		if _, err := server.send(&envelope{Kind: kindAssign, Assign: assign(round + 1)}); err != nil {

@@ -33,7 +33,7 @@ func TestTrainAssignmentFixedClock(t *testing.T) {
 		{"charged", 2.5},
 		{"free", 0},
 	} {
-		res, err := trainAssignment(core.NewNetCache(fam, 0.05, 0, 0), srcs[0], msg, WorkerConfig{
+		res, err := trainAssignment(core.NewLocalNet(fam, 0.05, 0, 0), srcs[0], msg, WorkerConfig{
 			Clock: simclock.Fixed{PerCall: tc.perCall},
 		}, new([]*tensor.Tensor))
 		if err != nil {
@@ -65,7 +65,7 @@ func TestHeartbeatAndResultOverPipe(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		lastRound := 0
-		done <- serveConn(worker, core.NewNetCache(fam, cfg.LR, 0, 0), srcs[0], cfg, &lastRound, new([]*tensor.Tensor), newBackoff(0, 0, 1), func(string, ...any) {})
+		done <- serveConn(worker, core.NewLocalNet(fam, cfg.LR, 0, 0), srcs[0], cfg, &lastRound, new([]*tensor.Tensor), newBackoff(0, 0, 1), func(string, ...any) {})
 	}()
 
 	// Heartbeat: ping must come back as pong.

@@ -78,9 +78,9 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 		cfg.ID = fmt.Sprintf("%s-%d", cfg.Name, time.Now().UnixNano())
 	}
 
-	// One cache for the worker's lifetime: sessions come and go, the
-	// sub-model shapes the server sends repeat.
-	nets := core.NewNetCache(fam, cfg.LR, cfg.Momentum, 0)
+	// One network for the worker's lifetime, re-dimensioned to each
+	// sub-model the server sends: sessions come and go, it stays.
+	local := core.NewLocalNet(fam, cfg.LR, cfg.Momentum, 0)
 	lastRound := 0
 	var leftover []*tensor.Tensor
 	for session := 0; ; session++ {
@@ -93,7 +93,7 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 			return fmt.Errorf("transport: hello: %w", err)
 		}
 		logf("connected to %s (session %d)", cfg.Addr, session)
-		err = serveConn(c, nets, src, cfg, &lastRound, &leftover, bo, logf)
+		err = serveConn(c, local, src, cfg, &lastRound, &leftover, bo, logf)
 		closeLogged(c, logf, "session connection")
 		if errors.Is(err, errShutdown) {
 			return nil
@@ -113,7 +113,7 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 // session's first assignment is exempt: a lower round number there means the
 // server restarted from a checkpoint and rewound, and the worker follows it.
 // Completing a round (result sent) resets the shared backoff schedule.
-func serveConn(c *conn, nets *core.NetCache, src core.Source, cfg WorkerConfig, lastRound *int, leftover *[]*tensor.Tensor, bo *backoff, logf func(string, ...any)) error {
+func serveConn(c *conn, local *core.LocalNet, src core.Source, cfg WorkerConfig, lastRound *int, leftover *[]*tensor.Tensor, bo *backoff, logf func(string, ...any)) error {
 	firstAssign := true
 	for {
 		// The recycling decoder is safe here because every arm below fully
@@ -145,7 +145,7 @@ func serveConn(c *conn, nets *core.NetCache, src core.Source, cfg WorkerConfig, 
 					*lastRound, e.Assign.Round)
 			}
 			firstAssign = false
-			res, err := trainAssignment(nets, src, e.Assign, cfg, leftover)
+			res, err := trainAssignment(local, src, e.Assign, cfg, leftover)
 			if err != nil {
 				return err
 			}
@@ -169,13 +169,13 @@ func serveConn(c *conn, nets *core.NetCache, src core.Source, cfg WorkerConfig, 
 // (core.WorkerStep) under this worker's stopwatch, which brackets the whole
 // step — training and building the upload. leftover is the worker's top-K
 // compression error, carried from one assignment into the next.
-func trainAssignment(nets *core.NetCache, src core.Source, a *assignMsg, cfg WorkerConfig, leftover *[]*tensor.Tensor) (*resultMsg, error) {
+func trainAssignment(local *core.LocalNet, src core.Source, a *assignMsg, cfg WorkerConfig, leftover *[]*tensor.Tensor) (*resultMsg, error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Wall{}
 	}
 	elapsed := clock.Stopwatch()
-	res, err := core.WorkerStep(nets, src, a, 1, leftover)
+	res, err := core.WorkerStep(local, src, a, 1, leftover)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}

@@ -247,23 +247,32 @@ func usesRNG(layers []LayerSpec) bool {
 	return false
 }
 
-// AppendSignature appends the integers that fix the shape of every
-// parameter, buffer and workspace of the network Build returns: the input
-// geometry and each layer's kind, width and window geometry (names are left
-// out — they label parameters, they do not size them). Two specs with equal
-// signatures build interchangeable networks.
-func (s *Spec) AppendSignature(dst []int) []int {
-	dst = append(dst, s.InC, s.InH, s.InW, s.Classes)
-	return appendLayerSignature(dst, s.Layers)
+// AppendWidths appends the widths nn.Sequential.Reshape takes to turn a
+// network Build made from a spec of arch's architecture into Build(s) — the
+// input geometry, then each layer's Out, depth first — and reports whether s
+// has that architecture: the same layer kinds, kernels, strides, padding,
+// windows and residual bodies, in the same order. Every sub-model the pruning
+// planner cuts from arch does; names are not compared, they label parameters
+// and size nothing.
+func (s *Spec) AppendWidths(dst []int, arch *Spec) ([]int, bool) {
+	return appendWidths(append(dst, s.InC, s.InH, s.InW), s.Layers, arch.Layers)
 }
 
-func appendLayerSignature(dst []int, layers []LayerSpec) []int {
-	for i := range layers {
-		l := &layers[i]
-		dst = append(dst, int(l.Kind), l.Out, l.K, l.Stride, l.Pad, l.Window, len(l.Body))
-		dst = appendLayerSignature(dst, l.Body)
+func appendWidths(dst []int, layers, arch []LayerSpec) ([]int, bool) {
+	if len(layers) != len(arch) {
+		return dst, false
 	}
-	return dst
+	for i := range layers {
+		l, a := &layers[i], &arch[i]
+		if l.Kind != a.Kind || l.K != a.K || l.Stride != a.Stride || l.Pad != a.Pad || l.Window != a.Window {
+			return dst, false
+		}
+		var ok bool
+		if dst, ok = appendWidths(append(dst, l.Out), l.Body, a.Body); !ok {
+			return dst, false
+		}
+	}
+	return dst, true
 }
 
 // Build constructs a trainable network from the spec with freshly

@@ -183,3 +183,75 @@ func TestKindString(t *testing.T) {
 		seen[s] = true
 	}
 }
+
+// TestReshapeFollowsArchitecture: AppendWidths accepts a spec of the same
+// architecture — other widths, another input geometry — and refuses one with
+// another kernel or another layer chain; a network re-dimensioned to the
+// accepted widths has Build's parameter shapes and FLOPs, and refuses widths
+// it cannot take: too few, a plane its pooling window does not divide, any
+// network with a Dropout layer.
+func TestReshapeFollowsArchitecture(t *testing.T) {
+	for _, id := range ImageModelIDs {
+		arch, err := SpecFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub := arch.Clone()
+		sub.InH, sub.InW = 2*arch.InH, 2*arch.InW
+		narrowed := &sub.Layers[0] // the first convolution, or a residual body's
+		if id == ModelResNet {
+			narrowed = &sub.Layers[4].Body[0]
+		}
+		narrowed.Out = 3
+		widths, ok := sub.AppendWidths(nil, arch)
+		if !ok {
+			t.Fatalf("%s: a narrower, larger-input spec refused", id)
+		}
+		net, err := Build(arch, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Build(sub, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !net.Reshape(widths) {
+			t.Fatalf("%s: Reshape refused its own architecture's widths", id)
+		}
+		for i, p := range net.Params() {
+			if !tensor.SameShape(p.W, want.Params()[i].W) || !tensor.SameShape(p.Grad, p.W) {
+				t.Fatalf("%s %s: W %v, Grad %v, want %v", id, p.Name, p.W.Shape, p.Grad.Shape, want.Params()[i].W.Shape)
+			}
+		}
+		x := tensor.New(1, sub.InC, sub.InH, sub.InW)
+		net.Forward(x, false)
+		want.Forward(x, false)
+		if net.ForwardFLOPs() != want.ForwardFLOPs() {
+			t.Errorf("%s: %v FLOPs re-dimensioned, %v built", id, net.ForwardFLOPs(), want.ForwardFLOPs())
+		}
+		if net.Reshape(widths[:len(widths)-1]) {
+			t.Errorf("%s: Reshape took one width too few", id)
+		}
+		odd := append([]int(nil), widths...)
+		odd[1], odd[2] = arch.InH+1, arch.InW+1
+		if net.Reshape(odd) {
+			t.Errorf("%s: Reshape took a plane the pooling does not divide", id)
+		}
+		kernel := arch.Clone()
+		kernel.Layers[0].K++
+		if _, ok := kernel.AppendWidths(nil, arch); ok {
+			t.Errorf("%s: a spec with another kernel has its architecture", id)
+		}
+	}
+	if _, ok := AlexNetSpec().AppendWidths(nil, CNNSpec()); ok {
+		t.Error("AlexNet has the CNN's architecture")
+	}
+	drop := dropoutSpec()
+	net, err := Build(drop, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if widths, _ := drop.AppendWidths(nil, drop); net.Reshape(widths) {
+		t.Error("a network with a Dropout layer was re-dimensioned")
+	}
+}
