@@ -117,14 +117,14 @@ test-benchmark:
 	cd benchmark && go run fedmp/cmd/fedmp-lint ./...
 
 # loc prints the non-test Go lines and the assembly lines (.s and the .h
-# files they include) per package — the figures every PR reports (ROADMAP: net
-# line count is a metric).
+# files they include) per package, then their totals — the figures every PR
+# reports (ROADMAP: net line count is a metric).
 loc:
 	@printf '%6s %6s\n' go asm
 	@go list -f '{{.ImportPath}} {{.Dir}}' ./... | while read pkg dir; do \
 		printf '%6d %6d %s\n' $$(ls $$dir/*.go | grep -v _test.go | xargs cat | wc -l) \
 			$$(cat /dev/null $$(ls $$dir/*.s $$dir/*.h 2>/dev/null) | wc -l) $$pkg; \
-	done
+	done | awk '{ print; go += $$1; asm += $$2 } END { printf "%6d %6d total\n", go, asm }'
 
 check: vet lint build test test-kernels race
 

@@ -243,7 +243,7 @@ func runSim(o simOptions, w io.Writer) error {
 // instead of a trajectory.
 func streamSummary(w io.Writer, res *fedmp.Result) {
 	s := res.Stream
-	fmt.Fprintf(w, "streamed over %d rounds (%d scheduler events)\n", s.Rounds, res.Events)
+	fmt.Fprintf(w, "streamed over %d rounds\n", s.Rounds)
 	fmt.Fprintf(w, "round time: mean %.1fs, p50 %.1fs, p95 %.1fs, p99 %.1fs\n",
 		s.RoundTime.Mean, s.RoundTimeP50.Value(), s.RoundTimeP95.Value(), s.RoundTimeP99.Value())
 	fmt.Fprintf(w, "per-round means: compute %.1fs, communication %.1fs, %.1f participants\n",

@@ -18,9 +18,9 @@ import (
 // Period, at a device-specific phase) and correlated regional outages
 // (devices share Regions failure domains; each domain goes dark for whole
 // windows at a time). Both are pure functions of (Seed, id, time), so the
-// engine can turn them into scheduler events without keeping per-device
-// state. The per-round fault seam (FaultConfig) still applies on top,
-// per cohort slot.
+// engine asks Available about the devices it samples and keeps no
+// per-device state. The per-round fault seam (FaultConfig) still applies on
+// top, per cohort slot.
 type Population struct {
 	// Size is the number of devices in the population.
 	Size int
@@ -193,10 +193,9 @@ func (p *Population) Region(id int) int {
 	return id % p.Outage.Regions
 }
 
-// OutageDraw reports whether the region goes dark in the given window —
-// the deterministic draw both the analytic gate and the engine's
-// scheduled outage events share.
-func (p *Population) OutageDraw(region int, window int64) bool {
+// outageDraw reports whether the region goes dark in the given window, a
+// deterministic draw per (Seed, region, window).
+func (p *Population) outageDraw(region int, window int64) bool {
 	if !p.Outage.Enabled() || window < 0 {
 		return false
 	}
@@ -215,20 +214,21 @@ func (p *Population) DiurnalOn(id int, now float64) bool {
 }
 
 // Available reports whether device id is reachable at virtual time now:
-// awake per the diurnal trace and not inside a regional outage. It is the
-// analytic reference for the engine's event-driven outage state — both
-// consume the same OutageDraw stream.
+// awake per the diurnal trace and outside its region's drawn outage windows,
+// each dark from w·Period up to, not including, w·Period + Duration.
 func (p *Population) Available(id int, now float64) bool {
 	if !p.DiurnalOn(id, now) {
 		return false
 	}
-	if p.Outage.Enabled() {
-		w := int64(now / p.Outage.Period)
-		if p.OutageDraw(p.Region(id), w) && now-float64(w)*p.Outage.Period < p.Outage.Duration {
-			return false
-		}
+	o := p.Outage
+	if !o.Enabled() {
+		return true
 	}
-	return true
+	w := int64(now / o.Period)
+	if float64(w)*o.Period > now { // now < 0, or the division rounded up
+		w--
+	}
+	return now >= float64(w)*o.Period+o.Duration || !p.outageDraw(p.Region(id), w)
 }
 
 // Composition returns the device count per cluster, mirroring

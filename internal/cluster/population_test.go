@@ -149,7 +149,7 @@ func TestOutageGate(t *testing.T) {
 	// Find a window where region 0 is out.
 	window := int64(-1)
 	for w := int64(0); w < 64; w++ {
-		if p.OutageDraw(0, w) {
+		if p.outageDraw(0, w) {
 			window = w
 			break
 		}
@@ -169,6 +169,61 @@ func TestOutageGate(t *testing.T) {
 			t.Fatalf("device %d still out after the outage lifted", id)
 		}
 	}
+}
+
+// TestAvailableAtWindowEdges pins the outage gate at its boundaries: a drawn
+// window darkens its region from w·Period inclusive to w·Period + Duration
+// exclusive, back-to-back windows leave no gap when Duration == Period, and
+// no window covers negative times.
+func TestAvailableAtWindowEdges(t *testing.T) {
+	edges := func(dur float64) *Population {
+		return &Population{Size: 8, Seed: 5, Outage: Outage{Regions: 2, Prob: 0.5, Period: 10, Duration: dur}}
+	}
+	// firstWindow returns the first window w >= from whose draws for region 0
+	// at w and w+1 are dark and next.
+	firstWindow := func(p *Population, from int64, next bool) int64 {
+		for w := from; w < from+256; w++ {
+			if p.outageDraw(0, w) && p.outageDraw(0, w+1) == next {
+				return w
+			}
+		}
+		t.Fatalf("no window with draws (dark, %v) in 256", next)
+		return 0
+	}
+	check := func(p *Population, now float64, want bool) {
+		t.Helper()
+		if got := p.Available(0, now); got != want {
+			t.Errorf("Duration %v: Available(0, %v) = %v, want %v", p.Outage.Duration, now, got, want)
+		}
+	}
+
+	p := edges(4)
+	w := firstWindow(p, 1, false)
+	start := float64(w) * p.Outage.Period
+	check(p, math.Nextafter(start, math.Inf(-1)), true)
+	check(p, start, false)
+	check(p, math.Nextafter(start+4, math.Inf(-1)), false)
+	check(p, start+4, true)
+
+	p = edges(10)
+	w = firstWindow(p, 1, true)
+	next := float64(w+1) * p.Outage.Period
+	check(p, math.Nextafter(next, math.Inf(-1)), false)
+	check(p, next, false)
+	w = firstWindow(p, 1, false)
+	next = float64(w+1) * p.Outage.Period
+	check(p, math.Nextafter(next, math.Inf(-1)), false)
+	check(p, next, true)
+
+	// Window 0, and the times before it.
+	p = edges(4)
+	for !p.outageDraw(0, 0) {
+		p.Seed++
+	}
+	check(p, 0, false)
+	check(p, 4, true)
+	check(p, -1, true)
+	check(p, math.Nextafter(0, math.Inf(-1)), true)
 }
 
 // TestSubSeedSpreads is a light avalanche check: adjacent ids must give

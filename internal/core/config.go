@@ -377,9 +377,10 @@ type Result struct {
 	// Stream carries the constant-memory aggregates when
 	// Config.StreamMetrics is set (Points and Stats then stay empty).
 	Stream *StreamStats
-	// Events counts virtual-time scheduler events processed over the run —
-	// worker completions, round closes, eval ticks and churn transitions —
-	// the numerator of the benchmark's simsched.events_per_round.
+	// Events counts the completions Alg. 2's scheduler processed over an
+	// asynchronous run — the numerator of the benchmark's
+	// simsched.events_per_round — and is 0 for lockstep runs, which close
+	// their rounds without an event queue.
 	Events int64
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // Executor is what differs between the ways a round can run: on the simulated
-// cluster in lockstep (runner: virtual time on simsched), on the simulated
-// cluster under Alg. 2 (asyncExec: the first m arrivals of everything in
-// flight), or on the TCP parameter server (internal/transport: the registry
+// cluster in lockstep (runner: the virtual clock), on the simulated cluster
+// under Alg. 2 (asyncExec: the first m arrivals of everything in flight on
+// simsched), or on the TCP parameter server (internal/transport: the registry
 // and the wall clock). The Driver asks it five questions per round and owns
 // everything else.
 type Executor interface {

@@ -14,8 +14,8 @@ import (
 
 // runner is one simulation run: the Driver plus the in-process Executor it
 // drives — device scenario or population, data sources, fault injector and
-// the virtual-time scheduler. It is itself the lockstep executor (Fig. 1);
-// asyncExec runs Alg. 2 over the same state.
+// the virtual clock. It is itself the lockstep executor (Fig. 1); asyncExec
+// runs Alg. 2 over the same state.
 type runner struct {
 	*Driver
 	devices  []*cluster.Device
@@ -25,25 +25,19 @@ type runner struct {
 	// faults is the injector's verdict for the round Workers last opened.
 	faults []cluster.Fault
 
-	// sched is the event-driven virtual-time core: worker completions,
-	// round closes, eval ticks and churn transitions all pass through it.
 	// now is the virtual clock.
-	sched *simsched.Scheduler
-	now   float64
+	now float64
 
 	// Population mode (cfg.Population != nil): pop is the lazy device
 	// universe, cohortRng draws each round's sample, cohortIDs maps cohort
 	// slots to sampled device ids, cohortDevs is each slot's one live device,
 	// rebound every round, devCache parks the jitter state of every device
-	// sampled so far — pointer-free, the collector never scans it — and
-	// regionDown is the event-driven regional outage state.
+	// sampled so far — pointer-free, the collector never scans it.
 	pop        *cluster.Population
 	cohortRng  *rand.Rand
 	cohortIDs  []int
 	cohortDevs []*cluster.Device
 	devCache   map[int]cluster.Parked
-	regionDown []bool
-	nextWindow int64
 
 	// timesScratch backs the deadline quantile selection.
 	timesScratch []float64
@@ -54,8 +48,8 @@ type runner struct {
 
 	// Round-scoped scratch, re-sliced every round instead of reallocated.
 	// workerIDs is the fixed [0..Workers) identity list; the rest hold the
-	// round's availability filter, failure split, trained outputs, arrival
-	// bookkeeping and cohort sampling state. Nothing outlives the round it
+	// round's availability filter, failure split, trained outputs, deadline
+	// split and cohort sampling state. Nothing outlives the round it
 	// was filled in: strategies read the slices they are handed only during
 	// the call.
 	workerIDs    []int
@@ -64,8 +58,6 @@ type runner struct {
 	runnable     []Assignment
 	outs         []Output
 	errs         []error
-	arrived      []int
-	hasArrived   []bool
 	participants []Output
 	late         []Assignment
 	tried        map[int]struct{}
@@ -102,7 +94,6 @@ func newRunner(fam Family, cfg Config) (*runner, error) {
 		devices: devices,
 		sources: sources,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 29)),
-		sched:   simsched.New(4*cfg.Workers + 8),
 
 		leftover: make([][]*tensor.Tensor, cfg.Workers),
 	}
@@ -120,9 +111,6 @@ func newRunner(fam Family, cfg Config) (*runner, error) {
 		}
 		r.devCache = make(map[int]cluster.Parked)
 		r.tried = make(map[int]struct{}, cfg.Workers)
-		if cfg.Population.Outage.Enabled() {
-			r.regionDown = make([]bool, cfg.Population.Outage.Regions)
-		}
 	}
 	if cfg.Faults.Enabled() {
 		r.injector = cluster.NewInjector(cfg.Faults, cfg.Workers)
@@ -141,29 +129,31 @@ func Run(fam Family, cfg Config) (*Result, error) {
 	return r.run()
 }
 
-// run drives the rounds on the executor the configuration selects and
-// counts the scheduler events they took.
+// run drives the rounds on the executor the configuration selects; under
+// Alg. 2 it counts the completions the scheduler processed.
 func (r *runner) run() (*Result, error) {
-	var exec Executor = r
-	if r.cfg.Async {
-		exec = &asyncExec{runner: r, inflight: make([]asyncItem, r.cfg.Workers), next: slices.Clone(r.workerIDs)}
+	if !r.cfg.Async {
+		return r.Drive(r)
 	}
-	r.sched.Advance(r.now)
-	res, err := r.Drive(exec)
+	x := &asyncExec{
+		runner:   r,
+		sched:    simsched.New(r.cfg.Workers),
+		inflight: make([]asyncItem, r.cfg.Workers),
+		next:     slices.Clone(r.workerIDs),
+	}
+	res, err := r.Drive(x)
 	if err != nil {
 		return nil, err
 	}
-	res.Events = int64(r.sched.Processed())
+	res.Events = int64(x.sched.Processed())
 	return res, nil
 }
 
-// Workers implements Executor: drain due churn events, then select the
-// round's worker slots, ascending — the fixed set, or a cohort sampled into
-// the first slots in population mode. With fault injection enabled, devices
-// recovering from an earlier crash are skipped up front (suspect, mirroring
-// the wire runtime's suspect state).
+// Workers implements Executor: select the round's worker slots, ascending —
+// the fixed set, or a cohort sampled into the first slots in population mode.
+// With fault injection enabled, devices recovering from an earlier crash are
+// skipped up front (suspect, mirroring the wire runtime's suspect state).
 func (r *runner) Workers(round int) (assignable []int, suspect, behind int, err error) {
-	r.drainDue()
 	r.faults = nil
 	if r.injector != nil {
 		r.faults = r.injector.Advance(round)
@@ -220,22 +210,21 @@ func (r *runner) trainSpared(wireRound int, assignments []Assignment, failureRat
 }
 
 // Run implements Executor: train the cohort in parallel, then close the
-// round through the event scheduler — completions and the fault-tolerance
-// deadline are heap events popped in virtual-time order. Devices hit by an
-// injected fault mid-round lose their assignment.
+// round at the last arrival or the fault-tolerance deadline (closeRound).
+// Devices hit by an injected fault mid-round lose their assignment.
 func (r *runner) Run(round int, assignments []Assignment) (delivered []Output, lost []Assignment, seconds float64, err error) {
 	outs, failed, err := r.trainSpared(round, assignments, r.cfg.FailureRate)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	delivered, late, seconds := r.closeRound(round, outs, len(failed) > 0)
+	delivered, late, seconds := r.closeRound(outs, len(failed) > 0)
 	lost = append(failed, late...)
 	r.failed = lost
 	if len(late) > 0 && len(late) < len(lost) {
 		// Assignments come in ascending worker order.
 		slices.SortFunc(lost, func(a, b Assignment) int { return a.Worker - b.Worker })
 	}
-	r.advance(seconds)
+	r.now += seconds
 	return delivered, lost, seconds, nil
 }
 
@@ -244,7 +233,7 @@ func (r *runner) Run(round int, assignments []Assignment) (delivered []Output, l
 func (r *runner) Idle(seconds, meanRoundTime float64) (float64, bool) {
 	if seconds == 0 {
 		seconds = math.Max(meanRoundTime, 1)
-		r.advance(seconds)
+		r.now += seconds
 	}
 	return seconds, true
 }
@@ -252,23 +241,11 @@ func (r *runner) Idle(seconds, meanRoundTime float64) (float64, bool) {
 // Now implements Executor: the virtual clock.
 func (r *runner) Now() float64 { return r.now }
 
-// Closed implements Executor. An evaluated round ticks the scheduler: an
-// eval event is pushed at the round's close time and popped through the
-// heap, so any churn that came due during the round is dispatched first, in
-// virtual-time order. The simulator persists nothing.
+// Closed implements Executor for both simulated executors: release the
+// round's scratch. The simulator persists nothing.
 func (r *runner) Closed(round int, eval *Point, snap func() *State) error {
 	r.releaseRound()
-	if eval == nil {
-		return nil
-	}
-	r.sched.Push(r.now, simsched.KindEval, int64(round))
-	for {
-		ev, ok := r.sched.Pop()
-		if !ok || ev.Kind == simsched.KindEval {
-			return nil
-		}
-		r.dispatchEvent(ev)
-	}
+	return nil
 }
 
 // asyncBehind is how far Alg. 2 numbers a dispatch behind the round that
@@ -281,7 +258,7 @@ const asyncBehind = 1
 // asyncItem is one in-flight assignment under Alg. 2. A lost item is an
 // assignment destroyed by an injected fault: it surfaces at its finish time
 // only so the PS can notice the loss and re-dispatch the worker. Finish
-// times live in the scheduler; the worker index rides on the event ID.
+// times live in asyncExec's scheduler; the worker index rides on the event ID.
 type asyncItem struct {
 	out  Output
 	lost bool
@@ -290,14 +267,15 @@ type asyncItem struct {
 // asyncExec runs Algorithm 2 of the paper on the runner's cluster: a round
 // aggregates the first m local models to arrive, and the next one re-decides
 // pruning ratios for exactly those m workers and sends them fresh sub-models
-// while the others keep training their (now stale) assignments. In-flight
-// completions are KindWorkerDone events on the shared scheduler — nothing
-// else is ever queued here, so evaluation is not a scheduler event as it is
-// in lockstep rounds. Injected faults destroy in-flight work: the affected
-// worker re-enters the dispatch cycle once its loss surfaces. The §V-A
-// deadline and Config.FailureRate play no part.
+// while the others keep training their (now stale) assignments. Injected
+// faults destroy in-flight work: the affected worker re-enters the dispatch
+// cycle once its loss surfaces. The §V-A deadline and Config.FailureRate play
+// no part.
 type asyncExec struct {
 	*runner
+	// sched holds every in-flight finish time as a KindWorkerDone event,
+	// popped in virtual-time order with first-in-first-out ties.
+	sched *simsched.Scheduler
 	// inflight holds each worker's dispatched assignment — a worker is
 	// dispatched again only once its last one has surfaced; next lists whom
 	// the coming round dispatches.
@@ -369,25 +347,13 @@ func (x *asyncExec) Run(round int, assignments []Assignment) (delivered []Output
 		x.next = append(x.next, lost[i].Worker)
 	}
 	seconds = end - x.now
-	x.advance(seconds)
+	x.now += seconds
 	return delivered, lost, seconds, nil
 }
 
 // Idle implements Executor: a round of nothing but losses took the time it
 // took, and the lost workers are dispatched again.
 func (x *asyncExec) Idle(seconds, meanRoundTime float64) (float64, bool) { return seconds, true }
-
-// Closed implements Executor.
-func (x *asyncExec) Closed(round int, eval *Point, snap func() *State) error {
-	x.releaseRound()
-	return nil
-}
-
-// advance moves the virtual clock forward.
-func (r *runner) advance(seconds float64) {
-	r.now += seconds
-	r.sched.Advance(r.now)
-}
 
 // releaseRound parks the cohort's devices where the round left them and drops
 // the round scratch's references to the round's models — the assignments'

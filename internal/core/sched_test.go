@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -162,11 +163,52 @@ func TestStreamMetricsMatchStats(t *testing.T) {
 	}
 }
 
+// sampledFamily checks the runner's cohorts at each round's planning step —
+// after Workers has bound the cohort, before the clock moves: every device
+// sampled must be available at the round's start. ids collects them all.
+type sampledFamily struct {
+	*ImageFamily
+	t   *testing.T
+	r   *runner
+	ids []int
+}
+
+func (f *sampledFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
+	for _, id := range f.r.cohortIDs {
+		if !f.r.pop.Available(id, f.r.now) {
+			f.t.Errorf("device %d sampled at %v while unavailable", id, f.r.now)
+		}
+	}
+	f.ids = append(f.ids, f.r.cohortIDs...)
+	return f.ImageFamily.PlanContext(weights)
+}
+
+// runSampled runs cfg through a sampledFamily and returns the result and
+// every device id sampled.
+func runSampled(t *testing.T, cfg Config) (*Result, []int) {
+	t.Helper()
+	fam := &sampledFamily{ImageFamily: tinyFamily(), t: t}
+	r, err := newRunner(fam, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fam.r = r
+	res, err := r.run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fam.ids) == 0 {
+		t.Fatal("no device was ever sampled")
+	}
+	return res, fam.ids
+}
+
 // TestPopulationChurnRun exercises the full scale path: a large-ish
 // population, a small sampled cohort, both availability gates on, streaming
-// metrics — the million-device configuration in miniature.
+// metrics — the million-device configuration in miniature. Every cohort is
+// available at its round's start (sampledFamily), and with one region dark
+// for the whole run none of its devices is ever sampled.
 func TestPopulationChurnRun(t *testing.T) {
-	fam := tinyFamily()
 	cfg := quickCfg(StrategyFedMP, 5)
 	cfg.Workers = 3
 	cfg.StreamMetrics = true
@@ -175,15 +217,9 @@ func TestPopulationChurnRun(t *testing.T) {
 		Diurnal: cluster.Diurnal{Period: 40, OnFraction: 0.6},
 		Outage:  cluster.Outage{Regions: 4, Prob: 0.3, Period: 25, Duration: 12},
 	}
-	res, err := Run(fam, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := runSampled(t, cfg)
 	if res.Rounds != 5 {
 		t.Fatalf("ran %d rounds, want 5", res.Rounds)
-	}
-	if res.Events <= 0 {
-		t.Errorf("processed %d scheduler events", res.Events)
 	}
 	if res.Stream == nil || res.Stream.Rounds != 5 {
 		t.Fatalf("stream = %+v", res.Stream)
@@ -192,12 +228,81 @@ func TestPopulationChurnRun(t *testing.T) {
 		t.Errorf("a round had %v participants, cohort is %d", res.Stream.Participants.Max, cfg.Workers)
 	}
 	// Determinism: the same config replays the same run.
-	res2, err := Run(fam, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res2, _ := runSampled(t, cfg)
 	if got, want := resultFingerprint(t, res2), resultFingerprint(t, res); got != want {
 		t.Fatal("population churn run is not deterministic")
+	}
+
+	// Two regions and one outage window spanning the run: pick the first
+	// seed whose draw darkens region 0 (even ids) and spares region 1.
+	dark := cluster.Population{Size: 40, Outage: cluster.Outage{Regions: 2, Prob: 0.5, Period: 1e9, Duration: 1e9}}
+	dark.Seed = 1
+	for dark.Available(0, 0) || !dark.Available(1, 0) {
+		dark.Seed++
+	}
+	cfg = quickCfg(StrategyFedMP, 4)
+	cfg.Workers = 3
+	cfg.Population = &dark
+	_, ids := runSampled(t, cfg)
+	for _, id := range ids {
+		if dark.Region(id) == 0 {
+			t.Fatalf("device %d of the dark region was sampled (cohorts %v)", id, ids)
+		}
+	}
+}
+
+// TestDeadlineCloseIsInclusive pins closeRound's §V-A filter on hand-built
+// outputs, the round opening at 10 s so arrivals are the same float sums the
+// engine forms. A worker finishing exactly at the deadline participates; the
+// round lasts until the deadline when someone is late or failures made the PS
+// wait, and until the last arrival otherwise.
+func TestDeadlineCloseIsInclusive(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		faultTolerance bool
+		factor         float64
+		totals         []float64
+		failures       bool
+		wantLate       []int
+		wantTime       float64
+	}{
+		// Median 3 × 1.5: worker 1 lands on the 4.5 s deadline, worker 3 misses it.
+		{"tie-late", true, 1.5, []float64{2, 4.5, 3, 6}, false, []int{3}, 4.5},
+		// Median 2 × 2: worker 2 lands on the 4 s deadline, the last arrival.
+		{"tie-failures", true, 2, []float64{1, 2, 4, 3}, true, nil, 4},
+		// Median 2 × 2: everyone is in by 3.5 s, before the 4 s deadline.
+		{"early", true, 2, []float64{1, 2, 3, 3.5}, false, nil, 3.5},
+		{"early-failures", true, 2, []float64{1, 2, 3, 3.5}, true, nil, 4},
+		// Without fault tolerance there is no deadline to wait out.
+		{"no-deadline", false, 0, []float64{1, 2, 3, 3.5}, true, nil, 3.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Workers: len(tc.totals), FaultTolerance: tc.faultTolerance, DeadlineQuantile: 0.5, DeadlineFactor: tc.factor}
+			r := &runner{Driver: &Driver{cfg: cfg}, now: 10}
+			outs := make([]Output, len(tc.totals))
+			for i, total := range tc.totals {
+				outs[i] = Output{Assignment: Assignment{Worker: i}, Total: total}
+			}
+			participants, late, seconds := r.closeRound(outs, tc.failures)
+			var gotIn, gotLate, wantIn []int
+			for _, o := range participants {
+				gotIn = append(gotIn, o.Worker)
+			}
+			for _, a := range late {
+				gotLate = append(gotLate, a.Worker)
+			}
+			for i := range tc.totals {
+				if !slices.Contains(tc.wantLate, i) {
+					wantIn = append(wantIn, i)
+				}
+			}
+			if !slices.Equal(gotIn, wantIn) || !slices.Equal(gotLate, tc.wantLate) {
+				t.Errorf("participants %v, late %v; want %v, %v", gotIn, gotLate, wantIn, tc.wantLate)
+			}
+			if seconds != tc.wantTime {
+				t.Errorf("round lasted %v s, want %v s", seconds, tc.wantTime)
+			}
+		})
 	}
 }
 
@@ -241,32 +346,26 @@ func populationHeapCfg(rounds, size int) Config {
 }
 
 // TestPopulationCostIndependentOfSize pins the scaling claim of population
-// mode: at a fixed cohort the work and the memory of a run do not depend on
-// how many devices exist. The same 50-round, cohort-30 run over 10³ and 10⁶
-// devices processes the same number of scheduler events, and what it holds
-// live in its last round grows by no more than the devices it sampled: the
-// small population is sampled with repeats (~780 distinct of 1 500 draws),
-// the large one almost without, hence the factor of two.
+// mode: at a fixed cohort the memory of a run does not depend on how many
+// devices exist. What the same 50-round, cohort-30 run over 10³ and 10⁶
+// devices holds live in its last round grows by no more than the devices it
+// sampled: the small population is sampled with repeats (~780 distinct of
+// 1 500 draws), the large one almost without, hence the factor of two.
 func TestPopulationCostIndependentOfSize(t *testing.T) {
-	run := func(size int) (events int64, growth int64) {
+	run := func(size int) (growth int64) {
 		fam := &liveHeapFamily{ImageFamily: tinyFamily()}
 		before := liveHeap()
-		res, err := Run(fam, populationHeapCfg(50, size))
-		if err != nil {
+		if _, err := Run(fam, populationHeapCfg(50, size)); err != nil {
 			t.Fatal(err)
 		}
-		return res.Events, int64(fam.live[len(fam.live)-1]) - int64(before)
+		return int64(fam.live[len(fam.live)-1]) - int64(before)
 	}
-	smallEvents, smallGrowth := run(1_000)
-	largeEvents, largeGrowth := run(1_000_000)
-	if smallEvents != largeEvents || smallEvents == 0 {
-		t.Errorf("%d events over 10³ devices, %d over 10⁶; want equal and non-zero", smallEvents, largeEvents)
-	}
+	smallGrowth, largeGrowth := run(1_000), run(1_000_000)
 	if limit := 2*smallGrowth + 256<<10; largeGrowth > limit {
 		t.Errorf("live heap grew %d KiB over 10⁶ devices, %d KiB over 10³; want at most %d KiB",
 			largeGrowth>>10, smallGrowth>>10, limit>>10)
 	}
-	t.Logf("events %d; live-heap growth %d KiB (10³), %d KiB (10⁶)", smallEvents, smallGrowth>>10, largeGrowth>>10)
+	t.Logf("live-heap growth %d KiB (10³), %d KiB (10⁶)", smallGrowth>>10, largeGrowth>>10)
 }
 
 // TestPopulationHeapFlatInRounds is the other axis of the scaling claim: what

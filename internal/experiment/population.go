@@ -8,8 +8,8 @@ import (
 	"fedmp/internal/zoo"
 )
 
-// extra-population sweeps cohort size against population size on the
-// event-driven scheduler: FedMP trains a per-round sampled cohort out of a
+// extra-population sweeps cohort size against population size in the
+// simulator's population mode: FedMP trains a per-round sampled cohort out of a
 // lazily derived device population with diurnal and regional-outage churn,
 // streaming metrics so memory stays constant however large the population.
 // It rides alongside the paper artefacts the same way the churn sweep does.

@@ -1,48 +1,30 @@
-// Package simsched is the event-driven virtual-time scheduler behind the
-// simulation engine. A binary min-heap of timestamped events — worker
-// completions, round-close deadlines, eval ticks, churn transitions —
-// drives virtual time forward, so a round costs O(events in the round)
-// instead of O(population). Events with equal timestamps pop in FIFO
-// order (a monotonic sequence number breaks ties), which keeps the engine
-// deterministic: the pop order is a pure function of the push order, never
-// of heap internals.
+// Package simsched is the virtual-time event queue behind the simulator's
+// asynchronous engine (Alg. 2): a binary min-heap of worker completions that
+// pops the earliest first, so "the first m results to arrive" is exact.
+// Events with equal timestamps pop in FIFO order (a monotonic sequence
+// number breaks ties), which keeps the engine deterministic: the pop order is
+// a pure function of the push order, never of heap internals.
 //
 // The scheduler is deliberately tiny and non-generic: an Event carries a
 // kind tag and one int64 payload slot; callers keep richer payloads in a
-// side slice indexed by that ID. It holds no wall-clock state and draws no
-// randomness — virtual time only advances when events pop or the caller
-// calls Advance.
+// side slice indexed by that ID. It holds no clock and draws no randomness.
 package simsched
 
-// Kind tags what an event means to the engine.
+// Kind tags what an event means to the caller.
 type Kind uint8
 
-// Event kinds. The scheduler itself treats them opaquely; they exist so a
-// drain loop can dispatch without a side table.
+// Event kinds. The scheduler itself treats them opaquely.
 const (
 	// KindNone is the zero Kind; no real event carries it.
 	KindNone Kind = iota
 	// KindWorkerDone marks a worker's result arriving at the PS. ID is the
 	// caller's index for the in-flight computation.
 	KindWorkerDone
-	// KindRoundClose marks a round's deadline expiring. ID is the round.
-	KindRoundClose
-	// KindEval marks a scheduled evaluation of the global model. ID is the
-	// round the evaluation reports under.
-	KindEval
-	// KindOutageStart marks a regional outage beginning. ID is the region.
-	KindOutageStart
-	// KindOutageEnd marks a regional outage lifting. ID is the region.
-	KindOutageEnd
-	// KindArrive marks a device joining the population. ID is the device.
-	KindArrive
-	// KindDepart marks a device leaving the population. ID is the device.
-	KindDepart
 )
 
 // Event is one timestamped occurrence. Time is virtual seconds; ID is an
-// opaque payload slot owned by the caller (worker index, round number,
-// region index — whatever the Kind implies).
+// opaque payload slot owned by the caller (a worker index for
+// KindWorkerDone).
 type Event struct {
 	Time float64
 	Kind Kind
@@ -68,7 +50,6 @@ func (e Event) before(o Event) bool {
 // value is not ready; use New. Not safe for concurrent use — the engine
 // parallelises training, not event dispatch.
 type Scheduler struct {
-	now       float64
 	seq       uint64
 	processed uint64
 	ev        []Event
@@ -83,28 +64,14 @@ func New(capacity int) *Scheduler {
 	return &Scheduler{ev: make([]Event, 0, capacity)}
 }
 
-// Now returns the current virtual time: the maximum of every popped event
-// timestamp and every Advance call so far.
-func (s *Scheduler) Now() float64 { return s.now }
-
 // Len returns the number of queued events.
 func (s *Scheduler) Len() int { return len(s.ev) }
 
 // Processed returns how many events have been popped over the scheduler's
-// lifetime — the engine's events/sec numerator.
+// lifetime.
 func (s *Scheduler) Processed() uint64 { return s.processed }
 
-// Advance moves virtual time forward to t without dispatching anything.
-// The engine uses it when a round's duration is decided analytically (the
-// idle-round fallback). Time never moves backwards.
-func (s *Scheduler) Advance(t float64) {
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// Push queues an event. Events may carry timestamps in the virtual past
-// (an outage window opened before the PS looked); they simply pop first.
+// Push queues an event.
 func (s *Scheduler) Push(t float64, k Kind, id int64) {
 	e := Event{Time: t, Kind: k, ID: id, seq: s.seq}
 	s.seq++
@@ -114,8 +81,8 @@ func (s *Scheduler) Push(t float64, k Kind, id int64) {
 	}
 }
 
-// Pop removes and returns the earliest event, advancing virtual time to
-// its timestamp. ok is false when the queue is empty.
+// Pop removes and returns the earliest event. ok is false when the queue is
+// empty.
 func (s *Scheduler) Pop() (e Event, ok bool) {
 	n := len(s.ev)
 	if n == 0 {
@@ -126,19 +93,8 @@ func (s *Scheduler) Pop() (e Event, ok bool) {
 	s.ev[n-1] = Event{}
 	s.ev = s.ev[:n-1]
 	s.siftDown(0)
-	if e.Time > s.now {
-		s.now = e.Time
-	}
 	s.processed++
 	return e, true
-}
-
-// Peek returns the earliest event without removing it.
-func (s *Scheduler) Peek() (e Event, ok bool) {
-	if len(s.ev) == 0 {
-		return Event{}, false
-	}
-	return s.ev[0], true
 }
 
 // push inserts within the current capacity, reporting false when full.

@@ -27,25 +27,26 @@ func TestPopOrdersByTime(t *testing.T) {
 		if e.Time != want {
 			t.Fatalf("pop %d: time %v, want %v", i, e.Time, want)
 		}
-		if s.Now() != want {
-			t.Fatalf("pop %d: Now() = %v, want %v", i, s.Now(), want)
-		}
 	}
 	if _, ok := s.Pop(); ok {
 		t.Fatal("pop on empty scheduler returned an event")
 	}
+	if s.Processed() != uint64(len(times)) {
+		t.Fatalf("Processed = %d, want %d", s.Processed(), len(times))
+	}
 }
 
 // TestFIFOTieBreak pins the determinism contract: events with equal
-// timestamps pop in push order, even interleaved with other times.
+// timestamps pop in push order, even interleaved with other times — so the
+// asynchronous engine's simultaneous arrivals surface in dispatch order.
 func TestFIFOTieBreak(t *testing.T) {
 	s := New(2)
 	s.Push(1, KindWorkerDone, 10)
-	s.Push(2, KindRoundClose, 0)
+	s.Push(2, KindWorkerDone, 13)
 	s.Push(1, KindWorkerDone, 11)
 	s.Push(1, KindWorkerDone, 12)
-	s.Push(0.5, KindEval, 99)
-	wantIDs := []int64{99, 10, 11, 12, 0}
+	s.Push(0.5, KindWorkerDone, 9)
+	wantIDs := []int64{9, 10, 11, 12, 13}
 	for i, want := range wantIDs {
 		e, ok := s.Pop()
 		if !ok {
@@ -57,20 +58,21 @@ func TestFIFOTieBreak(t *testing.T) {
 	}
 }
 
-// TestArrivalBeforeDeadlineOnTie mirrors the engine's round-close idiom: a
-// worker arriving exactly at the deadline was pushed before the deadline
-// event, so it must pop first (the inclusive <= participant rule).
+// TestArrivalBeforeDeadlineOnTie pins that ties break on push order, not on
+// the ID payload: an arrival pushed before another event at the same instant
+// (a caller's deadline marker, or a later dispatch) pops first even when its
+// ID is larger — the inclusive <= rule for a result landing on a cut-off.
 func TestArrivalBeforeDeadlineOnTie(t *testing.T) {
 	s := New(2)
 	s.Push(10, KindWorkerDone, 3)
-	s.Push(10, KindRoundClose, 1)
+	s.Push(10, KindWorkerDone, 1)
 	e, _ := s.Pop()
-	if e.Kind != KindWorkerDone {
-		t.Fatalf("first pop kind %d, want worker-done before round-close on equal time", e.Kind)
+	if e.ID != 3 {
+		t.Fatalf("first pop ID %d, want 3: the earlier push on an equal time", e.ID)
 	}
 	e, _ = s.Pop()
-	if e.Kind != KindRoundClose {
-		t.Fatalf("second pop kind %d, want round-close", e.Kind)
+	if e.ID != 1 {
+		t.Fatalf("second pop ID %d, want 1", e.ID)
 	}
 }
 
@@ -85,7 +87,7 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 		for op := 0; op < 5000; op++ {
 			if rng.Intn(3) > 0 || s.Len() == 0 {
 				// Coarse timestamps force many ties.
-				s.Push(float64(rng.Intn(16)), Kind(1+rng.Intn(4)), int64(op))
+				s.Push(float64(rng.Intn(16)), KindWorkerDone, int64(op))
 			} else if e, ok := s.Pop(); ok {
 				popped = append(popped, e)
 			}
@@ -125,37 +127,6 @@ func TestDeterministicUnderRandomLoad(t *testing.T) {
 			t.Fatalf("heap order violated: %v after %v", e.Time, prev)
 		}
 		prev = e.Time
-	}
-}
-
-// TestAdvanceAndPastEvents covers the engine's idle-round hop and the
-// outage-window case where an event is pushed with a timestamp already in
-// the virtual past.
-func TestAdvanceAndPastEvents(t *testing.T) {
-	s := New(1)
-	s.Advance(50)
-	if s.Now() != 50 {
-		t.Fatalf("Now after Advance = %v", s.Now())
-	}
-	s.Advance(10) // never backwards
-	if s.Now() != 50 {
-		t.Fatalf("Advance moved time backwards to %v", s.Now())
-	}
-	s.Push(20, KindOutageStart, 0)
-	s.Push(60, KindOutageEnd, 0)
-	e, _ := s.Pop()
-	if e.Kind != KindOutageStart {
-		t.Fatalf("past event did not pop first")
-	}
-	if s.Now() != 50 {
-		t.Fatalf("popping a past event rewound time to %v", s.Now())
-	}
-	e, _ = s.Pop()
-	if e.Kind != KindOutageEnd || s.Now() != 60 {
-		t.Fatalf("future event pop: kind %d now %v", e.Kind, s.Now())
-	}
-	if s.Processed() != 2 {
-		t.Fatalf("Processed = %d, want 2", s.Processed())
 	}
 }
 
