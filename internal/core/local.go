@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -179,19 +180,12 @@ func topKOf(deltas []*tensor.Tensor, k float64) ([]*tensor.Tensor, int) {
 		}
 		mags = mags[:total]
 		for j, v := range d.Data {
-			if v < 0 {
-				v = -v
-			}
-			mags[j] = float64(v)
+			mags[j] = math.Abs(float64(v))
 		}
 		threshold := prune.SelectKth(mags, total-keep)
 		kept := 0
 		for j, v := range d.Data {
-			av := v
-			if av < 0 {
-				av = -av
-			}
-			if float64(av) < threshold || (threshold == 0 && v == 0) || kept >= keep {
+			if math.Abs(float64(v)) < threshold || (threshold == 0 && v == 0) || kept >= keep {
 				d.Data[j] = 0
 			} else {
 				kept++

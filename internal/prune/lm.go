@@ -87,11 +87,7 @@ func NewLMContext(cfg zoo.LMConfig, weights []*tensor.Tensor) (*LMContext, error
 			}
 			// Recurrent column k of Wh.
 			for r := 0; r < 4*h; r++ {
-				v := wh.Data[r*h+k]
-				if v < 0 {
-					v = -v
-				}
-				s += float64(v)
+				s += math.Abs(float64(wh.Data[r*h+k]))
 			}
 			scores[k] = s
 		}

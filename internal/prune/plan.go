@@ -415,9 +415,7 @@ func structureScores(v *visit, w *tensor.Tensor) ([]float64, error) {
 		return nil, fmt.Errorf("prune: no scores for layer kind %v", v.l.Kind)
 	}
 	scores := make([]float64, v.fullOut)
-	for i := range scores {
-		scores[i] = tensor.AbsSumSlice(w.Data[i*per : (i+1)*per])
-	}
+	tensor.AbsSumRows(scores, w.Data, per)
 	return scores, nil
 }
 

@@ -85,6 +85,15 @@ var allocTable = []testfd.AllocRow{
 			TanhInto(dst32, src32)
 		})
 	}},
+	{Fns: []any{NonzeroCount, AbsSumRows}, Setup: func() func() {
+		// 37 elements: whole blocks of eight and a tail; 9 rows of 4: the
+		// interleaved body and a one-row tail.
+		xs, sums := operand(37), make([]float64, 9)
+		return everyTier(func() {
+			NonzeroCount(xs)
+			AbsSumRows(sums, xs, 4)
+		})
+	}},
 	{Fns: []any{Im2Col, Col2Im}, Setup: func() func() {
 		g := ConvGeom{InC: 3, InH: 9, InW: 7, OutC: 4, KH: 3, KW: 3, Stride: 2, Pad: 1}
 		x, dx := operand(g.InC*g.InH*g.InW), make([]float32, g.InC*g.InH*g.InW)

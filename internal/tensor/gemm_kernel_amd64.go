@@ -24,6 +24,9 @@ func archKernels() []*gemmKernel {
 	avx2 := &gemmKernel{name: "avx2", mr: 6, nr: 16, mc: 120, nc: 512, asm: gemmKernel6x16fma, fused: true,
 		directChain: gemmDirectChainAVX, directDot: gemmDirectDotAVX,
 		indirectB: gemmKernel6x16fmaIndB, indirectA: gemmKernel6x16fmaIndA, addRuns: addRunsAVX}
+	if _, _, ecx1, _ := cpuid(1, 0); ecx1&(1<<23) != 0 { // POPCNT
+		avx2.nonzeroCount = nonzeroCountAVX
+	}
 	if actKernelsMatchStdlib() {
 		for _, k := range []*gemmKernel{sse, avx2} {
 			k.expInto, k.sigmoidInto, k.tanhInto = expIntoFMA, sigmoidIntoFMA, tanhIntoFMA
@@ -76,6 +79,13 @@ func gemmKernel6x16fmaIndA(tile, x *float32, taps, pos *int, bp *float32, kb uin
 
 //go:noescape
 func addRunsAVX(dst, src *float32, pos *int, runs uint64)
+
+// nonzeroCountAVX counts the nonzero words of xs[0:n], n a positive multiple
+// of eight, a YMM register at a time: VPCMPEQD against zero, VMOVMSKPS, and
+// POPCNT of the zero lanes (contract in count_amd64.s).
+//
+//go:noescape
+func nonzeroCountAVX(xs *float32, n uintptr) uintptr
 
 // gemmDirectChainAVX and gemmDirectDotAVX are the small-product kernels
 // behind gemmDirect (contract in gemm_direct_amd64.s): the first stands in

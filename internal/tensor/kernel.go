@@ -75,6 +75,11 @@ type gemmKernel struct {
 	indirectB func(c *float32, ldcBytes uintptr, ap, x0, x1 *float32, taps *int, kb, acc uint64)
 	indirectA func(tile, x *float32, taps, pos *int, bp *float32, kb uint64)
 	addRuns   func(dst, src *float32, pos *int, runs uint64)
+	// nonzeroCount, when non-nil, counts the words of xs[0:n] (n a multiple
+	// of eight) that are not all-zero bits — NonzeroCount's whole blocks; a
+	// tier without it runs the Go loop over every element. Same count either
+	// way.
+	nonzeroCount func(xs *float32, n uintptr) uintptr
 	// expInto, sigmoidInto and tanhInto, when non-nil, are the kernels of
 	// ExpInto, SigmoidInto and TanhInto (act.go); a tier without them runs
 	// the scalar loops over math.Exp and math.Tanh. A tier only has them

@@ -77,17 +77,62 @@ func (t *Tensor) AbsSum() float64 {
 	return AbsSumSlice(t.Data)
 }
 
-// AbsSumSlice returns the sum of absolute values of xs.
+// AbsSumSlice returns the sum of absolute values of xs, added in order into
+// a float64. |v| clears the sign bit instead of branching on it: on
+// random-sign weights a sign branch mispredicts about every other element.
 func AbsSumSlice(xs []float32) float64 {
 	var s float64
 	for _, v := range xs {
-		if v < 0 {
-			s -= float64(v)
-		} else {
-			s += float64(v)
-		}
+		s += math.Abs(float64(v))
 	}
 	return s
+}
+
+// AbsSumRows sets dst[i] to AbsSumSlice of row i of xs, whose rows are the
+// len(dst) consecutive runs of width elements — a layer's per-filter l1
+// scores. Four rows are summed at once, interleaved, so four addition chains
+// run side by side; each row still adds its own elements in order into its
+// own float64, so every sum has AbsSumSlice's bits. The last len(dst)%4 rows
+// are summed one by one.
+func AbsSumRows(dst []float64, xs []float32, width int) {
+	xs = xs[:len(dst)*width]
+	i := 0
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := xs[i*width : (i+1)*width]
+		r1 := xs[(i+1)*width : (i+2)*width][:len(r0)]
+		r2 := xs[(i+2)*width : (i+3)*width][:len(r0)]
+		r3 := xs[(i+3)*width : (i+4)*width][:len(r0)]
+		var s0, s1, s2, s3 float64
+		for j, v := range r0 {
+			s0 += math.Abs(float64(v))
+			s1 += math.Abs(float64(r1[j]))
+			s2 += math.Abs(float64(r2[j]))
+			s3 += math.Abs(float64(r3[j]))
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = AbsSumSlice(xs[i*width : (i+1)*width])
+	}
+}
+
+// NonzeroCount returns the number of elements of xs whose bit pattern is not
+// the all-zero word: negative zero and every NaN count, and no float
+// comparison is made. Tiers with a counting kernel run it over the whole
+// blocks of eight; the rest is this loop.
+func NonzeroCount(xs []float32) int {
+	n := 0
+	if kern := activeKernel.Load().nonzeroCount; kern != nil && len(xs) >= 8 {
+		blocks := len(xs) &^ 7
+		n = int(kern(&xs[0], uintptr(blocks)))
+		xs = xs[blocks:]
+	}
+	for _, v := range xs {
+		if math.Float32bits(v) != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // SqNorm returns the squared l2-norm of the whole tensor.
@@ -116,10 +161,7 @@ func Dot(a, b *Tensor) float64 {
 func (t *Tensor) MaxAbs() float32 {
 	var m float32
 	for _, v := range t.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > m {
+		if v = float32(math.Abs(float64(v))); v > m {
 			m = v
 		}
 	}

@@ -32,7 +32,6 @@
 package checkpoint
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -53,18 +52,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // bytes.
 var errChecksum = errors.New("checkpoint: record checksum mismatch")
 
-// writeRecord appends one durability record — frame || CRC-32C(frame) — to w.
-func writeRecord(w io.Writer, e *codec.Envelope) error {
-	var buf bytes.Buffer
-	if _, err := codec.WriteFrame(&buf, e); err != nil {
+// writeRecord writes one durability record — frame ‖ CRC-32C(frame) — to w
+// in a single Write, encoding it into *buf: a grow-only buffer its owner
+// keeps between records, so a steady-state record allocates nothing.
+func writeRecord(w io.Writer, buf *[]byte, e *codec.Envelope) error {
+	rec, err := codec.AppendFrame((*buf)[:0], e)
+	if err != nil {
 		return err
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(buf.Bytes(), castagnoli))
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	_, err := w.Write(crc[:])
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, castagnoli))
+	*buf = rec
+	_, err = w.Write(rec)
 	return err
 }
 
@@ -99,6 +97,8 @@ const (
 type Manager struct {
 	dir string
 	wal *os.File
+	// rec is the buffer every record is encoded into, grown to the largest.
+	rec []byte
 }
 
 // RecoveryInfo describes what Recover found and repaired.
@@ -233,7 +233,7 @@ func (m *Manager) AppendRound(s *codec.Snapshot) error {
 	if m.wal == nil {
 		return fmt.Errorf("checkpoint: manager is closed")
 	}
-	if err := writeRecord(m.wal, &codec.Envelope{Kind: codec.KindRoundClose, Snapshot: s}); err != nil {
+	if err := writeRecord(m.wal, &m.rec, &codec.Envelope{Kind: codec.KindRoundClose, Snapshot: s}); err != nil {
 		return fmt.Errorf("checkpoint: appending round %d: %w", s.Round, err)
 	}
 	if err := m.wal.Sync(); err != nil {
@@ -261,7 +261,7 @@ func (m *Manager) WriteSnapshot(s *codec.Snapshot) error {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := writeFileAtomic(m.dir, tmpName, snapName, s); err != nil {
+	if err := writeFileAtomic(m.dir, tmpName, snapName, &m.rec, s); err != nil {
 		return err
 	}
 	// The snapshot now covers every WAL record; start the log over.
@@ -284,13 +284,13 @@ func (m *Manager) WriteSnapshot(s *codec.Snapshot) error {
 // enforces it).
 //
 //fedmp:atomicwrite-helper
-func writeFileAtomic(dir, tmp, final string, s *codec.Snapshot) error {
+func writeFileAtomic(dir, tmp, final string, buf *[]byte, s *codec.Snapshot) error {
 	tmpPath := filepath.Join(dir, tmp)
 	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := writeRecord(f, &codec.Envelope{Kind: codec.KindSnapshot, Snapshot: s}); err != nil {
+	if err := writeRecord(f, buf, &codec.Envelope{Kind: codec.KindSnapshot, Snapshot: s}); err != nil {
 		if cerr := f.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
 		}

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -355,5 +356,83 @@ func TestRecoverSurfacesUnreadableWAL(t *testing.T) {
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Error("empty directory accepted")
+	}
+}
+
+// TestAppendRoundReusesRecordBuffer pins the WAL's steady state: once the
+// Manager's record buffer has held a round's record, appending the next
+// allocates nothing — no record buffer, no frame copy — and every record so
+// appended is recovered.
+func TestAppendRoundReusesRecordBuffer(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := testSnapshot(1)
+	s.Global = append(s.Global, tensor.New(4096)) // a record well past any fixed overhead
+	s.Global[2].Data[100] = 3
+	if err := m.AppendRound(s); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(20, func() {
+		s.Round++
+		if err := m.AppendRound(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg > 0 {
+		t.Errorf("AppendRound allocates %.1f objects per record in steady state, want 0", avg)
+	}
+	m = reopen(t, m, dir)
+	defer func() {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	got, info, err := m.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.WALRounds != 22 || info.TornTail || got.Round != s.Round {
+		t.Fatalf("recovered round %d from %d WAL records (torn %v), want round %d from 22", got.Round, info.WALRounds, info.TornTail, s.Round)
+	}
+}
+
+// writeCounter records each Write it is handed.
+type writeCounter struct{ writes [][]byte }
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, append([]byte(nil), p...))
+	return len(p), nil
+}
+
+// TestWriteRecordIsOneWrite pins the record format and its single write: the
+// frame and its CRC-32C go to the writer in one Write, and the record reads
+// back through readRecord.
+func TestWriteRecordIsOneWrite(t *testing.T) {
+	var w writeCounter
+	var buf []byte
+	for r := 1; r <= 2; r++ {
+		if err := writeRecord(&w, &buf, &codec.Envelope{Kind: codec.KindRoundClose, Snapshot: testSnapshot(r)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(w.writes) != 2 {
+		t.Fatalf("two records took %d writes, want 2", len(w.writes))
+	}
+	for r, rec := range w.writes {
+		var frame bytes.Buffer
+		if _, err := codec.WriteFrame(&frame, &codec.Envelope{Kind: codec.KindRoundClose, Snapshot: testSnapshot(r + 1)}); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec[:len(rec)-4], frame.Bytes()) {
+			t.Fatalf("record %d does not start with its frame", r+1)
+		}
+		e, n, err := readRecord(bytes.NewReader(rec))
+		if err != nil || n != len(rec) {
+			t.Fatalf("record %d reads back as %d of %d bytes: %v", r+1, n, len(rec), err)
+		}
+		checkSnapshot(t, e.Snapshot, r+1)
 	}
 }

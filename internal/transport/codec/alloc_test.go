@@ -13,14 +13,14 @@ import (
 // runs it; TestDecoderSteadyStateAllocs and TestWriteFrameSteadyStateAllocs
 // hold whole frames to the same bound).
 var allocTable = []testfd.AllocRow{
-	{Fns: []any{putF32s, getF32s, nonzeroCount, quantNonzeroCount}, Setup: func() func() {
+	{Fns: []any{putF32s, getF32s, quantNonzeroCount, popcount}, Setup: func() func() {
 		vals := []float32{0, 1.5, -2, 0, 3e-3, 0, -7, 0.25}
 		buf := make([]byte, 4*len(vals))
 		return func() {
 			putF32s(buf, vals)
 			getF32s(vals, buf)
-			nonzeroCount(vals)
 			quantNonzeroCount(vals, 127/7.0)
+			popcount(buf)
 		}
 	}},
 }

@@ -273,14 +273,23 @@ func envelopesEqual(t *testing.T, want, got *Envelope) {
 // TestRoundTrip pins that every message kind survives encode/decode
 // bit-exactly and that FrameBytes predicts the written size to the byte —
 // the property that lets the simulation charge the same traffic the TCP
-// runtime measures.
+// runtime measures — and that AppendFrame appends exactly WriteFrame's bytes
+// after whatever its buffer already holds.
 func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
+	appended := []byte("prefix")
 	for i, e := range sampleEnvelopes(rng) {
 		var buf bytes.Buffer
 		wrote, err := WriteFrame(&buf, e)
 		if err != nil {
 			t.Fatalf("envelope %d: write: %v", i, err)
+		}
+		start := len(appended)
+		if appended, err = AppendFrame(appended, e); err != nil {
+			t.Fatalf("envelope %d: append: %v", i, err)
+		}
+		if !bytes.Equal(appended[start:], buf.Bytes()) || !bytes.HasPrefix(appended, []byte("prefix")) {
+			t.Fatalf("envelope %d: AppendFrame's bytes differ from WriteFrame's", i)
 		}
 		predicted, err := FrameBytes(e)
 		if err != nil {
@@ -379,6 +388,9 @@ func TestEncodeErrors(t *testing.T) {
 		}
 		if _, err := FrameBytes(e); err == nil {
 			t.Errorf("envelope %d sized without error", i)
+		}
+		if got, err := AppendFrame([]byte("kept"), e); err == nil || string(got) != "kept" {
+			t.Errorf("envelope %d appended as %q, error %v; want the buffer unchanged and an error", i, got, err)
 		}
 	}
 }
@@ -675,28 +687,42 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestWriteFrameSteadyStateAllocs pins the sync.Pool buffer reuse: after
-// warm-up, encoding a frame costs no heap allocation for the frame buffer
-// (the one allocation measured is Write-side bookkeeping in the discard
-// counter, which is zero too).
+// TestWriteFrameSteadyStateAllocs pins the encoders' buffer reuse: after
+// warm-up, WriteFrame (pooled frame buffer and plan log), AppendFrame into a
+// kept buffer, and FrameBytes (one counting walk, no plan log) cost no heap
+// allocation — on an assign and on a result with a sparse delta.
 func TestWriteFrameSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	e := &Envelope{Kind: KindAssign, Assign: &Assign{
-		Round: 2, Desc: sampleSpec(),
-		Weights: []*tensor.Tensor{randTensor(rng, 0, 32, 16), randTensor(rng, 0.9, 512)},
-		Iters:   3,
-	}}
-	var sink int
-	avg := testing.AllocsPerRun(50, func() {
-		n, err := WriteFrame(discard{}, e)
-		if err != nil {
-			t.Fatal(err)
+	envelopes := []*Envelope{
+		{Kind: KindAssign, Assign: &Assign{
+			Round: 2, Desc: sampleSpec(),
+			Weights: []*tensor.Tensor{randTensor(rng, 0, 32, 16), randTensor(rng, 0.9, 512)},
+			Iters:   3,
+		}},
+		{Kind: KindResult, Result: &Result{
+			Round: 2, Delta: []*tensor.Tensor{randTensor(rng, 0.9, 32, 16), randTensor(rng, 0.95, 512)},
+		}},
+	}
+	var kept []byte
+	for _, e := range envelopes {
+		for name, encode := range map[string]func() error{
+			"WriteFrame": func() error { _, err := WriteFrame(discard{}, e); return err },
+			"AppendFrame": func() error {
+				var err error
+				kept, err = AppendFrame(kept[:0], e)
+				return err
+			},
+			"FrameBytes": func() error { _, err := FrameBytes(e); return err },
+		} {
+			avg := testing.AllocsPerRun(50, func() {
+				if err := encode(); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > 0 {
+				t.Errorf("%s of a kind-%d frame allocates %.1f objects in steady state, want 0", name, e.Kind, avg)
+			}
 		}
-		sink = n
-	})
-	_ = sink
-	if avg > 0 {
-		t.Errorf("WriteFrame allocates %.1f objects per frame in steady state, want 0", avg)
 	}
 }
 

@@ -38,6 +38,9 @@ type coder struct {
 	quantize bool
 	// d owns the objects a load fills in; nil in the other directions.
 	d *Decoder
+	// log records the tensor plans of an encoding's counting walk and feeds
+	// them to its storing walk; nil on load and in FrameBytes.
+	log *planLog
 }
 
 func (c *coder) fail(format string, args ...any) {

@@ -4,14 +4,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"sync"
 )
 
-// measure runs the counting walk over e and returns its payload size.
-func measure(e *Envelope) (int, error) {
+// measure runs the counting walk over e and returns its payload size. A
+// non-nil log records each tensor's plan for the storing walk to replay.
+func measure(e *Envelope, log *planLog) (int, error) {
 	if err := checkKind(e); err != nil {
 		return 0, err
 	}
-	c := coder{dir: count, ver: version, quantize: e.Quantize}
+	c := coder{dir: count, ver: version, quantize: e.Quantize, log: log}
 	c.payload(e)
 	if c.err != nil {
 		return 0, c.err
@@ -25,37 +28,83 @@ func measure(e *Envelope) (int, error) {
 // FrameBytes returns the exact wire size of e's frame — header plus payload
 // — without encoding it: the walk WriteFrame stores with, run counting. It
 // is the size model the simulation engine charges communication with, so the
-// two runtimes charge identical traffic for identical messages.
+// two runtimes charge identical traffic for identical messages. It records
+// no plans: nothing replays them, and the simulator sizes every frame it
+// charges.
 func FrameBytes(e *Envelope) (int64, error) {
-	n, err := measure(e)
+	n, err := measure(e, nil)
 	if err != nil {
 		return 0, err
 	}
 	return int64(HeaderLen + n), nil
 }
 
-// WriteFrame encodes e into a pooled buffer of exactly FrameBytes(e) bytes
-// and writes it to wr in a single Write, returning the number of bytes
-// written. The walk that sized the buffer fills it; ending anywhere but on
-// its last byte is an internal error, not a short or overrun frame.
+// encoder is one encoding's scratch: the plan log, with room for every zoo
+// model's plans inline, and WriteFrame's frame buffer, grown to the largest
+// frame it has held. Encoders are pooled, so a steady-state encode allocates
+// nothing.
+type encoder struct {
+	log    planLog
+	inline [64]tensorPlan
+	buf    []byte
+}
+
+var encoders = sync.Pool{New: func() any {
+	enc := new(encoder)
+	enc.log.plans = enc.inline[:0]
+	return enc
+}}
+
+func (enc *encoder) release() {
+	enc.log.plans, enc.log.next = enc.log.plans[:0], 0
+	encoders.Put(enc)
+}
+
+// AppendFrame appends e's frame to dst, growing it only when its capacity
+// falls short, and returns the extended slice: a caller that keeps the
+// result for the next frame encodes in steady state without allocating. On
+// an error dst is returned as it was.
+func AppendFrame(dst []byte, e *Envelope) ([]byte, error) {
+	enc := encoders.Get().(*encoder)
+	defer enc.release()
+	return enc.appendFrame(dst, e)
+}
+
+// WriteFrame encodes e into a pooled buffer, as AppendFrame does, and writes
+// it to wr in a single Write, returning the number of bytes written.
 func WriteFrame(wr io.Writer, e *Envelope) (int, error) {
-	n, err := measure(e)
+	enc := encoders.Get().(*encoder)
+	defer enc.release()
+	b, err := enc.appendFrame(enc.buf[:0], e)
 	if err != nil {
 		return 0, err
 	}
-	f := getBuf(HeaderLen + n)
-	defer putBuf(f)
-	f.b[0], f.b[1], f.b[2], f.b[3] = magic0, magic1, version, byte(e.Kind)
-	binary.LittleEndian.PutUint32(f.b[4:], uint32(n))
-	c := coder{dir: store, buf: f.b, off: HeaderLen, ver: version, quantize: e.Quantize}
+	enc.buf = b
+	return wr.Write(b)
+}
+
+// appendFrame runs the counting walk, recording each tensor's plan, sizes
+// dst for the frame, and runs the storing walk into it, replaying the plans.
+// Ending anywhere but on the frame's last byte, or with plans left
+// unreplayed, is an internal error, not a short or overrun frame.
+func (enc *encoder) appendFrame(dst []byte, e *Envelope) ([]byte, error) {
+	n, err := measure(e, &enc.log)
+	if err != nil {
+		return dst, err
+	}
+	b := slices.Grow(dst, HeaderLen+n)[:len(dst)+HeaderLen+n]
+	f := b[len(dst):]
+	f[0], f[1], f[2], f[3] = magic0, magic1, version, byte(e.Kind)
+	binary.LittleEndian.PutUint32(f[4:], uint32(n))
+	c := coder{dir: store, buf: f, off: HeaderLen, ver: version, quantize: e.Quantize, log: &enc.log}
 	c.payload(e)
 	if c.err != nil {
-		return 0, c.err
+		return dst, c.err
 	}
-	if c.off != len(f.b) {
-		return 0, fmt.Errorf("codec: internal error: encoded %d of a predicted %d-byte frame", c.off, len(f.b))
+	if c.off != len(f) || enc.log.next != len(enc.log.plans) {
+		return dst, fmt.Errorf("codec: internal error: encoded %d of a predicted %d-byte frame", c.off, len(f))
 	}
-	return wr.Write(f.b)
+	return b, nil
 }
 
 // parseHeader validates a frame header and returns the message kind,

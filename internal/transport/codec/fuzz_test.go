@@ -36,6 +36,9 @@ func FuzzReadFrame(f *testing.F) {
 			f.Add(buf.Bytes())
 		}
 	}
+	for _, h := range hostileSparseFrames() {
+		f.Add(h.frame)
+	}
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all"))
 	f.Add([]byte{magic0, magic1, version, byte(KindPing), 0xff, 0xff, 0xff, 0x7f})

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"fedmp/internal/zoo"
@@ -134,6 +136,10 @@ func TestHostileLengths(t *testing.T) {
 			frame := rawFrame(s.kind, s.prefix, uv(n), s.suffix)
 			if _, _, err := decodeWithinBound(t, frame); err == nil {
 				t.Errorf("%s: count %d in a %d-byte frame accepted", s.name, n, len(frame))
+			} else if n > s.cap && !strings.Contains(err.Error(), "implausible") {
+				// Past the cap the gate itself must refuse, not whatever
+				// reads on.
+				t.Errorf("%s: count %d refused past the gate: %v", s.name, n, err)
 			}
 		}
 		if s.entry == nil {
@@ -225,5 +231,89 @@ func TestReadFrameRetention(t *testing.T) {
 	}
 	if !bytes.Equal(held.Bytes(), again.Bytes()) {
 		t.Error("the first envelope changed when the second frame was read")
+	}
+}
+
+// sparseFrame is a result frame carrying one 20-element tensor in sparse
+// mode (modeSparse or modeQuantSparse8): a header count of ten, the given
+// three mask bytes, and ten values — float32 words or int8 codes at scale
+// 0.5 — every byte of them fill.
+func sparseFrame(mode byte, mask [3]byte, fill byte) []byte {
+	head := []byte{0, resultDelta, 1, 1, 20, mode, 10}
+	width := 4
+	if mode == modeQuantSparse8 {
+		head = binary.LittleEndian.AppendUint32(head, math.Float32bits(0.5))
+		width = 1
+	}
+	return rawFrame(KindResult, head, mask[:], bytes.Repeat([]byte{fill}, 10*width), f64le(0), f64le(0))
+}
+
+// validSparseMask sets ten bits, all below element 20.
+var validSparseMask = [3]byte{0x55, 0x55, 0x05}
+
+// namedFrame is a hand-built frame and what is wrong with it.
+type namedFrame struct {
+	name  string
+	frame []byte
+}
+
+// hostileSparseFrames are sparseFrames whose mask the loader must refuse, in
+// both sparse modes: a bit past the last element (with the announced number
+// of bits set), one bit more than the count announces, one bit fewer.
+func hostileSparseFrames() []namedFrame {
+	var out []namedFrame
+	for _, mode := range []byte{modeSparse, modeQuantSparse8} {
+		for _, c := range []struct {
+			name string
+			mask [3]byte
+		}{
+			{"bit past the last element", [3]byte{0x55, 0x55, 0x14}},
+			{"popcount nnz+1", [3]byte{0x55, 0x55, 0x07}},
+			{"popcount nnz-1", [3]byte{0x55, 0x55, 0x01}},
+		} {
+			out = append(out, namedFrame{fmt.Sprintf("mode %d, %s", mode, c.name), sparseFrame(mode, c.mask, 0x40)})
+		}
+	}
+	return out
+}
+
+// TestHostileSparseMasks holds the sparse loader's mask checks: each hostile
+// mask is refused through both entry points within allocBound, and a
+// Decoder refusing it leaves the tensor it recycles from the previous frame
+// exactly as that frame left it — the checks run before anything is written.
+func TestHostileSparseMasks(t *testing.T) {
+	for _, mode := range []byte{modeSparse, modeQuantSparse8} {
+		valid := sparseFrame(mode, validSparseMask, 0x3f)
+		if _, _, err := decodeWithinBound(t, valid); err != nil {
+			t.Fatalf("mode %d: valid sparse frame refused: %v", mode, err)
+		}
+		rd := bytes.NewReader(valid)
+		d := NewDecoder(rd)
+		e, _, err := d.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := e.Result.Delta[0]
+		want := append([]float32(nil), dst.Data...)
+		for _, h := range hostileSparseFrames() {
+			if h.frame[HeaderLen+5] != mode {
+				continue
+			}
+			if _, _, err := decodeWithinBound(t, h.frame); err == nil {
+				t.Errorf("%s: accepted", h.name)
+			}
+			rd.Reset(h.frame)
+			if _, _, err := d.ReadFrame(); err == nil {
+				t.Errorf("%s: accepted by a Decoder", h.name)
+			}
+			if len(dst.Data) != len(want) {
+				t.Fatalf("%s: recycled tensor resized to %d", h.name, len(dst.Data))
+			}
+			for i, v := range dst.Data {
+				if math.Float32bits(v) != math.Float32bits(want[i]) {
+					t.Fatalf("%s: refused frame wrote element %d of the recycled tensor: %v, was %v", h.name, i, v, want[i])
+				}
+			}
+		}
 	}
 }

@@ -2,12 +2,11 @@ package codec
 
 import "sync"
 
-// The codec's scratch buffers come from a size-classed sync.Pool arena
-// mirroring tensor.Pool: encode builds each frame in a pooled []byte sized
-// by the exact size model and hands it to the socket in one Write; decode
-// reads the payload into a pooled []byte and parses out of it. Buffers
-// travel inside a recycled *frameBuf wrapper so the steady-state
-// Get/Put cycle allocates nothing.
+// The decoder's payload buffers come from a size-classed sync.Pool arena
+// mirroring tensor.Pool: decode reads the payload into a pooled []byte and
+// parses out of it. Buffers travel inside a recycled *frameBuf wrapper so
+// the steady-state Get/Put cycle allocates nothing. Encoding keeps a
+// grow-only frame buffer in its pooled encoder instead (frame.go).
 
 // frameBuf is a pooled byte buffer. b has exactly the requested length; its
 // backing array is rounded up to the size class.

@@ -3,6 +3,7 @@ package codec
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 
 	"fedmp/internal/prune"
 	"fedmp/internal/tensor"
@@ -17,20 +18,6 @@ const (
 	modeQuant8       byte = 2 // float32 scale, one int8 code per element
 	modeQuantSparse8 byte = 3 // code count, scale, presence bitmask, nonzero codes
 )
-
-// nonzeroCount counts the elements of vals whose bit pattern is not the
-// all-zero word. Comparing bit patterns instead of values keeps the sparse
-// mode bit-exact: negative zero and NaN payloads survive a round trip, and
-// no float comparison is involved.
-func nonzeroCount(vals []float32) int {
-	n := 0
-	for _, v := range vals {
-		if math.Float32bits(v) != 0 {
-			n++
-		}
-	}
-	return n
-}
 
 // quantNonzeroCount counts the elements whose quantized code is nonzero —
 // the population the quantized-sparse mask marks. It must agree element for
@@ -47,14 +34,23 @@ func quantNonzeroCount(vals []float32, inv float64) int {
 
 // tensorPlan is the encoder's per-tensor decision: the mode, the sparse-mode
 // element count, the quantization scale, and the payload size after the mode
-// byte. The counting walk and the storing walk both ask planTensor, so
-// FrameBytes stays byte-exact against WriteFrame with four modes in play; a
-// loading walk fills the same fields from the wire.
+// byte. Only the counting walk asks planTensor; an encoding's storing walk
+// replays the plans its counting walk recorded (planLog), so the two cannot
+// disagree and no tensor is scanned twice. A loading walk fills the same
+// fields from the wire.
 type tensorPlan struct {
 	mode  byte
 	nnz   int
 	scale float32
 	size  int
+}
+
+// planLog is one encoding's tensor plans in walk order: appended by its
+// counting walk, replayed by its storing walk. FrameBytes, which only counts,
+// records none.
+type planLog struct {
+	plans []tensorPlan
+	next  int
 }
 
 // planTensor picks the cheapest encoding for n elements. The float32 modes
@@ -64,7 +60,7 @@ type tensorPlan struct {
 // cheaper, so a tie keeps full precision.
 func planTensor(data []float32, n int, quantize bool) tensorPlan {
 	p := tensorPlan{mode: modeDense, size: 4 * n}
-	nnz := nonzeroCount(data)
+	nnz := tensor.NonzeroCount(data)
 	if s := uvarintLen(uint64(nnz)) + (n+7)/8 + 4*nnz; s < p.size {
 		p = tensorPlan{mode: modeSparse, nnz: nnz, size: s}
 	}
@@ -116,12 +112,19 @@ func (c *coder) tensor(tp **tensor.Tensor, quantize bool) {
 	}
 	n := int(n64)
 	var p tensorPlan
-	if c.dir != load {
-		if n != len(t.Data) {
-			c.fail("tensor shape %v does not match %d data elements", t.Shape, len(t.Data))
-			return
-		}
+	switch {
+	case c.dir == load:
+	case n != len(t.Data):
+		c.fail("tensor shape %v does not match %d data elements", t.Shape, len(t.Data))
+		return
+	case c.dir == count:
 		p = planTensor(t.Data, n, quantize)
+		if c.log != nil {
+			c.log.plans = append(c.log.plans, p)
+		}
+	default:
+		p = c.log.plans[c.log.next]
+		c.log.next++
 	}
 	c.byte(&p.mode)
 	if c.dir == count {
@@ -191,7 +194,9 @@ func (c *coder) quant8(t *tensor.Tensor, n int, p *tensorPlan) {
 // each must be present), for the int8 mode the scale, a presence bit per
 // element and the surviving values — float32 words at width 4, int8 codes at
 // width 1. A loaded mask may set no bit past the last element and exactly as
-// many bits as the count announces.
+// many bits as the count announces; both are checked before the destination
+// is touched. Both directions visit the values by walking each mask byte's
+// set bits, lowest first.
 func (c *coder) sparse(t *tensor.Tensor, n int, p *tensorPlan, width int) {
 	nnz := c.length(&p.nnz, n, width, "nonzero")
 	if width == 1 {
@@ -206,45 +211,67 @@ func (c *coder) sparse(t *tensor.Tensor, n int, p *tensorPlan, width int) {
 			c.fail("sparse mask has bits set past the last element")
 			return
 		}
+		if set := popcount(mask); set != nnz {
+			c.fail("sparse mask has %d set bits, header says %d", set, nnz)
+			return
+		}
 		t.Data = resize(t.Data, n)
 		clear(t.Data)
-		vi := 0
-		for i := range t.Data {
-			if mask[i>>3]&(1<<(i&7)) == 0 {
-				continue
-			}
-			if vi >= nnz {
-				c.fail("sparse mask has more than %d set bits", nnz)
-				return
-			}
-			if width == 4 {
-				t.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(vals[4*vi:]))
-			} else {
-				t.Data[i] = float32(int8(vals[vi])) * p.scale
-			}
-			vi++
-		}
-		if vi != nnz {
-			c.fail("sparse mask has %d set bits, header says %d", vi, nnz)
-		}
-	case width == 4:
-		clear(mask)
-		for i, v := range t.Data {
-			if bits := math.Float32bits(v); bits != 0 {
-				mask[i>>3] |= 1 << (i & 7)
-				binary.LittleEndian.PutUint32(vals, bits)
-				vals = vals[4:]
+		for i, m := range mask {
+			for ; m != 0; m &= m - 1 {
+				j := 8*i + bits.TrailingZeros8(m)
+				if width == 4 {
+					t.Data[j] = math.Float32frombits(binary.LittleEndian.Uint32(vals))
+				} else {
+					t.Data[j] = float32(int8(vals[0])) * p.scale
+				}
+				vals = vals[width:]
 			}
 		}
 	default:
-		clear(mask)
-		inv := 1 / float64(p.scale)
-		for i, v := range t.Data {
-			if q := prune.QuantizeElem(v, inv); q != 0 {
-				mask[i>>3] |= 1 << (i & 7)
-				vals[0] = byte(q)
-				vals = vals[1:]
+		// words holds one mask byte's elements as they go on the wire: the
+		// float32 bits, or the int8 code in the low byte.
+		var words [8]uint32
+		var inv float64
+		if width == 1 {
+			inv = 1 / float64(p.scale)
+		}
+		for i := range mask {
+			group := t.Data[8*i : min(8*i+8, n)]
+			var m byte
+			for j, v := range group {
+				w := math.Float32bits(v)
+				if width == 1 {
+					w = uint32(uint8(prune.QuantizeElem(v, inv)))
+				}
+				words[j] = w
+				m |= nonzeroBit(w) << j
+			}
+			mask[i] = m
+			for ; m != 0; m &= m - 1 {
+				if w := words[bits.TrailingZeros8(m)]; width == 4 {
+					binary.LittleEndian.PutUint32(vals, w)
+				} else {
+					vals[0] = byte(w)
+				}
+				vals = vals[width:]
 			}
 		}
 	}
+}
+
+// nonzeroBit is 1 when w is nonzero and 0 otherwise, without a branch: w | −w
+// has its top bit set exactly when w ≠ 0.
+func nonzeroBit(w uint32) byte { return byte((w | -w) >> 31) }
+
+// popcount returns the number of set bits in b, eight bytes at a time.
+func popcount(b []byte) int {
+	n := 0
+	for ; len(b) >= 8; b = b[8:] {
+		n += bits.OnesCount64(binary.LittleEndian.Uint64(b))
+	}
+	for _, m := range b {
+		n += bits.OnesCount8(m)
+	}
+	return n
 }
