@@ -1,6 +1,6 @@
 # Developer entry points. The Go toolchain is the only dependency.
 
-.PHONY: build test vet lint lint-fix-hints lint-stats lint-hatches lint-mutants fuzz-smoke race check bench-smoke ci test-kernels test-exhaustive test-benchmark loc
+.PHONY: build test vet lint lint-mutants fuzz-smoke race check bench-smoke ci test-kernels test-exhaustive test-benchmark loc
 
 build:
 	go build ./...
@@ -17,30 +17,13 @@ vet:
 	GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 	test -z "$$(gofmt -l .)"
 
-# lint runs the repo's own static-analysis suite (internal/lint; `go run
-# ./cmd/fedmp-lint -rules` lists the rules): per-function checks over syntax
-# and types for the reproducibility and durability invariants DESIGN.md's
-# "Static analysis" section describes. Allocation-free hot paths and
-# goroutine exits are held by tests instead: the allocation tables and
-# transport's TestMain.
+# lint is go vet plus the repo's own rules (TestLint in internal/lint): the
+# few reproducibility and durability invariants no test can see, over the
+# root module and benchmark/ (DESIGN.md's "Static analysis" section). The
+# test's allowlist fails on a row that covers no finding.
 lint:
-	go run ./cmd/fedmp-lint ./...
-
-# lint-fix-hints prints each finding with its suggested rewrite.
-lint-fix-hints:
-	go run ./cmd/fedmp-lint -hints ./...
-
-# lint-stats prints the rule/finding/hatch inventory: how many analyzers are
-# registered, what they currently find, and where the //fedmp:<rule>-ok
-# suppressions sit.
-lint-stats:
-	go run ./cmd/fedmp-lint -stats ./...
-
-# lint-hatches audits every //fedmp:<rule>-ok suppression comment against a
-# hatch-blind re-lint and fails when any suppresses nothing — stale hatches
-# silently widen what future edits get away with on that line.
-lint-hatches:
-	go run ./cmd/fedmp-lint -hatches ./...
+	go vet ./...
+	go test -count=1 -run TestLint ./internal/lint
 
 # lint-mutants plants every bug of internal/lint/testdata/mutants.json — a
 # wrong, dropped or repeated frame at each emission site, a doubled or dropped
@@ -48,13 +31,16 @@ lint-hatches:
 # and mutex, an unchecked error store, a lock-bearing value copied, a
 # grow-only workspace or hot loop made to allocate, a clock read behind a
 # deterministic layer, a goroutine left without an exit, a map ranged into
-# output, a confined generator — on a scratch copy of the module, one at a
+# output, a confined, global or clock-seeded generator, an exact float
+# comparison, a gob encoder, a state file created in place, a discarded
+# error — on a scratch copy of the module, one at a
 # time, and records in lint-mutants.json which of go build, go vet, the named
 # packages' tests (60 s timeout), go test -race on core/transport and each
-# lint rule notices. It fails when a mutant that used to be caught is now
+# TestLint rule notices. It fails when a mutant that used to be caught is now
 # caught by nothing. About an hour on two cores (the mutants that hang a test
 # each wait out its timeout); tier-1 only checks that the corpus still
-# applies (TestMutantCorpusApplies).
+# applies and that the report covers exactly its rows
+# (TestMutantCorpusApplies).
 lint-mutants:
 	go test -tags mutants -count=1 -run TestMutantMatrix -timeout 6h -v ./internal/lint
 
@@ -109,12 +95,11 @@ test-kernels:
 test-exhaustive:
 	go test -count=1 -run TestActKernelsExhaustive -timeout 60m ./internal/tensor -exhaustive
 
-# test-benchmark vets, tests and lints the nested benchmark module
-# (BENCHMARK.json): `go test ./...` at the root does not see it, and it
-# compiles against the internal/ API from outside.
+# test-benchmark vets and tests the nested benchmark module (BENCHMARK.json):
+# `go test ./...` at the root does not see it, and it compiles against the
+# internal/ API from outside. TestLint covers it too.
 test-benchmark:
 	cd benchmark && go vet ./... && go test ./...
-	cd benchmark && go run fedmp/cmd/fedmp-lint ./...
 
 # loc prints the non-test Go lines and the assembly lines (.s and the .h
 # files they include) per package, then their totals — the figures every PR
@@ -129,7 +114,7 @@ loc:
 check: vet lint build test test-kernels race
 
 # ci is the offline continuous-integration entry point: the full check
-# pipeline, the stale-hatch audit, a race-checked smoke of the concurrent
+# pipeline, a race-checked smoke of the concurrent
 # paths — the whole simulated round at GOMAXPROCS 1 vs 8 (sharded Assign,
 # cached-network training, fused aggregate; sync, async, shared-plan and
 # population runs must match byte for byte), a parked device resuming in
@@ -141,7 +126,7 @@ check: vet lint build test test-kernels race
 # sim-backed figure) proving the experiment CLI still runs end to end.
 # bench-smoke, among the prerequisites, runs each micro-benchmark once and
 # fuzz-smoke each fuzz target for FUZZTIME.
-ci: check lint-hatches test-benchmark bench-smoke fuzz-smoke
+ci: check test-benchmark bench-smoke fuzz-smoke
 	go test -race -count=1 -run 'TestParallelCohortDeterminism|TestParkedDeviceResumesInAnotherSlot|TestRunGridGolden' ./internal/core
 	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

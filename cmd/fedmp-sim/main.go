@@ -10,7 +10,7 @@
 // With -fixed-clock the real-time overhead columns (decision/pruning
 // milliseconds) are charged from simclock.Fixed instead of the wall clock,
 // making the entire output byte-reproducible for a given seed — the property
-// the maporder lint rule and the seed-determinism test guard.
+// the seed-determinism test guards.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the run (read
 // them with `go tool pprof`); they are off by default and do not change a

@@ -12,7 +12,7 @@ import (
 	"fedmp/internal/testfd"
 )
 
-// TestSeedDeterminism is the integration gate behind the maporder rule: two
+// TestSeedDeterminism is the integration gate for reproducibility: two
 // in-process runs with the same seed and a fixed clock must print
 // byte-identical trajectories and summaries. Any map-iteration order leaking
 // into results, any wall-clock read in the deterministic layers, or any

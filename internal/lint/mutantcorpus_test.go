@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -50,6 +51,25 @@ func (m mutant) apply(src string) (string, error) {
 	return src, nil
 }
 
+// mutantResult is one row of lint-mutants.json.
+type mutantResult struct {
+	ID         string   `json:"id"`
+	File       string   `json:"file"`
+	ParentLint []string `json:"parent_lint"`
+	// CaughtBy lists what failed on the mutated tree: "build", "vet",
+	// "test", "race", then rule names in TestLint's order. A mutant that
+	// does not build is caught by "build" alone — nothing else can run — and
+	// "race" means the race detector alone: it runs only when the plain
+	// tests pass, since a failure or hang there repeats under -race.
+	CaughtBy []string `json:"caught_by"`
+}
+
+type mutantReport struct {
+	Total   int            `json:"total"`
+	Caught  int            `json:"caught"`
+	Mutants []mutantResult `json:"mutants"`
+}
+
 func loadMutants(t *testing.T, root string) []mutant {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join(root, "internal/lint/testdata/mutants.json"))
@@ -63,14 +83,13 @@ func loadMutants(t *testing.T, root string) []mutant {
 	return corpus
 }
 
-// TestMutantCorpusApplies keeps the corpus from rotting: an edit that moves
-// or rewrites a mutated line fails here, in tier-1, instead of silently
-// shrinking what `make lint-mutants` measures.
+// TestMutantCorpusApplies keeps the corpus and its report from rotting: an
+// edit that moves or rewrites a mutated line fails here, in tier-1, instead
+// of silently shrinking what `make lint-mutants` measures, and so does a
+// lint-mutants.json that covers other rows than the corpus or credits a
+// catcher that no longer exists.
 func TestMutantCorpusApplies(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := moduleRoot(t)
 	corpus := loadMutants(t, root)
 	if len(corpus) < 50 {
 		t.Fatalf("corpus shrank to %d mutants", len(corpus))
@@ -97,6 +116,36 @@ func TestMutantCorpusApplies(t *testing.T) {
 		}
 		if _, err := m.apply(src); err != nil {
 			t.Error(err)
+		}
+	}
+
+	raw, err := os.ReadFile(filepath.Join(root, "lint-mutants.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report mutantReport
+	if err := json.Unmarshal(raw, &report); err != nil {
+		t.Fatalf("lint-mutants.json: %v", err)
+	}
+	catchers := []string{"build", "vet", "test", "race"}
+	for _, r := range rules {
+		catchers = append(catchers, r.name)
+	}
+	reported := make(map[string]bool)
+	for _, r := range report.Mutants {
+		if !ids[r.ID] || reported[r.ID] {
+			t.Errorf("lint-mutants.json: row %s is not in the corpus or is repeated", r.ID)
+		}
+		reported[r.ID] = true
+		for _, c := range r.CaughtBy {
+			if !slices.Contains(catchers, c) {
+				t.Errorf("lint-mutants.json: %s credits %q, which is none of %v", r.ID, c, catchers)
+			}
+		}
+	}
+	for id := range ids {
+		if !reported[id] {
+			t.Errorf("lint-mutants.json has no row for %s; rerun make lint-mutants", id)
 		}
 	}
 }

@@ -15,25 +15,6 @@ import (
 	"time"
 )
 
-// mutantResult is one row of lint-mutants.json.
-type mutantResult struct {
-	ID         string   `json:"id"`
-	File       string   `json:"file"`
-	ParentLint []string `json:"parent_lint"`
-	// CaughtBy lists what failed on the mutated tree: "build", "vet",
-	// "test", "race", then lint rule names in pipeline order. A mutant that
-	// does not build is caught by "build" alone — nothing else can run — and
-	// "race" means the race detector alone: it runs only when the plain
-	// tests pass, since a failure or hang there repeats under -race.
-	CaughtBy []string `json:"caught_by"`
-}
-
-type mutantReport struct {
-	Total   int            `json:"total"`
-	Caught  int            `json:"caught"`
-	Mutants []mutantResult `json:"mutants"`
-}
-
 // racePackages are the packages whose tests also run under the race
 // detector, when a mutant names them.
 var racePackages = []string{"fedmp/internal/core", "fedmp/internal/transport"}
@@ -109,17 +90,13 @@ func catchers(t *testing.T, dir string, pkgs []string) []string {
 			caught = append(caught, "race")
 		}
 	}
-	loaded, err := Load(dir, "./...")
+	found, _, err := lintTree(dir)
 	if err != nil {
-		t.Fatalf("lint load of a tree that builds: %v", err)
+		t.Fatalf("linting a tree that builds: %v", err)
 	}
-	fired := make(map[string]bool)
-	for _, d := range Run(loaded, DefaultOptions()) {
-		fired[d.Rule] = true
-	}
-	for _, a := range Analyzers() {
-		if fired[a.Name] {
-			caught = append(caught, a.Name)
+	for _, r := range rules {
+		if slices.ContainsFunc(found, func(f finding) bool { return f.rule == r.name }) {
+			caught = append(caught, r.name)
 		}
 	}
 	return caught
@@ -131,10 +108,7 @@ func catchers(t *testing.T, dir string, pkgs []string) []string {
 // committed report (or the parent's deleted rules) caught is now caught by
 // nothing.
 func TestMutantMatrix(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
+	root := moduleRoot(t)
 	corpus := loadMutants(t, root)
 	reportPath := filepath.Join(root, "lint-mutants.json")
 	wasCaught := make(map[string]bool)

@@ -1,9 +1,9 @@
 // Package simclock abstracts elapsed-time measurement so the deterministic
 // simulation layers (internal/core, internal/cluster, internal/bandit,
 // internal/experiment) never touch the wall clock directly. Those packages
-// are banned from calling time.Now/time.Since/time.Sleep by the fedmp-lint
-// wallclock analyzer; any overhead accounting they do flows through a Clock
-// threaded in from the composition root instead.
+// are banned from calling time.Now/time.Since/time.Sleep by TestLint's
+// wallclock rule (internal/lint); any overhead accounting they do flows
+// through a Clock threaded in from the composition root instead.
 //
 // Two implementations ship:
 //

@@ -333,6 +333,32 @@ func TestClosedManagerRefusesWork(t *testing.T) {
 	}
 }
 
+// TestAppendRoundReportsWALWriteError: a round-close record the log refuses
+// fails AppendRound, so the server does not count an undurable round as
+// durable. The WAL is swapped for a read-only handle on the same file, which
+// refuses every write and still syncs.
+func TestAppendRoundReportsWALWriteError(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m.wal, err = os.Open(filepath.Join(dir, walName)); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if err := m.AppendRound(testSnapshot(1)); err == nil {
+		t.Error("AppendRound reported a record the WAL refused as durable")
+	}
+}
+
 // TestRecoverSurfacesUnreadableWAL: a log that cannot be read fails Recover
 // instead of reading as a fresh start, which would rerun a schedule whose
 // rounds are already durable.
