@@ -17,13 +17,15 @@ vet:
 	GOARCH=arm64 go vet ./internal/tensor ./internal/nn
 	test -z "$$(gofmt -l .)"
 
-# lint is go vet plus the repo's own rules (TestLint in internal/lint): the
-# few reproducibility and durability invariants no test can see, over the
-# root module and benchmark/ (DESIGN.md's "Static analysis" section). The
-# test's allowlist fails on a row that covers no finding.
+# lint is go vet plus the repo's own rules (internal/lint): the few
+# reproducibility and durability invariants no test can see, over the root
+# module and benchmark/ (DESIGN.md's "Static analysis" section). TestLint
+# holds each rule to its example, TestRepoLintsClean holds both modules to
+# the rules, and TestRepoHatchesAllLive fails on an allowlist row that covers
+# no finding.
 lint:
 	go vet ./...
-	go test -count=1 -run TestLint ./internal/lint
+	go test -count=1 -run 'Lint|Hatches' ./internal/lint
 
 # lint-mutants plants every bug of internal/lint/testdata/mutants.json — a
 # wrong, dropped or repeated frame at each emission site, a doubled or dropped
@@ -97,7 +99,7 @@ test-exhaustive:
 
 # test-benchmark vets and tests the nested benchmark module (BENCHMARK.json):
 # `go test ./...` at the root does not see it, and it compiles against the
-# internal/ API from outside. TestLint covers it too.
+# internal/ API from outside. TestRepoLintsClean covers it too.
 test-benchmark:
 	cd benchmark && go vet ./... && go test ./...
 

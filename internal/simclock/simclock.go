@@ -1,7 +1,7 @@
 // Package simclock abstracts elapsed-time measurement so the deterministic
 // simulation layers (internal/core, internal/cluster, internal/bandit,
 // internal/experiment) never touch the wall clock directly. Those packages
-// are banned from calling time.Now/time.Since/time.Sleep by TestLint's
+// are banned from calling time.Now/time.Since/time.Sleep by the
 // wallclock rule (internal/lint); any overhead accounting they do flows
 // through a Clock threaded in from the composition root instead.
 //

@@ -125,7 +125,7 @@ func Open(dir string) (*Manager, error) {
 	}
 	// The WAL is the one file written in place — append-only, one fsync'd
 	// frame per round — so it does not go through writeFileAtomic (an
-	// allowlist row of TestLint's atomicwrite rule).
+	// allowlist row of internal/lint's atomicwrite rule).
 	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
@@ -281,7 +281,7 @@ func (m *Manager) WriteSnapshot(s *codec.Snapshot) error {
 // writeFileAtomic writes one snapshot frame through the crash-safe sequence:
 // temp file in the same directory, fsync, close, rename over the final name,
 // fsync the directory so the rename itself is durable. Every state file in
-// this package must be written through here (TestLint's atomicwrite rule
+// this package must be written through here (internal/lint's atomicwrite rule
 // enforces it).
 func writeFileAtomic(dir, tmp, final string, buf *[]byte, s *codec.Snapshot) error {
 	tmpPath := filepath.Join(dir, tmp)
