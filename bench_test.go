@@ -127,7 +127,7 @@ func BenchmarkShrinkRecoverRoundTrip(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, subW, err := prune.Shrink(spec, ws, plan)
+		_, subW, err := prune.Shrink(spec, ws, plan, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

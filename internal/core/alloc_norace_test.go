@@ -14,6 +14,9 @@ import (
 // items at random, so a pooled workspace (the LSTM's weight packs) is
 // reallocated now and then.
 
+// raceEnabled reports whether the race detector instruments this test build.
+const raceEnabled = false
+
 // TestEvaluateSteadyStateAllocs: an evaluation re-dimensions the executor's
 // network back to the full model from whatever sub-model it trained last,
 // loads the global weights and evaluates the test batch a chunk at a time,
@@ -47,5 +50,53 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(20, run); got != 0 {
 			t.Errorf("%s: a warm evaluation allocates %v times, want 0", fam.Name(), got)
 		}
+	}
+}
+
+// freeClock is a Clock whose stopwatches cost no allocation (a Wall or
+// Fixed stopwatch is a closure over its start), so that an allocation count
+// measures the code around them.
+type freeClock struct{}
+
+func (freeClock) Stopwatch() func() float64 { return freeLap }
+
+func freeLap() float64 { return 0 }
+
+// TestAssignSteadyStateAllocsPerWorker pins fedMP.Assign's per-worker cost at
+// zero allocations once every slot has held its sub-model: the plans, the
+// sub-specs and the sub-models are rebuilt in the slots (fedMP.slots), the
+// assignment list is re-sliced — so a round of 64 workers allocates exactly
+// what a round of 16 does (scoring the global model, once per round).
+func TestAssignSteadyStateAllocsPerWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fam := &ImageFamily{Spec: benchTinySpec()}
+	cfg, err := Normalize(Config{Strategy: StrategyFixed, FixedRatio: 0.4, Workers: 64, LocalIters: 1, BatchSize: 2, Rounds: 1, Seed: 1, Clock: freeClock{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStrategy(fam, &cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	global := fam.InitWeights(1)
+	workers := make([]int, cfg.Workers)
+	for i := range workers {
+		workers[i] = i
+	}
+	info := &RoundInfo{Round: cfg.WarmupRounds + 1, Global: global, PrevLoss: 2,
+		PrevTimes: make([]float64, cfg.Workers), PrevCommTimes: make([]float64, cfg.Workers)}
+	assign := func(ws []int) func() {
+		return func() {
+			if _, err := s.Assign(info, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	assign(workers)()
+	all, quarter := testing.AllocsPerRun(20, assign(workers)), testing.AllocsPerRun(20, assign(workers[:16]))
+	if all != quarter {
+		t.Errorf("a warm Assign allocates %v times for 64 workers and %v for 16, want the same", all, quarter)
+	} else {
+		t.Logf("a warm Assign allocates %v times, for 64 workers as for 16", all)
 	}
 }

@@ -17,13 +17,13 @@ func (s fixedSource) Next() *nn.Batch { return s.b }
 
 // TestRunWorkerSteadyStateAllocs pins the re-dimensioning path on the zoo
 // CNN: once the executor's network has been shaped for the largest of three
-// sub-models and for the full model's evaluation, cycling the three — with a
-// full-model evaluation after each cycle, all on the one network the single
-// executor keeps — allocates only what runWorker returns and prices: the
-// trained weights and their delta (three allocations per tensor each:
-// header, shape, data; plus the two lists), with a little slack for the
-// values around the two frame envelopes. A layer, workspace, optimiser or RNG
-// allocation on this path shows up as hundreds.
+// sub-models and for the full model's evaluation, and each worker slot's
+// upload buffers for its sub-model, cycling the three — with a full-model
+// evaluation after each cycle, all on the one network the single executor
+// keeps — allocates nothing: the delta, and so the output's NewWeights, is
+// built in the slot's buffers, the result is the slot's, and the two priced
+// frames stay on the stack. A layer, workspace, optimiser, RNG or upload
+// allocation on this path shows up as one or more per tensor.
 func TestRunWorkerSteadyStateAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fam, err := NewImageFamily(zoo.ModelCNN)
@@ -60,13 +60,15 @@ func TestRunWorkerSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // builds the network, grows every workspace
-		tensors := len(asg[0].Weights)
-		budget := float64(len(asg) * (2*(3*tensors+1) + 4))
+		run() // builds the network, grows every workspace and upload buffer
+		budget := 0.0
+		if raceEnabled {
+			// The race detector's sync.Pool drops pooled workspaces at
+			// random: hold the path to what a fresh upload once cost.
+			budget = float64(len(asg) * (2*(3*len(asg[0].Weights)+1) + 4))
+		}
 		if got := testing.AllocsPerRun(20, run); got > budget {
-			t.Errorf("momentum %v: warm runWorker allocates %v times per %d assignments and an evaluation, budget %v", r.cfg.Momentum, got, len(asg), budget)
-		} else {
-			t.Logf("momentum %v: %v allocations per %d assignments and an evaluation (budget %v)", r.cfg.Momentum, got, len(asg), budget)
+			t.Errorf("momentum %v: warm runWorker allocates %v times per %d assignments and an evaluation, want %v", r.cfg.Momentum, got, len(asg), budget)
 		}
 		if len(r.nets) != 1 {
 			t.Errorf("%d executor networks, want the one", len(r.nets))

@@ -4,17 +4,18 @@ import (
 	"runtime"
 	"testing"
 
-	"fedmp/internal/tensor"
 	"fedmp/internal/transport/codec"
 	"fedmp/internal/zoo"
 )
 
 // BenchmarkWorkerStep is one sim-cnn30-shaped assignment — the zoo CNN, four
 // local steps at batch 8 — through WorkerStep, cycling three sub-model
-// shapes: "fresh" builds a network and optimiser for every assignment, as an
-// executor did whenever the shape was not one it had cached; "reshaped"
-// re-dimensions the executor's one network in place. B/op shows the fresh
-// network's first-touch allocations.
+// shapes: "fresh" builds a network, an optimiser and an upload for every
+// assignment, as an executor once did whenever the shape was not one it had
+// cached; "reshaped" re-dimensions the executor's one network in place and
+// builds each upload in its worker slot's buffers, as the simulator does.
+// B/op is the fresh network's and upload's first-touch allocations, and 0
+// for reshaped.
 func BenchmarkWorkerStep(b *testing.B) {
 	fam, err := NewImageFamily(zoo.ModelCNN)
 	if err != nil {
@@ -37,12 +38,13 @@ func BenchmarkWorkerStep(b *testing.B) {
 	for _, mode := range []string{"fresh", "reshaped"} {
 		b.Run(mode, func(b *testing.B) {
 			local := NewLocalNet(fam, 0.05, 0.9, DefaultWeightDecay)
-			var leftover []*tensor.Tensor
+			slots := make([]Upload, len(asg))
 			step := func(i int) {
+				up := &slots[i%len(asg)]
 				if mode == "fresh" {
-					local = NewLocalNet(fam, 0.05, 0.9, DefaultWeightDecay)
+					local, up = NewLocalNet(fam, 0.05, 0.9, DefaultWeightDecay), new(Upload)
 				}
-				if _, err := WorkerStep(local, src, asg[i%len(asg)], 1, &leftover); err != nil {
+				if _, err := WorkerStep(local, src, asg[i%len(asg)], 1, up); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -62,10 +64,10 @@ func BenchmarkWorkerStep(b *testing.B) {
 // sim-pop1m-shaped round — bench-tiny, a cohort of 200 E-UCB workers with 50
 // rounds of history — on one executor ("serial") and on every core
 // ("sharded"): "assign" is fedMP.Assign (the agents' Selects, the plans and
-// the sub-model extraction), "aggregate" is fedMP.Aggregate (the fused R2SP
-// mean of the 200 trained sub-models and the Eq. 8 rewards). Each iteration
-// runs both, since every Select needs its Observe; only the named phase is
-// timed.
+// the sub-model extraction into the workers' slots), "aggregate" is
+// fedMP.Aggregate (the fused R2SP mean of the 200 trained sub-models and the
+// Eq. 8 rewards). Each iteration runs both, since every Select needs its
+// Observe; only the named phase is timed, but allocs/op counts both.
 func BenchmarkServerPhases(b *testing.B) {
 	fam := &ImageFamily{Spec: benchTinySpec()}
 	cfg, err := Normalize(Config{Strategy: StrategyFedMP, Workers: 200, LocalIters: 1, BatchSize: 2, Rounds: 1, Seed: 1})
@@ -115,6 +117,7 @@ func BenchmarkServerPhases(b *testing.B) {
 				for r := 1; r <= 50; r++ {
 					round(r, "")
 				}
+				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					round(51+i, phase)

@@ -446,7 +446,7 @@ func TestTopKUpdate(t *testing.T) {
 	before := []*tensor.Tensor{tensor.FromSlice([]float32{0, 0, 0, 0}, 4)}
 	after := []*tensor.Tensor{tensor.FromSlice([]float32{1, -3, 0.5, 2}, 4)}
 	topK := func(k float64) (update []float32, nnz int) {
-		_, up, _ := buildUpload(nn.CloneWeights(after), before, k, nil, false)
+		_, up := new(Upload).build([]*nn.Param{{W: after[0]}}, before, k, nil, false)
 		for _, v := range up[0].Data {
 			if v != 0 {
 				nnz++

@@ -47,6 +47,13 @@ type Executor interface {
 	Closed(round int, eval *Point, snap func() *State) error
 }
 
+// poisonClosed, set only by tests, has Drive fill the models a closed round
+// hands back — its delivered outputs' NewWeights and its lost assignments'
+// Weights — with NaN once Executor.Closed has returned, so that a buffer read
+// after its round closed shows in the trajectory. Output.Base is spared: it
+// is the global model.
+var poisonClosed bool
+
 // maxBarrenRounds bounds how many consecutive times a round may be run again
 // because it delivered nothing (a liveness backstop, not a scheduling
 // parameter).
@@ -187,8 +194,19 @@ func (d *Driver) Drive(exec Executor) (*Result, error) {
 			}
 			eval = &p
 		}
+		var poisoned []*tensor.Tensor
+		for i := 0; poisonClosed && i < len(delivered)+len(lost); i++ {
+			if i < len(delivered) {
+				poisoned = append(poisoned, delivered[i].NewWeights...)
+			} else {
+				poisoned = append(poisoned, lost[i-len(delivered)].Weights...)
+			}
+		}
 		if err := exec.Closed(round, eval, snap); err != nil {
 			return nil, err
+		}
+		for _, t := range poisoned {
+			t.Fill(float32(math.NaN()))
 		}
 		if eval != nil && d.reached(*eval) || d.spent(round, exec.Now()) {
 			break

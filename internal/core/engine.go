@@ -42,9 +42,10 @@ type runner struct {
 	// timesScratch backs the deadline quantile selection.
 	timesScratch []float64
 
-	// leftover is each slot's top-K compression error, kept as a TCP worker
-	// keeps its own (WorkerStep).
-	leftover [][]*tensor.Tensor
+	// uploads is each slot's upload state — the buffers its delta, and so
+	// its output's NewWeights, are built in, and its top-K compression error
+	// — kept as a TCP worker keeps its own (WorkerStep).
+	uploads []Upload
 
 	// Round-scoped scratch, re-sliced every round instead of reallocated.
 	// workerIDs is the fixed [0..Workers) identity list; the rest hold the
@@ -95,7 +96,7 @@ func newRunner(fam Family, cfg Config) (*runner, error) {
 		sources: sources,
 		rng:     rand.New(rand.NewSource(cfg.Seed + 29)),
 
-		leftover: make([][]*tensor.Tensor, cfg.Workers),
+		uploads: make([]Upload, cfg.Workers),
 	}
 	r.workerIDs = make([]int, cfg.Workers)
 	for i := range r.workerIDs {
@@ -356,10 +357,10 @@ func (x *asyncExec) Run(round int, assignments []Assignment) (delivered []Output
 func (x *asyncExec) Idle(seconds, meanRoundTime float64) (float64, bool) { return seconds, true }
 
 // releaseRound parks the cohort's devices where the round left them and drops
-// the round scratch's references to the round's models — the assignments'
-// sub-weights, the trained outputs — so they are collectable once the round
-// is over, exactly as when these slices were allocated per round; the scratch
-// keeps only its backing arrays.
+// the round scratch's references to the round's outputs, so what is not a
+// slot's buffer — the dispatch-time global model each output's Base holds,
+// a quantized wire's delivered copies — is collectable once the round is
+// over; the scratch keeps only its backing arrays.
 func (r *runner) releaseRound() {
 	for slot, id := range r.cohortIDs {
 		r.devCache[id] = r.cohortDevs[slot].Parked
@@ -396,12 +397,13 @@ func (r *runner) deliver(ts []*tensor.Tensor) []*tensor.Tensor {
 // threaded through so the size model prices exactly the frames the TCP
 // runtime would send, sparse-mode compression included — Figs. 5 and 9 report
 // real encoded bytes, not a parameter-count estimate. It touches only
-// per-assignment state — the worker's own source, leftover and device — and
+// per-assignment state — the worker's own source, upload and device — and
 // the calling executor's network, which trains exactly as a fresh one does
 // whatever it was shaped for before, so trainCohort can shard calls across
-// goroutines without changing a byte of the result. Once that network is
-// built the call allocates only what it returns and prices: the trained
-// weights (which become the delta, then the new weights) and the two frames.
+// goroutines without changing a byte of the result. The delta, which becomes
+// the output's NewWeights, is built in the slot's upload buffers, so once
+// the network and those buffers have grown the call allocates only the
+// frames it prices.
 func (r *runner) runWorker(a Assignment, round int, local *LocalNet) (Output, error) {
 	out := Output{Assignment: a}
 	assign := a.Frame(round, r.cfg.QuantizeWire)
@@ -410,7 +412,7 @@ func (r *runner) runWorker(a Assignment, round int, local *LocalNet) (Output, er
 		return Output{}, fmt.Errorf("core: sizing worker %d assignment: %w", a.Worker, err)
 	}
 	assign.Assign.Weights = r.deliver(a.Weights)
-	res, err := WorkerStep(local, r.sources[a.Worker], assign.Assign, r.cfg.Seed, &r.leftover[a.Worker])
+	res, err := WorkerStep(local, r.sources[a.Worker], assign.Assign, r.cfg.Seed, &r.uploads[a.Worker])
 	if err != nil {
 		return Output{}, fmt.Errorf("core: worker %d: %w", a.Worker, err)
 	}

@@ -21,7 +21,8 @@ import (
 	"fedmp/internal/zoo"
 )
 
-// Source yields training minibatches for one worker's local shard.
+// Source yields training minibatches for one worker's local shard. A batch
+// is the source's own buffer, valid until the next call.
 type Source interface {
 	Next() *nn.Batch
 }
@@ -85,14 +86,26 @@ type Family interface {
 }
 
 // PlanContext is the pruning state the plans of one round share (see
-// prune.Context). It is read-only, so MakePlan may run from many goroutines.
+// prune.Context). It is read-only, so MakePlan may run from many goroutines
+// on distinct destinations.
 type PlanContext interface {
 	// NoiseLen is the number of standard-normal draws one jittered plan
 	// consumes, whatever its ratio.
 	NoiseLen() int
 	// MakePlan is Family.MakePlan with the noise already drawn
-	// (prune.DrawNoise order); empty noise is the deterministic plan.
-	MakePlan(ratio, jitter float64, noise []float64) (plan any, subDesc any, subW []*tensor.Tensor, err error)
+	// (prune.DrawNoise order; empty noise is the deterministic plan), built
+	// in dst: whatever dst holds from an earlier MakePlan of the family is
+	// rebuilt in place, so nobody may still be reading it.
+	MakePlan(ratio, jitter float64, noise []float64, dst *Pruned) error
+}
+
+// Pruned is a sub-model as the parameter server cuts it: the plan, the
+// sub-model's description and its weights. Handed back to
+// PlanContext.MakePlan, its buffers are refilled and re-dimensioned rather
+// than reallocated, so one Pruned per worker slot serves a whole run.
+type Pruned struct {
+	Plan, Desc any
+	Weights    []*tensor.Tensor
 }
 
 // makePlan implements Family.MakePlan on top of PlanContext.
@@ -101,7 +114,11 @@ func makePlan(f Family, weights []*tensor.Tensor, ratio, jitter float64, rng *ra
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return ctx.MakePlan(ratio, jitter, prune.DrawNoise(nil, ctx.NoiseLen(), jitter, rng))
+	var p Pruned
+	if err := ctx.MakePlan(ratio, jitter, prune.DrawNoise(nil, ctx.NoiseLen(), jitter, rng), &p); err != nil {
+		return nil, nil, nil, err
+	}
+	return p.Plan, p.Desc, p.Weights, nil
 }
 
 // NonIID selects a data-partitioning scheme (§V-F).
@@ -201,16 +218,19 @@ func (f *ImageFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error)
 
 type imagePlanContext struct{ *prune.Context }
 
-func (c imagePlanContext) MakePlan(ratio, jitter float64, noise []float64) (any, any, []*tensor.Tensor, error) {
-	plan, err := c.Plan(ratio, jitter, noise)
+func (c imagePlanContext) MakePlan(ratio, jitter float64, noise []float64, dst *Pruned) error {
+	plan, _ := dst.Plan.(*prune.Plan)
+	subSpec, _ := dst.Desc.(*zoo.Spec)
+	plan, err := c.Plan(ratio, jitter, noise, plan)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
-	subSpec, subW, err := c.Shrink(plan)
+	subSpec, subW, err := c.Shrink(plan, subSpec, dst.Weights)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
-	return plan, subSpec, subW, nil
+	*dst = Pruned{Plan: plan, Desc: subSpec, Weights: subW}
+	return nil
 }
 
 // Accumulate implements Family.
@@ -336,16 +356,18 @@ func (f *LMFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
 
 type lmPlanContext struct{ *prune.LMContext }
 
-func (c lmPlanContext) MakePlan(ratio, jitter float64, noise []float64) (any, any, []*tensor.Tensor, error) {
-	plan, err := c.Plan(ratio, jitter, noise)
+func (c lmPlanContext) MakePlan(ratio, jitter float64, noise []float64, dst *Pruned) error {
+	plan, _ := dst.Plan.(*prune.LMPlan)
+	plan, err := c.Plan(ratio, jitter, noise, plan)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
-	subCfg, subW, err := c.Shrink(plan)
+	subCfg, subW, err := c.Shrink(plan, dst.Weights)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
-	return plan, subCfg, subW, nil
+	*dst = Pruned{Plan: plan, Desc: subCfg, Weights: subW}
+	return nil
 }
 
 // Accumulate implements Family.

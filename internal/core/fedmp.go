@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fedmp/internal/bandit"
 	"fedmp/internal/prune"
@@ -25,10 +26,20 @@ type fedMP struct {
 	// noise is Assign's per-round scratch: every worker's plan noise, back
 	// to back.
 	noise []float64
+	// slots holds each worker slot's plan, sub-model description and
+	// sub-model weights, rebuilt in place whenever the slot is assigned: an
+	// executor never has two of a slot's assignments in flight, and each
+	// aggregates its outputs before the slot is assigned again.
+	slots []Pruned
+	// out, errs, decideSecs and pruneSecs are Assign's result and per-worker
+	// scratch, re-sliced every round.
+	out                   []Assignment
+	errs                  []error
+	decideSecs, pruneSecs []float64
 }
 
 func newFedMP(fam Family, cfg *Config, fixed bool) (*fedMP, error) {
-	s := &fedMP{fam: fam, cfg: cfg, fixed: fixed, planRng: rand.New(rand.NewSource(cfg.Seed + 555))}
+	s := &fedMP{fam: fam, cfg: cfg, fixed: fixed, planRng: rand.New(rand.NewSource(cfg.Seed + 555)), slots: make([]Pruned, cfg.Workers)}
 	s.agents = make([]bandit.Policy, cfg.Workers)
 	for i := range s.agents {
 		if fixed {
@@ -115,11 +126,12 @@ func (s *fedMP) RestoreBandits(sts []*bandit.State) error {
 // draws need no decision first. One sharded pass then decides and prunes per
 // worker, results landing at the worker's index: the agent's Select (each
 // agent owns its generator), then the top-k selection and the sub-model
-// extraction, which only read shared state. Each worker has one decision
-// stopwatch and one pruning stopwatch, and DecisionSeconds and PruneSeconds
-// sum their readings in worker order; the scoring and noise drawing all
-// workers share is on the first worker's pruning stopwatch (which therefore
-// also spans that worker's Select).
+// extraction into the worker's slot, which only read shared state. Each
+// worker has one decision stopwatch and one pruning stopwatch, and
+// DecisionSeconds and PruneSeconds sum their readings in worker order; the
+// scoring and noise drawing all workers share is on the first worker's
+// pruning stopwatch (which therefore also spans that worker's Select). The
+// returned list is fedMP's, valid until the next Assign.
 func (s *fedMP) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 	if len(workers) == 0 {
 		return nil, nil
@@ -140,11 +152,12 @@ func (s *fedMP) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 	}
 	s.noise = noise
 
-	out := make([]Assignment, len(workers))
-	errs := make([]error, len(workers))
-	decideSecs := make([]float64, len(workers))
-	pruneSecs := make([]float64, len(workers))
-	shard(len(workers), func(_, i int) {
+	n := len(workers)
+	s.out, s.errs = slices.Grow(s.out[:0], n)[:n], slices.Grow(s.errs[:0], n)[:n]
+	s.decideSecs, s.pruneSecs = slices.Grow(s.decideSecs[:0], n)[:n], slices.Grow(s.pruneSecs[:0], n)[:n]
+	out, errs, decideSecs, pruneSecs := s.out, s.errs, s.decideSecs, s.pruneSecs
+	clear(decideSecs)
+	shard(n, func(_, i int) {
 		a := &out[i]
 		*a = Assignment{Worker: workers[i], Iters: s.cfg.LocalIters, Warmup: warmup}
 		if !warmup {
@@ -156,7 +169,9 @@ func (s *fedMP) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 		if i > 0 {
 			shrink = s.cfg.Clock.Stopwatch()
 		}
-		a.Plan, a.Desc, a.Weights, errs[i] = ctx.MakePlan(a.Ratio, s.cfg.PlanJitter, noise[i*noiseLen:(i+1)*noiseLen])
+		slot := &s.slots[a.Worker]
+		errs[i] = ctx.MakePlan(a.Ratio, s.cfg.PlanJitter, noise[i*noiseLen:(i+1)*noiseLen], slot)
+		a.Plan, a.Desc, a.Weights = slot.Plan, slot.Desc, slot.Weights
 		if errs[i] == nil {
 			a.Base, errs[i] = s.base(info.Global, a.Plan)
 		}

@@ -37,27 +37,35 @@ func (a *Assignment) Frame(round int, quantize bool) *codec.Envelope {
 	}}
 }
 
+// Upload is one worker slot's upload state, kept from one assignment to the
+// next: the result and the buffers its delta is built in, and the top-K
+// compression error FlexCom's error feedback carries into the next
+// selection.
+type Upload struct {
+	res             codec.Result
+	delta, leftover []*tensor.Tensor
+}
+
 // WorkerStep is a worker's whole answer to one assignment (phase ② of
 // Fig. 1): train a on src's batches and build the upload, on local's network
 // re-dimensioned to the sub-model (seed reaches Family.BuildNet when one must
-// be built). leftover is the worker's own top-K compression error (FlexCom's
-// error feedback), carried from one assignment's upload into the next one's
-// selection; it is ignored when the assigned model has changed shape and is
-// overwritten with what this upload leaves behind (nil in dense mode).
-// a.Weights are only read.
-func WorkerStep(local *LocalNet, src Source, a *codec.Assign, seed int64, leftover *[]*tensor.Tensor) (*codec.Result, error) {
+// be built), in up's buffers: the result and a dense result's Delta are up's,
+// valid until the next WorkerStep on up. up's leftover is ignored when the
+// assigned model has changed shape and is replaced with what this upload
+// leaves behind (none in dense mode). a.Weights are only read.
+func WorkerStep(local *LocalNet, src Source, a *codec.Assign, seed int64, up *Upload) (*codec.Result, error) {
 	net, opt, err := local.Get(a.Desc, seed)
 	if err != nil {
 		return nil, fmt.Errorf("building assigned model: %w", err)
 	}
-	res := &codec.Result{Round: a.Round}
+	res := &up.res
+	*res = codec.Result{Round: a.Round}
 	res.TrainLoss = trainLocal(net, opt, src, a.Weights, max(a.Iters, 1), a.ProxMu)
-	var feedback []*tensor.Tensor
-	if slices.EqualFunc(*leftover, a.Weights, tensor.SameShape) {
-		feedback = *leftover
+	feedback := up.leftover
+	if !slices.EqualFunc(feedback, a.Weights, tensor.SameShape) {
+		feedback = nil
 	}
-	// GetWeights deep-copies, so the upload is built in place.
-	res.Delta, res.Update, *leftover = buildUpload(nn.GetWeights(net), a.Weights, a.UploadK, feedback, a.Quantize)
+	res.Delta, res.Update = up.build(net.Params(), a.Weights, a.UploadK, feedback, a.Quantize)
 	return res, nil
 }
 
@@ -110,27 +118,35 @@ func trainLocal(net nn.Network, opt *nn.SGD, src Source, weights []*tensor.Tenso
 	return lossSum / float64(iters)
 }
 
-// buildUpload turns trained weights into the upload for an assignment that
-// started from assigned — exactly one of delta and update. trained is
-// consumed: the delta is computed in place. With uploadK zero the upload is
-// the dense delta, trained minus assigned: the server still has the weights
-// it sent, so repeating them buys nothing, and a partially trained delta's
-// zero runs compress under the codec's sparse mode. Otherwise feedback — the
-// previous uploads' leftover, nil for none — is added first (error feedback,
-// the standard fix for top-K compression stalls) and the top uploadK fraction
-// of each tensor is kept as update, in dense form; leftover is what the
-// selection left behind, measured against what the wire delivers, so under
-// quantize it compensates the quantization error too.
-func buildUpload(trained, assigned []*tensor.Tensor, uploadK float64, feedback []*tensor.Tensor, quantize bool) (delta, update, leftover []*tensor.Tensor) {
-	delta = trained
-	for i := range delta {
-		delta[i].Sub(assigned[i])
+// build turns the trained parameters into the upload for an assignment that
+// started from assigned — exactly one of delta and update — forming trained
+// minus assigned in u's delta buffers, straight from the parameters. With
+// uploadK zero the upload is that dense delta: the server still has the
+// weights it sent, so repeating them buys nothing, and a partially trained
+// delta's zero runs compress under the codec's sparse mode. Otherwise
+// feedback — the previous uploads' leftover, nil for none — is added first
+// (error feedback, the standard fix for top-K compression stalls) and the
+// top uploadK fraction of each tensor is kept as update, in dense form; the
+// new leftover is what the selection left behind, measured against what the
+// wire delivers, so under quantize it compensates the quantization error
+// too. The leftover and the delta trade buffers, so the feedback being read
+// is never the delta being written.
+func (u *Upload) build(trained []*nn.Param, assigned []*tensor.Tensor, uploadK float64, feedback []*tensor.Tensor, quantize bool) (delta, update []*tensor.Tensor) {
+	delta = slices.Grow(u.delta[:0], len(trained))[:len(trained)]
+	for i, p := range trained {
+		d := tensor.Ensure(delta[i], p.W.Shape...)
+		delta[i] = d
+		w, a := p.W.Data, assigned[i].Data[:len(d.Data)]
+		for j := range d.Data {
+			d.Data[j] = w[j] - a[j]
+		}
 		if uploadK > 0 && feedback != nil {
-			delta[i].Add(feedback[i])
+			d.Add(feedback[i])
 		}
 	}
 	if uploadK <= 0 {
-		return delta, nil, nil
+		u.delta, u.leftover = delta, nil
+		return delta, nil
 	}
 	update, _ = topKOf(delta, uploadK)
 	sent := update
@@ -140,7 +156,8 @@ func buildUpload(trained, assigned []*tensor.Tensor, uploadK float64, feedback [
 	for i := range delta {
 		delta[i].Sub(sent[i])
 	}
-	return nil, update, delta
+	u.delta, u.leftover = u.leftover, delta
+	return nil, update
 }
 
 // magPool recycles the magnitude scratch topKOf ranks in — one buffer per

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fedmp/internal/cluster"
+	"fedmp/internal/nn"
 	"fedmp/internal/tensor"
 	"fedmp/internal/transport/codec"
 )
@@ -66,6 +67,9 @@ func (s *slotRecorder) Assign(info *RoundInfo, workers []int) ([]Assignment, err
 	as, err := s.Strategy.Assign(info, workers)
 	for _, a := range as {
 		if a.Worker == s.slot {
+			// The weights are the round's: once it closes they are the
+			// slot's to rewrite (and poisonClosed fills a lost one).
+			a.Weights = nn.CloneWeights(a.Weights)
 			s.assigned = append(s.assigned, a)
 		}
 	}
@@ -124,15 +128,15 @@ func TestFlexComLeftoverIsTheWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		local := NewLocalNet(fam, r.cfg.LR, r.cfg.Momentum, r.cfg.WeightDecay)
-		var leftover []*tensor.Tensor
+		var up Upload
 		var res *codec.Result
 		for i := range rec.assigned {
-			kept := leftover
-			if res, err = WorkerStep(local, srcs[slot], rec.assigned[i].Frame(i+1, false).Assign, r.cfg.Seed, &leftover); err != nil {
+			kept := up
+			if res, err = WorkerStep(local, srcs[slot], rec.assigned[i].Frame(i+1, false).Assign, r.cfg.Seed, &up); err != nil {
 				t.Fatal(err)
 			}
 			if forgetDropped && rec.uploads[i] == nil {
-				leftover = kept
+				up = kept
 			}
 		}
 		return res.Update

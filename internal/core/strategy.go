@@ -84,9 +84,11 @@ type RoundInfo struct {
 }
 
 // Strategy is one federated-learning method. Assign produces work orders for
-// the given workers against the current global model; Aggregate folds the
-// round's outputs into a new global model. dropped lists assignments whose
-// workers missed the deadline (they still need bandit bookkeeping).
+// the given workers against the current global model — a list, and models,
+// that may be the strategy's own buffers, valid until its next Assign;
+// Aggregate folds the round's outputs into a new global model. dropped lists
+// assignments whose workers missed the deadline (they still need bandit
+// bookkeeping).
 type Strategy interface {
 	Name() string
 	Assign(info *RoundInfo, workers []int) ([]Assignment, error)

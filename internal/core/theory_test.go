@@ -48,7 +48,7 @@ func TestLemma1DeviationBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subSpec, subW, err := prune.Shrink(spec, global, plan)
+		subSpec, subW, err := prune.Shrink(spec, global, plan, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

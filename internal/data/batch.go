@@ -3,8 +3,10 @@ package data
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fedmp/internal/nn"
+	"fedmp/internal/tensor"
 )
 
 // Loader draws minibatches from one worker's shard of a dataset. Each worker
@@ -15,6 +17,8 @@ type Loader struct {
 	batchSize int
 	rng       *rand.Rand
 	cursor    int
+	// batch is the one batch Next refills.
+	batch nn.Batch
 }
 
 // NewLoader constructs a loader over the given sample indices. The index
@@ -44,7 +48,8 @@ func (l *Loader) shuffle() {
 
 // Next returns the next minibatch, wrapping (with a reshuffle) at the end of
 // the shard. The batch may be smaller than the configured size only when the
-// shard itself is smaller.
+// shard itself is smaller. It is the loader's one batch, refilled in place by
+// the next call.
 func (l *Loader) Next() *nn.Batch {
 	n := l.batchSize
 	if n > len(l.indices) {
@@ -55,19 +60,21 @@ func (l *Loader) Next() *nn.Batch {
 	}
 	idxs := l.indices[l.cursor : l.cursor+n]
 	l.cursor += n
-	return MakeBatch(l.ds, idxs)
+	return fillBatch(&l.batch, l.ds, idxs)
 }
 
 // MakeBatch assembles samples at the given indices into an nn.Batch.
-func MakeBatch(ds *Dataset, idxs []int) *nn.Batch {
+func MakeBatch(ds *Dataset, idxs []int) *nn.Batch { return fillBatch(new(nn.Batch), ds, idxs) }
+
+// fillBatch assembles samples at the given indices into b, re-dimensioning
+// its buffers in place (tensor.Ensure), and returns it.
+func fillBatch(b *nn.Batch, ds *Dataset, idxs []int) *nn.Batch {
 	if len(idxs) == 0 {
 		panic("data: MakeBatch with no indices")
 	}
 	per := ds.C * ds.H * ds.W
-	b := &nn.Batch{
-		X:      newImageTensor(len(idxs), ds.C, ds.H, ds.W),
-		Labels: make([]int, len(idxs)),
-	}
+	b.X = tensor.Ensure(b.X, len(idxs), ds.C, ds.H, ds.W)
+	b.Labels = slices.Grow(b.Labels[:0], len(idxs))[:len(idxs)]
 	for i, idx := range idxs {
 		s := ds.Train[idx]
 		copy(b.X.Data[i*per:(i+1)*per], s.X)
@@ -85,7 +92,7 @@ func TestBatch(ds *Dataset, limit int) *nn.Batch {
 	}
 	per := ds.C * ds.H * ds.W
 	b := &nn.Batch{
-		X:      newImageTensor(n, ds.C, ds.H, ds.W),
+		X:      tensor.New(n, ds.C, ds.H, ds.W),
 		Labels: make([]int, n),
 	}
 	for i := 0; i < n; i++ {

@@ -3,6 +3,7 @@ package data
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -307,5 +308,45 @@ func TestPartitionNoDuplicatesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLoadersRefillOneBatch pins both loaders' steady state: each refills
+// its one batch in place — the same header every call, holding exactly what
+// MakeBatch assembles, or the stream's subsequences — and allocates nothing
+// once warm, a wrap-around reshuffle included.
+func TestLoadersRefillOneBatch(t *testing.T) {
+	d := Generate("ld", Config{Classes: 3, C: 1, H: 4, W: 4, TrainSize: 30, TestSize: 5, Noise: 0.5, Seed: 8})
+	l := NewLoader(d, []int{0, 1, 2, 3, 4, 5, 6}, 3, rand.New(rand.NewSource(4)))
+	ref := NewLoader(d, []int{0, 1, 2, 3, 4, 5, 6}, 3, rand.New(rand.NewSource(4)))
+	first := l.Next()
+	for i := 0; i < 6; i++ {
+		if i > 0 {
+			if b := l.Next(); b != first {
+				t.Fatal("Loader.Next returned a new batch")
+			}
+		}
+		n := ref.batchSize
+		if ref.cursor+n > len(ref.indices) {
+			ref.shuffle()
+		}
+		want := MakeBatch(d, ref.indices[ref.cursor:ref.cursor+n])
+		ref.cursor += n
+		if !reflect.DeepEqual(first, want) {
+			t.Fatalf("batch %d: %+v, MakeBatch assembles %+v", i, first, want)
+		}
+	}
+	if got := testing.AllocsPerRun(20, func() { l.Next() }); got != 0 {
+		t.Errorf("a warm Loader.Next allocates %v times, want 0", got)
+	}
+
+	c := GenerateCorpus(CorpusConfig{Vocab: 10, Branch: 3, TrainSize: 1000, TestSize: 200, Seed: 12})
+	sl := NewSeqLoader(PartitionCorpusIID(c, 4)[0], 8, 3, rand.New(rand.NewSource(5)))
+	seqFirst := sl.Next()
+	if sl.Next() != seqFirst || len(seqFirst.Seq) != 3 || len(seqFirst.Seq[2]) != 9 {
+		t.Fatalf("SeqLoader.Next returned a new batch or a wrong shape: %d sequences", len(seqFirst.Seq))
+	}
+	if got := testing.AllocsPerRun(20, func() { sl.Next() }); got != 0 {
+		t.Errorf("a warm SeqLoader.Next allocates %v times, want 0", got)
 	}
 }

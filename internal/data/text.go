@@ -4,14 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"fedmp/internal/nn"
-	"fedmp/internal/tensor"
 )
-
-// newImageTensor allocates an [n, c, h, w] tensor (kept here so only one
-// file in this package imports tensor directly).
-func newImageTensor(n, c, h, w int) *tensor.Tensor { return tensor.New(n, c, h, w) }
 
 // Corpus is a synthetic token stream standing in for Penn TreeBank. Tokens
 // are drawn from a random first-order Markov chain; the chain's conditional
@@ -144,6 +140,8 @@ type SeqLoader struct {
 	seqLen    int
 	batchSize int
 	rng       *rand.Rand
+	// batch is the one batch Next refills.
+	batch nn.Batch
 }
 
 // NewSeqLoader constructs a loader producing batches of batchSize sequences
@@ -158,9 +156,11 @@ func NewSeqLoader(stream []int, seqLen, batchSize int, rng *rand.Rand) *SeqLoade
 	return &SeqLoader{stream: stream, seqLen: seqLen, batchSize: batchSize, rng: rng}
 }
 
-// Next returns the next random batch of subsequences.
+// Next returns the next random batch of subsequences: the loader's one
+// batch, refilled in place by the next call.
 func (l *SeqLoader) Next() *nn.Batch {
-	b := &nn.Batch{Seq: make([][]int, l.batchSize)}
+	b := &l.batch
+	b.Seq = slices.Grow(b.Seq[:0], l.batchSize)[:l.batchSize]
 	maxStart := len(l.stream) - l.seqLen - 1
 	for i := range b.Seq {
 		start := l.rng.Intn(maxStart + 1)

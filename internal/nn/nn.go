@@ -17,25 +17,11 @@ import (
 	"fedmp/internal/tensor"
 )
 
-// ensure returns t re-shaped to the given shape when its backing array is
-// large enough; otherwise it allocates a fresh tensor. Layers use it to
-// recycle their output and workspace buffers across steps: once a layer has
-// seen its largest batch, training and evaluation (including EvalChunked's
-// short tail chunk) reuse every buffer and perform no heap allocation.
-// Contents are unspecified after a re-shape; callers overwrite or zero them.
-//
-// Returned buffers are owned by the layer that ensured them: a layer's
-// Forward output is valid until its next Forward call (callers that need the
-// values longer must Clone), which is exactly the lifetime the train/eval
-// loops rely on.
-func ensure(t *tensor.Tensor, shape ...int) *tensor.Tensor {
-	if size := tensor.Prod(shape); t != nil && cap(t.Data) >= size {
-		t.Data = t.Data[:size]
-		t.Shape = append(t.Shape[:0], shape...)
-		return t
-	}
-	return tensor.New(shape...)
-}
+// ensure is tensor.Ensure, with which layers recycle their output and
+// workspace buffers: once a layer has seen its largest batch, training and
+// evaluation reuse every buffer. A layer's Forward output is valid until its
+// next Forward call (callers that need the values longer must Clone).
+func ensure(t *tensor.Tensor, shape ...int) *tensor.Tensor { return tensor.Ensure(t, shape...) }
 
 // grow returns buf re-sliced to n elements, reallocating only when its
 // capacity is too small — the slice counterpart of ensure.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fedmp/internal/nn"
+	"fedmp/internal/tensor"
 	"fedmp/internal/testfd"
 	"fedmp/internal/zoo"
 )
@@ -45,7 +46,7 @@ var allocTable = []testfd.AllocRow{
 		if err != nil {
 			panic(err)
 		}
-		_, sub, err := Shrink(spec, ws, plan)
+		_, sub, err := Shrink(spec, ws, plan, nil, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -55,7 +56,7 @@ var allocTable = []testfd.AllocRow{
 		if err != nil {
 			panic(err)
 		}
-		_, lmSub, err := ShrinkLM(cfg, lmWs, lmPlan)
+		_, lmSub, err := ShrinkLM(cfg, lmWs, lmPlan, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -64,6 +65,51 @@ var allocTable = []testfd.AllocRow{
 			for part := range 3 {
 				if Accumulate(spec, acc, sub, ws, plan, part, 3) != nil || AccumulateLM(cfg, lmAcc, lmSub, lmWs, lmPlan, part, 3) != nil {
 					panic("accumulate failed")
+				}
+			}
+		}
+	}},
+	{Fns: []any{(*Context).Plan, Shrink, gatherRows, (*LMContext).Plan, ShrinkLM}, Setup: func() func() {
+		// One worker slot's plan and sub-model rebuilt in place, as the
+		// round engine rebuilds them every time the slot is assigned: a
+		// residual model (bodies in the sub-spec) cycling three ratios, a
+		// jittered plan among them, and the language model.
+		spec, err := zoo.SpecFor(zoo.ModelResNet)
+		if err != nil {
+			panic(err)
+		}
+		net, err := zoo.Build(spec, rand.New(rand.NewSource(1)))
+		if err != nil {
+			panic(err)
+		}
+		ctx, err := NewContext(spec, nn.GetWeights(net))
+		if err != nil {
+			panic(err)
+		}
+		noise := DrawNoise(nil, ctx.NoiseLen(), 0.3, rand.New(rand.NewSource(2)))
+		cfg := zoo.DefaultLMConfig()
+		lmCtx, err := NewLMContext(cfg, nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(1)))))
+		if err != nil {
+			panic(err)
+		}
+		var plan *Plan
+		var sub *zoo.Spec
+		var lmPlan *LMPlan
+		var subW, lmSubW []*tensor.Tensor
+		return func() {
+			for _, ratio := range []float64{0.6, 0, 0.3} {
+				var err error
+				if plan, err = ctx.Plan(ratio, 0.3, noise, plan); err != nil {
+					panic(err)
+				}
+				if sub, subW, err = ctx.Shrink(plan, sub, subW); err != nil {
+					panic(err)
+				}
+				if lmPlan, err = lmCtx.Plan(ratio, 0, nil, lmPlan); err != nil {
+					panic(err)
+				}
+				if _, lmSubW, err = lmCtx.Shrink(lmPlan, lmSubW); err != nil {
+					panic(err)
 				}
 			}
 		}

@@ -57,7 +57,7 @@ func TestConvPathByRatio(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s at %v: %v", id, ratio, err)
 			}
-			sub, _, err := Shrink(spec, ws, plan)
+			sub, _, err := Shrink(spec, ws, plan, nil, nil)
 			if err != nil {
 				t.Fatalf("%s at %v: %v", id, ratio, err)
 			}

@@ -36,7 +36,7 @@ func TestPruningThroughDropoutAndAvgPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subSpec, subW, err := Shrink(spec, ws, plan)
+	subSpec, subW, err := Shrink(spec, ws, plan, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

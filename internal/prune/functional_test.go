@@ -33,7 +33,7 @@ func TestSubModelFunctionallyEqualsSparseModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			subSpec, subW, err := Shrink(spec, ws, plan)
+			subSpec, subW, err := Shrink(spec, ws, plan, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,6 +26,8 @@ type LMPlan struct {
 	// expanded, and validated, on each use.
 	hidden       int
 	rows1, rows2 []int
+	// ints backs the four sets, as Plan's does.
+	ints indexArena
 }
 
 // gates returns the plan's kept gate rows for h hidden units.
@@ -33,7 +35,7 @@ func (p *LMPlan) gates(h int) (rows1, rows2 []int) {
 	if p.rows1 != nil && p.hidden == h {
 		return p.rows1, p.rows2
 	}
-	return gateRows(p.Kept1, h), gateRows(p.Kept2, h)
+	return gateRows(p.Kept1, h, nil), gateRows(p.Kept2, h, nil)
 }
 
 // LM parameter layout in nn.GetWeights order (see nn.LSTMLM):
@@ -58,7 +60,7 @@ func BuildLMPlanJittered(cfg zoo.LMConfig, weights []*tensor.Tensor, ratio, jitt
 	if err != nil {
 		return nil, err
 	}
-	return c.Plan(ratio, jitter, DrawNoise(nil, c.NoiseLen(), jitter, rng))
+	return c.Plan(ratio, jitter, DrawNoise(nil, c.NoiseLen(), jitter, rng), nil)
 }
 
 // LMContext is Context for the language model: the hidden-unit scores of
@@ -105,14 +107,20 @@ func (c *LMContext) NoiseLen() int { return len(c.s1) + len(c.s2) }
 
 // Plan keeps the top (1−ratio) fraction of each layer's hidden units, scores
 // scaled by exp(jitter·noise[i]) first when noise is non-empty (lstm1's
-// units, then lstm2's).
-func (c *LMContext) Plan(ratio, jitter float64, noise []float64) (*LMPlan, error) {
+// units, then lstm2's). The plan is built in dst as Context.Plan builds
+// its; a nil dst allocates.
+func (c *LMContext) Plan(ratio, jitter float64, noise []float64, dst *LMPlan) (*LMPlan, error) {
 	if err := checkRatioJitter(ratio, jitter); err != nil {
 		return nil, err
 	}
 	if len(noise) != 0 && len(noise) != c.NoiseLen() {
 		return nil, fmt.Errorf("prune: %d noise draws for %d hidden units", len(noise), c.NoiseLen())
 	}
+	if dst == nil {
+		dst = new(LMPlan)
+	}
+	ints := &dst.ints
+	ints.reset()
 	sc := scratchPool.Get().(*planScratch)
 	defer scratchPool.Put(sc)
 	keep := keepCount(c.cfg.Hidden, ratio)
@@ -124,7 +132,7 @@ func (c *LMContext) Plan(ratio, jitter float64, noise []float64) (*LMPlan, error
 			}
 			scores = sc.jittered
 		}
-		return topK(scores, keep, sc)
+		return topK(scores, keep, sc, ints)
 	}
 	var n1, n2 []float64
 	if len(noise) != 0 {
@@ -132,18 +140,21 @@ func (c *LMContext) Plan(ratio, jitter float64, noise []float64) (*LMPlan, error
 	}
 	h := c.cfg.Hidden
 	kept1, kept2 := pick(c.s1, n1), pick(c.s2, n2)
-	return &LMPlan{Ratio: ratio, Kept1: kept1, Kept2: kept2, hidden: h, rows1: gateRows(kept1, h), rows2: gateRows(kept2, h)}, nil
+	dst.Ratio, dst.Kept1, dst.Kept2, dst.hidden = ratio, kept1, kept2, h
+	dst.rows1, dst.rows2 = gateRows(kept1, h, ints), gateRows(kept2, h, ints)
+	return dst, nil
 }
 
-// Shrink extracts the plan's sub-model from the context's global model.
-func (c *LMContext) Shrink(plan *LMPlan) (zoo.LMConfig, []*tensor.Tensor, error) {
-	return ShrinkLM(c.cfg, c.weights, plan)
+// Shrink extracts the plan's sub-model from the context's global model into
+// subW (see ShrinkLM).
+func (c *LMContext) Shrink(plan *LMPlan, subW []*tensor.Tensor) (zoo.LMConfig, []*tensor.Tensor, error) {
+	return ShrinkLM(c.cfg, c.weights, plan, subW)
 }
 
 // gateRows expands kept hidden units into kept rows of a packed [4H, ·]
-// gate matrix.
-func gateRows(kept []int, h int) []int {
-	rows := make([]int, 0, 4*len(kept))
+// gate matrix, in a set from ints (nil allocates).
+func gateRows(kept []int, h int, ints *indexArena) []int {
+	rows := ints.take(4 * len(kept))[:0]
 	for g := 0; g < 4; g++ {
 		for _, k := range kept {
 			rows = append(rows, g*h+k)
@@ -154,37 +165,36 @@ func gateRows(kept []int, h int) []int {
 }
 
 // ShrinkLM extracts the pruned language model: a smaller config plus the
-// sub-model weights.
-func ShrinkLM(cfg zoo.LMConfig, weights []*tensor.Tensor, plan *LMPlan) (zoo.LMConfig, []*tensor.Tensor, error) {
+// sub-model weights, built in subW as Shrink builds its (nil allocates).
+func ShrinkLM(cfg zoo.LMConfig, weights []*tensor.Tensor, plan *LMPlan, subW []*tensor.Tensor) (zoo.LMConfig, []*tensor.Tensor, error) {
 	if len(weights) != lmTensors {
 		return cfg, nil, fmt.Errorf("prune: LM weight list has %d tensors, want %d", len(weights), lmTensors)
 	}
 	rows1, rows2 := plan.gates(cfg.Hidden)
-	allE := allIndices(cfg.Embed)
-	allV := allIndices(cfg.Vocab)
 	sub := cfg
 	sub.Hidden = len(plan.Kept1)
 	if len(plan.Kept2) != len(plan.Kept1) {
 		return cfg, nil, fmt.Errorf("prune: LM layers pruned to different widths %d vs %d",
 			len(plan.Kept1), len(plan.Kept2))
 	}
-	out := []*tensor.Tensor{
-		weights[0].Clone(),                        // embedding untouched
-		extractMat(weights[1], rows1, allE),       // lstm1/Wx
-		extractMat(weights[2], rows1, plan.Kept1), // lstm1/Wh
-		extractVec(weights[3], rows1),             // lstm1/b
-		extractMat(weights[4], rows2, plan.Kept1), // lstm2/Wx (input = lstm1 hidden)
-		extractMat(weights[5], rows2, plan.Kept2), // lstm2/Wh
-		extractVec(weights[6], rows2),             // lstm2/b
-		extractMat(weights[7], allV, plan.Kept2),  // out/W
-		weights[8].Clone(),                        // out/b untouched
+	if len(subW) != lmTensors {
+		subW = make([]*tensor.Tensor, lmTensors)
 	}
-	return sub, out, nil
+	subW[0] = extract(subW[0], weights[0], nil, nil)          // embedding untouched
+	subW[1] = extract(subW[1], weights[1], rows1, nil)        // lstm1/Wx
+	subW[2] = extract(subW[2], weights[2], rows1, plan.Kept1) // lstm1/Wh
+	subW[3] = extract(subW[3], weights[3], rows1, nil)        // lstm1/b
+	subW[4] = extract(subW[4], weights[4], rows2, plan.Kept1) // lstm2/Wx (input = lstm1 hidden)
+	subW[5] = extract(subW[5], weights[5], rows2, plan.Kept2) // lstm2/Wh
+	subW[6] = extract(subW[6], weights[6], rows2, nil)        // lstm2/b
+	subW[7] = extract(subW[7], weights[7], nil, plan.Kept2)   // out/W
+	subW[8] = extract(subW[8], weights[8], nil, nil)          // out/b untouched
+	return sub, subW, nil
 }
 
 // SparseLM zeroes every pruned coordinate of the full-shape weights.
 func SparseLM(cfg zoo.LMConfig, weights []*tensor.Tensor, plan *LMPlan) ([]*tensor.Tensor, error) {
-	sub, subW, err := ShrinkLM(cfg, weights, plan)
+	sub, subW, err := ShrinkLM(cfg, weights, plan, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -202,8 +212,8 @@ func RecoverLM(cfg, subCfg zoo.LMConfig, subWeights []*tensor.Tensor, plan *LMPl
 	}
 	h := cfg.Hidden
 	rows1, rows2 := plan.gates(h)
-	allE := allIndices(cfg.Embed)
-	allV := allIndices(cfg.Vocab)
+	allE := allIndices(nil, cfg.Embed)
+	allV := allIndices(nil, cfg.Vocab)
 
 	out := make([]*tensor.Tensor, lmTensors)
 	out[0] = subWeights[0].Clone()
@@ -245,7 +255,7 @@ func AccumulateLM(cfg zoo.LMConfig, acc, subWeights, base []*tensor.Tensor, plan
 				}
 			}
 		}
-		rows1, rows2 = gateRows(plan.Kept1, h), gateRows(plan.Kept2, h)
+		rows1, rows2 = gateRows(plan.Kept1, h, nil), gateRows(plan.Kept2, h, nil)
 	}
 	layout := [lmTensors]struct {
 		rows, cols         int

@@ -45,7 +45,7 @@ func TestShrinkLMProducesTrainableModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subCfg, subW, err := ShrinkLM(cfg, ws, plan)
+	subCfg, subW, err := ShrinkLM(cfg, ws, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLMRoundTripIdentities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		subCfg, subW, err := ShrinkLM(cfg, ws, plan)
+		subCfg, subW, err := ShrinkLM(cfg, ws, plan, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestLMRoundTripIdentities(t *testing.T) {
 func TestLMEmbeddingAndHeadNeverPruned(t *testing.T) {
 	cfg, ws := lmFixture(t, 5)
 	plan, _ := BuildLMPlan(cfg, ws, 0.75)
-	_, subW, err := ShrinkLM(cfg, ws, plan)
+	_, subW, err := ShrinkLM(cfg, ws, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestLMEmbeddingAndHeadNeverPruned(t *testing.T) {
 }
 
 func TestGateRows(t *testing.T) {
-	rows := gateRows([]int{0, 2}, 4)
+	rows := gateRows([]int{0, 2}, 4, nil)
 	want := []int{0, 2, 4, 6, 8, 10, 12, 14}
 	if !equalInts(rows, want) {
 		t.Errorf("gateRows = %v, want %v", rows, want)
@@ -162,7 +162,7 @@ func TestLMContextPlansMatchPerWorkerConstruction(t *testing.T) {
 			}
 			want[l] = topKSortRef(jittered, keepCount(cfg.Hidden, ratio))
 		}
-		got, err := ctx.Plan(ratio, 0.3, noise[w*ctx.NoiseLen():(w+1)*ctx.NoiseLen()])
+		got, err := ctx.Plan(ratio, 0.3, noise[w*ctx.NoiseLen():(w+1)*ctx.NoiseLen()], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +182,7 @@ func TestAccumulateLMRejectsMalformedModels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, sub, err := ShrinkLM(cfg, weights, plan)
+	_, sub, err := ShrinkLM(cfg, weights, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package prune
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"fedmp/internal/tensor"
 	"fedmp/internal/zoo"
@@ -12,7 +13,11 @@ import (
 // spec whose Out counts equal the kept-set sizes, and the corresponding
 // weight tensors copied out of the global model (§III-B: "the remaining
 // parameters of the modified global model are copied into the sub-model").
-func Shrink(spec *zoo.Spec, weights []*tensor.Tensor, plan *Plan) (*zoo.Spec, []*tensor.Tensor, error) {
+// The sub-model is built in sub and subW, a sub-model an earlier Shrink of
+// the same global spec returned whose holder no longer reads it: its spec
+// and tensors are rewritten and re-dimensioned in place, growing when too
+// small and never shrinking. A nil sub and subW allocate.
+func Shrink(spec *zoo.Spec, weights []*tensor.Tensor, plan *Plan, sub *zoo.Spec, subW []*tensor.Tensor) (*zoo.Spec, []*tensor.Tensor, error) {
 	vs, err := plan.resolved(spec)
 	if err != nil {
 		return nil, nil, err
@@ -20,30 +25,37 @@ func Shrink(spec *zoo.Spec, weights []*tensor.Tensor, plan *Plan) (*zoo.Spec, []
 	if err := checkTensors(spec, vs, weights); err != nil {
 		return nil, nil, err
 	}
-	sub := spec.Clone()
-	sub.Name = spec.Name + "-sub"
+	var name string
+	if sub != nil {
+		name = sub.Name
+	}
+	if base, ok := strings.CutSuffix(name, "-sub"); !ok || base != spec.Name {
+		name = spec.Name + "-sub"
+	}
+	sub = spec.CloneInto(sub)
+	sub.Name = name
 	setWidths(sub.Layers, vs)
 
-	out := make([]*tensor.Tensor, 0, len(weights))
+	if len(subW) != len(weights) {
+		subW = make([]*tensor.Tensor, len(weights))
+	}
 	for i := range vs {
 		v := &vs[i]
+		p := v.paramStart
 		switch v.l.Kind {
-		case zoo.KindConv:
-			w, b := weights[v.paramStart], weights[v.paramStart+1]
-			out = append(out, extractConv(w, v.keptOut, v.keptIn), extractVec(b, v.keptOut))
+		case zoo.KindConv, zoo.KindDense:
+			subW[p] = extract(subW[p], weights[p], v.keptOut, v.keptIn)
+			subW[p+1] = extract(subW[p+1], weights[p+1], v.keptOut, nil)
 		case zoo.KindBatchNorm:
-			for k := 0; k < 4; k++ {
-				out = append(out, extractVec(weights[v.paramStart+k], v.keptOut))
+			for k := p; k < p+4; k++ {
+				subW[k] = extract(subW[k], weights[k], v.keptOut, nil)
 			}
-		case zoo.KindDense:
-			w, b := weights[v.paramStart], weights[v.paramStart+1]
-			out = append(out, extractMat(w, v.keptOut, v.keptIn), extractVec(b, v.keptOut))
 		}
 	}
 	if err := sub.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("prune: shrunk spec invalid: %w", err)
 	}
-	return sub, out, nil
+	return sub, subW, nil
 }
 
 // setWidths rewrites the Out of every convolution and dense layer to its
@@ -335,19 +347,26 @@ func PruneError(global, sparse []*tensor.Tensor) float64 {
 	return q
 }
 
-// extractConv copies W[keptOut, keptIn, :, :] out of a [O,I,KH,KW] kernel.
-func extractConv(w *tensor.Tensor, keptOut, keptIn []int) *tensor.Tensor {
-	kh, kw := w.Shape[2], w.Shape[3]
-	inC := w.Shape[1]
-	per := kh * kw
-	out := tensor.New(len(keptOut), len(keptIn), kh, kw)
-	for oi, o := range keptOut {
-		for ii, in := range keptIn {
-			src := w.Data[(o*inC+in)*per : (o*inC+in+1)*per]
-			dst := out.Data[(oi*len(keptIn)+ii)*per : (oi*len(keptIn)+ii+1)*per]
-			copy(dst, src)
-		}
+// extract copies the kept rows (first dimension) and kept columns (second)
+// of w — a vector, a matrix, or a [O,I,KH,KW] kernel whose taps come whole —
+// into dst, re-dimensioned (tensor.Ensure). A nil set keeps everything; a
+// vector is one row, its kept rows copied as kept columns.
+func extract(dst, w *tensor.Tensor, keptRows, keptCols []int) *tensor.Tensor {
+	var dims [4]int
+	shape := append(dims[:0], w.Shape...)
+	if keptRows != nil {
+		shape[0] = len(keptRows)
 	}
+	if len(shape) == 1 {
+		out := tensor.Ensure(dst, shape...)
+		gatherRows(out.Data, w.Data, len(w.Data), 1, nil, keptRows)
+		return out
+	}
+	if keptCols != nil {
+		shape[1] = len(keptCols)
+	}
+	out := tensor.Ensure(dst, shape...)
+	gatherRows(out.Data, w.Data, w.Shape[1], tensor.Prod(w.Shape[2:]), keptRows, keptCols)
 	return out
 }
 
@@ -365,18 +384,41 @@ func scatterConv(full, sub *tensor.Tensor, keptOut, keptIn []int) {
 	}
 }
 
-// extractMat copies W[keptOut, keptIn] out of a [O,I] matrix.
-func extractMat(w *tensor.Tensor, keptOut, keptIn []int) *tensor.Tensor {
-	in := w.Shape[1]
-	out := tensor.New(len(keptOut), len(keptIn))
-	for oi, o := range keptOut {
-		row := w.Data[o*in : (o+1)*in]
-		dst := out.Data[oi*len(keptIn) : (oi+1)*len(keptIn)]
-		for ii, idx := range keptIn {
-			dst[ii] = row[idx]
+// gatherRows is the extraction kernel: it copies the kept rows' kept columns
+// of src, laid out [rows, cols, per], into dst, laid out [len(keptRows),
+// len(keptCols), per] — a nil keptRows keeps every row, a nil keptCols every
+// column. keptCols is walked as maximal runs of consecutive indices, each
+// one copy per kept row (a flattened channel's H·W features, a convolution
+// filter's kept input planes), the runs accumulate adds over too.
+func gatherRows(dst, src []float32, cols, per int, keptRows, keptCols []int) {
+	width := cols * per
+	subWidth := width
+	if keptCols != nil {
+		subWidth = len(keptCols) * per
+	}
+	rows := len(keptRows)
+	if keptRows == nil {
+		rows = len(src) / max(width, 1)
+	}
+	for k := 0; k < rows; k++ {
+		r := k
+		if keptRows != nil {
+			r = keptRows[k]
+		}
+		row, out := src[r*width:(r+1)*width], dst[k*subWidth:(k+1)*subWidth]
+		if keptCols == nil {
+			copy(out, row)
+			continue
+		}
+		for ci := 0; ci < len(keptCols); {
+			c, run := keptCols[ci], 1
+			for ci+run < len(keptCols) && keptCols[ci+run] == c+run {
+				run++
+			}
+			copy(out[ci*per:(ci+run)*per], row[c*per:(c+run)*per])
+			ci += run
 		}
 	}
-	return out
 }
 
 // scatterMat writes sub into full at (keptOut × keptIn).
@@ -389,15 +431,6 @@ func scatterMat(full, sub *tensor.Tensor, keptOut, keptIn []int) {
 			row[idx] = src[ii]
 		}
 	}
-}
-
-// extractVec copies v[kept].
-func extractVec(v *tensor.Tensor, kept []int) *tensor.Tensor {
-	out := tensor.New(len(kept))
-	for i, idx := range kept {
-		out.Data[i] = v.Data[idx]
-	}
-	return out
 }
 
 // scatterVec writes sub into full at kept.

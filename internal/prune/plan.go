@@ -59,6 +59,31 @@ type Plan struct {
 	// neither and is walked, and validated, on each use.
 	spec   *zoo.Spec
 	visits []visit
+	// ints backs every index set of the walk, Kept's included, so a plan
+	// rebuilt into the same destination allocates none of them.
+	ints indexArena
+}
+
+// indexArena hands out the index sets of one plan from one backing array,
+// emptied (reset) at the start of each plan: it grows geometrically until a
+// plan's walk fits and then allocates nothing. A set handed out before a
+// growth stays valid — it keeps the old array. A nil arena allocates.
+type indexArena struct{ buf []int }
+
+func (a *indexArena) reset() { a.buf = a.buf[:0] }
+
+// take returns n ints, contents unspecified, capped at n so appending to the
+// set never reaches the next one.
+func (a *indexArena) take(n int) []int {
+	if a == nil {
+		return make([]int, n)
+	}
+	lo := len(a.buf)
+	if lo+n > cap(a.buf) {
+		a.buf, lo = make([]int, 0, 2*cap(a.buf)+n), 0
+	}
+	a.buf = a.buf[:lo+n]
+	return a.buf[lo : lo+n : lo+n]
 }
 
 // resolved returns the plan's index walk over spec.
@@ -67,10 +92,10 @@ func (p *Plan) resolved(spec *zoo.Spec) ([]visit, error) {
 		return p.visits, nil
 	}
 	var vs []visit
-	err := walkPlanned(spec, nil, planChoose(p), func(v *visit) error {
-		vs = append(vs, *v)
+	err := walkPlanned(spec, nil, planChoose(p), func(v visit) error {
+		vs = append(vs, v)
 		return nil
-	})
+	}, nil)
 	return vs, err
 }
 
@@ -126,13 +151,15 @@ func paramTensors(k zoo.Kind) int {
 // chooseFn decides the kept output indices for a prunable layer. forced is
 // non-nil when the layer's output set is dictated by structure (the last
 // convolution of a residual body).
-type chooseFn func(v *visit, weights []*tensor.Tensor, forced []int) ([]int, error)
+type chooseFn func(v visit, weights []*tensor.Tensor, forced []int) ([]int, error)
 
 // walkPlanned walks the spec with full index bookkeeping, calling choose for
 // every parameter-carrying layer to fix its kept output set, then fn with
 // the fully resolved visit. It is the only place index sets are derived: plan
 // construction runs it once and records the visits the model algebra reads.
-func walkPlanned(spec *zoo.Spec, weights []*tensor.Tensor, choose chooseFn, fn func(v *visit) error) error {
+// The sets it derives itself come from ints (nil allocates them); visits are
+// passed by value, so a walk allocates nothing else.
+func walkPlanned(spec *zoo.Spec, weights []*tensor.Tensor, choose chooseFn, fn func(v visit) error, ints *indexArena) error {
 	if len(spec.Layers) == 0 || spec.Layers[len(spec.Layers)-1].Kind != zoo.KindDense {
 		return fmt.Errorf("prune: spec %q must end in a dense classifier layer", spec.Name)
 	}
@@ -141,7 +168,7 @@ func walkPlanned(spec *zoo.Spec, weights []*tensor.Tensor, choose chooseFn, fn f
 	cursor := 0
 	// curKept tracks the surviving coordinates of the current activation:
 	// channel indices before flattening, flat feature indices after.
-	curKept := allIndices(spec.InC)
+	curKept := allIndices(ints, spec.InC)
 
 	// Residual bookkeeping.
 	var blockInputKept []int
@@ -151,7 +178,8 @@ func walkPlanned(spec *zoo.Spec, weights []*tensor.Tensor, choose chooseFn, fn f
 		if parent != nil && blockInputKept == nil {
 			// First body layer of a residual block: snapshot the entry set
 			// and find the conv whose output must match it.
-			blockInputKept = append([]int(nil), curKept...)
+			blockInputKept = ints.take(len(curKept))
+			copy(blockInputKept, curKept)
 			forcedConv = lastConv(parent.Body)
 		}
 		if parent == nil {
@@ -165,7 +193,7 @@ func walkPlanned(spec *zoo.Spec, weights []*tensor.Tensor, choose chooseFn, fn f
 
 		switch l.Kind {
 		case zoo.KindConv:
-			v := &visit{l: l, paramStart: start, keptIn: curKept, fullOut: l.Out, fullIn: inC}
+			v := visit{l: l, paramStart: start, keptIn: curKept, fullOut: l.Out, fullIn: inC}
 			var forced []int
 			if l == forcedConv {
 				forced = blockInputKept
@@ -182,7 +210,7 @@ func walkPlanned(spec *zoo.Spec, weights []*tensor.Tensor, choose chooseFn, fn f
 
 		case zoo.KindBatchNorm:
 			// Follows its convolution's channel set.
-			v := &visit{l: l, paramStart: start, keptOut: curKept, keptIn: nil, fullOut: inC, fullIn: 0}
+			v := visit{l: l, paramStart: start, keptOut: curKept, keptIn: nil, fullOut: inC, fullIn: 0}
 			if err := fn(v); err != nil {
 				return err
 			}
@@ -193,7 +221,7 @@ func walkPlanned(spec *zoo.Spec, weights []*tensor.Tensor, choose chooseFn, fn f
 		case zoo.KindFlatten:
 			// Channel c occupies the contiguous block [c·H·W, (c+1)·H·W).
 			hw := inH * inW
-			expanded := make([]int, 0, len(curKept)*hw)
+			expanded := ints.take(len(curKept) * hw)[:0]
 			for _, c := range curKept {
 				base := c * hw
 				for k := 0; k < hw; k++ {
@@ -203,10 +231,10 @@ func walkPlanned(spec *zoo.Spec, weights []*tensor.Tensor, choose chooseFn, fn f
 			curKept = expanded
 
 		case zoo.KindDense:
-			v := &visit{l: l, paramStart: start, keptIn: curKept, fullOut: l.Out, fullIn: inFlat}
+			v := visit{l: l, paramStart: start, keptIn: curKept, fullOut: l.Out, fullIn: inFlat}
 			var forced []int
 			if l == finalDense {
-				forced = allIndices(l.Out)
+				forced = allIndices(ints, l.Out)
 			}
 			kept, err := choose(v, weights, forced)
 			if err != nil {
@@ -240,8 +268,9 @@ func lastConv(body []zoo.LayerSpec) *zoo.LayerSpec {
 	return nil
 }
 
-func allIndices(n int) []int {
-	out := make([]int, n)
+// allIndices returns [0, n) from ints (nil allocates).
+func allIndices(ints *indexArena, n int) []int {
+	out := ints.take(n)
 	for i := range out {
 		out[i] = i
 	}
@@ -269,7 +298,7 @@ func BuildPlanJittered(spec *zoo.Spec, weights []*tensor.Tensor, ratio, jitter f
 	if err != nil {
 		return nil, err
 	}
-	return c.Plan(ratio, jitter, DrawNoise(nil, c.NoiseLen(), jitter, rng))
+	return c.Plan(ratio, jitter, DrawNoise(nil, c.NoiseLen(), jitter, rng), nil)
 }
 
 func checkRatioJitter(ratio, jitter float64) error {
@@ -316,7 +345,7 @@ type Context struct {
 // and must stay unchanged while the context is in use.
 func NewContext(spec *zoo.Spec, weights []*tensor.Tensor) (*Context, error) {
 	c := &Context{spec: spec, weights: weights}
-	choose := func(v *visit, ws []*tensor.Tensor, forced []int) ([]int, error) {
+	choose := func(v visit, ws []*tensor.Tensor, forced []int) ([]int, error) {
 		if forced != nil {
 			return forced, nil
 		}
@@ -326,9 +355,9 @@ func NewContext(spec *zoo.Spec, weights []*tensor.Tensor) (*Context, error) {
 		}
 		c.scores = append(c.scores, scores)
 		c.noiseLen += len(scores)
-		return allIndices(v.fullOut), nil
+		return allIndices(nil, v.fullOut), nil
 	}
-	if err := walkPlanned(spec, weights, choose, func(*visit) error { return nil }); err != nil {
+	if err := walkPlanned(spec, weights, choose, func(visit) error { return nil }, nil); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -341,21 +370,36 @@ func (c *Context) NoiseLen() int { return c.noiseLen }
 // Plan keeps the most important (1−ratio) fraction of each layer's
 // structures, their scores scaled by exp(jitter·noise[i]) first when noise is
 // non-empty (DrawNoise; NoiseLen values, one per scored structure in walk
-// order).
-func (c *Context) Plan(ratio, jitter float64, noise []float64) (*Plan, error) {
+// order). The plan is built in dst, a plan an earlier call returned whose
+// holder no longer reads it: its map, walk and index sets are refilled in
+// place, and allocate nothing once they have held a plan this large. A nil
+// dst allocates a new plan.
+func (c *Context) Plan(ratio, jitter float64, noise []float64, dst *Plan) (*Plan, error) {
 	if err := checkRatioJitter(ratio, jitter); err != nil {
 		return nil, err
 	}
 	if len(noise) != 0 && len(noise) != c.noiseLen {
 		return nil, fmt.Errorf("prune: %d noise draws for %d scored structures", len(noise), c.noiseLen)
 	}
-	plan := &Plan{Model: c.spec.Name, Ratio: ratio, Kept: make(map[string][]int, len(c.scores)+1), spec: c.spec}
+	plan := dst
+	if plan == nil {
+		plan = new(Plan)
+	}
+	if plan.Kept == nil {
+		plan.Kept = make(map[string][]int, len(c.scores)+1)
+	}
+	clear(plan.Kept)
+	plan.Model, plan.Ratio, plan.spec, plan.visits = c.spec.Name, ratio, c.spec, plan.visits[:0]
+	ints := &plan.ints
+	ints.reset()
 	sc := scratchPool.Get().(*planScratch)
 	defer scratchPool.Put(sc)
 	layer, drawn := 0, 0
-	choose := func(v *visit, _ []*tensor.Tensor, forced []int) ([]int, error) {
+	choose := func(v visit, _ []*tensor.Tensor, forced []int) ([]int, error) {
 		if forced != nil {
-			return append([]int(nil), forced...), nil
+			kept := ints.take(len(forced))
+			copy(kept, forced)
+			return kept, nil
 		}
 		scores := c.scores[layer]
 		layer++
@@ -367,22 +411,23 @@ func (c *Context) Plan(ratio, jitter float64, noise []float64) (*Plan, error) {
 			drawn += len(scores)
 			scores = sc.jittered
 		}
-		return topK(scores, keepCount(v.fullOut, ratio), sc), nil
+		return topK(scores, keepCount(v.fullOut, ratio), sc, ints), nil
 	}
-	record := func(v *visit) error {
+	record := func(v visit) error {
 		plan.Kept[v.l.Name] = v.keptOut
-		plan.visits = append(plan.visits, *v)
+		plan.visits = append(plan.visits, v)
 		return nil
 	}
-	if err := walkPlanned(c.spec, c.weights, choose, record); err != nil {
+	if err := walkPlanned(c.spec, c.weights, choose, record, ints); err != nil {
 		return nil, err
 	}
 	return plan, nil
 }
 
-// Shrink extracts the plan's sub-model from the context's global model.
-func (c *Context) Shrink(plan *Plan) (*zoo.Spec, []*tensor.Tensor, error) {
-	return Shrink(c.spec, c.weights, plan)
+// Shrink extracts the plan's sub-model from the context's global model into
+// sub and subW (see Shrink).
+func (c *Context) Shrink(plan *Plan, sub *zoo.Spec, subW []*tensor.Tensor) (*zoo.Spec, []*tensor.Tensor, error) {
+	return Shrink(c.spec, c.weights, plan, sub, subW)
 }
 
 // planScratch is the per-call scratch of one plan construction: the jittered
@@ -398,7 +443,7 @@ var scratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 // structureScores computes the l1 importance of each output structure: the
 // sum of absolute kernel weights per filter (conv) or absolute incoming
 // weights per neuron (dense), per the paper.
-func structureScores(v *visit, w *tensor.Tensor) ([]float64, error) {
+func structureScores(v visit, w *tensor.Tensor) ([]float64, error) {
 	var per int
 	switch v.l.Kind {
 	case zoo.KindConv:
@@ -429,14 +474,14 @@ func scoreKey(s float64) float64 {
 	return s
 }
 
-// topK returns the indices of the k largest scores, sorted ascending. Ties
-// break toward the lower index, so plans are deterministic. It finds the
-// k-th largest score with an O(n) selection on scratch keys and keeps
-// everything above it plus the lowest-indexed ties — exactly the prefix a
-// stable descending sort of the indices would keep.
-func topK(scores []float64, k int, sc *planScratch) []int {
+// topK returns the indices of the k largest scores, sorted ascending, in a
+// set from ints. Ties break toward the lower index, so plans are
+// deterministic. It finds the k-th largest score with an O(n) selection on
+// scratch keys and keeps everything above it plus the lowest-indexed ties —
+// exactly the prefix a stable descending sort of the indices would keep.
+func topK(scores []float64, k int, sc *planScratch, ints *indexArena) []int {
 	n := len(scores)
-	kept := make([]int, 0, k)
+	kept := ints.take(min(k, n))[:0]
 	if k >= n {
 		for i := 0; i < n; i++ {
 			kept = append(kept, i)
@@ -518,7 +563,7 @@ func SelectKth(s []float64, k int) float64 {
 // planChoose returns a chooseFn that reads kept sets from an existing plan,
 // validating structural constraints as it goes.
 func planChoose(plan *Plan) chooseFn {
-	return func(v *visit, _ []*tensor.Tensor, forced []int) ([]int, error) {
+	return func(v visit, _ []*tensor.Tensor, forced []int) ([]int, error) {
 		kept, ok := plan.Kept[v.l.Name]
 		if !ok {
 			return nil, fmt.Errorf("prune: plan has no entry for layer %q", v.l.Name)

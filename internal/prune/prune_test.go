@@ -142,7 +142,7 @@ func TestShrinkProducesValidTrainableSubModel(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v: %v", id, ratio, err)
 			}
-			subSpec, subW, err := Shrink(spec, ws, plan)
+			subSpec, subW, err := Shrink(spec, ws, plan, nil, nil)
 			if err != nil {
 				t.Fatalf("%s/%v: Shrink: %v", id, ratio, err)
 			}
@@ -174,7 +174,7 @@ func TestRecoverShrinkEqualsSparse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, subW, err := Shrink(spec, ws, plan)
+		_, subW, err := Shrink(spec, ws, plan, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +274,7 @@ func TestPlanChooseRejectsCorruptPlans(t *testing.T) {
 	plan, _ := BuildPlan(spec, ws, 0.5)
 
 	missing := &Plan{Model: plan.Model, Ratio: plan.Ratio, Kept: map[string][]int{}}
-	if _, _, err := Shrink(spec, ws, missing); err == nil {
+	if _, _, err := Shrink(spec, ws, missing, nil, nil); err == nil {
 		t.Error("plan with missing entries accepted")
 	}
 
@@ -283,7 +283,7 @@ func TestPlanChooseRejectsCorruptPlans(t *testing.T) {
 		bad.Kept[k] = v
 	}
 	bad.Kept["conv1"] = []int{5, 3} // unsorted
-	if _, _, err := Shrink(spec, ws, bad); err == nil {
+	if _, _, err := Shrink(spec, ws, bad, nil, nil); err == nil {
 		t.Error("unsorted plan entry accepted")
 	}
 
@@ -292,7 +292,7 @@ func TestPlanChooseRejectsCorruptPlans(t *testing.T) {
 		oob.Kept[k] = v
 	}
 	oob.Kept["conv1"] = []int{0, 99}
-	if _, _, err := Shrink(spec, ws, oob); err == nil {
+	if _, _, err := Shrink(spec, ws, oob, nil, nil); err == nil {
 		t.Error("out-of-range plan entry accepted")
 	}
 }
@@ -307,7 +307,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		_, subW, err := Shrink(spec, ws, plan)
+		_, subW, err := Shrink(spec, ws, plan, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -353,7 +353,7 @@ func TestKeepCount(t *testing.T) {
 
 func TestTopK(t *testing.T) {
 	scores := []float64{0.5, 3, 1, 3, 0.1}
-	got := topK(scores, 3, new(planScratch))
+	got := topK(scores, 3, new(planScratch), nil)
 	want := []int{1, 2, 3} // two 3s (tie keeps lower index first) and the 1
 	if !equalInts(got, want) {
 		t.Errorf("topK = %v, want %v", got, want)
@@ -393,7 +393,7 @@ func TestTopKMatchesSortReference(t *testing.T) {
 				}
 			}
 			for k := 1; k <= n; k++ {
-				if got, want := topK(scores, k, sc), topKSortRef(scores, k); !equalInts(got, want) {
+				if got, want := topK(scores, k, sc, nil), topKSortRef(scores, k); !equalInts(got, want) {
 					t.Fatalf("n=%d trial=%d k=%d: topK = %v, sort reference %v (scores %v)", n, trial, k, got, want, scores)
 				}
 			}
@@ -405,11 +405,11 @@ func TestTopKMatchesSortReference(t *testing.T) {
 // keeps exactly k structures.
 func TestTopKRanksNaNLast(t *testing.T) {
 	nan := math.NaN()
-	got := topK([]float64{nan, 2, nan, 1, 0}, 3, new(planScratch))
+	got := topK([]float64{nan, 2, nan, 1, 0}, 3, new(planScratch), nil)
 	if want := []int{1, 3, 4}; !equalInts(got, want) {
 		t.Errorf("topK = %v, want %v", got, want)
 	}
-	got = topK([]float64{nan, 2, nan, 1}, 3, new(planScratch))
+	got = topK([]float64{nan, 2, nan, 1}, 3, new(planScratch), nil)
 	if want := []int{0, 1, 3}; !equalInts(got, want) {
 		t.Errorf("topK with NaN tie = %v, want %v", got, want)
 	}
@@ -446,7 +446,7 @@ func TestSelectKth(t *testing.T) {
 // goes, and the stable-sort selection.
 func buildPlanRef(spec *zoo.Spec, weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (map[string][]int, error) {
 	kept := map[string][]int{}
-	choose := func(v *visit, ws []*tensor.Tensor, forced []int) ([]int, error) {
+	choose := func(v visit, ws []*tensor.Tensor, forced []int) ([]int, error) {
 		if forced != nil {
 			return append([]int(nil), forced...), nil
 		}
@@ -461,10 +461,10 @@ func buildPlanRef(spec *zoo.Spec, weights []*tensor.Tensor, ratio, jitter float6
 		}
 		return topKSortRef(scores, keepCount(v.fullOut, ratio)), nil
 	}
-	err := walkPlanned(spec, weights, choose, func(v *visit) error {
+	err := walkPlanned(spec, weights, choose, func(v visit) error {
 		kept[v.l.Name] = v.keptOut
 		return nil
-	})
+	}, nil)
 	return kept, err
 }
 
@@ -495,7 +495,7 @@ func TestContextPlansMatchPerWorkerConstruction(t *testing.T) {
 				if jitter != 0 {
 					mine = noise[w*ctx.NoiseLen() : (w+1)*ctx.NoiseLen()]
 				}
-				plan, err := ctx.Plan(ratio, jitter, mine)
+				plan, err := ctx.Plan(ratio, jitter, mine, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -528,7 +528,7 @@ func TestAccumulateRejectsMalformedModels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, sub, err := Shrink(spec, weights, plan)
+		_, sub, err := Shrink(spec, weights, plan, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -585,7 +585,7 @@ func TestAccumulateByRowBlockMatchesWhole(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				_, sub, err := Shrink(spec, ws, plan)
+				_, sub, err := Shrink(spec, ws, plan, nil, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -603,7 +603,7 @@ func TestAccumulateByRowBlockMatchesWhole(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, sub, err := ShrinkLM(cfg, lmWs, plan)
+			_, sub, err := ShrinkLM(cfg, lmWs, plan, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

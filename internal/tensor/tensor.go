@@ -77,6 +77,20 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: data}
 }
 
+// Ensure returns t re-dimensioned to shape when its backing array is large
+// enough, and a fresh tensor otherwise (also when t is nil): a buffer that is
+// handed back to Ensure every time grows to its largest shape and then never
+// allocates again. Contents are unspecified after a re-dimension; callers
+// overwrite or zero them. Like New, it never retains shape.
+func Ensure(t *Tensor, shape ...int) *Tensor {
+	if size := Prod(shape); t != nil && cap(t.Data) >= size {
+		t.Data = t.Data[:size]
+		t.Shape = append(t.Shape[:0], shape...)
+		return t
+	}
+	return New(shape...)
+}
+
 // Size returns the total number of elements.
 func (t *Tensor) Size() int { return len(t.Data) }
 

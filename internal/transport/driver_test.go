@@ -79,7 +79,7 @@ func driveOverPipes(t *testing.T, order []int) *core.Result {
 				t.Errorf("worker %d: %v", i, err)
 				return
 			}
-			res, err := trainAssignment(core.NewLocalNet(fam, 0.05, 0.9, 0), srcs[i], e.Assign, WorkerConfig{Clock: simclock.Fixed{}}, new([]*tensor.Tensor))
+			res, err := trainAssignment(core.NewLocalNet(fam, 0.05, 0.9, 0), srcs[i], e.Assign, WorkerConfig{Clock: simclock.Fixed{}}, new(core.Upload))
 			if err != nil {
 				t.Errorf("worker %d: %v", i, err)
 				return
@@ -142,14 +142,14 @@ func TestWorkerCarriesTopKLeftover(t *testing.T) {
 	assign := func(round int) *assignMsg {
 		return &assignMsg{Round: round, Desc: fam.FullDesc(), Weights: weights, Iters: 2, UploadK: k}
 	}
-	upload := func(round int, leftover *[]*tensor.Tensor) []*tensor.Tensor {
-		res, err := core.WorkerStep(core.NewLocalNet(fam, 0.05, 0.9, 0), src, assign(round), 1, leftover)
+	upload := func(round int, up *core.Upload) []*tensor.Tensor {
+		res, err := core.WorkerStep(core.NewLocalNet(fam, 0.05, 0.9, 0), src, assign(round), 1, up)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Update
 	}
-	var carried, none []*tensor.Tensor
+	var carried, none core.Upload
 	first := upload(1, &carried)
 	second, clean := upload(2, &carried), upload(2, &none)
 	if sameBits(second, clean) == "" {
@@ -163,8 +163,8 @@ func TestWorkerCarriesTopKLeftover(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		lastRound := 0
-		var leftover []*tensor.Tensor
-		done <- serveConn(worker, core.NewLocalNet(fam, cfg.LR, cfg.Momentum, 0), src, cfg, &lastRound, &leftover, newBackoff(0, 0, 1), func(string, ...any) {})
+		var up core.Upload
+		done <- serveConn(worker, core.NewLocalNet(fam, cfg.LR, cfg.Momentum, 0), src, cfg, &lastRound, &up, newBackoff(0, 0, 1), func(string, ...any) {})
 	}()
 	for round, want := range [][]*tensor.Tensor{first, second} {
 		if _, err := server.send(&envelope{Kind: kindAssign, Assign: assign(round + 1)}); err != nil {

@@ -5,9 +5,18 @@ import (
 	"os"
 	"testing"
 	"time"
+	_ "unsafe" // for go:linkname
 
 	"fedmp/internal/testfd"
 )
+
+// poisonClosed is core's test hook (core.poisonClosed): on, every round
+// driver — the simulator's and the served one alike — fills each closed
+// round's delivered and lost models with NaN, so a buffer read after its
+// round closed shows in the model.
+//
+//go:linkname poisonClosed fedmp/internal/core.poisonClosed
+var poisonClosed bool
 
 // TestMain fails the package when a goroutine running transport code
 // outlives its tests. Every goroutine the runtime starts — a connection's
@@ -16,8 +25,10 @@ import (
 // fake peers the tests start; one that waits on something nobody will close,
 // or spins on a dead socket, leaks for good, and no single test would see it.
 // Goroutines get a grace period to finish: a session torn down just before
-// the last test returned may still be unwinding.
+// the last test returned may still be unwinding. Every test runs with core's
+// poisonClosed on.
 func TestMain(m *testing.M) {
+	poisonClosed = true
 	code := m.Run()
 	if code == 0 {
 		var left []string

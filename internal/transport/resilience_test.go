@@ -17,7 +17,6 @@ import (
 	"fedmp/internal/core"
 	"fedmp/internal/data"
 	"fedmp/internal/nn"
-	"fedmp/internal/tensor"
 	"fedmp/internal/testfd"
 )
 
@@ -64,7 +63,7 @@ func deadAfterWorker(t *testing.T, fam *core.ImageFamily, addr string, src core.
 		if served >= dieAfter {
 			return // die without answering
 		}
-		res, err := trainAssignment(core.NewLocalNet(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, new([]*tensor.Tensor))
+		res, err := trainAssignment(core.NewLocalNet(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, new(core.Upload))
 		if err != nil {
 			t.Errorf("flaky train: %v", err)
 			return
@@ -103,7 +102,7 @@ func slowWorker(t *testing.T, fam *core.ImageFamily, addr string, src core.Sourc
 			}
 		case kindAssign:
 			time.Sleep(delay)
-			res, err := trainAssignment(core.NewLocalNet(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, new([]*tensor.Tensor))
+			res, err := trainAssignment(core.NewLocalNet(fam, 0.05, 0.9, 0), src, e.Assign, WorkerConfig{}, new(core.Upload))
 			if err != nil {
 				t.Errorf("slow train: %v", err)
 				return

@@ -598,8 +598,10 @@ func (s *server) Closed(round int, eval *core.Point, snap func() *core.State) er
 		s.logf("round %d: loss %.4f acc %.3f (%d/%d workers, %d dropped, %.2fs)",
 			round, eval.Loss, eval.Acc, rs.delivered, s.cfg.Workers, len(rs.lost), rs.seconds)
 	}
-	// Drop the round's models so they are collectable while the next round
-	// is being assigned.
+	// Drop the round's references — the decoded results, and the
+	// dispatch-time global model each output's Base holds — so they are
+	// collectable while the next round is being assigned. The sub-models
+	// are the strategy's slot buffers, rebuilt when their slots are.
 	clear(rs.outs)
 	clear(rs.lost)
 	if s.ckpt == nil {

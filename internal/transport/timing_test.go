@@ -7,7 +7,6 @@ import (
 
 	"fedmp/internal/core"
 	"fedmp/internal/simclock"
-	"fedmp/internal/tensor"
 	"fedmp/internal/transport/codec"
 )
 
@@ -35,7 +34,7 @@ func TestTrainAssignmentFixedClock(t *testing.T) {
 	} {
 		res, err := trainAssignment(core.NewLocalNet(fam, 0.05, 0, 0), srcs[0], msg, WorkerConfig{
 			Clock: simclock.Fixed{PerCall: tc.perCall},
-		}, new([]*tensor.Tensor))
+		}, new(core.Upload))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -65,7 +64,7 @@ func TestHeartbeatAndResultOverPipe(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		lastRound := 0
-		done <- serveConn(worker, core.NewLocalNet(fam, cfg.LR, 0, 0), srcs[0], cfg, &lastRound, new([]*tensor.Tensor), newBackoff(0, 0, 1), func(string, ...any) {})
+		done <- serveConn(worker, core.NewLocalNet(fam, cfg.LR, 0, 0), srcs[0], cfg, &lastRound, new(core.Upload), newBackoff(0, 0, 1), func(string, ...any) {})
 	}()
 
 	// Heartbeat: ping must come back as pong.

@@ -9,7 +9,6 @@ import (
 	"fedmp/internal/core"
 	"fedmp/internal/nn"
 	"fedmp/internal/simclock"
-	"fedmp/internal/tensor"
 )
 
 // WorkerConfig parameterises one edge worker process.
@@ -78,11 +77,13 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 		cfg.ID = fmt.Sprintf("%s-%d", cfg.Name, time.Now().UnixNano())
 	}
 
-	// One network for the worker's lifetime, re-dimensioned to each
-	// sub-model the server sends: sessions come and go, it stays.
+	// One network and one upload buffer for the worker's lifetime,
+	// re-dimensioned to each sub-model the server sends: sessions come and
+	// go, they stay. A result is sent before the next frame is read, so the
+	// buffer is free again by the next assignment.
 	local := core.NewLocalNet(fam, cfg.LR, cfg.Momentum, 0)
 	lastRound := 0
-	var leftover []*tensor.Tensor
+	var up core.Upload
 	for session := 0; ; session++ {
 		c, err := dial(cfg.Addr, bo, cfg.MaxDialAttempts)
 		if err != nil {
@@ -93,7 +94,7 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 			return fmt.Errorf("transport: hello: %w", err)
 		}
 		logf("connected to %s (session %d)", cfg.Addr, session)
-		err = serveConn(c, local, src, cfg, &lastRound, &leftover, bo, logf)
+		err = serveConn(c, local, src, cfg, &lastRound, &up, bo, logf)
 		closeLogged(c, logf, "session connection")
 		if errors.Is(err, errShutdown) {
 			return nil
@@ -107,13 +108,13 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 
 // serveConn runs one session: it answers heartbeats and trains assignments
 // until the connection breaks or the server shuts the worker down.
-// leftover (see trainAssignment) and lastRound persist across sessions, the
+// up (see trainAssignment) and lastRound persist across sessions, the
 // latter so stale assignments — work orders for rounds the worker already
 // served before a reconnect — are discarded. The
 // session's first assignment is exempt: a lower round number there means the
 // server restarted from a checkpoint and rewound, and the worker follows it.
 // Completing a round (result sent) resets the shared backoff schedule.
-func serveConn(c *conn, local *core.LocalNet, src core.Source, cfg WorkerConfig, lastRound *int, leftover *[]*tensor.Tensor, bo *backoff, logf func(string, ...any)) error {
+func serveConn(c *conn, local *core.LocalNet, src core.Source, cfg WorkerConfig, lastRound *int, up *core.Upload, bo *backoff, logf func(string, ...any)) error {
 	firstAssign := true
 	for {
 		// The recycling decoder is safe here because every arm below fully
@@ -145,7 +146,7 @@ func serveConn(c *conn, local *core.LocalNet, src core.Source, cfg WorkerConfig,
 					*lastRound, e.Assign.Round)
 			}
 			firstAssign = false
-			res, err := trainAssignment(local, src, e.Assign, cfg, leftover)
+			res, err := trainAssignment(local, src, e.Assign, cfg, up)
 			if err != nil {
 				return err
 			}
@@ -167,15 +168,16 @@ func serveConn(c *conn, local *core.LocalNet, src core.Source, cfg WorkerConfig,
 
 // trainAssignment answers one assignment: the simulation engine's worker step
 // (core.WorkerStep) under this worker's stopwatch, which brackets the whole
-// step — training and building the upload. leftover is the worker's top-K
-// compression error, carried from one assignment into the next.
-func trainAssignment(local *core.LocalNet, src core.Source, a *assignMsg, cfg WorkerConfig, leftover *[]*tensor.Tensor) (*resultMsg, error) {
+// step — training and building the upload. up is the worker's upload state:
+// the buffers the result's delta is built in, and the top-K compression
+// error carried from one assignment into the next.
+func trainAssignment(local *core.LocalNet, src core.Source, a *assignMsg, cfg WorkerConfig, up *core.Upload) (*resultMsg, error) {
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Wall{}
 	}
 	elapsed := clock.Stopwatch()
-	res, err := core.WorkerStep(local, src, a, 1, leftover)
+	res, err := core.WorkerStep(local, src, a, 1, up)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}

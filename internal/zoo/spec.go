@@ -14,6 +14,7 @@ package zoo
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"fedmp/internal/nn"
 	"fedmp/internal/tensor"
@@ -204,34 +205,51 @@ func (s *Spec) Validate() error {
 	if s.Classes <= 1 {
 		return fmt.Errorf("zoo: spec %q has %d classes", s.Name, s.Classes)
 	}
-	names := map[string]bool{}
+	// A linear scan over the names seen so far: a model has tens of layers,
+	// and a shrunk spec is validated per worker per round without allocating.
+	var seen [64]string
+	names := seen[:0]
 	return s.Walk(func(l *LayerSpec, _ *LayerSpec, _, _, _, _ int) error {
 		if l.Name == "" {
 			return fmt.Errorf("zoo: unnamed %v layer in %q", l.Kind, s.Name)
 		}
-		if names[l.Name] {
+		if slices.Contains(names, l.Name) {
 			return fmt.Errorf("zoo: duplicate layer name %q in %q", l.Name, s.Name)
 		}
-		names[l.Name] = true
+		names = append(names, l.Name)
 		return nil
 	})
 }
 
 // Clone deep-copies the spec.
-func (s *Spec) Clone() *Spec {
-	c := *s
-	c.Layers = cloneLayers(s.Layers)
-	return &c
+func (s *Spec) Clone() *Spec { return s.CloneInto(nil) }
+
+// CloneInto deep-copies the spec into dst and returns it, reusing dst's layer
+// lists, residual bodies included, where they are long enough; a nil dst
+// allocates.
+func (s *Spec) CloneInto(dst *Spec) *Spec {
+	if dst == nil {
+		dst = new(Spec)
+	}
+	layers := dst.Layers
+	*dst = *s
+	dst.Layers = copyLayers(layers, s.Layers)
+	return dst
 }
 
-func cloneLayers(layers []LayerSpec) []LayerSpec {
-	out := append([]LayerSpec(nil), layers...)
-	for i := range out {
-		if len(out[i].Body) > 0 {
-			out[i].Body = cloneLayers(out[i].Body)
-		}
+// copyLayers deep-copies src into dst's backing arrays, growing them when
+// they are too short.
+func copyLayers(dst, src []LayerSpec) []LayerSpec {
+	if cap(dst) < len(src) {
+		dst = make([]LayerSpec, len(src))
 	}
-	return out
+	dst = dst[:len(src)]
+	for i := range src {
+		body := dst[i].Body
+		dst[i] = src[i]
+		dst[i].Body = copyLayers(body, src[i].Body)
+	}
+	return dst
 }
 
 // UsesRNG reports whether a network built from the spec keeps drawing from
