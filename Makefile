@@ -68,7 +68,7 @@ race:
 # lives now"), so none of them stops compiling or starts failing unnoticed.
 # It measures nothing; `bash benchmark/run.sh` does.
 bench-smoke:
-	go test -run '^$$' -benchtime 1x -bench 'GEMM|MatVec|Im2Col|Col2Im|Conv|SGDStep|TrainStep|WorkerStep|ServerPhases|PushPop|PopulationDevice|AgentSelect|StructureScores|WriteFrame|ReadFrame' ./internal/tensor ./internal/nn ./internal/core ./internal/simsched ./internal/cluster ./internal/bandit ./internal/prune ./internal/transport/codec .
+	go test -run '^$$' -benchtime 1x -bench 'GEMM|MatVec|Im2Col|Col2Im|Conv|SGDStep|TrainStep|WorkerStep|WarmRound|ServerPhases|PushPop|PopulationDevice|AgentSelect|StructureScores|WriteFrame|ReadFrame' ./internal/tensor ./internal/nn ./internal/core ./internal/simsched ./internal/cluster ./internal/bandit ./internal/prune ./internal/transport/codec .
 
 # test-kernels runs the tensor and nn suites once per micro-kernel tier (the
 # layers' differential tests against the pre-rebuild code are bitwise, so

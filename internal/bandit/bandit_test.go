@@ -23,6 +23,7 @@ func TestAgentConfigValidation(t *testing.T) {
 	bad := []Config{
 		{Lambda: 0, Theta: 0.02},
 		{Lambda: 1, Theta: 0.02},
+		{Lambda: math.NaN(), Theta: 0.02},
 		{Lambda: 0.9, Theta: 0},
 		{Lambda: 0.9, Theta: 1},
 		{Lambda: 0.9, Theta: 0.02, MaxRatio: 1.5},
@@ -351,5 +352,24 @@ func BenchmarkAgentSelect(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
+	}
+}
+
+// TestAgentSteadyStateAllocs pins the E-UCB step at zero allocations once the
+// agent's history has filled its discount window: the pending pull is a
+// value, the λ^k table is built once per λ and shared, and the partition and
+// its statistics' scratch reuse their arrays.
+func TestAgentSteadyStateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	a := MustAgent(DefaultConfig(), rng)
+	step := func() { a.Observe(syntheticReward(a.Select(), 0.4, rng)) }
+	for i := 0; i <= a.maxAge+1; i++ {
+		step()
+	}
+	if got := testing.AllocsPerRun(200, step); got != 0 {
+		t.Errorf("a warm Select+Observe allocates %v times, want 0 (%d regions)", got, len(a.regions))
+	}
+	if b := MustAgent(DefaultConfig(), rng); &b.pow[0] != &a.pow[0] {
+		t.Error("two agents with one λ keep two discount tables")
 	}
 }

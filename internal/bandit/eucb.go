@@ -18,6 +18,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // Policy selects pruning ratios online. Select returns the ratio to use this
@@ -51,7 +52,7 @@ type Config struct {
 func DefaultConfig() Config { return Config{Lambda: 0.95, Theta: 0.02, MaxRatio: 0.9} }
 
 func (c *Config) validate() error {
-	if c.Lambda <= 0 || c.Lambda >= 1 {
+	if !(c.Lambda > 0 && c.Lambda < 1) { // NaN too: it keys the shared λ^k tables
 		return fmt.Errorf("bandit: lambda %v outside (0,1)", c.Lambda)
 	}
 	if c.Theta <= 0 || c.Theta >= 1 {
@@ -98,25 +99,38 @@ type Agent struct {
 	regions []Region
 	history []pull
 
-	round   int
-	pending *pull // the un-observed Select of the current round
+	round    int
+	pending  pull // the un-observed Select of the current round, if selected
+	selected bool
 
 	maxAge int       // the age past which trimHistory drops a pull
-	pow    []float64 // pow[k] = λ^k, filled as ages are first met
+	pow    []float64 // pow[k] = λ^k for every age up to maxAge+1, shared per λ
 	acc    []float64 // stats' scratch
 }
+
+// powTables holds one discount table per λ (float64 → []float64), shared
+// by every agent with that λ: the tables are only read once built.
+var powTables sync.Map
 
 // NewAgent constructs an E-UCB agent with the initial partition {[0, max)}.
 func NewAgent(cfg Config, rng *rand.Rand) (*Agent, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Agent{
-		cfg:     cfg,
-		rng:     rng,
-		regions: []Region{{Lo: 0, Hi: cfg.MaxRatio}},
-		maxAge:  int(math.Log(1e-9)/math.Log(cfg.Lambda)) + 1,
-	}, nil
+	maxAge := int(math.Log(1e-9)/math.Log(cfg.Lambda)) + 1
+	pow, ok := powTables.Load(cfg.Lambda)
+	if !ok {
+		table := make([]float64, maxAge+2)
+		for k := range table {
+			table[k] = math.Pow(cfg.Lambda, float64(k))
+		}
+		pow, _ = powTables.LoadOrStore(cfg.Lambda, table)
+	}
+	// Room for leaves of width θ, which a few hundred rounds seldom outgrow;
+	// stats' scratch holds two values a leaf.
+	leaves := int(cfg.MaxRatio/cfg.Theta) + 1
+	regions := append(make([]Region, 0, leaves), Region{Lo: 0, Hi: cfg.MaxRatio})
+	return &Agent{cfg: cfg, rng: rng, regions: regions, maxAge: maxAge, pow: pow.([]float64), acc: make([]float64, 0, 2*leaves)}, nil
 }
 
 // MustAgent is NewAgent for known-good configs; it panics on error.
@@ -140,12 +154,9 @@ func (a *Agent) Round() int { return a.round }
 
 // discount returns λ^age, the Eq. 9 weight of a pull that many rounds old.
 func (a *Agent) discount(age int) float64 {
-	if age > a.maxAge+1 {
-		// Only a restored history is this old: no checkpoint grows the table.
+	if age >= len(a.pow) {
+		// Only a restored history is this old.
 		return math.Pow(a.cfg.Lambda, float64(age))
-	}
-	for k := len(a.pow); k <= age; k++ {
-		a.pow = append(a.pow, math.Pow(a.cfg.Lambda, float64(k)))
 	}
 	return a.pow[age]
 }
@@ -173,7 +184,7 @@ func (a *Agent) stats() (ns, sums []float64) {
 // confidence bound U_k = R̄_k + c_k (Eq. 11) — unvisited leaves first — and
 // samples a ratio uniformly within it.
 func (a *Agent) Select() float64 {
-	if a.pending != nil {
+	if a.selected {
 		panic("bandit: Select called twice without Observe")
 	}
 	// n_k(λ) = Σ_j N_k(λ, P_j).
@@ -196,7 +207,7 @@ func (a *Agent) Select() float64 {
 	}
 	r := a.regions[best]
 	ratio := r.Lo + a.rng.Float64()*(r.Hi-r.Lo)
-	a.pending = &pull{round: a.round, ratio: ratio}
+	a.pending, a.selected = pull{round: a.round, ratio: ratio}, true
 	return ratio
 }
 
@@ -204,13 +215,13 @@ func (a *Agent) Select() float64 {
 // splits the pulled leaf at the pulled arm if its diameter still exceeds θ
 // (Alg. 1 lines 7–10), and advances the round.
 func (a *Agent) Observe(reward float64) {
-	if a.pending == nil {
+	if !a.selected {
 		panic("bandit: Observe without a pending Select")
 	}
-	p := *a.pending
+	p := a.pending
 	p.reward = reward
 	p.region = a.leafOf(p.ratio)
-	a.pending = nil
+	a.selected = false
 	a.history = append(a.history, p)
 	a.trimHistory()
 

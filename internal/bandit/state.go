@@ -91,7 +91,7 @@ func (a *Agent) Restore(s *State) error {
 		}
 	}
 	a.round = s.Round
-	a.pending = nil
+	a.selected = false
 	a.regions = append(a.regions[:0:0], s.Regions...)
 	a.history = make([]pull, len(s.Pulls))
 	for i, p := range s.Pulls {

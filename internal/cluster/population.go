@@ -79,7 +79,7 @@ func (o Outage) Enabled() bool {
 // paper's half-A/half-B mix, and outage regions/duration. cohort is the
 // per-round sample size (Config.Workers); it must fit in the population.
 func (p Population) Normalized(cohort int, runSeed int64) (Population, error) {
-	if p.Size < 1 {
+	if p.Size < 1 || p.Size > math.MaxInt32 {
 		return p, fmt.Errorf("cluster: population size %d", p.Size)
 	}
 	if cohort < 1 || cohort > p.Size {

@@ -53,24 +53,16 @@ func TestEvaluateSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// freeClock is a Clock whose stopwatches cost no allocation (a Wall or
-// Fixed stopwatch is a closure over its start), so that an allocation count
-// measures the code around them.
-type freeClock struct{}
-
-func (freeClock) Stopwatch() func() float64 { return freeLap }
-
-func freeLap() float64 { return 0 }
-
 // TestAssignSteadyStateAllocsPerWorker pins fedMP.Assign's per-worker cost at
 // zero allocations once every slot has held its sub-model: the plans, the
 // sub-specs and the sub-models are rebuilt in the slots (fedMP.slots), the
-// assignment list is re-sliced — so a round of 64 workers allocates exactly
-// what a round of 16 does (scoring the global model, once per round).
+// assignment list is re-sliced, the stopwatches (the default simclock.Wall)
+// are values — so a round of 64 workers allocates exactly what a round of 16
+// does (scoring the global model, once per round).
 func TestAssignSteadyStateAllocsPerWorker(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fam := &ImageFamily{Spec: benchTinySpec()}
-	cfg, err := Normalize(Config{Strategy: StrategyFixed, FixedRatio: 0.4, Workers: 64, LocalIters: 1, BatchSize: 2, Rounds: 1, Seed: 1, Clock: freeClock{}})
+	cfg, err := Normalize(Config{Strategy: StrategyFixed, FixedRatio: 0.4, Workers: 64, LocalIters: 1, BatchSize: 2, Rounds: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,5 +90,24 @@ func TestAssignSteadyStateAllocsPerWorker(t *testing.T) {
 		t.Errorf("a warm Assign allocates %v times for 64 workers and %v for 16, want the same", all, quarter)
 	} else {
 		t.Logf("a warm Assign allocates %v times, for 64 workers as for 16", all)
+	}
+}
+
+// TestWarmRoundAllocsIndependentOfCohort is the whole-round pin: a warm
+// lockstep round of sim-pop1m's shape — a fixed ratio, so that no bandit
+// history is still growing — allocates as many times at cohort 50 as at
+// cohort 200. Slot sub-models and uploads, first-seen devices' park slots,
+// the global generations and the stopwatches all cost nothing per worker.
+// The rounds measured include two evaluations.
+func TestWarmRoundAllocsIndependentOfCohort(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var got [2]float64
+	for i, cohort := range []int{50, 200} {
+		got[i] = testing.AllocsPerRun(20, warmPopRound(t, StrategyFixed, cohort, 19))
+	}
+	if got[0] != got[1] {
+		t.Errorf("a warm round allocates %v times at cohort 50 and %v at cohort 200, want the same", got[0], got[1])
+	} else {
+		t.Logf("a warm round allocates %v times at cohort 50 as at 200", got[0])
 	}
 }

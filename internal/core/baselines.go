@@ -43,7 +43,7 @@ func (s *synFL) Aggregate(info *RoundInfo, outs []Output, _ []Assignment) ([]*te
 	for i, o := range outs {
 		sets[i] = o.NewWeights
 	}
-	return meanWeights(sets), nil
+	return meanWeights(info.Next, sets), nil
 }
 
 // upFL is the UP-FL baseline [15]: a *uniform* pruning ratio for all workers
@@ -82,7 +82,7 @@ func (s *upFL) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 		if !s.pending {
 			decide := s.cfg.Clock.Stopwatch()
 			s.ratio, s.pending = s.agent.Select(), true
-			info.DecisionSeconds += decide()
+			info.DecisionSeconds += s.cfg.Clock.Since(decide)
 		}
 		ratio = s.ratio
 	}
@@ -92,7 +92,7 @@ func (s *upFL) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	info.PruneSeconds += shrink()
+	info.PruneSeconds += s.cfg.Clock.Since(shrink)
 
 	out := make([]Assignment, 0, len(workers))
 	for _, w := range workers {
@@ -112,7 +112,7 @@ func (s *upFL) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 
 // Aggregate implements Strategy.
 func (s *upFL) Aggregate(info *RoundInfo, outs []Output, dropped []Assignment) ([]*tensor.Tensor, error) {
-	newGlobal, err := recoveredMean(s.fam, info.Global, outs, true)
+	newGlobal, err := recoveredMean(s.fam, info.Next, info.Global, outs, true)
 	if err != nil {
 		return nil, err
 	}
@@ -202,7 +202,7 @@ func (s *fedProx) Aggregate(info *RoundInfo, outs []Output, _ []Assignment) ([]*
 	for i, o := range outs {
 		sets[i] = o.NewWeights
 	}
-	return meanWeights(sets), nil
+	return meanWeights(info.Next, sets), nil
 }
 
 // flexCom is the FlexCom baseline [13]: workers train the full model but

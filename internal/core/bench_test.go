@@ -4,9 +4,63 @@ import (
 	"runtime"
 	"testing"
 
+	"fedmp/internal/cluster"
+	"fedmp/internal/data"
 	"fedmp/internal/transport/codec"
 	"fedmp/internal/zoo"
 )
+
+// warmPopRound builds a run in sim-pop1m's shape — a 10⁶-device population
+// with diurnal availability and regional outages, the bench-tiny model, one
+// local step at batch 2, an evaluation every 10 rounds, the default Wall
+// clock — at the given strategy and cohort, runs warm rounds of it through
+// Driver.round, and returns a function that runs the next. The test-only
+// poisonClosed hook, which allocates, is off until tb ends.
+func warmPopRound(tb testing.TB, strategy StrategyID, cohort, warm int) func() {
+	tb.Helper()
+	poisonClosed = false
+	tb.Cleanup(func() { poisonClosed = true })
+	ds := data.Generate("bench-tiny", data.Config{Classes: 6, C: 1, H: 8, W: 8, TrainSize: 600, TestSize: 180, Noise: 0.6, MaxShift: 1, Seed: 42})
+	cfg := Config{
+		Strategy: strategy, FixedRatio: 0.5, Workers: cohort, LocalIters: 1, BatchSize: 2,
+		EvalEvery: 10, EvalLimit: 60, StreamMetrics: true, Seed: 1, Rounds: 1000,
+		Population: &cluster.Population{
+			Size:    1_000_000,
+			Diurnal: cluster.Diurnal{Period: 6, OnFraction: 0.8},
+			Outage:  cluster.Outage{Regions: 4, Prob: 0.15, Period: 3, Duration: 1.5},
+		},
+	}
+	r, err := newRunner(&ImageFamily{Spec: benchTinySpec(), DS: ds}, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := r.evaluate(0, 0); err != nil {
+		tb.Fatal(err)
+	}
+	round, snap := 0, r.borrow
+	next := func() {
+		round++
+		if _, err := r.round(r, round, snap); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for range warm {
+		next()
+	}
+	return next
+}
+
+// BenchmarkWarmRound is one warm lockstep round of sim-pop1m's shape (FedMP,
+// cohort 200) after 30 rounds: its allocs/op is what a round still allocates
+// once every slot, generation and table has been sized.
+func BenchmarkWarmRound(b *testing.B) {
+	next := warmPopRound(b, StrategyFedMP, 200, 30)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		next()
+	}
+}
 
 // BenchmarkWorkerStep is one sim-cnn30-shaped assignment — the zoo CNN, four
 // local steps at batch 8 — through WorkerStep, cycling three sub-model

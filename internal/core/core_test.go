@@ -498,3 +498,58 @@ func TestRewardHelpers(t *testing.T) {
 		t.Error("zero mean time should yield zero reward")
 	}
 }
+
+// TestEq8RewardOfNonFiniteInputs: a worker whose loss improvement or time is
+// NaN or infinite earns what a dropped worker earns, 0, not a NaN or an
+// infinite reward.
+func TestEq8RewardOfNonFiniteInputs(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct{ improvement, worker, mean float64 }{
+		{nan, 10, 10}, {inf, 10, 10}, {-inf, 10, 10},
+		{0.1, nan, 10}, {0.1, inf, 10}, {0.1, 10, nan}, {0.1, 10, inf},
+		{relativeImprovement(2, nan), 10, 12}, {relativeImprovement(2, -inf), 10, 12},
+	} {
+		if got := eq8Reward(tc.improvement, tc.worker, tc.mean); got != 0 {
+			t.Errorf("eq8Reward(%v, %v, %v) = %v, want 0", tc.improvement, tc.worker, tc.mean, got)
+		}
+	}
+}
+
+// lossPoisoner is a strategy whose aggregation in one round sees the first
+// output's training loss replaced by loss.
+type lossPoisoner struct {
+	Strategy
+	round int
+	loss  float64
+}
+
+func (s lossPoisoner) Aggregate(info *RoundInfo, outs []Output, dropped []Assignment) ([]*tensor.Tensor, error) {
+	if info.Round == s.round && len(outs) > 0 {
+		outs[0].TrainLoss = s.loss
+	}
+	return s.Strategy.Aggregate(info, outs, dropped)
+}
+
+// TestNonFiniteTrainLossLeavesBanditsFinite: a FedMP worker reporting a NaN
+// or −∞ training loss in a round whose agents observe earns the reward of a
+// dropped worker, so every exported E-UCB statistic stays finite.
+func TestNonFiniteTrainLossLeavesBanditsFinite(t *testing.T) {
+	for _, loss := range []float64{math.NaN(), math.Inf(-1)} {
+		r, err := newRunner(tinyFamily(), quickCfg(StrategyFedMP, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fedmp := r.strategy.(*fedMP)
+		r.strategy = lossPoisoner{Strategy: r.strategy, round: 2, loss: loss}
+		if _, err := r.run(); err != nil {
+			t.Fatal(err)
+		}
+		for w, st := range fedmp.ExportBandits() {
+			for _, p := range st.Pulls {
+				if math.IsNaN(p.Reward) || math.IsInf(p.Reward, 0) {
+					t.Fatalf("loss %v: worker %d's agent holds reward %v", loss, w, p.Reward)
+				}
+			}
+		}
+	}
+}

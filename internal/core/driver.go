@@ -49,9 +49,10 @@ type Executor interface {
 
 // poisonClosed, set only by tests, has Drive fill the models a closed round
 // hands back — its delivered outputs' NewWeights and its lost assignments'
-// Weights — with NaN once Executor.Closed has returned, so that a buffer read
-// after its round closed shows in the trajectory. Output.Base is spared: it
-// is the global model.
+// Weights — and every global generation it may recycle with NaN once
+// Executor.Closed has returned, so that a buffer read after its round closed,
+// or a generation recycled while an in-flight Base reads it, shows in the
+// trajectory.
 var poisonClosed bool
 
 // maxBarrenRounds bounds how many consecutive times a round may be run again
@@ -81,7 +82,13 @@ type Driver struct {
 	chunkCorrect []int
 	evalChunkFn  func(exec, i int)
 
-	global    []*tensor.Tensor
+	global []*tensor.Tensor
+	// gens are the global models the driver owns: the current one, under
+	// Alg. 2 older ones an in-flight Base still reads, and spares for
+	// Aggregate to build the next in (RoundInfo.Next) — two in all for a
+	// lockstep run.
+	gens []generation
+
 	prevLoss  float64
 	prevTimes []float64
 	prevComm  []float64
@@ -121,6 +128,7 @@ func NewDriver(fam Family, cfg Config) (*Driver, error) {
 	d.evalChunkFn = d.evalChunk
 	d.testB = fam.TestBatch(cfg.EvalLimit)
 	d.global = fam.InitWeights(cfg.Seed)
+	d.gens = []generation{{w: d.global}}
 	d.prevLoss = math.NaN()
 	d.prevTimes = make([]float64, cfg.Workers)
 	d.prevComm = make([]float64, cfg.Workers)
@@ -151,46 +159,71 @@ func (d *Driver) Drive(exec Executor) (*Result, error) {
 		return nil, err
 	}
 	snap := d.borrow
-	barren := 0
-	for round := d.res.Rounds + 1; ; {
-		workers, suspect, behind, err := exec.Workers(round)
+	for round := d.res.Rounds + 1; ; round++ {
+		stop, err := d.round(exec, round, snap)
 		if err != nil {
 			return nil, err
+		}
+		if stop {
+			break
+		}
+	}
+	d.seal(exec.Now())
+	d.res.State = d.export()
+	return d.res, nil
+}
+
+// round runs round on exec — again under the same number while it delivers
+// nothing and exec asks for that — and reports whether a target or budget
+// stops the run after it.
+func (d *Driver) round(exec Executor, round int, snap func() *State) (stop bool, err error) {
+	for barren := 1; ; barren++ {
+		workers, suspect, behind, err := exec.Workers(round)
+		if err != nil {
+			return false, err
 		}
 		info := d.info(round - behind)
 		var assignments []Assignment
 		if len(workers) > 0 {
 			if assignments, err = d.strategy.Assign(info, workers); err != nil {
-				return nil, err
+				return false, err
 			}
+		}
+		for i := range assignments {
+			d.hold(assignments[i].Base, 1)
 		}
 		delivered, lost, seconds, err := exec.Run(round, assignments)
 		if err != nil {
-			return nil, err
+			return false, err
+		}
+		for i := range delivered {
+			d.hold(delivered[i].Base, -1)
+		}
+		for i := range lost {
+			d.hold(lost[i].Base, -1)
 		}
 		// Aggregating comes before the idle decision: with nothing
 		// delivered the model stays as it is, and the lost assignments'
 		// bandits still learn their ratio earned nothing.
 		if d.global, err = d.strategy.Aggregate(info, delivered, lost); err != nil {
-			return nil, err
+			return false, err
 		}
 		if len(delivered) == 0 {
 			idle, ok := exec.Idle(seconds, info.MeanRoundTime)
 			if !ok {
-				if barren++; barren >= maxBarrenRounds {
-					return nil, fmt.Errorf("core: %d consecutive rounds with no results", barren)
+				if barren >= maxBarrenRounds {
+					return false, fmt.Errorf("core: %d consecutive rounds with no results", barren)
 				}
 				continue
 			}
 			seconds = idle
 		}
-		barren = 0
 		d.record(round, info, delivered, len(lost), suspect, seconds)
 		var eval *Point
 		if round%d.cfg.EvalEvery == 0 {
 			p, err := d.evaluate(round, exec.Now())
 			if err != nil {
-				return nil, err
+				return false, err
 			}
 			eval = &p
 		}
@@ -203,19 +236,47 @@ func (d *Driver) Drive(exec Executor) (*Result, error) {
 			}
 		}
 		if err := exec.Closed(round, eval, snap); err != nil {
-			return nil, err
+			return false, err
+		}
+		for _, g := range d.gens {
+			if poisonClosed && g.refs == 0 && g.w[0] != d.global[0] {
+				poisoned = append(poisoned, g.w...)
+			}
 		}
 		for _, t := range poisoned {
 			t.Fill(float32(math.NaN()))
 		}
-		if eval != nil && d.reached(*eval) || d.spent(round, exec.Now()) {
-			break
-		}
-		round++
+		return eval != nil && d.reached(*eval) || d.spent(round, exec.Now()), nil
 	}
-	d.seal(exec.Now())
-	d.res.State = d.export()
-	return d.res, nil
+}
+
+// generation is a global model the driver owns and the number of in-flight
+// assignments whose Base reads it.
+type generation struct {
+	w    []*tensor.Tensor
+	refs int
+}
+
+// spare returns a generation that is neither the current global model nor
+// read by an in-flight assignment, allocating one if there is none.
+func (d *Driver) spare() []*tensor.Tensor {
+	for _, g := range d.gens {
+		if g.refs == 0 && g.w[0] != d.global[0] {
+			return g.w
+		}
+	}
+	d.gens = append(d.gens, generation{w: modelIn(nil, d.global)})
+	return d.gens[len(d.gens)-1].w
+}
+
+// hold adds n to the in-flight count of the generation base is, if any (a
+// QuantizeResiduals base is the worker's own).
+func (d *Driver) hold(base []*tensor.Tensor, n int) {
+	for i := range d.gens {
+		if len(base) > 0 && d.gens[i].w[0] == base[0] {
+			d.gens[i].refs += n
+		}
+	}
 }
 
 // meanRoundTime is the running mean of the closed rounds' durations.
@@ -236,6 +297,7 @@ func (d *Driver) info(round int) *RoundInfo {
 	return &RoundInfo{
 		Round:         round,
 		Global:        d.global,
+		Next:          d.spare(),
 		PrevLoss:      d.prevLoss,
 		PrevTimes:     d.infoTimes,
 		PrevCommTimes: d.infoComm,

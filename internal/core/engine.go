@@ -32,12 +32,12 @@ type runner struct {
 	// universe, cohortRng draws each round's sample, cohortIDs maps cohort
 	// slots to sampled device ids, cohortDevs is each slot's one live device,
 	// rebound every round, devCache parks the jitter state of every device
-	// sampled so far — pointer-free, the collector never scans it.
+	// sampled so far.
 	pop        *cluster.Population
 	cohortRng  *rand.Rand
 	cohortIDs  []int
 	cohortDevs []*cluster.Device
-	devCache   map[int]cluster.Parked
+	devCache   parkTable
 
 	// timesScratch backs the deadline quantile selection.
 	timesScratch []float64
@@ -110,7 +110,9 @@ func newRunner(fam Family, cfg Config) (*runner, error) {
 		for slot := range r.cohortDevs {
 			r.cohortDevs[slot] = r.pop.Device(0) // bindCohort rebinds it
 		}
-		r.devCache = make(map[int]cluster.Parked)
+		// A run samples at most cohort × Rounds devices; one without a
+		// round budget starts small.
+		r.devCache = newParkTable(min(cfg.Population.Size, cfg.Workers*cfg.Rounds))
 		r.tried = make(map[int]struct{}, cfg.Workers)
 	}
 	if cfg.Faults.Enabled() {
@@ -363,7 +365,7 @@ func (x *asyncExec) Idle(seconds, meanRoundTime float64) (float64, bool) { retur
 // over; the scratch keeps only its backing arrays.
 func (r *runner) releaseRound() {
 	for slot, id := range r.cohortIDs {
-		r.devCache[id] = r.cohortDevs[slot].Parked
+		r.devCache.put(id, r.cohortDevs[slot].Parked)
 	}
 	clear(r.failed)
 	clear(r.runnable)

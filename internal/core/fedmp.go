@@ -137,7 +137,8 @@ func (s *fedMP) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 		return nil, nil
 	}
 	warmup := info.Round <= s.cfg.WarmupRounds || info.Round == 0
-	first := s.cfg.Clock.Stopwatch()
+	clock := s.cfg.Clock
+	first := clock.Stopwatch()
 	ctx, err := s.fam.PlanContext(info.Global)
 	if err != nil {
 		return nil, fmt.Errorf("core: scoring the global model: %w", err)
@@ -161,13 +162,13 @@ func (s *fedMP) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 		a := &out[i]
 		*a = Assignment{Worker: workers[i], Iters: s.cfg.LocalIters, Warmup: warmup}
 		if !warmup {
-			decide := s.cfg.Clock.Stopwatch()
+			decide := clock.Stopwatch()
 			a.Ratio = s.agents[a.Worker].Select()
-			decideSecs[i] = decide()
+			decideSecs[i] = clock.Since(decide)
 		}
 		shrink := first
 		if i > 0 {
-			shrink = s.cfg.Clock.Stopwatch()
+			shrink = clock.Stopwatch()
 		}
 		slot := &s.slots[a.Worker]
 		errs[i] = ctx.MakePlan(a.Ratio, s.cfg.PlanJitter, noise[i*noiseLen:(i+1)*noiseLen], slot)
@@ -175,7 +176,7 @@ func (s *fedMP) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 		if errs[i] == nil {
 			a.Base, errs[i] = s.base(info.Global, a.Plan)
 		}
-		pruneSecs[i] = shrink()
+		pruneSecs[i] = clock.Since(shrink)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -189,8 +190,9 @@ func (s *fedMP) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 
 // base returns the model R2SP reads a worker's pruned coordinates from at
 // aggregation. That is the dispatch-time global model itself, shared by
-// reference: aggregation builds a new global and never writes the old one,
-// so the PS holds no residual model per worker. Only QuantizeResiduals
+// reference: aggregation builds the new global in another generation, and
+// the driver recycles a generation only once no in-flight Base reads it, so
+// the PS holds no residual model per worker. Only QuantizeResiduals
 // materialises one — the int8 scale needs the whole residual tensor — and
 // aggregation then sees the dequantized values, so the quantization error
 // flows into the recovered coordinates exactly as it would in production
@@ -218,18 +220,22 @@ func (s *fedMP) base(global []*tensor.Tensor, plan any) ([]*tensor.Tensor, error
 // block: each shard item owns one block of every tensor, walks the
 // participants in order over its rows and then scales them, so every
 // coordinate is summed in participant order whatever the executor count.
-func recoveredMean(fam Family, global []*tensor.Tensor, outs []Output, r2sp bool) ([]*tensor.Tensor, error) {
+// The mean is built in dst (nil: a new model), each shard item zeroing its
+// own rows first.
+func recoveredMean(fam Family, dst, global []*tensor.Tensor, outs []Output, r2sp bool) ([]*tensor.Tensor, error) {
 	if len(outs) == 0 {
 		return global, nil
 	}
-	acc := make([]*tensor.Tensor, len(global))
-	for i, g := range global {
-		acc[i] = tensor.New(g.Shape...)
-	}
+	acc := modelIn(dst, global)
 	inv := float32(1) / float32(len(outs))
 	parts := executors(len(outs))
 	errs := make([]error, parts)
 	shard(parts, func(_, part int) {
+		for _, a := range acc {
+			lo, hi := prune.RowBlock(a.Shape[0], part, parts)
+			width := len(a.Data) / a.Shape[0]
+			clear(a.Data[lo*width : hi*width])
+		}
 		for i := range outs {
 			o := &outs[i]
 			base := o.Base
@@ -260,7 +266,7 @@ func recoveredMean(fam Family, global []*tensor.Tensor, outs []Output, r2sp bool
 // Aggregate implements Strategy: model recovery plus residual addition and
 // parameter averaging (phase ③ of Fig. 1), then the Eq. 8 reward updates.
 func (s *fedMP) Aggregate(info *RoundInfo, outs []Output, dropped []Assignment) ([]*tensor.Tensor, error) {
-	newGlobal, err := recoveredMean(s.fam, info.Global, outs, s.cfg.Sync == SyncR2SP)
+	newGlobal, err := recoveredMean(s.fam, info.Next, info.Global, outs, s.cfg.Sync == SyncR2SP)
 	if err != nil {
 		return nil, err
 	}

@@ -93,7 +93,7 @@ func referenceMean(t *testing.T, fam Family, global []*tensor.Tensor, outs []Out
 		}
 		sets = append(sets, rec)
 	}
-	return meanWeights(sets)
+	return meanWeights(nil, sets)
 }
 
 func requireSameBits(t *testing.T, got, want []*tensor.Tensor) {
@@ -152,7 +152,7 @@ func TestFusedAggregateMatchesReferenceAlgebra(t *testing.T) {
 						for _, participants := range []int{1, 2, 7} {
 							outs := trainedOutputs(t, fam, global, participants, jitter, rng)
 							for _, r2sp := range []bool{true, false} {
-								got, err := recoveredMean(fam, global, outs, r2sp)
+								got, err := recoveredMean(fam, nil, global, outs, r2sp)
 								if err != nil {
 									t.Fatal(err)
 								}
@@ -184,7 +184,7 @@ func TestFusedAggregateNonFiniteGlobal(t *testing.T) {
 		w.Data[0] = 0.5
 	}
 	outs := []Output{{Assignment: Assignment{Plan: plan, Base: global}, NewWeights: subW}}
-	got, err := recoveredMean(fam, global, outs, true)
+	got, err := recoveredMean(fam, nil, global, outs, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestQuantizedResidualBaseMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameBits(t, got, meanWeights(sets))
+	requireSameBits(t, got, meanWeights(nil, sets))
 }
 
 // randomBatch draws n examples shaped for desc: images of the spec's input

@@ -120,7 +120,9 @@ func trainLocal(net nn.Network, opt *nn.SGD, src Source, weights []*tensor.Tenso
 
 // build turns the trained parameters into the upload for an assignment that
 // started from assigned — exactly one of delta and update — forming trained
-// minus assigned in u's delta buffers, straight from the parameters. With
+// minus assigned in u's delta buffers, straight from the parameters — each
+// first allocated with its assigned tensor's capacity, which for a slot's
+// sub-model is the global tensor's length, so it never grows again. With
 // uploadK zero the upload is that dense delta: the server still has the
 // weights it sent, so repeating them buys nothing, and a partially trained
 // delta's zero runs compress under the codec's sparse mode. Otherwise
@@ -134,7 +136,7 @@ func trainLocal(net nn.Network, opt *nn.SGD, src Source, weights []*tensor.Tenso
 func (u *Upload) build(trained []*nn.Param, assigned []*tensor.Tensor, uploadK float64, feedback []*tensor.Tensor, quantize bool) (delta, update []*tensor.Tensor) {
 	delta = slices.Grow(u.delta[:0], len(trained))[:len(trained)]
 	for i, p := range trained {
-		d := tensor.Ensure(delta[i], p.W.Shape...)
+		d := tensor.EnsureCap(delta[i], cap(assigned[i].Data), p.W.Shape...)
 		delta[i] = d
 		w, a := p.W.Data, assigned[i].Data[:len(d.Data)]
 		for j := range d.Data {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"fedmp/internal/cluster"
 	"fedmp/internal/prune"
 )
 
@@ -48,19 +49,65 @@ func (r *runner) sampleCohort() []int {
 // device to the i-th sampled id and returns the number of slots bound. A
 // device sampled before resumes from the state releaseRound parked, so its
 // jitter persists across the rounds that sample it; the parked states number
-// the distinct devices ever sampled — O(cohort × rounds) worst case at 24
-// bytes each, independent of population size — and binding allocates nothing.
+// the distinct devices ever sampled — O(cohort × rounds) worst case at 28
+// bytes a slot, independent of population size — and binding allocates
+// nothing.
 func (r *runner) bindCohort() int {
 	ids := r.sampleCohort()
 	r.cohortIDs = ids
 	for slot, id := range ids {
 		dev := r.cohortDevs[slot]
 		r.pop.Rebind(dev, id)
-		if parked, seen := r.devCache[id]; seen {
-			dev.Parked = parked
+		if i := r.devCache.slot(id); r.devCache.keys[i] != 0 {
+			dev.Parked = r.devCache.vals[i]
 		}
 	}
 	return len(ids)
+}
+
+// parkTable maps device ids to their parked states: open addressing with
+// linear probing over two pointer-free arrays, which the collector never
+// scans. Sized for the devices a run can sample, it never grows in a run of
+// bounded length; a put that would fill it past four fifths rebuilds it for
+// twice its devices first, so a probe always meets an empty slot.
+type parkTable struct {
+	keys []int32 // a parked id plus one; 0 marks an empty slot
+	vals []cluster.Parked
+	n    int
+}
+
+func newParkTable(devices int) parkTable {
+	slots := devices + devices/4 + 2
+	return parkTable{keys: make([]int32, slots), vals: make([]cluster.Parked, slots)}
+}
+
+// slot returns the index of id's slot, or of the empty slot it would take.
+func (t *parkTable) slot(id int) int {
+	i := int(uint64(uint32(id)*0x9e3779b1) * uint64(len(t.keys)) >> 32)
+	for t.keys[i] != 0 && t.keys[i] != int32(id+1) {
+		if i++; i == len(t.keys) {
+			i = 0
+		}
+	}
+	return i
+}
+
+// put parks p under id.
+func (t *parkTable) put(id int, p cluster.Parked) {
+	if 5*(t.n+1) > 4*len(t.keys) {
+		old := *t
+		*t = newParkTable(2 * old.n)
+		for i, k := range old.keys {
+			if k != 0 {
+				t.put(int(k-1), old.vals[i])
+			}
+		}
+	}
+	i := t.slot(id)
+	if t.keys[i] == 0 {
+		t.keys[i], t.n = int32(id+1), t.n+1
+	}
+	t.vals[i] = p
 }
 
 // trainCohort executes the runnable assignments' local SGD, sharded

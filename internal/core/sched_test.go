@@ -370,10 +370,10 @@ func TestPopulationCostIndependentOfSize(t *testing.T) {
 
 // TestPopulationHeapFlatInRounds is the other axis of the scaling claim: what
 // a long run over 10⁶ devices keeps per device it has ever sampled is the
-// parked jitter state and its map slot, not a generator. Between rounds 50
-// and 200 the live heap may grow by 64 bytes per device first sampled in
-// between (a 24-byte value, an 8-byte key, the map's load factor) and a
-// constant.
+// parked jitter state in the park table, not a generator — and the table is
+// sized for the whole run when it starts. Between rounds 50 and 200 the live
+// heap may grow by a constant, however many devices are first sampled in
+// between.
 func TestPopulationHeapFlatInRounds(t *testing.T) {
 	fam := &liveHeapFamily{ImageFamily: tinyFamily()}
 	cfg := populationHeapCfg(200, 1_000_000)
@@ -383,17 +383,17 @@ func TestPopulationHeapFlatInRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam.parked = func() int { return len(r.devCache) }
+	fam.parked = func() int { return r.devCache.n }
 	if _, err := r.run(); err != nil {
 		t.Fatal(err)
 	}
 	growth := int64(fam.live[199]) - int64(fam.live[49])
 	devices := int64(fam.parkedCount[199] - fam.parkedCount[49])
-	if limit := 64*devices + 64<<10; growth > limit || devices < 4000 {
+	if limit := int64(64 << 10); growth > limit || devices < 4000 {
 		t.Errorf("live heap grew %d KiB from round 50 to round 200 over %d newly sampled devices; want at most %d KiB over 4000+ devices",
 			growth>>10, devices, limit>>10)
 	}
-	t.Logf("live-heap growth %d KiB over %d newly sampled devices (%d B each)", growth>>10, devices, growth/max(devices, 1))
+	t.Logf("live-heap growth %d KiB over %d newly sampled devices", growth>>10, devices)
 }
 
 // TestParkedDeviceResumesInAnotherSlot drives the engine's parking: over a
@@ -552,5 +552,45 @@ func BenchmarkTopKOfSortRef(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		topKOfSortRef(deltas, 0.1)
+	}
+}
+
+// TestParkTableMatchesAMap holds the park table to a map: sized for d
+// devices, it parks d of them and parks them again without growing; then it
+// grows, and every id reads back the state last parked under it while an id
+// never parked reads as empty.
+func TestParkTableMatchesAMap(t *testing.T) {
+	const d = 1000
+	pop, err := cluster.Population{Size: 1 << 20}.Normalized(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	states := []cluster.Parked{pop.Device(1).Parked, pop.Device(2).Parked}
+	tab, want := newParkTable(d), map[int]cluster.Parked{}
+	keys := &tab.keys[0]
+	rng := rand.New(rand.NewSource(9))
+	for i := 0; i < 5*d; i++ {
+		id := rng.Intn(pop.Size)
+		if i < 2*d {
+			id = (i % d) * 1021 // d distinct ids, twice
+		}
+		tab.put(id, states[i%2])
+		want[id] = states[i%2]
+		if i == 2*d-1 && (&tab.keys[0] != keys || tab.n != d) {
+			t.Fatalf("a table sized for %d devices grew holding %d", d, tab.n)
+		}
+	}
+	if tab.n != len(want) || &tab.keys[0] == keys {
+		t.Fatalf("table holds %d devices, want %d, and should have grown", tab.n, len(want))
+	}
+	for id, p := range want {
+		if i := tab.slot(id); tab.keys[i] == 0 || tab.vals[i] != p {
+			t.Fatalf("device %d reads back wrong", id)
+		}
+	}
+	for id := 1; id < 1000; id++ {
+		if _, parked := want[id]; !parked && tab.keys[tab.slot(id)] != 0 {
+			t.Fatalf("device %d was never parked but reads as parked", id)
+		}
 	}
 }

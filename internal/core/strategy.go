@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"fedmp/internal/nn"
 	"fedmp/internal/tensor"
 )
 
@@ -22,7 +23,8 @@ type Assignment struct {
 	Weights []*tensor.Tensor
 	// Base is the global-shaped model R2SP reads this worker's pruned
 	// coordinates from when it aggregates: the global model at dispatch
-	// time, shared by reference and never written (or, under
+	// time, shared by reference and never written while the assignment is
+	// in flight (Driver.hold counts its readers) (or, under
 	// QuantizeResiduals, the worker's int8 round-tripped residual model);
 	// nil for strategies that do not recover.
 	Base []*tensor.Tensor
@@ -66,6 +68,10 @@ type RoundInfo struct {
 	Round int
 	// Global is the current global model.
 	Global []*tensor.Tensor
+	// Next, when not nil, is a model shaped like Global that Aggregate may
+	// build the new global model in — the driver's spare generation, which
+	// no in-flight assignment reads. Its contents are unspecified.
+	Next []*tensor.Tensor
 	// PrevLoss is the mean local training loss of the previous round
 	// (NaN before the first aggregation).
 	PrevLoss float64
@@ -150,9 +156,11 @@ const rewardImprovementFloor = 0.004
 
 // eq8Reward computes the paper's reward for one worker: loss improvement
 // divided by the (normalised) gap between the worker's completion time and
-// the round mean.
+// the round mean. An improvement or a time that is not finite (a NaN or
+// infinite training loss) earns 0, what a dropped worker earns.
 func eq8Reward(lossImprovement, workerTime, meanTime float64) float64 {
-	if meanTime <= 0 {
+	// x − x is NaN exactly when x is NaN or infinite.
+	if meanTime <= 0 || math.IsNaN((lossImprovement-lossImprovement)+(workerTime-workerTime)+(meanTime-meanTime)) {
 		return 0
 	}
 	if lossImprovement < rewardImprovementFloor {
@@ -165,20 +173,29 @@ func eq8Reward(lossImprovement, workerTime, meanTime float64) float64 {
 	return lossImprovement / gap
 }
 
-// meanWeights averages a set of same-shaped weight lists.
-func meanWeights(sets [][]*tensor.Tensor) []*tensor.Tensor {
+// modelIn returns dst, or a new model shaped like like when dst is nil: the
+// model a new global model is built in. Its contents are unspecified.
+func modelIn(dst, like []*tensor.Tensor) []*tensor.Tensor {
+	if dst == nil {
+		return nn.CloneWeights(like)
+	}
+	return dst
+}
+
+// meanWeights averages a set of same-shaped weight lists into dst (nil: a
+// new model).
+func meanWeights(dst []*tensor.Tensor, sets [][]*tensor.Tensor) []*tensor.Tensor {
 	if len(sets) == 0 {
 		panic("core: meanWeights of nothing")
 	}
-	out := make([]*tensor.Tensor, len(sets[0]))
+	out := modelIn(dst, sets[0])
 	inv := float32(1) / float32(len(sets))
-	for i := range out {
-		acc := tensor.New(sets[0][i].Shape...)
+	for i, acc := range out {
+		clear(acc.Data)
 		for _, s := range sets {
 			acc.Add(s[i])
 		}
 		acc.Scale(inv)
-		out[i] = acc
 	}
 	return out
 }

@@ -49,9 +49,6 @@ func (w *Welford) Var() float64 {
 	return w.M2 / float64(w.N)
 }
 
-// Std returns the population standard deviation.
-func (w *Welford) Std() float64 { return math.Sqrt(w.Var()) }
-
 // Sum returns N·Mean, the running total.
 func (w *Welford) Sum() float64 { return w.Mean * float64(w.N) }
 

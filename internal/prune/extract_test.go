@@ -106,8 +106,8 @@ func TestGatherRowsMatchesElementLoop(t *testing.T) {
 // TestPlansAndSubModelsRebuiltInPlace: a plan and a sub-model rebuilt into
 // one destination ratio after ratio — wider, narrower, jittered, the
 // residual bodies of the sub-spec included — equal the ones a nil
-// destination allocates, bit for bit, and stay in the destination's buffers
-// once those have grown.
+// destination allocates, bit for bit, and stay in the destination's buffers,
+// which the first extraction sizes for the global tensors whatever its ratio.
 func TestPlansAndSubModelsRebuiltInPlace(t *testing.T) {
 	for _, id := range []zoo.ModelID{zoo.ModelCNN, zoo.ModelResNet, zoo.ModelVGG} {
 		spec, err := zoo.SpecFor(id)
@@ -126,7 +126,7 @@ func TestPlansAndSubModelsRebuiltInPlace(t *testing.T) {
 		var plan *Plan
 		var sub *zoo.Spec
 		var subW []*tensor.Tensor
-		for step, ratio := range []float64{0, 0.7, 0.3, 0.7, 0.5} {
+		for step, ratio := range []float64{0.7, 0, 0.3, 0.7, 0.5} {
 			jitter, n := 0.0, []float64(nil)
 			if step%2 == 1 {
 				jitter, n = 0.4, noise
@@ -156,6 +156,12 @@ func TestPlansAndSubModelsRebuiltInPlace(t *testing.T) {
 				t.Fatalf("%s step %d: rebuilt sub-spec %+v, fresh %+v", id, step, sub, freshSub)
 			}
 			requireSameTensors(t, fmt.Sprintf("%s step %d", id, step), subW, freshW)
+			for i, w := range subW {
+				if cap(w.Data) != len(ctx.weights[i].Data) {
+					t.Fatalf("%s step %d: sub-model tensor %d has room for %d elements, want its global tensor's %d",
+						id, step, i, cap(w.Data), len(ctx.weights[i].Data))
+				}
+			}
 		}
 	}
 	cfg := zoo.DefaultLMConfig()

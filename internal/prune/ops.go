@@ -349,8 +349,10 @@ func PruneError(global, sparse []*tensor.Tensor) float64 {
 
 // extract copies the kept rows (first dimension) and kept columns (second)
 // of w — a vector, a matrix, or a [O,I,KH,KW] kernel whose taps come whole —
-// into dst, re-dimensioned (tensor.Ensure). A nil set keeps everything; a
-// vector is one row, its kept rows copied as kept columns.
+// into dst, re-dimensioned (tensor.EnsureCap). A dst too small for the sub-
+// tensor is replaced by one with room for all of w, so a slot's buffer is
+// allocated once whatever ratios later reach it. A nil set keeps everything;
+// a vector is one row, its kept rows copied as kept columns.
 func extract(dst, w *tensor.Tensor, keptRows, keptCols []int) *tensor.Tensor {
 	var dims [4]int
 	shape := append(dims[:0], w.Shape...)
@@ -358,14 +360,14 @@ func extract(dst, w *tensor.Tensor, keptRows, keptCols []int) *tensor.Tensor {
 		shape[0] = len(keptRows)
 	}
 	if len(shape) == 1 {
-		out := tensor.Ensure(dst, shape...)
+		out := tensor.EnsureCap(dst, len(w.Data), shape...)
 		gatherRows(out.Data, w.Data, len(w.Data), 1, nil, keptRows)
 		return out
 	}
 	if keptCols != nil {
 		shape[1] = len(keptCols)
 	}
-	out := tensor.Ensure(dst, shape...)
+	out := tensor.EnsureCap(dst, len(w.Data), shape...)
 	gatherRows(out.Data, w.Data, w.Shape[1], tensor.Prod(w.Shape[2:]), keptRows, keptCols)
 	return out
 }

@@ -16,22 +16,28 @@ package simclock
 
 import "time"
 
-// Clock produces stopwatches for overhead accounting.
+// Clock produces stopwatches for overhead accounting. A stopwatch is a
+// value, not a closure, so taking one allocates nothing.
 type Clock interface {
-	// Stopwatch starts an interval measurement and returns a function that
-	// reports the seconds elapsed since the Stopwatch call.
-	Stopwatch() func() float64
+	// Stopwatch starts an interval measurement.
+	Stopwatch() Start
+	// Since reports the seconds elapsed since the Stopwatch call that
+	// returned start.
+	Since(start Start) float64
 }
+
+// Start is a stopwatch's start, read by Clock.Since.
+type Start struct{ at time.Time }
 
 // Wall measures real elapsed time. This package is the single sanctioned
 // home of the wall clock for the simulation stack; see the package comment.
 type Wall struct{}
 
-// Stopwatch implements Clock with time.Now/time.Since.
-func (Wall) Stopwatch() func() float64 {
-	t0 := time.Now()
-	return func() float64 { return time.Since(t0).Seconds() }
-}
+// Stopwatch implements Clock with time.Now.
+func (Wall) Stopwatch() Start { return Start{time.Now()} }
+
+// Since implements Clock with time.Since.
+func (Wall) Since(start Start) float64 { return time.Since(start.at).Seconds() }
 
 // Fixed is a deterministic Clock: every stopwatch interval reports exactly
 // PerCall seconds (zero value: all intervals are free). It replaces Wall
@@ -42,9 +48,10 @@ type Fixed struct {
 }
 
 // Stopwatch implements Clock.
-func (f Fixed) Stopwatch() func() float64 {
-	return func() float64 { return f.PerCall }
-}
+func (Fixed) Stopwatch() Start { return Start{} }
+
+// Since implements Clock.
+func (f Fixed) Since(Start) float64 { return f.PerCall }
 
 // Deadline returns the wall-clock instant d from now, for socket deadlines.
 // The TCP runtime executes under internal/core's round driver, so the

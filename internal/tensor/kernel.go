@@ -142,10 +142,6 @@ func Kernels() []string {
 // KernelName returns the active micro-kernel tier.
 func KernelName() string { return activeKernel.Load().name }
 
-// KernelFused reports whether this machine's tiers use fused multiply-add
-// accumulation (bench reports record it alongside the tier name).
-func KernelFused() bool { return cpuFused }
-
 // ForceKernel activates the named tier. It errors when the tier is not
 // available on this machine. In-flight GEMM calls are unaffected — the
 // driver snapshots the active kernel once per call — but the switch is meant

@@ -17,7 +17,7 @@ import (
 
 // Tensor is a dense row-major float32 array of arbitrary rank.
 //
-// The zero value is not usable; construct tensors with New, Zeros, FromSlice
+// The zero value is not usable; construct tensors with New, FromSlice
 // or the random constructors in random.go. Data is exposed so that hot loops
 // (layer kernels, optimisers) can operate on the raw slice.
 type Tensor struct {
@@ -53,10 +53,6 @@ func New(shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: make([]float32, Prod(s))}
 }
 
-// Zeros is an alias for New, provided for readability at call sites that
-// emphasise the initial value rather than allocation.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // Full returns a tensor with the given shape where every element is v.
 func Full(v float32, shape ...int) *Tensor {
 	t := New(shape...)
@@ -77,18 +73,24 @@ func FromSlice(data []float32, shape ...int) *Tensor {
 	return &Tensor{Shape: s, Data: data}
 }
 
-// Ensure returns t re-dimensioned to shape when its backing array is large
-// enough, and a fresh tensor otherwise (also when t is nil): a buffer that is
-// handed back to Ensure every time grows to its largest shape and then never
-// allocates again. Contents are unspecified after a re-dimension; callers
-// overwrite or zero them. Like New, it never retains shape.
-func Ensure(t *Tensor, shape ...int) *Tensor {
-	if size := Prod(shape); t != nil && cap(t.Data) >= size {
-		t.Data = t.Data[:size]
-		t.Shape = append(t.Shape[:0], shape...)
-		return t
+// Ensure is EnsureCap with no minimum capacity: a buffer that is handed back
+// to it every time grows to its largest shape and then never allocates again.
+func Ensure(t *Tensor, shape ...int) *Tensor { return EnsureCap(t, 0, shape...) }
+
+// EnsureCap returns t re-dimensioned to shape when its backing array is large
+// enough, and otherwise (also when t is nil) a fresh tensor whose backing
+// array holds at least capacity elements, so a buffer whose largest shape is
+// known up front is allocated once. Contents are unspecified after a
+// re-dimension; callers overwrite or zero them. Like New, it never retains
+// shape.
+func EnsureCap(t *Tensor, capacity int, shape ...int) *Tensor {
+	size := Prod(shape)
+	if t == nil || cap(t.Data) < size {
+		t = &Tensor{Data: make([]float32, 0, max(size, capacity))}
 	}
-	return New(shape...)
+	t.Data = t.Data[:size]
+	t.Shape = append(t.Shape[:0], shape...)
+	return t
 }
 
 // Size returns the total number of elements.
@@ -96,9 +98,6 @@ func (t *Tensor) Size() int { return len(t.Data) }
 
 // Rank returns the number of dimensions.
 func (t *Tensor) Rank() int { return len(t.Shape) }
-
-// Dim returns the extent of dimension i.
-func (t *Tensor) Dim(i int) int { return t.Shape[i] }
 
 // Clone returns a deep copy of t.
 func (t *Tensor) Clone() *Tensor {

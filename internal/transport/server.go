@@ -559,7 +559,8 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 		}
 	}
 
-	s.elapsed = simclock.Wall{}.Stopwatch()
+	start := simclock.Wall{}.Stopwatch()
+	s.elapsed = func() float64 { return simclock.Wall{}.Since(start) }
 	return drv.Drive(s)
 }
 

@@ -176,12 +176,12 @@ func trainAssignment(local *core.LocalNet, src core.Source, a *assignMsg, cfg Wo
 	if clock == nil {
 		clock = simclock.Wall{}
 	}
-	elapsed := clock.Stopwatch()
+	start := clock.Stopwatch()
 	res, err := core.WorkerStep(local, src, a, 1, up)
 	if err != nil {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
-	res.CompSeconds = elapsed()
+	res.CompSeconds = clock.Since(start)
 	return res, nil
 }
 
