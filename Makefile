@@ -123,12 +123,14 @@ check: vet lint build test test-kernels race
 # another cohort slot, and the pinned trajectory grid
 # (internal/core/testdata/run-grid.golden), then the
 # transport (two-worker loopback round over the binary wire codec, sim/wire
-# parity, and a mid-run PS kill/restart that must recover from its
-# checkpoint) — then an experiment smoke run (one static table plus one quick
-# sim-backed figure) proving the experiment CLI still runs end to end.
+# parity, a mid-run PS kill/restart that must recover from its checkpoint,
+# and the release handshake that keeps a session's decoded result intact
+# until the next round opens) — then an experiment smoke run (one static
+# table plus one quick sim-backed figure) proving the experiment CLI still
+# runs end to end.
 # bench-smoke, among the prerequisites, runs each micro-benchmark once and
 # fuzz-smoke each fuzz target for FUZZTIME.
 ci: check test-benchmark bench-smoke fuzz-smoke
 	go test -race -count=1 -run 'TestParallelCohortDeterminism|TestParkedDeviceResumesInAnotherSlot|TestRunGridGolden' ./internal/core
-	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery' ./internal/transport
+	go test -race -run 'TestLoopbackSmoke|TestSimWire|TestPSKillRestartRecovery|TestResultHeldUntilNextRound' ./internal/transport
 	go run ./cmd/fedmp-bench -quick -exp table2,fig5

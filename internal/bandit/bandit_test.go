@@ -1,8 +1,10 @@
 package bandit
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -371,5 +373,62 @@ func TestAgentSteadyStateAllocs(t *testing.T) {
 	}
 	if b := MustAgent(DefaultConfig(), rng); &b.pow[0] != &a.pow[0] {
 		t.Error("two agents with one λ keep two discount tables")
+	}
+}
+
+// TestNonFiniteRewardCountsAsZero: every learning policy treats a NaN or
+// infinite reward as 0, the reward of a dropped worker — the same state and
+// the same choices afterwards as a run that observed 0 there — so no region's
+// or arm's statistics ever hold a non-finite value.
+func TestNonFiniteRewardCountsAsZero(t *testing.T) {
+	arms := []float64{0, 0.2, 0.4, 0.6}
+	policies := []struct {
+		name      string
+		newPolicy func() Policy
+	}{
+		{"eucb", func() Policy {
+			a, err := NewAgent(DefaultConfig(), rand.New(rand.NewSource(4)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}},
+		{"discrete-ucb", func() Policy {
+			d, err := NewDiscreteUCB(arms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}},
+		{"epsilon-greedy", func() Policy {
+			e, err := NewEpsilonGreedy(0.3, arms, rand.New(rand.NewSource(4)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}},
+	}
+	for _, p := range policies {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			t.Run(fmt.Sprintf("%s/%v", p.name, bad), func(t *testing.T) {
+				got, want := p.newPolicy(), p.newPolicy()
+				for round := range 12 {
+					reward := float64(round%5) + 0.5
+					if ratio, wantRatio := got.Select(), want.Select(); ratio != wantRatio {
+						t.Fatalf("round %d selects %v, want %v", round, ratio, wantRatio)
+					}
+					if round == 3 {
+						got.Observe(bad)
+						want.Observe(0)
+						continue
+					}
+					got.Observe(reward)
+					want.Observe(reward)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("state differs from a run that observed 0")
+				}
+			})
+		}
 	}
 }

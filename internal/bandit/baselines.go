@@ -72,7 +72,7 @@ func (d *DiscreteUCB) Observe(reward float64) {
 		panic("bandit: Observe without a pending Select")
 	}
 	d.counts[d.pending]++
-	d.sums[d.pending] += reward
+	d.sums[d.pending] += finite(reward)
 	d.total++
 	d.pending = -1
 }
@@ -136,7 +136,7 @@ func (e *EpsilonGreedy) Observe(reward float64) {
 		panic("bandit: Observe without a pending Select")
 	}
 	e.counts[e.pending]++
-	e.sums[e.pending] += reward
+	e.sums[e.pending] += finite(reward)
 	e.pending = -1
 }
 

@@ -23,7 +23,8 @@ import (
 
 // Policy selects pruning ratios online. Select returns the ratio to use this
 // round; Observe reports the realised reward for the most recent Select and
-// advances the policy's clock. Calls must strictly alternate.
+// advances the policy's clock; a NaN or infinite reward counts as 0. Calls
+// must strictly alternate.
 type Policy interface {
 	Select() float64
 	Observe(reward float64)
@@ -211,6 +212,16 @@ func (a *Agent) Select() float64 {
 	return ratio
 }
 
+// finite returns reward, or 0 — what a dropped worker earns — when it is NaN
+// or infinite: one such reward in a region's statistics would make every
+// later UCB index of the region NaN, so no policy stores one.
+func finite(reward float64) float64 {
+	if math.IsNaN(reward - reward) {
+		return 0
+	}
+	return reward
+}
+
 // Observe implements Policy: it records the reward for the pending pull,
 // splits the pulled leaf at the pulled arm if its diameter still exceeds θ
 // (Alg. 1 lines 7–10), and advances the round.
@@ -219,7 +230,7 @@ func (a *Agent) Observe(reward float64) {
 		panic("bandit: Observe without a pending Select")
 	}
 	p := a.pending
-	p.reward = reward
+	p.reward = finite(reward)
 	p.region = a.leafOf(p.ratio)
 	a.selected = false
 	a.history = append(a.history, p)

@@ -90,11 +90,11 @@ func (f *faultyFamily) ForwardFLOPs(desc any) (float64, error) {
 	return f.Family.ForwardFLOPs(unwrap(desc))
 }
 
-func (f *faultyFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
+func (f *faultyFamily) PlanContext(weights []*tensor.Tensor, dst PlanContext) (PlanContext, error) {
 	if f.failPlan {
 		return nil, errInjected
 	}
-	return f.Family.PlanContext(weights)
+	return f.Family.PlanContext(weights, dst)
 }
 
 func (f *faultyFamily) Accumulate(acc []*tensor.Tensor, plan any, subW, base []*tensor.Tensor, part, parts int) error {

@@ -56,8 +56,10 @@ type Family interface {
 	// PlanContext, the context's NoiseLen draws from rng, then its MakePlan.
 	MakePlan(weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (plan any, subDesc any, subW []*tensor.Tensor, err error)
 	// PlanContext scores the global model's structures once, for a round of
-	// plans against it.
-	PlanContext(weights []*tensor.Tensor) (PlanContext, error)
+	// plans against it, in dst: a context an earlier PlanContext of the
+	// family returned that no plan is being built from any more, refilled
+	// in place. A nil dst allocates.
+	PlanContext(weights []*tensor.Tensor, dst PlanContext) (PlanContext, error)
 	// Accumulate adds one participant's term of the recovered average to
 	// acc, a global-shaped running sum: the trained sub-model's value at the
 	// coordinates the plan kept and base's value at the pruned ones (R2SP;
@@ -110,7 +112,7 @@ type Pruned struct {
 
 // makePlan implements Family.MakePlan on top of PlanContext.
 func makePlan(f Family, weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (any, any, []*tensor.Tensor, error) {
-	ctx, err := f.PlanContext(weights)
+	ctx, err := f.PlanContext(weights, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -208,8 +210,9 @@ func (f *ImageFamily) MakePlan(weights []*tensor.Tensor, ratio, jitter float64, 
 }
 
 // PlanContext implements Family.
-func (f *ImageFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
-	ctx, err := prune.NewContext(f.Spec, weights)
+func (f *ImageFamily) PlanContext(weights []*tensor.Tensor, dst PlanContext) (PlanContext, error) {
+	prev, _ := dst.(imagePlanContext)
+	ctx, err := prune.NewContext(f.Spec, weights, prev.Context)
 	if err != nil {
 		return nil, err
 	}
@@ -346,8 +349,9 @@ func (f *LMFamily) MakePlan(weights []*tensor.Tensor, ratio, jitter float64, rng
 }
 
 // PlanContext implements Family.
-func (f *LMFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
-	ctx, err := prune.NewLMContext(f.Cfg, weights)
+func (f *LMFamily) PlanContext(weights []*tensor.Tensor, dst PlanContext) (PlanContext, error) {
+	prev, _ := dst.(lmPlanContext)
+	ctx, err := prune.NewLMContext(f.Cfg, weights, prev.LMContext)
 	if err != nil {
 		return nil, err
 	}

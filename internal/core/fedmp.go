@@ -23,8 +23,10 @@ type fedMP struct {
 	agents  []bandit.Policy
 	planRng *rand.Rand
 	fixed   bool
-	// noise is Assign's per-round scratch: every worker's plan noise, back
-	// to back.
+	// ctx and noise are Assign's per-round scratch: the global model's
+	// scores, rescored in place each round, and every worker's plan noise,
+	// back to back.
+	ctx   PlanContext
 	noise []float64
 	// slots holds each worker slot's plan, sub-model description and
 	// sub-model weights, rebuilt in place whenever the slot is assigned: an
@@ -139,10 +141,11 @@ func (s *fedMP) Assign(info *RoundInfo, workers []int) ([]Assignment, error) {
 	warmup := info.Round <= s.cfg.WarmupRounds || info.Round == 0
 	clock := s.cfg.Clock
 	first := clock.Stopwatch()
-	ctx, err := s.fam.PlanContext(info.Global)
+	ctx, err := s.fam.PlanContext(info.Global, s.ctx)
 	if err != nil {
 		return nil, fmt.Errorf("core: scoring the global model: %w", err)
 	}
+	s.ctx = ctx
 	noiseLen := 0
 	if s.cfg.PlanJitter > 0 {
 		noiseLen = ctx.NoiseLen()

@@ -173,14 +173,14 @@ type sampledFamily struct {
 	ids []int
 }
 
-func (f *sampledFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
+func (f *sampledFamily) PlanContext(weights []*tensor.Tensor, dst PlanContext) (PlanContext, error) {
 	for _, id := range f.r.cohortIDs {
 		if !f.r.pop.Available(id, f.r.now) {
 			f.t.Errorf("device %d sampled at %v while unavailable", id, f.r.now)
 		}
 	}
 	f.ids = append(f.ids, f.r.cohortIDs...)
-	return f.ImageFamily.PlanContext(weights)
+	return f.ImageFamily.PlanContext(weights, dst)
 }
 
 // runSampled runs cfg through a sampledFamily and returns the result and
@@ -318,12 +318,12 @@ type liveHeapFamily struct {
 	parkedCount []int
 }
 
-func (f *liveHeapFamily) PlanContext(weights []*tensor.Tensor) (PlanContext, error) {
+func (f *liveHeapFamily) PlanContext(weights []*tensor.Tensor, dst PlanContext) (PlanContext, error) {
 	f.live = append(f.live, liveHeap())
 	if f.parked != nil {
 		f.parkedCount = append(f.parkedCount, f.parked())
 	}
-	return f.ImageFamily.PlanContext(weights)
+	return f.ImageFamily.PlanContext(weights, dst)
 }
 
 func liveHeap() uint64 {

@@ -82,13 +82,13 @@ var allocTable = []testfd.AllocRow{
 		if err != nil {
 			panic(err)
 		}
-		ctx, err := NewContext(spec, nn.GetWeights(net))
+		ctx, err := NewContext(spec, nn.GetWeights(net), nil)
 		if err != nil {
 			panic(err)
 		}
 		noise := DrawNoise(nil, ctx.NoiseLen(), 0.3, rand.New(rand.NewSource(2)))
 		cfg := zoo.DefaultLMConfig()
-		lmCtx, err := NewLMContext(cfg, nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(1)))))
+		lmCtx, err := NewLMContext(cfg, nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(1)))), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -111,6 +111,32 @@ var allocTable = []testfd.AllocRow{
 				if _, lmSubW, err = lmCtx.Shrink(lmPlan, lmSubW); err != nil {
 					panic(err)
 				}
+			}
+		}
+	}},
+	{Fns: []any{NewContext, structureScores, NewLMContext}, Setup: func() func() {
+		// The round's global model rescored into the strategy's one context,
+		// a residual model's and the language model's.
+		spec, err := zoo.SpecFor(zoo.ModelResNet)
+		if err != nil {
+			panic(err)
+		}
+		net, err := zoo.Build(spec, rand.New(rand.NewSource(1)))
+		if err != nil {
+			panic(err)
+		}
+		ws := nn.GetWeights(net)
+		cfg := zoo.DefaultLMConfig()
+		lmWs := nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(1))))
+		var ctx *Context
+		var lmCtx *LMContext
+		return func() {
+			var err error
+			if ctx, err = NewContext(spec, ws, ctx); err != nil {
+				panic(err)
+			}
+			if lmCtx, err = NewLMContext(cfg, lmWs, lmCtx); err != nil {
+				panic(err)
 			}
 		}
 	}},

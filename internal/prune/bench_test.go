@@ -25,7 +25,7 @@ func BenchmarkStructureScores(b *testing.B) {
 	weights := nn.GetWeights(net)
 	b.Run("NewContext", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := NewContext(spec, weights); err != nil {
+			if _, err := NewContext(spec, weights, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -107,7 +107,8 @@ func TestGatherRowsMatchesElementLoop(t *testing.T) {
 // one destination ratio after ratio — wider, narrower, jittered, the
 // residual bodies of the sub-spec included — equal the ones a nil
 // destination allocates, bit for bit, and stay in the destination's buffers,
-// which the first extraction sizes for the global tensors whatever its ratio.
+// which the first extraction sizes for the global tensors, and the first
+// plan its index arena for the full model's walk, whatever its ratio.
 func TestPlansAndSubModelsRebuiltInPlace(t *testing.T) {
 	for _, id := range []zoo.ModelID{zoo.ModelCNN, zoo.ModelResNet, zoo.ModelVGG} {
 		spec, err := zoo.SpecFor(id)
@@ -118,7 +119,7 @@ func TestPlansAndSubModelsRebuiltInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, err := NewContext(spec, nn.GetWeights(net))
+		ctx, err := NewContext(spec, nn.GetWeights(net), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,6 +157,10 @@ func TestPlansAndSubModelsRebuiltInPlace(t *testing.T) {
 				t.Fatalf("%s step %d: rebuilt sub-spec %+v, fresh %+v", id, step, sub, freshSub)
 			}
 			requireSameTensors(t, fmt.Sprintf("%s step %d", id, step), subW, freshW)
+			if got := cap(plan.ints.buf); got != ctx.walkInts || plan.ints.taken > got {
+				t.Fatalf("%s step %d: index arena has room for %d ints and took %d, want room for the full walk's %d",
+					id, step, got, plan.ints.taken, ctx.walkInts)
+			}
 			for i, w := range subW {
 				if cap(w.Data) != len(ctx.weights[i].Data) {
 					t.Fatalf("%s step %d: sub-model tensor %d has room for %d elements, want its global tensor's %d",
@@ -165,7 +170,7 @@ func TestPlansAndSubModelsRebuiltInPlace(t *testing.T) {
 		}
 	}
 	cfg := zoo.DefaultLMConfig()
-	lmCtx, err := NewLMContext(cfg, nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(1)))))
+	lmCtx, err := NewLMContext(cfg, nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(1)))), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +198,65 @@ func TestPlansAndSubModelsRebuiltInPlace(t *testing.T) {
 			t.Fatalf("LM step %d: rebuilt plan differs from a fresh one", step)
 		}
 		requireSameTensors(t, fmt.Sprintf("LM step %d", step), subW, freshW)
+		if got := cap(plan.ints.buf); got != 10*cfg.Hidden {
+			t.Fatalf("LM step %d: index arena has room for %d ints, want the full walk's %d", step, got, 10*cfg.Hidden)
+		}
+	}
+}
+
+// TestContextsRescoredInPlace: a context rescored in place, model after
+// model, holds the scores a fresh one computes, bit for bit, in the arrays
+// it was first given.
+func TestContextsRescoredInPlace(t *testing.T) {
+	for _, id := range []zoo.ModelID{zoo.ModelCNN, zoo.ModelResNet} {
+		spec, err := zoo.SpecFor(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ctx *Context
+		var first *float64
+		for seed := int64(1); seed <= 3; seed++ {
+			net, err := zoo.Build(spec, rand.New(rand.NewSource(seed)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewContext(spec, nn.GetWeights(net), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last := ctx
+			if ctx, err = NewContext(spec, nn.GetWeights(net), ctx); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = &ctx.scores[0][0]
+			}
+			if last != nil && (ctx != last || &ctx.scores[0][0] != first) {
+				t.Errorf("%s seed %d: the context was replaced, not rescored", id, seed)
+			}
+			if !reflect.DeepEqual(ctx.scores, fresh.scores) || ctx.noiseLen != fresh.noiseLen || ctx.walkInts != fresh.walkInts {
+				t.Fatalf("%s seed %d: rescored context differs from a fresh one", id, seed)
+			}
+		}
+	}
+	cfg := zoo.DefaultLMConfig()
+	var lm *LMContext
+	for seed := int64(1); seed <= 3; seed++ {
+		ws := nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(seed))))
+		fresh, err := NewLMContext(cfg, ws, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := lm
+		if lm, err = NewLMContext(cfg, ws, lm); err != nil {
+			t.Fatal(err)
+		}
+		if last != nil && lm != last {
+			t.Errorf("LM seed %d: the context was replaced, not rescored", seed)
+		}
+		if !reflect.DeepEqual(lm.s1, fresh.s1) || !reflect.DeepEqual(lm.s2, fresh.s2) {
+			t.Fatalf("LM seed %d: rescored context differs from a fresh one", seed)
+		}
 	}
 }
 

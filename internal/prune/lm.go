@@ -56,7 +56,7 @@ func BuildLMPlan(cfg zoo.LMConfig, weights []*tensor.Tensor, ratio float64) (*LM
 // BuildLMPlanJittered is BuildLMPlan with multiplicative log-normal score
 // noise, mirroring BuildPlanJittered.
 func BuildLMPlanJittered(cfg zoo.LMConfig, weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (*LMPlan, error) {
-	c, err := NewLMContext(cfg, weights)
+	c, err := NewLMContext(cfg, weights, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -71,14 +71,19 @@ type LMContext struct {
 	s1, s2  []float64
 }
 
-// NewLMContext scores the hidden units of the global language model.
-func NewLMContext(cfg zoo.LMConfig, weights []*tensor.Tensor) (*LMContext, error) {
+// NewLMContext scores the hidden units of the global language model in dst,
+// as NewContext scores an image model's; a nil dst allocates.
+func NewLMContext(cfg zoo.LMConfig, weights []*tensor.Tensor, dst *LMContext) (*LMContext, error) {
 	if len(weights) != lmTensors {
 		return nil, fmt.Errorf("prune: LM weight list has %d tensors, want %d", len(weights), lmTensors)
 	}
+	c := dst
+	if c == nil {
+		c = new(LMContext)
+	}
 	h := cfg.Hidden
-	score := func(wx, wh *tensor.Tensor) []float64 {
-		scores := make([]float64, h)
+	score := func(scores []float64, wx, wh *tensor.Tensor) []float64 {
+		scores = slices.Grow(scores[:0], h)[:h]
 		dIn := wx.Shape[1]
 		for k := 0; k < h; k++ {
 			var s float64
@@ -95,11 +100,9 @@ func NewLMContext(cfg zoo.LMConfig, weights []*tensor.Tensor) (*LMContext, error
 		}
 		return scores
 	}
-	return &LMContext{
-		cfg: cfg, weights: weights,
-		s1: score(weights[1], weights[2]),
-		s2: score(weights[4], weights[5]),
-	}, nil
+	c.cfg, c.weights = cfg, weights
+	c.s1, c.s2 = score(c.s1, weights[1], weights[2]), score(c.s2, weights[4], weights[5])
+	return c, nil
 }
 
 // NoiseLen is the number of standard-normal draws one jittered plan consumes.
@@ -119,8 +122,9 @@ func (c *LMContext) Plan(ratio, jitter float64, noise []float64, dst *LMPlan) (*
 	if dst == nil {
 		dst = new(LMPlan)
 	}
+	// The walk takes at most both layers' units and their four gate rows.
 	ints := &dst.ints
-	ints.reset()
+	ints.reset(10 * c.cfg.Hidden)
 	sc := scratchPool.Get().(*planScratch)
 	defer scratchPool.Put(sc)
 	keep := keepCount(c.cfg.Hidden, ratio)

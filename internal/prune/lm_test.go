@@ -145,7 +145,7 @@ func TestLMContextPlansMatchPerWorkerConstruction(t *testing.T) {
 	weights := nn.GetWeights(zoo.BuildLM(cfg, rand.New(rand.NewSource(5))))
 	ratios := []float64{0, 0.25, 0.79}
 	refRng, rng := rand.New(rand.NewSource(31)), rand.New(rand.NewSource(31))
-	ctx, err := NewLMContext(cfg, weights)
+	ctx, err := NewLMContext(cfg, weights, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,12 +65,23 @@ type Plan struct {
 }
 
 // indexArena hands out the index sets of one plan from one backing array,
-// emptied (reset) at the start of each plan: it grows geometrically until a
-// plan's walk fits and then allocates nothing. A set handed out before a
-// growth stays valid — it keeps the old array. A nil arena allocates.
-type indexArena struct{ buf []int }
+// emptied (reset) at the start of each plan and sized then for the full
+// model's walk, which no plan's exceeds, so a plan's sets cost one allocation
+// per destination. Past its size it grows geometrically; a set handed out
+// before a growth stays valid — it keeps the old array. A nil arena
+// allocates. taken counts the ints handed out since the reset.
+type indexArena struct {
+	buf   []int
+	taken int
+}
 
-func (a *indexArena) reset() { a.buf = a.buf[:0] }
+// reset empties the arena, first making room for n ints.
+func (a *indexArena) reset(n int) {
+	if cap(a.buf) < n {
+		a.buf = make([]int, 0, n)
+	}
+	a.buf, a.taken = a.buf[:0], 0
+}
 
 // take returns n ints, contents unspecified, capped at n so appending to the
 // set never reaches the next one.
@@ -78,6 +89,7 @@ func (a *indexArena) take(n int) []int {
 	if a == nil {
 		return make([]int, n)
 	}
+	a.taken += n
 	lo := len(a.buf)
 	if lo+n > cap(a.buf) {
 		a.buf, lo = make([]int, 0, 2*cap(a.buf)+n), 0
@@ -294,7 +306,7 @@ func BuildPlan(spec *zoo.Spec, weights []*tensor.Tensor, ratio float64) (*Plan, 
 // with a small jitter. jitter 0 (or a nil rng) recovers the deterministic
 // plan. It is a one-plan Context: NoiseLen draws from rng, then Plan.
 func BuildPlanJittered(spec *zoo.Spec, weights []*tensor.Tensor, ratio, jitter float64, rng *rand.Rand) (*Plan, error) {
-	c, err := NewContext(spec, weights)
+	c, err := NewContext(spec, weights, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -338,29 +350,52 @@ type Context struct {
 	// walk order — the order Plan consumes them and its noise in.
 	scores   [][]float64
 	noiseLen int
+	// ints backs the scoring walk, which keeps every structure: the walk of
+	// a plan at ratio 0, so walkInts, the ints it took, sizes every plan's
+	// arena.
+	ints     indexArena
+	walkInts int
 }
 
-// NewContext scores the global model's structures. weights must be the
-// model's parameters in nn.GetWeights order; they are read, never modified,
-// and must stay unchanged while the context is in use.
-func NewContext(spec *zoo.Spec, weights []*tensor.Tensor) (*Context, error) {
-	c := &Context{spec: spec, weights: weights}
+// NewContext scores the global model's structures in dst, a context an
+// earlier call returned that no plan is being built from any more: its
+// scores are refilled in place and allocate nothing once they have held this
+// model's. A nil dst allocates a new context. weights must be the model's
+// parameters in nn.GetWeights order; they are read, never modified, and must
+// stay unchanged while the context is in use.
+func NewContext(spec *zoo.Spec, weights []*tensor.Tensor, dst *Context) (*Context, error) {
+	c := dst
+	if c == nil {
+		c = new(Context)
+	}
+	c.spec, c.weights, c.scores, c.noiseLen = spec, weights, c.scores[:0], 0
+	c.ints.reset(c.walkInts)
 	choose := func(v visit, ws []*tensor.Tensor, forced []int) ([]int, error) {
 		if forced != nil {
-			return forced, nil
+			return keepForced(&c.ints, forced), nil
 		}
-		scores, err := structureScores(v, ws[v.paramStart])
+		n := len(c.scores)
+		c.scores = slices.Grow(c.scores, 1)[:n+1]
+		scores, err := structureScores(v, ws[v.paramStart], c.scores[n])
 		if err != nil {
 			return nil, err
 		}
-		c.scores = append(c.scores, scores)
+		c.scores[n] = scores
 		c.noiseLen += len(scores)
-		return allIndices(nil, v.fullOut), nil
+		return allIndices(&c.ints, v.fullOut), nil
 	}
-	if err := walkPlanned(spec, weights, choose, func(visit) error { return nil }, nil); err != nil {
+	if err := walkPlanned(spec, weights, choose, func(visit) error { return nil }, &c.ints); err != nil {
 		return nil, err
 	}
+	c.walkInts = c.ints.taken
 	return c, nil
+}
+
+// keepForced returns a copy of a kept set the structure dictates, from ints.
+func keepForced(ints *indexArena, forced []int) []int {
+	kept := ints.take(len(forced))
+	copy(kept, forced)
+	return kept
 }
 
 // NoiseLen is the number of standard-normal draws one jittered plan consumes:
@@ -391,15 +426,13 @@ func (c *Context) Plan(ratio, jitter float64, noise []float64, dst *Plan) (*Plan
 	clear(plan.Kept)
 	plan.Model, plan.Ratio, plan.spec, plan.visits = c.spec.Name, ratio, c.spec, plan.visits[:0]
 	ints := &plan.ints
-	ints.reset()
+	ints.reset(c.walkInts)
 	sc := scratchPool.Get().(*planScratch)
 	defer scratchPool.Put(sc)
 	layer, drawn := 0, 0
 	choose := func(v visit, _ []*tensor.Tensor, forced []int) ([]int, error) {
 		if forced != nil {
-			kept := ints.take(len(forced))
-			copy(kept, forced)
-			return kept, nil
+			return keepForced(ints, forced), nil
 		}
 		scores := c.scores[layer]
 		layer++
@@ -442,8 +475,8 @@ var scratchPool = sync.Pool{New: func() any { return new(planScratch) }}
 
 // structureScores computes the l1 importance of each output structure: the
 // sum of absolute kernel weights per filter (conv) or absolute incoming
-// weights per neuron (dense), per the paper.
-func structureScores(v visit, w *tensor.Tensor) ([]float64, error) {
+// weights per neuron (dense), per the paper, in dst's array when it has room.
+func structureScores(v visit, w *tensor.Tensor, dst []float64) ([]float64, error) {
 	var per int
 	switch v.l.Kind {
 	case zoo.KindConv:
@@ -459,7 +492,7 @@ func structureScores(v visit, w *tensor.Tensor) ([]float64, error) {
 	default:
 		return nil, fmt.Errorf("prune: no scores for layer kind %v", v.l.Kind)
 	}
-	scores := make([]float64, v.fullOut)
+	scores := slices.Grow(dst[:0], v.fullOut)[:v.fullOut]
 	tensor.AbsSumRows(scores, w.Data, per)
 	return scores, nil
 }

@@ -450,7 +450,7 @@ func buildPlanRef(spec *zoo.Spec, weights []*tensor.Tensor, ratio, jitter float6
 		if forced != nil {
 			return append([]int(nil), forced...), nil
 		}
-		scores, err := structureScores(v, ws[v.paramStart])
+		scores, err := structureScores(v, ws[v.paramStart], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -478,7 +478,7 @@ func TestContextPlansMatchPerWorkerConstruction(t *testing.T) {
 		spec, weights, _ := buildModel(t, id, 3)
 		for _, jitter := range []float64{0, 0.3} {
 			refRng, rng := rand.New(rand.NewSource(77)), rand.New(rand.NewSource(77))
-			ctx, err := NewContext(spec, weights)
+			ctx, err := NewContext(spec, weights, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -60,3 +60,47 @@ func TestWorkerAnswerSteadyStateAllocs(t *testing.T) {
 		t.Errorf("a warm worker answer allocates %v times, want 0", got)
 	}
 }
+
+// TestServerReceiveSteadyStateAllocs pins the parameter server's side of the
+// exchange: a result decoded through its session's decoder and folded into
+// the round's output by core.Output.Receive allocates nothing once warm —
+// the delta is decoded into the tensors the session's previous result used,
+// and Receive forms the new weights in them.
+func TestServerReceiveSteadyStateAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fam := testFamily()
+	srcs, err := fam.Sources(1, core.NonIID{}, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, desc, ws, err := fam.MakePlan(fam.InitWeights(5), 0.4, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := core.Assignment{Desc: desc, Weights: ws, Iters: 2}
+	res, err := core.WorkerStep(core.NewLocalNet(fam, 0.05, 0.9, 0), constSource{srcs[0].Next()}, a.Frame(1, false).Assign, 1, new(core.Upload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if _, err := codec.WriteFrame(&frame, &envelope{Kind: kindResult, Result: res}); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(frame.Bytes())
+	dec := codec.NewDecoder(rd)
+	receive := func() {
+		rd.Reset(frame.Bytes())
+		e, _, err := dec.ReadFrame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := core.Output{Assignment: a}
+		if err := o.Receive(e.Result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	receive()
+	if got := testing.AllocsPerRun(20, receive); got != 0 {
+		t.Errorf("a warm result receive allocates %v times, want 0", got)
+	}
+}

@@ -62,9 +62,9 @@ func BenchmarkWriteFrame(b *testing.B) {
 	}
 }
 
-// BenchmarkReadFrame decodes a trained result frame the parameter server's
-// way — a fresh Decoder per frame (ReadFrame) — and the worker's, one
-// Decoder recycling the previous frame's tensors.
+// BenchmarkReadFrame decodes a trained result frame with a fresh Decoder per
+// frame (ReadFrame, the fuzzers' and probes' way) and the way both ends of a
+// session do, one Decoder recycling the previous frame's tensors.
 func BenchmarkReadFrame(b *testing.B) {
 	var buf bytes.Buffer
 	if _, err := WriteFrame(&buf, trainedResult(b)); err != nil {

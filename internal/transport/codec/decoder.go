@@ -16,15 +16,17 @@ const maxInternStrings = 1024
 // of decode state across calls: the envelope and payload structs, the
 // tensor-list and layer-list slices with the tensor objects in them (shape
 // and data slices reused by capacity), and an intern table for the strings
-// that repeat every round (layer names, the spec name). On the worker's
-// receive loop — one assignment per round, same model shapes every time — a
-// steady-state frame decodes with no heap allocation.
+// that repeat every round (layer names, the spec name). On a session's
+// receive loop — one assignment or result per round, same model shapes
+// every time — a steady-state frame decodes with no heap allocation.
 //
 // The returned envelope and everything reachable from it are valid only
-// until the next ReadFrame call on the same Decoder; callers that retain
-// envelopes across reads (the server's per-connection readers hand them to
-// another goroutine) use the package-level ReadFrame, which spends one
-// Decoder per frame.
+// until the next ReadFrame call on the same Decoder. Each TCP session, at
+// either end, reads through one Decoder: the worker finishes each frame
+// before reading the next, and the parameter server's reader for a session
+// decodes its next frame only once the round loop has released the last one.
+// The package-level ReadFrame spends one Decoder per frame for callers that
+// keep envelopes.
 type Decoder struct {
 	rd  io.Reader
 	hdr [HeaderLen]byte

@@ -133,9 +133,9 @@ func parseHeader(hdr []byte) (Kind, int, byte, error) {
 // truncated or oversized payloads, corrupt tensor encodings — is reported as
 // an error; ReadFrame never panics on wire data. It decodes through a
 // Decoder of its own that it then drops, so nothing in the returned envelope
-// is shared with any other frame and the caller may keep it; a receive loop
-// that fully consumes each envelope before the next read should hold on to a
-// Decoder instead.
+// is shared with any other frame and the caller may keep it. A receive loop
+// that is done with each envelope before the next read — every TCP session,
+// at both ends — holds on to a Decoder instead.
 func ReadFrame(rd io.Reader) (*Envelope, int, error) {
 	return (&Decoder{rd: rd}).ReadFrame()
 }

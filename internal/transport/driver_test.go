@@ -119,6 +119,132 @@ func TestAggregationIgnoresArrivalOrder(t *testing.T) {
 	}
 }
 
+// heldExec is the server with a check between each round's close and the
+// driver's poison fill, which NaN-fills the delivered results: by then the
+// results must still be the ones that arrived, and no session may have
+// delivered another frame — its decoder would have overwritten them.
+type heldExec struct {
+	*server
+	t          *testing.T
+	got, want  [][]*tensor.Tensor
+	deliveries int
+}
+
+func (x *heldExec) Run(round int, as []core.Assignment) ([]core.Output, []core.Assignment, float64, error) {
+	delivered, lost, seconds, err := x.server.Run(round, as)
+	x.got, x.want = x.got[:0], x.want[:0]
+	for _, o := range delivered {
+		x.got, x.want = append(x.got, o.NewWeights), append(x.want, nn.CloneWeights(o.NewWeights))
+	}
+	x.deliveries += len(delivered)
+	return delivered, lost, seconds, err
+}
+
+func (x *heldExec) Closed(round int, eval *core.Point, snap func() *core.State) error {
+	if err := x.server.Closed(round, eval, snap); err != nil {
+		return err
+	}
+	time.Sleep(50 * time.Millisecond) // room for a released reader to decode
+	if n := len(x.reg.events); n != 0 {
+		x.t.Errorf("round %d: %d frame(s) delivered before the next round opened", round, n)
+	}
+	for i := range x.got {
+		if diff := sameBits(x.got[i], x.want[i]); diff != "" {
+			x.t.Errorf("round %d: result %d was overwritten before the next round opened: %s", round, i, diff)
+		}
+	}
+	return nil
+}
+
+// driveWithDuplicates runs two SynFL rounds of the real executor, reader
+// goroutine included, against one in-memory worker that answers each
+// assignment and, when dup is set, at once sends the same result again with
+// a different delta.
+func driveWithDuplicates(t *testing.T, dup bool) *core.Result {
+	t.Helper()
+	fam := testFamily()
+	drv, err := core.NewDriver(fam, core.Config{
+		Strategy: core.StrategySynFL, Workers: 1, Rounds: 2,
+		LocalIters: 2, BatchSize: 4, EvalLimit: 80, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ServerConfig{Workers: 1, Rounds: 2, RoundTimeout: 30 * time.Second}.withDefaults()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, err := fam.Sources(1, core.NonIID{}, 4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := newRegistry(1, cfg.Logf)
+	psEnd, workerEnd := net.Pipe()
+	ps := newConn(psEnd)
+	reg.conns[0], reg.state[0], reg.gens[0] = ps, stateActive, 1
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer workerEnd.Close()
+	defer psEnd.Close()
+	defer reg.closeDone()
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		reg.read(0, 1, ps)
+	}()
+	go func() {
+		defer wg.Done()
+		c, local, up := newConn(workerEnd), core.NewLocalNet(fam, 0.05, 0.9, 0), new(core.Upload)
+		for {
+			e, _, err := c.recv(ioTimeout)
+			if err != nil || e.Kind != kindAssign {
+				return
+			}
+			res, err := trainAssignment(local, srcs[0], e.Assign, WorkerConfig{Clock: simclock.Fixed{}}, up)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := c.send(&envelope{Kind: kindResult, Result: res}); err != nil || !dup {
+				continue
+			}
+			other := *res
+			other.Delta = nn.CloneWeights(res.Delta)
+			for _, d := range other.Delta {
+				for j := range d.Data {
+					d.Data[j]++
+				}
+			}
+			if _, err := c.send(&envelope{Kind: kindResult, Result: &other}); err != nil {
+				return
+			}
+		}
+	}()
+	x := &heldExec{server: &server{cfg: cfg, reg: reg, logf: cfg.Logf, elapsed: func() float64 { return 0 }}, t: t}
+	res, err := drv.Drive(x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x.deliveries != 2 {
+		t.Fatalf("%d results delivered in 2 rounds, want 2", x.deliveries)
+	}
+	return res
+}
+
+// TestResultHeldUntilNextRound pins the release handshake between a session's
+// reader and the round loop: a delivered result is decoded into the
+// session's decoder and adopted as the round's NewWeights, so the reader may
+// decode nothing more — here a duplicate with another delta, sent right
+// behind the result — until the next round opens, past the round's close
+// and the poison fill after it. The duplicate is then discarded as stale, and
+// the aggregate equals the run without it bit for bit.
+func TestResultHeldUntilNextRound(t *testing.T) {
+	clean, dup := driveWithDuplicates(t, false), driveWithDuplicates(t, true)
+	if diff := sameBits(clean.State.Global, dup.State.Global); diff != "" {
+		t.Errorf("a duplicate result moved the aggregate: %s", diff)
+	}
+}
+
 // constSource hands out one batch forever.
 type constSource struct{ b *nn.Batch }
 

@@ -133,10 +133,12 @@ const (
 
 // event is what per-connection readers deliver to the round loop. A nil env
 // signals a disconnect; bytes is the received frame's measured wire size.
+// env is from's decoder's until the round loop releases from (handleEvent).
 type event struct {
 	worker int
 	env    *envelope
 	bytes  int
+	from   *conn
 }
 
 // idleTimeout is the reader goroutines' per-receive deadline; it only needs
@@ -244,7 +246,9 @@ func (r *registry) admit(c *conn, hello *helloMsg) {
 }
 
 // read pumps one connection's envelopes into the event stream until the
-// connection dies or is replaced by a rejoin.
+// connection dies or is replaced by a rejoin. Each envelope lives in the
+// session's decoder, so the reader decodes nothing more until the round loop
+// has released it.
 func (r *registry) read(slot, gen int, c *conn) {
 	for {
 		e, n, err := c.recv(idleTimeout)
@@ -254,7 +258,12 @@ func (r *registry) read(slot, gen int, c *conn) {
 			}
 			return
 		}
-		r.push(event{worker: slot, env: e, bytes: n})
+		r.push(event{worker: slot, env: e, bytes: n, from: c})
+		select {
+		case <-c.free:
+		case <-r.done:
+			return
+		}
 	}
 }
 
@@ -415,7 +424,9 @@ const (
 // roundState tracks one round's in-flight collection. Everything is indexed
 // by the assignment's position, so what the round reports is in assignment
 // order whatever order the results arrived in; the slices are reused from
-// round to round.
+// round to round. held lists the sessions whose decoded results the round
+// delivered: they stay unreleased until the next round opens (Workers), past
+// the round's aggregation, checkpoint and close.
 type roundState struct {
 	round  int
 	index  []int         // worker slot -> assignment position + 1 (0: none)
@@ -425,6 +436,7 @@ type roundState struct {
 
 	pending, delivered int
 	lost               []core.Assignment
+	held               []*conn
 	seconds            float64
 }
 
@@ -572,6 +584,10 @@ func (s *server) Workers(round int) (assignable []int, suspect, behind int, err 
 		return nil, 0, 0, ErrAborted
 	default:
 	}
+	for _, c := range s.rs.held {
+		c.release()
+	}
+	s.rs.held = s.rs.held[:0]
 	s.reg.pingSuspects()
 	if assignable, err = s.awaitLiveWorkers(round); err != nil {
 		return nil, 0, 0, err
@@ -599,10 +615,11 @@ func (s *server) Closed(round int, eval *core.Point, snap func() *core.State) er
 		s.logf("round %d: loss %.4f acc %.3f (%d/%d workers, %d dropped, %.2fs)",
 			round, eval.Loss, eval.Acc, rs.delivered, s.cfg.Workers, len(rs.lost), rs.seconds)
 	}
-	// Drop the round's references — the decoded results, and the
-	// dispatch-time global model each output's Base holds — so they are
-	// collectable while the next round is being assigned. The sub-models
-	// are the strategy's slot buffers, rebuilt when their slots are.
+	// Drop the round's references — the dispatch-time global model each
+	// output's Base holds — so it is collectable while the next round is
+	// being assigned. The sub-models are the strategy's slot buffers,
+	// rebuilt when their slots are; the decoded results are the sessions'
+	// decoders', overwritten once the next round releases them (Workers).
 	clear(rs.outs)
 	clear(rs.lost)
 	if s.ckpt == nil {
@@ -777,7 +794,9 @@ collect:
 
 // handleEvent folds one session event into the round state. rs may be nil
 // (between rounds); results for other rounds are drained and discarded, and
-// any frame from a suspect worker restores it.
+// any frame from a suspect worker restores it. A delivered result is adopted
+// as its output's NewWeights, so its session joins rs.held; every other
+// frame's session is released at once.
 func (s *server) handleEvent(ev event, rs *roundState) {
 	// i is the position of the worker's assignment while it is pending.
 	i := -1
@@ -799,11 +818,11 @@ func (s *server) handleEvent(ev event, rs *roundState) {
 		if rs == nil || r.Round != rs.round {
 			s.logf("discarding stale result from worker %d (round %d)", ev.worker, r.Round)
 			s.reg.restore(ev.worker)
-			return
+			break
 		}
 		if i < 0 {
 			s.logf("discarding duplicate result from worker %d", ev.worker)
-			return
+			break
 		}
 		rs.pending--
 		// Traffic is charged from the measured frames: the assignment frame
@@ -818,10 +837,12 @@ func (s *server) handleEvent(ev event, rs *roundState) {
 		if err := o.Receive(r); err != nil {
 			s.logf("round %d: malformed result from worker %d (%v), dropping it", rs.round, ev.worker, err)
 			rs.status[i] = asgLost
-			return
+			break
 		}
 		rs.status[i] = asgDelivered
 		rs.delivered++
+		rs.held = append(rs.held, ev.from)
+		return
 	case kindPong:
 		s.reg.restore(ev.worker)
 	case kindHello:
@@ -831,4 +852,5 @@ func (s *server) handleEvent(ev event, rs *roundState) {
 	default:
 		s.logf("ignoring unexpected frame kind %d from worker %d", ev.env.Kind, ev.worker)
 	}
+	ev.from.release()
 }

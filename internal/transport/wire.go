@@ -38,18 +38,20 @@ const (
 	kindPong     = codec.KindPong
 )
 
-// conn wraps a TCP connection with the frame codec and deadlines. The reads
-// go through a bufio.Reader so the codec's fixed-size header reads do not
-// each cost a syscall; writes are already one syscall per frame (the codec
-// emits each frame with a single Write).
+// conn wraps a TCP connection with the frame codec and deadlines. Frames are
+// decoded by one recycling Decoder for the whole session, reading through a
+// bufio.Reader so the codec's fixed-size header reads do not each cost a
+// syscall; writes are already one syscall per frame (the codec emits each
+// frame with a single Write). free carries the parameter server's release of
+// the last envelope the session's reader delivered (registry.read).
 type conn struct {
-	raw net.Conn
-	br  *bufio.Reader
-	dec *codec.Decoder // lazily built by recvReuse; nil until first use
+	raw  net.Conn
+	dec  *codec.Decoder
+	free chan struct{}
 }
 
 func newConn(raw net.Conn) *conn {
-	return &conn{raw: raw, br: bufio.NewReaderSize(raw, 64<<10)}
+	return &conn{raw: raw, dec: codec.NewDecoder(bufio.NewReaderSize(raw, 64<<10)), free: make(chan struct{}, 1)}
 }
 
 // send encodes and writes one frame, returning its exact wire size.
@@ -61,31 +63,21 @@ func (c *conn) send(e *envelope) (int, error) {
 }
 
 // recv reads and decodes one frame, returning its exact wire size alongside
-// the envelope. Each call allocates a fresh envelope, so the caller may
-// retain it indefinitely — the server's per-connection readers hand
-// envelopes to the round loop's goroutine and need exactly that.
+// the envelope. The envelope and everything reachable from it (tensors
+// included) are the session decoder's and are overwritten by the next recv,
+// so a steady-state frame decodes without heap allocation. The worker's
+// serve loop finishes each frame before reading the next; the server's
+// readers wait for release instead.
 func (c *conn) recv(timeout time.Duration) (*envelope, int, error) {
 	if err := c.raw.SetReadDeadline(simclock.Deadline(timeout)); err != nil {
 		return nil, 0, err
 	}
-	return codec.ReadFrame(c.br)
-}
-
-// recvReuse reads one frame through a per-connection recycling decoder: the
-// returned envelope and everything reachable from it (tensors included) are
-// overwritten by the next recvReuse call. The worker's serve loop qualifies
-// — it finishes each assignment and sends its result before reading the next
-// frame — and in steady state decodes a round's assignment without heap
-// allocation.
-func (c *conn) recvReuse(timeout time.Duration) (*envelope, int, error) {
-	if err := c.raw.SetReadDeadline(simclock.Deadline(timeout)); err != nil {
-		return nil, 0, err
-	}
-	if c.dec == nil {
-		c.dec = codec.NewDecoder(c.br)
-	}
 	return c.dec.ReadFrame()
 }
+
+// release lets the session's reader decode its next frame: the round loop no
+// longer reads the envelope it was handed. One release answers one delivery.
+func (c *conn) release() { c.free <- struct{}{} }
 
 func (c *conn) close() error { return c.raw.Close() }
 

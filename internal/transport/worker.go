@@ -117,10 +117,9 @@ func RunWorker(fam core.Family, src core.Source, cfg WorkerConfig) error {
 func serveConn(c *conn, local *core.LocalNet, src core.Source, cfg WorkerConfig, lastRound *int, up *core.Upload, bo *backoff, logf func(string, ...any)) error {
 	firstAssign := true
 	for {
-		// The recycling decoder is safe here because every arm below fully
-		// consumes the envelope (result sent, log line printed) before the
-		// loop reads the next frame.
-		e, _, err := c.recvReuse(idleTimeout)
+		// Every arm below fully consumes the envelope (result sent, log line
+		// printed) before the loop reads the next frame into it.
+		e, _, err := c.recv(idleTimeout)
 		if err != nil {
 			return fmt.Errorf("transport: receiving assignment: %w", err)
 		}
