@@ -48,12 +48,14 @@ lint-mutants:
 
 # fuzz-smoke gives each fuzz target a short budget: the wire-codec frame
 # reader — which also holds every decode, accepted or refused, to its
-# allocation bound — and the activation kernels against their scalar loops.
+# allocation bound — checkpoint recovery over arbitrary slot bytes, and the
+# activation kernels against their scalar loops.
 # Long campaigns stay manual; this catches the crashes a code change
 # introduces.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport/codec
+	go test -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/transport/checkpoint
 	go test -run '^$$' -fuzz FuzzActivations -fuzztime $(FUZZTIME) ./internal/tensor
 
 # race runs the whole suite under the race detector; the concurrent round

@@ -28,8 +28,7 @@ func main() {
 	helloTimeout := flag.Duration("hello-timeout", 10*time.Second, "per-connection hello deadline")
 	acceptTimeout := flag.Duration("accept-timeout", 2*time.Minute, "bound on the initial wait for workers")
 	seed := flag.Int64("seed", 1, "random seed")
-	checkpointDir := flag.String("checkpoint-dir", "", "directory for durable snapshots and the round WAL (empty = no durability)")
-	snapshotEvery := flag.Int("snapshot-every", 5, "rounds between full snapshots; other rounds append to the WAL")
+	checkpointDir := flag.String("checkpoint-dir", "", "directory for the durable per-round checkpoint (empty = no durability)")
 	quantizeWire := flag.Bool("quantize-wire", false, "ship assignment and result tensors int8-quantized when byte-cheaper")
 	flag.Parse()
 
@@ -53,7 +52,6 @@ func main() {
 		HelloTimeout:   *helloTimeout,
 		AcceptTimeout:  *acceptTimeout,
 		CheckpointDir:  *checkpointDir,
-		SnapshotEvery:  *snapshotEvery,
 		Core: fedmp.Config{
 			Strategy:     fedmp.StrategyID(*strategy),
 			Rounds:       *rounds,

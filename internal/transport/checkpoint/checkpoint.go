@@ -1,37 +1,40 @@
-// Package checkpoint is the parameter server's durability layer: a
-// full-state snapshot file plus a round-granularity write-ahead log, both
-// encoded as wire-codec frames (KindSnapshot / KindRoundClose — same varint
-// and tensor-slab format the network uses, so the on-disk state round-trips
-// bit-exactly, NaN payloads and negative zeros included). Each on-disk
-// record is one frame followed by a CRC-32C of its bytes: the wire leaves
-// integrity to TCP, but a disk record must detect bit rot and torn writes
-// itself, and the frame format alone cannot — a flipped bit inside a float
-// slab still parses.
+// Package checkpoint is the parameter server's durability layer: the full
+// server state at the close of each round, encoded as one wire-codec frame
+// (KindRoundClose — the same varint and tensor-slab format the network uses,
+// so the on-disk state round-trips bit-exactly, NaN payloads and negative
+// zeros included). Each on-disk record is one frame followed by a CRC-32C of
+// its bytes: the wire leaves integrity to TCP, but a disk record must detect
+// bit rot and torn writes itself, and the frame format alone cannot — a
+// flipped bit inside a float slab still parses.
 //
 // Layout inside the checkpoint directory:
 //
-//	snapshot.ckpt      last full snapshot (one KindSnapshot frame)
-//	snapshot.prev.ckpt the snapshot before it (corruption fallback)
-//	wal.log            KindRoundClose frames appended since the snapshot
+//	round.0.ckpt  the record of the latest even round
+//	round.1.ckpt  the record of the latest odd round
 //
-// Every WAL record carries the complete server state at the close of its
-// round, not a diff: replay is "take the last valid record", a torn tail
-// costs at most the round that was being written, and recovery never needs
-// the snapshot and the WAL to compose. Snapshots exist to keep the WAL
-// short — WriteSnapshot persists the state and resets the log.
+// Round r's record is written in one write at offset 0 of slot r&1 and
+// fsync'd; nothing is ever renamed, unlinked or truncated, since on a
+// filesystem that discards freed blocks each of those costs tens of
+// milliseconds where an in-place overwrite costs a fraction of one
+// (DESIGN.md §5c). A record shorter than the one it overwrites leaves stale
+// bytes behind its CRC; the reader stops at the first invalid record, so it
+// never sees them.
+//
+// Recovery writes nothing. It reads both slots — and the snapshot.ckpt,
+// snapshot.prev.ckpt and wal.log the earlier snapshot + WAL layout wrote,
+// when present — and returns the highest-round valid record.
 //
 // Crash matrix (see DESIGN.md for the full discussion):
 //
-//   - crash before AppendRound's fsync: the tail record may be torn;
-//     Recover truncates it and resumes from the previous round.
-//   - crash mid-WriteSnapshot: the temp file is ignored at recovery; the
-//     previous snapshot (under either name) plus the intact WAL still
-//     reconstruct the newest round.
-//   - crash mid-round: nothing was appended for the open round; it is
+//   - crash mid-write of round r: slot r&1 may hold a torn record, which
+//     fails its CRC; the other slot still holds round r-1. At most one
+//     round is lost.
+//   - crash mid-round: nothing was written for the open round; it is
 //     re-run after recovery.
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -39,6 +42,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"fedmp/internal/transport/codec"
 )
@@ -52,17 +56,21 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // bytes.
 var errChecksum = errors.New("checkpoint: record checksum mismatch")
 
-// writeRecord writes one durability record — frame ‖ CRC-32C(frame) — to w
-// in a single Write, encoding it into *buf: a grow-only buffer its owner
-// keeps between records, so a steady-state record allocates nothing.
-func writeRecord(w io.Writer, buf *[]byte, e *codec.Envelope) error {
+// errClosed refuses work on a Manager after Close.
+var errClosed = errors.New("checkpoint: manager is closed")
+
+// writeRecord writes one durability record — frame ‖ CRC-32C(frame) — at
+// offset 0 of w in a single WriteAt, encoding it into *buf: a grow-only
+// buffer its owner keeps between records, so a steady-state record
+// allocates nothing.
+func writeRecord(w io.WriterAt, buf *[]byte, e *codec.Envelope) error {
 	rec, err := codec.AppendFrame((*buf)[:0], e)
 	if err != nil {
 		return err
 	}
 	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, castagnoli))
 	*buf = rec
-	_, err = w.Write(rec)
+	_, err = w.WriteAt(rec, 0)
 	return err
 }
 
@@ -84,38 +92,44 @@ func readRecord(r io.Reader) (*codec.Envelope, int, error) {
 	return e, n + 4, nil
 }
 
-// File names inside the checkpoint directory.
-const (
-	snapName = "snapshot.ckpt"
-	prevName = "snapshot.prev.ckpt"
-	walName  = "wal.log"
-	tmpName  = "snapshot.ckpt.tmp"
-)
+// slotNames are the two files rounds are written to, by parity.
+var slotNames = [2]string{"round.0.ckpt", "round.1.ckpt"}
+
+// legacyNames are the files the snapshot + WAL layout wrote. Recover still
+// reads them, so a directory that layout left behind resumes; nothing
+// writes them any more.
+var legacyNames = []string{"snapshot.ckpt", "snapshot.prev.ckpt", "wal.log"}
+
+// slot is what the Manager asks of a slot file: an *os.File, or in tests a
+// wrapper that counts or refuses the calls. Every read and write names its
+// offset; Seek only measures the file.
+type slot interface {
+	io.ReaderAt
+	io.WriterAt
+	io.Seeker
+	Sync() error
+	Close() error
+}
 
 // Manager owns one checkpoint directory. It is not safe for concurrent use;
 // the parameter server drives it from its single round loop.
 type Manager struct {
-	dir string
-	wal *os.File
+	dir   string
+	slots [2]slot
 	// rec is the buffer every record is encoded into, grown to the largest.
 	rec []byte
 }
 
-// RecoveryInfo describes what Recover found and repaired.
+// RecoveryInfo describes where Recover found the state.
 type RecoveryInfo struct {
-	// SnapshotRound is the round of the snapshot file used (-1 if none).
-	SnapshotRound int
-	// WALRounds is the number of valid round-close records replayed.
-	WALRounds int
-	// TornTail reports that the WAL ended in a partial record, which was
-	// truncated away (the in-flight round is lost — at most one round).
-	TornTail bool
-	// UsedFallback reports that snapshot.ckpt was unreadable and the
-	// previous snapshot was used instead.
-	UsedFallback bool
+	// File names the file the recovered record was read from ("" when
+	// there was none).
+	File string
 }
 
-// Open prepares dir (creating it if needed) and opens the WAL for appending.
+// Open prepares dir (creating it if needed), opens both slot files (creating
+// them if needed) and fsyncs the directory, so the slots' entries are durable
+// before any round relies on them. Open writes no record.
 func Open(dir string) (*Manager, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("checkpoint: empty directory")
@@ -123,196 +137,104 @@ func Open(dir string) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("checkpoint: %w", err)
 	}
-	// The WAL is the one file written in place — append-only, one fsync'd
-	// frame per round — so it does not go through writeFileAtomic (an
-	// allowlist row of internal/lint's atomicwrite rule).
-	wal, err := os.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
+	m := &Manager{dir: dir}
+	for i, name := range slotNames {
+		// The slots are the only files this package writes, each in place:
+		// a torn write of one leaves the previous round in the other (an
+		// allowlist row of internal/lint's atomicwrite rule).
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_RDWR, 0o644)
+		if err != nil {
+			return nil, errors.Join(fmt.Errorf("checkpoint: %w", err), m.Close())
+		}
+		m.slots[i] = f
 	}
-	return &Manager{dir: dir, wal: wal}, nil
+	if err := syncDir(dir); err != nil {
+		return nil, errors.Join(err, m.Close())
+	}
+	return m, nil
 }
 
-// Close releases the WAL handle. The Manager is unusable afterwards.
+// Close releases the slot handles. The Manager is unusable afterwards.
 func (m *Manager) Close() error {
-	if m.wal == nil {
-		return nil
+	var err error
+	for i, f := range m.slots {
+		if f != nil {
+			err = errors.Join(err, f.Close())
+			m.slots[i] = nil
+		}
 	}
-	err := m.wal.Close()
-	m.wal = nil
 	return err
 }
 
-// Recover loads the newest durable state: the latest readable snapshot,
-// superseded by any newer round-close record replayed from the WAL. A torn
-// WAL tail is truncated in place (so subsequent appends extend a valid log);
-// a corrupt snapshot.ckpt falls back to snapshot.prev.ckpt. Returns a nil
-// snapshot when the directory holds no usable state — a fresh start, not an
-// error.
+// Recover loads the newest durable state: the highest-round valid record in
+// either slot or in a legacy file. Each file is read as a run of records up
+// to the first invalid one — a torn or rotted record, or a slot's stale
+// tail. Recover writes nothing. It returns a nil snapshot when no file holds
+// a valid record — a fresh start, not an error — and an error only when a
+// file cannot be read at all.
 func (m *Manager) Recover() (*codec.Snapshot, RecoveryInfo, error) {
-	if m.wal == nil {
-		return nil, RecoveryInfo{}, fmt.Errorf("checkpoint: manager is closed")
+	if m.slots[0] == nil {
+		return nil, RecoveryInfo{}, errClosed
 	}
-	info := RecoveryInfo{SnapshotRound: -1}
-
-	snap, err := readSnapshotFile(filepath.Join(m.dir, snapName))
-	if err != nil {
-		if !errors.Is(err, os.ErrNotExist) {
-			info.UsedFallback = true
-		}
-		snap, err = readSnapshotFile(filepath.Join(m.dir, prevName))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			// Both copies exist but neither is readable: the WAL may still
-			// carry state, so keep going with no snapshot.
-			snap = nil
-		}
-	}
-	if snap != nil {
-		info.SnapshotRound = snap.Round
-	}
-
-	walSnap, walRounds, torn, err := m.replayWAL()
-	if err != nil {
-		return nil, info, err
-	}
-	info.WALRounds = walRounds
-	info.TornTail = torn
-	if walSnap != nil && (snap == nil || walSnap.Round > snap.Round) {
-		snap = walSnap
-	}
-	return snap, info, nil
-}
-
-// replayWAL scans the log, keeping the last valid round-close record. On the
-// first malformed frame it truncates the file at the end of the last good
-// one and stops: a torn tail loses only the record being written when the
-// process died.
-func (m *Manager) replayWAL() (last *codec.Snapshot, rounds int, torn bool, err error) {
-	if _, err := m.wal.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, false, fmt.Errorf("checkpoint: %w", err)
-	}
-	var good int64
-	for {
-		e, n, err := readRecord(m.wal)
-		if err == io.EOF {
-			break
+	var best *codec.Snapshot
+	var info RecoveryInfo
+	for i, name := range append(slotNames[:], legacyNames...) {
+		var b []byte
+		var err error
+		if i < len(m.slots) {
+			// A slot is read into the record buffer, which the next
+			// AppendRound reuses: nothing of it outlives the decode.
+			var size int64
+			if size, err = m.slots[i].Seek(0, io.SeekEnd); err == nil && size > 0 {
+				m.rec = slices.Grow(m.rec[:0], int(size))[:size]
+				b = m.rec
+				_, err = m.slots[i].ReadAt(b, 0)
+			}
+		} else if b, err = os.ReadFile(filepath.Join(m.dir, name)); errors.Is(err, os.ErrNotExist) {
+			continue
 		}
 		if err != nil {
-			// Anything else — a short read, bad magic, a corrupt payload —
-			// is the torn tail. Drop it.
-			torn = true
-			break
+			return nil, RecoveryInfo{}, fmt.Errorf("checkpoint: reading %s: %w", name, err)
 		}
-		good += int64(n)
-		if e.Kind != codec.KindRoundClose {
-			// A foreign frame kind in the WAL is corruption, not a tail.
-			torn = true
-			break
-		}
-		last = e.Snapshot
-		rounds++
-	}
-	if torn {
-		if err := m.wal.Truncate(good); err != nil {
-			return nil, 0, true, fmt.Errorf("checkpoint: truncating torn WAL: %w", err)
-		}
-		if err := m.wal.Sync(); err != nil {
-			return nil, 0, true, fmt.Errorf("checkpoint: %w", err)
+		for r := bytes.NewReader(b); ; {
+			e, _, err := readRecord(r)
+			if err != nil || (e.Kind != codec.KindRoundClose && e.Kind != codec.KindSnapshot) {
+				break
+			}
+			if best == nil || e.Snapshot.Round > best.Round {
+				best, info.File = e.Snapshot, name
+			}
 		}
 	}
-	if _, err := m.wal.Seek(good, io.SeekStart); err != nil {
-		return nil, 0, torn, fmt.Errorf("checkpoint: %w", err)
-	}
-	return last, rounds, torn, nil
+	return best, info, nil
 }
 
-// AppendRound durably logs the state at the close of one round: one
-// round-close frame appended to the WAL and fsync'd before returning. After
-// it returns, a crash at any point loses nothing up to and including
-// s.Round.
+// AppendRound durably records the state at the close of one round: its
+// record is written over slot s.Round&1 — the slot holding round s.Round-2,
+// never the one holding s.Round-1 — and fsync'd before returning. After it
+// returns, a crash at any point loses nothing up to and including s.Round.
 func (m *Manager) AppendRound(s *codec.Snapshot) error {
-	if m.wal == nil {
-		return fmt.Errorf("checkpoint: manager is closed")
+	if m.slots[0] == nil {
+		return errClosed
 	}
-	if err := writeRecord(m.wal, &m.rec, &codec.Envelope{Kind: codec.KindRoundClose, Snapshot: s}); err != nil {
-		return fmt.Errorf("checkpoint: appending round %d: %w", s.Round, err)
-	}
-	if err := m.wal.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
-}
-
-// WriteSnapshot persists a full snapshot and resets the WAL. The snapshot
-// becomes durable before the log shrinks, so a crash anywhere in between
-// leaves either the new snapshot or the old one plus the intact WAL — never
-// less state than before the call.
-func (m *Manager) WriteSnapshot(s *codec.Snapshot) error {
-	if m.wal == nil {
-		return fmt.Errorf("checkpoint: manager is closed")
-	}
-	cur := filepath.Join(m.dir, snapName)
-	// Demote the current snapshot to the fallback slot first; if we crash
-	// after this rename the state lives under prevName and recovery finds
-	// it there.
-	if _, err := os.Stat(cur); err == nil {
-		if err := os.Rename(cur, filepath.Join(m.dir, prevName)); err != nil {
-			return fmt.Errorf("checkpoint: %w", err)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := writeFileAtomic(m.dir, tmpName, snapName, &m.rec, s); err != nil {
-		return err
-	}
-	// The snapshot now covers every WAL record; start the log over.
-	if err := m.wal.Truncate(0); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if _, err := m.wal.Seek(0, io.SeekStart); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := m.wal.Sync(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return nil
-}
-
-// writeFileAtomic writes one snapshot frame through the crash-safe sequence:
-// temp file in the same directory, fsync, close, rename over the final name,
-// fsync the directory so the rename itself is durable. Every state file in
-// this package must be written through here (internal/lint's atomicwrite rule
-// enforces it).
-func writeFileAtomic(dir, tmp, final string, buf *[]byte, s *codec.Snapshot) error {
-	tmpPath := filepath.Join(dir, tmp)
-	f, err := os.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := writeRecord(f, buf, &codec.Envelope{Kind: codec.KindSnapshot, Snapshot: s}); err != nil {
-		if cerr := f.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		return fmt.Errorf("checkpoint: writing snapshot: %w", err)
+	f := m.slots[s.Round&1]
+	if err := writeRecord(f, &m.rec, &codec.Envelope{Kind: codec.KindRoundClose, Snapshot: s}); err != nil {
+		return fmt.Errorf("checkpoint: writing round %d: %w", s.Round, err)
 	}
 	if err := f.Sync(); err != nil {
-		if cerr := f.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	if err := os.Rename(tmpPath, filepath.Join(dir, final)); err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	return syncDir(dir)
+	return nil
 }
 
-// syncDir fsyncs a directory so completed renames survive power loss. Some
-// filesystems refuse to fsync directories; that is not a durability bug on
-// the filesystems we run tests on, so only real write errors surface.
+// WriteSnapshot is AppendRound: every record is a full snapshot, so there
+// is no separate snapshot to write.
+func (m *Manager) WriteSnapshot(s *codec.Snapshot) error { return m.AppendRound(s) }
+
+// syncDir fsyncs a directory so the entries created in it survive power
+// loss. Some filesystems refuse to fsync directories; that is not a
+// durability bug on the filesystems we run tests on, so only real write
+// errors surface.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
@@ -326,29 +248,4 @@ func syncDir(dir string) error {
 		return fmt.Errorf("checkpoint: %w", serr)
 	}
 	return nil
-}
-
-// readSnapshotFile reads one KindSnapshot frame, rejecting trailing garbage.
-func readSnapshotFile(path string) (snap *codec.Snapshot, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		if cerr := f.Close(); cerr != nil && err == nil {
-			snap, err = nil, fmt.Errorf("checkpoint: %w", cerr)
-		}
-	}()
-	e, _, err := readRecord(f)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading %s: %w", filepath.Base(path), err)
-	}
-	if e.Kind != codec.KindSnapshot {
-		return nil, fmt.Errorf("checkpoint: %s holds a kind-%d frame, not a snapshot", filepath.Base(path), e.Kind)
-	}
-	var extra [1]byte
-	if _, rerr := f.Read(extra[:]); rerr != io.EOF {
-		return nil, fmt.Errorf("checkpoint: %s has trailing bytes after the snapshot", filepath.Base(path))
-	}
-	return e.Snapshot, nil
 }

@@ -2,9 +2,14 @@ package checkpoint
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"maps"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"fedmp/internal/bandit"
@@ -87,6 +92,72 @@ func checkSnapshot(t *testing.T, s *codec.Snapshot, r int) {
 	}
 }
 
+// bigSnapshot is testSnapshot(r) with one more tensor of n dense values, so
+// its record spans several 4 KiB pages and its size can differ by round.
+func bigSnapshot(r, n int) *codec.Snapshot {
+	s := testSnapshot(r)
+	extra := tensor.New(n)
+	for i := range extra.Data {
+		extra.Data[i] = float32(i%97) + float32(r)/8
+	}
+	s.Global = append(s.Global, extra)
+	return s
+}
+
+// record returns the bytes writeRecord puts on disk for s under kind.
+func record(t testing.TB, kind codec.Kind, s *codec.Snapshot) []byte {
+	t.Helper()
+	var f memFile
+	var buf []byte
+	if err := writeRecord(&f, &buf, &codec.Envelope{Kind: kind, Snapshot: s}); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// memFile is an in-memory io.WriterAt.
+type memFile []byte
+
+func (m *memFile) WriteAt(p []byte, off int64) (int, error) {
+	if end := int(off) + len(p); end > len(*m) {
+		*m = append(*m, make([]byte, end-len(*m))...)
+	}
+	return copy((*m)[off:], p), nil
+}
+
+// readDir returns every file of dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		if files[e.Name()], err = os.ReadFile(filepath.Join(dir, e.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return files
+}
+
+// recoverDir opens dir, recovers it and closes it, as a restarted PS would.
+func recoverDir(t *testing.T, dir string) (*codec.Snapshot, RecoveryInfo) {
+	t.Helper()
+	m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, info, err := m.Recover()
+	if cerr := m.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, info
+}
+
 // reopen closes m and opens the directory again, as a restarted PS would.
 func reopen(t *testing.T, m *Manager, dir string) *Manager {
 	t.Helper()
@@ -112,7 +183,7 @@ func TestSnapshotAndWALRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s != nil || info.SnapshotRound != -1 || info.WALRounds != 0 || info.UsedFallback {
+	if s != nil || info.File != "" {
 		t.Fatalf("fresh dir recovered %+v / %+v", s, info)
 	}
 
@@ -136,22 +207,29 @@ func TestSnapshotAndWALRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSnapshot(t, s, 5)
-	if info.SnapshotRound != 2 || info.WALRounds != 3 || info.TornTail || info.UsedFallback {
-		t.Fatalf("recovery info %+v", info)
+	if info.File != "round.1.ckpt" {
+		t.Fatalf("recovered round 5 from %q, want round.1.ckpt", info.File)
 	}
 
-	// The WAL keeps extending cleanly after a recovery.
+	// The rounds keep alternating after a recovery.
 	if err := m.AppendRound(testSnapshot(6)); err != nil {
 		t.Fatal(err)
 	}
-	s, _, err = m.Recover()
+	s, info, err = m.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSnapshot(t, s, 6)
+	if info.File != "round.0.ckpt" {
+		t.Fatalf("recovered round 6 from %q, want round.0.ckpt", info.File)
+	}
 }
 
-func TestWriteSnapshotResetsWAL(t *testing.T) {
+// TestWriteSnapshotIsAppendRound pins the on-disk layout: WriteSnapshot and
+// AppendRound put the same KindRoundClose record at the start of the slot of
+// the round's parity, and however many rounds are written the directory
+// holds the two slot files and nothing else.
+func TestWriteSnapshotIsAppendRound(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir)
 	if err != nil {
@@ -162,39 +240,152 @@ func TestWriteSnapshotResetsWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	for r := 1; r <= 4; r++ {
-		if err := m.AppendRound(testSnapshot(r)); err != nil {
+	for r := 1; r <= 6; r++ {
+		write := m.AppendRound
+		if r%3 == 0 {
+			write = m.WriteSnapshot
+		}
+		if err := write(testSnapshot(r)); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := m.WriteSnapshot(testSnapshot(4)); err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(filepath.Join(dir, "wal.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != 0 {
-		t.Fatalf("WAL holds %d bytes after a snapshot, want 0", st.Size())
-	}
-	s, info, err := m.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSnapshot(t, s, 4)
-	if info.SnapshotRound != 4 || info.WALRounds != 0 {
-		t.Fatalf("recovery info %+v", info)
+		files := readDir(t, dir)
+		if len(files) != 2 {
+			t.Fatalf("after round %d the directory holds %d files, want the 2 slots", r, len(files))
+		}
+		want := record(t, codec.KindRoundClose, testSnapshot(r))
+		if got := files[fmt.Sprintf("round.%d.ckpt", r%2)]; !bytes.HasPrefix(got, want) {
+			t.Fatalf("round %d: slot %d does not start with the round's record", r, r%2)
+		}
 	}
 }
 
-func TestTornWALTailLosesAtMostOneRound(t *testing.T) {
-	for _, cut := range []int64{1, 7, 40} { // mid-header and mid-payload tears
+// TestCrashPointOracle enumerates crashes of a slot write. The slots hold
+// rounds r-2 and r-1; round r's write goes over the slot of r-2 and is cut
+// at every 4 KiB boundary and at 16 seeded offsets (what is on disk is the
+// new record's head followed by the old bytes), and then single bits of the
+// completed slot are flipped. Recovery must return round r-1 for a torn or
+// flipped record, r for an intact one — never an error, never an older
+// round.
+func TestCrashPointOracle(t *testing.T) {
+	for _, r := range []int{4, 5} {
+		t.Run(fmt.Sprint("round", r), func(t *testing.T) { crashOracle(t, r) })
+	}
+}
+
+func crashOracle(t *testing.T, r int) {
+	dir := t.TempDir()
+	m, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Round r-2's record is the longest, so round r's write over it leaves
+	// stale bytes behind its CRC.
+	for _, s := range []*codec.Snapshot{bigSnapshot(r-2, 6000), bigSnapshot(r-1, 4000)} {
+		if err := m.AppendRound(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pre := readDir(t, dir)
+	if err := m.AppendRound(bigSnapshot(r, 4000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	post := readDir(t, dir)
+	var name string
+	for n, b := range post {
+		if !bytes.Equal(b, pre[n]) {
+			if name != "" {
+				t.Fatalf("round %d's write changed both %s and %s", r, name, n)
+			}
+			name = n
+		}
+	}
+	if len(post) != len(pre) || name == "" {
+		t.Fatalf("round %d's write left %d files (was %d) and changed %q", r, len(post), len(pre), name)
+	}
+	old, img := pre[name], post[name]
+	rec := len(record(t, codec.KindRoundClose, bigSnapshot(r, 4000)))
+
+	expect := func(what string, b []byte, want int) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, _ := recoverDir(t, dir)
+		if s == nil {
+			t.Fatalf("%s: nothing recovered, want round %d", what, want)
+		}
+		if !bytes.Equal(record(t, codec.KindRoundClose, s), record(t, codec.KindRoundClose, bigSnapshot(want, 4000))) {
+			t.Fatalf("%s: recovered round %d, want round %d bit for bit", what, s.Round, want)
+		}
+	}
+	rng := rand.New(rand.NewPCG(uint64(r), 7))
+	var cuts []int
+	for c := 0; c < rec; c += 4096 {
+		cuts = append(cuts, c)
+	}
+	for range 16 {
+		cuts = append(cuts, rng.IntN(rec))
+	}
+	for _, c := range cuts {
+		torn := append(img[:c:c], old[min(c, len(old)):]...)
+		expect(fmt.Sprintf("write cut at byte %d of %d", c, rec), torn, r-1)
+	}
+	expect("whole write", img, r)
+	if len(img) <= rec {
+		t.Fatalf("slot holds %d bytes for a %d-byte record: no stale tail to test", len(img), rec)
+	}
+	for i := range 16 {
+		at, want := rng.IntN(rec), r-1 // inside the record
+		if i%2 == 1 {
+			at, want = rec+rng.IntN(len(img)-rec), r // in the stale tail
+		}
+		flipped := slices.Clone(img)
+		flipped[at] ^= 1 << rng.IntN(8)
+		expect(fmt.Sprintf("bit flipped at byte %d", at), flipped, want)
+	}
+}
+
+// TestRecoversLegacyLayout: the snapshot.ckpt, snapshot.prev.ckpt and
+// wal.log the snapshot + WAL layout wrote are still read, each as a run of
+// records, and the highest round across them and the slots wins. Recover
+// changes none of them. (TestRecoversParentCheckpoint resumes a directory an
+// earlier binary wrote.)
+func TestRecoversLegacyLayout(t *testing.T) {
+	rotten := record(t, codec.KindSnapshot, testSnapshot(8))
+	rotten[len(rotten)/2] ^= 0x10
+	snapshotAndLog := map[string][]byte{
+		"snapshot.ckpt": record(t, codec.KindSnapshot, testSnapshot(2)),
+		"wal.log": slices.Concat(record(t, codec.KindRoundClose, testSnapshot(3)),
+			record(t, codec.KindRoundClose, testSnapshot(4)), []byte("torn")),
+	}
+	for _, c := range []struct {
+		name  string
+		files map[string][]byte
+		slots []int // rounds written through the Manager
+		round int
+		from  string
+	}{
+		{"rotten snapshot, previous one", map[string][]byte{
+			"snapshot.ckpt":      rotten,
+			"snapshot.prev.ckpt": record(t, codec.KindSnapshot, testSnapshot(6)),
+		}, nil, 6, "snapshot.prev.ckpt"},
+		{"snapshot under a longer log", snapshotAndLog, nil, 4, "wal.log"},
+		{"slots past the log", snapshotAndLog, []int{5, 6}, 6, "round.0.ckpt"},
+	} {
 		dir := t.TempDir()
+		for name, b := range c.files {
+			if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
 		m, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r := 1; r <= 3; r++ {
+		for _, r := range c.slots {
 			if err := m.AppendRound(testSnapshot(r)); err != nil {
 				t.Fatal(err)
 			}
@@ -202,111 +393,15 @@ func TestTornWALTailLosesAtMostOneRound(t *testing.T) {
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
 		}
-
-		// Tear the tail: chop the last record short, as a crash mid-write
-		// would.
-		wal := filepath.Join(dir, "wal.log")
-		st, err := os.Stat(wal)
-		if err != nil {
-			t.Fatal(err)
+		before := readDir(t, dir)
+		s, info := recoverDir(t, dir)
+		if s == nil || s.Round != c.round || info.File != c.from {
+			t.Fatalf("%s: recovered %v from %q, want round %d from %s", c.name, s, info.File, c.round, c.from)
 		}
-		if err := os.Truncate(wal, st.Size()-cut); err != nil {
-			t.Fatal(err)
+		checkSnapshot(t, s, c.round)
+		if after := readDir(t, dir); !maps.EqualFunc(before, after, bytes.Equal) {
+			t.Errorf("%s: Recover changed the directory", c.name)
 		}
-
-		m, err = Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, info, err := m.Recover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSnapshot(t, s, 2) // round 3's record was torn; 1 and 2 survive
-		if !info.TornTail || info.WALRounds != 2 {
-			t.Fatalf("cut %d: recovery info %+v", cut, info)
-		}
-
-		// The truncated log accepts new appends and recovers them.
-		if err := m.AppendRound(testSnapshot(3)); err != nil {
-			t.Fatal(err)
-		}
-		s, info, err = m.Recover()
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSnapshot(t, s, 3)
-		if info.TornTail {
-			t.Fatalf("cut %d: tail still torn after repair: %+v", cut, info)
-		}
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func TestCorruptSnapshotFallsBackToPrevious(t *testing.T) {
-	dir := t.TempDir()
-	m, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteSnapshot(testSnapshot(3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteSnapshot(testSnapshot(7)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Flip a byte in the middle of the current snapshot's payload.
-	snap := filepath.Join(dir, "snapshot.ckpt")
-	b, err := os.ReadFile(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b[len(b)/2] ^= 0xFF
-	if err := os.WriteFile(snap, b, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	m = reopen(t, m, dir)
-	defer func() {
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	s, info, err := m.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSnapshot(t, s, 3)
-	if !info.UsedFallback || info.SnapshotRound != 3 {
-		t.Fatalf("recovery info %+v", info)
-	}
-}
-
-func TestCorruptSnapshotWithNewerWAL(t *testing.T) {
-	// Even with both snapshot copies gone, WAL records carry full state.
-	dir := t.TempDir()
-	m, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if err := m.AppendRound(testSnapshot(9)); err != nil {
-		t.Fatal(err)
-	}
-	s, info, err := m.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSnapshot(t, s, 9)
-	if info.SnapshotRound != -1 || info.WALRounds != 1 {
-		t.Fatalf("recovery info %+v", info)
 	}
 }
 
@@ -333,35 +428,94 @@ func TestClosedManagerRefusesWork(t *testing.T) {
 	}
 }
 
-// TestAppendRoundReportsWALWriteError: a round-close record the log refuses
-// fails AppendRound, so the server does not count an undurable round as
-// durable. The WAL is swapped for a read-only handle on the same file, which
-// refuses every write and still syncs.
-func TestAppendRoundReportsWALWriteError(t *testing.T) {
-	dir := t.TempDir()
-	m, err := Open(dir)
+// spySlot wraps a slot file, counting the writes and fsyncs the Manager
+// asks of it and refusing them when told to.
+type spySlot struct {
+	slot
+	writes, syncs           int
+	offset                  int64
+	refuseWrite, refuseSync bool
+}
+
+var errRefused = errors.New("refused")
+
+func (s *spySlot) WriteAt(p []byte, off int64) (int, error) {
+	s.writes++
+	s.offset = off
+	if s.refuseWrite {
+		return 0, errRefused
+	}
+	return s.slot.WriteAt(p, off)
+}
+
+func (s *spySlot) Sync() error {
+	s.syncs++
+	if s.refuseSync {
+		return errRefused
+	}
+	return s.slot.Sync()
+}
+
+// spy opens a Manager on a fresh directory with both slots wrapped.
+func spy(t *testing.T) (*Manager, [2]*spySlot) {
+	t.Helper()
+	m, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if m.wal, err = os.Open(filepath.Join(dir, walName)); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
+	t.Cleanup(func() {
 		if err := m.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	var spies [2]*spySlot
+	for i := range spies {
+		spies[i] = &spySlot{slot: m.slots[i]}
+		m.slots[i] = spies[i]
+	}
+	return m, spies
+}
+
+// TestAppendRoundWritesOneSlotOnce: each round is one write, at offset 0,
+// and one fsync, both of the slot of its parity; the other slot is not
+// touched.
+func TestAppendRoundWritesOneSlotOnce(t *testing.T) {
+	m, spies := spy(t)
+	for r := 1; r <= 4; r++ {
+		if err := m.AppendRound(testSnapshot(r)); err != nil {
 			t.Fatal(err)
 		}
-	}()
-	if err := m.AppendRound(testSnapshot(1)); err == nil {
-		t.Error("AppendRound reported a record the WAL refused as durable")
+		for i, s := range spies {
+			want := (r + i) / 2 // rounds of parity i so far
+			if s.writes != want || s.syncs != want || s.offset != 0 {
+				t.Fatalf("after round %d slot %d saw %d writes and %d fsyncs (last at offset %d), want %d and %d at 0",
+					r, i, s.writes, s.syncs, s.offset, want, want)
+			}
+		}
 	}
 }
 
-// TestRecoverSurfacesUnreadableWAL: a log that cannot be read fails Recover
-// instead of reading as a fresh start, which would rerun a schedule whose
-// rounds are already durable.
+// TestAppendRoundReportsWALWriteError: a round record its slot refuses —
+// the write or the fsync — fails AppendRound, so the server does not count
+// an undurable round as durable.
+func TestAppendRoundReportsWALWriteError(t *testing.T) {
+	for _, refuse := range []string{"write", "fsync"} {
+		m, spies := spy(t)
+		for _, s := range spies {
+			s.refuseWrite, s.refuseSync = refuse == "write", refuse == "fsync"
+		}
+		for r := 1; r <= 2; r++ {
+			if err := m.AppendRound(testSnapshot(r)); !errors.Is(err, errRefused) {
+				t.Errorf("round %d: AppendRound with the %s refused returned %v", r, refuse, err)
+			}
+		}
+	}
+}
+
+// TestRecoverSurfacesUnreadableWAL: a checkpoint file that cannot be read —
+// a slot whose handle fails, or a legacy log that is a directory — fails
+// Recover instead of reading as a fresh start, which would rerun a schedule
+// whose rounds are already durable.
 func TestRecoverSurfacesUnreadableWAL(t *testing.T) {
 	m, err := Open(t.TempDir())
 	if err != nil {
@@ -370,10 +524,30 @@ func TestRecoverSurfacesUnreadableWAL(t *testing.T) {
 	if err := m.AppendRound(testSnapshot(1)); err != nil {
 		t.Fatal(err)
 	}
-	// Close the handle under the manager: every seek and read of the log fails.
-	if err := m.wal.Close(); err != nil {
+	// Close a handle under the manager: every read of that slot fails.
+	if err := m.slots[1].Close(); err != nil {
 		t.Fatal(err)
 	}
+	if s, _, err := m.Recover(); err == nil {
+		t.Fatalf("recovered %+v from a slot that cannot be read", s)
+	}
+	if err := m.slots[0].Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "wal.log"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	m, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := m.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
 	if s, _, err := m.Recover(); err == nil {
 		t.Fatalf("recovered %+v from a log that cannot be read", s)
 	}
@@ -385,10 +559,10 @@ func TestOpenRejectsEmptyDir(t *testing.T) {
 	}
 }
 
-// TestAppendRoundReusesRecordBuffer pins the WAL's steady state: once the
-// Manager's record buffer has held a round's record, appending the next
-// allocates nothing — no record buffer, no frame copy — and every record so
-// appended is recovered.
+// TestAppendRoundReusesRecordBuffer pins the steady state: once the
+// Manager's record buffer has held a round's record, writing the next
+// allocates nothing — no record buffer, no frame copy — and the last record
+// so written is recovered.
 func TestAppendRoundReusesRecordBuffer(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(dir)
@@ -410,32 +584,29 @@ func TestAppendRoundReusesRecordBuffer(t *testing.T) {
 	if avg > 0 {
 		t.Errorf("AppendRound allocates %.1f objects per record in steady state, want 0", avg)
 	}
-	m = reopen(t, m, dir)
-	defer func() {
-		if err := m.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	got, info, err := m.Recover()
-	if err != nil {
+	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if info.WALRounds != 22 || info.TornTail || got.Round != s.Round {
-		t.Fatalf("recovered round %d from %d WAL records (torn %v), want round %d from 22", got.Round, info.WALRounds, info.TornTail, s.Round)
+	if got, _ := recoverDir(t, dir); got == nil || got.Round != s.Round {
+		t.Fatalf("recovered %v, want round %d", got, s.Round)
 	}
 }
 
-// writeCounter records each Write it is handed.
-type writeCounter struct{ writes [][]byte }
+// writeCounter records each WriteAt it is handed.
+type writeCounter struct {
+	writes  [][]byte
+	offsets []int64
+}
 
-func (w *writeCounter) Write(p []byte) (int, error) {
+func (w *writeCounter) WriteAt(p []byte, off int64) (int, error) {
 	w.writes = append(w.writes, append([]byte(nil), p...))
+	w.offsets = append(w.offsets, off)
 	return len(p), nil
 }
 
 // TestWriteRecordIsOneWrite pins the record format and its single write: the
-// frame and its CRC-32C go to the writer in one Write, and the record reads
-// back through readRecord.
+// frame and its CRC-32C go to the writer in one WriteAt at offset 0, and the
+// record reads back through readRecord.
 func TestWriteRecordIsOneWrite(t *testing.T) {
 	var w writeCounter
 	var buf []byte
@@ -444,8 +615,8 @@ func TestWriteRecordIsOneWrite(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(w.writes) != 2 {
-		t.Fatalf("two records took %d writes, want 2", len(w.writes))
+	if len(w.writes) != 2 || w.offsets[0] != 0 || w.offsets[1] != 0 {
+		t.Fatalf("two records took %d writes at offsets %v, want 2 at 0", len(w.writes), w.offsets)
 	}
 	for r, rec := range w.writes {
 		var frame bytes.Buffer

@@ -9,14 +9,23 @@ import (
 	"fedmp/internal/testfd"
 )
 
-// TestCycleLeaksNoDescriptors runs the manager's whole life — open, snapshot,
-// journal, recover, close, and the two ways a snapshot write can fail with
-// its temp file open — twenty times over and demands that no descriptor is
-// open afterwards that was not before. The collector is off for the loop: an
-// unreachable os.File is closed by its finalizer, which would hide exactly
-// the leak this looks for.
+// TestCycleLeaksNoDescriptors runs the manager's whole life — open, write
+// both slots, recover (a legacy log included), close, a record the codec
+// refuses, and an Open that fails after its first slot is open — twenty
+// times over and demands that no descriptor is open afterwards that was not
+// before. The collector is off for the loop: an unreachable os.File is
+// closed by its finalizer, which would hide exactly the leak this looks for.
 func TestCycleLeaksNoDescriptors(t *testing.T) {
 	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the second slot belongs: Open fails after opening
+	// the first.
+	blocked := t.TempDir()
+	if err := os.Mkdir(filepath.Join(blocked, slotNames[1]), 0o755); err != nil {
+		t.Fatal(err)
+	}
 	cycle := func(r int) {
 		m, err := Open(dir)
 		if err != nil {
@@ -34,27 +43,14 @@ func TestCycleLeaksNoDescriptors(t *testing.T) {
 		// A snapshot the codec refuses fails before a byte is written.
 		bad := testSnapshot(r + 2)
 		bad.Global[0] = nil
-		if err := m.WriteSnapshot(bad); err == nil {
-			t.Fatal("WriteSnapshot accepted a nil tensor")
-		}
-		// A temp file that cannot be fsync'd (a character device does not
-		// support it) fails after the write. The refused snapshot left its
-		// empty temp file behind; the device takes its place.
-		tmp := filepath.Join(dir, tmpName)
-		if err := os.Remove(tmp); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Symlink(os.DevNull, tmp); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.WriteSnapshot(testSnapshot(r + 2)); err == nil {
-			t.Fatal("WriteSnapshot succeeded without a durable temp file")
-		}
-		if err := os.Remove(tmp); err != nil {
-			t.Fatal(err)
+		if err := m.AppendRound(bad); err == nil {
+			t.Fatal("AppendRound accepted a nil tensor")
 		}
 		if err := m.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if m, err := Open(blocked); err == nil {
+			t.Fatalf("Open succeeded with a directory for a slot: %v", m.Close())
 		}
 	}
 	cycle(0) // whatever the runtime opens lazily is open after this

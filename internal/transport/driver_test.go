@@ -361,7 +361,7 @@ func TestServeRecordsOverheadSeconds(t *testing.T) {
 func TestServeStateMatchesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	res := launchWith(t, core.StrategyFedMP, 2, 3, func(cfg *ServerConfig) {
-		cfg.CheckpointDir, cfg.SnapshotEvery = dir, 2
+		cfg.CheckpointDir = dir
 	})
 	m, err := checkpoint.Open(dir)
 	if err != nil {
@@ -506,7 +506,7 @@ func TestRecoversParentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := serveWithOrderedWorkers(t, fam, srcs, ServerConfig{
-		Workers: 2, Rounds: 5, RoundTimeout: 30 * time.Second, CheckpointDir: dir, SnapshotEvery: 2,
+		Workers: 2, Rounds: 5, RoundTimeout: 30 * time.Second, CheckpointDir: dir,
 		Core: core.Config{Strategy: core.StrategyFedMP, Rounds: 5, LocalIters: 2, BatchSize: 4, EvalLimit: 80, Seed: 5, WarmupRounds: 1},
 	}, []string{"w0", "w1"})
 	if res.Points[0].Round != 3 || res.Rounds != 5 || len(res.Stats) != 2 {

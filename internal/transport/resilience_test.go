@@ -7,8 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"os"
-	"path/filepath"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -18,6 +16,7 @@ import (
 	"fedmp/internal/data"
 	"fedmp/internal/nn"
 	"fedmp/internal/testfd"
+	"fedmp/internal/transport/checkpoint"
 )
 
 // reservePort grabs an ephemeral port deterministically.
@@ -389,7 +388,6 @@ func TestPSKillRestartRecovery(t *testing.T) {
 			Rounds:        rounds,
 			RoundTimeout:  20 * time.Second,
 			CheckpointDir: dir,
-			SnapshotEvery: 2,
 			Abort:         abort,
 			Core: core.Config{
 				Strategy:   core.StrategyFedMP,
@@ -426,26 +424,18 @@ func TestPSKillRestartRecovery(t *testing.T) {
 		}(i, src)
 	}
 
-	// First incarnation: run until a round is durable — a WAL record (round
-	// 1) or a full snapshot (round 2); the workers stall in round 3 — then
-	// abort: connections severed without the shutdown handshake, exactly
-	// like a crash.
+	// First incarnation: run until a round is durable — what a fresh
+	// checkpoint manager recovers from the directory is round 1 or later;
+	// the workers stall in round 3 — then abort: connections severed without
+	// the shutdown handshake, exactly like a crash.
 	abort := make(chan struct{})
 	serveErr := make(chan error, 1)
 	go func() {
 		_, err := Serve(fam, mkCfg(abort))
 		serveErr <- err
 	}()
-	wal := filepath.Join(dir, "wal.log")
-	snap := filepath.Join(dir, "snapshot.ckpt")
 	deadline := time.Now().Add(30 * time.Second)
-	for {
-		if st, err := os.Stat(wal); err == nil && st.Size() > 0 {
-			break
-		}
-		if _, err := os.Stat(snap); err == nil {
-			break
-		}
+	for durableRound(t, dir) < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("no round became durable within 30s")
 		}
@@ -497,6 +487,27 @@ func TestPSKillRestartRecovery(t *testing.T) {
 		t.Errorf("recovered run final accuracy %v vs uninterrupted %v (diff %v)",
 			res.FinalAcc, base.FinalAcc, diff)
 	}
+}
+
+// durableRound is the round a restarted server would resume after: the one
+// a fresh checkpoint manager recovers from dir (0 when none).
+func durableRound(t *testing.T, dir string) int {
+	t.Helper()
+	m, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, _, err := m.Recover()
+	if cerr := m.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		return 0
+	}
+	return snap.Round
 }
 
 // TestBackoffBounds pins the jittered delay inside [raw/2, 3·raw/2) and the
@@ -757,7 +768,6 @@ func TestServeLeaksNoDescriptors(t *testing.T) {
 		Rounds:        rounds,
 		RoundTimeout:  10 * time.Second,
 		CheckpointDir: t.TempDir(),
-		SnapshotEvery: 2,
 		Core: core.Config{
 			Strategy:   core.StrategySynFL,
 			Rounds:     rounds,

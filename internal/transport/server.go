@@ -47,9 +47,8 @@ type ServerConfig struct {
 	// previous incarnation, resumes from the round after the last one it
 	// closed instead of starting over. Empty disables checkpointing.
 	CheckpointDir string
-	// SnapshotEvery is the full-snapshot cadence in rounds (default 5).
-	// Rounds in between are appended to a write-ahead log that a snapshot
-	// resets; recovery replays the log on top of the latest snapshot.
+	// Deprecated: ignored. Every round's checkpoint record is a full
+	// snapshot, so there is no snapshot cadence to set.
 	SnapshotEvery int
 	// Abort, when non-nil, stops the server as a crash would when the
 	// channel closes: every worker connection is severed without the
@@ -97,12 +96,6 @@ func (cfg ServerConfig) withDefaults() (ServerConfig, error) {
 	}
 	if cfg.AcceptTimeout == 0 {
 		cfg.AcceptTimeout = 2 * time.Minute
-	}
-	if cfg.SnapshotEvery < 0 {
-		return cfg, fmt.Errorf("transport: snapshot cadence %d rounds", cfg.SnapshotEvery)
-	}
-	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = 5
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -503,12 +496,6 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 		if rerr != nil {
 			return nil, fmt.Errorf("transport: recovering checkpoint: %w", rerr)
 		}
-		if info.TornTail {
-			logf("checkpoint WAL had a torn tail (crash mid-append); truncated to the last closed round")
-		}
-		if info.UsedFallback {
-			logf("current snapshot unreadable; recovered from the previous one")
-		}
 		if snap != nil {
 			if err := drv.Restore(snap); err != nil {
 				return nil, fmt.Errorf("transport: resuming from checkpoint: %w", err)
@@ -516,8 +503,7 @@ func Serve(fam core.Family, cfg ServerConfig) (*core.Result, error) {
 			if err := reg.preseed(snap.Workers); err != nil {
 				return nil, err
 			}
-			logf("recovered checkpoint: snapshot at round %d plus %d WAL rounds; resuming at round %d",
-				info.SnapshotRound, info.WALRounds, snap.Round+1)
+			logf("recovered checkpoint: round %d from %s; resuming at round %d", snap.Round, info.File, snap.Round+1)
 		}
 	}
 
@@ -605,10 +591,10 @@ func (s *server) Idle(seconds, meanRoundTime float64) (float64, bool) {
 // Now implements core.Executor: wall seconds since the first round opened.
 func (s *server) Now() float64 { return s.elapsed() }
 
-// Closed implements core.Executor. The round is durable once its record is
-// fsync'd: a full snapshot every SnapshotEvery rounds (which resets the WAL),
-// a WAL append in between. A durability failure is fatal — continuing would
-// silently demote the recovery guarantee this server was configured for.
+// Closed implements core.Executor. The round is durable once its record —
+// the full state — is fsync'd into its slot file. A durability failure is
+// fatal: continuing would silently demote the recovery guarantee this server
+// was configured for.
 func (s *server) Closed(round int, eval *core.Point, snap func() *core.State) error {
 	rs := &s.rs
 	if eval != nil {
@@ -627,12 +613,8 @@ func (s *server) Closed(round int, eval *core.Point, snap func() *core.State) er
 	}
 	st := snap()
 	s.reg.identify(st.Workers)
-	if round%s.cfg.SnapshotEvery == 0 {
-		if err := s.ckpt.WriteSnapshot(st); err != nil {
-			return fmt.Errorf("transport: checkpointing round %d: %w", round, err)
-		}
-	} else if err := s.ckpt.AppendRound(st); err != nil {
-		return fmt.Errorf("transport: journaling round %d: %w", round, err)
+	if err := s.ckpt.AppendRound(st); err != nil {
+		return fmt.Errorf("transport: checkpointing round %d: %w", round, err)
 	}
 	return nil
 }
@@ -694,7 +676,7 @@ func (s *server) awaitLiveWorkers(round int) ([]int, error) {
 // the round, or the round deadline expires. Workers that do not deliver are
 // marked suspect and their assignments reported as lost. An abort
 // mid-collection surfaces as ErrAborted; the round's results are discarded
-// (its WAL record was never written, so recovery replays the round).
+// (its checkpoint record was never written, so recovery replays the round).
 func (s *server) Run(round int, assignments []core.Assignment) (delivered []core.Output, lost []core.Assignment, seconds float64, err error) {
 	begin := s.elapsed()
 	n := len(assignments)
