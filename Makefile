@@ -48,8 +48,9 @@ lint-mutants:
 
 # fuzz-smoke gives each fuzz target a short budget: the wire-codec frame
 # reader — which also holds every decode, accepted or refused, to its
-# allocation bound — checkpoint recovery over arbitrary slot bytes, and the
-# activation kernels against their scalar loops.
+# allocation bound — checkpoint recovery over arbitrary slot bytes, the
+# activation kernels and the train step's element-wise kernels against their
+# scalar loops.
 # Long campaigns stay manual; this catches the crashes a code change
 # introduces.
 FUZZTIME ?= 10s
@@ -57,6 +58,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/transport/codec
 	go test -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/transport/checkpoint
 	go test -run '^$$' -fuzz FuzzActivations -fuzztime $(FUZZTIME) ./internal/tensor
+	go test -run '^$$' -fuzz FuzzElementwise -fuzztime $(FUZZTIME) ./internal/tensor
 
 # race runs the whole suite under the race detector; the concurrent round
 # loop (quorum collection, worker rejoin, fault-injected engines), the
@@ -70,7 +72,7 @@ race:
 # lives now"), so none of them stops compiling or starts failing unnoticed.
 # It measures nothing; `bash benchmark/run.sh` does.
 bench-smoke:
-	go test -run '^$$' -benchtime 1x -bench 'GEMM|MatVec|Im2Col|Col2Im|Conv|SGDStep|TrainStep|WorkerStep|WarmRound|ServerPhases|PushPop|PopulationDevice|AgentSelect|StructureScores|WriteFrame|ReadFrame' ./internal/tensor ./internal/nn ./internal/core ./internal/simsched ./internal/cluster ./internal/bandit ./internal/prune ./internal/transport/codec .
+	go test -run '^$$' -benchtime 1x -bench 'GEMM|MatVec|Im2Col|Col2Im|Conv|SGDStep|ReLU|MaxPool2x2|Elementwise|TrainStep|WorkerStep|WarmRound|ServerPhases|PushPop|PopulationDevice|AgentSelect|StructureScores|WriteFrame|ReadFrame' ./internal/tensor ./internal/nn ./internal/core ./internal/simsched ./internal/cluster ./internal/bandit ./internal/prune ./internal/transport/codec .
 
 # test-kernels runs the tensor and nn suites once per micro-kernel tier (the
 # layers' differential tests against the pre-rebuild code are bitwise, so

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"fedmp/internal/tensor"
 )
@@ -36,21 +35,11 @@ func (r *ReLU) resize(in dims, widths []int) (dims, []int, bool) {
 	return in, widths[1:], true
 }
 
-// Forward implements Layer. The gate is computed on the bit pattern, so the
-// loop has no data-dependent branch: with i the int32 view of x, x > 0 holds
-// exactly for 0 < i ≤ 0x7F800000 (+Inf); −i has its sign bit set for i > 0
-// (and for −0, which the second term rejects), i − 0x7F800001 has it set up
-// to +Inf but not for the positive NaNs above it, and it wraps to a clear
-// sign bit for every negative i below −0x7FFFFF.
+// Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	y := ensure(r.y, x.Shape...) // allocates only when the batch outgrows the buffer
 	r.y = y
-	out := y.Data[:len(x.Data)]
-	for j, v := range x.Data {
-		i := int32(math.Float32bits(v))
-		keep := uint32((-i & (i - 0x7F800001)) >> 31)
-		out[j] = math.Float32frombits(uint32(i) & keep)
-	}
+	tensor.ReLU(y.Data, x.Data)
 	if x.Shape[0] > 0 {
 		r.size = float64(len(x.Data)) / float64(x.Shape[0])
 	}
@@ -58,18 +47,11 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Backward implements Layer. The gate is read back from the layer's own
-// output — y is +0 where the input was not positive and a positive value
-// (possibly +Inf, never NaN or −0) where it was — so no mask is stored: dx
-// keeps dy's bits where y's bits are non-zero.
+// output (tensor.ReLUGrad), so no mask is stored.
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := ensure(r.dx, dy.Shape...) // allocates only when the batch outgrows the buffer
 	r.dx = dx
-	out := dx.Data[:len(dy.Data)]
-	y := r.y.Data[:len(dy.Data)]
-	for j, v := range dy.Data {
-		b := int32(math.Float32bits(y[j]))
-		out[j] = math.Float32frombits(math.Float32bits(v) & uint32((b|-b)>>31))
-	}
+	tensor.ReLUGrad(dx.Data, dy.Data, r.y.Data)
 	return dx
 }
 
@@ -130,16 +112,16 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	m.y = y
 	m.argmax = grow(m.argmax, len(y.Data)) // allocates only when the batch outgrows the buffer
 	m.inShape = x.Shape
+	if m.Window == 2 {
+		tensor.MaxPool2x2(y.Data, m.argmax, x.Data, n*m.C*outH, outW)
+		return y
+	}
 	planeIn := m.InH * m.InW
 	planeOut := outH * outW
 	for p := 0; p < n*m.C; p++ {
 		in := x.Data[p*planeIn : (p+1)*planeIn]
 		out := y.Data[p*planeOut : (p+1)*planeOut]
 		arg := m.argmax[p*planeOut : (p+1)*planeOut]
-		if m.Window == 2 {
-			maxPool2x2(out, arg, in, p*planeIn, m.InW, outH, outW)
-			continue
-		}
 		for oh := 0; oh < outH; oh++ {
 			for ow := 0; ow < outW; ow++ {
 				best := float32(0)
@@ -161,41 +143,16 @@ func (m *MaxPool2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return y
 }
 
-// maxPool2x2 pools one plane with a 2×2 window: the four candidates are
-// compared in the general loop's scan order (top-left, top-right, bottom-left,
-// bottom-right) with the same strict >, so the value and the recorded argmax
-// (base + offset within the plane) are the ones that loop would produce. The
-// outcome of each compare is close to a coin flip and a mispredicted branch
-// costs more than the whole window, so only the winning index is carried
-// forward, moved by a mask built from the compare instead of by a jump.
-func maxPool2x2(out []float32, arg []int32, in []float32, base, inW, outH, outW int) {
-	for oh := 0; oh < outH; oh++ {
-		o := out[oh*outW:][:outW]
-		a := arg[oh*outW:][:outW]
-		for ow := range o {
-			i0 := 2*oh*inW + 2*ow
-			bi := i0 + b2i(in[i0+1] > in[i0])
-			bi += -b2i(in[i0+inW] > in[bi]) & (i0 + inW - bi)
-			bi += -b2i(in[i0+inW+1] > in[bi]) & (i0 + inW + 1 - bi)
-			o[ow] = in[bi]
-			a[ow] = int32(base + bi)
-		}
-	}
-}
-
-// b2i is 1 when b holds and 0 otherwise; the compiler lowers it to a flag
-// set, not a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Backward implements Layer.
+// Backward implements Layer. The windows do not overlap, so each input
+// element receives at most one output's gradient.
 func (m *MaxPool2D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	dx := ensure(m.dx, m.inShape...) // allocates only when the batch outgrows the buffer
 	m.dx = dx
+	if m.Window == 2 {
+		outW := m.InW / 2
+		tensor.MaxPool2x2Grad(dx.Data, dy.Data, m.argmax, len(dy.Data)/outW, outW)
+		return dx
+	}
 	dx.Zero() // scatter-add below
 	for oi, v := range dy.Data {
 		dx.Data[m.argmax[oi]] += v

@@ -26,11 +26,12 @@ import (
 // (testfd.AllocTable runs it).
 var allocTable = []testfd.AllocRow{
 	{Fns: []any{(*Dense).Forward, (*Dense).Backward, (*Dense).BackwardParams}, By: TestDenseStepAllocsZero},
-	{Fns: []any{(*Conv2D).Forward, (*Conv2D).Backward, (*Conv2D).backward, (*Conv2D).plan}, By: TestConvStepAllocsZero},
+	{Fns: []any{(*Conv2D).Forward, (*Conv2D).Backward, (*Conv2D).backward, (*Conv2D).plan, tensor.AddBias, tensor.AddBiasGrad}, By: TestConvStepAllocsZero},
 	{Fns: []any{(*LSTM).Forward, (*LSTM).Backward}, By: TestLSTMStepAllocsZero},
 	// The first layer of a train step runs BackwardParams alone.
-	{Fns: []any{(*Conv2D).BackwardParams, (*ReLU).Forward, (*ReLU).Backward, (*MaxPool2D).Forward, maxPool2x2, (*MaxPool2D).Backward, (*SoftmaxCE).softmaxCE}, By: TestSequentialTrainStepAllocs},
-	{Fns: []any{(*SGD).Step}, By: TestSGDStepAllocsZero},
+	{Fns: []any{(*Conv2D).BackwardParams, (*ReLU).Forward, tensor.ReLU, (*ReLU).Backward, tensor.ReLUGrad,
+		(*MaxPool2D).Forward, tensor.MaxPool2x2, (*MaxPool2D).Backward, tensor.MaxPool2x2Grad, (*SoftmaxCE).softmaxCE}, By: TestSequentialTrainStepAllocs},
+	{Fns: []any{(*SGD).Step, tensor.SGDStep}, By: TestSGDStepAllocsZero},
 	{Fns: []any{(*GlobalAvgPool).Backward}, By: TestGlobalAvgPoolStepAllocsZero},
 	{Fns: []any{AddProximal}, Setup: func() func() {
 		rng := rand.New(rand.NewSource(10))

@@ -97,6 +97,38 @@ func BenchmarkSGDStep(b *testing.B) {
 	}
 }
 
+// BenchmarkReLU is one forward and one backward pass over conv1's output in
+// the CNN, batch 8 (8 planes of 16×16); FEDMP_KERNEL=generic times the Go
+// loops beside the avx2 kernels.
+func BenchmarkReLU(b *testing.B) {
+	rng := rand.New(rand.NewSource(6))
+	x, dy := tensor.RandN(rng, 8, 8, 16, 16), tensor.RandN(rng, 8, 8, 16, 16)
+	r := NewReLU("r")
+	r.Forward(x, true)
+	r.Backward(dy)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Forward(x, true)
+		r.Backward(dy)
+	}
+}
+
+// BenchmarkMaxPool2x2 is the same for the CNN's pool1 on that output.
+func BenchmarkMaxPool2x2(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	x, dy := tensor.RandN(rng, 8, 8, 16, 16), tensor.RandN(rng, 8, 8, 8, 8)
+	m := NewMaxPool2D("p", 8, 16, 16, 2)
+	m.Forward(x, true)
+	m.Backward(dy)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Forward(x, true)
+		m.Backward(dy)
+	}
+}
+
 // BenchmarkSoftmaxCE is the language model's loss on one training batch —
 // 8 sequences of 12 targets over 80 words — with the gradient ("train") and
 // without ("eval"); FEDMP_KERNEL=generic times the scalar exp beside it.

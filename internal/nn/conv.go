@@ -128,15 +128,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			c.colsB.Pack(c.cols, false, g.OutC, rows, outArea)
 			tensor.GEMMPacked(out, &c.wA, &c.colsB, false)
 		}
-		for oc, bias := range c.B.W.Data {
-			if bias == 0 {
-				continue
-			}
-			plane := out[oc*outArea : (oc+1)*outArea]
-			for j := range plane {
-				plane[j] += bias
-			}
-		}
+		tensor.AddBias(out, c.B.W.Data, outArea)
 	}
 	return y
 }
@@ -196,14 +188,7 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 			tensor.GEMMPacked(dw, &c.dyA, &c.colsB, true)
 		}
 		// db += per-channel sums of dy_i.
-		for oc := 0; oc < g.OutC; oc++ {
-			plane := dyi[oc*outArea : (oc+1)*outArea]
-			var s float32
-			for _, v := range plane {
-				s += v
-			}
-			c.B.Grad.Data[oc] += s
-		}
+		tensor.AddBiasGrad(c.B.Grad.Data, dyi, outArea)
 		if !needDX {
 			continue
 		}

@@ -36,27 +36,19 @@ func NewSGD(lr, momentum, weightDecay float32) *SGD {
 //	v ← momentum·v + grad + wd·w
 //	w ← w − lr·v
 //
-// in one pass per parameter that leaves Grad untouched (it still reports the
-// raw data gradient afterwards; the FedProx strategy reads it). The pass
-// rounds exactly where the former clone / AddScaled / Scale / Add / AddScaled
-// sequence stored to memory: momentum·v is rounded before the add, which the
-// explicit conversion forces on architectures that would otherwise fuse it,
-// while grad + wd·w and w − lr·v keep the axpy shape AddScaled has.
+// in one pass per parameter (tensor.SGDStep) that leaves Grad untouched (it
+// still reports the raw data gradient afterwards; the FedProx strategy reads
+// it). The pass rounds exactly where the former clone / AddScaled / Scale /
+// Add / AddScaled sequence stored to memory: every product is rounded before
+// its add, momentum·v included.
 func (s *SGD) Step(params []*Param) {
-	wd, mom, lr := s.WeightDecay, s.Momentum, -s.LR
+	wd, mom := s.WeightDecay, s.Momentum
 	for _, p := range params {
 		if p.Frozen {
 			continue
 		}
-		w := p.W.Data
-		grad := p.Grad.Data[:len(w)]
 		if mom <= 0 {
-			for j, g := range grad {
-				if wd != 0 {
-					g += wd * w[j]
-				}
-				w[j] += lr * g
-			}
+			tensor.SGDStep(p.W.Data, p.Grad.Data, nil, s.LR, mom, wd)
 			continue
 		}
 		vt, ok := s.velocity[p]
@@ -64,15 +56,7 @@ func (s *SGD) Step(params []*Param) {
 			vt = tensor.New(p.W.Shape...) // one velocity buffer per parameter, on its first step
 			s.velocity[p] = vt
 		}
-		v := vt.Data[:len(w)]
-		for j, g := range grad {
-			if wd != 0 {
-				g += wd * w[j]
-			}
-			vj := float32(v[j]*mom) + g
-			v[j] = vj
-			w[j] += lr * vj
-		}
+		tensor.SGDStep(p.W.Data, p.Grad.Data, vt.Data, s.LR, mom, wd)
 	}
 }
 

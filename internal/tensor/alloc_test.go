@@ -47,6 +47,25 @@ var allocTable = []testfd.AllocRow{
 			gemm(c[:n], a[:k], b, false, true, 1, k, n, false)
 		})
 	}},
+	{Fns: []any{ReLU, ReLUGrad, MaxPool2x2, MaxPool2x2Grad, AddBias, AddBiasGrad, SGDStep,
+		reluScalar, reluGradScalar, maxPool2x2Scalar, maxPool2x2GradScalar, addBiasScalar, addBiasGradScalar, sgdStepScalar}, Setup: func() func() {
+		// sim-cnn30's pool2 shape (rows of four windows, two rows to a
+		// vector), 16 bias planes of 24 and SGD with and without momentum,
+		// on every tier.
+		const rows, outW = 24, 4
+		x, y, dx := operand(4*rows*outW), make([]float32, 4*rows*outW), make([]float32, 4*rows*outW)
+		out, arg, v := make([]float32, rows*outW), make([]int32, rows*outW), make([]float32, 4*rows*outW)
+		return everyTier(func() {
+			ReLU(y, x)
+			ReLUGrad(dx, x, y)
+			MaxPool2x2(out, arg, y, rows, outW)
+			MaxPool2x2Grad(dx, out, arg, rows, outW)
+			AddBias(y, out[:4*outW], rows)
+			AddBiasGrad(out[:4*outW], dx, rows)
+			SGDStep(y, x, v, 0.05, 0.9, 2e-3)
+			SGDStep(y, x, nil, 0.05, 0, 2e-3)
+		})
+	}},
 	{Fns: []any{matVec}, Setup: func() func() {
 		a, x, y := FromSlice(operand(10*16), 10, 16), operand(16), make([]float32, 10)
 		return func() { MatVecInto(y, a, x, true) }

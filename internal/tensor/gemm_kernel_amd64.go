@@ -27,6 +27,10 @@ func archKernels() []*gemmKernel {
 	if _, _, ecx1, _ := cpuid(1, 0); ecx1&(1<<23) != 0 { // POPCNT
 		avx2.nonzeroCount = nonzeroCountAVX
 	}
+	avx2.relu, avx2.reluGrad = reluAVX, reluGradAVX
+	avx2.maxPool2x2, avx2.maxPool2x2Grad = maxPool2x2AVX, maxPool2x2GradAVX
+	avx2.addBias, avx2.addBiasGrad = addBiasAVX, addBiasGradAVX
+	avx2.sgdStep = sgdStepAVX
 	if actKernelsMatchStdlib() {
 		for _, k := range []*gemmKernel{sse, avx2} {
 			k.expInto, k.sigmoidInto, k.tanhInto = expIntoFMA, sigmoidIntoFMA, tanhIntoFMA

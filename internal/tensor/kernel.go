@@ -44,6 +44,12 @@ import (
 // provided a start-up probe found them reproducing it bit for bit, else those
 // tiers run the scalar loops too.
 //
+// So are the train step's element-wise passes (elementwise.go): ReLU and its
+// gradient, the 2×2 max-pool and its gradient, the bias add, the
+// bias-gradient sums and the SGD update are Go loops on generic and sse; the
+// avx2 tier runs kernels that repeat each loop's operations per lane, unfused
+// and in its order.
+//
 // What differs per tier, then, is speed and nothing else: on one machine
 // every tier gives every result the same bits.
 
@@ -86,6 +92,18 @@ type gemmKernel struct {
 	// once they have reproduced those loops bit for bit at start-up.
 	expInto               func(dst, src *float64, n uintptr) (done uintptr)
 	sigmoidInto, tanhInto func(dst, src *float32, n uintptr)
+	// relu … sgdStep, when non-nil, are the kernels of the train step's
+	// element-wise passes (elementwise.go), over whole vectors of eight
+	// elements, pool windows or bias planes; the callers run the Go loops
+	// over the rest, and over everything on a tier without them. Same bits
+	// either way.
+	relu           func(dst, src *float32, n uintptr)
+	reluGrad       func(dx, dy, y *float32, n uintptr)
+	maxPool2x2     func(out *float32, arg *int32, in *float32, rows, outW uintptr)
+	maxPool2x2Grad func(dx, dy *float32, arg *int32, rows, outW uintptr)
+	addBias        func(y, bias *float32, c, area uintptr)
+	addBiasGrad    func(db, dy *float32, c, area uintptr)
+	sgdStep        func(w, grad, v *float32, n uintptr, lr, mom, wd float32)
 }
 
 // directFunc is the signature of a small-product kernel; see

@@ -10,7 +10,7 @@ import (
 
 // forceKernel switches the active tier for one test and restores it on
 // cleanup.
-func forceKernel(t *testing.T, name string) {
+func forceKernel(t testing.TB, name string) {
 	t.Helper()
 	prev := KernelName()
 	if err := ForceKernel(name); err != nil {
