@@ -49,8 +49,8 @@ lint-mutants:
 # fuzz-smoke gives each fuzz target a short budget: the wire-codec frame
 # reader — which also holds every decode, accepted or refused, to its
 # allocation bound — checkpoint recovery over arbitrary slot bytes, the
-# activation kernels and the train step's element-wise kernels against their
-# scalar loops.
+# activation kernels, the train step's element-wise kernels and the transposed
+# panel pack against their scalar loops.
 # Long campaigns stay manual; this catches the crashes a code change
 # introduces.
 FUZZTIME ?= 10s
@@ -59,6 +59,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzRecover -fuzztime $(FUZZTIME) ./internal/transport/checkpoint
 	go test -run '^$$' -fuzz FuzzActivations -fuzztime $(FUZZTIME) ./internal/tensor
 	go test -run '^$$' -fuzz FuzzElementwise -fuzztime $(FUZZTIME) ./internal/tensor
+	go test -run '^$$' -fuzz FuzzPackTransposed -fuzztime $(FUZZTIME) ./internal/tensor
 
 # race runs the whole suite under the race detector; the concurrent round
 # loop (quorum collection, worker rejoin, fault-injected engines), the
@@ -72,7 +73,7 @@ race:
 # lives now"), so none of them stops compiling or starts failing unnoticed.
 # It measures nothing; `bash benchmark/run.sh` does.
 bench-smoke:
-	go test -run '^$$' -benchtime 1x -bench 'GEMM|MatVec|Im2Col|Col2Im|Conv|SGDStep|ReLU|MaxPool2x2|Elementwise|TrainStep|WorkerStep|WarmRound|ServerPhases|PushPop|PopulationDevice|AgentSelect|StructureScores|WriteFrame|ReadFrame' ./internal/tensor ./internal/nn ./internal/core ./internal/simsched ./internal/cluster ./internal/bandit ./internal/prune ./internal/transport/codec .
+	go test -run '^$$' -benchtime 1x -bench 'GEMM|PackTransposed|MatVec|Im2Col|Col2Im|Conv|SGDStep|ReLU|MaxPool2x2|Elementwise|TrainStep|WorkerStep|WarmRound|ServerPhases|PushPop|PopulationDevice|AgentSelect|StructureScores|WriteFrame|ReadFrame' ./internal/tensor ./internal/nn ./internal/core ./internal/simsched ./internal/cluster ./internal/bandit ./internal/prune ./internal/transport/codec .
 
 # test-kernels runs the tensor and nn suites once per micro-kernel tier (the
 # layers' differential tests against the pre-rebuild code are bitwise, so

@@ -21,9 +21,11 @@ import (
 // a product on the blocked side — no column matrix is built or packed: the two
 // products that read cols_i multiply out of a zero-bordered copy of x_i, and
 // Wᵀ·dy_i is staged six taps at a time and added straight into a
-// zero-bordered dx_i, with neither the column gradient nor Col2Im. Each
-// product keeps the per-sample (m, k, n) either way, and the bits of every
-// result (DESIGN.md §2a).
+// zero-bordered dx_i, with neither the column gradient nor Col2Im. There dW
+// is copied transposed into the IndirectConv once per batch, each sample's
+// dy_i·cols_iᵀ is added into that copy by the kernel, and the batch's sum is
+// copied back once. Each product keeps the per-sample (m, k, n) either way,
+// and the bits of every result (DESIGN.md §2a).
 type Conv2D struct {
 	name string
 	Geom tensor.ConvGeom
@@ -171,6 +173,9 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 		}
 	}
 	dw := c.W.Grad.Data
+	if indirect {
+		c.ind.BeginGradW(dw)
+	}
 	for i := 0; i < n; i++ {
 		xi := c.x.Data[i*inSize : (i+1)*inSize]
 		dyi := dy.Data[i*g.OutC*outArea : (i+1)*g.OutC*outArea]
@@ -180,7 +185,7 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 		if indirect {
 			c.ind.Load(xi)
 			c.dyT.Pack(dyi, true, rows, outArea, g.OutC)
-			c.ind.AddGradW(dw, &c.dyT)
+			c.ind.AddGradW(&c.dyT)
 		} else {
 			tensor.Im2Col(xi, g, c.cols)
 			c.dyA.Pack(dyi, false, g.OutC, outArea, rows)
@@ -201,6 +206,9 @@ func (c *Conv2D) backward(dy *tensor.Tensor, needDX bool) *tensor.Tensor {
 			tensor.GEMMPacked(c.dcols, &c.wtA, &c.dyB, false)
 			tensor.Col2Im(c.dcols, g, dxi)
 		}
+	}
+	if indirect {
+		c.ind.EndGradW(dw)
 	}
 	return dx
 }

@@ -38,10 +38,10 @@ func sow(rng *rand.Rand, v []float32, count int) {
 
 // requireSameResult is requireSameBits, except that under the race detector
 // a NaN matches any NaN: when two NaNs meet in an add x86 keeps the first
-// operand's, and which operand the compiler puts first in mergeTile's,
-// AddGradW's and Col2Im's Go loops is its own choice — the same one in a
-// plain build, where the kernels' accumulate step and addRuns agree with
-// them, and not necessarily under the detector's instrumentation.
+// operand's, and which operand the compiler puts first in mergeTile's and
+// Col2Im's Go loops is its own choice — the same one in a plain build, where
+// the kernels' accumulate step and addRuns agree with them, and not
+// necessarily under the detector's instrumentation.
 func requireSameResult(t *testing.T, what string, got, want []float32) {
 	t.Helper()
 	if !raceEnabled {

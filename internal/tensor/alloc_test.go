@@ -90,7 +90,7 @@ var allocTable = []testfd.AllocRow{
 			GEMMPacked(c, &pa, &pb, true)
 		})
 	}},
-	{Fns: []any{(*IndirectConv).Plan, (*IndirectConv).Load, (*IndirectConv).Mul, (*IndirectConv).mulTile, (*IndirectConv).AddGradW, (*IndirectConv).GradX}, By: TestPackedOperandsAllocateOnce},
+	{Fns: []any{(*IndirectConv).Plan, (*IndirectConv).Load, (*IndirectConv).Mul, (*IndirectConv).mulTile, (*IndirectConv).BeginGradW, (*IndirectConv).AddGradW, (*IndirectConv).EndGradW, (*IndirectConv).GradX}, By: TestPackedOperandsAllocateOnce},
 	{Fns: []any{ExpInto, SigmoidInto, TanhInto}, Setup: func() func() {
 		// 37 elements: whole vectors and a scalar tail.
 		src32, dst32 := operand(37), make([]float32, 37)

@@ -339,9 +339,12 @@ func packRows(panel, src []float32, ld, rows, kb, w int) {
 // It is a blocked transpose: eight (then four, two, one) source runs advance
 // together so each step stores one contiguous group instead of w strided
 // scalars. Rows past the block read a run of zeros, which pads the panel in
-// the same pass.
+// the same pass. Where the active tier has a transpose kernel, the depths of
+// each eight runs go through it eight at a time and only the depths past the
+// last multiple of eight through the loop; a copy is a copy on every tier.
 func packTransposed(panel, src []float32, ld, rows, kb, w int) {
 	panel = panel[:kb*w]
+	transpose := activeKernel.Load().transpose8x8
 	r := 0
 	for ; r+8 <= w; r += 8 {
 		s0 := depthRun(src, ld, rows, kb, r)
@@ -352,7 +355,15 @@ func packTransposed(panel, src []float32, ld, rows, kb, w int) {
 		s5 := depthRun(src, ld, rows, kb, r+5)[:len(s0)]
 		s6 := depthRun(src, ld, rows, kb, r+6)[:len(s0)]
 		s7 := depthRun(src, ld, rows, kb, r+7)[:len(s0)]
-		for p := range s0 {
+		p := 0
+		if transpose != nil && len(s0) >= 8 {
+			// The kernel stores depths [0, p) of columns r..r+7 — the
+			// furthest float is panel[(p−1)·w + r+7] — and reads
+			// s0..s7[0:p]; both lie inside the slices above.
+			p = len(s0) &^ 7
+			transpose(&panel[r], uintptr(w*4), &s0[0], &s1[0], &s2[0], &s3[0], &s4[0], &s5[0], &s6[0], &s7[0], uintptr(p/8))
+		}
+		for ; p < len(s0); p++ {
 			d := panel[p*w+r : p*w+r+8 : p*w+r+8]
 			d[0], d[1], d[2], d[3] = s0[p], s1[p], s2[p], s3[p]
 			d[4], d[5], d[6], d[7] = s4[p], s5[p], s6[p], s7[p]

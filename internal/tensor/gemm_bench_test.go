@@ -140,6 +140,46 @@ func BenchmarkGEMMTBPack(b *testing.B) {
 	}
 }
 
+// BenchmarkPackTransposed packs the operands that reach packTransposed in
+// the zoo's train steps, each as its caller packs it — the conv weight
+// gradient's dy_iᵀ (sim-cnn30's conv1 and conv2, blocked side), the dense
+// fc1 weights for the forward x·Wᵀ (blocked side) and the LSTM's Wx and Wh
+// for the gate products at batch 8 (direct and blocked side) — on the active
+// tier ("kernel") and on it with the transpose kernel taken away ("loop",
+// the Go loop every tier without one runs). SetBytes counts the floats read.
+func BenchmarkPackTransposed(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	active := activeKernel.Load()
+	defer activeKernel.Store(active)
+	loop := *active
+	loop.transpose8x8 = nil
+	for _, c := range []struct {
+		name    string
+		m, k, n int
+	}{
+		{"conv1-dyT", 25, 256, 8},
+		{"conv2-dyT", 200, 64, 16},
+		{"dense-fc1", 8, 256, 64},
+		{"lstm-Wx", 8, 16, 128},
+		{"lstm-Wh", 8, 32, 128},
+	} {
+		src := RandN(rng, c.n, c.k).Data
+		var p PackedB
+		for _, tier := range []struct {
+			name string
+			kern *gemmKernel
+		}{{"kernel", active}, {"loop", &loop}} {
+			b.Run(c.name+"/"+tier.name, func(b *testing.B) {
+				activeKernel.Store(tier.kern)
+				b.SetBytes(int64(4 * c.k * c.n))
+				for i := 0; i < b.N; i++ {
+					p.Pack(src, true, c.m, c.k, c.n)
+				}
+			})
+		}
+	}
+}
+
 // benchGEMMDirect times one small product of the pruned LSTM's train step
 // (batch 8, 24 hidden units) through gemm — the small-product kernels where
 // the active tier has them — and, as the "scalar" sub-benchmark, through the

@@ -45,29 +45,31 @@ loop:
 	STORE6x16
 	RET
 
-// func gemmKernel6x16fmaIndA(tile, x *float32, taps, pos *int, bp *float32, kb uint64)
+// func gemmKernel6x16fmaIndA(c *float32, ldcBytes uintptr, x *float32, taps, pos *int, bp *float32, kb, acc uint64)
 //
-// tile[0:6, 0:16] = A·Bᵖ with A read in place: A(r, p) is the float at
+// C[0:6, 0:16] (+)= A·Bᵖ with A read in place: A(r, p) is the float at
 // x + taps[r] + pos[p] — six kernel taps, each seen from output position p.
-// bp is a packed B panel as for gemmKernel6x16fma; tile is 6 rows of 16,
-// contiguous, overwritten.
+// bp is a packed B panel and c, ldcBytes and acc are as for
+// gemmKernel6x16fma: with acc set each chunk sum is added into C, the sum
+// first.
 //
 // This is the weight gradient with the roles swapped: the lowered product
 // broadcasts dy and streams the column matrix, here the column matrix is
-// broadcast and dy streams. So the FMA's multiplicands swap places too
-// (b·a + tile, where the others compute a·b + tile): the first multiplicand
-// is still dy's value, and when two NaNs meet x86 keeps the first.
+// broadcast and dy streams, and C is dWᵀ. So the FMA's multiplicands swap
+// places too (b·a + tile, where the others compute a·b + tile): the first
+// multiplicand is still dy's value, and when two NaNs meet x86 keeps the
+// first.
 //
 //	R8, R9, R10, R12, R13, BX  x + taps[0..5]
 //	R11                        pos, advancing
 //	AX                         the current position's offset
-TEXT ·gemmKernel6x16fmaIndA(SB), NOSPLIT, $0-48
-	MOVQ tile+0(FP), DX
-	MOVQ x+8(FP), SI
-	MOVQ taps+16(FP), AX
-	MOVQ pos+24(FP), R11
-	MOVQ bp+32(FP), DI
-	MOVQ kb+40(FP), CX
+TEXT ·gemmKernel6x16fmaIndA(SB), NOSPLIT, $0-64
+	MOVQ c+0(FP), DX
+	MOVQ x+16(FP), SI
+	MOVQ taps+24(FP), AX
+	MOVQ pos+32(FP), R11
+	MOVQ bp+40(FP), DI
+	MOVQ kb+48(FP), CX
 	MOVQ (AX), R8
 	LEAQ (SI)(R8*4), R8
 	MOVQ 8(AX), R9
@@ -116,8 +118,8 @@ loop:
 	DECQ CX
 	JNZ  loop
 
-	MOVQ $64, R8
-	XORQ AX, AX
+	MOVQ ldcBytes+8(FP), R8
+	MOVQ acc+56(FP), AX
 	STORE6x16
 	RET
 

@@ -27,6 +27,7 @@ func archKernels() []*gemmKernel {
 	if _, _, ecx1, _ := cpuid(1, 0); ecx1&(1<<23) != 0 { // POPCNT
 		avx2.nonzeroCount = nonzeroCountAVX
 	}
+	avx2.transpose8x8 = transpose8x8AVX
 	avx2.relu, avx2.reluGrad = reluAVX, reluGradAVX
 	avx2.maxPool2x2, avx2.maxPool2x2Grad = maxPool2x2AVX, maxPool2x2GradAVX
 	avx2.addBias, avx2.addBiasGrad = addBiasAVX, addBiasGradAVX
@@ -79,7 +80,7 @@ func gemmKernel6x16fma(c *float32, ldcBytes uintptr, ap, bp *float32, kb, acc ui
 func gemmKernel6x16fmaIndB(c *float32, ldcBytes uintptr, ap, x0, x1 *float32, taps *int, kb, acc uint64)
 
 //go:noescape
-func gemmKernel6x16fmaIndA(tile, x *float32, taps, pos *int, bp *float32, kb uint64)
+func gemmKernel6x16fmaIndA(c *float32, ldcBytes uintptr, x *float32, taps, pos *int, bp *float32, kb, acc uint64)
 
 //go:noescape
 func addRunsAVX(dst, src *float32, pos *int, runs uint64)
@@ -90,6 +91,13 @@ func addRunsAVX(dst, src *float32, pos *int, runs uint64)
 //
 //go:noescape
 func nonzeroCountAVX(xs *float32, n uintptr) uintptr
+
+// transpose8x8AVX moves blocks of eight depths of eight runs into eight
+// columns of a panel with register shuffles: packTransposed's whole blocks
+// (contract in transpose_amd64.s).
+//
+//go:noescape
+func transpose8x8AVX(dst *float32, ldBytes uintptr, r0, r1, r2, r3, r4, r5, r6, r7 *float32, blocks uintptr)
 
 // gemmDirectChainAVX and gemmDirectDotAVX are the small-product kernels
 // behind gemmDirect (contract in gemm_direct_amd64.s): the first stands in

@@ -25,9 +25,10 @@ import "fmt"
 // is still one fused multiply-add chain per kc-deep chunk, depth ascending
 // from +0, over the values the packed panels would have held — a padding tap
 // reads a real zero from the border, as it read Im2Col's — and the chunk sum
-// is stored or added once, chunks in order; and every element of dx receives
-// Col2Im's adds in Col2Im's order (see GradX). Lowering stays the definition
-// and serves whatever Plan declines.
+// is stored or added once, chunks in order (dW's in a transposed copy, see
+// AddGradW); and every element of dx receives Col2Im's adds in Col2Im's order
+// (see GradX). Lowering stays the definition and serves whatever Plan
+// declines.
 //
 // An IndirectConv is owned by one goroutine at a time.
 type IndirectConv struct {
@@ -43,8 +44,12 @@ type IndirectConv struct {
 	// dxpad is GradX's input gradient inside its border, panel one tile
 	// height of taps of the column gradient, [mr, outArea].
 	dxpad, panel []float32
-	// tile stages partial tiles of y, of the column gradient and every tile
-	// of dWᵀ.
+	// dwT is the weight gradient transposed, [roundUp(rows, mr)] rows of
+	// roundUp(OutC, nr), between BeginGradW and EndGradW. Its padding rows
+	// take the repeated taps' sums and its padding columns the zero-padded
+	// filters'; neither is copied out.
+	dwT []float32
+	// tile stages partial tiles of y and of the column gradient.
 	tile [mrMax * nrMax]float32
 }
 
@@ -69,8 +74,9 @@ func growInts(buf []int, n int) []int {
 // Plan reports whether the active tier serves convolution g indirectly and,
 // if so, lays ic out for it. The answer depends on the geometry and the tier
 // alone. Where it is false the caller lowers; where it is true Load, Mul and
-// AddGradW stand in for Im2Col and the two products that read the column
-// matrix, and GradX for the column gradient and Col2Im.
+// AddGradW (between BeginGradW and EndGradW) stand in for Im2Col and the two
+// products that read the column matrix, and GradX for the column gradient
+// and Col2Im.
 func (ic *IndirectConv) Plan(g ConvGeom) bool {
 	kern := activeKernel.Load()
 	if ic.kern == kern && ic.g == g {
@@ -90,6 +96,7 @@ func (ic *IndirectConv) Plan(g ConvGeom) bool {
 	ic.taps = growInts(ic.taps, roundUp(rows, kern.mr)) // grows once per geometry; steady state re-slices
 	ic.pos = growInts(ic.pos, outArea)                  // grows once per geometry; steady state re-slices
 	ic.filt = growInts(ic.filt, g.OutC)                 // grows once per geometry; steady state re-slices
+	ic.dwT = growF32(ic.dwT, dwTSize(kern, g))          // grows once per geometry; steady state re-slices
 	for f := range ic.filt {
 		ic.filt[f] = f * outArea
 	}
@@ -229,44 +236,74 @@ func (ic *IndirectConv) GradX(dx, dy []float32, wT *PackedA) {
 	}
 }
 
-// AddGradW adds dy·colsᵀ for the loaded sample to dw [OutC, rows]. dyT is the
-// sample's output gradient dy [OutC, outArea] packed transposed:
-// Pack(dy, true, rows, outArea, OutC).
+// dwTSize is the length of dWᵀ for g on kern: whole tiles in both directions.
+func dwTSize(kern *gemmKernel, g ConvGeom) int {
+	return roundUp(g.InC*g.KH*g.KW, kern.mr) * roundUp(g.OutC, kern.nr)
+}
+
+// BeginGradW copies dw [OutC, rows] transposed into the accumulator that
+// AddGradW adds each sample's product into; EndGradW copies it back. Both
+// are copies: a batch's dW comes out with the bits AddGradW's adds give it,
+// whatever the layout in between.
+func (ic *IndirectConv) BeginGradW(dw []float32) {
+	outC, rows, np := ic.gradWShape("BeginGradW", dw)
+	for p0 := 0; p0 < rows; p0 += kcGEMM {
+		// Depth runs of at most kc: the filter columns past OutC are
+		// zeros out of zeroRun.
+		packTransposed(ic.dwT[p0*np:], dw[p0:], rows, outC, min(kcGEMM, rows-p0), np)
+	}
+	// The padding rows restart from zero, so what they absorb never
+	// outgrows one batch.
+	clear(ic.dwT[rows*np:])
+}
+
+// EndGradW copies the accumulated gradient back into dw [OutC, rows].
+func (ic *IndirectConv) EndGradW(dw []float32) {
+	outC, rows, np := ic.gradWShape("EndGradW", dw)
+	packTransposed(dw, ic.dwT, np, rows, outC, rows)
+}
+
+// gradWShape checks dw against the plan and returns OutC, the row count and
+// dWᵀ's row stride.
+func (ic *IndirectConv) gradWShape(op string, dw []float32) (outC, rows, np int) {
+	g := ic.g
+	outC, rows = g.OutC, g.InC*g.KH*g.KW
+	if !ic.serves || len(dw) != outC*rows {
+		panic(fmt.Sprintf("tensor: IndirectConv.%s gradient length %d, want %d×%d on a tier Plan accepted", op, len(dw), outC, rows))
+	}
+	return outC, rows, roundUp(outC, ic.kern.nr)
+}
+
+// AddGradW adds dy·colsᵀ for the loaded sample to the weight gradient
+// BeginGradW opened. dyT is the sample's output gradient dy [OutC, outArea]
+// packed transposed: Pack(dy, true, rows, outArea, OutC).
 //
 // The lowered product broadcasts dy and streams colsᵀ in 16-tap panels; a
 // step of those is 16 strided floats here. So the roles swap: each tile is 6
 // taps × 16 filters of dWᵀ, the taps broadcast from the sample and dyᵀ
-// streamed from its panels, and a finished tile is added transposed into dw.
+// streamed from its panels, and the kernel adds the tile into dWᵀ in place.
 // Per element nothing changed: the chain runs over the same positions in the
 // same chunks, dy's value is still the FMA's first multiplicand (see
 // gemmKernel6x16fmaIndA), and the chunk sum is the first operand of the one
-// add, as in the kernels' accumulate step and in mergeTile.
-func (ic *IndirectConv) AddGradW(dw []float32, dyT *PackedB) {
+// add, as in the kernels' accumulate step and in mergeTile; each element
+// receives its chunk sums in sample order, then chunk order, as the lowered
+// GEMMPacked(dw, …, true) per sample adds them.
+func (ic *IndirectConv) AddGradW(dyT *PackedB) {
 	g, kern := ic.g, ic.kern
 	outC, rows, outArea := g.OutC, g.InC*g.KH*g.KW, g.OutH()*g.OutW()
 	if !ic.serves || dyT.kern != kern || dyT.m != rows || dyT.k != outArea || dyT.n != outC {
 		panic(fmt.Sprintf("tensor: IndirectConv.AddGradW gradient packed for [%d %d %d], want [%d %d %d] on a tier Plan accepted", dyT.m, dyT.k, dyT.n, rows, outArea, outC))
 	}
-	if len(dw) != outC*rows {
-		panic(fmt.Sprintf("tensor: IndirectConv.AddGradW output length %d, want %d×%d", len(dw), outC, rows))
-	}
 	mr, nr := kern.mr, kern.nr
 	np := roundUp(outC, nr)
 	_ = ic.xpad[ic.taps[rows-1]+ic.pos[outArea-1]] // as in Mul
+	_ = ic.dwT[roundUp(rows, mr)*np-1]             // the last tile's last float
 	for pc := 0; pc < outArea; pc += kcGEMM {
 		kb := min(kcGEMM, outArea-pc)
 		for f0 := 0; f0 < outC; f0 += nr {
 			bpan := &dyT.buf[pc*np+(f0/nr)*kb*nr]
-			nf := min(nr, outC-f0)
 			for t0 := 0; t0 < rows; t0 += mr {
-				kern.indirectA(&ic.tile[0], &ic.xpad[0], &ic.taps[t0], &ic.pos[pc], bpan, uint64(kb))
-				nt := min(mr, rows-t0)
-				for f := 0; f < nf; f++ {
-					row := dw[(f0+f)*rows+t0:][:nt]
-					for t := range row {
-						row[t] = ic.tile[t*nr+f] + row[t]
-					}
-				}
+				kern.indirectA(&ic.dwT[t0*np+f0], uintptr(np*4), &ic.xpad[0], &ic.taps[t0], &ic.pos[pc], bpan, uint64(kb), 1)
 			}
 		}
 	}

@@ -93,10 +93,11 @@ func checkGuards(t *testing.T, what string, arena []float32) {
 // ow + 7 = OutW − 1 — the last float of the padded sample, no slack — and the
 // nearest is its first; GradX's furthest add into the padded gradient is the
 // same float, and its product reads dy from the first filter's first position
-// to the last filter's last. The sample, the padded gradient and dy each sit
+// to the last filter's last; AddGradW's furthest store is the last float of
+// dWᵀ's last padding row. The sample, the padded gradient, dWᵀ and dy each sit
 // between two guards, capacity cut to length, so a load a float either side
-// would poison a result and an add would mark a guard; results must equal the
-// lowered products bit for bit. Row and filter counts off the tile sizes
+// would poison a result and an add or a store would mark a guard; results must
+// equal the lowered products bit for bit. Row and filter counts off the tile sizes
 // exercise the repeated taps and zero-padded panels at the edges, and 260
 // filters a dx product deeper than kc.
 func TestIndirectReadsStayInsideSample(t *testing.T) {
@@ -125,10 +126,11 @@ func TestIndirectReadsStayInsideSample(t *testing.T) {
 				t.Fatalf("%s declines %+v", kern.name, g)
 			}
 			size := len(ic.xpad)
-			var xArena, dxArena []float32
+			var xArena, dxArena, dwArena []float32
 			ic.xpad, xArena = guarded(size)
 			clear(ic.xpad)
 			ic.dxpad, dxArena = guarded(size)
+			ic.dwT, dwArena = guarded(dwTSize(kern, g))
 			ic.Load(x)
 
 			var wA PackedA
@@ -137,7 +139,9 @@ func TestIndirectReadsStayInsideSample(t *testing.T) {
 			dyT.Pack(dy, true, rows, outArea, g.OutC)
 			gotY, gotDW, gotDX := make([]float32, g.OutC*outArea), append([]float32(nil), seed...), make([]float32, len(x))
 			ic.Mul(gotY, &wA)
-			ic.AddGradW(gotDW, &dyT)
+			ic.BeginGradW(gotDW)
+			ic.AddGradW(&dyT)
+			ic.EndGradW(gotDW)
 			wA.Pack(w, true, rows, g.OutC, outArea)
 			ic.GradX(gotDX, dy, &wA)
 			for _, r := range []struct {
@@ -151,7 +155,74 @@ func TestIndirectReadsStayInsideSample(t *testing.T) {
 			what := fmt.Sprintf("%s %+v", kern.name, g)
 			checkGuards(t, what+" sample", xArena)
 			checkGuards(t, what+" padded gradient", dxArena)
+			checkGuards(t, what+" dWᵀ", dwArena)
 			checkGuards(t, what+" dy", dyArena)
+		}
+	})
+}
+
+// TestIndirectGradWBatchMatchesLowered: a whole batch of AddGradW between
+// BeginGradW and EndGradW, into a dW that already holds a gradient, equals
+// the lowered GEMMPacked(dw, dy_i, cols_iᵀ, true) of each sample in turn bit
+// for bit. The geometries put partial tiles on both sides of dWᵀ — row counts
+// off multiples of six, filter counts 1, 7, 8, 9 and 15 past a multiple of
+// sixteen — and one 24×24 map makes each sample's sum three kc-deep chunks,
+// which only this test holds to the lowered chunk order. A few hostile values
+// (ewSpecials: NaN payloads, signalling ones among them, ±Inf, −0) go into
+// x, dy and the prior dW, so that which operand of an FMA or an add a NaN sat
+// in shows in the result.
+func TestIndirectGradWBatchMatchesLowered(t *testing.T) {
+	indirectTiers(t, func(kern *gemmKernel) {
+		rng := rand.New(rand.NewSource(53))
+		sow := func(v []float32, count int) {
+			for ; count > 0; count-- {
+				v[rng.Intn(len(v))] = ewSpecials[rng.Intn(len(ewSpecials))]
+			}
+		}
+		for _, g := range []ConvGeom{
+			{InC: 7, InH: 16, InW: 16, OutC: 1, KH: 5, KW: 5, Stride: 1, Pad: 2},
+			{InC: 5, InH: 16, InW: 16, OutC: 7, KH: 3, KW: 3, Stride: 1, Pad: 1},
+			{InC: 8, InH: 8, InW: 8, OutC: 24, KH: 5, KW: 5, Stride: 1, Pad: 2},
+			{InC: 5, InH: 8, InW: 16, OutC: 25, KH: 3, KW: 3, Stride: 1, Pad: 1},
+			{InC: 20, InH: 8, InW: 8, OutC: 31, KH: 1, KW: 1, Stride: 1, Pad: 0},
+			{InC: 7, InH: 10, InW: 10, OutC: 9, KH: 3, KW: 3, Stride: 1, Pad: 0},
+			{InC: 2, InH: 24, InW: 24, OutC: 15, KH: 5, KW: 5, Stride: 1, Pad: 2},
+		} {
+			const batch = 3
+			rows, outArea, inSize := g.InC*g.KH*g.KW, g.OutH()*g.OutW(), g.InC*g.InH*g.InW
+			if rows%kern.mr == 0 && g.OutC%kern.nr == 0 {
+				t.Fatalf("%+v has no partial tile", g)
+			}
+			xs := RandN(rng, batch, inSize).Data
+			dys := RandN(rng, batch, g.OutC*outArea).Data
+			prior := RandN(rng, g.OutC*rows).Data
+			sow(xs, 2)
+			sow(dys, 2)
+			sow(prior, 3)
+			w := RandN(rng, g.OutC, rows).Data
+			want := append([]float32(nil), prior...)
+			y, dx := make([]float32, g.OutC*outArea), make([]float32, inSize)
+			for i := 0; i < batch; i++ {
+				loweredProducts(g, xs[i*inSize:(i+1)*inSize], w, dys[i*g.OutC*outArea:(i+1)*g.OutC*outArea], y, want, dx)
+			}
+
+			var ic IndirectConv
+			if !ic.Plan(g) {
+				t.Fatalf("%s declines %+v", kern.name, g)
+			}
+			var dyT PackedB
+			got := append([]float32(nil), prior...)
+			ic.BeginGradW(got)
+			for i := 0; i < batch; i++ {
+				ic.Load(xs[i*inSize : (i+1)*inSize])
+				dyT.Pack(dys[i*g.OutC*outArea:(i+1)*g.OutC*outArea], true, rows, outArea, g.OutC)
+				ic.AddGradW(&dyT)
+			}
+			ic.EndGradW(got)
+			if i := oracleDiff(got, want); i >= 0 {
+				t.Errorf("%s %+v: dW[%d] = %v (%#08x), lowered %v (%#08x)", kern.name, g, i,
+					got[i], math.Float32bits(got[i]), want[i], math.Float32bits(want[i]))
+			}
 		}
 	})
 }
@@ -185,7 +256,9 @@ func TestIndirectRefusesOtherOperands(t *testing.T) {
 		wA.Pack(make([]float32, g.OutC*rows), false, g.OutC, rows, outArea)
 		mustPanic("Mul into a short output", func() { ic.Mul(make([]float32, g.OutC*outArea-1), &wA) })
 		dyT.Pack(make([]float32, g.OutC*outArea), false, rows, g.OutC, outArea)
-		mustPanic("AddGradW with dy packed for dcols", func() { ic.AddGradW(make([]float32, g.OutC*rows), &dyT) })
+		mustPanic("AddGradW with dy packed for dcols", func() { ic.AddGradW(&dyT) })
+		mustPanic("BeginGradW from a short dW", func() { ic.BeginGradW(make([]float32, g.OutC*rows-1)) })
+		mustPanic("EndGradW into a long dW", func() { ic.EndGradW(make([]float32, g.OutC*rows+1)) })
 		mustPanic("Load of a short sample", func() { ic.Load(make([]float32, 3)) })
 		wT.Pack(make([]float32, (g.OutC+1)*rows), true, rows, g.OutC+1, outArea)
 		mustPanic("GradX with Wᵀ of another width", func() { ic.GradX(make([]float32, inSize), dy, &wT) })
@@ -204,14 +277,15 @@ func TestIndirectRefusesOtherOperands(t *testing.T) {
 		}
 		mustPanic("Mul after Plan declined", func() { ic.Mul(make([]float32, g.OutC*outArea), &wA) })
 		mustPanic("GradX after Plan declined", func() { ic.GradX(make([]float32, inSize), dy, &wT) })
+		mustPanic("BeginGradW after Plan declined", func() { ic.BeginGradW(make([]float32, g.OutC*rows)) })
 	})
 }
 
 // TestPackedOperandsAllocateOnce: Pack grows a panel buffer once per geometry
 // and re-slices it afterwards, on both sides of smallGEMMFLOPs and in both
 // storage forms; so do IndirectConv's padded sample and gradient, its column
-// gradient panel and its three offset tables, and none of the products
-// allocates.
+// gradient panel, its dWᵀ and its three offset tables, and none of the
+// products or the copies into and out of dWᵀ allocates.
 func TestPackedOperandsAllocateOnce(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -262,7 +336,9 @@ func TestPackedOperandsAllocateOnce(t *testing.T) {
 		pa.Pack(w, false, g.OutC, rows, outArea)
 		ic.Mul(y, &pa)
 		pb.Pack(dy, true, rows, outArea, g.OutC)
-		ic.AddGradW(dw, &pb)
+		ic.BeginGradW(dw)
+		ic.AddGradW(&pb)
+		ic.EndGradW(dw)
 		pa.Pack(w, true, rows, g.OutC, outArea)
 		ic.GradX(dx, dy, &pa)
 	})

@@ -50,6 +50,11 @@ import (
 // avx2 tier runs kernels that repeat each loop's operations per lane, unfused
 // and in its order.
 //
+// So is packTransposed (gemm.go), which fills every panel of an operand
+// stored along its depth — the conv weight gradient's dy_iᵀ and its dWᵀ
+// copies among them: a Go loop on generic and sse, an 8×8 register transpose
+// per whole block on avx2. It is a copy, so the same bits land either way.
+//
 // What differs per tier, then, is speed and nothing else: on one machine
 // every tier gives every result the same bits.
 
@@ -75,17 +80,22 @@ type gemmKernel struct {
 	// indirectB and indirectA, when non-nil, are asm with one operand read
 	// in place from a padded convolution input (indirect.go): B's rows for
 	// the forward product and the input gradient's, A's for the weight
-	// gradient; addRuns adds the input gradient's column rows into its padded
-	// copy. They need nr = 16. A tier without them lowers the convolution to a
-	// column matrix; same bits either way.
+	// gradient, which accumulates transposed; addRuns adds the input
+	// gradient's column rows into its padded copy. They need nr = 16. A tier
+	// without them lowers the convolution to a column matrix; same bits
+	// either way.
 	indirectB func(c *float32, ldcBytes uintptr, ap, x0, x1 *float32, taps *int, kb, acc uint64)
-	indirectA func(tile, x *float32, taps, pos *int, bp *float32, kb uint64)
+	indirectA func(c *float32, ldcBytes uintptr, x *float32, taps, pos *int, bp *float32, kb, acc uint64)
 	addRuns   func(dst, src *float32, pos *int, runs uint64)
 	// nonzeroCount, when non-nil, counts the words of xs[0:n] (n a multiple
 	// of eight) that are not all-zero bits — NonzeroCount's whole blocks; a
 	// tier without it runs the Go loop over every element. Same count either
 	// way.
 	nonzeroCount func(xs *float32, n uintptr) uintptr
+	// transpose8x8, when non-nil, moves blocks of eight depths of eight runs
+	// into eight columns of a panel — packTransposed's whole blocks; a tier
+	// without it runs the Go loop over every depth. A copy either way.
+	transpose8x8 func(dst *float32, ldBytes uintptr, r0, r1, r2, r3, r4, r5, r6, r7 *float32, blocks uintptr)
 	// expInto, sigmoidInto and tanhInto, when non-nil, are the kernels of
 	// ExpInto, SigmoidInto and TanhInto (act.go); a tier without them runs
 	// the scalar loops over math.Exp and math.Tanh. A tier only has them

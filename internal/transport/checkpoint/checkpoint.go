@@ -111,6 +111,25 @@ type slot interface {
 	Close() error
 }
 
+// file is what this package asks of a file it opened: a slot's calls, and
+// Read for the legacy files Recover reads whole. *os.File is one.
+type file interface {
+	slot
+	io.Reader
+}
+
+// opened is the fault seam under Open and Recover: every file this package
+// opens — both slots, the directory for its fsync, each legacy file — passes
+// through it on the way in, with its open's error. Here it hands the file on;
+// a test's version fails the open instead, or hands on a file whose Sync,
+// Close or Read fails, so that each step can be made to fail in turn.
+var opened = func(f *os.File, err error) (file, error) {
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // Manager owns one checkpoint directory. It is not safe for concurrent use;
 // the parameter server drives it from its single round loop.
 type Manager struct {
@@ -142,7 +161,7 @@ func Open(dir string) (*Manager, error) {
 		// The slots are the only files this package writes, each in place:
 		// a torn write of one leaves the previous round in the other (an
 		// allowlist row of internal/lint's atomicwrite rule).
-		f, err := os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_RDWR, 0o644)
+		f, err := opened(os.OpenFile(filepath.Join(dir, name), os.O_CREATE|os.O_RDWR, 0o644))
 		if err != nil {
 			return nil, errors.Join(fmt.Errorf("checkpoint: %w", err), m.Close())
 		}
@@ -190,7 +209,7 @@ func (m *Manager) Recover() (*codec.Snapshot, RecoveryInfo, error) {
 				b = m.rec
 				_, err = m.slots[i].ReadAt(b, 0)
 			}
-		} else if b, err = os.ReadFile(filepath.Join(m.dir, name)); errors.Is(err, os.ErrNotExist) {
+		} else if b, err = readFile(filepath.Join(m.dir, name)); errors.Is(err, os.ErrNotExist) {
 			continue
 		}
 		if err != nil {
@@ -207,6 +226,16 @@ func (m *Manager) Recover() (*codec.Snapshot, RecoveryInfo, error) {
 		}
 	}
 	return best, info, nil
+}
+
+// readFile is os.ReadFile through opened.
+func readFile(name string) ([]byte, error) {
+	f, err := opened(os.Open(name))
+	if err != nil {
+		return nil, err
+	}
+	b, err := io.ReadAll(f)
+	return b, errors.Join(err, f.Close())
 }
 
 // AppendRound durably records the state at the close of one round: its
@@ -236,7 +265,7 @@ func (m *Manager) WriteSnapshot(s *codec.Snapshot) error { return m.AppendRound(
 // durability bug on the filesystems we run tests on, so only real write
 // errors surface.
 func syncDir(dir string) error {
-	d, err := os.Open(dir)
+	d, err := opened(os.Open(dir))
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}

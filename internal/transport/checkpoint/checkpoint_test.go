@@ -513,7 +513,7 @@ func TestAppendRoundReportsWALWriteError(t *testing.T) {
 }
 
 // TestRecoverSurfacesUnreadableWAL: a checkpoint file that cannot be read —
-// a slot whose handle fails, or a legacy log that is a directory — fails
+// a slot whose handle fails, or a legacy log whose read fails — fails
 // Recover instead of reading as a fresh start, which would rerun a schedule
 // whose rounds are already durable.
 func TestRecoverSurfacesUnreadableWAL(t *testing.T) {
@@ -536,21 +536,23 @@ func TestRecoverSurfacesUnreadableWAL(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	if err := os.Mkdir(filepath.Join(dir, "wal.log"), 0o755); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "wal.log"), []byte("torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	m, err = Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := m.Close(); err != nil {
+	withSeam(dir, []string{"read wal.log"}, func() {
+		m, err = Open(dir)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}()
-	if s, _, err := m.Recover(); err == nil {
-		t.Fatalf("recovered %+v from a log that cannot be read", s)
-	}
+		defer func() {
+			if err := m.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}()
+		if s, _, err := m.Recover(); err == nil {
+			t.Fatalf("recovered %+v from a log that cannot be read", s)
+		}
+	})
 }
 
 func TestOpenRejectsEmptyDir(t *testing.T) {
