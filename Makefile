@@ -73,7 +73,7 @@ race:
 # lives now"), so none of them stops compiling or starts failing unnoticed.
 # It measures nothing; `bash benchmark/run.sh` does.
 bench-smoke:
-	go test -run '^$$' -benchtime 1x -bench 'GEMM|PackTransposed|MatVec|Im2Col|Col2Im|Conv|SGDStep|ReLU|MaxPool2x2|Elementwise|TrainStep|WorkerStep|WarmRound|ServerPhases|PushPop|PopulationDevice|AgentSelect|StructureScores|WriteFrame|ReadFrame' ./internal/tensor ./internal/nn ./internal/core ./internal/simsched ./internal/cluster ./internal/bandit ./internal/prune ./internal/transport/codec .
+	go test -run '^$$' -benchtime 1x -bench 'GEMM|PackTransposed|MatVec|Im2Col|Col2Im|Conv|SGDStep|ReLU|MaxPool2x2|Elementwise|SigmoidInto|TanhInto|ExpInto|SoftmaxCE|LSTMLayer|TrainStep|WorkerStep|WarmRound|ServerPhases|PushPop|PopulationDevice|AgentSelect|StructureScores|WriteFrame|ReadFrame' ./internal/tensor ./internal/nn ./internal/core ./internal/simsched ./internal/cluster ./internal/bandit ./internal/prune ./internal/transport/codec .
 
 # test-kernels runs the tensor and nn suites once per micro-kernel tier (the
 # layers' differential tests against the pre-rebuild code are bitwise, so
@@ -83,7 +83,10 @@ bench-smoke:
 # host lacks falls back to the best available one (the tier-specific tests
 # check KernelName and skip themselves), so the same loop passes on every
 # machine. -count=1 because the variable is read in a package init, before
-# the test cache starts tracking the environment.
+# the test cache starts tracking the environment. The last line builds both
+# suites for GOAMD64=v3, where the compiler fuses a multiply and an add it
+# may: the Go loops the element-wise kernels repeat round every product
+# explicitly, so they must still give the kernels' bits there.
 test-kernels:
 	FEDMP_KERNEL=generic go test -count=1 ./internal/tensor ./internal/nn
 	FEDMP_KERNEL=generic GOMAXPROCS=1 go test -count=1 -run TestRunGridGolden ./internal/core
@@ -94,6 +97,7 @@ test-kernels:
 	FEDMP_KERNEL=avx2 go test -count=1 ./internal/tensor ./internal/nn
 	FEDMP_KERNEL=avx2 GOMAXPROCS=1 go test -count=1 -run TestRunGridGolden ./internal/core
 	FEDMP_KERNEL=avx2 GOMAXPROCS=2 go test -count=1 -run TestRunGridGolden ./internal/core
+	GOAMD64=v3 go test -count=1 ./internal/tensor ./internal/nn
 
 # test-exhaustive puts all 2^32 float32 inputs through SigmoidInto and TanhInto
 # and demands the bits of the scalar loops over math.Exp and math.Tanh (tier-1

@@ -91,10 +91,7 @@ func (o *Output) Receive(r *codec.Result) error {
 			return fmt.Errorf("delta tensor %d is %v (%d elements), assignment has %v (%d)",
 				i, delta[i].Shape, len(delta[i].Data), base[i].Shape, len(base[i].Data))
 		}
-		dst, src := delta[i].Data, base[i].Data
-		for j := range dst {
-			dst[j] += src[j]
-		}
+		tensor.AddTo(delta[i].Data, base[i].Data)
 	}
 	o.NewWeights = delta
 	return nil
@@ -138,10 +135,7 @@ func (u *Upload) build(trained []*nn.Param, assigned []*tensor.Tensor, uploadK f
 	for i, p := range trained {
 		d := tensor.EnsureCap(delta[i], cap(assigned[i].Data), p.W.Shape...)
 		delta[i] = d
-		w, a := p.W.Data, assigned[i].Data[:len(d.Data)]
-		for j := range d.Data {
-			d.Data[j] = w[j] - a[j]
-		}
+		tensor.SubInto(d.Data, p.W.Data, assigned[i].Data)
 		if uploadK > 0 && feedback != nil {
 			d.Add(feedback[i])
 		}

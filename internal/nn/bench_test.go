@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -153,4 +154,26 @@ func BenchmarkSoftmaxCE(b *testing.B) {
 			head.Loss(logits, labels)
 		}
 	})
+}
+
+// BenchmarkLSTMLayer is one forward and one backward pass of the language
+// model's second LSTM over a batch of 8 sequences of 12 steps, at the full
+// width h = 32 and at h = 19, a width pruning leaves (the gate passes then
+// end in a tail of three); FEDMP_KERNEL=generic times the Go loops.
+func BenchmarkLSTMLayer(b *testing.B) {
+	for _, h := range []int{32, 19} {
+		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(8))
+			l := NewLSTM("l", h, h, rng)
+			x, dout := tensor.RandN(rng, 8, 12, h), tensor.RandN(rng, 8, 12, h)
+			l.Forward(x)
+			l.Backward(dout)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				l.Forward(x)
+				l.Backward(dout)
+			}
+		})
+	}
 }

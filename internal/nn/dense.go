@@ -77,10 +77,7 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		tensor.MatMulTBInto(y, x, d.W.W, false) // gemm's one dispatch closure per parallel call
 	}
 	for i := 0; i < n; i++ {
-		row := y.Data[i*d.Out : (i+1)*d.Out]
-		for j, bv := range d.B.W.Data {
-			row[j] += bv
-		}
+		tensor.AddTo(y.Data[i*d.Out:(i+1)*d.Out], d.B.W.Data)
 	}
 	return y
 }
@@ -99,11 +96,6 @@ func (d *Dense) Backward(dy *tensor.Tensor) *tensor.Tensor {
 func (d *Dense) BackwardParams(dy *tensor.Tensor) {
 	// dW[out,in] += dyᵀ[out,N]·x[N,in]
 	tensor.MatMulTAInto(d.W.Grad, dy, d.x, true) // gemm's one dispatch closure per parallel call
-	// db += column sums of dy.
-	for i := 0; i < dy.Shape[0]; i++ {
-		row := dy.Data[i*d.Out : (i+1)*d.Out]
-		for j, v := range row {
-			d.B.Grad.Data[j] += v
-		}
-	}
+	// db += column sums of dy, rows ascending.
+	tensor.AddRowSums(d.B.Grad.Data[:d.Out], dy.Data[:dy.Shape[0]*d.Out])
 }

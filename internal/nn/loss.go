@@ -34,7 +34,8 @@ func (s *SoftmaxCE) LossAndGrad(logits *tensor.Tensor, labels []int) (loss float
 
 // softmaxCE is the head's one pass. Each row's exp(logit − max) goes through
 // one tensor.ExpInto sweep into the head's scratch row; the sum and, when
-// grad is non-nil, the gradient read them from there.
+// grad is non-nil, the gradient read them from there. The maximum is the
+// element tensor.ArgMax picks, the first of the strict > scan from row[0].
 func (s *SoftmaxCE) softmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.Tensor) (float64, int, *tensor.Tensor) {
 	if len(logits.Shape) != 2 {
 		panic(fmt.Sprintf("nn: softmax expects [N K] logits, got %v", logits.Shape))
@@ -55,20 +56,16 @@ func (s *SoftmaxCE) softmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.
 		if label < 0 || label >= k {
 			panic(fmt.Sprintf("nn: label %d out of range [0,%d)", label, k))
 		}
-		if tensor.ArgMax(row) == label {
+		// Numerically stable log-softmax around the row's maximum, whose
+		// first index is the prediction.
+		pred := tensor.ArgMax(row)
+		if pred == label {
 			correct++
 		}
-		// Numerically stable log-softmax.
-		maxv := row[0]
-		for _, v := range row[1:] {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		for j, v := range row {
-			exps[j] = float64(v - maxv)
-		}
+		maxv := row[pred]
+		tensor.SubWiden(exps, row, maxv)
 		tensor.ExpInto(exps, exps)
+		// One add per element in index order: a tree would move the bits.
 		var sumExp float64
 		for _, e := range exps {
 			sumExp += e
@@ -76,14 +73,11 @@ func (s *SoftmaxCE) softmaxCE(logits *tensor.Tensor, labels []int, grad *tensor.
 		logSum := math.Log(sumExp)
 		totalLoss += logSum - float64(row[label]-maxv)
 		if wantGrad {
+			// softmax − onehot(label), divided by n; the label's −1 is
+			// applied to its rounded probability.
 			g := grad.Data[i*k : (i+1)*k]
-			for j, e := range exps {
-				p := float32(e / sumExp)
-				if j == label {
-					p -= 1
-				}
-				g[j] = p * invN
-			}
+			tensor.DivNarrowScale(g, exps, sumExp, invN)
+			g[label] = (float32(exps[label]/sumExp) - 1) * invN
 		}
 	}
 	return totalLoss / float64(n), correct, grad

@@ -174,14 +174,6 @@ func (l *LSTM) StepFLOPs() float64 {
 	return 2 * float64(4*l.H) * float64(l.D+l.H)
 }
 
-// gateRows splits one [4H] row of gate values into its i, f, g and o
-// quarters, each exactly H long so loops over one index them all without
-// bounds checks.
-func gateRows(row []float32, h int) (i, f, g, o []float32) {
-	row = row[:4*h]
-	return row[:h], row[h:][:h], row[2*h:][:h], row[3*h:][:h]
-}
-
 // resizeSteps re-creates the per-timestep state for sequences of t steps.
 func (l *LSTM) resizeSteps(t int) {
 	l.gates = make([]*tensor.Tensor, t)
@@ -241,30 +233,15 @@ func (l *LSTM) Forward(x *tensor.Tensor) *tensor.Tensor {
 		// batch in one sweep, and the hidden state.
 		for i := 0; i < n; i++ {
 			zr := z.Data[i*4*h:][:len(bias)]
-			for k, b := range bias {
-				zr[k] += b
-			}
+			tensor.AddTo(zr, bias)
 			tensor.SigmoidInto(zr[:2*h], zr[:2*h])
 			tensor.TanhInto(zr[2*h:3*h], zr[2*h:3*h])
 			tensor.SigmoidInto(zr[3*h:], zr[3*h:])
-			zi, zf, zg, _ := gateRows(zr, h)
-			cr := c.Data[i*h:][:len(zi)]
-			cp := cPrev.Data[i*h:][:len(zi)]
-			for k := range zi {
-				cr[k] = zf[k]*cp[k] + zi[k]*zg[k]
-			}
+			tensor.LSTMCell(c.Data[i*h:][:h], zr[h:2*h], cPrev.Data[i*h:], zr[:h], zr[2*h:3*h])
 		}
 		tensor.TanhInto(tc.Data, c.Data)
 		for i := 0; i < n; i++ {
-			zo := z.Data[i*4*h+3*h:][:h]
-			hr := hid.Data[i*h:][:len(zo)]
-			tr := tc.Data[i*h:][:len(zo)]
-			or := out.Data[(i*t+step)*h:][:len(zo)]
-			for k, og := range zo {
-				hv := og * tr[k]
-				hr[k] = hv
-				or[k] = hv
-			}
+			tensor.LSTMHidden(hid.Data[i*h:][:h], out.Data[(i*t+step)*h:], z.Data[i*4*h+3*h:], tc.Data[i*h:])
 		}
 		hPrev, cPrev = hid, c
 	}
@@ -295,7 +272,7 @@ func (l *LSTM) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	defer putLSTMPacks(pk)
 	pk.wx.Pack(l.Wx.W.Data, false, n, 4*h, d)
 	pk.wh.Pack(l.Wh.W.Data, false, n, 4*h, h)
-	dbi, dbf, dbg, dbo := gateRows(l.B.Grad.Data, h)
+	db := l.B.Grad.Data[:4*h]
 	for step := t - 1; step >= 0; step-- {
 		gates := l.gates[step]
 		tc := l.tanhCells[step]
@@ -306,30 +283,8 @@ func (l *LSTM) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		// dh = dOut_t + dhNext, the gate pre-activation gradients dz and
 		// the bias gradient (column sums of dz, rows ascending) in one pass.
 		for i := 0; i < n; i++ {
-			zi, zf, zg, zo := gateRows(gates.Data[i*4*h:], h)
-			dzi, dzf, dzg, dzo := gateRows(dz.Data[i*4*h:], h)
-			dor := dout.Data[(i*t+step)*h:][:len(zi)]
-			dhn := dhNext.Data[i*h:][:len(zi)]
-			dcn := dcNext.Data[i*h:][:len(zi)]
-			tr := tc.Data[i*h:][:len(zi)]
-			cp := cPrev.Data[i*h:][:len(zi)]
-			dcp := dcPrev.Data[i*h:][:len(zi)]
-			for k := range zi {
-				ig, fg, gg, og := zi[k], zf[k], zg[k], zo[k]
-				tv := tr[k]
-				dhv := dor[k] + dhn[k]
-				dc := dcn[k] + dhv*og*(1-tv*tv)
-				di := dc * gg * ig * (1 - ig)    // input gate (pre-sigmoid)
-				df := dc * cp[k] * fg * (1 - fg) // forget gate
-				dg := dc * ig * (1 - gg*gg)      // candidate (pre-tanh)
-				do := dhv * tv * og * (1 - og)   // output gate
-				dzi[k], dzf[k], dzg[k], dzo[k] = di, df, dg, do
-				dbi[k] += di
-				dbf[k] += df
-				dbg[k] += dg
-				dbo[k] += do
-				dcp[k] = dc * fg
-			}
+			tensor.LSTMGateGrads(dz.Data[i*4*h:], db, gates.Data[i*4*h:], dout.Data[(i*t+step)*h:][:h],
+				dhNext.Data[i*h:], dcNext.Data[i*h:], tc.Data[i*h:], cPrev.Data[i*h:], dcPrev.Data[i*h:])
 		}
 		// dWx += dzᵀ·x_t and dWh += dzᵀ·hPrev.
 		pk.actA.Pack(dz.Data, true, 4*h, n, d)

@@ -16,7 +16,7 @@ import (
 // quantization kernels the round engine runs per participant or per tensor,
 // which must not allocate (testfd.AllocTable runs it).
 var allocTable = []testfd.AllocRow{
-	{Fns: []any{accumulate, addInto}, Setup: func() func() {
+	{Fns: []any{accumulate, tensor.AddTo}, Setup: func() func() {
 		// A [6, 7, 4] tensor with kept and pruned rows, and kept columns in
 		// runs with gaps between them; whole, then a block from a kept row
 		// on, then every row kept.

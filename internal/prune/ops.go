@@ -202,12 +202,12 @@ func accumulate(acc, sub, base []float32, cols, per int, keptRows, keptCols []in
 	for r := lo; r < hi; r++ {
 		if keptRows != nil && (ri == len(keptRows) || keptRows[ri] != r) {
 			if base != nil {
-				addInto(acc[r*width:(r+1)*width], base[r*width:(r+1)*width])
+				tensor.AddTo(acc[r*width:(r+1)*width], base[r*width:(r+1)*width])
 			}
 			continue
 		}
 		if keptCols == nil {
-			addInto(acc[r*width:(r+1)*width], sub[ri*subWidth:(ri+1)*subWidth])
+			tensor.AddTo(acc[r*width:(r+1)*width], sub[ri*subWidth:(ri+1)*subWidth])
 		}
 		ri++
 	}
@@ -225,7 +225,7 @@ func accumulate(acc, sub, base []float32, cols, per int, keptRows, keptCols []in
 				if keptRows != nil {
 					r = keptRows[k]
 				}
-				addInto(acc[r*width+c*per:r*width+(c+run)*per], sub[k*subWidth+ci*per:k*subWidth+(ci+run)*per])
+				tensor.AddTo(acc[r*width+c*per:r*width+(c+run)*per], sub[k*subWidth+ci*per:k*subWidth+(ci+run)*per])
 			}
 			c, ci = c+run, ci+run
 			continue
@@ -239,17 +239,9 @@ func accumulate(acc, sub, base []float32, cols, per int, keptRows, keptCols []in
 			if keptRows != nil {
 				r = keptRows[k]
 			}
-			addInto(acc[r*width+c*per:r*width+end*per], base[r*width+c*per:r*width+end*per])
+			tensor.AddTo(acc[r*width+c*per:r*width+end*per], base[r*width+c*per:r*width+end*per])
 		}
 		c = end
-	}
-}
-
-// addInto adds src to dst element by element.
-func addInto(dst, src []float32) {
-	src = src[:len(dst)]
-	for i := range dst {
-		dst[i] += src[i]
 	}
 }
 

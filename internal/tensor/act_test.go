@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -381,6 +382,23 @@ func TestActLengthMismatchPanics(t *testing.T) {
 // detection switched off, which sends math.Exp down its unfused path.
 func fmaOff() bool { return strings.Contains(os.Getenv("GODEBUG"), "cpu.fma=off") }
 
+// fmaCompiledIn reports whether this binary was built for GOAMD64=v3 or
+// above. There FMA is part of the instruction set the code assumes: math.Exp
+// is compiled fused, the runtime knows no cpu.fma option to switch off, and
+// GODEBUG=cpu.fma=off changes nothing.
+func fmaCompiledIn() bool {
+	info, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range info.Settings {
+		if s.Key == "GOAMD64" {
+			return s.Value >= "v3"
+		}
+	}
+	return false
+}
+
 // TestActKernelsFollowTheTier pins which tiers have the kernels: none on
 // generic (FEDMP_KERNEL=generic is the scalar loops, so a whole run under it
 // is the oracle of the same run under sse or avx2), all three or none on
@@ -406,12 +424,19 @@ func TestActKernelsFollowTheTier(t *testing.T) {
 // GODEBUG=cpu.fma=off. CPUID still reports FMA there, so the tiers stay as
 // they are, but math.Exp takes its unfused path and the kernels no longer
 // match it: the start-up probe has to notice and leave every tier on the
-// scalar loops, and the three functions must still equal them.
+// scalar loops, and the three functions must still equal them. In a
+// GOAMD64=v3 build math.Exp stays fused, so the probe has to keep the
+// kernels on every assembly tier instead.
 func TestActProbeTurnsKernelsOffWithoutFMA(t *testing.T) {
 	if fmaOff() {
+		keep := cpuFused && fmaCompiledIn()
 		for _, k := range kernelTiers {
-			if k.expInto != nil || k.sigmoidInto != nil || k.tanhInto != nil {
+			has := k.expInto != nil || k.sigmoidInto != nil || k.tanhInto != nil
+			if has && !keep {
 				t.Errorf("tier %s kept its activation kernels although math.Exp runs unfused", k.name)
+			}
+			if !has && keep && k.name != "generic" {
+				t.Errorf("tier %s dropped its activation kernels although this GOAMD64=v3 build runs math.Exp fused", k.name)
 			}
 		}
 		rng := rand.New(rand.NewSource(183))

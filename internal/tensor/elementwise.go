@@ -240,3 +240,220 @@ func sgdStepScalar(w, grad, v []float32, lr, mom, wd float32) {
 		w[j] += float32(lr * vj)
 	}
 }
+
+// The element-wise passes of the language model's train step follow the same
+// rule: the LSTM's cell update, hidden product and gate gradients, the dense
+// head's bias add and bias-gradient sums, and the softmax head's widening and
+// gradient (ArgMax and Clip, in ops.go, too). AddTo and SubInto also serve the
+// server's per-device passes. Every product that meets an add is converted
+// to float32 before it, so a compiler that fuses multiply-adds computes the
+// kernels' bits as well.
+
+// AddTo adds src to dst element by element: dst[i] + src[i], dst first.
+func AddTo(dst, src []float32) {
+	src = src[:len(dst)]
+	if fn := activeKernel.Load().addTo; fn != nil && len(dst) >= 8 {
+		whole := len(dst) &^ 7
+		fn(&dst[0], &src[0], uintptr(whole))
+		dst, src = dst[whole:], src[whole:]
+	}
+	addToScalar(dst, src)
+}
+
+func addToScalar(dst, src []float32) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+	}
+}
+
+// SubInto sets dst[i] to a[i] − b[i]. dst may be a or b.
+func SubInto(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	if fn := activeKernel.Load().subInto; fn != nil && len(dst) >= 8 {
+		whole := len(dst) &^ 7
+		fn(&dst[0], &a[0], &b[0], uintptr(whole))
+		dst, a, b = dst[whole:], a[whole:], b[whole:]
+	}
+	subIntoScalar(dst, a, b)
+}
+
+func subIntoScalar(dst, a, b []float32) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] - b[i]
+	}
+}
+
+// AddRowSums adds to dst[j] element j of every row of rows, a whole number
+// of rows len(dst) long, one add per row in ascending order: a dense layer's
+// bias gradient. The kernel gives each column a lane, so every column still
+// sums in that order; it takes the whole vectors of a row.
+func AddRowSums(dst, rows []float32) {
+	width := len(dst)
+	if width == 0 || len(rows) < width {
+		return
+	}
+	rows = rows[:len(rows)/width*width]
+	if fn := activeKernel.Load().addRowSums; fn != nil && width >= 8 {
+		whole := width &^ 7
+		fn(&dst[0], &rows[0], uintptr(whole), uintptr(width), uintptr(len(rows)/width))
+		if whole == width {
+			return
+		}
+		dst, rows = dst[whole:], rows[whole:]
+	}
+	addRowSumsScalar(dst, rows, width)
+}
+
+// addRowSumsScalar adds every row of rows (width apart) to dst, whose length
+// may be less than width.
+func addRowSumsScalar(dst, rows []float32, width int) {
+	for r := 0; r < len(rows); r += width {
+		row := rows[r:][:len(dst)]
+		for j, v := range row {
+			dst[j] += v
+		}
+	}
+}
+
+// LSTMCell sets c to the LSTM cell update f·cPrev + i·g, each product
+// rounded before the add.
+func LSTMCell(c, f, cPrev, i, g []float32) {
+	f, cPrev, i, g = f[:len(c)], cPrev[:len(c)], i[:len(c)], g[:len(c)]
+	if fn := activeKernel.Load().lstmCell; fn != nil && len(c) >= 8 {
+		whole := len(c) &^ 7
+		fn(&c[0], &f[0], &cPrev[0], &i[0], &g[0], uintptr(whole))
+		c, f, cPrev, i, g = c[whole:], f[whole:], cPrev[whole:], i[whole:], g[whole:]
+	}
+	lstmCellScalar(c, f, cPrev, i, g)
+}
+
+// lstmCellScalar is not inlined: where a NaN meets a NaN, which one the
+// result carries depends on the operand order the compiler picks, and a
+// single compiled copy keeps that order the one the kernel repeats.
+//
+//go:noinline
+func lstmCellScalar(c, f, cPrev, i, g []float32) {
+	f, cPrev, i, g = f[:len(c)], cPrev[:len(c)], i[:len(c)], g[:len(c)]
+	for k := range c {
+		c[k] = float32(f[k]*cPrev[k]) + float32(i[k]*g[k])
+	}
+}
+
+// LSTMHidden sets both h and out to the LSTM hidden state o·tc.
+func LSTMHidden(h, out, o, tc []float32) {
+	out, o, tc = out[:len(h)], o[:len(h)], tc[:len(h)]
+	if fn := activeKernel.Load().lstmHidden; fn != nil && len(h) >= 8 {
+		whole := len(h) &^ 7
+		fn(&h[0], &out[0], &o[0], &tc[0], uintptr(whole))
+		h, out, o, tc = h[whole:], out[whole:], o[whole:], tc[whole:]
+	}
+	lstmHiddenScalar(h, out, o, tc)
+}
+
+func lstmHiddenScalar(h, out, o, tc []float32) {
+	out, o, tc = out[:len(h)], o[:len(h)], tc[:len(h)]
+	for k, og := range o {
+		hv := og * tc[k]
+		h[k] = hv
+		out[k] = hv
+	}
+}
+
+// LSTMGateGrads is one batch row of an LSTM timestep's backward pass. gates
+// holds the row's activations i, f, g and o, and dz and db are laid out the
+// same way: four quarters of h = len(dout). From the output gradient dout,
+// the gradients dhNext and dcNext arriving from the next timestep, tanh of
+// the cell tanhC and the previous cell cPrev it sets
+//
+//	dh  = dout + dhNext
+//	dc  = dcNext + dh·o·(1 − tanhC²)
+//	dz  = dc·g·i·(1 − i), dc·cPrev·f·(1 − f), dc·i·(1 − g²), dh·tanhC·o·(1 − o)
+//	db += dz
+//	dcPrev = dc·f
+//
+// with the products associated left to right, as written.
+func LSTMGateGrads(dz, db, gates, dout, dhNext, dcNext, tanhC, cPrev, dcPrev []float32) {
+	h := len(dout)
+	dz, db, gates = dz[:4*h], db[:4*h], gates[:4*h]
+	dhNext, dcNext, tanhC, cPrev, dcPrev = dhNext[:h], dcNext[:h], tanhC[:h], cPrev[:h], dcPrev[:h]
+	from := 0
+	if fn := activeKernel.Load().lstmGateGrads; fn != nil && h >= 8 {
+		from = h &^ 7
+		fn(&dz[0], &db[0], &gates[0], &dout[0], &dhNext[0], &dcNext[0], &tanhC[0], &cPrev[0], &dcPrev[0], uintptr(h), uintptr(from))
+	}
+	lstmGateGradsScalar(dz, db, gates, dout, dhNext, dcNext, tanhC, cPrev, dcPrev, from)
+}
+
+// lstmGateGradsScalar runs LSTMGateGrads' loop over hidden units from to h.
+// It is not inlined, for lstmCellScalar's reason.
+//
+//go:noinline
+func lstmGateGradsScalar(dz, db, gates, dout, dhNext, dcNext, tanhC, cPrev, dcPrev []float32, from int) {
+	h := len(dout)
+	zi, zf, zg, zo := quarters(gates, h)
+	dzi, dzf, dzg, dzo := quarters(dz, h)
+	dbi, dbf, dbg, dbo := quarters(db, h)
+	dhNext, dcNext, tanhC, cPrev, dcPrev = dhNext[:h], dcNext[:h], tanhC[:h], cPrev[:h], dcPrev[:h]
+	for k := from; k < h; k++ {
+		ig, fg, gg, og := zi[k], zf[k], zg[k], zo[k]
+		tv := tanhC[k]
+		dh := dout[k] + dhNext[k]
+		dc := dcNext[k] + float32(dh*og*(1-float32(tv*tv)))
+		di := float32(dc * gg * ig * (1 - ig))
+		df := float32(dc * cPrev[k] * fg * (1 - fg))
+		dg := float32(dc * ig * (1 - float32(gg*gg)))
+		do := float32(dh * tv * og * (1 - og))
+		dzi[k], dzf[k], dzg[k], dzo[k] = di, df, dg, do
+		dbi[k] += di
+		dbf[k] += df
+		dbg[k] += dg
+		dbo[k] += do
+		dcPrev[k] = dc * fg
+	}
+}
+
+// quarters splits a row of 4h values into four of h.
+func quarters(row []float32, h int) (a, b, c, d []float32) {
+	row = row[:4*h]
+	return row[:h], row[h:][:h], row[2*h:][:h], row[3*h:][:h]
+}
+
+// SubWiden sets dst[j] to float64(src[j] − s): the difference is rounded to
+// float32, then widened exactly.
+func SubWiden(dst []float64, src []float32, s float32) {
+	src = src[:len(dst)]
+	if fn := activeKernel.Load().subWiden; fn != nil && len(dst) >= 8 {
+		whole := len(dst) &^ 7
+		fn(&dst[0], &src[0], uintptr(whole), s)
+		dst, src = dst[whole:], src[whole:]
+	}
+	subWidenScalar(dst, src, s)
+}
+
+func subWidenScalar(dst []float64, src []float32, s float32) {
+	src = src[:len(dst)]
+	for j, v := range src {
+		dst[j] = float64(v - s)
+	}
+}
+
+// DivNarrowScale sets dst[j] to float32(src[j]/d)·s: the quotient is rounded
+// to float32, then scaled.
+func DivNarrowScale(dst []float32, src []float64, d float64, s float32) {
+	src = src[:len(dst)]
+	if fn := activeKernel.Load().divNarrowScale; fn != nil && len(dst) >= 8 {
+		whole := len(dst) &^ 7
+		fn(&dst[0], &src[0], uintptr(whole), d, s)
+		dst, src = dst[whole:], src[whole:]
+	}
+	divNarrowScaleScalar(dst, src, d, s)
+}
+
+func divNarrowScaleScalar(dst []float32, src []float64, d float64, s float32) {
+	src = src[:len(dst)]
+	for j, e := range src {
+		dst[j] = float32(e/d) * s
+	}
+}

@@ -397,3 +397,360 @@ plainloop:
 sgddone:
 	VZEROUPPER
 	RET
+
+// ewIota: the int32 lane numbers.
+DATA ewIota<>+0(SB)/8, $0x0000000100000000
+DATA ewIota<>+8(SB)/8, $0x0000000300000002
+DATA ewIota<>+16(SB)/8, $0x0000000500000004
+DATA ewIota<>+24(SB)/8, $0x0000000700000006
+GLOBL ewIota<>(SB), RODATA|NOPTR, $32
+
+// func addToAVX(dst, src *float32, n uintptr): dst = dst + src, dst first.
+TEXT ·addToAVX(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	SHRQ $3, CX
+addtoloop:
+	VMOVUPS (DI), Y0
+	VADDPS  (SI), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     addtoloop
+	VZEROUPPER
+	RET
+
+// func subIntoAVX(dst, a, b *float32, n uintptr): dst = a − b.
+TEXT ·subIntoAVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $3, CX
+subloop:
+	VMOVUPS (SI), Y0
+	VSUBPS  (DX), Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DX
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     subloop
+	VZEROUPPER
+	RET
+
+// func addRowSumsAVX(dst, rows *float32, cols, width, nrows uintptr)
+// cols is a multiple of 8 and nrows at least 1. Each lane of an accumulator
+// holds one column of dst and adds the rows to it in ascending order, the Go
+// loop's adds; four vectors of columns at a time while 32 are left, so four
+// chains overlap, then one.
+TEXT ·addRowSumsAVX(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ rows+8(FP), SI
+	MOVQ cols+16(FP), CX
+	MOVQ width+24(FP), R9
+	SHLQ $2, R9
+	MOVQ nrows+32(FP), DX
+rsfour:
+	CMPQ    CX, $32
+	JLT     rsone
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+rsfourrow:
+	VADDPS (AX), Y0, Y0
+	VADDPS 32(AX), Y1, Y1
+	VADDPS 64(AX), Y2, Y2
+	VADDPS 96(AX), Y3, Y3
+	ADDQ   R9, AX
+	DECQ   BX
+	JNZ    rsfourrow
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $32, CX
+	JMP     rsfour
+rsone:
+	TESTQ   CX, CX
+	JZ      rsdone
+	VMOVUPS (DI), Y0
+	MOVQ    SI, AX
+	MOVQ    DX, BX
+rsonerow:
+	VADDPS (AX), Y0, Y0
+	ADDQ   R9, AX
+	DECQ   BX
+	JNZ    rsonerow
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	SUBQ    $8, CX
+	JMP     rsone
+rsdone:
+	VZEROUPPER
+	RET
+
+// func lstmCellAVX(c, fg, cPrev, ig, gg *float32, n uintptr): c = fg·cPrev +
+// ig·gg, both products rounded before the add. The compiled loop multiplies
+// cPrev·fg and gg·ig, first source first, and so does the kernel.
+TEXT ·lstmCellAVX(SB), NOSPLIT, $0-48
+	MOVQ c+0(FP), DI
+	MOVQ fg+8(FP), SI
+	MOVQ cPrev+16(FP), R8
+	MOVQ ig+24(FP), R9
+	MOVQ gg+32(FP), R10
+	MOVQ n+40(FP), CX
+	SHRQ $3, CX
+cellloop:
+	VMOVUPS (R8), Y0
+	VMULPS  (SI), Y0, Y0
+	VMOVUPS (R10), Y1
+	VMULPS  (R9), Y1, Y1
+	VADDPS  Y1, Y0, Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     cellloop
+	VZEROUPPER
+	RET
+
+// func lstmHiddenAVX(h, out, o, tc *float32, n uintptr): h = out = o·tc.
+TEXT ·lstmHiddenAVX(SB), NOSPLIT, $0-40
+	MOVQ h+0(FP), DI
+	MOVQ out+8(FP), DX
+	MOVQ o+16(FP), SI
+	MOVQ tc+24(FP), R8
+	MOVQ n+32(FP), CX
+	SHRQ $3, CX
+hidloop:
+	VMOVUPS (SI), Y0
+	VMULPS  (R8), Y0, Y0
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y0, (DX)
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, DI
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     hidloop
+	VZEROUPPER
+	RET
+
+// GATEOUT stores the gate gradient Y7 to dz and adds it to db, db first.
+#define GATEOUT(dz, db) \
+	VMOVUPS Y7, dz; \
+	VMOVUPS db, Y8; \
+	VADDPS  Y7, Y8, Y8; \
+	VMOVUPS Y8, db
+
+// func lstmGateGradsAVX(dz, db, gates, dout, dhNext, dcNext, tanhC, cPrev, dcPrev *float32, h, n uintptr)
+// dz, db and gates are rows of four quarters h floats apart (DX bytes; BX is
+// three quarters). Each product is associated as in the loop and rounded;
+// where the compiled loop swaps the operands of a product or a sum, so does
+// the kernel (first source first): dc = (1 − t²)·(dh·o) + dcNext, then
+// (1 − i)·(dc·g·i), cPrev·dc·f·(1 − f), (1 − g²)·(i·dc) and t·dh·o·(1 − o).
+TEXT ·lstmGateGradsAVX(SB), NOSPLIT, $0-88
+	MOVQ         dz+0(FP), DI
+	MOVQ         db+8(FP), R8
+	MOVQ         gates+16(FP), SI
+	MOVQ         dout+24(FP), R9
+	MOVQ         dhNext+32(FP), R10
+	MOVQ         dcNext+40(FP), R11
+	MOVQ         tanhC+48(FP), R12
+	MOVQ         cPrev+56(FP), R13
+	MOVQ         dcPrev+64(FP), R14
+	MOVQ         h+72(FP), DX
+	SHLQ         $2, DX
+	LEAQ         (DX)(DX*2), BX
+	MOVQ         n+80(FP), CX
+	SHRQ         $3, CX
+	MOVL         $0x3f800000, AX
+	VMOVD        AX, X15
+	VBROADCASTSS X15, Y15
+gateloop:
+	VMOVUPS (SI), Y0
+	VMOVUPS (SI)(DX*1), Y1
+	VMOVUPS (SI)(DX*2), Y2
+	VMOVUPS (SI)(BX*1), Y3
+	VMOVUPS (R12), Y4
+	VMOVUPS (R9), Y5
+	VADDPS  (R10), Y5, Y5
+	VMULPS  Y4, Y4, Y7
+	VSUBPS  Y7, Y15, Y7
+	VMULPS  Y3, Y5, Y8
+	VMULPS  Y8, Y7, Y8
+	VADDPS  (R11), Y8, Y6
+	VMULPS  Y2, Y6, Y7
+	VMULPS  Y0, Y7, Y7
+	VSUBPS  Y0, Y15, Y8
+	VMULPS  Y7, Y8, Y7
+	GATEOUT((DI), (R8))
+	VMOVUPS (R13), Y7
+	VMULPS  Y6, Y7, Y7
+	VMULPS  Y1, Y7, Y7
+	VSUBPS  Y1, Y15, Y8
+	VMULPS  Y8, Y7, Y7
+	GATEOUT((DI)(DX*1), (R8)(DX*1))
+	VMULPS  Y6, Y0, Y7
+	VMULPS  Y2, Y2, Y8
+	VSUBPS  Y8, Y15, Y8
+	VMULPS  Y7, Y8, Y7
+	GATEOUT((DI)(DX*2), (R8)(DX*2))
+	VMULPS  Y5, Y4, Y7
+	VMULPS  Y3, Y7, Y7
+	VSUBPS  Y3, Y15, Y8
+	VMULPS  Y8, Y7, Y7
+	GATEOUT((DI)(BX*1), (R8)(BX*1))
+	VMULPS  Y1, Y6, Y7
+	VMOVUPS Y7, (R14)
+	ADDQ    $32, DI
+	ADDQ    $32, R8
+	ADDQ    $32, SI
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	ADDQ    $32, R11
+	ADDQ    $32, R12
+	ADDQ    $32, R13
+	ADDQ    $32, R14
+	DECQ    CX
+	JNZ     gateloop
+	VZEROUPPER
+	RET
+
+// func clipAVX(xs *float32, n uintptr, lo, hi float32)
+// VMINPS returns its second source unless the first is less, so min(hi, x)
+// is hi only where x > hi and keeps a NaN; max(lo, ·) likewise.
+TEXT ·clipAVX(SB), NOSPLIT, $0-24
+	MOVQ         xs+0(FP), DI
+	MOVQ         n+8(FP), CX
+	SHRQ         $3, CX
+	VBROADCASTSS lo+16(FP), Y0
+	VBROADCASTSS hi+20(FP), Y1
+cliploop:
+	VMOVUPS (DI), Y2
+	VMINPS  Y2, Y1, Y2
+	VMAXPS  Y2, Y0, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     cliploop
+	VZEROUPPER
+	RET
+
+// ARGPICK makes each lane of (Y0 value, Y1 index) the better of itself and
+// (Y4, Y5): the greater value, a value over a NaN, the lower index of equal
+// values. Uses Y6–Y8.
+#define ARGPICK \
+	VCMPPS    $0x1e, Y0, Y4, Y6; \
+	VCMPPS    $3, Y0, Y0, Y7; \
+	VORPS     Y7, Y6, Y6; \
+	VCMPPS    $0, Y0, Y4, Y7; \
+	VPCMPGTD  Y5, Y1, Y8; \
+	VPAND     Y8, Y7, Y7; \
+	VPOR      Y7, Y6, Y6; \
+	VBLENDVPS Y6, Y4, Y0, Y0; \
+	VBLENDVPS Y6, Y5, Y1, Y1
+
+// func argMaxAVX(xs *float32, n uintptr) uintptr
+// n is a multiple of 8 and xs[0] not a NaN. Lane l scans elements l, l + 8,
+// … with the Go loop's strict >, taking the next element too while it holds
+// a NaN, so it ends with its first maximal element; the lanes then pick the
+// lowest index of the greatest value.
+TEXT ·argMaxAVX(SB), NOSPLIT, $0-24
+	MOVQ         xs+0(FP), SI
+	MOVQ         n+8(FP), CX
+	SHRQ         $3, CX
+	VMOVUPS      (SI), Y0
+	VMOVDQU      ewIota<>(SB), Y1
+	VMOVDQU      Y1, Y2
+	MOVL         $8, AX
+	VMOVD        AX, X3
+	VPBROADCASTD X3, Y3
+	DECQ         CX
+	JZ           argreduce
+argloop:
+	ADDQ      $32, SI
+	VPADDD    Y3, Y2, Y2
+	VMOVUPS   (SI), Y4
+	VCMPPS    $0x1e, Y0, Y4, Y5
+	VCMPPS    $3, Y0, Y0, Y6
+	VORPS     Y6, Y5, Y5
+	VBLENDVPS Y5, Y4, Y0, Y0
+	VBLENDVPS Y5, Y2, Y1, Y1
+	DECQ      CX
+	JNZ       argloop
+argreduce:
+	VPERM2F128 $0x01, Y0, Y0, Y4
+	VPERM2F128 $0x01, Y1, Y1, Y5
+	ARGPICK
+	VPERMILPS  $0x4e, Y0, Y4
+	VPERMILPS  $0x4e, Y1, Y5
+	ARGPICK
+	VPERMILPS  $0xb1, Y0, Y4
+	VPERMILPS  $0xb1, Y1, Y5
+	ARGPICK
+	VMOVD      X1, AX
+	MOVQ       AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func subWidenAVX(dst *float64, src *float32, n uintptr, s float32)
+// dst = float64(src − s): the float32 difference, widened exactly.
+TEXT ·subWidenAVX(SB), NOSPLIT, $0-28
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	SHRQ         $3, CX
+	VBROADCASTSS s+24(FP), Y0
+widenloop:
+	VMOVUPS      (SI), Y1
+	VSUBPS       Y0, Y1, Y1
+	VCVTPS2PD    X1, Y2
+	VEXTRACTF128 $1, Y1, X1
+	VCVTPS2PD    X1, Y3
+	VMOVUPD      Y2, (DI)
+	VMOVUPD      Y3, 32(DI)
+	ADDQ         $32, SI
+	ADDQ         $64, DI
+	DECQ         CX
+	JNZ          widenloop
+	VZEROUPPER
+	RET
+
+// func divNarrowScaleAVX(dst *float32, src *float64, n uintptr, d float64, s float32)
+// dst = float32(src/d)·s: the quotient rounded to float32, then scaled.
+TEXT ·divNarrowScaleAVX(SB), NOSPLIT, $0-36
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	SHRQ         $3, CX
+	VBROADCASTSD d+24(FP), Y0
+	VBROADCASTSS s+32(FP), Y1
+narrowloop:
+	VMOVUPD     (SI), Y2
+	VDIVPD      Y0, Y2, Y2
+	VCVTPD2PSY  Y2, X2
+	VMOVUPD     32(SI), Y3
+	VDIVPD      Y0, Y3, Y3
+	VCVTPD2PSY  Y3, X3
+	VINSERTF128 $1, X3, Y2, Y2
+	VMULPS      Y1, Y2, Y2
+	VMOVUPS     Y2, (DI)
+	ADDQ        $64, SI
+	ADDQ        $32, DI
+	DECQ        CX
+	JNZ         narrowloop
+	VZEROUPPER
+	RET

@@ -170,6 +170,134 @@ func ewCase(vals []float32, outW int) string {
 			}
 		}
 	}
+	return ewLMCase(vals, outW, rot, diff)
+}
+
+// ewLMClips are the limits the Clip comparisons run, a NaN among them.
+var ewLMClips = []float32{1.5, 0.25, float32(math.Inf(1)), math.Float32frombits(0x7fc12345)}
+
+// ewLMDivisors are the sums the softmax gradient comparisons divide by: a
+// plain one and the two a row of infinities or NaNs produces.
+var ewLMDivisors = []float64{3.25, math.Inf(1), math.Float64frombits(0x7ff8000000012345)}
+
+// ewLMCase is ewCase for the language model's passes: vals is one LSTM row
+// of four gate quarters of len(vals)/4, rows of the dense bias sums outW and
+// 32 + outW wide, one Clip, and softmax rows of every prefix of vals.
+func ewLMCase(vals []float32, outW int, rot func(int) []float32, diff func(string, []float32, []float32) string) string {
+	n := len(vals)
+	got, want := ewBuf(rot(1)), ewBuf(rot(1))
+	AddTo(got[:n], vals)
+	addToScalar(want[:n], vals)
+	if d := diff("AddTo", got, want); d != "" {
+		return d
+	}
+	got, want = ewBuf(rot(2)), ewBuf(rot(2))
+	SubInto(got[:n], vals, rot(3))
+	subIntoScalar(want[:n], vals, rot(3))
+	if d := diff("SubInto", got, want); d != "" {
+		return d
+	}
+	SubInto(got[:n], got[:n], vals)
+	subIntoScalar(want[:n], want[:n], vals)
+	if d := diff("SubInto in place", got, want); d != "" {
+		return d
+	}
+
+	for _, width := range []int{outW, 32 + outW} {
+		if rows := n / width; rows > 0 {
+			got, want = ewBuf(rot(4)[:width]), ewBuf(rot(4)[:width])
+			AddRowSums(got[:width], vals[:rows*width])
+			addRowSumsScalar(want[:width], vals[:rows*width], width)
+			if d := diff(fmt.Sprintf("AddRowSums %d×%d", rows, width), got, want); d != "" {
+				return d
+			}
+		}
+	}
+
+	got, want = ewBuf(rot(5)), ewBuf(rot(5))
+	LSTMCell(got[:n], vals, rot(1), rot(2), rot(3))
+	lstmCellScalar(want[:n], vals, rot(1), rot(2), rot(3))
+	if d := diff("LSTMCell", got, want); d != "" {
+		return d
+	}
+	got, want = ewBuf(rot(5)), ewBuf(rot(5))
+	gotOut, wantOut := ewBuf(rot(6)), ewBuf(rot(6))
+	LSTMHidden(got[:n], gotOut[:n], vals, rot(7))
+	lstmHiddenScalar(want[:n], wantOut[:n], vals, rot(7))
+	if d := diff("LSTMHidden h", got, want) + diff("LSTMHidden out", gotOut, wantOut); d != "" {
+		return d
+	}
+	if h := n / 4; h > 0 {
+		gotDZ, wantDZ := ewBuf(rot(8)[:4*h]), ewBuf(rot(8)[:4*h])
+		gotDB, wantDB := ewBuf(rot(9)[:4*h]), ewBuf(rot(9)[:4*h])
+		gotDC, wantDC := ewBuf(rot(10)[:h]), ewBuf(rot(10)[:h])
+		ins := [5][]float32{rot(11)[:h], rot(12)[:h], rot(13)[:h], rot(14)[:h], rot(15)[:h]}
+		LSTMGateGrads(gotDZ, gotDB, vals, ins[0], ins[1], ins[2], ins[3], ins[4], gotDC)
+		lstmGateGradsScalar(wantDZ[:4*h], wantDB[:4*h], vals[:4*h], ins[0], ins[1], ins[2], ins[3], ins[4], wantDC[:h], 0)
+		for _, d := range []string{
+			diff(fmt.Sprintf("LSTMGateGrads h=%d dz", h), gotDZ, wantDZ),
+			diff(fmt.Sprintf("LSTMGateGrads h=%d db", h), gotDB, wantDB),
+			diff(fmt.Sprintf("LSTMGateGrads h=%d dcPrev", h), gotDC, wantDC),
+		} {
+			if d != "" {
+				return d
+			}
+		}
+	}
+
+	for _, limit := range ewLMClips {
+		got, want = ewBuf(vals), ewBuf(vals)
+		(&Tensor{Data: got[:n]}).Clip(limit)
+		clipScalar(want[:n], limit)
+		if d := diff(fmt.Sprintf("Clip %v", limit), got, want); d != "" {
+			return d
+		}
+	}
+
+	for m := 1; m <= n; m++ {
+		row := vals[:m]
+		bi := 0
+		for i := 1; i < m; i++ {
+			if row[i] > row[bi] {
+				bi = i
+			}
+		}
+		if got := ArgMax(row); got != bi {
+			return fmt.Sprintf("ArgMax of %d: %d, Go loop %d", m, got, bi)
+		}
+	}
+	if n == 0 {
+		return ""
+	}
+	loose := ewLooseNaN()
+	diff64 := func(name string, got, want []float64) string {
+		for i := range got {
+			g, w := got[i], want[i]
+			if math.Float64bits(g) != math.Float64bits(w) && !(loose && g != g && w != w) {
+				return fmt.Sprintf("%s: element %d of %d is %016x, Go loop %016x", name, i, len(got), math.Float64bits(g), math.Float64bits(w))
+			}
+		}
+		return ""
+	}
+	e, eWant := make([]float64, n), make([]float64, n)
+	for _, s := range []float32{vals[ArgMax(vals)], 0.75, vals[n/2]} {
+		SubWiden(e, vals, s)
+		subWidenScalar(eWant, vals, s)
+		if d := diff64(fmt.Sprintf("SubWiden %08x", math.Float32bits(s)), e, eWant); d != "" {
+			return d
+		}
+	}
+	for i, v := range rot(2) {
+		e[i] = float64(v) * 0.3
+	}
+	for _, div := range ewLMDivisors {
+		got, want = ewBuf(rot(3)), ewBuf(rot(3))
+		DivNarrowScale(got[:n], e, div, 1.0/96)
+		divNarrowScaleScalar(want[:n], e, div, 1.0/96)
+		if d := diff(fmt.Sprintf("DivNarrowScale %v", div), got, want); d != "" {
+			return d
+		}
+	}
 	return ""
 }
 
@@ -243,8 +371,10 @@ func TestElementwiseKernelsMatchScalarLoops(t *testing.T) {
 			}
 		}
 		// conv1 and conv2 of the CNN at batch 2: 8 planes of 16×16 and 16 of
-		// 8×8.
-		for _, c := range []struct{ n, outW int }{{2 * 8 * 256, 8}, {2 * 16 * 64, 4}, {2*16*64 + 5, 8}} {
+		// 8×8; an LSTM row at h = 32 and at the pruned h = 19, the head's
+		// rows of 80 words.
+		for _, c := range []struct{ n, outW int }{{2 * 8 * 256, 8}, {2 * 16 * 64, 4}, {2*16*64 + 5, 8},
+			{4 * 32, 80}, {4 * 19, 19}, {4*19 + 3, 80}} {
 			for kind := 0; kind < 3; kind++ {
 				if d := ewCase(ewValues(rng, c.n, kind), c.outW); d != "" {
 					t.Fatalf("%s n=%d kind=%d width=%d: %s", tier, c.n, kind, c.outW, d)
@@ -280,12 +410,14 @@ func TestElementwiseKernelsOnSpecials(t *testing.T) {
 }
 
 // TestElementwiseKernelsFollowTheTier pins which tiers have the kernels: all
-// seven on avx2, none anywhere else, so FEDMP_KERNEL=generic or sse runs the
+// seventeen on avx2, none anywhere else, so FEDMP_KERNEL=generic or sse runs the
 // Go loops.
 func TestElementwiseKernelsFollowTheTier(t *testing.T) {
 	for _, k := range kernelTiers {
 		has := []bool{k.relu != nil, k.reluGrad != nil, k.maxPool2x2 != nil, k.maxPool2x2Grad != nil,
-			k.addBias != nil, k.addBiasGrad != nil, k.sgdStep != nil}
+			k.addBias != nil, k.addBiasGrad != nil, k.sgdStep != nil,
+			k.addTo != nil, k.subInto != nil, k.addRowSums != nil, k.lstmCell != nil, k.lstmHidden != nil,
+			k.lstmGateGrads != nil, k.clip != nil, k.argMax != nil, k.subWiden != nil, k.divNarrowScale != nil}
 		for i, h := range has {
 			if h != (k.name == "avx2") {
 				t.Errorf("tier %s: element-wise kernel %d present = %v", k.name, i, h)

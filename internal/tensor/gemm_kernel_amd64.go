@@ -32,6 +32,10 @@ func archKernels() []*gemmKernel {
 	avx2.maxPool2x2, avx2.maxPool2x2Grad = maxPool2x2AVX, maxPool2x2GradAVX
 	avx2.addBias, avx2.addBiasGrad = addBiasAVX, addBiasGradAVX
 	avx2.sgdStep = sgdStepAVX
+	avx2.addTo, avx2.subInto, avx2.addRowSums = addToAVX, subIntoAVX, addRowSumsAVX
+	avx2.lstmCell, avx2.lstmHidden, avx2.lstmGateGrads = lstmCellAVX, lstmHiddenAVX, lstmGateGradsAVX
+	avx2.clip, avx2.argMax = clipAVX, argMaxAVX
+	avx2.subWiden, avx2.divNarrowScale = subWidenAVX, divNarrowScaleAVX
 	if actKernelsMatchStdlib() {
 		for _, k := range []*gemmKernel{sse, avx2} {
 			k.expInto, k.sigmoidInto, k.tanhInto = expIntoFMA, sigmoidIntoFMA, tanhIntoFMA

@@ -42,7 +42,7 @@ type IndirectConv struct {
 	// filter, the start of its plane in a sample's output gradient.
 	taps, pos, filt []int
 	// dxpad is GradX's input gradient inside its border, panel one tile
-	// height of taps of the column gradient, [mr, outArea].
+	// height of taps of the column gradient, [mr, outArea]; GradX grows both.
 	dxpad, panel []float32
 	// dwT is the weight gradient transposed, [roundUp(rows, mr)] rows of
 	// roundUp(OutC, nr), between BeginGradW and EndGradW. Its padding rows
@@ -91,8 +91,6 @@ func (ic *IndirectConv) Plan(g ConvGeom) bool {
 	ic.xpad = growF32(ic.xpad, g.InC*hp*wp) // grows once per geometry; steady state re-slices
 	// Load writes the interior only: the border is zeroed here.
 	clear(ic.xpad)
-	ic.dxpad = growF32(ic.dxpad, len(ic.xpad))          // grows once per geometry; steady state re-slices
-	ic.panel = growF32(ic.panel, kern.mr*outArea)       // grows once per geometry; steady state re-slices
 	ic.taps = growInts(ic.taps, roundUp(rows, kern.mr)) // grows once per geometry; steady state re-slices
 	ic.pos = growInts(ic.pos, outArea)                  // grows once per geometry; steady state re-slices
 	ic.filt = growInts(ic.filt, g.OutC)                 // grows once per geometry; steady state re-slices
@@ -212,6 +210,10 @@ func (ic *IndirectConv) GradX(dx, dy []float32, wT *PackedA) {
 	}
 	mr, nr := kern.mr, kern.nr
 	mp := roundUp(rows, mr)
+	// Grown here, not in Plan: a layer that only needs its weight gradient
+	// never holds them.
+	ic.dxpad = growF32(ic.dxpad, len(ic.xpad)) // grows once per geometry; steady state re-slices
+	ic.panel = growF32(ic.panel, mr*outArea)   // grows once per geometry; steady state re-slices
 	clear(ic.dxpad)
 	_ = ic.dxpad[ic.taps[rows-1]+ic.pos[outArea-1]] // the furthest add, as in Mul
 	for t0 := 0; t0 < rows; t0 += mr {

@@ -343,3 +343,47 @@ func TestPackedOperandsAllocateOnce(t *testing.T) {
 		ic.GradX(dx, dy, &pa)
 	})
 }
+
+// TestIndirectGradXBuffersOnDemand: a layer that runs only the forward
+// product and the weight gradient — the first of a network, whose input
+// needs no gradient — never holds GradX's padded gradient or its
+// column-gradient panel; GradX grows them on its first call and then runs
+// without allocating.
+func TestIndirectGradXBuffersOnDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	g := ConvGeom{InC: 8, InH: 8, InW: 8, OutC: 16, KH: 5, KW: 5, Stride: 1, Pad: 2}
+	var ic IndirectConv
+	if !ic.Plan(g) {
+		t.Skipf("tier %s lowers %+v", KernelName(), g)
+	}
+	rows, outArea := g.InC*g.KH*g.KW, g.OutH()*g.OutW()
+	x := RandN(rng, g.InC, g.InH, g.InW).Data
+	w, dy := RandN(rng, g.OutC, rows).Data, RandN(rng, g.OutC, outArea).Data
+	y, dw, dx := make([]float32, g.OutC*outArea), make([]float32, g.OutC*rows), make([]float32, len(x))
+	var wA, wT PackedA
+	var dyT PackedB
+	wA.Pack(w, false, g.OutC, rows, outArea)
+	wT.Pack(w, true, rows, g.OutC, outArea)
+	for range 2 {
+		ic.Plan(g)
+		ic.Load(x)
+		ic.Mul(y, &wA)
+		dyT.Pack(dy, true, rows, outArea, g.OutC)
+		ic.BeginGradW(dw)
+		ic.AddGradW(&dyT)
+		ic.EndGradW(dw)
+	}
+	if cap(ic.dxpad) != 0 || cap(ic.panel) != 0 {
+		t.Fatalf("a params-only layer holds %d floats of padded gradient and %d of panel", cap(ic.dxpad), cap(ic.panel))
+	}
+	ic.GradX(dx, dy, &wT)
+	if len(ic.dxpad) != len(ic.xpad) || len(ic.panel) != ic.kern.mr*outArea {
+		t.Fatalf("GradX grew %d and %d floats, want %d and %d", len(ic.dxpad), len(ic.panel), len(ic.xpad), ic.kern.mr*outArea)
+	}
+	if raceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(20, func() { ic.GradX(dx, dy, &wT) }); got > 0 {
+		t.Errorf("a warm GradX allocates %.1f objects per call, want 0", got)
+	}
+}

@@ -46,9 +46,10 @@ import (
 //
 // So are the train step's element-wise passes (elementwise.go): ReLU and its
 // gradient, the 2×2 max-pool and its gradient, the bias add, the
-// bias-gradient sums and the SGD update are Go loops on generic and sse; the
-// avx2 tier runs kernels that repeat each loop's operations per lane, unfused
-// and in its order.
+// bias-gradient sums and the SGD update, and the language model's LSTM cell,
+// hidden state and gate gradients, dense bias sums, gradient clip and softmax
+// passes, are Go loops on generic and sse; the avx2 tier runs kernels that
+// repeat each loop's operations per lane, unfused and in its order.
 //
 // So is packTransposed (gemm.go), which fills every panel of an operand
 // stored along its depth — the conv weight gradient's dy_iᵀ and its dWᵀ
@@ -114,6 +115,21 @@ type gemmKernel struct {
 	addBias        func(y, bias *float32, c, area uintptr)
 	addBiasGrad    func(db, dy *float32, c, area uintptr)
 	sgdStep        func(w, grad, v *float32, n uintptr, lr, mom, wd float32)
+	// addTo … divNarrowScale are the same for the language model's passes
+	// and the server's sums (elementwise.go, and ArgMax and Clip in ops.go):
+	// whole vectors of eight elements, or eight columns of every row for
+	// addRowSums; argMax returns the first index of the maximum of a slice
+	// that does not start with a NaN.
+	addTo          func(dst, src *float32, n uintptr)
+	subInto        func(dst, a, b *float32, n uintptr)
+	addRowSums     func(dst, rows *float32, cols, width, nrows uintptr)
+	lstmCell       func(c, f, cPrev, i, g *float32, n uintptr)
+	lstmHidden     func(h, out, o, tc *float32, n uintptr)
+	lstmGateGrads  func(dz, db, gates, dout, dhNext, dcNext, tanhC, cPrev, dcPrev *float32, h, n uintptr)
+	clip           func(xs *float32, n uintptr, lo, hi float32)
+	argMax         func(xs *float32, n uintptr) uintptr
+	subWiden       func(dst *float64, src *float32, n uintptr, s float32)
+	divNarrowScale func(dst *float32, src *float64, n uintptr, d float64, s float32)
 }
 
 // directFunc is the signature of a small-product kernel; see

@@ -17,17 +17,13 @@ func checkSame(op string, a, b *Tensor) {
 // Add computes t += other element-wise.
 func (t *Tensor) Add(other *Tensor) {
 	checkSame("Add", t, other)
-	for i, v := range other.Data {
-		t.Data[i] += v
-	}
+	AddTo(t.Data, other.Data)
 }
 
 // Sub computes t -= other element-wise.
 func (t *Tensor) Sub(other *Tensor) {
 	checkSame("Sub", t, other)
-	for i, v := range other.Data {
-		t.Data[i] -= v
-	}
+	SubInto(t.Data, t.Data, other.Data)
 }
 
 // Mul computes t *= other element-wise (Hadamard product).
@@ -168,14 +164,21 @@ func (t *Tensor) MaxAbs() float32 {
 	return m
 }
 
-// ArgMax returns the index of the maximum element of xs. Ties resolve to the
-// first maximal index. Panics on an empty slice.
+// ArgMax returns the index of the maximum element of xs, scanning from xs[0]
+// with a strict >: ties resolve to the first maximal index, and a NaN wins
+// only at index 0. Panics on an empty slice. The kernel takes the whole
+// vectors of a slice that does not start with a NaN.
 func ArgMax(xs []float32) int {
 	if len(xs) == 0 {
 		panic("tensor: ArgMax of empty slice")
 	}
-	best, bi := xs[0], 0
-	for i := 1; i < len(xs); i++ {
+	best, bi, from := xs[0], 0, 1
+	if fn := activeKernel.Load().argMax; fn != nil && len(xs) >= 8 && !math.IsNaN(float64(best)) {
+		from = len(xs) &^ 7
+		bi = int(fn(&xs[0], uintptr(from)))
+		best = xs[bi]
+	}
+	for i := from; i < len(xs); i++ {
 		if xs[i] > best {
 			best, bi = xs[i], i
 		}
@@ -190,11 +193,22 @@ func (t *Tensor) Clip(limit float32) {
 	if limit <= 0 {
 		panic("tensor: Clip limit must be positive")
 	}
-	for i, v := range t.Data {
+	xs := t.Data
+	if fn := activeKernel.Load().clip; fn != nil && len(xs) >= 8 {
+		whole := len(xs) &^ 7
+		fn(&xs[0], uintptr(whole), -limit, limit)
+		xs = xs[whole:]
+	}
+	clipScalar(xs, limit)
+}
+
+// clipScalar is Clip's loop; a NaN stays as it is.
+func clipScalar(xs []float32, limit float32) {
+	for i, v := range xs {
 		if v > limit {
-			t.Data[i] = limit
+			xs[i] = limit
 		} else if v < -limit {
-			t.Data[i] = -limit
+			xs[i] = -limit
 		}
 	}
 }
