@@ -66,6 +66,27 @@ var allocTable = []testfd.AllocRow{
 			SGDStep(y, x, nil, 0.05, 0, 2e-3)
 		})
 	}},
+	{Fns: []any{AddTo, SubInto, AddRowSums, LSTMCell, LSTMHidden, LSTMGateGrads, ArgMax, (*Tensor).Clip, SubWiden, DivNarrowScale,
+		addToScalar, subIntoScalar, addRowSumsScalar, lstmCellScalar, lstmHiddenScalar, lstmGateGradsScalar, clipScalar,
+		subWidenScalar, divNarrowScaleScalar}, Setup: func() func() {
+		// An LSTM row at the pruned width h = 19 (whole vectors and a tail)
+		// and a softmax row of 80 words, on every tier.
+		const h, k = 19, 80
+		x, y, dz, db := operand(4*h), make([]float32, 4*h), make([]float32, 4*h), make([]float32, 4*h)
+		row, g, e := operand(k), make([]float32, k), make([]float64, k)
+		clipped := FromSlice(y, 4*h)
+		return everyTier(func() {
+			AddTo(y, x)
+			SubInto(y, y, x)
+			AddRowSums(y[:h], x)
+			LSTMCell(y[:h], x[:h], x[h:2*h], x[2*h:3*h], x[3*h:])
+			LSTMHidden(y[:h], y[h:2*h], x[:h], x[h:2*h])
+			LSTMGateGrads(dz, db, x, x[:h], x[h:2*h], x[2*h:3*h], x[3*h:], y[:h], y[h:2*h])
+			clipped.Clip(1.5)
+			SubWiden(e, row, row[ArgMax(row)])
+			DivNarrowScale(g, e, 3.5, 1.0/96)
+		})
+	}},
 	{Fns: []any{matVec}, Setup: func() func() {
 		a, x, y := FromSlice(operand(10*16), 10, 16), operand(16), make([]float32, 10)
 		return func() { MatVecInto(y, a, x, true) }
